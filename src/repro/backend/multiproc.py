@@ -29,6 +29,11 @@ Mechanics:
   children copy parent state deterministically and train without rng.
   Two runs with the same seed produce bit-identical weights
   (regression-tested).
+* **one BLAS-thread budget** -- fork, stage 0 and result collection run
+  under ``blas_threads(threads_per_process(n_stages))``
+  (:mod:`repro.backend.blas`), so the stages together use the host's
+  cores once instead of each spinning a full OpenBLAS pool; the parent's
+  count is restored before evaluation.  A single stage touches none of it.
 
 The per-block optimizer states built inside each worker process stay
 there; what returns is the trained weights, which is all later stages
@@ -37,6 +42,7 @@ of the NeuroFlux pipeline (exit selection, serving) consume.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import multiprocessing as mp
 import os
@@ -48,6 +54,7 @@ import traceback
 import numpy as np
 
 from repro.backend.bf16 import is_bf16, pack_bf16_state, unpack_bf16_state
+from repro.backend.blas import blas_threads, threads_per_process, usable_cores
 from repro.core.report import BlockReport, NeuroFluxReport
 from repro.core.worker import unit_train_flops
 from repro.data.loader import DataLoader
@@ -186,10 +193,12 @@ def _guarded_get(q, liveness=None):
 def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
     """Train one stage's blocks over the incoming micro-batch stream.
 
-    Returns per-block ``(n_batches, loss_sum)`` accumulators and the
-    stage's simulated elapsed time.  Runs identically in the parent
-    (stage 0 drives the DataLoader instead of an inlink) and in forked
-    children.
+    Returns the stage's outcome: per-block ``(n_batches, loss_sum)``
+    accumulators under ``stats``, its simulated elapsed time, and the
+    host seconds it spent training (``busy_s``, inside ``train_batch``)
+    and on its rings (``wait_s``, inside ``get``/``put``).  Runs
+    identically in the parent (stage 0 drives the DataLoader instead of
+    an inlink) and in forked children.
     """
     sim = ExecutionSimulator(system.platform)
     workers = []
@@ -200,15 +209,20 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
             aux.train()
         workers.append((block, worker))
     stats = {block.index: [0, 0.0] for block, _ in workers}
+    host = {"busy_s": 0.0, "wait_s": 0.0}
 
     def consume(x, y):
+        t0 = time.perf_counter()
         for block, worker in workers:
             x, loss, _ = worker.train_batch(x, y)
             entry = stats[block.index]
             entry[0] += 1
             entry[1] += float(loss)
+        t1 = time.perf_counter()
+        host["busy_s"] += t1 - t0
         if outlink is not None:
             outlink.put(x, y)
+            host["wait_s"] += time.perf_counter() - t1
 
     if inlink is None:
         cfg = system.config
@@ -225,13 +239,15 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
                 consume(x, y)
     else:
         while True:
+            t0 = time.perf_counter()
             item = inlink.get()
+            host["wait_s"] += time.perf_counter() - t0
             if item is None:
                 break
             consume(*item)
     if outlink is not None:
         outlink.put_done()
-    return stats, sim.elapsed
+    return {"stats": stats, "sim_elapsed": sim.elapsed, **host}
 
 
 def _ship_state(module) -> tuple:
@@ -254,12 +270,8 @@ def _stage_worker(system, stage_id, stage_blocks, mb, epochs, inlink, outlink, r
     """Child-process entry: train, then ship trained weights upstream."""
     try:
         system._attach_workspaces()
-        stats, sim_elapsed = _train_stage(
-            system, stage_blocks, mb, epochs, inlink, outlink
-        )
         payload = {
-            "stats": stats,
-            "sim_elapsed": sim_elapsed,
+            **_train_stage(system, stage_blocks, mb, epochs, inlink, outlink),
             "layers": {
                 i: _ship_state(system.specs[i].module)
                 for b in stage_blocks
@@ -306,12 +318,34 @@ def run_block_parallel(
     mb = int(microbatch) if microbatch else min(b.batch_size for b in blocks)
     if mb < 1:
         raise ConfigError(f"microbatch must be >= 1, got {microbatch}")
-    cores = os.cpu_count() or 1
-    n_stages = processes if processes is not None else min(cores, len(blocks))
+    n_stages = (
+        processes if processes is not None else min(usable_cores(), len(blocks))
+    )
     stages = plan_stages(
         blocks, system.specs, list(system.aux_heads), n_stages, cfg.backward_multiplier
     )
 
+    # One BLAS-thread budget across the stages; forked children inherit
+    # it, and the parent is back on all cores before _build_report
+    # evaluates exits (on the failure path too).
+    n_threads = threads_per_process(len(stages)) if len(stages) > 1 else None
+    budget = blas_threads(n_threads) if n_threads else contextlib.nullcontext(False)
+    wall_t0 = time.perf_counter()
+    with budget as controllable:
+        stage_stats = _run_stages(system, stages, mb, epochs, slots)
+    host = {
+        "wall_clock_s": time.perf_counter() - wall_t0,
+        "blas_threads": n_threads,
+        "blas_controllable": controllable,
+    }
+    return _build_report(
+        system, blocks, stages, stage_stats, mb, epochs, profiling_flops, host
+    )
+
+
+def _run_stages(system, stages, mb, epochs, slots) -> dict:
+    """Fork stages 1.., train stage 0 here, collect every stage's outcome
+    (loading the children's trained weights into ``system``)."""
     ctx = mp.get_context("fork")
     y_dtype = system.data.y_train.dtype
     rings: list[_ActivationRing] = []
@@ -322,7 +356,6 @@ def run_block_parallel(
 
     result_q = ctx.Queue()
     procs: list = []
-    wall_t0 = time.perf_counter()
     try:
         for sid in range(1, len(stages)):
             inlink = rings[sid - 1]
@@ -345,24 +378,23 @@ def run_block_parallel(
                 # deadlocking on a full ring if a stage dies.
                 original_put = outlink.put
                 outlink.put = lambda x, y: original_put(x, y, liveness=procs)
-            stats0, sim0 = _train_stage(
-                system, stages[0], mb, epochs, None, outlink
-            )
+            stage_stats = {
+                0: _train_stage(system, stages[0], mb, epochs, None, outlink)
+            }
         finally:
             system._detach_workspaces()
 
-        stage_stats = {0: (stats0, sim0)}
         for _ in procs:
             sid, payload = _guarded_get(result_q, liveness=procs)
             if payload is None:
                 raise ConfigError(
                     f"multiprocess stage {sid} failed (see worker traceback)"
                 )
-            for i, shipped in payload["layers"].items():
+            for i, shipped in payload.pop("layers").items():
                 _load_state(system.specs[i].module, shipped)
-            for i, shipped in payload["aux"].items():
+            for i, shipped in payload.pop("aux").items():
                 _load_state(system.aux_heads[i], shipped)
-            stage_stats[sid] = (payload["stats"], payload["sim_elapsed"])
+            stage_stats[sid] = payload
         for proc in procs:
             proc.join(timeout=_JOIN_S)
     finally:
@@ -370,15 +402,11 @@ def run_block_parallel(
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=_JOIN_S)
-    wall_s = time.perf_counter() - wall_t0
-
-    return _build_report(
-        system, blocks, stages, stage_stats, mb, epochs, wall_s, profiling_flops
-    )
+    return stage_stats
 
 
 def _build_report(
-    system, blocks, stages, stage_stats, mb, epochs, wall_s, profiling_flops
+    system, blocks, stages, stage_stats, mb, epochs, profiling_flops, host
 ) -> NeuroFluxReport:
     cfg = system.config
     result = TrainResult(
@@ -397,7 +425,7 @@ def _build_report(
         dataset_bytes=system.data.spec.train_bytes,
     )
     # Simulated makespan: the pipeline's slowest stage bounds the clock.
-    result.sim_time_s = max(elapsed for _, elapsed in stage_stats.values())
+    result.sim_time_s = max(s["sim_elapsed"] for s in stage_stats.values())
     # Peak simulated residency: every stage holds all its blocks
     # resident at once (they interleave per micro-batch).
     peak = 0
@@ -416,7 +444,7 @@ def _build_report(
     result.peak_memory_bytes = peak
 
     for sid, stage in enumerate(stages):
-        stats, elapsed = stage_stats[sid]
+        stats, elapsed = stage_stats[sid]["stats"], stage_stats[sid]["sim_elapsed"]
         stage_total = sum(n for n, _ in stats.values()) or 1
         for block in stage:
             n_batches, loss_sum = stats[block.index]
@@ -437,9 +465,13 @@ def _build_report(
     result.ledger.compute = result.sim_time_s
     result.ledger.profiling = report.profiling_time_s
     system._finalize_exits(report)
-    result.extras["wall_clock_s"] = wall_s
+    result.extras.update(host)
     result.extras["processes"] = len(stages)
-    result.extras["cores"] = os.cpu_count() or 1
+    result.extras["cores"] = usable_cores()
+    for clock in ("busy_s", "wait_s"):
+        result.extras[f"stage_{clock}"] = [
+            stage_stats[sid][clock] for sid in range(len(stages))
+        ]
     result.extras["microbatch"] = mb
     result.extras["schedule"] = "mp-pipelined"
     result.extras["stages"] = [[b.index for b in stage] for stage in stages]

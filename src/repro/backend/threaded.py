@@ -26,7 +26,6 @@ PR 2 buffer-reuse discipline extends across the pool without sharing
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -34,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from repro.backend.base import ArrayBackend
+from repro.backend.blas import usable_cores
 from repro.backend.registry import register_array_backend
 from repro.errors import ConfigError
 from repro.perf.workspace import Workspace
@@ -56,7 +56,7 @@ class ThreadedBackend(ArrayBackend):
     def __init__(self, threads: int | None = None, min_rows: int = MIN_TILE_ROWS):
         if threads is not None and threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
-        self.threads = int(threads) if threads is not None else (os.cpu_count() or 1)
+        self.threads = int(threads) if threads is not None else usable_cores()
         self.min_rows = int(min_rows)
         self._pool = (
             ThreadPoolExecutor(
@@ -140,5 +140,5 @@ class ThreadedBackend(ArrayBackend):
             "name": self.name,
             "parallel": self.parallel,
             "threads": self.threads,
-            "cores": os.cpu_count() or 1,
+            "cores": usable_cores(),
         }

@@ -97,6 +97,10 @@ class NeuroFluxReport:
                 "profiling_time_s": _num(self.profiling_time_s),
             }
         )
+        # Executor-specific facts (the multiprocess run's host clocks,
+        # stage plan and BLAS-thread budget); absent when there are none.
+        if self.result.extras:
+            out["extras"] = dict(self.result.extras)
         return out
 
     @property

@@ -15,6 +15,12 @@ one produced by ``--workers 1`` -- and makes the journaled set at any
 kill point a strict prefix, so a resumed sweep converges on the same
 bytes as an uninterrupted one.
 
+Pool workers share one BLAS-thread budget
+(:mod:`repro.backend.blas`): the pool forks under
+``blas_threads(threads_per_process(workers))``, so ``workers`` numpy
+cells use the host's cores once instead of each spinning a full
+OpenBLAS pool.  ``workers=1`` runs inline and touches none of it.
+
 A run that raises is journaled as ``status="failed"`` with the error
 string; the sweep keeps going (an OOM cell in a budget sweep is data,
 not a reason to abandon the grid).
@@ -26,6 +32,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from repro.backend.blas import blas_threads, threads_per_process
 from repro.sweep.spec import SweepRun, SweepSpec
 from repro.sweep.store import ResultsStore, make_record
 
@@ -69,8 +76,11 @@ def _execute_run(payload: dict) -> dict:
         from repro.api.registry import run as api_run
 
         spec = JobSpec.from_dict(run.spec_dict, backend=run.spec_dict.get("backend"))
-        report = api_run(spec)
-        return make_record(run, "done", report=report.to_json_dict())
+        report = api_run(spec).to_json_dict()
+        # Host-clock measurements vary with the host and the worker
+        # count; the journal must not.
+        report.pop("extras", None)
+        return make_record(run, "done", report=report)
     except Exception as exc:  # noqa: BLE001 -- journaled, not swallowed
         return make_record(
             run, "failed", error=f"{type(exc).__name__}: {exc}"
@@ -137,8 +147,11 @@ def _run_pool(store, pending, total, workers, echo) -> int:
     except ValueError:  # pragma: no cover -- no fork on this platform
         context = multiprocessing.get_context()
     failed = 0
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(pending)), mp_context=context
+    workers = min(workers, len(pending))
+    # The executor forks its workers while runs are being submitted, so
+    # they inherit the budget; it is lifted once the pool has shut down.
+    with blas_threads(threads_per_process(workers)), ProcessPoolExecutor(
+        max_workers=workers, mp_context=context
     ) as pool:
         futures = [pool.submit(_execute_run, run.to_json_dict()) for run in pending]
         # Await in submission (= grid index) order: a later run that

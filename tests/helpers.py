@@ -81,3 +81,29 @@ def rand_image_batch(
 ) -> np.ndarray:
     rng = spawn_rng(seed, "batch")
     return rng.normal(size=(n, c, h, w)).astype(dtype)
+
+
+class FakeBlas:
+    """Stands in for ``repro.backend.blas._lookup``: hands out a
+    ``(setter, getter)`` pair over a plain counter and records every
+    lookup and every set, so tests can assert on BLAS control without
+    touching the real library."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.sets: list[int] = []
+        self.lookups = 0
+
+    def __call__(self):
+        self.lookups += 1
+        return self._set, lambda: self.count
+
+    def _set(self, n: int) -> None:
+        self.sets.append(n)
+        self.count = n
+
+    def install(self, monkeypatch) -> "FakeBlas":
+        from repro.backend import blas
+
+        monkeypatch.setattr(blas, "_lookup", self)
+        return self

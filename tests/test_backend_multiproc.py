@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import FakeBlas
 from repro.backend.multiproc import fork_available, plan_stages, run_block_parallel
 from repro.errors import ConfigError
 from repro.models.zoo import build_model
@@ -216,3 +217,110 @@ class TestRunBlockParallel:
         )
         report = system.train_multiprocess(1)
         assert report.result.extras["processes"] == 2
+
+
+@needs_fork
+class TestBlasThreadBudget:
+    def test_single_process_never_touches_blas_control(self, tiny_dataset, monkeypatch):
+        fake = FakeBlas(2).install(monkeypatch)
+        report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=1)
+        assert fake.lookups == 0
+        extras = report.result.extras
+        assert extras["blas_threads"] is None
+        assert extras["blas_controllable"] is False
+
+    def test_budget_and_stage_clocks_in_extras(self, tiny_dataset):
+        from repro.backend import blas
+
+        report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=2)
+        extras = report.result.extras
+        assert extras["cores"] == blas.usable_cores()
+        assert extras["blas_controllable"] is (blas._lookup() is not None)
+        assert extras["blas_threads"] == blas.threads_per_process(2)
+        assert extras["blas_threads"] * 2 <= max(extras["cores"], 2)
+        assert len(extras["stage_busy_s"]) == len(extras["stage_wait_s"]) == 2
+        assert all(s > 0 for s in extras["stage_busy_s"])
+        assert all(s >= 0 for s in extras["stage_wait_s"])
+        # A stage cannot be busy or waiting for longer than the run took.
+        for busy, wait in zip(extras["stage_busy_s"], extras["stage_wait_s"]):
+            assert busy + wait <= extras["wall_clock_s"]
+        assert report.to_json_dict()["extras"]["blas_threads"] == extras["blas_threads"]
+
+    def test_uncontrollable_blas_still_trains(self, tiny_dataset, monkeypatch):
+        from repro.backend import blas
+
+        monkeypatch.setattr(blas, "_lookup", lambda: None)
+        report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=2)
+        assert report.result.extras["blas_controllable"] is False
+        assert report.result.extras["processes"] == 2
+
+    def test_three_stages_match_single_process_under_budget(self, tiny_dataset):
+        a = _system(tiny_dataset)
+        run_block_parallel(a, epochs=1, processes=1)
+        b = _system(tiny_dataset)
+        report_b = run_block_parallel(b, epochs=1, processes=3)
+        assert len(report_b.result.extras["stages"]) == 3
+        for wa, wb in zip(_weights(a), _weights(b)):
+            assert np.array_equal(wa, wb)
+
+    def test_sigkilled_stage_worker_fails_cleanly(self, tiny_dataset, monkeypatch):
+        """ROADMAP 4c, the mp half: a stage worker that dies mid-stream
+        (SIGKILL, no traceback, no result) becomes a named error in
+        bounded time, leaves no child behind, and the parent's BLAS
+        thread count is back where it was."""
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        from repro.backend import blas, multiproc
+
+        parent = os.getpid()
+        real_get = multiproc._ActivationRing.get
+        gets = []
+
+        def get_then_die(self, liveness=None):
+            gets.append(1)
+            if os.getpid() != parent and len(gets) == 3:
+                time.sleep(0.05)  # let the free-slot token reach the pipe
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_get(self, liveness)
+
+        monkeypatch.setattr(multiproc._ActivationRing, "get", get_then_die)
+        lookup = blas._lookup()
+        before = lookup[1]() if lookup else None
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"repro-stage1 died with exit code -9"):
+            run_block_parallel(_system(tiny_dataset), epochs=2, processes=2)
+        assert time.perf_counter() - t0 < 30.0
+        assert multiprocessing.active_children() == []
+        if lookup:
+            assert lookup[1]() == before
+
+
+class TestGateMp:
+    """``bench --gate-mp``: slower-than-one-process fails on any host
+    with two usable cores; the 1.5x claim needs four."""
+
+    @pytest.mark.parametrize(
+        "cores, speedup, claim_met, code",
+        [
+            (1, 0.90, None, 0),  # nothing to overlap on: recorded, not gated
+            (2, 0.34, None, 1),  # the oversubscribed-BLAS regression
+            (2, 1.20, None, 0),
+            (4, 1.20, False, 1),
+            (4, 1.60, True, 0),
+        ],
+    )
+    def test_exit_code(self, monkeypatch, capsys, cores, speedup, claim_met, code):
+        from repro.perf import bench
+
+        row = {"cores": cores, "processes": min(cores, 2), "speedup": speedup,
+               "claim_met": claim_met, "seed_ms": 100.0, "fast_ms": 100.0 / speedup}
+        report = {
+            "config": {"model": "vgg11", "batch": 8, "reps": 2, "quick": True},
+            "backend": {"mp_block_parallel": row},
+        }
+        monkeypatch.setattr(bench, "run_suite", lambda **kwargs: report)
+        assert bench.main(["--quick", "--suite", "backend", "--gate-mp"]) == code
+        capsys.readouterr()

@@ -7,6 +7,7 @@ path ``repro sweep run`` exercises.
 import json
 import os
 
+from helpers import FakeBlas
 from repro.sweep import ResultsStore, SweepSpec, run_sweep
 
 BASE = {
@@ -123,3 +124,20 @@ def test_derived_seeds_reach_the_executed_jobs(tmp_path):
     with open(os.path.join(path, "MANIFEST.json")) as fh:
         manifest = json.load(fh)
     assert [r["spec"]["neuroflux"]["seed"] for r in manifest["runs"]] == seeds
+
+
+def test_inline_sweep_never_touches_blas_control(tmp_path, monkeypatch):
+    fake = FakeBlas(2).install(monkeypatch)
+    run_sweep(SweepSpec.from_dict(SWEEP), str(tmp_path / "w1"), workers=1)
+    assert fake.lookups == 0
+
+
+def test_pool_forks_under_one_blas_budget_and_lifts_it(tmp_path, monkeypatch):
+    from repro.backend import blas
+
+    fake = FakeBlas(8).install(monkeypatch)
+    monkeypatch.setattr(blas, "usable_cores", lambda: 8)
+    summary = run_sweep(SweepSpec.from_dict(SWEEP), str(tmp_path / "w2"), workers=2)
+    assert (summary.executed, summary.failed) == (4, 0)
+    # 8 cores over 2 workers while the pool lives, then the parent's 8 back.
+    assert fake.sets == [4, 8]
