@@ -51,7 +51,7 @@ class DatasetSpec:
 
     @property
     def sample_bytes(self) -> int:
-        return int(np.prod(self.sample_shape)) * 4
+        return self.channels * self.image_hw[0] * self.image_hw[1] * 4
 
     @property
     def train_bytes(self) -> int:

@@ -4,11 +4,12 @@ One :func:`run_evalsim` call replays the Figure 11 comparison for a
 single (model, dataset, platform, budget) cell: BP, classic LL and
 NeuroFlux are simulated closed-form at paper scale (the exact
 :mod:`repro.evalsim.training_time` formulas the legacy
-``experiments/fig11`` and rho-ablation scripts call), and the NeuroFlux
-block structure is re-derived for reporting.  Wrapped as the ``evalsim``
-:mod:`repro.api` backend, this makes every paper grid -- fig11
-time-vs-budget, the rho/mechanism ablations -- expressible as one
-``repro sweep`` spec instead of a bespoke driver script.
+``experiments/fig11`` and rho-ablation scripts call), and the block
+structure the NeuroFlux arm was simulated with is reported beside them.
+Wrapped as the ``evalsim`` :mod:`repro.api` backend, this makes every
+paper grid -- fig11 time-vs-budget, the rho/mechanism ablations --
+expressible as one ``repro sweep`` spec instead of a bespoke driver
+script.
 
 A method that cannot fit a single training step under the budget is the
 paper's "no data point": ``feasible=False``, hours ``None`` -- never an
@@ -176,6 +177,32 @@ class EvalSimReport:
         return "\n".join(lines)
 
 
+def _plan_blocks(model, memory_budget: int, config):
+    """The adaptive partition under the budget, ``()`` when there is none.
+
+    Only for a cell whose NeuroFlux arm is infeasible (a feasible arm
+    reports the blocks it was simulated with): the partition can exist
+    while a block's measured residency still overshoots the budget.
+    """
+    from repro.core.auxiliary import build_aux_heads
+    from repro.core.partitioner import partition
+    from repro.core.profiler import MemoryProfiler
+    from repro.errors import MemoryBudgetExceeded, PartitionError
+
+    try:
+        heads = build_aux_heads(model, rule="aan", seed=config.seed)
+        profile = MemoryProfiler(
+            model.local_layers(),
+            list(heads),
+            backward_multiplier=config.backward_multiplier,
+        ).profile()
+        return partition(
+            profile.models, memory_budget, config.batch_limit, rho=config.rho
+        )
+    except (MemoryBudgetExceeded, PartitionError):
+        return ()
+
+
 def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
     """Simulate BP / classic LL / NeuroFlux for one grid cell.
 
@@ -186,10 +213,6 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
     does); the config's ``batch_limit``/``rho``/cache/adaptive-batch
     switches govern only the NeuroFlux arm, mirroring the real system.
     """
-    from repro.core.auxiliary import build_aux_heads
-    from repro.core.partitioner import partition
-    from repro.core.profiler import MemoryProfiler
-    from repro.errors import MemoryBudgetExceeded, PartitionError
     from repro.evalsim.training_time import (
         simulate_bp,
         simulate_classic_ll,
@@ -246,21 +269,11 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
                     attrs={"batch_size": sim.batch_size},
                 )
 
+    blocks = nf.blocks if nf is not None else _plan_blocks(model, memory_budget, config)
     n_blocks = min_batch = max_batch = None
-    try:
-        heads = build_aux_heads(model, rule="aan", seed=config.seed)
-        profile = MemoryProfiler(
-            model.local_layers(),
-            list(heads),
-            backward_multiplier=config.backward_multiplier,
-        ).profile()
-        blocks = partition(
-            profile.models, memory_budget, config.batch_limit, rho=config.rho
-        )
+    if blocks:
         sizes = [b.batch_size for b in blocks]
         n_blocks, min_batch, max_batch = len(blocks), min(sizes), max(sizes)
-    except (MemoryBudgetExceeded, PartitionError):
-        pass
 
     return EvalSimReport(
         model_name=model.name,

@@ -3,11 +3,19 @@
 Real numpy training of full-size VGG/ResNet on 50k-100k-sample datasets is
 not feasible in this environment, but the Figure 11 comparison (training
 time vs memory budget) depends only on *step counts x step costs*, both of
-which the library models exactly.  These functions replay each method's
+which the library models exactly.  These functions book each method's
 accounting -- the same formulas the real trainers charge to the execution
 simulator -- without running the arithmetic, so Figure 11 can be produced
 at the paper's scale (full models, full dataset sizes, 100-500 MB
 budgets).
+
+"Closed-form" is a guarantee about host cost, not only about skipping the
+arithmetic: every step of an epoch that has the same sample count is one
+charge with ``count = steps x epochs`` (the full batches, then the
+remainder batch), so a simulation makes the same number of simulator
+calls whatever ``epochs`` and ``n_train`` are, and costs O(layers +
+blocks) of host work.  ``tests/helpers.py`` keeps the step-by-step replay
+as the reference the charges are checked against.
 
 Consistency with the real trainers is covered by tests: for a small real
 run, the simulated time here equals the trainer's ledger.
@@ -18,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.auxiliary import build_aux_heads
-from repro.core.partitioner import partition
-from repro.core.profiler import MemoryProfiler
+from repro.core.partitioner import Block, partition
+from repro.core.profiler import MemoryProfiler, measure_unit_memory
 from repro.data.datasets import DatasetSpec
 from repro.errors import MemoryBudgetExceeded, PartitionError
 from repro.flops.count import model_forward_flops, module_forward_flops, training_step_flops
 from repro.hw.platforms import Platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
-from repro.memory.estimator import bp_training_memory, ll_training_memory
+from repro.memory.estimator import bp_memory_by_batch, ll_memory_by_batch
 from repro.models.base import ConvNet
 from repro.training.backprop import DEFAULT_BATCH_LIMIT, max_feasible_batch
 from repro.training.common import count_module_kernels, model_kernel_count
@@ -44,11 +52,16 @@ class SimulatedRun:
     ledger: TimeLedger
     peak_memory_bytes: int
     feasible: bool = True
+    #: The partition NeuroFlux was simulated with, batch sizes as run
+    #: (empty for the methods that do not partition).
+    blocks: tuple[Block, ...] = ()
 
 
-def _epoch_steps(n_samples: int, batch: int) -> list[int]:
+def _epoch_steps(n_samples: int, batch: int) -> list[tuple[int, int]]:
+    """One epoch as ``(samples per step, steps)`` runs of identical steps:
+    the full batches, then the remainder batch."""
     full, rem = divmod(n_samples, batch)
-    return [batch] * full + ([rem] if rem else [])
+    return [(n, steps) for n, steps in ((batch, full), (rem, 1)) if n and steps]
 
 
 def simulate_bp(
@@ -61,15 +74,16 @@ def simulate_bp(
     backward_multiplier: float = 2.0,
 ) -> SimulatedRun:
     """Replay :class:`BackpropTrainer`'s time accounting without training."""
-    mem = lambda b: bp_training_memory(model, b).total
+    breakdown = bp_memory_by_batch(model)
+    mem = lambda b: breakdown(b).total
     batch = max_feasible_batch(mem, memory_budget, batch_limit)
     sim = ExecutionSimulator(platform)
     step_flops = training_step_flops(model_forward_flops(model, 1), backward_multiplier)
     n_kernels = model_kernel_count(model)
-    steps = _epoch_steps(data.n_train, batch)
-    for _ in range(epochs):
-        for n in steps:
-            sim.add_training_step(step_flops * n, data.sample_bytes * n, n_kernels)
+    for n, steps in _epoch_steps(data.n_train, batch):
+        sim.add_training_step(
+            step_flops * n, data.sample_bytes * n, n_kernels, count=steps * epochs
+        )
     return SimulatedRun("backprop", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
 
 
@@ -86,7 +100,8 @@ def simulate_classic_ll(
     """Replay :class:`LocalLearningTrainer`'s accounting (256-filter heads)."""
     heads = build_aux_heads(model, rule="classic", seed=seed)
     aux = list(heads[:-1]) + [None]
-    mem = lambda b: ll_training_memory(model, aux, b, residency="full").total
+    breakdown = ll_memory_by_batch(model, aux, residency="full")
+    mem = lambda b: breakdown(b).total
     batch = max_feasible_batch(mem, memory_budget, batch_limit)
 
     step_flops = 0
@@ -108,10 +123,10 @@ def simulate_classic_ll(
     n_kernels += count_module_kernels(model.head)
 
     sim = ExecutionSimulator(platform)
-    steps = _epoch_steps(data.n_train, batch)
-    for _ in range(epochs):
-        for n in steps:
-            sim.add_training_step(step_flops * n, data.sample_bytes * n, n_kernels)
+    for n, steps in _epoch_steps(data.n_train, batch):
+        sim.add_training_step(
+            step_flops * n, data.sample_bytes * n, n_kernels, count=steps * epochs
+        )
     return SimulatedRun("classic-ll", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
 
 
@@ -167,8 +182,6 @@ def simulate_neuroflux(
             aux_fwd, _ = module_forward_flops(head, out_shape)
             train_flops += training_step_flops(aux_fwd, backward_multiplier)
             n_kernels += count_module_kernels(spec.module) + count_module_kernels(head)
-        from repro.core.profiler import measure_unit_memory
-
         residency = max(
             measure_unit_memory(specs[i], heads[i], block.batch_size)
             for i in block.layer_indices
@@ -190,7 +203,6 @@ def simulate_neuroflux(
         out_bytes_per_sample = (
             out_spec.out_channels * out_spec.out_hw[0] * out_spec.out_hw[1] * FLOAT_BYTES
         )
-        steps = _epoch_steps(data.n_train, block.batch_size)
         prior_fwd_flops = 0
         if not use_cache and block.index > 0:
             for s in specs[: block.first_layer]:
@@ -198,28 +210,36 @@ def simulate_neuroflux(
                 prior_fwd_flops += f
         cached_input = use_cache and block.index > 0
         input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
-        for _ in range(epochs):
-            for n in steps:
-                sim.add_training_step(
-                    train_flops * n,
+        # Post-training forward pass that fills the activation cache.
+        fills_cache = use_cache and block.index < len(blocks) - 1
+        for n, steps in _epoch_steps(data.n_train, block.batch_size):
+            trained = steps * epochs
+            sim.add_training_step(
+                train_flops * n,
+                data.sample_bytes * n,
+                n_kernels,
+                input_mode=input_mode,
+                count=trained,
+            )
+            read_bytes = in_bytes_per_sample * n + 8 * n
+            if cached_input:
+                sim.add_cache_read(read_bytes, n_files=1, count=trained)
+            elif prior_fwd_flops:
+                sim.add_inference_batch(
+                    prior_fwd_flops * n,
                     data.sample_bytes * n,
-                    n_kernels,
-                    input_mode=input_mode,
+                    block.first_layer,
+                    count=trained,
+                )
+            if fills_cache:
+                sim.add_inference_batch(
+                    fwd_flops * n, data.sample_bytes * n, n_kernels, count=steps
                 )
                 if cached_input:
-                    sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
-                elif prior_fwd_flops:
-                    sim.add_inference_batch(
-                        prior_fwd_flops * n, data.sample_bytes * n, block.first_layer
-                    )
-        is_last = block.index == len(blocks) - 1
-        if use_cache and not is_last:
-            # Post-training forward pass that fills the activation cache.
-            for n in steps:
-                sim.add_inference_batch(fwd_flops * n, data.sample_bytes * n, n_kernels)
-                if block.index > 0:
-                    sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
-                sim.add_cache_write(out_bytes_per_sample * n + 8 * n, n_files=1)
+                    sim.add_cache_read(read_bytes, n_files=1, count=steps)
+                sim.add_cache_write(
+                    out_bytes_per_sample * n + 8 * n, n_files=1, count=steps
+                )
     return SimulatedRun(
         "neuroflux",
         max(b.batch_size for b in blocks),
@@ -227,6 +247,7 @@ def simulate_neuroflux(
         sim.elapsed,
         sim.ledger,
         peak,
+        blocks=tuple(blocks),
     )
 
 

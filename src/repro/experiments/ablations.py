@@ -41,15 +41,8 @@ def run_rho_sweep(
         run = simulate_neuroflux(
             model, spec, AGX_ORIN, epochs, memory_budget=budget_mb * MB, rho=rho
         )
-        # Re-derive the block structure for reporting.
-        from repro.core.partitioner import partition
-        from repro.core.profiler import MemoryProfiler
-
-        heads = build_aux_heads(model, rule="aan")
-        profile = MemoryProfiler(model.local_layers(), list(heads)).profile()
-        blocks = partition(profile.models, budget_mb * MB, 256, rho=rho)
-        sizes = [b.batch_size for b in blocks]
-        result.add_row(rho, len(blocks), run.time_s / 3600, min(sizes), max(sizes))
+        sizes = [b.batch_size for b in run.blocks]
+        result.add_row(rho, len(run.blocks), run.time_s / 3600, min(sizes), max(sizes))
     result.notes.append(
         "paper: 40% balanced grouping granularity and convergence across "
         "the 10%-70% sweep"

@@ -8,7 +8,7 @@ stays open for extension without type sniffing every composite.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from repro.errors import ShapeError
 from repro.nn.activations import LeakyReLU, ReLU, Tanh
@@ -26,7 +26,7 @@ DEFAULT_BACKWARD_MULTIPLIER = 2.0
 
 
 def _numel(shape: tuple[int, ...]) -> int:
-    return int(np.prod(shape))
+    return math.prod(shape)
 
 
 def module_forward_flops(

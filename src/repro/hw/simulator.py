@@ -31,14 +31,14 @@ class TimeLedger:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
+        return sum(getattr(self, name) for name in _CATEGORIES)
 
     def merge(self, other: "TimeLedger") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _CATEGORIES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict[str, float]:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {name: getattr(self, name) for name in _CATEGORIES}
         d["total"] = self.total
         return d
 
@@ -50,7 +50,17 @@ class TimeLedger:
         categories (serving report fallbacks, metrics export): a category
         added above automatically appears everywhere.
         """
-        return [f.name for f in fields(cls)]
+        return list(_CATEGORIES)
+
+
+#: The ledger's categories, reflected once: ``total`` is read per batch
+#: by the workers, too often to walk ``dataclasses.fields`` every time.
+_CATEGORIES: tuple[str, ...] = tuple(f.name for f in fields(TimeLedger))
+
+
+def _check_count(count: int) -> None:
+    if not isinstance(count, int) or count < 1:
+        raise ConfigError(f"step count must be an int >= 1, got {count!r}")
 
 
 @dataclass
@@ -112,7 +122,7 @@ class ExecutionSimulator:
         (block loads, custom extensions).  ``span`` optionally emits a
         trace span of that category; ``name`` overrides its label.
         """
-        if category not in TimeLedger.category_names():
+        if category not in _CATEGORIES:
             raise ConfigError(f"unknown ledger category {category!r}")
         if seconds < 0:
             raise ConfigError("charged seconds must be non-negative")
@@ -161,22 +171,27 @@ class ExecutionSimulator:
         batch_bytes: float,
         n_kernels: int,
         input_mode: str = "loader",
+        count: int = 1,
     ) -> float:
         """Account one optimizer step: compute + staging + dispatch overhead.
 
         ``input_mode`` selects how much of the per-batch dataloader cost
-        applies (see :data:`INPUT_MODE_OVERHEAD`).
+        applies (see :data:`INPUT_MODE_OVERHEAD`).  ``count`` books that
+        many identical steps in this one charge (``count`` x the per-step
+        seconds in each category, one span), so a closed-form caller does
+        not loop over an epoch; the arguments stay those of a single step.
         """
         if input_mode not in self.INPUT_MODE_OVERHEAD:
             raise ConfigError(f"unknown input mode {input_mode!r}")
-        compute = self._scaled(self.compute_time(flops))
-        io = self._scaled(self.transfer_time(batch_bytes))
+        _check_count(count)
+        compute = self._scaled(self.compute_time(flops)) * count
+        io = self._scaled(self.transfer_time(batch_bytes)) * count
         batch_cost = (
             self.platform.batch_overhead * self.INPUT_MODE_OVERHEAD[input_mode]
         )
         overhead = self._scaled(
             batch_cost + n_kernels * self.platform.kernel_launch_overhead
-        )
+        ) * count
         self.ledger.compute += compute
         self.ledger.data_io += io
         self.ledger.overhead += overhead
@@ -185,11 +200,15 @@ class ExecutionSimulator:
             self._emit_span("train", total)
         return total
 
-    def add_inference_batch(self, flops: float, batch_bytes: float, n_kernels: int) -> float:
-        """Account one inference batch (no per-batch training overhead)."""
-        compute = self._scaled(self.compute_time(flops))
-        io = self._scaled(self.transfer_time(batch_bytes))
-        overhead = self._scaled(n_kernels * self.platform.kernel_launch_overhead)
+    def add_inference_batch(
+        self, flops: float, batch_bytes: float, n_kernels: int, count: int = 1
+    ) -> float:
+        """Account ``count`` identical inference batches (no per-batch
+        training overhead) in one charge."""
+        _check_count(count)
+        compute = self._scaled(self.compute_time(flops)) * count
+        io = self._scaled(self.transfer_time(batch_bytes)) * count
+        overhead = self._scaled(n_kernels * self.platform.kernel_launch_overhead) * count
         self.ledger.compute += compute
         self.ledger.data_io += io
         self.ledger.overhead += overhead
@@ -228,15 +247,19 @@ class ExecutionSimulator:
             self._emit_span("communication", t)
         return t
 
-    def add_cache_write(self, nbytes: float, n_files: int = 1) -> float:
-        t = self._scaled(self.storage_time(nbytes, n_files))
+    def add_cache_write(self, nbytes: float, n_files: int = 1, count: int = 1) -> float:
+        """Account ``count`` identical writes of ``nbytes`` in one charge."""
+        _check_count(count)
+        t = self._scaled(self.storage_time(nbytes, n_files)) * count
         self.ledger.cache_io += t
         if self.tracer is not None:
             self._emit_span("cache_io", t, name="cache-write")
         return t
 
-    def add_cache_read(self, nbytes: float, n_files: int = 1) -> float:
-        t = self._scaled(self.storage_time(nbytes, n_files))
+    def add_cache_read(self, nbytes: float, n_files: int = 1, count: int = 1) -> float:
+        """Account ``count`` identical reads of ``nbytes`` in one charge."""
+        _check_count(count)
+        t = self._scaled(self.storage_time(nbytes, n_files)) * count
         self.ledger.cache_io += t
         if self.tracer is not None:
             self._emit_span("cache_io", t, name="cache-read")

@@ -7,10 +7,13 @@ DESIGN.md section 2 for the substitution rationale.
 from repro.memory.estimator import (
     FLOAT_BYTES,
     MemoryBreakdown,
+    bp_memory_by_batch,
     bp_training_memory,
     inference_memory,
     iter_atomic_ops,
+    ll_memory_by_batch,
     ll_training_memory,
+    local_unit_memory_by_batch,
     local_unit_training_memory,
     module_max_workspace_bytes,
     module_sum_workspace_bytes,
@@ -27,10 +30,13 @@ __all__ = [
     "FLOAT_BYTES",
     "MemoryBreakdown",
     "SimulatedGpu",
+    "bp_memory_by_batch",
     "bp_training_memory",
     "inference_memory",
     "iter_atomic_ops",
+    "ll_memory_by_batch",
     "ll_training_memory",
+    "local_unit_memory_by_batch",
     "module_max_workspace_bytes",
     "module_sum_workspace_bytes",
     "op_workspace_bytes",

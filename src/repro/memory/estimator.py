@@ -29,10 +29,9 @@ Three training footprints matter for the paper's comparisons (Figure 4):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import Callable, Iterator
 
 from repro.errors import ConfigError, ShapeError
 from repro.flops.count import module_forward_flops
@@ -90,7 +89,7 @@ class MemoryBreakdown:
 
 
 def _numel(shape: tuple[int, ...]) -> int:
-    return int(np.prod(shape))
+    return math.prod(shape)
 
 
 def optimizer_state_bytes(param_bytes: int, optimizer: str) -> int:
@@ -122,6 +121,29 @@ def iter_atomic_ops(
         return
     _, out_shape = module_forward_flops(module, in_shape)
     yield module, in_shape, out_shape
+
+
+#: ``(op, in_shape, out_shape)`` of :func:`iter_atomic_ops` with the
+#: batch axis dropped.
+SampleOp = tuple[Module, tuple[int, ...], tuple[int, ...]]
+
+
+def _sample_ops(module: Module, sample_shape: tuple[int, ...]) -> list[SampleOp]:
+    """The atomic ops of ``module`` with per-sample shapes.
+
+    Which ops run and every axis but the leading one are the same at any
+    batch size, so a caller that probes many batch sizes walks the module
+    tree once and re-applies the byte rules to this list.
+    """
+    return [
+        (op, i[1:], o[1:])
+        for op, i, o in iter_atomic_ops(module, (1, *sample_shape))
+    ]
+
+
+def _ops_bytes(rule, ops: list[SampleOp], batch_size: int) -> int:
+    """Sum of a byte ``rule`` over ``ops`` at ``batch_size``."""
+    return sum(rule(op, (batch_size, *i), (batch_size, *o)) for op, i, o in ops)
 
 
 def retained_bytes(op: Module, in_shape: tuple[int, ...], out_shape: tuple[int, ...]) -> int:
@@ -208,6 +230,46 @@ def module_peak_transient_bytes(module: Module, in_shape: tuple[int, ...]) -> in
     return peak
 
 
+def bp_memory_by_batch(
+    model: ConvNet, optimizer: str = "sgd-momentum"
+) -> Callable[[int], MemoryBreakdown]:
+    """:func:`bp_training_memory` as a function of the batch size alone.
+
+    Walks the model once; each call of the result only re-applies the
+    byte rules, which is what a feasible-batch search should pay per
+    probe.
+    """
+    sample_shape = (model.in_channels, *model.input_hw)
+    ops: list[SampleOp] = []
+    largest_output = 0
+    shape = sample_shape
+    for stage in list(model.stages) + [model.head]:
+        ops += _sample_ops(stage, shape)
+        _, out_shape = module_forward_flops(stage, (1, *shape))
+        shape = out_shape[1:]
+        largest_output = max(largest_output, _numel(shape))
+    params = model.parameter_bytes()
+    optimizer_bytes = optimizer_state_bytes(params, optimizer)
+
+    def at(batch_size: int) -> MemoryBreakdown:
+        if batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        # The input batch itself, then every layer's backward state.
+        retained = batch_size * _numel(sample_shape) * FLOAT_BYTES
+        retained += _ops_bytes(retained_bytes, ops, batch_size)
+        # Full-graph training: every layer's workspace stays pooled.
+        workspace = _ops_bytes(op_workspace_bytes, ops, batch_size)
+        return MemoryBreakdown(
+            activations=retained,
+            parameters=params,
+            gradients=params,
+            optimizer=optimizer_bytes,
+            workspace=workspace + batch_size * largest_output * FLOAT_BYTES,
+        )
+
+    return at
+
+
 def bp_training_memory(
     model: ConvNet, batch_size: int, optimizer: str = "sgd-momentum"
 ) -> MemoryBreakdown:
@@ -217,27 +279,7 @@ def bp_training_memory(
     is the core observation of the paper's Figure 1: activations dominate
     and scale with both depth and batch size.
     """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    in_shape = (batch_size, model.in_channels, *model.input_hw)
-    retained = _numel(in_shape) * FLOAT_BYTES  # input batch itself
-    workspace = 0
-    largest_output = 0
-    shape = in_shape
-    for stage in list(model.stages) + [model.head]:
-        retained += module_retained_bytes(stage, shape)
-        # Full-graph training: every layer's workspace stays pooled.
-        workspace += module_sum_workspace_bytes(stage, shape)
-        _, shape = module_forward_flops(stage, shape)
-        largest_output = max(largest_output, _numel(shape) * FLOAT_BYTES)
-    params = model.parameter_bytes()
-    return MemoryBreakdown(
-        activations=retained,
-        parameters=params,
-        gradients=params,
-        optimizer=optimizer_state_bytes(params, optimizer),
-        workspace=workspace + largest_output,
-    )
+    return bp_memory_by_batch(model, optimizer)(batch_size)
 
 
 def inference_memory(model: ConvNet, batch_size: int) -> MemoryBreakdown:
@@ -260,6 +302,40 @@ def inference_memory(model: ConvNet, batch_size: int) -> MemoryBreakdown:
     )
 
 
+def local_unit_memory_by_batch(
+    spec: LayerSpec, aux_head: Module | None, optimizer: str = "sgd-momentum"
+) -> Callable[[int], MemoryBreakdown]:
+    """:func:`local_unit_training_memory` as a function of the batch size
+    alone (the unit is walked once)."""
+    in_shape = (spec.in_channels, *spec.in_hw)
+    out_shape = (spec.out_channels, *spec.out_hw)
+    ops = _sample_ops(spec.module, in_shape)
+    # Tensors held whole: the unit input batch and the unit output.
+    held = _numel(in_shape) + _numel(out_shape)
+    params = spec.module.parameter_bytes()
+    if aux_head is not None:
+        ops += _sample_ops(aux_head, out_shape)
+        _, aux_out = module_forward_flops(aux_head, (1, *out_shape))
+        held += _numel(aux_out[1:])
+        params += aux_head.parameter_bytes()
+    optimizer_bytes = optimizer_state_bytes(params, optimizer)
+
+    def at(batch_size: int) -> MemoryBreakdown:
+        if batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        return MemoryBreakdown(
+            activations=batch_size * held * FLOAT_BYTES
+            + _ops_bytes(retained_bytes, ops, batch_size),
+            parameters=params,
+            gradients=params,
+            optimizer=optimizer_bytes,
+            # The unit's own kernels run every step: workspaces stay pooled.
+            workspace=_ops_bytes(op_workspace_bytes, ops, batch_size),
+        )
+
+    return at
+
+
 def local_unit_training_memory(
     spec: LayerSpec,
     aux_head: Module | None,
@@ -272,30 +348,61 @@ def local_unit_training_memory(
     the paper's memory win; the aux head's own activations are what make
     *classic* LL expensive at the early (large spatial) layers.
     """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    in_shape = (batch_size, spec.in_channels, *spec.in_hw)
-    out_shape = (batch_size, spec.out_channels, *spec.out_hw)
-    activations = _numel(in_shape) * FLOAT_BYTES  # unit input batch
-    activations += module_retained_bytes(spec.module, in_shape)
-    activations += _numel(out_shape) * FLOAT_BYTES  # unit output
-    # The unit's own kernels run every step, so their workspaces stay pooled.
-    workspace = module_sum_workspace_bytes(spec.module, in_shape)
-    if aux_head is not None:
-        activations += module_retained_bytes(aux_head, out_shape)
-        workspace += module_sum_workspace_bytes(aux_head, out_shape)
-        _, aux_out = module_forward_flops(aux_head, out_shape)
-        activations += _numel(aux_out) * FLOAT_BYTES
-    params = spec.module.parameter_bytes()
-    if aux_head is not None:
-        params += aux_head.parameter_bytes()
-    return MemoryBreakdown(
-        activations=activations,
-        parameters=params,
-        gradients=params,
-        optimizer=optimizer_state_bytes(params, optimizer),
-        workspace=workspace,
-    )
+    return local_unit_memory_by_batch(spec, aux_head, optimizer)(batch_size)
+
+
+def ll_memory_by_batch(
+    model: ConvNet,
+    aux_heads: list[Module | None],
+    optimizer: str = "sgd-momentum",
+    residency: str = "full",
+) -> Callable[[int], MemoryBreakdown]:
+    """:func:`ll_training_memory` as a function of the batch size alone
+    (every unit is walked once)."""
+    specs = model.local_layers()
+    if len(aux_heads) != len(specs):
+        raise ShapeError(
+            f"need one aux entry per layer: {len(aux_heads)} vs {len(specs)}"
+        )
+    if residency not in ("full", "params-only"):
+        raise ConfigError(f"unknown residency {residency!r}")
+    units = [
+        local_unit_memory_by_batch(spec, aux, optimizer)
+        for spec, aux in zip(specs, aux_heads)
+    ]
+    aux_params = sum(a.parameter_bytes() for a in aux_heads if a is not None)
+    params = model.parameter_bytes() + aux_params
+
+    def at(batch_size: int) -> MemoryBreakdown:
+        worst_act = 0
+        worst_workspace = 0
+        worst_unit_params = 0
+        total_workspace = 0
+        for unit_at in units:
+            unit = unit_at(batch_size)
+            total_workspace += unit.workspace
+            if unit.activations + unit.workspace > worst_act + worst_workspace:
+                worst_act = unit.activations
+                worst_workspace = unit.workspace
+                worst_unit_params = unit.parameters
+        if residency == "full":
+            # Classic LL executes every layer each step: all workspaces
+            # pooled, all parameter/gradient/optimizer state resident.
+            grads = params
+            workspace = total_workspace
+        else:
+            # AAN-LL measurement: weights resident, one unit active at a time.
+            grads = worst_unit_params
+            workspace = worst_workspace
+        return MemoryBreakdown(
+            activations=worst_act,
+            parameters=params,
+            gradients=grads,
+            optimizer=optimizer_state_bytes(grads, optimizer),
+            workspace=workspace,
+        )
+
+    return at
 
 
 def ll_training_memory(
@@ -318,43 +425,4 @@ def ll_training_memory(
       weights stay resident, but gradients/optimizer state exist only for
       the unit being trained.
     """
-    specs = model.local_layers()
-    if len(aux_heads) != len(specs):
-        raise ShapeError(
-            f"need one aux entry per layer: {len(aux_heads)} vs {len(specs)}"
-        )
-    if residency not in ("full", "params-only"):
-        raise ConfigError(f"unknown residency {residency!r}")
-    worst_act = 0
-    worst_workspace = 0
-    worst_unit_params = 0
-    total_workspace = 0
-    for spec, aux in zip(specs, aux_heads):
-        unit = local_unit_training_memory(spec, aux, batch_size, optimizer)
-        total_workspace += unit.workspace
-        if unit.activations + unit.workspace > worst_act + worst_workspace:
-            worst_act = unit.activations
-            worst_workspace = unit.workspace
-            worst_unit_params = unit.parameters
-    aux_params = sum(a.parameter_bytes() for a in aux_heads if a is not None)
-    model_params = model.parameter_bytes()
-    if residency == "full":
-        # Classic LL executes every layer each step: all workspaces pooled,
-        # all parameter/gradient/optimizer state resident.
-        params = model_params + aux_params
-        grads = params
-        opt = optimizer_state_bytes(params, optimizer)
-        workspace = total_workspace
-    else:
-        # AAN-LL measurement: weights resident, one unit active at a time.
-        params = model_params + aux_params
-        grads = worst_unit_params
-        opt = optimizer_state_bytes(worst_unit_params, optimizer)
-        workspace = worst_workspace
-    return MemoryBreakdown(
-        activations=worst_act,
-        parameters=params,
-        gradients=grads,
-        optimizer=opt,
-        workspace=workspace,
-    )
+    return ll_memory_by_batch(model, aux_heads, optimizer, residency)(batch_size)

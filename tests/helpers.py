@@ -107,3 +107,173 @@ class FakeBlas:
 
         monkeypatch.setattr(blas, "_lookup", self)
         return self
+
+
+# --------------------------------------------------------------------- #
+# step-by-step replay: the reference for repro.evalsim.training_time     #
+# --------------------------------------------------------------------- #
+def _replay_steps(n_samples: int, batch: int) -> list[int]:
+    full, rem = divmod(n_samples, batch)
+    return [batch] * full + ([rem] if rem else [])
+
+
+def replay_bp(
+    model, data, platform, epochs, memory_budget=None, batch_limit=256,
+    backward_multiplier=2.0,
+):
+    """``simulate_bp`` the long way: one simulator charge per optimizer
+    step of every epoch, one full model walk per memory probe."""
+    from repro.evalsim.training_time import SimulatedRun
+    from repro.flops.count import model_forward_flops, training_step_flops
+    from repro.hw.simulator import ExecutionSimulator
+    from repro.memory.estimator import bp_training_memory
+    from repro.training.backprop import max_feasible_batch
+    from repro.training.common import model_kernel_count
+
+    mem = lambda b: bp_training_memory(model, b).total
+    batch = max_feasible_batch(mem, memory_budget, batch_limit)
+    sim = ExecutionSimulator(platform)
+    step_flops = training_step_flops(model_forward_flops(model, 1), backward_multiplier)
+    n_kernels = model_kernel_count(model)
+    for _ in range(epochs):
+        for n in _replay_steps(data.n_train, batch):
+            sim.add_training_step(step_flops * n, data.sample_bytes * n, n_kernels)
+    return SimulatedRun("backprop", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
+
+
+def replay_classic_ll(
+    model, data, platform, epochs, memory_budget=None, batch_limit=256,
+    backward_multiplier=2.0, seed=0,
+):
+    """``simulate_classic_ll`` the long way (see :func:`replay_bp`)."""
+    from repro.core.auxiliary import build_aux_heads
+    from repro.evalsim.training_time import SimulatedRun
+    from repro.flops.count import module_forward_flops, training_step_flops
+    from repro.hw.simulator import ExecutionSimulator
+    from repro.memory.estimator import ll_training_memory
+    from repro.training.backprop import max_feasible_batch
+    from repro.training.common import count_module_kernels
+
+    heads = build_aux_heads(model, rule="classic", seed=seed)
+    aux = list(heads[:-1]) + [None]
+    mem = lambda b: ll_training_memory(model, aux, b, residency="full").total
+    batch = max_feasible_batch(mem, memory_budget, batch_limit)
+
+    step_flops = 0
+    n_kernels = 0
+    for spec, head in zip(model.local_layers(), aux):
+        in_shape = (1, spec.in_channels, *spec.in_hw)
+        fwd, out_shape = module_forward_flops(spec.module, in_shape)
+        step_flops += training_step_flops(fwd, backward_multiplier)
+        n_kernels += count_module_kernels(spec.module)
+        if head is not None:
+            aux_fwd, _ = module_forward_flops(head, out_shape)
+            step_flops += training_step_flops(aux_fwd, backward_multiplier)
+            n_kernels += count_module_kernels(head)
+    last = model.local_layers()[-1]
+    head_fwd, _ = module_forward_flops(model.head, (1, last.out_channels, *last.out_hw))
+    step_flops += training_step_flops(head_fwd, backward_multiplier)
+    n_kernels += count_module_kernels(model.head)
+
+    sim = ExecutionSimulator(platform)
+    for _ in range(epochs):
+        for n in _replay_steps(data.n_train, batch):
+            sim.add_training_step(step_flops * n, data.sample_bytes * n, n_kernels)
+    return SimulatedRun("classic-ll", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
+
+
+def replay_neuroflux(
+    model, data, platform, epochs, memory_budget, batch_limit=256, rho=0.4,
+    backward_multiplier=2.0, use_cache=True, adaptive_batch=True, seed=0,
+):
+    """``simulate_neuroflux`` the long way: every training step, cache
+    read and cache-fill batch of every block is its own charge."""
+    from repro.core.auxiliary import build_aux_heads
+    from repro.core.partitioner import partition
+    from repro.core.profiler import MemoryProfiler, measure_unit_memory
+    from repro.errors import MemoryBudgetExceeded
+    from repro.evalsim.training_time import SimulatedRun
+    from repro.flops.count import module_forward_flops, training_step_flops
+    from repro.hw.simulator import ExecutionSimulator
+    from repro.training.common import count_module_kernels
+
+    heads = build_aux_heads(model, rule="aan", seed=seed)
+    specs = model.local_layers()
+    profile = MemoryProfiler(
+        specs, list(heads), backward_multiplier=backward_multiplier
+    ).profile()
+    blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
+    if not adaptive_batch:
+        global_batch = min(b.batch_size for b in blocks)
+        for b in blocks:
+            b.batch_size = global_batch
+
+    sim = ExecutionSimulator(platform)
+    sim.add_profiling(
+        profile.profiling_flops / platform.effective_flops
+        + len(specs) * platform.kernel_launch_overhead
+    )
+
+    peak = 0
+    for block in blocks:
+        block_specs = [specs[i] for i in block.layer_indices]
+        block_heads = [heads[i] for i in block.layer_indices]
+        train_flops = 0
+        fwd_flops = 0
+        n_kernels = 0
+        for spec, head in zip(block_specs, block_heads):
+            in_shape = (1, spec.in_channels, *spec.in_hw)
+            fwd, out_shape = module_forward_flops(spec.module, in_shape)
+            fwd_flops += fwd
+            train_flops += training_step_flops(fwd, backward_multiplier)
+            aux_fwd, _ = module_forward_flops(head, out_shape)
+            train_flops += training_step_flops(aux_fwd, backward_multiplier)
+            n_kernels += count_module_kernels(spec.module) + count_module_kernels(head)
+        residency = max(
+            measure_unit_memory(specs[i], heads[i], block.batch_size)
+            for i in block.layer_indices
+        )
+        peak = max(peak, residency)
+        if residency > memory_budget:
+            raise MemoryBudgetExceeded(residency, 0, memory_budget, "block residency")
+
+        block_params = sum(s.module.parameter_bytes() for s in block_specs) + sum(
+            h.parameter_bytes() for h in block_heads
+        )
+        sim.ledger.overhead += sim.storage_time(block_params, n_ops=1)
+
+        in_spec, out_spec = block_specs[0], block_specs[-1]
+        in_bytes_per_sample = in_spec.in_channels * in_spec.in_hw[0] * in_spec.in_hw[1] * 4
+        out_bytes_per_sample = (
+            out_spec.out_channels * out_spec.out_hw[0] * out_spec.out_hw[1] * 4
+        )
+        steps = _replay_steps(data.n_train, block.batch_size)
+        prior_fwd_flops = 0
+        if not use_cache and block.index > 0:
+            for s in specs[: block.first_layer]:
+                f, _ = module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))
+                prior_fwd_flops += f
+        cached_input = use_cache and block.index > 0
+        input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
+        for _ in range(epochs):
+            for n in steps:
+                sim.add_training_step(
+                    train_flops * n, data.sample_bytes * n, n_kernels, input_mode=input_mode
+                )
+                if cached_input:
+                    sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
+                elif prior_fwd_flops:
+                    sim.add_inference_batch(
+                        prior_fwd_flops * n, data.sample_bytes * n, block.first_layer
+                    )
+        if use_cache and block.index < len(blocks) - 1:
+            # Post-training forward pass that fills the activation cache.
+            for n in steps:
+                sim.add_inference_batch(fwd_flops * n, data.sample_bytes * n, n_kernels)
+                if block.index > 0:
+                    sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
+                sim.add_cache_write(out_bytes_per_sample * n + 8 * n, n_files=1)
+    return SimulatedRun(
+        "neuroflux", max(b.batch_size for b in blocks), epochs, sim.elapsed, sim.ledger,
+        peak, blocks=tuple(blocks),
+    )

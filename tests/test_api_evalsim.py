@@ -83,6 +83,61 @@ class TestParity:
         assert math.isnan(report.speedup_vs_bp)
 
 
+class TestReportedBlocks:
+    """``n_blocks`` / ``min_batch..max_batch`` describe the plan the
+    NeuroFlux arm was simulated with; only an infeasible arm re-plans."""
+
+    @staticmethod
+    def small(memory_mb=32, **neuroflux):
+        return JobSpec.from_dict(payload(
+            model={"name": "vgg11", "width_multiplier": 0.25},
+            budgets={"memory_mb": memory_mb, "epochs": 2},
+            neuroflux=neuroflux,
+        ))
+
+    @pytest.fixture(scope="class")
+    def adaptive(self):
+        return run(self.small())
+
+    def test_fixed_batch_arm_reports_the_batch_it_ran_with(self, adaptive):
+        fixed = run(self.small(adaptive_batch=False))
+        assert adaptive.min_batch < adaptive.max_batch == adaptive.nf.batch_size
+        assert fixed.n_blocks == adaptive.n_blocks
+        assert fixed.min_batch == fixed.max_batch == fixed.nf.batch_size
+        assert fixed.nf.batch_size == adaptive.min_batch
+
+    def test_feasible_arm_is_planned_once(self, monkeypatch):
+        from repro.core.profiler import MemoryProfiler
+
+        profiles = []
+        profile = MemoryProfiler.profile
+        monkeypatch.setattr(
+            MemoryProfiler, "profile", lambda self: profiles.append(1) or profile(self)
+        )
+        assert run(self.small()).n_blocks >= 1
+        assert len(profiles) == 1
+
+    def test_residency_overshoot_reports_the_adaptive_plan(self, monkeypatch, adaptive):
+        from repro.errors import MemoryBudgetExceeded
+        from repro.evalsim import training_time
+
+        def overshoot(*args, **kwargs):
+            raise MemoryBudgetExceeded(2, 0, 1, "block residency")
+
+        monkeypatch.setattr(training_time, "simulate_neuroflux", overshoot)
+        report = run(self.small(adaptive_batch=False))
+        assert report.nf.feasible is False and math.isnan(report.wall_clock_s)
+        assert (report.n_blocks, report.min_batch, report.max_batch) == (
+            adaptive.n_blocks, adaptive.min_batch, adaptive.max_batch,
+        )
+
+    def test_no_partition_reports_no_blocks(self):
+        report = run(self.small(memory_mb=0.25))
+        assert report.nf.feasible is False
+        assert (report.n_blocks, report.min_batch, report.max_batch) == (None,) * 3
+        assert report.to_json_dict()["evalsim"]["n_blocks"] is None
+
+
 class TestReportProtocol:
     @pytest.fixture(scope="class")
     def report(self):

@@ -1,6 +1,8 @@
 """Tests for platform descriptors and the execution-time simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.hw import (
@@ -105,6 +107,50 @@ class TestSimulator:
         fast.add_training_step(**work)
         slow.add_training_step(**work)
         assert slow.elapsed > fast.elapsed
+
+
+#: Every charge that takes ``count``, as ``(method, single-step arguments)``.
+COUNTED_CHARGES = [
+    ("add_training_step", dict(flops=3.7e9, batch_bytes=1.3e6, n_kernels=23, input_mode=mode))
+    for mode in ExecutionSimulator.INPUT_MODE_OVERHEAD
+] + [
+    ("add_inference_batch", dict(flops=3.7e9, batch_bytes=1.3e6, n_kernels=23)),
+    ("add_cache_read", dict(nbytes=7.1e5, n_files=3)),
+    ("add_cache_write", dict(nbytes=7.1e5, n_files=3)),
+]
+
+
+class TestCountedCharges:
+    @pytest.mark.parametrize("charge", COUNTED_CHARGES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("time_scale", [1.0, 2.5])
+    @settings(deadline=None, max_examples=25)
+    @given(count=st.integers(1, 500))
+    def test_one_counted_charge_equals_count_single_charges(self, charge, time_scale, count):
+        from repro.obs.trace import Tracer
+
+        method, kwargs = charge
+        counted = ExecutionSimulator(JETSON_NANO, time_scale=time_scale)
+        stepwise = ExecutionSimulator(JETSON_NANO, time_scale=time_scale)
+        tracer = Tracer()
+        counted.attach_tracer(tracer, "dev0")
+
+        booked = getattr(counted, method)(**kwargs, count=count)
+        singles = sum(getattr(stepwise, method)(**kwargs) for _ in range(count))
+
+        assert booked == pytest.approx(singles, rel=1e-12)
+        assert counted.ledger.as_dict() == pytest.approx(stepwise.ledger.as_dict(), rel=1e-12)
+        (span,) = tracer.spans
+        assert span.end_s == counted.ledger.total
+        assert span.end_s - span.start_s == pytest.approx(booked, rel=1e-12)
+
+    @pytest.mark.parametrize("charge", COUNTED_CHARGES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("count", [0, -3, 2.0, "2", None])
+    def test_count_must_be_a_positive_int(self, charge, count):
+        method, kwargs = charge
+        sim = ExecutionSimulator(AGX_ORIN)
+        with pytest.raises(ConfigError, match="count"):
+            getattr(sim, method)(**kwargs, count=count)
+        assert sim.elapsed == 0.0
 
 
 class TestTimeLedger:

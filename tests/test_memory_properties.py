@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.auxiliary import build_aux_heads
+from repro.flops.count import module_forward_flops
 from repro.memory.estimator import (
+    MemoryBreakdown,
+    bp_memory_by_batch,
     bp_training_memory,
     inference_memory,
+    ll_memory_by_batch,
     ll_training_memory,
     local_unit_training_memory,
+    module_retained_bytes,
+    module_sum_workspace_bytes,
+    optimizer_state_bytes,
 )
 from repro.models import build_model
 
@@ -81,3 +88,63 @@ class TestDominanceInvariants:
                 assert breakdown.gradients >= 0
                 assert breakdown.optimizer >= 0
                 assert breakdown.workspace >= 0
+
+
+def _walked_unit_memory(spec, aux_head, batch):
+    """``local_unit_training_memory`` by walking the unit at ``batch``
+    itself -- the reference for the walk-once ``*_by_batch`` forms."""
+    in_shape = (batch, spec.in_channels, *spec.in_hw)
+    out_shape = (batch, spec.out_channels, *spec.out_hw)
+    activations = 4 * int(np.prod(in_shape)) + 4 * int(np.prod(out_shape))
+    activations += module_retained_bytes(spec.module, in_shape)
+    workspace = module_sum_workspace_bytes(spec.module, in_shape)
+    params = spec.module.parameter_bytes()
+    if aux_head is not None:
+        activations += module_retained_bytes(aux_head, out_shape)
+        workspace += module_sum_workspace_bytes(aux_head, out_shape)
+        activations += 4 * int(np.prod(module_forward_flops(aux_head, out_shape)[1]))
+        params += aux_head.parameter_bytes()
+    optimizer = optimizer_state_bytes(params, "sgd-momentum")
+    return MemoryBreakdown(activations, params, params, optimizer, workspace)
+
+
+def _walked_bp_memory(model, batch):
+    shape = (batch, model.in_channels, *model.input_hw)
+    retained = 4 * int(np.prod(shape))
+    workspace = largest_output = 0
+    for stage in [*model.stages, model.head]:
+        retained += module_retained_bytes(stage, shape)
+        workspace += module_sum_workspace_bytes(stage, shape)
+        shape = module_forward_flops(stage, shape)[1]
+        largest_output = max(largest_output, 4 * int(np.prod(shape)))
+    params = model.parameter_bytes()
+    optimizer = optimizer_state_bytes(params, "sgd-momentum")
+    return MemoryBreakdown(retained, params, params, optimizer, workspace + largest_output)
+
+
+class TestWalkOnceMatchesWalkPerBatch:
+    """A feasible-batch search probes ``*_by_batch`` closures; each probe
+    must be the integer a full walk at that batch size gives."""
+
+    @pytest.fixture(scope="class", params=["vgg11", "resnet18"])
+    def net(self, request):
+        return build_model(request.param, num_classes=10, width_multiplier=0.25)
+
+    @settings(deadline=None, max_examples=15)
+    @given(batch=st.integers(1, 300))
+    def test_bp(self, net, batch):
+        assert bp_memory_by_batch(net)(batch) == _walked_bp_memory(net, batch)
+
+    @settings(deadline=None, max_examples=15)
+    @given(batch=st.integers(1, 300))
+    def test_ll_units(self, net, batch):
+        heads = list(build_aux_heads(net, rule="aan")[:-1]) + [None]
+        full = ll_memory_by_batch(net, heads, residency="full")(batch)
+        units = [
+            _walked_unit_memory(spec, head, batch)
+            for spec, head in zip(net.local_layers(), heads)
+        ]
+        worst = max(units, key=lambda u: u.activations + u.workspace)
+        assert full.activations == worst.activations
+        assert full.workspace == sum(u.workspace for u in units)
+        assert full == ll_training_memory(net, heads, batch, residency="full")

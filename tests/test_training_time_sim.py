@@ -5,6 +5,7 @@ time accounting, since Figure 11 is produced from it.
 """
 
 import pytest
+from helpers import replay_bp, replay_classic_ll, replay_neuroflux
 
 from repro.data.registry import dataset_spec
 from repro.evalsim.training_time import (
@@ -111,3 +112,111 @@ class TestSimulatedShapes:
         t1 = simulate_bp(model, spec, AGX_ORIN, 1, memory_budget=400 * MB).time_s
         t3 = simulate_bp(model, spec, AGX_ORIN, 3, memory_budget=400 * MB).time_s
         assert t3 > 2.5 * t1
+
+
+class TestClosedFormMatchesReplay:
+    """The counted charges must book what the step-by-step replay of
+    ``tests/helpers.py`` books, and must not grow with ``epochs``."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        # 200 samples: fewer than the largest feasible batches (256),
+        # a multiple of some (1, 20) and not of most.
+        spec = dataset_spec("cifar10", scale=0.004)
+        assert spec.n_train == 200
+        return spec
+
+    @pytest.fixture(scope="class", params=["vgg11", "resnet18"])
+    def model(self, request):
+        return build_model(request.param, num_classes=10, width_multiplier=0.25)
+
+    @staticmethod
+    def _assert_same(fast, slow):
+        assert (fast is None) == (slow is None)
+        if fast is None:
+            return None
+        assert fast.batch_size == slow.batch_size
+        assert fast.peak_memory_bytes == slow.peak_memory_bytes
+        assert [(b.layer_indices, b.batch_size) for b in fast.blocks] == [
+            (b.layer_indices, b.batch_size) for b in slow.blocks
+        ]
+        assert fast.time_s == pytest.approx(slow.time_s, rel=1e-9)
+        assert fast.ledger.as_dict() == pytest.approx(slow.ledger.as_dict(), rel=1e-9)
+        return fast
+
+    @pytest.mark.parametrize("epochs", [1, 7])
+    @pytest.mark.parametrize("budget_mb", [8, 32, 128])
+    @pytest.mark.parametrize(
+        "simulate, replay",
+        [(simulate_bp, replay_bp), (simulate_classic_ll, replay_classic_ll)],
+    )
+    def test_full_graph_methods(self, model, spec, simulate, replay, budget_mb, epochs):
+        args = (model, spec, AGX_ORIN, epochs)
+        self._assert_same(
+            try_simulate(simulate, *args, memory_budget=budget_mb * MB),
+            try_simulate(replay, *args, memory_budget=budget_mb * MB),
+        )
+
+    @pytest.mark.parametrize("adaptive_batch", [True, False])
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("epochs", [1, 7])
+    @pytest.mark.parametrize("budget_mb", [8, 32, 128])
+    def test_neuroflux(self, model, spec, budget_mb, epochs, use_cache, adaptive_batch):
+        kwargs = dict(
+            memory_budget=budget_mb * MB, use_cache=use_cache, adaptive_batch=adaptive_batch
+        )
+        args = (model, spec, AGX_ORIN, epochs)
+        run = self._assert_same(
+            try_simulate(simulate_neuroflux, *args, **kwargs),
+            try_simulate(replay_neuroflux, *args, **kwargs),
+        )
+        assert run is not None and run.blocks
+
+    def test_remainder_and_short_epochs_are_covered(self, spec):
+        """The matrix above really contains an epoch with a remainder
+        batch, one without, and one shorter than a single batch."""
+        model = build_model("resnet18", num_classes=10, width_multiplier=0.25)
+        batches = {
+            simulate_bp(model, spec, AGX_ORIN, 1, memory_budget=mb * MB).batch_size
+            for mb in (32, 128)
+        }
+        nf = simulate_neuroflux(model, spec, AGX_ORIN, 1, memory_budget=128 * MB)
+        batches.update(b.batch_size for b in nf.blocks)
+        assert any(spec.n_train % b == 0 for b in batches)
+        assert any(spec.n_train % b and b < spec.n_train for b in batches)
+        assert any(b > spec.n_train for b in batches)
+
+    @pytest.mark.parametrize(
+        "simulate, kwargs",
+        [
+            (simulate_bp, {}),
+            (simulate_classic_ll, {}),
+            (simulate_neuroflux, {}),
+            (simulate_neuroflux, {"use_cache": False}),
+        ],
+    )
+    def test_charge_calls_do_not_grow_with_epochs(self, monkeypatch, spec, simulate, kwargs):
+        """A regression to per-step loops fails here by count, not by
+        timing: 50 epochs cost exactly the simulator calls of one."""
+        from repro.hw.simulator import ExecutionSimulator
+
+        calls = []
+        for name in (
+            "add_training_step", "add_inference_batch", "add_cache_read",
+            "add_cache_write", "add_profiling", "charge",
+        ):
+            def counted(self, *args, _original=getattr(ExecutionSimulator, name), **kw):
+                calls.append(_original.__name__)
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(ExecutionSimulator, name, counted)
+
+        model = build_model("vgg11", num_classes=10, width_multiplier=0.25)
+        counts = []
+        for epochs in (1, 50):
+            calls.clear()
+            simulate(model, spec, AGX_ORIN, epochs, memory_budget=32 * MB, **kwargs)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        # O(layers + blocks): a handful of charges per block at most.
+        assert counts[0] <= 12 * len(model.local_layers())
