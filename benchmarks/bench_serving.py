@@ -19,9 +19,12 @@ import pytest
 from repro.core.config import NeuroFluxConfig
 from repro.core.controller import NeuroFlux
 from repro.data.registry import dataset_spec
-from repro.hw.platforms import AGX_ORIN, RASPBERRY_PI_4B
+from repro.fleet import FleetConfig, simulate_fleet
 from repro.models.zoo import build_model
-from repro.serving import ServerConfig, WorkloadSpec, simulate_serving
+from repro.serving import ServerConfig, WorkloadSpec
+
+#: Platform short names (``Cluster.from_names`` shape).
+AGX_ORIN, RASPBERRY_PI_4B = "agx-orin", "pi4b"
 
 MB = 2**20
 
@@ -45,46 +48,57 @@ def trained_system():
 
 
 def _serve(system, platform, rate, mode):
+    """One server on ``platform``: a one-replica, one-device fleet."""
     workload = WorkloadSpec(
         pattern="poisson", arrival_rate=rate, duration_s=1.0, seed=1
     )
-    return simulate_serving(
+    return simulate_fleet(
         system,
         workload,
-        platform=platform,
+        cluster_names=[platform],
+        fleet=FleetConfig(n_replicas=1, max_replicas=1, policy="round-robin"),
+        server_config=ServerConfig(batch_cap=32, max_wait_s=0.005, queue_depth=256),
         threshold=0.5,
         mode=mode,
-        config=ServerConfig(batch_cap=32, max_wait_s=0.005, queue_depth=256),
     )
+
+
+def _busy_s(report) -> float:
+    return report.replicas[0].busy_s
+
+
+def _mean_batch(report) -> float:
+    replica = report.replicas[0]
+    return replica.n_completed / replica.n_batches
 
 
 def test_serving_platform_and_cascade_shape(benchmark, trained_system):
     reports = benchmark.pedantic(
         lambda: {
-            (platform.name, mode): _serve(trained_system, platform, 200.0, mode)
+            (platform, mode): _serve(trained_system, platform, 200.0, mode)
             for platform in (AGX_ORIN, RASPBERRY_PI_4B)
             for mode in ("cascade", "shallow-only", "deepest-only")
         },
         rounds=1,
         iterations=1,
     )
-    for (platform_name, mode), report in reports.items():
+    for (platform, mode), report in reports.items():
         print(
-            f"\n{platform_name} / {mode}: acc={report.accuracy:.3f} "
+            f"\n{platform} / {mode}: acc={report.accuracy:.3f} "
             f"p50={report.latency_percentile(50) * 1e3:.2f}ms "
             f"p99={report.latency_percentile(99) * 1e3:.2f}ms "
-            f"busy={report.serving_time_s:.3f}s"
+            f"busy={_busy_s(report):.3f}s"
         )
 
-    orin = {m: reports[(AGX_ORIN.name, m)] for m in ("cascade", "shallow-only", "deepest-only")}
-    pi = {m: reports[(RASPBERRY_PI_4B.name, m)] for m in ("cascade", "shallow-only", "deepest-only")}
+    orin = {m: reports[(AGX_ORIN, m)] for m in ("cascade", "shallow-only", "deepest-only")}
+    pi = {m: reports[(RASPBERRY_PI_4B, m)] for m in ("cascade", "shallow-only", "deepest-only")}
 
     # Shape: cascade beats shallow-only on accuracy and deepest-only on
     # mean latency and busy time (on both platforms).
     for rep in (orin, pi):
         assert rep["cascade"].accuracy > rep["shallow-only"].accuracy
         assert rep["cascade"].mean_latency_s < rep["deepest-only"].mean_latency_s
-        assert rep["cascade"].serving_time_s < rep["deepest-only"].serving_time_s
+        assert _busy_s(rep["cascade"]) < _busy_s(rep["deepest-only"])
 
 
 def test_faster_platform_wins_when_compute_bound(trained_system):
@@ -94,11 +108,11 @@ def test_faster_platform_wins_when_compute_bound(trained_system):
     orin = _serve(trained_system, AGX_ORIN, 3000.0, "cascade")
     pi = _serve(trained_system, RASPBERRY_PI_4B, 3000.0, "cascade")
     assert orin.mean_latency_s < pi.mean_latency_s
-    assert orin.serving_time_s < pi.serving_time_s
+    assert _busy_s(orin) < _busy_s(pi)
 
 
 def test_serving_throughput_rises_with_offered_load(trained_system):
     low = _serve(trained_system, AGX_ORIN, 100.0, "cascade")
     high = _serve(trained_system, AGX_ORIN, 800.0, "cascade")
     assert high.throughput_rps > low.throughput_rps
-    assert high.mean_batch_size > low.mean_batch_size
+    assert _mean_batch(high) > _mean_batch(low)

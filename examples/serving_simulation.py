@@ -3,7 +3,10 @@
 
 Trains one small NeuroFlux system, materializes every trained layer as a
 confidence-gated exit, and serves Poisson request streams against the
-test split on each edge platform.  The sweep shows the serving-side story
+test split on each edge platform -- each server a one-replica,
+one-device :func:`repro.fleet.simulate_fleet` run, the same loop the
+``serving`` backend drives (``repro run examples/specs/serving.json``).
+The sweep shows the serving-side story
 of the paper's deployment claims: the cascade serves at lower latency
 than routing everything to the deepest exit -- and, where intermediate
 exits out-predict the saturated deep ones ('overthinking'), at higher
@@ -15,8 +18,9 @@ accuracy too.
 from __future__ import annotations
 
 from repro import NeuroFlux, NeuroFluxConfig, build_model, dataset_spec
+from repro.fleet import FleetConfig, simulate_fleet
 from repro.hw import ALL_PLATFORMS
-from repro.serving import ServerConfig, WorkloadSpec, simulate_serving
+from repro.serving import ServerConfig, WorkloadSpec
 
 MB = 2**20
 ARRIVAL_RATES = (100.0, 400.0, 1600.0)
@@ -42,19 +46,21 @@ def main() -> None:
     print("\n" + header)
     print("-" * len(header))
     config = ServerConfig(batch_cap=32, max_wait_s=0.005, queue_depth=128)
-    for platform in ALL_PLATFORMS.values():
+    single = FleetConfig(n_replicas=1, max_replicas=1, policy="round-robin")
+    for short_name, platform in ALL_PLATFORMS.items():
         for rate in ARRIVAL_RATES:
             workload = WorkloadSpec(
                 pattern="poisson", arrival_rate=rate, duration_s=0.5, seed=1
             )
             for mode in ("cascade", "deepest-only"):
-                report = simulate_serving(
+                report = simulate_fleet(
                     system,
                     workload,
-                    platform=platform,
+                    cluster_names=[short_name],
+                    fleet=single,
+                    server_config=config,
                     threshold=0.5,
                     mode=mode,
-                    config=config,
                 )
                 print(
                     f"{platform.name:<20} {rate:>6.0f} {mode:<13} "

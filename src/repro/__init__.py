@@ -26,7 +26,8 @@ Subpackages:
 * :mod:`repro.data` -- synthetic stand-ins for CIFAR-10/100, Tiny ImageNet.
 * :mod:`repro.training` -- BP, classic LL, FA and SP baselines.
 * :mod:`repro.evalsim` -- inference-throughput evaluation.
-* :mod:`repro.serving` -- early-exit inference serving simulator.
+* :mod:`repro.serving` -- early-exit serving parts: workload, batcher, cascade.
+* :mod:`repro.fleet` -- the serving simulator (one replica or a sharded fleet).
 * :mod:`repro.parallel` -- multi-device pipeline-parallel training.
 * :mod:`repro.api` -- unified job API: declarative :class:`JobSpec`,
   backend registry behind one ``run(spec)`` entry point, unified
@@ -49,14 +50,7 @@ from repro.errors import (
 )
 from repro.hw import AGX_ORIN, JETSON_NANO, RASPBERRY_PI_4B, XAVIER_NX, get_platform
 from repro.models import build_model, list_models
-from repro.serving import (
-    CascadeRouter,
-    InferenceServer,
-    ServerConfig,
-    ServingReport,
-    WorkloadSpec,
-    simulate_serving,
-)
+from repro.serving import CascadeRouter, ServerConfig, WorkloadSpec
 from repro.training import (
     BackpropTrainer,
     FeedbackAlignmentTrainer,
@@ -74,7 +68,6 @@ __all__ = [
     "DataLoader",
     "DatasetSpec",
     "FeedbackAlignmentTrainer",
-    "InferenceServer",
     "JETSON_NANO",
     "LocalLearningTrainer",
     "MemoryBudgetExceeded",
@@ -87,7 +80,6 @@ __all__ = [
     "RASPBERRY_PI_4B",
     "ReproError",
     "ServerConfig",
-    "ServingReport",
     "ShapeError",
     "SignalPropagationTrainer",
     "SyntheticImageDataset",
@@ -97,6 +89,5 @@ __all__ = [
     "dataset_spec",
     "get_platform",
     "list_models",
-    "simulate_serving",
     "__version__",
 ]

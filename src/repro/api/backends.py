@@ -1,4 +1,4 @@
-"""Built-in backends: the five subsystems behind one protocol.
+"""Built-in backends: every subsystem behind one protocol.
 
 Each backend materializes a :class:`~repro.api.spec.JobSpec` into live
 objects (model, data, system, cluster, runtime) and adapts one existing
@@ -11,16 +11,24 @@ subsystem entry point behind ``Backend.run(spec, callbacks) -> Report``:
 ``pipelined``             :meth:`NeuroFlux.train_parallel(schedule="pipelined")`
 ``multiprocess``          :meth:`NeuroFlux.train_multiprocess` (real forked
                           block-parallel processes, shared-memory handoff)
+``evalsim``               :func:`~repro.evalsim.report.run_evalsim` (closed-form
+                          paper-scale training-time simulation)
 ``federated``             :meth:`FederatedNeuroFlux.run` (synchronous FedAvg)
 ``federated-async``       :meth:`FederatedNeuroFlux.run_async` (bounded
                           staleness)
 ``serving``               train with :meth:`NeuroFlux.run`, then
-                          :func:`~repro.serving.simulate_serving`
+                          :func:`~repro.fleet.simulate_fleet` with one
+                          replica on the spec's ``platform``
+``cluster-serving``       the same, with the ``cluster`` section as each
+                          replica's devices and the ``fleet`` section's
+                          replica set, router policy and churn schedule
 ========================  =====================================================
 
-The legacy entry points stay supported -- they and these backends drive
-the *same* engine code, which is what the bit-identity regression tests
-pin down.
+A backend also declares which spec sections it can live with, as class
+attributes (``needs_cluster`` / ``forbids`` / ``defaults``, see
+:class:`~repro.api.registry.Backend`); ``JobSpec`` validation and
+``with_backend`` read them through the registry, so registering a
+backend touches this file only.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.api.registry import Backend, JobContext, register_backend
-from repro.api.spec import JobSpec
+from repro.api.spec import DeviceSection, JobSpec
 from repro.errors import SpecError
 
 
@@ -127,6 +135,7 @@ def build_runtime_from_spec(spec: JobSpec):
 class _TrainingBackend(Backend):
     """Shared adapter for the sequential and pipelined schedules."""
 
+    forbids = ("federated", "fleet")
     schedule = "sequential"
 
     def prepare(self, spec: JobSpec) -> JobContext:
@@ -173,6 +182,7 @@ class SequentialBackend(_TrainingBackend):
 class PipelinedBackend(_TrainingBackend):
     """Micro-batch pipeline across the cluster (blocks overlap)."""
 
+    needs_cluster = True
     schedule = "pipelined"
 
 
@@ -186,6 +196,8 @@ class MultiprocessBackend(Backend):
     *simulates* a cluster) this spends actual cores; wall-clock lives in
     ``report.extras["wall_clock_s"]``.
     """
+
+    forbids = ("cluster", "runtime", "federated", "serving", "fleet")
 
     def prepare(self, spec: JobSpec) -> JobContext:
         context = JobContext(spec=spec, backend=self.name)
@@ -220,6 +232,8 @@ class EvalSimBackend(Backend):
     ``rho`` / ``batch_limit`` / ``use_cache`` / ``adaptive_batch``
     switches govern the NeuroFlux arm.
     """
+
+    forbids = ("cluster", "runtime", "federated", "serving", "fleet")
 
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.data.registry import dataset_spec
@@ -267,6 +281,10 @@ class EvalSimBackend(Backend):
 # federated backends                                                    #
 # --------------------------------------------------------------------- #
 class _FederatedBackend(Backend):
+    # Clients *are* the cluster.
+    forbids = ("cluster", "runtime", "serving", "fleet")
+    defaults = ("federated",)
+
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.extensions.federated import (
             FederatedClient,
@@ -339,13 +357,21 @@ class AsyncFederatedBackend(_FederatedBackend):
 
 
 # --------------------------------------------------------------------- #
-# serving backend                                                       #
+# serving backends                                                      #
 # --------------------------------------------------------------------- #
 @register_backend("serving")
 class ServingBackend(Backend):
-    """Train with NeuroFlux, then serve the exit cascade under load."""
+    """Train with NeuroFlux, then serve the exit cascade under load.
+
+    A single server is a fleet of one: one replica on one device (the
+    spec's ``platform``), no autoscaling, no churn.
+    """
+
+    forbids = ("cluster", "runtime", "federated", "fleet")
+    defaults = ("serving",)
 
     def prepare(self, spec: JobSpec) -> JobContext:
+        from repro.fleet import FleetConfig
         from repro.serving import ServerConfig, WorkloadSpec
 
         context = JobContext(spec=spec, backend=self.name)
@@ -363,6 +389,11 @@ class ServingBackend(Backend):
             max_wait_s=serving.max_wait_ms / 1e3,
             queue_depth=serving.queue_depth,
         )
+        context.extras["devices"] = [DeviceSection(platform=spec.platform)]
+        context.extras["fleet_config"] = FleetConfig(
+            n_replicas=1, max_replicas=1, policy="round-robin"
+        )
+        context.extras["schedule"] = None
         context.system = build_system_from_spec(spec)
         if serving.exits is not None:
             n_layers = context.system.model.num_local_layers
@@ -376,22 +407,27 @@ class ServingBackend(Backend):
         return context
 
     def execute(self, context: JobContext, callbacks):
-        from repro.serving import simulate_serving
+        from repro.fleet import simulate_fleet
 
         spec: JobSpec = context.spec
-        serving = spec.serving
         context.system.run(
             spec.budgets.epochs,
             time_budget_s=spec.budgets.time_budget_s,
             callbacks=callbacks,
         )
-        return simulate_serving(
+        serving = spec.serving
+        devices = context.extras["devices"]
+        return simulate_fleet(
             context.system,
             context.extras["workload"],
+            cluster_names=[d.platform for d in devices],
+            memory_budgets=[d.memory_budget for d in devices],
+            fleet=context.extras["fleet_config"],
+            server_config=context.extras["server_config"],
             exit_layers=serving.exits,
             threshold=serving.threshold,
             mode=serving.mode,
-            config=context.extras["server_config"],
+            schedule=context.extras["schedule"],
         )
 
 
@@ -406,12 +442,17 @@ class ClusterServingBackend(ServingBackend):
     policy, autoscaling envelope, and churn schedule.
     """
 
+    needs_cluster = True
+    forbids = ("federated", "runtime")
+    defaults = ("serving", "fleet")
+
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.fleet import FleetConfig
         from repro.runtime import EventSchedule
 
         context = super().prepare(spec)
         f = spec.fleet
+        context.extras["devices"] = spec.cluster.devices
         context.extras["fleet_config"] = FleetConfig(
             n_replicas=f.n_replicas,
             policy=f.policy,
@@ -421,35 +462,9 @@ class ClusterServingBackend(ServingBackend):
             scale_down_at=f.scale_down_at,
             cooldown_s=f.cooldown_s,
         )
-        schedule = None
         if f.events is not None:
-            schedule = EventSchedule.from_json_dict(f.events)
+            context.extras["schedule"] = EventSchedule.from_json_dict(f.events)
         elif f.events_file is not None:
-            schedule = EventSchedule.load(f.events_file)
-        context.extras["schedule"] = schedule
+            context.extras["schedule"] = EventSchedule.load(f.events_file)
         context.cluster = build_cluster_from_spec(spec)
         return context
-
-    def execute(self, context: JobContext, callbacks):
-        from repro.fleet import simulate_fleet
-
-        spec: JobSpec = context.spec
-        serving = spec.serving
-        context.system.run(
-            spec.budgets.epochs,
-            time_budget_s=spec.budgets.time_budget_s,
-            callbacks=callbacks,
-        )
-        devices = spec.cluster.devices
-        return simulate_fleet(
-            context.system,
-            context.extras["workload"],
-            cluster_names=[d.platform for d in devices],
-            memory_budgets=[d.memory_budget for d in devices],
-            fleet=context.extras["fleet_config"],
-            server_config=context.extras["server_config"],
-            exit_layers=serving.exits,
-            threshold=serving.threshold,
-            mode=serving.mode,
-            schedule=context.extras["schedule"],
-        )

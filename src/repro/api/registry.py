@@ -100,9 +100,20 @@ class Backend:
     :class:`JobContext`; cheap validation belongs here so bad specs fail
     before training is paid for) and :meth:`execute` (context +
     callbacks -> a :class:`repro.api.report.Report`).
+
+    Three class attributes say which spec sections the backend can live
+    with; :class:`~repro.api.spec.JobSpec` validation and
+    ``with_backend`` read them through :func:`get_backend`:
+    ``needs_cluster`` backends refuse to run without a ``cluster``
+    section (hardware is never invented), ``forbids`` sections are
+    rejected by validation and dropped by re-targeting, and ``defaults``
+    are workload sections materialized with their defaults when absent.
     """
 
     name = "?"
+    needs_cluster = False
+    forbids: tuple[str, ...] = ()
+    defaults: tuple[str, ...] = ()
 
     def run(self, spec, callbacks: Callback | list[Callback] | None = None):
         """Materialize the spec, run the job, return its report."""

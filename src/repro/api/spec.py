@@ -21,7 +21,10 @@ Defaulting rules:
   raises :class:`SpecError` when it is missing.
 
 Cross-section rules (each raises a :class:`SpecError` naming the
-section): ``runtime`` requires ``cluster``; the ``pipelined`` and
+section; every backend declares its own as ``needs_cluster`` /
+``forbids`` / ``defaults`` class attributes in :mod:`repro.api.backends`,
+and validation reads them through the registry): ``runtime`` requires
+``cluster``; the ``pipelined`` and
 ``sequential`` training backends forbid a ``federated`` section; the
 federated backends forbid ``cluster``/``runtime``/``serving`` (clients
 *are* the cluster); the ``serving`` backend forbids
@@ -42,53 +45,6 @@ from dataclasses import dataclass, field, fields
 
 from repro.core.config import NeuroFluxConfig
 from repro.errors import ConfigError, SpecError
-
-#: Section-presence semantics per built-in backend: ``forbids`` are
-#: dropped by :meth:`JobSpec.with_backend` and rejected by validation;
-#: ``defaults`` are workload sections materialized with their defaults
-#: when absent; ``needs_cluster`` backends refuse to invent hardware.
-BACKEND_SECTION_RULES: dict[str, dict] = {
-    "sequential": {
-        "needs_cluster": False,
-        "forbids": ("federated", "fleet"),
-        "defaults": (),
-    },
-    "pipelined": {
-        "needs_cluster": True,
-        "forbids": ("federated", "fleet"),
-        "defaults": (),
-    },
-    "federated": {
-        "needs_cluster": False,
-        "forbids": ("cluster", "runtime", "serving", "fleet"),
-        "defaults": ("federated",),
-    },
-    "federated-async": {
-        "needs_cluster": False,
-        "forbids": ("cluster", "runtime", "serving", "fleet"),
-        "defaults": ("federated",),
-    },
-    "serving": {
-        "needs_cluster": False,
-        "forbids": ("cluster", "runtime", "federated", "fleet"),
-        "defaults": ("serving",),
-    },
-    "cluster-serving": {
-        "needs_cluster": True,
-        "forbids": ("federated", "runtime"),
-        "defaults": ("serving", "fleet"),
-    },
-    "multiprocess": {
-        "needs_cluster": False,
-        "forbids": ("cluster", "runtime", "federated", "serving", "fleet"),
-        "defaults": (),
-    },
-    "evalsim": {
-        "needs_cluster": False,
-        "forbids": ("cluster", "runtime", "federated", "serving", "fleet"),
-        "defaults": (),
-    },
-}
 
 #: Fields declared as tuples but arriving as JSON lists.
 _TUPLE_FIELDS = {"input_hw", "image_hw"}
@@ -282,6 +238,26 @@ class ServingSection:
                 raise SpecError("serving", "exits must be strictly increasing")
         if self.max_wait_ms < 0:
             raise SpecError("serving", "max_wait_ms must be non-negative")
+        from repro.serving.workload import ARRIVAL_PATTERNS
+
+        if self.pattern not in ARRIVAL_PATTERNS:
+            raise SpecError(
+                "serving",
+                f"unknown arrival pattern {self.pattern!r}; "
+                f"available: {', '.join(ARRIVAL_PATTERNS)}",
+            )
+        for name in ("arrival_rate", "duration_s"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not value > 0
+            ):
+                raise SpecError("serving", f"{name} must be a positive number")
+        for name in ("batch_cap", "queue_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SpecError("serving", f"{name} must be an integer >= 1")
 
 
 @dataclass
@@ -470,16 +446,9 @@ class JobSpec:
         Also materializes the workload sections the backend defaults in,
         so backends can rely on their section being present.
         """
-        rules = BACKEND_SECTION_RULES.get(self.backend)
-        if rules is None and not self._backend_registered(self.backend):
-            known = sorted(
-                set(BACKEND_SECTION_RULES) | set(self._registered_backends())
-            )
-            raise SpecError(
-                "jobspec",
-                f"unknown backend {self.backend!r}; registered: "
-                f"{', '.join(known)}",
-            )
+        from repro.api.registry import get_backend
+
+        backend = get_backend(self.backend)  # SpecError on an unknown name
         self._check_names()
         # Backend-independent rule: a runtime adapts a *cluster* run.
         if self.runtime is not None and self.cluster is None:
@@ -488,18 +457,16 @@ class JobSpec:
                 "a runtime section requires a cluster section "
                 "(there is nothing to adapt on a single device)",
             )
-        if rules is None:
-            return  # third-party backend: only structural rules apply
-        for section in rules["defaults"]:
+        for section in backend.defaults:
             if getattr(self, section) is None:
                 setattr(self, section, _SECTION_TYPES[section]())
-        if rules["needs_cluster"] and self.cluster is None:
+        if backend.needs_cluster and self.cluster is None:
             raise SpecError(
                 "cluster",
                 f"the {self.backend!r} backend requires a cluster section "
                 "(hardware is never defaulted in)",
             )
-        for section in rules["forbids"]:
+        for section in backend.forbids:
             if getattr(self, section) is not None:
                 raise SpecError(
                     section,
@@ -546,19 +513,6 @@ class JobSpec:
         if self.federated is not None and self.federated.platforms:
             names.extend(self.federated.platforms)
         return names
-
-    @staticmethod
-    def _registered_backends() -> list[str]:
-        try:
-            from repro.api.registry import available_backends
-
-            return available_backends()
-        except ImportError:  # pragma: no cover - partial-install guard
-            return []
-
-    @staticmethod
-    def _backend_registered(name: str) -> bool:
-        return name in JobSpec._registered_backends()
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -637,10 +591,10 @@ class JobSpec:
         if backend is not None:
             # Re-targeting: drop whatever the chosen backend forbids, so
             # one spec file can drive every registered backend.
-            rules = BACKEND_SECTION_RULES.get(chosen)
-            if rules is not None:
-                for name in rules["forbids"]:
-                    sections[name] = None
+            from repro.api.registry import get_backend
+
+            for name in get_backend(chosen).forbids:
+                sections[name] = None
         for name in ("model", "data", "budgets"):
             if sections[name] is None:
                 sections[name] = _SECTION_TYPES[name]()

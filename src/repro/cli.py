@@ -11,27 +11,25 @@ Usage::
     python -m repro.cli run job.json --backend pipelined --report-json out.json
     python -m repro.cli run job.json --backend multiprocess --processes 4
     python -m repro.cli run job.json --array-backend threaded --threads 4
-    python -m repro.cli serve --platform agx_orin --arrival-rate 200
-    python -m repro.cli parallel --schedule pipelined --epochs 3
-    python -m repro.cli parallel --events faults.json --report-json run.json
+    python -m repro.cli run examples/specs/serving.json --trace-out trace.json
+    python -m repro.cli analyze trace.json
     python -m repro.cli bench --quick
     python -m repro.cli sweep run examples/specs/sweep_budget.json --workers 4
     python -m repro.cli sweep results budget_sweep.sweep --select report.wall_clock_s
 
 Each command prints the reproduced figure/table as a plain-text table.
-``run`` is the unified entry point: it executes a declarative
-:class:`repro.api.JobSpec` JSON file on any registered backend
-(``sequential`` / ``pipelined`` / ``multiprocess`` / ``federated`` /
-``federated-async`` / ``serving`` / ``cluster-serving``) and prints the
-unified report; the
-``--array-backend`` / ``--threads`` / ``--bf16-weights`` / ``--processes``
-flags override the spec's ``compute`` section field-by-field.  ``serve`` and ``parallel``
-are legacy spec-builders kept for backward compatibility: they assemble
-the equivalent JobSpec from their flags and drive the same
-:func:`repro.api.run` path (a once-per-process :class:`DeprecationWarning`
-points at ``run``).  ``bench`` times the kernel substrate, seed path vs
-fused+workspace path (see :mod:`repro.perf.bench`), and records the
-trajectory in ``BENCH_kernels.json``.  ``sweep`` runs a declarative
+``run`` is the one way to train or serve from the shell: it executes a
+declarative :class:`repro.api.JobSpec` JSON file on any registered
+backend (``sequential`` / ``pipelined`` / ``multiprocess`` / ``evalsim`` /
+``federated`` / ``federated-async`` / ``serving`` / ``cluster-serving``;
+``examples/specs/quick.json`` re-targets at any of them with
+``--backend``) and prints the unified report; the ``--array-backend`` / ``--threads`` / ``--bf16-weights`` /
+``--processes`` flags override the spec's ``compute`` section
+field-by-field.  ``analyze`` turns a trace or report into a critical
+path, a request breakdown, a diff or an SLO verdict (see
+:mod:`repro.obs.analyze`).  ``bench`` times the kernel substrate, seed
+path vs fused+workspace path (see :mod:`repro.perf.bench`), and records
+the trajectory in ``BENCH_kernels.json``.  ``sweep`` runs a declarative
 experiment grid (one base JobSpec + axes over dotted section paths)
 through a resumable process-pool driver and queries the resulting store
 (see :mod:`repro.sweep`).
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Callable
 
 from repro.experiments import (
@@ -92,24 +89,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], list[Experiment
         lambda a: [ablations.run_mechanism_ablation()],
     ),
 }
-
-
-_LEGACY_WARNED = False
-
-
-def _warn_legacy(subcommand: str) -> None:
-    """One DeprecationWarning per process for the superseded entry points."""
-    global _LEGACY_WARNED
-    if _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED = True
-    warnings.warn(
-        f"'repro.cli {subcommand}' is a legacy entry point superseded by "
-        f"'repro.cli run <spec.json>'; it now builds the equivalent JobSpec "
-        f"internally (see README: Unified job API)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -615,282 +594,6 @@ def _sweep_expand(argv: list[str]) -> int:
     return 0
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli serve",
-        description="Train a small NeuroFlux system and serve it under load.",
-    )
-    parser.add_argument("--platform", default="agx_orin", help="platform short name")
-    parser.add_argument("--pattern", default="poisson", help="poisson | bursty | diurnal")
-    parser.add_argument("--arrival-rate", type=float, default=200.0, help="mean req/s")
-    parser.add_argument("--duration", type=float, default=1.0, help="stream length (s)")
-    parser.add_argument(
-        "--mode",
-        default="cascade",
-        choices=["cascade", "shallow-only", "deepest-only"],
-        help="routing policy",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.5, help="softmax confidence gate"
-    )
-    parser.add_argument(
-        "--exits",
-        type=int,
-        nargs="*",
-        default=None,
-        help="exit layer indices (default: every trained layer)",
-    )
-    parser.add_argument("--batch-cap", type=int, default=32, help="micro-batch cap")
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0, help="batching deadline (ms)"
-    )
-    parser.add_argument("--queue-depth", type=int, default=256, help="admission bound")
-    parser.add_argument("--model", default="vgg11", help="model architecture")
-    parser.add_argument("--epochs", type=int, default=5, help="training epochs")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="root seed (workload, training, synthetic data and weights)",
-    )
-    return parser
-
-
-def _serve_main(argv: list[str]) -> int:
-    from repro.errors import ConfigError
-
-    _warn_legacy("serve")
-    try:
-        return _serve_run(argv)
-    except ConfigError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-
-
-def serve_args_to_spec(args: argparse.Namespace):
-    """The legacy ``serve`` flag set as a declarative JobSpec.
-
-    Pins the exact model/data/seed derivations the subcommand has always
-    used, so driving the unified path produces output unchanged from the
-    pre-JobSpec implementation.
-    """
-    from repro.api import JobSpec
-    from repro.errors import ConfigError
-
-    # Flag-specific messages the spec's own validation would phrase
-    # differently.
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError("--threshold must be in [0, 1]")
-    if args.exits is not None and not args.exits:
-        raise ConfigError("--exits needs at least one layer index")
-    return JobSpec.from_dict(
-        {
-            "backend": "serving",
-            "platform": args.platform,
-            "model": {
-                "name": args.model,
-                "num_classes": 4,
-                "input_hw": [16, 16],
-                "width_multiplier": 0.125,
-                "seed": 3 + args.seed,
-            },
-            "data": {
-                "dataset": "cifar10",
-                "num_classes": 4,
-                "image_hw": [16, 16],
-                "scale": 0.01,
-                "noise_std": 0.4,
-                "seed": 7 + args.seed,
-            },
-            "neuroflux": {"batch_limit": 64, "seed": args.seed},
-            "budgets": {"memory_mb": 16, "epochs": args.epochs},
-            "serving": {
-                "pattern": args.pattern,
-                "arrival_rate": args.arrival_rate,
-                "duration_s": args.duration,
-                "mode": args.mode,
-                "threshold": args.threshold,
-                "exits": args.exits,
-                "batch_cap": args.batch_cap,
-                "max_wait_ms": args.max_wait_ms,
-                "queue_depth": args.queue_depth,
-            },
-        }
-    )
-
-
-def _serve_run(argv: list[str]) -> int:
-    from repro.api import run as run_job
-    from repro.hw.platforms import get_platform
-
-    args = build_serve_parser().parse_args(argv)
-    spec = serve_args_to_spec(args)
-    print(
-        f"training {spec.model.name} with NeuroFlux on "
-        f"{get_platform(spec.platform).name} "
-        f"({spec.budgets.epochs} epochs)...",
-        file=sys.stderr,
-    )
-    report = run_job(spec)
-    print(report.table())
-    return 0
-
-
-def build_parallel_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli parallel",
-        description=(
-            "Train a NeuroFlux system pipeline-parallel across a simulated "
-            "device cluster (see repro.parallel)."
-        ),
-    )
-    parser.add_argument(
-        "--devices",
-        nargs="+",
-        default=None,
-        metavar="PLATFORM",
-        help="platform short names (default: nano xavier-nx xavier-nx agx-orin)",
-    )
-    parser.add_argument(
-        "--schedule",
-        default="pipelined",
-        choices=["sequential", "pipelined"],
-        help="sequential = single-device semantics, pipelined = overlap blocks",
-    )
-    parser.add_argument(
-        "--placement",
-        default="optimized",
-        choices=["optimized", "round-robin"],
-        help="block-to-device assignment strategy",
-    )
-    parser.add_argument("--model", default="vgg11", help="model architecture")
-    parser.add_argument("--epochs", type=int, default=3, help="training epochs")
-    parser.add_argument(
-        "--budget-mb",
-        type=float,
-        default=3.0,
-        help="training memory budget per block (MiB); drives the partition",
-    )
-    parser.add_argument(
-        "--microbatch",
-        type=int,
-        default=None,
-        help="pipeline micro-batch size (default: smallest block batch)",
-    )
-    parser.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=2,
-        help="bounded inter-stage queue depth (timing back-pressure only)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="root seed (training, synthetic data and weights)",
-    )
-    parser.add_argument(
-        "--runtime",
-        action="store_true",
-        help=(
-            "attach the adaptive cluster runtime (drift monitoring, "
-            "online re-placement, live migration); implied by --events"
-        ),
-    )
-    parser.add_argument(
-        "--events",
-        default=None,
-        metavar="FILE.json",
-        help=(
-            "fault/load schedule to inject (JSON: {\"events\": [{\"type\": "
-            "\"slowdown\"|\"spike\"|\"failure\"|\"join\", \"time_s\": ..., "
-            "...}]}); implies --runtime"
-        ),
-    )
-    parser.add_argument(
-        "--report-json",
-        default=None,
-        metavar="PATH",
-        help="write the full run report (placement, ledgers, runtime events/migrations) to PATH",
-    )
-    return parser
-
-
-def _parallel_main(argv: list[str]) -> int:
-    from repro.errors import ConfigError, FaultError, PartitionError, PlacementError
-
-    _warn_legacy("parallel")
-    try:
-        return _parallel_run(argv)
-    except (ConfigError, FaultError, PartitionError, PlacementError) as exc:
-        print(f"parallel: {exc}", file=sys.stderr)
-        return 2
-
-
-def parallel_args_to_spec(args: argparse.Namespace):
-    """The legacy ``parallel`` flag set as a declarative JobSpec.
-
-    Pins the exact model/data/seed derivations the subcommand has always
-    used, so driving the unified path produces output unchanged from the
-    pre-JobSpec implementation.
-    """
-    from repro.api import JobSpec
-    from repro.errors import ConfigError
-    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER
-
-    if args.epochs < 1:
-        raise ConfigError("--epochs must be >= 1")
-    names = args.devices if args.devices else list(DEFAULT_EDGE_CLUSTER)
-    payload = {
-        "backend": args.schedule,  # "sequential" | "pipelined"
-        "model": {
-            "name": args.model,
-            "num_classes": 4,
-            "input_hw": [16, 16],
-            "width_multiplier": 0.25,
-            "seed": 3 + args.seed,
-        },
-        "data": {
-            "dataset": "cifar10",
-            "num_classes": 4,
-            "image_hw": [16, 16],
-            "scale": 0.01,
-            "noise_std": 0.4,
-            "seed": 7 + args.seed,
-        },
-        "neuroflux": {"batch_limit": 64, "seed": args.seed},
-        "budgets": {"memory_mb": args.budget_mb, "epochs": args.epochs},
-        "cluster": {
-            "devices": list(names),
-            "placement": args.placement,
-            "microbatch": args.microbatch,
-            "queue_capacity": args.queue_capacity,
-        },
-    }
-    if args.events or args.runtime:
-        payload["runtime"] = {"events_file": args.events}
-    return JobSpec.from_dict(payload)
-
-
-def _parallel_run(argv: list[str]) -> int:
-    from repro.api import run as run_job
-    from repro.hw.platforms import get_platform
-
-    args = build_parallel_parser().parse_args(argv)
-    spec = parallel_args_to_spec(args)
-    print(
-        f"training {spec.model.name} with NeuroFlux across "
-        f"{'+'.join(get_platform(d.platform).name for d in spec.cluster.devices)} "
-        f"({args.schedule}, {spec.budgets.epochs} epochs)...",
-        file=sys.stderr,
-    )
-    report = run_job(spec)
-    print(report.summary())
-    if args.report_json:
-        _write_report_json(args.report_json, report)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -914,10 +617,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "run":
         return _run_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "parallel":
-        return _parallel_main(argv[1:])
     if argv and argv[0] == "bench":
         from repro.perf.bench import main as bench_main
 
@@ -932,8 +631,6 @@ def main(argv: list[str] | None = None) -> int:
         for key, (desc, _) in EXPERIMENTS.items():
             print(f"{key.ljust(width)}  {desc}")
         print(f"{'run'.ljust(width)}  execute a JobSpec on any backend (run --help)")
-        print(f"{'serve'.ljust(width)}  early-exit serving simulator (serve --help)")
-        print(f"{'parallel'.ljust(width)}  multi-device pipeline training (parallel --help)")
         print(f"{'bench'.ljust(width)}  kernel wall-clock benchmarks (bench --help)")
         print(f"{'analyze'.ljust(width)}  trace/report analytics and SLO gates (analyze --help)")
         print(f"{'sweep'.ljust(width)}  declarative experiment grids over JobSpecs (sweep --help)")

@@ -1,11 +1,16 @@
-"""repro.fleet: multi-replica, cluster-sharded early-exit serving.
+"""repro.fleet: the early-exit serving simulator, one replica to N.
 
-Scales the single :class:`~repro.serving.server.InferenceServer` into an
-N-replica fleet: each replica shards the exit cascade across the devices
-of its own :class:`~repro.parallel.cluster.Cluster` (shard map from the
-PR 3 placement optimizer), a front router load-balances arrivals with
-per-replica admission control, and a churn schedule drives autoscaling,
-failure drain/failover, and device joins on one simulated timeline.
+One discrete-event loop serves a request stream on N replicas: each
+replica is a server built from the :mod:`repro.serving` parts (bounded
+admission queue, adaptive batcher, exit cascade) that shards the cascade
+across the devices of its own :class:`~repro.parallel.cluster.Cluster`
+(shard map from the PR 3 placement optimizer); a front router
+load-balances arrivals with per-replica admission control, and a churn
+schedule drives autoscaling, failure drain/failover, and device joins on
+one simulated timeline.  A single server is the degenerate case -- one
+replica on one device, no schedule -- which is how the ``serving``
+backend runs; ``cluster-serving`` takes the replica set and device
+template from the spec.
 """
 
 from repro.fleet.replica import (

@@ -1,11 +1,11 @@
 """Per-request latency decomposition from request-scoped spans.
 
-The fleet emits one async ``fleet-request`` span per completed request
-(arrival -> completion) carrying the exact queue/compute/comm split the
-simulator computed; the single-server backend's ``request`` spans carry
-their queue delay.  This module folds those spans into an aggregate
-answer to "where does a request's latency go", and checks the
-accounting identity the fleet promises::
+The fleet simulator -- behind both the ``serving`` (one replica) and
+``cluster-serving`` backends -- emits one async ``fleet-request`` span
+per completed request (arrival -> completion) carrying the exact
+queue/compute/comm split it computed.  This module folds those spans
+into an aggregate answer to "where does a request's latency go", and
+checks the accounting identity the fleet promises::
 
     queue_s + compute_s + comm_s == completion - arrival   (per request)
 """
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.obs.analyze.model import TraceModel
 
-#: Categories carrying request-lifecycle spans.
-REQUEST_CATEGORIES = ("fleet-request", "request")
+#: Category carrying request-lifecycle spans.
+REQUEST_CATEGORY = "fleet-request"
 
 #: Max tolerated |latency - (queue+compute+comm)| per request; attrs are
 #: rounded to 1e-9 s on export, so the residual is bounded by a few ulps.
@@ -89,7 +89,7 @@ def request_breakdown(model: TraceModel) -> RequestBreakdown:
     """Fold every request-lifecycle span into one aggregate."""
     out = RequestBreakdown()
     for span in model.spans:
-        if span.category not in REQUEST_CATEGORIES or span.kind == "instant":
+        if span.category != REQUEST_CATEGORY or span.kind == "instant":
             continue
         attrs = span.attrs or {}
         latency = span.duration_s
@@ -110,9 +110,4 @@ def request_breakdown(model: TraceModel) -> RequestBreakdown:
             out.max_residual_s = max(
                 out.max_residual_s, abs(latency - (queue + compute + comm))
             )
-        elif "queue_delay_s" in attrs:
-            # Single-server request spans: queue delay plus service.
-            queue = float(attrs["queue_delay_s"])
-            out.queue_s += queue
-            out.compute_s += latency - queue
     return out

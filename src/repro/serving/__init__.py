@@ -1,26 +1,21 @@
-"""Early-exit inference serving simulator.
+"""Early-exit inference serving: the parts one server is made of.
 
-Turns a trained NeuroFlux system into a simulated inference service:
-open-loop workload generation (:mod:`repro.serving.workload`), adaptive
+Open-loop workload generation (:mod:`repro.serving.workload`), adaptive
 micro-batching (:mod:`repro.serving.batcher`), confidence-gated exit
-cascades over the per-layer auxiliary heads (:mod:`repro.serving.cascade`),
-a single-server loop charging simulated seconds to the platform's
-:class:`~repro.hw.simulator.TimeLedger` (:mod:`repro.serving.server`),
-and latency/throughput/accuracy reporting (:mod:`repro.serving.metrics`).
+cascades over the per-layer auxiliary heads with their FLOP/kernel cost
+model (:mod:`repro.serving.cascade`), and the per-server batching and
+admission knobs (:mod:`repro.serving.server`).
 
-Quick start::
+The serving *loop* lives in :mod:`repro.fleet`: a single server is a
+fleet of one replica on one device, so the ``serving`` backend runs
+:class:`~repro.fleet.FleetSimulator` with one replica and
+``cluster-serving`` runs it with N.  ``repro run
+examples/specs/serving.json`` is the front door; in code::
 
-    from repro import NeuroFlux, build_model, dataset_spec
-    from repro.serving import WorkloadSpec, simulate_serving
+    from repro.api import JobSpec, run
 
-    data = dataset_spec("cifar10", scale=0.01).materialize()
-    model = build_model("vgg16", num_classes=10, width_multiplier=0.25)
-    system = NeuroFlux(model, data, memory_budget=64 * 2**20)
-    system.run(epochs=3)
-    report = simulate_serving(
-        system, WorkloadSpec(pattern="poisson", arrival_rate=200.0)
-    )
-    print(report.table())
+    report = run(JobSpec.from_json_file("examples/specs/serving.json"))
+    print(report.summary())
 """
 
 from repro.serving.batcher import AdaptiveBatcher, BatchPlan
@@ -30,8 +25,7 @@ from repro.serving.cascade import (
     ExitCost,
     RoutedBatch,
 )
-from repro.serving.metrics import RequestRecord, ServingReport
-from repro.serving.server import InferenceServer, ServerConfig, simulate_serving
+from repro.serving.server import ServerConfig
 from repro.serving.workload import (
     ARRIVAL_PATTERNS,
     Request,
@@ -47,14 +41,10 @@ __all__ = [
     "CascadeCostModel",
     "CascadeRouter",
     "ExitCost",
-    "InferenceServer",
     "Request",
-    "RequestRecord",
     "RoutedBatch",
     "ServerConfig",
-    "ServingReport",
     "WorkloadSpec",
     "generate_requests",
     "iter_requests",
-    "simulate_serving",
 ]

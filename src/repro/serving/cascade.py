@@ -36,7 +36,13 @@ class ExitCost:
 
 
 class CascadeCostModel:
-    """FLOP/kernel accounting for a routed batch."""
+    """FLOP/kernel accounting for a routed batch.
+
+    :meth:`batch_cost` (and :meth:`deepest_only_cost` for the
+    ``deepest-only`` mode) is the whole-batch reference; a fleet replica
+    charges the same cost split per segment and device, and the tests
+    pin the two against each other.
+    """
 
     def __init__(
         self,
@@ -202,9 +208,3 @@ class CascadeRouter:
             if len(remaining) == 0:
                 break
         return RoutedBatch(predictions, exit_indices, confidences, reach_counts)
-
-    def batch_cost(self, cost_model: CascadeCostModel, routed: RoutedBatch) -> tuple[int, int]:
-        """Charge a routed batch under the current mode's execution shape."""
-        if self.mode == "deepest-only":
-            return cost_model.deepest_only_cost(routed.reach_counts[0])
-        return cost_model.batch_cost(routed.reach_counts)

@@ -1,34 +1,22 @@
-"""Single-server inference loop over the execution-time simulator.
+"""Per-server batching and admission knobs.
 
-An open-loop request stream feeds a bounded admission queue; the adaptive
-batcher drains it into micro-batches; each batch is routed through the
-exit cascade and its FLOPs are converted to simulated seconds on the
-target platform, booked under the :class:`TimeLedger`'s ``serving``
-category.  Requests arriving while the queue is at ``queue_depth`` are
-rejected (admission control), bounding worst-case queueing delay under
-overload.
+One replica of :class:`repro.fleet.FleetSimulator` is one server: a
+bounded admission queue (``queue_depth``; arrivals past it are rejected,
+bounding worst-case queueing delay under overload) drained into
+micro-batches of at most ``batch_cap`` requests that wait at most
+``max_wait_s`` for company.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.hw.platforms import Platform
-from repro.hw.simulator import ExecutionSimulator
-from repro.obs.trace import active_tracer
-from repro.serving.batcher import AdaptiveBatcher
-from repro.serving.cascade import CascadeCostModel, CascadeRouter
-from repro.serving.metrics import RequestRecord, ServingReport
-from repro.serving.workload import Request, WorkloadSpec, generate_requests
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs of the serving loop."""
+    """Knobs of one server's batching loop."""
 
     batch_cap: int = 32
     max_wait_s: float = 0.005
@@ -41,192 +29,3 @@ class ServerConfig:
             raise ConfigError("max_wait_s must be non-negative")
         if self.queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
-
-
-class InferenceServer:
-    """Serves a request stream against a sample bank ``(x, y)``.
-
-    ``x`` holds the serving dataset the requests index into; ``y`` is
-    optional and enables accuracy-under-cascade scoring.
-    """
-
-    def __init__(
-        self,
-        router: CascadeRouter,
-        cost_model: CascadeCostModel,
-        platform: Platform,
-        x: np.ndarray,
-        y: np.ndarray | None = None,
-        config: ServerConfig | None = None,
-        sample_bytes: int | None = None,
-    ):
-        self.router = router
-        self.cost_model = cost_model
-        self.sim = ExecutionSimulator(platform)
-        self.x = x
-        self.y = y
-        self.config = config if config is not None else ServerConfig()
-        self.batcher = AdaptiveBatcher(self.config.batch_cap, self.config.max_wait_s)
-        self.sample_bytes = (
-            sample_bytes if sample_bytes is not None else int(x[0].nbytes)
-        )
-
-    def _serve_batch(self, requests: list[Request], dispatch_s: float) -> list[RequestRecord]:
-        indices = [r.sample_index for r in requests]
-        xb = self.x[indices]
-        routed = self.router.route(xb)
-        flops, n_kernels = self.router.batch_cost(self.cost_model, routed)
-        service_s = self.sim.add_serving_batch(
-            flops, self.sample_bytes * len(requests), n_kernels
-        )
-        completion_s = dispatch_s + service_s
-        records = []
-        for i, r in enumerate(requests):
-            correct = None
-            if self.y is not None:
-                correct = bool(routed.predictions[i] == self.y[r.sample_index])
-            records.append(
-                RequestRecord(
-                    request_id=r.request_id,
-                    arrival_s=r.arrival_s,
-                    dispatch_s=dispatch_s,
-                    completion_s=completion_s,
-                    batch_size=len(requests),
-                    exit_index=int(routed.exit_indices[i]),
-                    correct=correct,
-                )
-            )
-        return records
-
-    def serve(self, requests: list[Request], workload: WorkloadSpec) -> ServingReport:
-        """Run the stream to completion and aggregate metrics.
-
-        Event-driven: time advances from batch to batch, admitting every
-        arrival up to each dispatch instant.  FIFO order and a single
-        service lane (one batch in flight) keep the model simple while
-        preserving the queueing behaviors that matter: batching delay,
-        convoying under overload, and admission-control rejections.
-        """
-        cfg = self.config
-        report = ServingReport(
-            platform_name=self.sim.platform.name,
-            pattern=workload.pattern,
-            arrival_rate=workload.arrival_rate,
-            duration_s=workload.duration_s,
-            mode=self.router.mode,
-            num_exits=self.router.model.num_exits,
-        )
-        # Serving spans ride the workload clock: one complete span per
-        # dispatched batch on the single-lane "server" track (batches
-        # serialize on free_s, so they nest trivially), one async span per
-        # request covering its whole admit -> queue -> batch -> exit
-        # lifecycle on the "requests" track, and a reject instant per
-        # admission-control drop.
-        tracer = active_tracer()
-        pending: deque[Request] = deque()
-        free_s = 0.0
-        idx = 0
-        n = len(requests)
-        n_batches = 0
-        while idx < n or pending:
-            if not pending:
-                # Idle server: the next arrival opens a fresh batch window.
-                pending.append(requests[idx])
-                idx += 1
-            start, deadline = self.batcher.window(pending[0], free_s)
-            # A backlog at or past the cap dispatches the moment the server
-            # frees up; otherwise the batch waits out its deadline.
-            dispatch = start if len(pending) >= cfg.batch_cap else deadline
-            # Admit every arrival up to the dispatch instant, rejecting at
-            # the queue bound.  Filling the batch to the cap pulls the
-            # dispatch forward to the cap-th arrival.
-            while idx < n and requests[idx].arrival_s <= dispatch:
-                r = requests[idx]
-                idx += 1
-                if len(pending) >= cfg.queue_depth:
-                    report.n_rejected += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            f"reject-req{r.request_id}", "serving", "requests",
-                            r.arrival_s, {"queue_depth": cfg.queue_depth},
-                        )
-                    continue
-                pending.append(r)
-                if len(pending) == cfg.batch_cap and dispatch == deadline:
-                    dispatch = max(start, r.arrival_s)
-            plan = self.batcher.take(pending, dispatch)
-            batch_records = self._serve_batch(plan.requests, plan.dispatch_s)
-            report.records.extend(batch_records)
-            free_s = report.records[-1].completion_s
-            n_batches += 1
-            if tracer is not None:
-                exits = [r.exit_index for r in batch_records]
-                tracer.add_span(
-                    f"batch{n_batches}", "serving", "server",
-                    plan.dispatch_s, free_s,
-                    attrs={"batch_size": len(batch_records),
-                           "max_exit": max(exits)},
-                )
-                for rec in batch_records:
-                    tracer.add_span(
-                        f"req{rec.request_id}", "request", "requests",
-                        rec.arrival_s, rec.completion_s,
-                        attrs={
-                            "queue_delay_s": round(rec.queue_delay_s, 9),
-                            # Latency minus queueing: the in-batch service
-                            # share, so analyzers can split queue/compute
-                            # without re-deriving the batch schedule.
-                            "service_s": round(
-                                rec.latency_s - rec.queue_delay_s, 9
-                            ),
-                            "exit": rec.exit_index,
-                            "batch": n_batches,
-                        },
-                        kind="async",
-                    )
-        report.serving_time_s = self.sim.ledger.serving
-        report.ledger_totals = self.sim.ledger.as_dict()
-        return report
-
-
-def simulate_serving(
-    system,
-    workload: WorkloadSpec,
-    platform: Platform | None = None,
-    exit_layers: list[int] | None = None,
-    threshold: float | list[float] = 0.7,
-    mode: str = "cascade",
-    config: ServerConfig | None = None,
-) -> ServingReport:
-    """Serve a trained :class:`~repro.core.controller.NeuroFlux` system.
-
-    Builds the multi-exit model from the system's trained auxiliary heads
-    (``exit_layers=None`` materializes every layer as an exit), wires up
-    the cascade router and cost model, and serves the workload against the
-    held-out test split.  ``platform=None`` serves on the platform the
-    system trained for.
-    """
-    platform = platform if platform is not None else system.platform
-    model = system.build_multi_exit_model(exit_layers)
-    router = CascadeRouter(model, threshold=threshold, mode=mode)
-    cost_model = CascadeCostModel(
-        model, system.model.in_channels, system.model.input_hw
-    )
-    server = InferenceServer(
-        router,
-        cost_model,
-        platform,
-        system.data.x_test,
-        system.data.y_test,
-        config=config,
-        sample_bytes=system.data.spec.sample_bytes,
-    )
-    requests = generate_requests(workload, n_samples=len(system.data.x_test))
-    try:
-        return server.serve(requests, workload)
-    finally:
-        # The router lazily attaches scratch workspaces to the multi-exit
-        # model; release them with the simulation so repeated simulations
-        # (or long sweeps over configurations) do not accumulate pooled
-        # buffers for every batch-size/layer shape ever seen.
-        model.detach_workspace()

@@ -277,3 +277,31 @@ def replay_neuroflux(
         "neuroflux", max(b.batch_size for b in blocks), epochs, sim.elapsed, sim.ledger,
         peak, blocks=tuple(blocks),
     )
+
+
+# --------------------------------------------------------------------- #
+# one server = a fleet of one                                           #
+# --------------------------------------------------------------------- #
+def serve_single(system, workload, platform="agx-orin", config=None,
+                 tracer=None, **kwargs):
+    """Serve ``workload`` on one server: one replica, one device, no
+    schedule -- exactly how the ``serving`` backend runs the fleet
+    simulator.  ``kwargs`` pass through (``threshold``, ``mode``,
+    ``exit_layers``); a ``tracer`` is activated for the run."""
+    from repro.fleet import FleetConfig, simulate_fleet
+    from repro.obs.trace import activate, deactivate
+
+    if tracer is not None:
+        activate(tracer)
+    try:
+        return simulate_fleet(
+            system,
+            workload,
+            cluster_names=[platform],
+            fleet=FleetConfig(n_replicas=1, max_replicas=1, policy="round-robin"),
+            server_config=config,
+            **kwargs,
+        )
+    finally:
+        if tracer is not None:
+            deactivate()

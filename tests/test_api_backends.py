@@ -112,6 +112,61 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="already registered"):
             register_backend("sequential")(Impostor)
 
+    def test_eight_builtins_stay_registered(self):
+        assert available_backends() == sorted(
+            ["sequential", "pipelined", "multiprocess", "evalsim", "federated",
+             "federated-async", "serving", "cluster-serving"]
+        )
+
+    def test_section_rules_live_on_the_backend_class(self):
+        """``needs_cluster`` / ``forbids`` / ``defaults`` are class
+        attributes JobSpec reads through the registry; the values are the
+        ones the old name-keyed table in ``api/spec.py`` held."""
+        rules = {
+            name: (b.needs_cluster, set(b.forbids), set(b.defaults))
+            for name in available_backends()
+            for b in [get_backend(name)]
+        }
+        heavy = {"cluster", "runtime", "federated", "serving", "fleet"}
+        assert rules == {
+            "sequential": (False, {"federated", "fleet"}, set()),
+            "pipelined": (True, {"federated", "fleet"}, set()),
+            "multiprocess": (False, heavy, set()),
+            "evalsim": (False, heavy, set()),
+            "federated": (False, heavy - {"federated"}, {"federated"}),
+            "federated-async": (False, heavy - {"federated"}, {"federated"}),
+            "serving": (False, heavy - {"serving"}, {"serving"}),
+            "cluster-serving": (True, {"federated", "runtime"}, {"serving", "fleet"}),
+        }
+
+    def test_spec_validation_follows_a_newly_registered_backend(self):
+        """Registering a backend is all it takes for JobSpec to apply its
+        section rules -- nothing to edit in ``api/spec.py``."""
+        from repro.api import registry
+
+        @register_backend("test-needs-cluster")
+        class NeedsCluster(Backend):
+            needs_cluster = True
+            forbids = ("serving",)
+            defaults = ("fleet",)
+
+        try:
+            with pytest.raises(SpecError) as err:
+                JobSpec.from_dict(tiny_payload(backend="test-needs-cluster"))
+            assert err.value.section == "cluster"
+            payload = tiny_payload(
+                backend="test-needs-cluster",
+                cluster={"devices": ["nano"]},
+                serving={"arrival_rate": 10.0},
+            )
+            with pytest.raises(SpecError) as err:
+                JobSpec.from_dict(payload)
+            assert err.value.section == "serving"
+            spec = JobSpec.from_dict(payload, backend="test-needs-cluster")
+            assert spec.serving is None and spec.fleet is not None
+        finally:
+            del registry._BACKENDS["test-needs-cluster"]
+
     def test_run_rejects_unknown_payload_type(self):
         with pytest.raises(ConfigError, match="JobSpec, a dict, or a spec-file"):
             run(42)
@@ -210,7 +265,8 @@ class TestReportProtocol:
 
     def test_kinds_are_distinct_and_stable(self, reports):
         kinds = {name: r.to_json_dict()["kind"] for name, r in reports.items()}
-        assert kinds["serving"] == "serving"
+        # One serving loop: a single server reports as a fleet of one.
+        assert kinds["serving"] == "fleet"
         assert kinds["federated"] == "federated"
         assert kinds["federated-async"] == "federated-async"
         assert kinds["sequential"] == kinds["pipelined"] == "parallel"

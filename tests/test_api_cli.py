@@ -1,14 +1,12 @@
-"""The ``repro run`` subcommand and the legacy-wrapper deprecation path."""
+"""The ``repro run`` subcommand."""
 
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-import repro.cli as cli
 from repro.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,8 +61,11 @@ class TestRunSubcommand:
         )
         assert "p95 latency" in capsys.readouterr().out
         report = json.loads(report_path.read_text())
-        assert report["kind"] == "serving"
+        # One server is a fleet of one replica on the spec's platform.
+        assert report["kind"] == "fleet"
         assert report["peak_memory_bytes"] == 0
+        assert [r["platforms"] for r in report["replicas"]] == [["Jetson AGX Orin"]]
+        assert report["accounting"]["unaccounted"] == 0
 
     def test_malformed_json_exits_2_cleanly(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -114,65 +115,36 @@ class TestRunSubcommand:
         assert "run" in capsys.readouterr().out
 
 
-class TestLegacyDeprecation:
-    def _collect_legacy_warnings(self, argv):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            main(argv)
-        return [
-            w
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "legacy entry point" in str(w.message)
-        ]
+class TestRunFailsFast:
+    """Bad inputs exit 2 with a one-line message before any training --
+    what the removed ``serve`` / ``parallel`` subcommands promised, now
+    promised once, at the one door."""
 
-    def test_serve_warns_once_per_process(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_LEGACY_WARNED", False)
-        # Bad inputs keep the runs cheap; the warning fires before parsing.
-        first = self._collect_legacy_warnings(["serve", "--platform", "tpu-v9"])
-        assert len(first) == 1
-        assert "repro.cli run" in str(first[0].message)
-        second = self._collect_legacy_warnings(["serve", "--platform", "tpu-v9"])
-        assert second == []  # once per process
-        capsys.readouterr()
+    def _spec_file(self, tmp_path, overrides):
+        from repro.api import overlay_spec_dict
 
-    def test_parallel_warns_and_shares_the_once_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_LEGACY_WARNED", False)
-        first = self._collect_legacy_warnings(["parallel", "--epochs", "0"])
-        assert len(first) == 1
-        second = self._collect_legacy_warnings(["serve", "--platform", "tpu-v9"])
-        assert second == []
-        capsys.readouterr()
+        payload = overlay_spec_dict(json.loads(QUICK.read_text()), overrides)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
 
-    def test_parallel_output_unchanged_by_spec_path(self, capsys):
-        """The legacy wrapper's stdout must match driving the engine
-        directly with the arguments the subcommand has always used."""
-        args = ["parallel", "--schedule", "sequential", "--epochs", "1",
-                "--devices", "agx-orin", "agx-orin"]
-        assert main(args) == 0
-        cli_out = capsys.readouterr().out
-
-        from repro.core.config import NeuroFluxConfig
-        from repro.core.controller import NeuroFlux
-        from repro.data.registry import dataset_spec
-        from repro.models.zoo import build_model
-        from repro.parallel import Cluster
-
-        data = dataset_spec(
-            "cifar10", num_classes=4, image_hw=(16, 16), scale=0.01,
-            noise_std=0.4, seed=7,
-        ).materialize()
-        model = build_model(
-            "vgg11", num_classes=4, input_hw=(16, 16),
-            width_multiplier=0.25, seed=3,
-        )
-        system = NeuroFlux(
-            model, data, memory_budget=int(3.0 * 2**20),
-            config=NeuroFluxConfig(batch_limit=64, seed=0),
-        )
-        legacy = system.train_parallel(
-            Cluster.from_names(["agx-orin", "agx-orin"]),
-            epochs=1,
-            schedule="sequential",
-        )
-        assert cli_out == legacy.summary() + "\n"
+    @pytest.mark.parametrize(
+        "backend, overrides, needle",
+        [
+            ("serving", {"platform": "tpu-v9"}, "unknown platform"),
+            ("serving", {"serving.pattern": "steady"}, "unknown arrival pattern"),
+            ("serving", {"serving.threshold": 1.5}, "[serving]"),
+            ("serving", {"serving.batch_cap": 0}, "[serving]"),
+            ("pipelined", {"cluster.devices": ["tpu-v9"]}, "unknown platform"),
+            ("pipelined", {"budgets.epochs": 0}, "[budgets]"),
+            ("pipelined", {"budgets.memory_mb": 0.01}, "cannot fit"),
+            ("pipelined", {"runtime.events_file": "/nonexistent/events.json"},
+             "event schedule"),
+        ],
+    )
+    def test_bad_inputs_exit_2(self, capsys, tmp_path, backend, overrides, needle):
+        spec = self._spec_file(tmp_path, overrides)
+        assert main(["run", spec, "--backend", backend]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JobSpec
+from repro.api import JobSpec, ServingSection
 from repro.core.config import NeuroFluxConfig
 from repro.errors import ConfigError, SpecError
 
@@ -225,6 +225,35 @@ class TestValidationFailures:
         assert err.value.section == section
         assert needle in str(err.value)
         assert f"[{section}]" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [
+            ("pattern", "steady", "unknown arrival pattern"),
+            ("arrival_rate", -1, "arrival_rate must be a positive number"),
+            ("arrival_rate", 0, "arrival_rate must be a positive number"),
+            ("arrival_rate", "fast", "arrival_rate must be a positive number"),
+            ("duration_s", 0.0, "duration_s must be a positive number"),
+            ("duration_s", float("nan"), "duration_s must be a positive number"),
+            ("batch_cap", 0, "batch_cap must be an integer >= 1"),
+            ("batch_cap", 2.5, "batch_cap must be an integer >= 1"),
+            ("batch_cap", True, "batch_cap must be an integer >= 1"),
+            ("queue_depth", 0, "queue_depth must be an integer >= 1"),
+            ("queue_depth", "8", "queue_depth must be an integer >= 1"),
+        ],
+    )
+    def test_serving_knobs_fail_at_parse_time(self, field, value, needle):
+        """Every bad workload/server knob is a ``SpecError("serving", ...)``
+        from ``from_dict``, not a section-less ConfigError (or a bare
+        TypeError) out of ``Backend.prepare``."""
+        payload = quick_payload()
+        payload["serving"] = {**payload["serving"], field: value}
+        with pytest.raises(SpecError) as err:
+            JobSpec.from_dict(payload)
+        assert err.value.section == "serving"
+        assert needle in str(err.value)
+        with pytest.raises(SpecError, match=needle):
+            ServingSection(**{field: value})
 
     def test_wrong_typed_neuroflux_value_is_a_spec_error(self):
         """A wrong-typed knob must surface as SpecError (clean CLI exit 2),

@@ -25,7 +25,7 @@ class TestMain:
         for key in EXPERIMENTS:
             assert key in out
         assert "bench" in out
-        assert "parallel" in out
+        assert "run" in out
 
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 2
@@ -49,164 +49,16 @@ class TestMain:
             assert callable(runner)
 
 
-class TestServe:
-    def test_serve_parser_defaults(self):
-        from repro.cli import build_serve_parser
-
-        args = build_serve_parser().parse_args([])
-        assert args.platform == "agx_orin"
-        assert args.pattern == "poisson"
-        assert args.arrival_rate == 200.0
-
-    def test_serve_end_to_end(self, capsys):
-        """The acceptance-criteria command, scaled down for test runtime."""
-        assert (
-            main(
-                [
-                    "serve",
-                    "--platform",
-                    "agx_orin",
-                    "--arrival-rate",
-                    "200",
-                    "--pattern",
-                    "poisson",
-                    "--duration",
-                    "0.5",
-                    "--epochs",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        for needle in ("p50 latency", "p95 latency", "p99 latency", "throughput", "exit 1 requests"):
-            assert needle in out
-
-    def test_serve_bad_inputs_fail_fast(self, capsys):
-        """Invalid platform/pattern/threshold must error out cleanly
-        before any training happens."""
-        assert main(["serve", "--platform", "tpu-v9"]) == 2
-        assert "unknown platform" in capsys.readouterr().err
-        assert main(["serve", "--pattern", "steady"]) == 2
-        assert "unknown arrival pattern" in capsys.readouterr().err
-        assert main(["serve", "--threshold", "1.5"]) == 2
-        assert "--threshold" in capsys.readouterr().err
-
-
-class TestParallel:
-    def test_parallel_parser_defaults(self):
-        from repro.cli import build_parallel_parser
-
-        args = build_parallel_parser().parse_args([])
-        assert args.devices is None
-        assert args.schedule == "pipelined"
-        assert args.placement == "optimized"
-        assert args.seed == 0
-
-    def test_parallel_end_to_end(self, capsys):
-        """The acceptance-criteria command, scaled down for test runtime."""
-        assert (
-            main(
-                [
-                    "parallel",
-                    "--schedule",
-                    "pipelined",
-                    "--epochs",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        for needle in ("schedule=pipelined", "makespan", "bubble", "util", "exit layer"):
-            assert needle in out
-
-    def test_parallel_bad_inputs_fail_fast(self, capsys):
-        """Invalid devices/epochs must error out before any training."""
-        assert main(["parallel", "--devices", "tpu-v9"]) == 2
-        assert "unknown platform" in capsys.readouterr().err
-        assert main(["parallel", "--epochs", "0"]) == 2
-        assert "--epochs" in capsys.readouterr().err
-
-    def test_parallel_infeasible_budget_exits_cleanly(self, capsys):
-        """A budget no layer fits exits 2 with a message, not a traceback."""
-        assert main(["parallel", "--budget-mb", "0.01"]) == 2
-        assert "cannot fit" in capsys.readouterr().err
-
-    def test_parallel_help_documents_runtime_flags(self, capsys):
-        from repro.cli import build_parallel_parser
-
-        help_text = build_parallel_parser().format_help()
-        assert "--events" in help_text
-        assert "--report-json" in help_text
-        assert "--runtime" in help_text
-        assert "fault" in help_text
-
-    def test_parallel_events_and_report_json(self, capsys, tmp_path):
-        """--events loads a fault schedule, --report-json dumps the run."""
-        import json
-
-        events_path = tmp_path / "events.json"
-        events_path.write_text(
-            json.dumps(
-                {
-                    "events": [
-                        {
-                            "type": "slowdown",
-                            "time_s": 0.05,
-                            "device": 3,
-                            "factor": 4.0,
-                        }
-                    ]
-                }
-            )
-        )
-        report_path = tmp_path / "run.json"
-        assert (
-            main(
-                [
-                    "parallel",
-                    "--epochs",
-                    "1",
-                    "--events",
-                    str(events_path),
-                    "--report-json",
-                    str(report_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "runtime: adapt=on events=1" in out
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == 1
-        assert report["runtime"]["events_applied"][0]["type"] == "slowdown"
-        assert report["makespan_s"] > 0
-        assert len(report["device_ledgers"]) == 4
-
-    def test_parallel_runtime_flag_without_events(self, capsys, tmp_path):
-        report_path = tmp_path / "run.json"
-        assert (
-            main(
-                ["parallel", "--epochs", "1", "--runtime",
-                 "--report-json", str(report_path)]
-            )
-            == 0
-        )
-        import json
-
-        report = json.loads(report_path.read_text())
-        assert report["runtime"]["adapt"] is True
-        assert report["runtime"]["events_applied"] == []
-
-    def test_parallel_bad_events_file_fails_fast(self, capsys, tmp_path):
-        """A missing or malformed schedule errors out before training."""
-        assert main(["parallel", "--events", str(tmp_path / "nope.json")]) == 2
-        assert "event schedule" in capsys.readouterr().err
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"events": [{"type": "meteor", "time_s": 1}]}')
-        assert main(["parallel", "--events", str(bad)]) == 2
-        assert "unknown event type" in capsys.readouterr().err
+class TestRemovedSubcommands:
+    @pytest.mark.parametrize("name", ["serve", "parallel"])
+    def test_legacy_subcommands_are_unknown(self, capsys, name):
+        """``repro run <spec.json>`` is the one door; the old spec-builder
+        subcommands are gone, not aliased."""
+        assert main([name]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert name not in listed and "run" in listed
 
 
 class TestBench:

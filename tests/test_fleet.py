@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SpecError
 from repro.fleet import (
@@ -259,6 +261,83 @@ class TestReplica:
                 queue_depth=8,
                 sample_bytes=SAMPLE_BYTES,
             )
+
+
+class TestOneDeviceReplicaMatchesCostModel:
+    """A one-device replica is the single server: what it charges per
+    segment must add up to the whole-batch reference,
+    :meth:`CascadeCostModel.batch_cost` (``deepest_only_cost`` in
+    ``deepest-only`` mode) -- FLOPs and kernel launches exactly."""
+
+    @pytest.fixture(scope="class")
+    def one_device_plan(self, exit_model, cost_model):
+        return plan_cascade_shards(
+            exit_model, cost_model, Cluster.from_names(["agx-orin"]),
+            batch=8, sample_bytes=SAMPLE_BYTES,
+        )
+
+    def _charges(self, plan, mode, exits):
+        """(flops, kernels, staged bytes) of every charge one batch books."""
+        n_exits = len(plan.placement)
+        cache = RouteCache(
+            exit_of_sample=np.asarray(exits, dtype=np.int64),
+            correct_of_sample=None,
+            num_exits=n_exits,
+            mode=mode,
+        )
+        replica = CascadeReplica(
+            replica_id=0,
+            cluster=Cluster.from_names(["agx-orin"]),
+            plan=plan,
+            route_cache=cache,
+            batcher=AdaptiveBatcher(batch_cap=len(exits), max_wait_s=0.0),
+            queue_depth=len(exits),
+            sample_bytes=SAMPLE_BYTES,
+        )
+        sim = replica.cluster[0].sim
+        charges = []
+        charge = sim.add_serving_batch
+
+        def recording(flops, in_bytes, n_kernels):
+            charges.append((flops, n_kernels, in_bytes))
+            return charge(flops, in_bytes, n_kernels)
+
+        sim.add_serving_batch = recording
+        requests = [
+            Request(request_id=i, arrival_s=0.0, sample_index=i)
+            for i in range(len(exits))
+        ]
+        batch = replica.serve_batch(requests, dispatch_s=0.0)
+        assert batch.comm_s == 0.0  # one device: no hops
+        return cache, charges
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["cascade", "shallow-only", "deepest-only"]))
+    def test_segment_charges_sum_to_batch_cost(
+        self, one_device_plan, cost_model, data, mode
+    ):
+        n_exits = len(one_device_plan.placement)
+        n = data.draw(st.integers(1, 24), label="batch size")
+        if mode == "cascade":
+            exits = data.draw(
+                st.lists(st.integers(0, n_exits - 1), min_size=n, max_size=n),
+                label="exit of each sample",
+            )
+        elif mode == "shallow-only":
+            exits = [0] * n
+        else:
+            exits = [n_exits - 1] * n
+        cache, charges = self._charges(one_device_plan, mode, exits)
+        reach = cache.reach_counts(np.asarray(exits))
+        if mode == "deepest-only":
+            expected = cost_model.deepest_only_cost(n)
+        else:
+            expected = cost_model.batch_cost(reach)
+        assert sum(c[0] for c in charges) == expected[0]
+        assert sum(c[1] for c in charges) == expected[1]
+        # One charge per reached segment; the input is staged once.
+        assert len(charges) == sum(1 for r in reach if r > 0)
+        assert [c[2] for c in charges] == [SAMPLE_BYTES * n] + [0] * (len(charges) - 1)
 
 
 class TestRouter:

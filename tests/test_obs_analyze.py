@@ -341,16 +341,23 @@ class TestRequestBreakdown:
         assert out.max_residual_s == pytest.approx(0.7)
         assert "UNACCOUNTED" in out.table()
 
-    def test_serving_queue_delay_fallback(self):
+    def test_single_server_trace_decomposes_every_request(self, served_system):
+        """The ``serving`` backend's loop (a fleet of one) emits the same
+        ``fleet-request`` spans, so its traces break down in full."""
+        from helpers import serve_single
+        from repro.serving import WorkloadSpec
+
         t = Tracer()
-        t.add_span(
-            "req1", "request", "requests", 0.0, 0.5,
-            attrs={"queue_delay_s": 0.2}, kind="async",
+        report = serve_single(
+            served_system,
+            WorkloadSpec(arrival_rate=400.0, duration_s=0.25, seed=3),
+            tracer=t,
         )
         out = request_breakdown(TraceModel.from_tracer(t))
-        assert out.n_requests == 1 and out.n_decomposed == 0
-        assert out.queue_s == pytest.approx(0.2)
-        assert out.compute_s == pytest.approx(0.3)
+        assert out.n_requests == out.n_decomposed == report.n_completed > 0
+        assert out.accounted
+        assert out.comm_s == 0.0
+        assert out.per_replica == {"replica0": report.n_completed}
 
 
 class TestAnalysisReport:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import JobSpec, available_backends, run
+from repro.fleet import FleetReport
 from repro.hw.simulator import TimeLedger
 from repro.obs import (
     CsvMetricsCallback,
@@ -20,7 +21,6 @@ from repro.obs import (
     validate_monotonic,
     validate_nesting,
 )
-from repro.serving.metrics import ServingReport
 
 QUICK = Path(__file__).resolve().parent.parent / "examples/specs/quick.json"
 
@@ -148,17 +148,17 @@ class TestRuntimeTracing:
 
 class TestLedgerKeySync:
     def test_fallback_summary_covers_every_ledger_category(self):
-        # Regression: the fallback used to hand-list the categories, so a
-        # new TimeLedger field silently dropped from serving reports.
-        report = ServingReport(
-            platform_name="p", pattern="poisson", arrival_rate=1.0,
-            duration_s=1.0, mode="cascade", num_exits=2, serving_time_s=0.5,
+        # Regression: a serving report's fallback used to hand-list the
+        # categories, so a new TimeLedger field silently dropped from it.
+        report = FleetReport(
+            pattern="poisson", arrival_rate=1.0, duration_s=1.0,
+            mode="cascade", num_exits=2, policy="round-robin",
+            n_replicas_initial=1,
         )
         summary = report.ledger_summary()
         for name in TimeLedger.category_names():
-            assert name in summary, name
-        assert summary["serving"] == 0.5
-        assert summary["total"] == 0.5
+            assert summary[name] == 0.0, name
+        assert summary["total"] == 0.0
 
     def test_category_names_match_dataclass_fields(self):
         ledger = TimeLedger()
