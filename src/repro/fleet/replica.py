@@ -15,6 +15,18 @@ replica genuinely takes longer.
 Routing decisions are precomputed per *sample* (the cascade routes each
 sample independently of batch composition), so a million-request run
 looks up cached exit indices instead of re-running the model per batch.
+
+Cached state (the fleet loop reads these per event, so they are kept,
+not recomputed): a replica owns ``next_dispatch`` -- always equal to
+:meth:`CascadeReplica.next_dispatch_s` -- and refreshes it exactly where
+that value's inputs move: in ``admit`` when the queue goes 0->1 (a new
+head) or reaches ``batch_cap`` (deadline -> start), at the end of
+``serve_batch`` (the queue was popped and the entry device's free clock
+moved), and on ``fail`` / retirement.  ``in_flight_requests`` counts the
+requests inside ``in_flight`` (up in ``serve_batch``, down in
+``commit_completions``, zeroed by ``fail``), which makes ``load`` O(1).
+Code that edits ``pending`` behind the replica's back must call
+``refresh_next_dispatch`` itself.
 """
 
 from __future__ import annotations
@@ -59,7 +71,12 @@ class RouteCache:
         A sample exiting at ``e`` traversed segments ``0..e``; under
         ``deepest-only`` every sample's exit is already the last one.
         """
-        return [int(np.count_nonzero(exits >= k)) for k in range(self.num_exits)]
+        reach = [0] * self.num_exits
+        for e in exits.tolist():
+            reach[e] += 1
+        for k in range(self.num_exits - 2, -1, -1):
+            reach[k] += reach[k + 1]
+        return reach
 
 
 @dataclass(frozen=True)
@@ -158,8 +175,13 @@ class CascadeReplica:
         self.origin = origin
         self.spawned_s = spawned_s
         self.state = LIVE
+        self.first_device = plan.placement[0]
         self.pending: deque[Request] = deque()
         self.in_flight: deque[InFlightBatch] = deque()
+        #: Requests inside ``in_flight`` (maintained, see module docstring).
+        self.in_flight_requests = 0
+        #: Cached :meth:`next_dispatch_s` (maintained, see module docstring).
+        self.next_dispatch = float("inf")
         self.dev_free = [spawned_s] * len(cluster)
         self.stats = ReplicaStats(exit_counts=[0] * route_cache.num_exits)
         #: Online refinement of the plan's predicted batch seconds
@@ -171,17 +193,13 @@ class CascadeReplica:
 
     # -- queue state --------------------------------------------------------
     @property
-    def first_device(self) -> int:
-        return self.plan.placement[0]
-
-    @property
     def queue_len(self) -> int:
         return len(self.pending)
 
     @property
     def load(self) -> int:
         """Requests owned but not completed: queued plus in flight."""
-        return len(self.pending) + sum(len(b.requests) for b in self.in_flight)
+        return len(self.pending) + self.in_flight_requests
 
     @property
     def accepts_requests(self) -> bool:
@@ -191,8 +209,15 @@ class CascadeReplica:
         if not self.accepts_requests:
             raise ConfigError(f"replica {self.replica_id} cannot admit")
         self.pending.append(request)
+        # The head or the cap-vs-deadline branch changes only here.
+        n = len(self.pending)
+        if n == 1 or n == self.batcher.batch_cap:
+            self.refresh_next_dispatch()
 
     # -- dispatch schedule --------------------------------------------------
+    def refresh_next_dispatch(self) -> None:
+        self.next_dispatch = self.next_dispatch_s()
+
     def next_dispatch_s(self) -> float:
         """When the head batch would dispatch, given the current queue.
 
@@ -215,9 +240,11 @@ class CascadeReplica:
         Entry-device availability plus the backlog ahead of the newcomer,
         each backlog batch priced at the refined per-batch prediction.
         """
-        backlog = len(self.in_flight) + -(-max(len(self.pending), 1) // self.batcher.batch_cap)
+        queued = len(self.pending) or 1
+        backlog = len(self.in_flight) + -(-queued // self.batcher.batch_cap)
         per_batch = self.plan.predicted_batch_s * self.latency_coeff
-        return max(now, self.dev_free[self.first_device]) + backlog * per_batch
+        free = self.dev_free[self.first_device]
+        return (free if free > now else now) + backlog * per_batch
 
     # -- service ------------------------------------------------------------
     def apply_scale(self, factor: float) -> None:
@@ -265,12 +292,14 @@ class CascadeReplica:
             segments=tuple(segments),
         )
         self.in_flight.append(batch)
+        self.in_flight_requests += len(requests)
         self.stats.n_batches += 1
         # Refine the router coefficient from the observed batch time.
         observed = t - dispatch_s
         if self.plan.predicted_batch_s > 0:
             ratio = observed / self.plan.predicted_batch_s
             self.latency_coeff += self.ewma_alpha * (ratio - self.latency_coeff)
+        self.refresh_next_dispatch()
         return batch
 
     def _segment_charge(
@@ -304,6 +333,7 @@ class CascadeReplica:
         done: list[InFlightBatch] = []
         while self.in_flight and self.in_flight[0].completion_s <= now:
             batch = self.in_flight.popleft()
+            self.in_flight_requests -= len(batch.requests)
             self._tally(batch)
             done.append(batch)
         return done
@@ -311,8 +341,9 @@ class CascadeReplica:
     def _tally(self, batch: InFlightBatch) -> None:
         stats = self.stats
         stats.n_completed += len(batch.requests)
-        for e in batch.exits:
-            stats.exit_counts[int(e)] += 1
+        exit_counts = stats.exit_counts
+        for e in batch.exits.tolist():
+            exit_counts[e] += 1
         correct = self.route_cache.correct_of_sample
         if correct is not None:
             idx = [r.sample_index for r in batch.requests]
@@ -334,9 +365,11 @@ class CascadeReplica:
             stranded.extend(batch.requests)
         stranded.extend(self.pending)
         self.in_flight.clear()
+        self.in_flight_requests = 0
         self.pending.clear()
         self.state = FAILED
         self.retired_s = now
+        self.refresh_next_dispatch()
         return stranded
 
     def start_draining(self, now: float) -> None:
@@ -348,6 +381,7 @@ class CascadeReplica:
         if self.state == DRAINING and not self.pending and not self.in_flight:
             self.state = RETIRED
             self.retired_s = now
+            self.refresh_next_dispatch()
             return True
         return False
 

@@ -18,6 +18,11 @@ Three policies, all deterministic:
 Every policy falls back across the remaining live replicas when its
 first choice has a full queue; only when *no* live replica has queue
 space does the fleet reject the request (admission control).
+
+The router caches nothing but the round-robin cursor: every pick is one
+pass over the candidates reading each replica's O(1) ``load`` /
+``predicted_finish_s`` -- the candidate list itself is owned (and kept
+current) by the fleet simulator.
 """
 
 from __future__ import annotations
@@ -51,25 +56,30 @@ class FleetRouter:
         """
         if not replicas:
             return None
-        order = self._ranked(replicas, now)
-        for replica in order:
-            if replica.accepts_requests:
-                if self.policy == "round-robin":
+        if self.policy == "round-robin":
+            n = len(replicas)
+            start = self._rr_next % n
+            for offset in range(n):
+                i = (start + offset) % n
+                if replicas[i].accepts_requests:
                     # Advance past the chosen replica so the next pick
                     # starts after it, full-queue skips included.
-                    ids = [r.replica_id for r in replicas]
-                    self._rr_next = ids.index(replica.replica_id) + 1
-                return replica
-        return None
-
-    def _ranked(
-        self, replicas: list[CascadeReplica], now: float
-    ) -> list[CascadeReplica]:
-        if self.policy == "round-robin":
-            start = self._rr_next % len(replicas)
-            return replicas[start:] + replicas[:start]
-        if self.policy == "least-loaded":
-            return sorted(replicas, key=lambda r: (r.load, r.replica_id))
-        return sorted(
-            replicas, key=lambda r: (r.predicted_finish_s(now), r.replica_id)
-        )
+                    self._rr_next = i + 1
+                    return replicas[i]
+            return None
+        # One pass, no sort: ids are unique, so the minimum (key, id)
+        # over the accepting replicas is the first that accepts in
+        # (key, id) rank order.
+        least_loaded = self.policy == "least-loaded"
+        best = best_key = None
+        for replica in replicas:
+            if not replica.accepts_requests:
+                continue
+            key = replica.load if least_loaded else replica.predicted_finish_s(now)
+            if (
+                best is None
+                or key < best_key
+                or (key == best_key and replica.replica_id < best.replica_id)
+            ):
+                best, best_key = replica, key
+        return best

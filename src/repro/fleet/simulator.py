@@ -20,6 +20,18 @@ pressure spawns template replicas (up to ``max_replicas``), idle
 autoscaled replicas drain and retire.  Every request's outcome is
 accounted -- completed, rejected, or shed -- and the report's
 ``accounting`` block proves the invariant.
+
+Host cost per event is independent of how much derived state there is:
+nothing derived is recomputed per request.  The simulator owns ``live``
+and ``serving`` -- the state filters over ``self.replicas``, in id order
+-- and rebuilds them (:meth:`FleetSimulator._reindex`) only where a
+replica changes state: ``_spawn``, ``fail``, ``start_draining`` and a
+``maybe_retire`` that returns True.  Each replica owns its cached
+``next_dispatch`` clock and ``load`` counter (refresh points in
+:mod:`repro.fleet.replica`), so picking the next dispatch is a min over
+at most N floats.  At every loop turn ``live``/``serving`` equal their
+filters and every ``replica.next_dispatch == replica.next_dispatch_s()``
+-- the invariant ``tests/test_fleet_cached_state.py`` steps through.
 """
 
 from __future__ import annotations
@@ -115,6 +127,10 @@ class FleetSimulator:
             server_config.batch_cap, server_config.max_wait_s
         )
         self.replicas: list[CascadeReplica] = []
+        #: ``replicas`` filtered to LIVE / to LIVE-or-DRAINING (still
+        #: dispatching), id order; rebuilt by :meth:`_reindex` only.
+        self.live: list[CascadeReplica] = []
+        self.serving: list[CascadeReplica] = []
         self._next_id = 0
         self.report = FleetReport(
             pattern=workload.pattern,
@@ -149,14 +165,22 @@ class FleetSimulator:
         )
         self._next_id += 1
         self.replicas.append(replica)
+        self._reindex()
         return replica
 
-    def _live(self) -> list[CascadeReplica]:
-        return [r for r in self.replicas if r.state == LIVE]
+    def _reindex(self) -> None:
+        """Rebuild ``live``/``serving`` after a replica changed state."""
+        self.live = [r for r in self.replicas if r.state == LIVE]
+        self.serving = [r for r in self.replicas if r.state in (LIVE, DRAINING)]
 
-    def _serving(self) -> list[CascadeReplica]:
-        """Replicas still dispatching work (live or draining)."""
-        return [r for r in self.replicas if r.state in (LIVE, DRAINING)]
+    def _retire_drained(self, now: float, tracer) -> None:
+        """Retire every draining replica that has nothing left."""
+        if len(self.serving) == len(self.live):
+            return  # nobody is draining
+        for replica in self.serving:
+            if replica.maybe_retire(now):
+                self._reindex()
+                self._log_scale("retire", replica.replica_id, now, tracer)
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> FleetReport:
@@ -171,18 +195,21 @@ class FleetSimulator:
         arrivals = iter_requests(self.workload, n_samples)
         next_req = next(arrivals, None)
         now = 0.0
+        inf = float("inf")
 
         while True:
-            t_evt = pending_event_times[0] if pending_event_times else float("inf")
-            t_arr = next_req.arrival_s if next_req is not None else float("inf")
-            t_disp = float("inf")
+            t_evt = pending_event_times[0] if pending_event_times else inf
+            t_arr = next_req.arrival_s if next_req is not None else inf
+            t_disp = inf
             disp_replica: CascadeReplica | None = None
-            for replica in self._serving():
-                t = max(replica.next_dispatch_s(), now)
+            for replica in self.serving:
+                t = replica.next_dispatch
+                if t < now:
+                    t = now
                 if t < t_disp:
                     t_disp = t
                     disp_replica = replica
-            if t_evt == t_arr == t_disp == float("inf"):
+            if t_evt == t_arr == t_disp == inf:
                 break
 
             if t_evt <= t_arr and t_evt <= t_disp:
@@ -204,14 +231,13 @@ class FleetSimulator:
             now = max(now, t_disp)
             self._commit(now, tracer)
             self._dispatch(disp_replica, player, now, tracer)
-            for replica in self._serving():
-                if replica.maybe_retire(now):
-                    self._log_scale("retire", replica.replica_id, now, tracer)
+            self._retire_drained(now, tracer)
 
         # Drain: the stream is over; let every in-flight batch land.
-        self._commit(float("inf"), tracer)
-        for replica in self._serving():
+        self._commit(inf, tracer)
+        for replica in self.serving:
             replica.maybe_retire(self.report.last_completion_s)
+        self._reindex()
         return self._finalize()
 
     # -- event handling ------------------------------------------------------
@@ -268,11 +294,12 @@ class FleetSimulator:
         tracer,
     ) -> None:
         target = next(
-            (r for r in self._serving() if r.replica_id == replica_id), None
+            (r for r in self.serving if r.replica_id == replica_id), None
         )
         if target is None:
             return
         stranded = target.fail(now)
+        self._reindex()
         self.report.n_failures += 1
         if tracer is not None:
             tracer.instant(
@@ -281,7 +308,7 @@ class FleetSimulator:
             )
         # Drain + re-admit: stranded requests keep their original arrival
         # times, so failover shows up as tail latency, not lost work.
-        survivors = self._live()
+        survivors = self.live
         rescued = 0
         for request in stranded:
             choice = router.pick(survivors, now) if survivors else None
@@ -289,6 +316,8 @@ class FleetSimulator:
                 target.stats.n_shed += 1
                 self.report.n_shed += 1
                 if tracer is not None:
+                    # A shed request never commits: drop its flow source.
+                    self._admit_spans.pop(request.request_id, None)
                     tracer.instant(
                         f"shed-req{request.request_id}", "fleet-event",
                         f"replica{replica_id}", now, None,
@@ -298,7 +327,7 @@ class FleetSimulator:
             rescued += 1
         target.stats.n_failed_over += rescued
         self.report.n_failed_over += rescued
-        if not self._live():
+        if not self.live:
             # Extinction with work still owed: the run is a DNF unless a
             # later join/autoscale revives the fleet before arrivals end.
             self.report.dnf = True
@@ -314,7 +343,7 @@ class FleetSimulator:
     ) -> None:
         report = self.report
         report.n_offered += 1
-        live = self._live()
+        live = self.live
         choice = router.pick(live, now)
         if choice is None and self._can_scale_up(now):
             choice = self._scale_up(now, tracer)
@@ -340,16 +369,18 @@ class FleetSimulator:
             self._autoscale_tick(now, tracer)
 
     def _occupancy(self) -> float:
-        live = self._live()
+        live = self.live
         if not live:
             return 1.0
-        depth = self.server_config.queue_depth
-        return sum(r.queue_len for r in live) / (len(live) * depth)
+        queued = 0
+        for replica in live:
+            queued += len(replica.pending)
+        return queued / (len(live) * self.server_config.queue_depth)
 
     def _can_scale_up(self, now: float) -> bool:
         return (
             self.fleet.autoscale
-            and len(self._live()) < self.fleet.max_replicas
+            and len(self.live) < self.fleet.max_replicas
             and now - self._last_scale_s >= self.fleet.cooldown_s
         )
 
@@ -370,9 +401,10 @@ class FleetSimulator:
             return
         # Drain the newest autoscaled replica; initial and joined
         # replicas are never scaled down (the schedule owns their fate).
-        for replica in reversed(self._live()):
+        for replica in reversed(self.live):
             if replica.origin == "autoscale":
                 replica.start_draining(now)
+                self._reindex()
                 self._last_scale_s = now
                 self._log_scale("scale-down", replica.replica_id, now, tracer)
                 return
@@ -398,27 +430,30 @@ class FleetSimulator:
     def _commit(self, now: float, tracer) -> None:
         """Land every completion the clock has passed, in replica order."""
         report = self.report
-        for replica in self.replicas:
+        # Failed and retired replicas hold nothing in flight.
+        for replica in self.serving:
+            in_flight = replica.in_flight
+            if not in_flight or in_flight[0].completion_s > now:
+                continue
             for batch in replica.commit_completions(now):
-                report.n_completed += len(batch.requests)
+                requests = batch.requests
+                report.n_completed += len(requests)
                 # Exact per-request decomposition: time-to-dispatch plus
                 # mid-chain device stalls are queueing, hops are comm,
                 # service is compute -- the three sum to the latency.
                 stall = batch.stall_s
-                compute = batch.compute_s
-                comm = batch.comm_s
-                for request in batch.requests:
-                    report.latencies.append(
-                        batch.completion_s - request.arrival_s
-                    )
-                    report.queue_seconds.append(
-                        batch.dispatch_s - request.arrival_s + stall
-                    )
-                    report.compute_seconds.append(compute)
-                    report.comm_seconds.append(comm)
-                report.last_completion_s = max(
-                    report.last_completion_s, batch.completion_s
+                dispatch = batch.dispatch_s
+                completion = batch.completion_s
+                report.latencies.extend(
+                    [completion - r.arrival_s for r in requests]
                 )
+                report.queue_seconds.extend(
+                    [dispatch - r.arrival_s + stall for r in requests]
+                )
+                report.compute_seconds.extend([batch.compute_s] * len(requests))
+                report.comm_seconds.extend([batch.comm_s] * len(requests))
+                if completion > report.last_completion_s:
+                    report.last_completion_s = completion
                 if tracer is not None:
                     self._trace_batch(replica, batch, tracer)
 
@@ -518,7 +553,7 @@ class FleetSimulator:
                 )
             )
             report.device_ledgers.extend(replica.ledgers())
-        if self.report.dnf and self._live():
+        if self.report.dnf and self.live:
             # A join or autoscale replica revived the fleet after
             # extinction; the run still carries the DNF scar only if
             # requests went unserved while it was down, which the

@@ -21,13 +21,21 @@ candidate gap, one uniform per thinning decision (drawn immediately
 after its candidate, since streaming forbids the old
 all-candidates-then-all-uniforms order), one integer per emitted
 request.  Poisson and bursty sequences are bit-identical to the
-pre-streaming implementation; numpy draws scalars and size-``n``
-batches from the same underlying stream, so per-request index draws
-match the old batched draw.
+pre-streaming implementation.
+
+Sample indices are drawn from their own stream ``INDEX_BLOCK`` at a
+time: bounded ``Generator.integers`` draws consume a fixed number of raw
+words each, so any split into ``size=k`` calls yields the sequence
+scalar draws would, and read-ahead stays bounded by one block.  Arrival
+gaps are *not* block-drawn: the ziggurat exponential consumes a variable
+number of raw words per variate and shares its stream with the thinning
+uniforms, so only the scalar exponential-then-uniform order reproduces
+the pinned sequence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,6 +45,9 @@ from repro.errors import ConfigError
 from repro.utils.rng import spawn_rng
 
 ARRIVAL_PATTERNS = ("poisson", "bursty", "diurnal")
+
+#: Sample indices drawn per call on the ``serving/samples`` stream.
+INDEX_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -73,10 +84,22 @@ class WorkloadSpec:
                 f"unknown arrival pattern {self.pattern!r}; "
                 f"available: {list(ARRIVAL_PATTERNS)}"
             )
-        if self.arrival_rate <= 0:
-            raise ConfigError("arrival_rate must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        for name in (
+            "arrival_rate", "duration_s", "burst_len_s", "diurnal_period_s",
+            "burst_factor", "burst_fraction", "diurnal_amplitude",
+        ):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{name} must be a finite number")
+        # A zero-length dwell never advances the bursty clock; a zero
+        # period divides by zero in the diurnal phase.
+        for name in ("arrival_rate", "duration_s", "burst_len_s", "diurnal_period_s"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.burst_factor < 1:
             raise ConfigError("burst_factor must be >= 1")
         if not 0 < self.burst_fraction < 1:
@@ -126,13 +149,17 @@ def _bursty_times(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[floa
 def _diurnal_times(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[float]:
     # Thinning (Lewis & Shedler): generate at the peak rate, accept with
     # probability rate(t) / peak.
-    peak = spec.arrival_rate * (1.0 + spec.diurnal_amplitude)
-    for t in _poisson_times(rng, peak, spec.duration_s):
-        rate_t = spec.arrival_rate * (
-            1.0 + spec.diurnal_amplitude * np.sin(2.0 * np.pi * t / spec.diurnal_period_s)
-        )
-        if rng.random() < rate_t / peak:
+    rate, amplitude = spec.arrival_rate, spec.diurnal_amplitude
+    duration, period = spec.duration_s, spec.diurnal_period_s
+    peak = rate * (1.0 + amplitude)
+    mean_gap = 1.0 / peak
+    exponential, uniform, sin = rng.exponential, rng.random, math.sin
+    t = exponential(mean_gap)
+    while t < duration:
+        rate_t = rate * (1.0 + amplitude * sin(2.0 * math.pi * t / period))
+        if uniform() < rate_t / peak:
             yield t
+        t += exponential(mean_gap)
 
 
 def _arrival_times(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[float]:
@@ -156,12 +183,12 @@ def iter_requests(spec: WorkloadSpec, n_samples: int) -> Iterator[Request]:
         raise ConfigError("n_samples must be >= 1")
     rng = spawn_rng(spec.seed, "serving/arrivals", spec.pattern)
     sample_rng = spawn_rng(spec.seed, "serving/samples", spec.pattern)
+    block: list[int] = []
     for i, t in enumerate(_arrival_times(spec, rng)):
-        yield Request(
-            request_id=i,
-            arrival_s=float(t),
-            sample_index=int(sample_rng.integers(0, n_samples)),
-        )
+        at = i % INDEX_BLOCK
+        if at == 0:
+            block = sample_rng.integers(0, n_samples, size=INDEX_BLOCK).tolist()
+        yield Request(request_id=i, arrival_s=float(t), sample_index=block[at])
 
 
 def generate_requests(spec: WorkloadSpec, n_samples: int) -> list[Request]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.utils.rng import spawn_rng
@@ -305,3 +307,28 @@ def serve_single(system, workload, platform="agx-orin", config=None,
     finally:
         if tracer is not None:
             deactivate()
+
+
+@contextmanager
+def recorded_fleet_simulators(base=None):
+    """Record every ``FleetSimulator`` that ``simulate_fleet`` builds.
+
+    Yields the (initially empty) list of instances.  ``base`` substitutes
+    a test-side subclass -- how tests observe or check the loop's
+    internals without a debug flag in ``src/``.
+    """
+    import repro.fleet.simulator as module
+
+    original = module.FleetSimulator
+    made = []
+
+    class Recorded(base or original):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    module.FleetSimulator = Recorded
+    try:
+        yield made
+    finally:
+        module.FleetSimulator = original

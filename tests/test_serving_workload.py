@@ -1,20 +1,42 @@
 """Tests for the serving workload generator and adaptive batcher."""
 
+import math
+import signal
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serving.batcher import AdaptiveBatcher
 from repro.serving.workload import (
     ARRIVAL_PATTERNS,
+    INDEX_BLOCK,
     Request,
     WorkloadSpec,
     generate_requests,
     iter_requests,
 )
 from repro.utils.rng import spawn_rng
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail (instead of hanging tier-1) if the body outlives ``seconds``."""
+
+    def _expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _inter_arrivals(requests):
@@ -35,6 +57,34 @@ class TestWorkloadSpec:
         # burst_factor * burst_fraction >= 1 would need a negative quiet rate.
         with pytest.raises(ConfigError):
             WorkloadSpec(pattern="bursty", burst_factor=6.0, burst_fraction=0.2)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # Each of these used to hang, escape as a bare numpy /
+            # ZeroDivisionError, or silently generate nothing.
+            dict(pattern="bursty", burst_len_s=0.0),
+            dict(pattern="bursty", burst_len_s=-1.0),
+            dict(pattern="diurnal", diurnal_period_s=0.0),
+            dict(pattern="diurnal", diurnal_period_s=float("nan")),
+            dict(arrival_rate=float("nan")),
+            dict(arrival_rate=float("inf")),
+            dict(duration_s=float("inf")),
+            dict(pattern="bursty", burst_len_s=float("inf")),
+            dict(burst_factor=float("inf")),
+            dict(burst_fraction=float("nan")),
+            dict(diurnal_amplitude=float("nan")),
+            dict(arrival_rate=True),
+            dict(duration_s="1.0"),
+        ],
+        ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
+    )
+    def test_rejects_degenerate_numbers_at_construction(self, fields):
+        with _time_limit(1.0):
+            with pytest.raises(ConfigError):
+                # Generating too: a spec that slipped through must not
+                # be able to hang the suite.
+                generate_requests(WorkloadSpec(**fields), n_samples=4)
 
 
 class TestGenerateRequests:
@@ -164,6 +214,24 @@ def _reference_requests(spec, n_samples):
     ]
 
 
+def _spec_with_n_requests(pattern, seed, n):
+    """A spec whose stream has exactly ``n`` requests: generate more than
+    enough, then cut the window between the ``n``-th arrival and the
+    next (arrivals before the cut do not depend on where it falls)."""
+    rate = 20_000.0
+    duration = (n + 100) / rate
+    while True:
+        generous = WorkloadSpec(
+            pattern=pattern, arrival_rate=rate, duration_s=duration, seed=seed
+        )
+        times = [r.arrival_s for r in _reference_requests(generous, 1)]
+        if len(times) > n:
+            break
+        duration *= 2
+    cut = times[0] / 2 if n == 0 else (times[n - 1] + times[n]) / 2
+    return WorkloadSpec(pattern=pattern, arrival_rate=rate, duration_s=cut, seed=seed)
+
+
 class TestIterRequests:
     @pytest.mark.parametrize("pattern", ARRIVAL_PATTERNS)
     def test_lazy_sequence_matches_materializing_reference(self, pattern):
@@ -171,6 +239,24 @@ class TestIterRequests:
         implementation, arrival times and sample indices alike."""
         spec = WorkloadSpec(pattern=pattern, arrival_rate=250.0, duration_s=3.0, seed=11)
         assert list(iter_requests(spec, n_samples=37)) == _reference_requests(spec, 37)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("n_samples", [1, 7, 500])
+    @pytest.mark.parametrize(
+        "n_requests",
+        [0, 1, INDEX_BLOCK - 1, INDEX_BLOCK, INDEX_BLOCK + 1, 3 * INDEX_BLOCK + 5],
+    )
+    def test_block_drawn_indices_match_reference_across_block_edges(
+        self, seed, n_samples, n_requests
+    ):
+        """Indices are drawn ``INDEX_BLOCK`` at a time; the sequence must
+        equal the oracle's single batched draw wherever the stream ends
+        relative to a block boundary."""
+        pattern = ARRIVAL_PATTERNS[(seed + n_samples + n_requests) % 3]
+        spec = _spec_with_n_requests(pattern, seed, n_requests)
+        got = list(iter_requests(spec, n_samples))
+        assert len(got) == n_requests
+        assert got == _reference_requests(spec, n_samples)
 
     def test_generate_requests_is_iter_requests_materialized(self):
         spec = WorkloadSpec(pattern="bursty", arrival_rate=300.0, seed=2)
@@ -185,9 +271,35 @@ class TestIterRequests:
         spec = WorkloadSpec(
             pattern=pattern, arrival_rate=5000.0, duration_s=604800.0, seed=0
         )
-        head = list(islice(iter_requests(spec, n_samples=100), 5))
+        with _time_limit(1.0):
+            head = list(islice(iter_requests(spec, n_samples=100), 5))
         assert len(head) == 5
         assert [r.request_id for r in head] == list(range(5))
+
+    @given(
+        t=st.floats(min_value=0.0, max_value=604800.0),
+        period=st.floats(min_value=1e-3, max_value=604800.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_math_sin_agrees_with_numpy_on_the_diurnal_phase(self, t, period):
+        """The generator evaluates the diurnal phase with ``math.sin``;
+        the pinned sequences were recorded with ``np.sin``.  A platform
+        where the two differ must fail here, loudly, rather than drift
+        every downstream digest."""
+        phase = 2.0 * np.pi * t / period
+        assert math.sin(phase) == float(np.sin(phase))
+
+    def test_math_sin_agrees_with_numpy_along_a_real_trace(self):
+        spec = WorkloadSpec(
+            pattern="diurnal", arrival_rate=8000.0, duration_s=2.5,
+            diurnal_period_s=0.7,
+        )
+        phases = np.array(
+            [2.0 * np.pi * r.arrival_s / spec.diurnal_period_s
+             for r in iter_requests(spec, 10)]
+        )
+        assert len(phases) > 10_000
+        assert [math.sin(p) for p in phases.tolist()] == np.sin(phases).tolist()
 
 
 def _req(i, t):
