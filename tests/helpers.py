@@ -332,3 +332,201 @@ def recorded_fleet_simulators(base=None):
         yield made
     finally:
         module.FleetSimulator = original
+
+
+# --------------------------------------------------------------------- #
+# training golden: every schedule, recorded bit for bit                 #
+# --------------------------------------------------------------------- #
+TRAIN_GOLDEN_EPOCHS = 2
+_MB = 2**20
+_HETERO = ["nano", "xavier-nx", "agx-orin"]
+_EMPTY: list[dict] = []
+_FAIL_DEV0 = [{"type": "failure", "time_s": 0.03, "device": 0}]
+_FAIL_DEV1 = [{"type": "failure", "time_s": 0.03, "device": 1}]
+_SLOW_DEV0 = [
+    {"type": "slowdown", "time_s": 0.01, "device": 0, "factor": 3.0,
+     "duration_s": 0.1}
+]
+
+
+def train_golden_cases() -> dict[str, dict]:
+    """The recorded matrix: case id -> how to run it (all JSON-pure).
+
+    ``events`` absent = no runtime; otherwise an ``AdaptiveRuntime``
+    drives that event list (empty, a slowdown of the only device, or a
+    mid-run failure of a device that hosts live state).
+    """
+    cases: dict[str, dict] = {
+        "run-cache": {"entry": "run"},
+        "run-nocache": {"entry": "run", "config": {"use_cache": False}},
+        "run-fixed-batch": {"entry": "run", "config": {"adaptive_batch": False}},
+        "run-time-budget": {"entry": "run", "time_budget_s": 0.05},
+        "run-bf16": {"entry": "run", "bf16_weights": True},
+        "mp-1proc": {"entry": "multiprocess", "processes": 1},
+        "mp-2proc": {"entry": "multiprocess", "processes": 2},
+    }
+    arms = (
+        ("sequential", "one-device", ["agx-orin"], None, ("slowdown", _SLOW_DEV0)),
+        ("sequential", "hetero-rr", _HETERO, "round-robin", ("failure", _FAIL_DEV0)),
+        ("pipelined", "hetero-opt", _HETERO, None, ("failure", _FAIL_DEV1)),
+        ("pipelined", "hetero-rr", _HETERO, "round-robin", ("failure", _FAIL_DEV0)),
+    )
+    for schedule, arm, names, placement, fault in arms:
+        for label, events in (("noruntime", None), ("empty", _EMPTY), fault):
+            case = {
+                "entry": "parallel",
+                "schedule": schedule,
+                "cluster": list(names),
+                "placement": placement,
+            }
+            if events is not None:
+                case["events"] = events
+            cases[f"{schedule}-{arm}-{label}"] = case
+    return cases
+
+
+def _exact(value):
+    """JSON-pure copy of ``value`` with every float as ``float.hex``."""
+    import dataclasses
+
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {str(k): _exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    if isinstance(value, (bool, str, type(None))):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    raise TypeError(f"cannot record {type(value).__name__}")
+
+
+def _sha256_json(payload) -> str:
+    import hashlib
+    import json
+
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def weights_digest(system) -> str:
+    """sha256 over every ``state_dict`` tensor of the model + aux heads."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for module in (system.model, *system.aux_heads):
+        for key, tensor in sorted(module.state_dict().items()):
+            array = np.ascontiguousarray(tensor)
+            digest.update(f"{key}:{array.dtype}:{array.shape}".encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def run_train_golden_case(case: dict, seed: int = 0):
+    """Run one golden case on a fresh system; returns ``(system, report,
+    tracer)`` -- ``report`` is whatever the entry point returned."""
+    from dataclasses import replace
+
+    from repro.backend import ComputeConfig
+    from repro.core.config import NeuroFluxConfig
+    from repro.core.controller import NeuroFlux
+    from repro.data.registry import dataset_spec
+    from repro.models.zoo import build_model
+    from repro.obs.trace import Tracer, activate, deactivate
+    from repro.parallel import Cluster
+    from repro.runtime import AdaptiveRuntime, EventSchedule
+
+    spec = dataset_spec(
+        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=7
+    )
+    data = replace(spec, n_train=96, n_val=32, n_test=32).materialize()
+    system = NeuroFlux(
+        build_model(
+            "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125, seed=3
+        ),
+        data,
+        memory_budget=3 * _MB // 4,
+        config=NeuroFluxConfig(batch_limit=32, seed=seed, **case.get("config", {})),
+        compute=ComputeConfig(bf16_weights=case.get("bf16_weights", False)),
+    )
+    runtime = None
+    if "events" in case:
+        runtime = AdaptiveRuntime(
+            events=EventSchedule.from_json_dict({"events": case["events"]})
+        )
+    tracer = activate(Tracer())
+    try:
+        if case["entry"] == "run":
+            report = system.run(
+                TRAIN_GOLDEN_EPOCHS, time_budget_s=case.get("time_budget_s")
+            )
+        elif case["entry"] == "multiprocess":
+            report = system.train_multiprocess(
+                TRAIN_GOLDEN_EPOCHS, processes=case["processes"]
+            )
+        else:
+            report = system.train_parallel(
+                Cluster.from_names(case["cluster"], memory_budget=4 * _MB),
+                TRAIN_GOLDEN_EPOCHS,
+                schedule=case["schedule"],
+                placement=case["placement"],
+                runtime=runtime,
+            )
+    finally:
+        deactivate()
+    return system, report, tracer
+
+
+def train_golden_outcome(system, report, tracer) -> dict:
+    """Everything the golden pins about one run, floats as ``float.hex``."""
+    parallel = report if hasattr(report, "placement") else None
+    nf = parallel.report if parallel is not None else report
+    result = nf.result
+    # Host-clock extras (wall seconds, BLAS threads, core counts) vary
+    # run to run; the simulated ones are part of the contract.
+    extras = {
+        k: result.extras[k]
+        for k in ("schedule", "microbatch", "stages", "processes")
+        if k in result.extras
+    }
+    outcome = {
+        "weights_sha256": weights_digest(system),
+        "trace_sha256": _sha256_json(tracer.to_chrome_dict()),
+        "method": result.method,
+        "platform_name": result.platform_name,
+        "batch_size": result.batch_size,
+        "sim_time_s": result.sim_time_s,
+        "ledger": result.ledger.as_dict(),
+        "peak_memory_bytes": result.peak_memory_bytes,
+        "final_accuracy": result.final_accuracy,
+        "extras": extras,
+        "profiling_time_s": nf.profiling_time_s,
+        "cache_bytes_written": nf.cache_bytes_written,
+        "exit_layer": nf.exit_layer,
+        "exit_params": nf.exit_params,
+        "exit_val_accuracy": nf.exit_val_accuracy,
+        "exit_test_accuracy": nf.exit_test_accuracy,
+        "layer_val_accuracies": nf.layer_val_accuracies,
+        "history": result.history,
+        "blocks": [[b.layer_indices, b.batch_size] for b in nf.blocks],
+        "block_reports": nf.block_reports,
+    }
+    if parallel is not None:
+        outcome["parallel"] = {
+            "schedule": parallel.schedule,
+            "placement": parallel.placement,
+            "device_names": parallel.device_names,
+            "makespan_s": parallel.makespan_s,
+            "predicted_makespan_s": parallel.predicted_makespan_s,
+            "device_ledgers": parallel.device_ledgers,
+            "utilization": parallel.utilization,
+            "bubble_fraction": parallel.bubble_fraction,
+            "comm_bytes": parallel.comm_bytes,
+            "microbatch": parallel.microbatch,
+            "n_microbatches": parallel.n_microbatches,
+            "runtime": parallel.runtime,
+        }
+    return _exact(outcome)
