@@ -5,12 +5,13 @@ objects (model, data, system, cluster, runtime) and adapts one existing
 subsystem entry point behind ``Backend.run(spec, callbacks) -> Report``:
 
 ========================  =====================================================
-``sequential``            :meth:`NeuroFlux.run` (or the bit-identical
-                          cluster-sequential schedule when a ``cluster``
-                          section is present)
+``sequential``            :meth:`NeuroFlux.run` -- the block loop on a cluster
+                          of one -- or the same loop on the ``cluster``
+                          section's devices (bit-identical weights)
 ``pipelined``             :meth:`NeuroFlux.train_parallel(schedule="pipelined")`
 ``multiprocess``          :meth:`NeuroFlux.train_multiprocess` (real forked
-                          block-parallel processes, shared-memory handoff)
+                          block-parallel processes, shared-memory handoff;
+                          rejects ``budgets.time_budget_s``)
 ``evalsim``               :func:`~repro.evalsim.report.run_evalsim` (closed-form
                           paper-scale training-time simulation)
 ``federated``             :meth:`FederatedNeuroFlux.run` (synchronous FedAvg)
@@ -24,11 +25,11 @@ subsystem entry point behind ``Backend.run(spec, callbacks) -> Report``:
                           replica set, router policy and churn schedule
 ========================  =====================================================
 
-A backend also declares which spec sections it can live with, as class
-attributes (``needs_cluster`` / ``forbids`` / ``defaults``, see
-:class:`~repro.api.registry.Backend`); ``JobSpec`` validation and
-``with_backend`` read them through the registry, so registering a
-backend touches this file only.
+A backend also declares what of a spec it can live with, as class
+attributes (``needs_cluster`` / ``forbids`` / ``defaults`` /
+``rejects_time_budget``, see :class:`~repro.api.registry.Backend`);
+``JobSpec`` validation and ``with_backend`` read them through the
+registry, so registering a backend touches this file only.
 """
 
 from __future__ import annotations
@@ -198,6 +199,9 @@ class MultiprocessBackend(Backend):
     """
 
     forbids = ("cluster", "runtime", "federated", "serving", "fleet")
+    # The forked stages stream every epoch end to end; there is no
+    # global simulated clock to stop them on.
+    rejects_time_budget = True
 
     def prepare(self, spec: JobSpec) -> JobContext:
         context = JobContext(spec=spec, backend=self.name)

@@ -101,19 +101,23 @@ class Backend:
     before training is paid for) and :meth:`execute` (context +
     callbacks -> a :class:`repro.api.report.Report`).
 
-    Three class attributes say which spec sections the backend can live
-    with; :class:`~repro.api.spec.JobSpec` validation and
-    ``with_backend`` read them through :func:`get_backend`:
-    ``needs_cluster`` backends refuse to run without a ``cluster``
-    section (hardware is never invented), ``forbids`` sections are
-    rejected by validation and dropped by re-targeting, and ``defaults``
-    are workload sections materialized with their defaults when absent.
+    Class attributes say what of a spec the backend can live with;
+    :class:`~repro.api.spec.JobSpec` validation and ``with_backend`` read
+    them through :func:`get_backend`: ``needs_cluster`` backends refuse
+    to run without a ``cluster`` section (hardware is never invented),
+    ``forbids`` sections are rejected by validation and dropped by
+    re-targeting, ``defaults`` are workload sections materialized with
+    their defaults when absent, and a backend that has no point at which
+    it could stop on ``budgets.time_budget_s`` sets
+    ``rejects_time_budget`` so the spec fails validation instead of
+    silently training to completion.
     """
 
     name = "?"
     needs_cluster = False
     forbids: tuple[str, ...] = ()
     defaults: tuple[str, ...] = ()
+    rejects_time_budget = False
 
     def run(self, spec, callbacks: Callback | list[Callback] | None = None):
         """Materialize the spec, run the job, return its report."""

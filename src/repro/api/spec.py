@@ -474,6 +474,13 @@ class JobSpec:
                     f"{self.backend!r}; drop the section or re-target the "
                     f"spec with with_backend()/--backend",
                 )
+        if backend.rejects_time_budget and self.budgets.time_budget_s is not None:
+            raise SpecError(
+                "budgets",
+                f"the {self.backend!r} backend cannot stop on time_budget_s "
+                "(it would be ignored); drop it or use a backend that "
+                "honours it, e.g. 'sequential' or 'pipelined'",
+            )
 
     def _check_names(self) -> None:
         """Fail fast on unknown model/dataset/platform names -- before any

@@ -59,9 +59,7 @@ from repro.core.report import BlockReport, NeuroFluxReport
 from repro.core.worker import unit_train_flops
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError
-from repro.core.profiler import block_residency_bytes
 from repro.hw.simulator import ExecutionSimulator
-from repro.training.common import TrainResult
 from repro.utils.rng import spawn_rng
 
 #: Micro-batch buffers per stage boundary; 4 keeps a slow consumer from
@@ -267,21 +265,14 @@ def _load_state(module, payload: tuple) -> None:
 
 
 def _stage_worker(system, stage_id, stage_blocks, mb, epochs, inlink, outlink, result_q):
-    """Child-process entry: train, then ship trained weights upstream."""
+    """Child-process entry: train (on the workspaces the run frame
+    attached before the fork), then ship trained weights upstream."""
     try:
-        system._attach_workspaces()
+        layers = [i for b in stage_blocks for i in b.layer_indices]
         payload = {
             **_train_stage(system, stage_blocks, mb, epochs, inlink, outlink),
-            "layers": {
-                i: _ship_state(system.specs[i].module)
-                for b in stage_blocks
-                for i in b.layer_indices
-            },
-            "aux": {
-                i: _ship_state(system.aux_heads[i])
-                for b in stage_blocks
-                for i in b.layer_indices
-            },
+            "layers": {i: _ship_state(system.specs[i].module) for i in layers},
+            "aux": {i: _ship_state(system.aux_heads[i]) for i in layers},
         }
         result_q.put((stage_id, payload))
     except BaseException:
@@ -302,10 +293,9 @@ def run_block_parallel(
     """Train ``system`` (a :class:`~repro.core.controller.NeuroFlux`)
     with blocks fanned over worker processes; returns the standard
     :class:`NeuroFluxReport` with wall-clock figures in
-    ``report.result.extras``.
+    ``report.result.extras``.  Runs inside the controller's one run
+    frame, like every other schedule.
     """
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
     if slots < 1:
         raise ConfigError("slots must be >= 1")
     if not fork_available():
@@ -314,7 +304,8 @@ def run_block_parallel(
             "(POSIX); this platform does not provide it"
         )
     cfg = system.config
-    blocks, profiling_flops = system.plan()
+    plan = system.plan()
+    blocks = plan[0]
     mb = int(microbatch) if microbatch else min(b.batch_size for b in blocks)
     if mb < 1:
         raise ConfigError(f"microbatch must be >= 1, got {microbatch}")
@@ -326,21 +317,30 @@ def run_block_parallel(
     )
 
     # One BLAS-thread budget across the stages; forked children inherit
-    # it, and the parent is back on all cores before _build_report
-    # evaluates exits (on the failure path too).
+    # it, and the parent is back on all cores before the frame evaluates
+    # exits (on the failure path too).
     n_threads = threads_per_process(len(stages)) if len(stages) > 1 else None
     budget = blas_threads(n_threads) if n_threads else contextlib.nullcontext(False)
-    wall_t0 = time.perf_counter()
-    with budget as controllable:
-        stage_stats = _run_stages(system, stages, mb, epochs, slots)
-    host = {
-        "wall_clock_s": time.perf_counter() - wall_t0,
-        "blas_threads": n_threads,
-        "blas_controllable": controllable,
-    }
-    return _build_report(
-        system, blocks, stages, stage_stats, mb, epochs, profiling_flops, host
-    )
+    with system._run_frame(epochs, "neuroflux-mp", plan, mb) as frame:
+        wall_t0 = time.perf_counter()
+        with budget as controllable:
+            stage_stats = _run_stages(system, stages, mb, epochs, slots)
+        wall_clock_s = time.perf_counter() - wall_t0
+        _book_stages(system, frame.report, stages, stage_stats, mb)
+        frame.report.result.extras.update(
+            wall_clock_s=wall_clock_s,
+            blas_threads=n_threads,
+            blas_controllable=controllable,
+            processes=len(stages),
+            cores=usable_cores(),
+            stage_busy_s=[stage_stats[sid]["busy_s"] for sid in range(len(stages))],
+            stage_wait_s=[stage_stats[sid]["wait_s"] for sid in range(len(stages))],
+            microbatch=mb,
+            schedule="mp-pipelined",
+            stages=[[b.index for b in stage] for stage in stages],
+        )
+    _emit_trace(frame.report, stages)
+    return frame.report
 
 
 def _run_stages(system, stages, mb, epochs, slots) -> dict:
@@ -370,19 +370,13 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
 
         # Stage 0 runs here: the parent drives the data loader, trains
         # its own blocks in place, and feeds the first ring.
-        system._attach_workspaces()
-        try:
-            outlink = rings[0] if rings else None
-            if outlink is not None:
-                # Parent-side puts watch child liveness to avoid
-                # deadlocking on a full ring if a stage dies.
-                original_put = outlink.put
-                outlink.put = lambda x, y: original_put(x, y, liveness=procs)
-            stage_stats = {
-                0: _train_stage(system, stages[0], mb, epochs, None, outlink)
-            }
-        finally:
-            system._detach_workspaces()
+        outlink = rings[0] if rings else None
+        if outlink is not None:
+            # Parent-side puts watch child liveness to avoid
+            # deadlocking on a full ring if a stage dies.
+            original_put = outlink.put
+            outlink.put = lambda x, y: original_put(x, y, liveness=procs)
+        stage_stats = {0: _train_stage(system, stages[0], mb, epochs, None, outlink)}
 
         for _ in procs:
             sid, payload = _guarded_get(result_q, liveness=procs)
@@ -405,44 +399,19 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
     return stage_stats
 
 
-def _build_report(
-    system, blocks, stages, stage_stats, mb, epochs, profiling_flops, host
-) -> NeuroFluxReport:
-    cfg = system.config
-    result = TrainResult(
-        method="neuroflux-mp",
-        model_name=system.model.name,
-        dataset_name=system.data.spec.name,
-        platform_name=system.platform.name,
-        epochs=epochs,
-        batch_size=mb,
-        num_parameters=system.model.num_parameters(),
-    )
-    report = NeuroFluxReport(
-        result=result,
-        blocks=blocks,
-        full_model_params=system.model.num_parameters(),
-        dataset_bytes=system.data.spec.train_bytes,
-    )
+def _book_stages(system, report: NeuroFluxReport, stages, stage_stats, mb) -> None:
+    """Fold the stages' outcomes into the frame's report."""
+    result = report.result
     # Simulated makespan: the pipeline's slowest stage bounds the clock.
+    # It is all compute (activation handoff is shared memory, not
+    # simulated communication); the frame already booked profiling.
     result.sim_time_s = max(s["sim_elapsed"] for s in stage_stats.values())
+    result.ledger.compute = result.sim_time_s
     # Peak simulated residency: every stage holds all its blocks
     # resident at once (they interleave per micro-batch).
-    peak = 0
-    for stage in stages:
-        stage_bytes = sum(
-            block_residency_bytes(
-                system.specs,
-                list(system.aux_heads),
-                b.layer_indices,
-                mb,
-                cfg.optimizer,
-            )
-            for b in stage
-        )
-        peak = max(peak, stage_bytes)
-    result.peak_memory_bytes = peak
-
+    result.peak_memory_bytes = max(
+        sum(system._block_residency_bytes(b, mb) for b in stage) for stage in stages
+    )
     for sid, stage in enumerate(stages):
         stats, elapsed = stage_stats[sid]["stats"], stage_stats[sid]["sim_elapsed"]
         stage_total = sum(n for n, _ in stats.values()) or 1
@@ -459,24 +428,6 @@ def _build_report(
                 )
             )
     report.block_reports.sort(key=lambda r: r.index)
-    report.profiling_time_s = profiling_flops / system.platform.effective_flops
-    # Ledger: the makespan is all compute (activation handoff is shared
-    # memory, not simulated communication); planning cost is profiling.
-    result.ledger.compute = result.sim_time_s
-    result.ledger.profiling = report.profiling_time_s
-    system._finalize_exits(report)
-    result.extras.update(host)
-    result.extras["processes"] = len(stages)
-    result.extras["cores"] = usable_cores()
-    for clock in ("busy_s", "wait_s"):
-        result.extras[f"stage_{clock}"] = [
-            stage_stats[sid][clock] for sid in range(len(stages))
-        ]
-    result.extras["microbatch"] = mb
-    result.extras["schedule"] = "mp-pipelined"
-    result.extras["stages"] = [[b.index for b in stage] for stage in stages]
-    _emit_trace(report, stages)
-    return report
 
 
 def _emit_trace(report: NeuroFluxReport, stages) -> None:

@@ -6,9 +6,20 @@ per-layer memory, partition into blocks with per-block batch sizes
 active block resident in simulated GPU memory, caching the final
 activations of each block to storage so trained blocks never run forward
 again.  Finishes by selecting the best early-exit model.
+
+The controller is plan + one run frame + one block loop + exit
+selection.  Every schedule -- the block loop here, the pipelined
+executor (:mod:`repro.parallel.schedules`) and the forked stages
+(:mod:`repro.backend.multiproc`) -- trains inside
+:meth:`NeuroFlux._run_frame`, and every device question goes through one
+:class:`~repro.parallel.cluster.DeviceContext`: :meth:`NeuroFlux.run` is
+simply a cluster of one.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,193 +43,71 @@ from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError
 from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator
-from repro.memory.tracker import SimulatedGpu
+from repro.hw.simulator import ExecutionSimulator, TimeLedger
 from repro.models.base import ConvNet
 from repro.nn import make_optimizer
 from repro.obs.trace import active_tracer
+from repro.parallel.cluster import Cluster, Device, DeviceContext
 from repro.perf import BufferPool
 from repro.training.common import HistoryPoint, TrainResult, evaluate_classifier
 from repro.utils.rng import spawn_rng
 
 
-class _SingleDeviceContext:
-    """Default execution placement: every block trains on one device.
+def _eval_forward(spec, feats: np.ndarray) -> np.ndarray:
+    spec.module.eval()
+    feats = spec.module.forward(feats)
+    spec.module.train()
+    return feats
 
-    The execution-context protocol lets :meth:`NeuroFlux._execute` run the
-    identical block-by-block training loop whether blocks live on one
-    simulator (this class) or on the devices of a cluster
-    (:class:`_ClusterSequentialContext`) -- which is what makes the
-    parallel ``schedule="sequential"`` bit-identical to :meth:`NeuroFlux.run`.
+
+class _HistoryRecorder(Callback):
+    """Best exit accuracy so far on the capped validation subset.
+
+    The one history recorder of every schedule.  The block loop calls
+    :meth:`record` after each block epoch with the active block's layers
+    and :meth:`advance` once the block is done, so later points only
+    forward the remaining blocks (cheap, uncharged).  The pipelined
+    executor reaches it as an ``on_epoch_end`` subscriber: all blocks
+    are still training, so each point forwards the whole chain, and the
+    shared ``metrics`` dict is enriched in place so callbacks later in
+    the list observe ``accuracy`` too.
     """
 
-    def __init__(self, platform: Platform, memory_budget: int):
-        self.sim = ExecutionSimulator(platform)
-        self.gpu = SimulatedGpu(budget_bytes=memory_budget)
-        self.comm_bytes = 0
-        self.runtime = None
-        self._handles: dict[int, object] = {}
-
-    def sim_for_block(self, block_index: int) -> ExecutionSimulator:
-        return self.sim
-
-    def gpu_for_block(self, block_index: int) -> SimulatedGpu:
-        return self.gpu
-
-    def alloc_block(self, block_index: int, nbytes: int) -> None:
-        self._handles[block_index] = self.gpu.alloc(nbytes, f"block{block_index}")
-
-    def free_block(self, block_index: int) -> None:
-        self.gpu.free(self._handles.pop(block_index))
-
-    @property
-    def profiling_sim(self) -> ExecutionSimulator:
-        return self.sim
-
-    def attach_tracer(self, tracer) -> None:
-        self.sim.attach_tracer(tracer, "dev0")
-
-    def detach_tracer(self) -> None:
-        self.sim.detach_tracer()
-
-    def handoff(self, from_block: int, to_block: int, nbytes: int) -> float:
-        """Move cached activations between consecutive blocks (free here)."""
-        return 0.0
-
-    @property
-    def elapsed(self) -> float:
-        return self.sim.elapsed
-
-    def merged_ledger(self):
-        return self.sim.ledger
-
-    @property
-    def peak_memory(self) -> int:
-        return self.gpu.peak
-
-
-class _ClusterSequentialContext:
-    """Blocks still train one after another, each on its placed device.
-
-    The dataflow (and therefore every weight update) is identical to the
-    single-device run; only the accounting changes: each block charges its
-    own device's simulator, cached activations crossing devices charge the
-    link to the sender's ``communication`` category, and the global clock
-    is the sum of all device ledgers (devices never overlap here).
-    """
-
-    def __init__(self, cluster, placement: list[int], runtime=None):
-        self.cluster = cluster
-        self.placement = list(placement)
-        self.gpus = [
-            SimulatedGpu(budget_bytes=device.memory_budget) for device in cluster
-        ]
-        self._base_elapsed = cluster.total_elapsed
-        self._base_ledgers = cluster.ledger_snapshot()
-        self.comm_bytes = 0
-        #: Optional adaptive runtime: may rewrite ``placement`` (failures,
-        #: drift) between batches, so devices are always resolved through
-        #: :meth:`sim_for_block` at use time, never cached across batches.
-        self.runtime = runtime
-        self._handles: dict[int, tuple[SimulatedGpu, object, int]] = {}
-        #: Devices that ever hosted a block's work.  The runtime may
-        #: rewrite the placement mid-run (failure, drift), so utilization
-        #: accounting cannot sample the final placement: a device that
-        #: trained early blocks and then died still shaped the makespan.
-        self.ever_hosted: set[int] = set()
-
-    def sim_for_block(self, block_index: int) -> ExecutionSimulator:
-        self.ever_hosted.add(self.placement[block_index])
-        return self.cluster[self.placement[block_index]].sim
-
-    def gpu_for_block(self, block_index: int) -> SimulatedGpu:
-        return self.gpus[self.placement[block_index]]
-
-    def alloc_block(self, block_index: int, nbytes: int) -> None:
-        gpu = self.gpus[self.placement[block_index]]
-        self._handles[block_index] = (
-            gpu, gpu.alloc(nbytes, f"block{block_index}"), nbytes
-        )
-
-    def free_block(self, block_index: int) -> None:
-        gpu, handle, _ = self._handles.pop(block_index)
-        gpu.free(handle)
-
-    def move_block(self, block_index: int, dst: int) -> None:
-        """Re-home a live block's residency (the runtime migrated it)."""
-        gpu, handle, nbytes = self._handles[block_index]
-        gpu.free(handle)
-        new_gpu = self.gpus[dst]
-        self._handles[block_index] = (
-            new_gpu, new_gpu.alloc(nbytes, f"block{block_index}"), nbytes
-        )
-
-    @property
-    def profiling_sim(self) -> ExecutionSimulator:
-        return self.cluster[self.placement[0]].sim
-
-    def attach_tracer(self, tracer) -> None:
-        for d, device in enumerate(self.cluster):
-            device.sim.attach_tracer(tracer, f"dev{d}")
-
-    def detach_tracer(self) -> None:
-        for device in self.cluster:
-            device.sim.detach_tracer()
-
-    def handoff(self, from_block: int, to_block: int, nbytes: int) -> float:
-        if to_block >= len(self.placement):
-            return 0.0
-        src, dst = self.placement[from_block], self.placement[to_block]
-        if src != dst:
-            self.comm_bytes += int(nbytes)
-        return self.cluster.charge_transfer(src, dst, nbytes)
-
-    @property
-    def elapsed(self) -> float:
-        return self.cluster.total_elapsed - self._base_elapsed
-
-    def merged_ledger(self):
-        from repro.parallel.cluster import ledger_delta, merge_ledger_deltas
-
-        return merge_ledger_deltas(
-            ledger_delta(self.cluster.ledger_snapshot(), self._base_ledgers)
-        )
-
-    @property
-    def peak_memory(self) -> int:
-        return max(gpu.peak for gpu in self.gpus)
-
-
-class _PipelineHistoryCallback(Callback):
-    """Pipelined-run history recorder on the unified callback protocol.
-
-    Subscribes to the executor's ``on_epoch_end``, evaluates the best
-    exit accuracy on the capped validation subset, appends the
-    :class:`HistoryPoint`, and enriches the shared ``metrics`` dict in
-    place so callbacks later in the list observe ``accuracy`` too.
-    """
-
-    def __init__(self, system: "NeuroFlux", result, val_x, val_y):
+    def __init__(self, system: "NeuroFlux", result: TrainResult):
+        n_eval = min(system.config.eval_subset, len(system.data.x_val))
         self.system = system
         self.result = result
-        self.val_x = val_x
-        self.val_y = val_y
+        self.feats = system.data.x_val[:n_eval]
+        self.labels = system.data.y_val[:n_eval]
         self.best_acc = 0.0
 
-    def on_epoch_end(self, epoch: int, time_s: float, metrics: dict) -> None:
-        feats = self.val_x
-        for spec in self.system.specs:
-            spec.module.eval()
-            feats = spec.module.forward(feats)
-            spec.module.train()
-            acc = self.system._exit_accuracy(feats, self.val_y, spec.index)
+    def record(self, time_s: float, epoch: int, loss: float, specs) -> float:
+        feats = self.feats
+        for spec in specs:
+            feats = _eval_forward(spec, feats)
+            acc = self.system._exit_accuracy(feats, self.labels, spec.index)
             self.best_acc = max(self.best_acc, acc)
-        metrics["accuracy"] = self.best_acc
         self.result.history.append(
-            HistoryPoint(
-                time_s, epoch + 1, self.best_acc, metrics.get("loss", float("nan")), "val"
-            )
+            HistoryPoint(time_s, epoch + 1, self.best_acc, loss, "val")
         )
+        return self.best_acc
+
+    def advance(self, specs) -> None:
+        for spec in specs:
+            self.feats = _eval_forward(spec, self.feats)
+
+    def on_epoch_end(self, epoch: int, time_s: float, metrics: dict) -> None:
+        metrics["accuracy"] = self.record(
+            time_s, epoch, metrics.get("loss", float("nan")), self.system.specs
+        )
+
+
+class _RunFrame(NamedTuple):
+    """What a schedule holds while inside :meth:`NeuroFlux._run_frame`."""
+
+    report: NeuroFluxReport
+    history: _HistoryRecorder
+    store: ActivationStore | None
 
 
 class NeuroFlux:
@@ -288,11 +177,17 @@ class NeuroFlux:
         return blocks, profile.profiling_flops
 
     # -- private helpers -----------------------------------------------------
+    def _raw_batches(self, block: Block, epoch_rng: np.random.Generator) -> DataLoader:
+        data = self.data
+        return DataLoader(
+            data.x_train, data.y_train, block.batch_size, shuffle=True, rng=epoch_rng
+        )
+
     def _block_input_batches(
         self,
         block: Block,
         store: ActivationStore,
-        ctx,
+        ctx: DeviceContext,
         epoch_rng: np.random.Generator,
     ):
         """Iterator over this block's training inputs at its batch size.
@@ -301,14 +196,7 @@ class NeuroFlux:
         so a block migrated mid-pass charges its new device, not a ghost.
         """
         if block.index == 0:
-            loader = DataLoader(
-                self.data.x_train,
-                self.data.y_train,
-                block.batch_size,
-                shuffle=True,
-                rng=epoch_rng,
-            )
-            yield from loader
+            yield from self._raw_batches(block, epoch_rng)
         elif self.config.use_cache:
             def charged():
                 for x, y in store.batches(block.index - 1):
@@ -322,23 +210,14 @@ class NeuroFlux:
             # Ablation: no cache -- re-run forward passes over every
             # already-trained block for each batch (the redundancy the
             # paper's caching eliminates).
-            prior_specs = [
-                s for s in self.specs if s.index < block.first_layer
-            ]
-            prior_flops = 0
-            for s in prior_specs:
-                from repro.flops.count import module_forward_flops
+            from repro.flops.count import module_forward_flops
 
-                f, _ = module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))
-                prior_flops += f
-            loader = DataLoader(
-                self.data.x_train,
-                self.data.y_train,
-                block.batch_size,
-                shuffle=True,
-                rng=epoch_rng,
+            prior_specs = self.specs[: block.first_layer]
+            prior_flops = sum(
+                module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0]
+                for s in prior_specs
             )
-            for x, y in loader:
+            for x, y in self._raw_batches(block, epoch_rng):
                 for s in prior_specs:
                     s.module.eval()
                     x = s.module.forward(x)
@@ -361,13 +240,23 @@ class NeuroFlux:
             aux.detach_workspace()
 
     def _charge_profiling(
-        self, psim: ExecutionSimulator, profiling_flops: float
+        self,
+        profiling_flops: float,
+        psim: ExecutionSimulator | None,
+        ledger: TimeLedger,
     ) -> float:
-        """Book the §6.4 profiling overhead on the given device."""
-        return psim.add_profiling(
-            profiling_flops / psim.platform.effective_flops
-            + len(self.specs) * psim.platform.kernel_launch_overhead
+        """Book the §6.4 profiling overhead: on the device that profiled,
+        or -- for a schedule with no device in this process (the forked
+        stages own theirs) -- straight on the run's ``ledger``."""
+        platform = psim.platform if psim is not None else self.platform
+        seconds = (
+            profiling_flops / platform.effective_flops
+            + len(self.specs) * platform.kernel_launch_overhead
         )
+        if psim is not None:
+            return psim.add_profiling(seconds)
+        ledger.profiling += seconds
+        return seconds
 
     def _build_worker(self, block: Block, sim: ExecutionSimulator) -> BlockWorker:
         """The block's trainer: one optimizer per member unit, one device."""
@@ -396,24 +285,114 @@ class NeuroFlux:
             backward_multiplier=cfg.backward_multiplier,
         )
 
-    def _block_residency_bytes(self, block: Block) -> int:
-        """Peak working set of training this block (worst member layer)."""
+    def _block_residency_bytes(self, block: Block, batch_size: int | None = None) -> int:
+        """Peak working set of training this block (worst member layer) at
+        ``batch_size`` (default: the block's own adaptive batch)."""
         return block_residency_bytes(
             self.specs,
             list(self.aux_heads),
             block.layer_indices,
-            block.batch_size,
+            block.batch_size if batch_size is None else batch_size,
             self.config.optimizer,
         )
 
-    def _exit_accuracy(
-        self, feats: np.ndarray, y: np.ndarray, layer_index: int
-    ) -> float:
+    def _exit_accuracy(self, feats: np.ndarray, y: np.ndarray, layer_index: int) -> float:
         aux = self.aux_heads[layer_index]
         aux.eval()
         acc = evaluate_classifier(aux.forward, feats, y)
         aux.train()
         return acc
+
+    # -- the run frame every schedule trains inside ---------------------------
+    @staticmethod
+    def _subscribers(runtime, callbacks, *internal: Callback) -> CallbackList:
+        """One run's callback list: the adaptive runtime first (it may
+        migrate blocks, and later callbacks should observe post-migration
+        state), then ``internal`` subscribers, then user callbacks.  A
+        fresh list every run: prepending into a caller-owned CallbackList
+        would leak this run's bound runtime into the caller's next run."""
+        cbs = CallbackList(
+            ([runtime] if runtime is not None else [])
+            + list(internal)
+            + list(as_callback_list(callbacks))
+        )
+        if runtime is not None:
+            runtime.callbacks = cbs
+        return cbs
+
+    @contextmanager
+    def _run_frame(
+        self,
+        epochs: int,
+        method: str,
+        plan: tuple[list[Block], float],
+        batch_size: int,
+        ctx: DeviceContext | None = None,
+        sequential: bool = False,
+    ):
+        """Everything around the training itself, once for all schedules.
+
+        Takes a finished :meth:`plan` (a budget that cannot be partitioned
+        fails before anything is acquired), attaches workspaces, books
+        profiling, builds the report and history recorder, yields a
+        :class:`_RunFrame` to train inside, then reads the device
+        ledgers; the one ``finally`` releases whatever was acquired, on
+        every path, and the exit is selected on the released system.
+        ``ctx`` is absent only for the multiprocess schedule (its devices
+        live in the forked stages).  ``sequential`` marks the
+        block-at-a-time schedule: blocks hand
+        activations through an :class:`ActivationStore`, and the device
+        ledgers *are* the timeline, so their charges go to the active
+        tracer (the other schedules emit their own spans).
+        """
+        if epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        blocks, profiling_flops = plan
+        tracer = active_tracer() if sequential else None
+        store = ActivationStore(self.config.cache_dir) if sequential else None
+        try:
+            self._attach_workspaces()
+            if tracer is not None:
+                ctx.attach_tracer(tracer)
+            result = TrainResult(
+                method=method,
+                model_name=self.model.name,
+                dataset_name=self.data.spec.name,
+                platform_name=self.platform.name,
+                epochs=epochs,
+                batch_size=batch_size,
+                num_parameters=self.model.num_parameters(),
+            )
+            report = NeuroFluxReport(
+                result=result,
+                blocks=blocks,
+                full_model_params=self.model.num_parameters(),
+                dataset_bytes=self.data.spec.train_bytes,
+            )
+            report.profiling_time_s = self._charge_profiling(
+                profiling_flops,
+                ctx.profiling_sim if ctx is not None else None,
+                result.ledger,
+            )
+            yield _RunFrame(report, _HistoryRecorder(self, result), store)
+            if ctx is not None:
+                result.ledger = ctx.merged_ledger()
+                result.peak_memory_bytes = ctx.peak_memory
+            if store is not None:
+                report.cache_bytes_written = store.bytes_written
+        finally:
+            self._detach_workspaces()
+            if ctx is not None:
+                ctx.release()
+                if tracer is not None:
+                    # The cluster's simulators outlive the run: never
+                    # leak spans into a later one.
+                    ctx.detach_tracer()
+            if store is not None:
+                store.close()
+        # Exit selection needs none of the run's resources; through a
+        # still-attached buffer pool it would pin full-val-set scratch.
+        self._finalize_exits(report)
 
     # -- the whole pipeline (steps 0-4) ---------------------------------------
     def run(
@@ -422,8 +401,12 @@ class NeuroFlux:
         time_budget_s: float | None = None,
         callbacks: Callback | list[Callback] | None = None,
     ) -> NeuroFluxReport:
-        ctx = _SingleDeviceContext(self.platform, self.memory_budget)
-        return self._execute(epochs, time_budget_s, ctx, callbacks=callbacks)
+        """Train on this system's one device: a cluster of one, every
+        block placed on device 0."""
+        plan = self.plan()
+        cluster = Cluster([Device(self.platform, self.memory_budget)])
+        ctx = DeviceContext(cluster, [0] * len(plan[0]))
+        return self._train_blocks(epochs, time_budget_s, ctx, plan, callbacks)
 
     def train_multiprocess(
         self,
@@ -450,73 +433,57 @@ class NeuroFlux:
             self, epochs, processes=processes, microbatch=microbatch
         )
 
-    def _execute(
+    def train_parallel(
+        self,
+        cluster,
+        epochs: int,
+        schedule: str = "pipelined",
+        placement: list[int] | str | None = None,
+        microbatch: int | None = None,
+        queue_capacity: int = 2,
+        time_budget_s: float | None = None,
+        runtime=None,
+        callbacks: Callback | list[Callback] | None = None,
+    ):
+        """Train this system across a simulated device cluster, blocks
+        one after another (``schedule="sequential"``: weights bit-identical
+        to :meth:`run`, only the accounting is distributed) or streamed as
+        a micro-batch pipeline.  Returns a
+        :class:`~repro.parallel.report.ParallelReport`; every argument is
+        documented on :func:`repro.parallel.schedules.train_parallel`.
+        """
+        from repro.parallel.schedules import train_parallel
+
+        return train_parallel(
+            self, cluster, epochs, schedule, placement, microbatch,
+            queue_capacity, time_budget_s, runtime, callbacks,
+        )
+
+    def _train_blocks(
         self,
         epochs: int,
         time_budget_s: float | None,
-        ctx,
-        plan: tuple[list[Block], float] | None = None,
+        ctx: DeviceContext,
+        plan: tuple[list[Block], float],
         callbacks: Callback | list[Callback] | None = None,
     ) -> NeuroFluxReport:
-        """Block-by-block training loop, placed by an execution context.
+        """Algorithm 2: train block after block, each on its placed device.
 
-        ``plan`` lets callers that already profiled/partitioned (e.g.
-        :meth:`train_parallel`) pass their ``(blocks, profiling_flops)``
-        instead of paying for :meth:`plan` again.  ``callbacks`` receive
-        the unified :mod:`repro.api.callbacks` hooks; an attached
-        adaptive runtime subscribes through the same list (first, so
-        user callbacks observe post-migration state).
+        ``callbacks`` receive the unified :mod:`repro.api.callbacks`
+        hooks; an adaptive runtime attached to ``ctx`` subscribes through
+        the same list (first, so user callbacks observe post-migration
+        state).
         """
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         cfg = self.config
-        store = ActivationStore(cfg.cache_dir)
-        self._attach_workspaces()
-        # Route every device charge of this run to the active tracer (one
-        # track per device); detached in the finally below so the shared
-        # cluster simulators never leak spans into a later run.
-        tracer = active_tracer()
-        if tracer is not None:
-            ctx.attach_tracer(tracer)
-        blocks, profiling_flops = self.plan() if plan is None else plan
-        profiling_time = self._charge_profiling(ctx.profiling_sim, profiling_flops)
-
-        result = TrainResult(
-            method="neuroflux",
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            epochs=epochs,
-            batch_size=max(b.batch_size for b in blocks),
-            num_parameters=self.model.num_parameters(),
-        )
-        report = NeuroFluxReport(
-            result=result,
-            blocks=blocks,
-            full_model_params=self.model.num_parameters(),
-            dataset_bytes=self.data.spec.train_bytes,
-        )
-
-        n_eval = min(cfg.eval_subset, len(self.data.x_val))
-        val_feats_sub = self.data.x_val[:n_eval]
-        val_y_sub = self.data.y_val[:n_eval]
-        best_acc_so_far = 0.0
-
-        runtime = ctx.runtime
-        # A fresh list every run: prepending the runtime into a
-        # caller-owned CallbackList would leak this run's bound runtime
-        # into the caller's next run.
-        cbs = CallbackList(
-            ([runtime] if runtime is not None else [])
-            + list(as_callback_list(callbacks))
-        )
-        if runtime is not None:
-            runtime.callbacks = cbs
-        try:
+        blocks = plan[0]
+        batch_size = max(b.batch_size for b in blocks)
+        with self._run_frame(
+            epochs, "neuroflux", plan, batch_size, ctx, sequential=True
+        ) as (report, history, store):
+            runtime = ctx.runtime
+            cbs = self._subscribers(runtime, callbacks)
             for block in blocks:
                 sim = ctx.sim_for_block(block.index)
-                if tracer is not None:
-                    sim.trace_scope = f"block{block.index}"
                 # §3.1: load the block into GPU memory, others to storage.
                 block_specs = [self.specs[i] for i in block.layer_indices]
                 block_aux = [self.aux_heads[i] for i in block.layer_indices]
@@ -529,13 +496,10 @@ class NeuroFlux:
                     span="cache_io",
                     name=f"load-block{block.index}",
                 )
-                residency = self._block_residency_bytes(block)
-                ctx.alloc_block(block.index, residency)
+                ctx.alloc_block(block.index, self._block_residency_bytes(block))
                 worker = self._build_worker(block, sim)
-                if cfg.use_cache and block.index > 0:
-                    input_mode = "prefetch-cache"
-                else:
-                    input_mode = "prefetch-raw"
+                cached_input = cfg.use_cache and block.index > 0
+                input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
                 if runtime is not None:
                     runtime.sequential_block_start(block, worker, input_mode)
 
@@ -554,7 +518,7 @@ class NeuroFlux:
                     pass_budget = None
                     if time_budget_s is not None and runtime is None:
                         pass_budget = time_budget_s - (ctx.elapsed - sim.elapsed)
-                    _, n_samples, mean_loss = worker.train_pass(
+                    _, _, mean_loss = worker.train_pass(
                         batches,
                         time_budget_s=pass_budget,
                         input_mode=input_mode,
@@ -565,31 +529,14 @@ class NeuroFlux:
                     # (device failure): charge all follow-up work on the
                     # device that actually hosts it now.
                     sim = ctx.sim_for_block(block.index)
-                    if tracer is not None:
-                        sim.trace_scope = f"block{block.index}"
-                    # History: best exit accuracy among the layers trained
-                    # so far, evaluated on a capped validation subset.
-                    feats = val_feats_sub
-                    for spec in block_specs:
-                        spec.module.eval()
-                        feats = spec.module.forward(feats)
-                        spec.module.train()
-                        acc = self._exit_accuracy(feats, val_y_sub, spec.index)
-                        best_acc_so_far = max(best_acc_so_far, acc)
-                    result.history.append(
-                        HistoryPoint(
-                            ctx.elapsed,
-                            epoch + 1,
-                            best_acc_so_far,
-                            mean_loss,
-                            "val",
-                        )
+                    best_acc = history.record(
+                        ctx.elapsed, epoch, mean_loss, block_specs
                     )
                     cbs.on_epoch_end(
                         epoch,
                         ctx.elapsed,
                         {
-                            "accuracy": best_acc_so_far,
+                            "accuracy": best_acc,
                             "loss": mean_loss,
                             "block": block.index,
                         },
@@ -618,12 +565,7 @@ class NeuroFlux:
                 if block.index > 0 and cfg.use_cache:
                     store.clear_block(block.index - 1)
 
-                # Advance the (cheap, uncharged) evaluation feature cache so
-                # later history points only forward the remaining blocks.
-                for spec in block_specs:
-                    spec.module.eval()
-                    val_feats_sub = spec.module.forward(val_feats_sub)
-                    spec.module.train()
+                history.advance(block_specs)
                 ctx.free_block(block.index)
 
                 report.block_reports.append(
@@ -639,18 +581,7 @@ class NeuroFlux:
                 cbs.on_block_trained(report.block_reports[-1])
                 if stop:
                     break
-
-            self._finalize_exits(report)
-            result.sim_time_s = ctx.elapsed
-            result.ledger = ctx.merged_ledger()
-            result.peak_memory_bytes = ctx.peak_memory
-            report.cache_bytes_written = store.bytes_written
-            report.profiling_time_s = profiling_time
-        finally:
-            self._detach_workspaces()
-            if tracer is not None:
-                ctx.detach_tracer()
-            store.close()
+            report.result.sim_time_s = ctx.elapsed
         return report
 
     def _finalize_exits(self, report: NeuroFluxReport) -> None:
@@ -683,339 +614,6 @@ class NeuroFlux:
             exit_model.forward, self.data.x_test, self.data.y_test
         )
         report.result.final_accuracy = report.exit_test_accuracy
-
-    # -- multi-device training (repro.parallel) ------------------------------
-    def train_parallel(
-        self,
-        cluster,
-        epochs: int,
-        schedule: str = "pipelined",
-        placement: list[int] | str | None = None,
-        microbatch: int | None = None,
-        queue_capacity: int = 2,
-        time_budget_s: float | None = None,
-        runtime=None,
-        callbacks: Callback | list[Callback] | None = None,
-    ):
-        """Train this system across a simulated device cluster.
-
-        ``schedule="sequential"`` keeps today's semantics exactly -- blocks
-        train one after another (each on its placed device), so the final
-        weights are bit-identical to :meth:`run` with the same config and
-        seed; only the time accounting is distributed.
-        ``schedule="pipelined"`` streams micro-batches through all blocks
-        at once: block ``k`` trains on activations from a still-improving
-        block ``k-1`` (strict dataflow order -- upstream weights are one
-        update ahead, regardless of ``queue_capacity``, which shapes only
-        the timing model), devices overlap, and the report carries
-        makespan, per-device utilization and bubble fraction.
-
-        ``placement`` maps each partition block to a device index; when
-        ``None`` the pipelined schedule runs the local-search optimizer
-        and the sequential schedule puts each block on its fastest
-        fitting device; the literal string ``"round-robin"`` selects the
-        naive baseline.
-        ``microbatch`` defaults to the smallest block batch size (feasible
-        for every block by construction).
-
-        ``runtime`` attaches a :class:`repro.runtime.AdaptiveRuntime`: a
-        deterministic fault/load schedule is injected into the device
-        ledgers while a drift monitor refines the cost model online, and
-        (when adaptation is on) blocks migrate live when a device drifts
-        or dies.  With an empty schedule the trained weights are
-        bit-identical to the same call without a runtime -- the control
-        loop changes accounting, never math.  One runtime instance
-        drives one run.  Returns a
-        :class:`repro.parallel.report.ParallelReport`.
-        """
-        from repro.errors import PlacementError
-        from repro.parallel.cluster import ledger_delta, merge_ledger_deltas
-        from repro.parallel.placement import (
-            build_problem,
-            optimize_placement,
-            placement_feasible,
-            predict_makespan,
-            round_robin_placement,
-        )
-        from repro.parallel.report import ParallelReport
-
-        if schedule not in ("sequential", "pipelined"):
-            raise ConfigError(f"unknown schedule {schedule!r}")
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        cfg = self.config
-        blocks, profiling_flops = self.plan()
-        if microbatch is None:
-            microbatch = min(b.batch_size for b in blocks)
-        if microbatch < 1:
-            raise ConfigError("microbatch must be >= 1")
-        problem = build_problem(
-            blocks,
-            self.specs,
-            list(self.aux_heads),
-            cluster,
-            microbatch,
-            n_train=len(self.data.x_train),
-            epochs=epochs,
-            sample_bytes=self.data.spec.sample_bytes,
-            optimizer=cfg.optimizer,
-            backward_multiplier=cfg.backward_multiplier,
-            queue_capacity=queue_capacity,
-        )
-        if placement is None:
-            if schedule == "pipelined":
-                placement = list(optimize_placement(problem).placement)
-            else:
-                # The pipelined optimizer's all-resident feasibility model
-                # would over-constrain a schedule that loads one block at a
-                # time; pick each block's fastest fitting device instead.
-                placement = self._sequential_placement(cluster, blocks, problem)
-        else:
-            if isinstance(placement, str):
-                if placement != "round-robin":
-                    raise ConfigError(f"unknown placement strategy {placement!r}")
-                placement = round_robin_placement(len(blocks), len(cluster))
-            placement = list(placement)
-            if len(placement) != len(blocks):
-                raise ConfigError(
-                    f"one device per block required: {len(placement)} vs {len(blocks)}"
-                )
-            for d in placement:
-                if not 0 <= d < len(cluster):
-                    raise ConfigError(f"placement device {d} out of range")
-        # Feasibility depends on the schedule's residency model: pipelined
-        # keeps every block resident at the micro-batch size (co-located
-        # blocks sum), sequential loads one block at a time at its own
-        # adaptive batch size (no summing, but the bigger batch).
-        if schedule == "pipelined":
-            if not placement_feasible(problem, placement):
-                raise PlacementError(
-                    f"placement {placement} exceeds a device memory budget "
-                    f"with all blocks resident"
-                )
-        else:
-            for block in blocks:
-                device = cluster[placement[block.index]]
-                need = self._block_residency_bytes(block)
-                if need > device.memory_budget:
-                    raise PlacementError(
-                        f"block {block.index} needs {need} B at batch "
-                        f"{block.batch_size}, exceeding {device.name}'s "
-                        f"{device.memory_budget} B budget"
-                    )
-        predicted = predict_makespan(problem, placement)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.instant(
-                "placement",
-                "runtime-decision",
-                "runtime",
-                0.0,
-                attrs={
-                    "schedule": schedule,
-                    "placement": list(placement),
-                    "predicted_makespan_s": round(predicted, 9),
-                },
-            )
-        base_ledgers = cluster.ledger_snapshot()
-
-        if schedule == "sequential":
-            ctx = _ClusterSequentialContext(cluster, placement, runtime=runtime)
-            if runtime is not None:
-                runtime.bind_sequential(
-                    cluster, problem, blocks, ctx, self._block_residency_bytes
-                )
-            report = self._execute(
-                epochs,
-                time_budget_s,
-                ctx,
-                plan=(blocks, profiling_flops),
-                callbacks=callbacks,
-            )
-            report.result.extras["schedule"] = schedule
-            placement = list(ctx.placement)  # the runtime may have re-placed
-            makespan = ctx.elapsed
-            # Devices that joined mid-run have no baseline snapshot: they
-            # start from an all-zero ledger.
-            base_ledgers += [{}] * (len(cluster) - len(base_ledgers))
-            ledgers = ledger_delta(cluster.ledger_snapshot(), base_ledgers)
-            busy = [ledger["total"] for ledger in ledgers]
-            utilization = [
-                b / makespan if makespan > 0 else 0.0 for b in busy
-            ]
-            active = [d in ctx.ever_hosted for d in range(len(cluster))]
-            used = [u for u, a in zip(utilization, active) if a]
-            bubble = 1.0 - sum(used) / len(used) if used else float("nan")
-            comm_bytes = ctx.comm_bytes
-            # No micro-batch stream ran: blocks iterated at their own
-            # adaptive batch sizes through the loader/cache path.
-            n_micro = 0
-        else:
-            report, stats, placement = self._run_pipelined(
-                cluster, blocks, placement, problem, epochs,
-                queue_capacity, time_budget_s, profiling_flops, runtime,
-                callbacks,
-            )
-            report.result.extras["schedule"] = schedule
-            makespan = stats.makespan_s
-            base_ledgers += [{}] * (len(cluster) - len(base_ledgers))
-            ledgers = ledger_delta(cluster.ledger_snapshot(), base_ledgers)
-            report.result.ledger = merge_ledger_deltas(ledgers)
-            utilization = stats.utilization
-            bubble = stats.bubble_fraction
-            comm_bytes = stats.comm_bytes
-            n_micro = stats.n_microbatches
-        report.result.platform_name = "+".join(
-            device.platform.name for device in cluster
-        )
-        return ParallelReport(
-            schedule=schedule,
-            placement=placement,
-            device_names=[device.name for device in cluster],
-            report=report,
-            makespan_s=makespan,
-            predicted_makespan_s=predicted,
-            device_ledgers=ledgers,
-            utilization=list(utilization),
-            bubble_fraction=bubble,
-            comm_bytes=comm_bytes,
-            microbatch=microbatch,
-            n_microbatches=n_micro,
-            runtime=runtime.report() if runtime is not None else None,
-        )
-
-    def _sequential_placement(self, cluster, blocks, problem) -> list[int]:
-        """Default placement for the sequential schedule.
-
-        Blocks run one at a time, so the makespan is simply the sum of
-        per-block times: put each block on its fastest device that fits it
-        at the block's own adaptive batch size, staying put on ties to
-        avoid link hops.
-        """
-        from repro.errors import PlacementError
-
-        placement: list[int] = []
-        prev = 0
-        for block in blocks:
-            need = self._block_residency_bytes(block)
-            candidates = [
-                d for d, device in enumerate(cluster)
-                if need <= device.memory_budget
-            ]
-            if not candidates:
-                raise PlacementError(
-                    f"block {block.index} needs {need} B at batch "
-                    f"{block.batch_size}; no device budget fits it"
-                )
-            best = min(
-                candidates,
-                key=lambda d: (
-                    problem.step_times[block.index][d],
-                    0 if d == prev else 1,
-                ),
-            )
-            placement.append(best)
-            prev = best
-        return placement
-
-    def _run_pipelined(
-        self,
-        cluster,
-        blocks,
-        placement: list[int],
-        problem,
-        epochs: int,
-        queue_capacity: int,
-        time_budget_s: float | None,
-        profiling_flops: float,
-        runtime=None,
-        callbacks: Callback | list[Callback] | None = None,
-    ):
-        """Pipelined schedule: all blocks resident and training at once."""
-        from repro.parallel.pipeline import PipelineExecutor
-
-        cfg = self.config
-        profiling_time = self._charge_profiling(
-            cluster[placement[0]].sim, profiling_flops
-        )
-        self._attach_workspaces()
-
-        gpus = [SimulatedGpu(budget_bytes=d.memory_budget) for d in cluster]
-        handles = []
-        workers = []
-        for block in blocks:
-            gpu = gpus[placement[block.index]]
-            handles.append(
-                (gpu, gpu.alloc(
-                    problem.costs[block.index].residency_bytes,
-                    f"block{block.index}",
-                ))
-            )
-            workers.append(
-                self._build_worker(block, cluster[placement[block.index]].sim)
-            )
-        if runtime is not None:
-            runtime.bind_pipeline(cluster, problem, blocks, workers, gpus, handles)
-
-        result = TrainResult(
-            method="neuroflux-pipelined",
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            epochs=epochs,
-            batch_size=problem.microbatch,
-            num_parameters=self.model.num_parameters(),
-        )
-        report = NeuroFluxReport(
-            result=result,
-            blocks=blocks,
-            full_model_params=self.model.num_parameters(),
-            dataset_bytes=self.data.spec.train_bytes,
-        )
-
-        n_eval = min(cfg.eval_subset, len(self.data.x_val))
-        val_x_sub = self.data.x_val[:n_eval]
-        val_y_sub = self.data.y_val[:n_eval]
-
-        history = _PipelineHistoryCallback(self, result, val_x_sub, val_y_sub)
-        # Subscriber order: the runtime first (it may migrate blocks, and
-        # later callbacks should observe post-migration state), then the
-        # history recorder (it enriches on_epoch_end metrics with the
-        # accuracy user callbacks read), then user callbacks.
-        cbs = CallbackList(
-            ([runtime] if runtime is not None else [])
-            + [history]
-            + list(as_callback_list(callbacks))
-        )
-        if runtime is not None:
-            runtime.callbacks = cbs
-
-        start_offsets = [0.0] * len(cluster)
-        start_offsets[placement[0]] = profiling_time
-        executor = PipelineExecutor(
-            cluster,
-            placement,
-            workers,
-            self.data.x_train,
-            self.data.y_train,
-            problem.microbatch,
-            seed=cfg.seed,
-            queue_capacity=queue_capacity,
-            start_offsets=start_offsets,
-            callbacks=cbs,
-            runtime=runtime,
-        )
-        try:
-            stats = executor.run(epochs, time_budget_s)
-            self._finalize_exits(report)
-        finally:
-            self._detach_workspaces()
-            for gpu, handle in handles:
-                gpu.free(handle)
-        result.sim_time_s = stats.makespan_s
-        result.peak_memory_bytes = max(gpu.peak for gpu in gpus)
-        report.profiling_time_s = profiling_time
-        return report, stats, list(executor.placement)
 
     def build_exit_model(self, exit_layer: int) -> EarlyExitModel:
         """Assemble the deployable early-exit model for a given layer."""

@@ -94,10 +94,6 @@ class BlockWorker:
         return self._train_flops_per_sample
 
     @property
-    def forward_flops_per_sample(self) -> int:
-        return self._forward_flops_per_sample
-
-    @property
     def n_kernels(self) -> int:
         """Kernel dispatches per training step (for external step pricing)."""
         return self._n_kernels

@@ -4,7 +4,11 @@ Blocks of locally-trained layers have only a forward activation
 dependency, which makes them pipelineable across devices:
 
 * :mod:`repro.parallel.cluster` -- simulated heterogeneous device cluster
-  (per-device execution simulators, links with bandwidth/latency);
+  (per-device execution simulators, links with bandwidth/latency) and
+  the :class:`~repro.parallel.cluster.DeviceContext` every schedule
+  places its blocks through;
+* :mod:`repro.parallel.schedules` -- the sequential and pipelined
+  cluster schedules behind ``train_parallel``;
 * :mod:`repro.parallel.placement` -- block-to-device placement optimizer
   (round-robin/greedy baselines + local search on predicted makespan);
 * :mod:`repro.parallel.pipeline` -- the micro-batch pipeline executor and

@@ -7,6 +7,8 @@ devices, each with its own :class:`~repro.hw.simulator.ExecutionSimulator`
 (and therefore its own :class:`~repro.hw.simulator.TimeLedger`), connected
 by :class:`~repro.hw.platforms.Link` descriptors.  Transfers between
 devices are charged to the sender's ``communication`` ledger category.
+:class:`DeviceContext` places one training run on a cluster: the single
+answer to "which simulator and which simulated GPU host this block".
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterator
 from repro.errors import ConfigError
 from repro.hw.platforms import GIGABIT_ETHERNET, Link, Platform, get_platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
+from repro.memory.tracker import SimulatedGpu
 
 
 @dataclass
@@ -173,17 +176,9 @@ class Cluster:
         """Sum of every device's ledger total (serialized-work clock)."""
         return sum(d.sim.elapsed for d in self.devices)
 
-    def elapsed_snapshot(self) -> list[float]:
-        """Per-device elapsed times, for before/after deltas."""
-        return [d.sim.elapsed for d in self.devices]
-
     def ledger_snapshot(self) -> list[dict[str, float]]:
         """Per-device ledger dicts, for before/after deltas."""
         return [d.sim.ledger.as_dict() for d in self.devices]
-
-    def ledgers(self) -> dict[str, dict[str, float]]:
-        """Per-device ledgers keyed by device name."""
-        return {d.name: d.sim.ledger.as_dict() for d in self.devices}
 
 
 #: The benchmark/CLI default: one Nano, two mid-range NXes, one big Orin.
@@ -211,3 +206,115 @@ def merge_ledger_deltas(deltas: list[dict[str, float]]) -> TimeLedger:
         for f in fields(TimeLedger):
             setattr(total, f.name, getattr(total, f.name) + delta.get(f.name, 0.0))
     return total
+
+
+class DeviceContext:
+    """One training run placed on a cluster: block -> simulator / GPU.
+
+    Every schedule resolves devices through this class.  The dataflow
+    (and therefore every weight update) never depends on it; only the
+    accounting does: each block charges its own device's simulator,
+    activations crossing devices charge the link to the sender's
+    ``communication`` category, and the run's ledgers are the cluster's
+    ledgers minus their state at construction.  On a one-device cluster
+    all of that is exact identity (``x - 0.0``, ``0.0 + x``, no link), so
+    :meth:`NeuroFlux.run` is simply a cluster of one.
+    """
+
+    def __init__(self, cluster: Cluster, placement: list[int], runtime=None):
+        self.cluster = cluster
+        #: Live block -> device map.  An adaptive runtime rewrites it
+        #: between batches (failures, drift), so devices are resolved
+        #: through :meth:`sim_for_block` at use time, never cached.
+        self.placement = list(placement)
+        self.runtime = runtime
+        self.gpus = [
+            SimulatedGpu(budget_bytes=device.memory_budget) for device in cluster
+        ]
+        self.comm_bytes = 0
+        #: Devices that ever hosted a block's work: utilization cannot
+        #: sample the final placement, because a device that trained
+        #: early blocks and then died still shaped the makespan.
+        self.ever_hosted: set[int] = set()
+        self._base_elapsed = cluster.total_elapsed
+        self._base_ledgers = cluster.ledger_snapshot()
+        self._handles: dict[int, tuple[SimulatedGpu, int, int]] = {}
+
+    def sim_for_block(self, block_index: int) -> ExecutionSimulator:
+        self.ever_hosted.add(self.placement[block_index])
+        sim = self.cluster[self.placement[block_index]].sim
+        if sim.tracer is not None:
+            # A traced device names its spans after the block it works on.
+            sim.trace_scope = f"block{block_index}"
+        return sim
+
+    @property
+    def profiling_sim(self) -> ExecutionSimulator:
+        """Profiling runs where the first block will train."""
+        return self.cluster[self.placement[0]].sim
+
+    # -- simulated GPU residency -------------------------------------------
+    def alloc_block(self, block_index: int, nbytes: int) -> None:
+        gpu = self.gpus[self.placement[block_index]]
+        self._handles[block_index] = (
+            gpu, gpu.alloc(nbytes, f"block{block_index}"), nbytes
+        )
+
+    def free_block(self, block_index: int) -> int:
+        """Release a block's residency; returns the bytes it held."""
+        gpu, handle, nbytes = self._handles.pop(block_index)
+        gpu.free(handle)
+        return nbytes
+
+    def move_block(self, block_index: int, dst: int) -> None:
+        """Re-home a live block's residency (the runtime migrated it)."""
+        nbytes = self.free_block(block_index)
+        self.placement[block_index] = dst
+        self.alloc_block(block_index, nbytes)
+
+    def add_device(self, device: Device) -> int:
+        """Admit a device mid-run (elastic join); returns its index."""
+        self.gpus.append(SimulatedGpu(budget_bytes=device.memory_budget))
+        return self.cluster.add_device(device)
+
+    def release(self) -> None:
+        """End of run: free whatever is still resident."""
+        for block_index in list(self._handles):
+            self.free_block(block_index)
+
+    def attach_tracer(self, tracer) -> None:
+        """Route every device charge to ``tracer``, one track per device."""
+        for d, device in enumerate(self.cluster):
+            device.sim.attach_tracer(tracer, f"dev{d}")
+
+    def detach_tracer(self) -> None:
+        for device in self.cluster:
+            device.sim.detach_tracer()
+
+    # -- accounting ----------------------------------------------------------
+    def handoff(self, from_block: int, to_block: int, nbytes: int) -> float:
+        """Ship cached activations to the next block's device."""
+        src, dst = self.placement[from_block], self.placement[to_block]
+        if src != dst:
+            self.comm_bytes += int(nbytes)
+        return self.cluster.charge_transfer(src, dst, nbytes)
+
+    @property
+    def elapsed(self) -> float:
+        """Serialized-work clock of this run (sum over device ledgers)."""
+        return self.cluster.total_elapsed - self._base_elapsed
+
+    def device_ledgers(self) -> list[dict[str, float]]:
+        """What this run charged to each device (joined devices started
+        from an all-zero ledger)."""
+        joined = len(self.cluster) - len(self._base_ledgers)
+        return ledger_delta(
+            self.cluster.ledger_snapshot(), self._base_ledgers + [{}] * joined
+        )
+
+    def merged_ledger(self) -> TimeLedger:
+        return merge_ledger_deltas(self.device_ledgers())
+
+    @property
+    def peak_memory(self) -> int:
+        return max(gpu.peak for gpu in self.gpus)

@@ -23,8 +23,8 @@ directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -110,14 +110,7 @@ class PipelineClock:
         self.makespan = max(self.makespan, finish)
         return start, finish
 
-    def items_processed(self, k: int) -> int:
-        return len(self._starts[k])
-
     # -- elasticity hooks (repro.runtime) ---------------------------------
-    @property
-    def n_devices(self) -> int:
-        return len(self.device_free)
-
     def add_device(self, start_time: float = 0.0) -> int:
         """Admit a device mid-run (elastic join); returns its index.
 
@@ -173,17 +166,15 @@ def schedule_timing(
 
 @dataclass
 class PipelineStats:
-    """What one pipelined training run did, time-wise."""
+    """What one cluster training run did, time-wise (the sequential
+    schedule is summarised the same way: zero micro-batches, each
+    device busy for exactly its ledger total)."""
 
     makespan_s: float
     device_busy_s: list[float]
-    device_comm_s: list[float]
     device_active: list[bool]
     n_microbatches: int
-    microbatch: int
     comm_bytes: int
-    epoch_mean_losses: list[float] = field(default_factory=list)
-    stopped_early: bool = False
 
     @property
     def utilization(self) -> list[float]:
@@ -231,7 +222,6 @@ class PipelineExecutor:
         seed: int = 0,
         queue_capacity: int = 2,
         start_offsets: list[float] | None = None,
-        batch_source: Callable[[int], Iterable[tuple[np.ndarray, np.ndarray]]] | None = None,
         callbacks: Callback | None = None,
         runtime=None,
     ):
@@ -245,7 +235,11 @@ class PipelineExecutor:
         if microbatch < 1:
             raise ConfigError("microbatch must be >= 1")
         self.cluster = cluster
-        self.placement = list(placement)
+        #: Shared with the caller, not copied: the adaptive runtime
+        #: re-places blocks through this list, and the run's
+        #: :class:`~repro.parallel.cluster.DeviceContext` must see the
+        #: same moves.
+        self.placement = placement
         self.workers = workers
         self.x_train = x_train
         self.y_train = y_train
@@ -253,7 +247,6 @@ class PipelineExecutor:
         self.seed = seed
         self.queue_capacity = queue_capacity
         self.start_offsets = start_offsets
-        self.batch_source = batch_source
         #: Unified observation hooks (:mod:`repro.api.callbacks`): one
         #: ``on_batch`` per (micro-batch, stage) pair -- ``last_stage``
         #: marks the end of each micro-batch -- and one ``on_epoch_end``
@@ -269,8 +262,6 @@ class PipelineExecutor:
         self.runtime = runtime
 
     def _epoch_batches(self, epoch: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-        if self.batch_source is not None:
-            return self.batch_source(epoch)
         from repro.data.loader import DataLoader
         from repro.utils.rng import spawn_rng
 
@@ -297,7 +288,7 @@ class PipelineExecutor:
             self.start_offsets,
         )
         if self.runtime is not None:
-            self.runtime.start_pipeline(self, clock)
+            self.runtime.start_pipeline(clock)
         # The executor emits its own spans from the pipeline clock (not
         # from the device simulators' ledgers, whose cumulative totals are
         # a different timeline): one complete span per (stage, micro-batch)
@@ -305,14 +296,12 @@ class PipelineExecutor:
         # cross-device transfer -- async because the clock models the NIC
         # alongside the next compute step, so transfers may overlap.
         tracer = active_tracer()
-        comm_seconds: dict[int, float] = {}
         # Devices that ever host a stage: under a runtime the placement
         # moves, and bubble accounting must include a device that carried
         # blocks for most of the run even if it failed or was vacated.
         ever_hosted = set(self.placement)
         comm_bytes = 0
         n_micro = 0
-        epoch_losses: list[float] = []
         stopped = False
         for epoch in range(epochs):
             loss_sum = 0.0
@@ -332,7 +321,6 @@ class PipelineExecutor:
                         nbytes = out.nbytes + y.nbytes
                         comm_t = self.cluster.charge_transfer(src, dst, nbytes)
                         if src != dst:
-                            comm_seconds[src] = comm_seconds.get(src, 0.0) + comm_t
                             comm_bytes += nbytes
                     start, finish = clock.step(k, step_t, comm_t)
                     if tracer is not None:
@@ -375,7 +363,6 @@ class PipelineExecutor:
                     stopped = True
                     break
             mean_loss = loss_sum / n_samples if n_samples else float("nan")
-            epoch_losses.append(mean_loss)
             if self.callbacks is not None:
                 self.callbacks.on_epoch_end(
                     epoch, clock.makespan, {"loss": mean_loss}
@@ -386,13 +373,7 @@ class PipelineExecutor:
         return PipelineStats(
             makespan_s=clock.makespan,
             device_busy_s=list(clock.device_busy),
-            device_comm_s=[
-                comm_seconds.get(d, 0.0) for d in range(len(self.cluster))
-            ],
             device_active=active,
             n_microbatches=n_micro,
-            microbatch=self.microbatch,
             comm_bytes=comm_bytes,
-            epoch_mean_losses=epoch_losses,
-            stopped_early=stopped,
         )

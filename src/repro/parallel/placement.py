@@ -404,3 +404,91 @@ def _best_neighbor(
             if c < best_cost:
                 best, best_cost = candidate, c
     return best, best_cost
+
+
+def sequential_placement(problem: PlacementProblem, residency_fn) -> list[int]:
+    """Default placement for the sequential schedule.
+
+    Blocks run one at a time, so the makespan is simply the sum of
+    per-block times: put each block on its fastest device that fits it
+    at the block's own adaptive batch size (``residency_fn(block)``
+    bytes), staying put on ties to avoid link hops.
+    """
+    placement: list[int] = []
+    prev = 0
+    for block in problem.blocks:
+        need = residency_fn(block)
+        candidates = [
+            d for d, device in enumerate(problem.cluster)
+            if need <= device.memory_budget
+        ]
+        if not candidates:
+            raise PlacementError(
+                f"block {block.index} needs {need} B at batch "
+                f"{block.batch_size}; no device budget fits it"
+            )
+        best = min(
+            candidates,
+            key=lambda d: (
+                problem.step_times[block.index][d],
+                0 if d == prev else 1,
+            ),
+        )
+        placement.append(best)
+        prev = best
+    return placement
+
+
+def resolve_placement(
+    problem: PlacementProblem,
+    schedule: str,
+    placement: list[int] | str | None,
+    residency_fn,
+) -> list[int]:
+    """The placement one ``train_parallel`` run starts from.
+
+    ``None`` picks the schedule's default (the optimizer's all-resident
+    feasibility model would over-constrain a schedule that loads one
+    block at a time, hence :func:`sequential_placement`),
+    ``"round-robin"`` the naive baseline; a list is validated as given.
+    Feasibility follows the schedule's residency model: pipelined keeps
+    every block resident at the micro-batch size (co-located blocks
+    sum), sequential loads one block at a time at its own adaptive batch
+    size (``residency_fn(block)`` bytes: no summing, the bigger batch).
+    """
+    cluster = problem.cluster
+    if placement is None:
+        if schedule == "pipelined":
+            placement = list(optimize_placement(problem).placement)
+        else:
+            placement = sequential_placement(problem, residency_fn)
+    else:
+        if isinstance(placement, str):
+            if placement != "round-robin":
+                raise ConfigError(f"unknown placement strategy {placement!r}")
+            placement = round_robin_placement(problem.n_blocks, len(cluster))
+        placement = list(placement)
+        if len(placement) != problem.n_blocks:
+            raise ConfigError(
+                f"one device per block required: {len(placement)} vs {problem.n_blocks}"
+            )
+        for d in placement:
+            if not 0 <= d < len(cluster):
+                raise ConfigError(f"placement device {d} out of range")
+    if schedule == "pipelined":
+        if not placement_feasible(problem, placement):
+            raise PlacementError(
+                f"placement {placement} exceeds a device memory budget "
+                f"with all blocks resident"
+            )
+    else:
+        for block in problem.blocks:
+            device = cluster[placement[block.index]]
+            need = residency_fn(block)
+            if need > device.memory_budget:
+                raise PlacementError(
+                    f"block {block.index} needs {need} B at batch "
+                    f"{block.batch_size}, exceeding {device.name}'s "
+                    f"{device.memory_budget} B budget"
+                )
+    return placement

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.api.callbacks import BatchInfo, Callback
 from repro.errors import ConfigError, FaultError, PlacementError
 from repro.hw.platforms import get_platform
-from repro.memory.tracker import SimulatedGpu
 from repro.obs.trace import active_tracer
 from repro.parallel.cluster import Device
 from repro.parallel.placement import price_training_step
@@ -227,16 +226,22 @@ class AdaptiveRuntime(Callback):
     # ------------------------------------------------------------------ #
     # binding                                                            #
     # ------------------------------------------------------------------ #
-    def _bind_common(self, mode: str, cluster, problem, blocks) -> None:
+    def _bind_common(self, mode: str, problem, blocks, ctx) -> None:
         if self._mode is not None:
             raise ConfigError(
                 "an AdaptiveRuntime instance drives exactly one run; "
                 "construct a fresh one"
             )
         self._mode = mode
-        self.cluster = cluster
+        #: The run's :class:`~repro.parallel.cluster.DeviceContext`:
+        #: block residency moves and joined devices go through it.
+        self.ctx = ctx
+        self.cluster = cluster = ctx.cluster
         self.problem = problem
         self.blocks = blocks
+        self.placement: list[int] = ctx.placement  # shared list: updates are live
+        self._initial_placement = list(self.placement)
+        self._placement_history = [list(self.placement)]
         self.monitor = DriftMonitor(len(cluster), **self._monitor_args)
         # Fail fast on a schedule the cluster can never satisfy, instead
         # of erroring mid-run with the training paid for: a targeted
@@ -255,38 +260,27 @@ class AdaptiveRuntime(Callback):
                 )
         self._player = SchedulePlayer(self.schedule)
 
-    def bind_pipeline(self, cluster, problem, blocks, workers, gpus, handles) -> None:
-        """Attach to a pipelined run (called by the controller)."""
-        self._bind_common("pipelined", cluster, problem, blocks)
+    def bind_pipeline(self, problem, blocks, workers, ctx) -> None:
+        """Attach to a pipelined run (called by the schedule)."""
+        self._bind_common("pipelined", problem, blocks, ctx)
         self.workers = workers
-        self.gpus = gpus
-        self.handles = handles
         self.clock = None
-        self.placement: list[int] = []
 
-    def start_pipeline(self, executor, clock) -> None:
-        """Attach to the live executor stream (called by the executor)."""
+    def start_pipeline(self, clock) -> None:
+        """Attach to the live executor's clock (called by the executor)."""
         if self._mode != "pipelined":
             raise ConfigError("runtime was not bound to a pipelined run")
-        self.executor = executor
         self.clock = clock
-        self.placement = executor.placement  # shared list: updates are live
-        self._initial_placement = list(self.placement)
-        self._placement_history = [list(self.placement)]
         if self.adapt:
             # Baseline checkpoints: a failure before the first periodic
             # checkpoint must still have something to recover from.
             for k in range(len(self.workers)):
                 self._checkpoint_pipelined(k, now=clock.makespan)
 
-    def bind_sequential(self, cluster, problem, blocks, ctx, residency_fn) -> None:
+    def bind_sequential(self, problem, blocks, ctx, residency_fn) -> None:
         """Attach to a sequential (block-after-block) cluster run."""
-        self._bind_common("sequential", cluster, problem, blocks)
-        self.ctx = ctx
+        self._bind_common("sequential", problem, blocks, ctx)
         self.residency_fn = residency_fn
-        self.placement = ctx.placement  # shared list: updates are live
-        self._initial_placement = list(self.placement)
-        self._placement_history = [list(self.placement)]
         self._cur_block = None
         self._cur_worker = None
         self._cur_input_mode = "prefetch-raw"
@@ -377,14 +371,11 @@ class AdaptiveRuntime(Callback):
             platform=get_platform(event.platform),
             memory_budget=event.memory_budget,
         )
-        index = self.cluster.add_device(device)
+        index = self.ctx.add_device(device)
         self._joined.append(index)
         self.monitor.ensure_device(index)
         if self._mode == "pipelined":
             self.clock.add_device(start_time=now)
-            self.gpus.append(SimulatedGpu(budget_bytes=device.memory_budget))
-        else:
-            self.ctx.gpus.append(SimulatedGpu(budget_bytes=device.memory_budget))
 
     # ------------------------------------------------------------------ #
     # pipelined hooks (called by PipelineExecutor)                       #
@@ -528,8 +519,7 @@ class AdaptiveRuntime(Callback):
         # one device and trip the budget even though the final placement
         # is feasible.
         for k in decision.moved_blocks:
-            gpu_src, handle = self.handles[k]
-            gpu_src.free(handle)
+            self.ctx.free_block(k)
         for k in decision.moved_blocks:
             src = self.placement[k]
             dst = decision.placement[k]
@@ -563,11 +553,7 @@ class AdaptiveRuntime(Callback):
             self.clock.hold_device(
                 dst, max(self.clock.device_free[dst], now) + record.recovery_s
             )
-            gpu_dst = self.gpus[dst]
-            self.handles[k] = (
-                gpu_dst,
-                gpu_dst.alloc(self.problem.costs[k].residency_bytes, f"block{k}"),
-            )
+            self.ctx.alloc_block(k, self.problem.costs[k].residency_bytes)
             if record.reason == "failure":
                 # The recovered replica is now the freshest state: re-seed
                 # the store so a second failure replays from here.
@@ -695,7 +681,6 @@ class AdaptiveRuntime(Callback):
             )
             self.migrations.append(record)
             self.callbacks.on_migration(record, now)
-            self.placement[block.index] = dst
             self.ctx.move_block(block.index, dst)
             self._n_replacements += 1
             self._last_replacement_s = now

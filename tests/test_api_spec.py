@@ -290,6 +290,32 @@ class TestValidationFailures:
         assert issubclass(SpecError, ConfigError)
 
 
+class TestTimeBudgetPerBackend:
+    """``multiprocess`` has nowhere to stop on a time budget and says so
+    at validation; the schedules that honour it keep accepting it."""
+
+    BUDGETS = {"memory_mb": 16, "epochs": 1, "time_budget_s": 0.5}
+
+    def test_multiprocess_rejects_a_time_budget(self):
+        payload = quick_payload(
+            backend="multiprocess", budgets=self.BUDGETS, cluster=None, serving=None
+        )
+        with pytest.raises(SpecError, match="time_budget_s") as err:
+            JobSpec.from_dict(payload)
+        assert err.value.section == "budgets"
+        # ... on re-targeting too: the budget is never silently dropped.
+        sequential = JobSpec.from_dict(quick_payload(budgets=self.BUDGETS))
+        with pytest.raises(SpecError, match="time_budget_s"):
+            sequential.with_backend("multiprocess")
+        payload["budgets"] = {"memory_mb": 16, "epochs": 1}
+        assert JobSpec.from_dict(payload).budgets.time_budget_s is None
+
+    @pytest.mark.parametrize("backend", ["sequential", "pipelined"])
+    def test_schedules_that_honour_it_accept_it(self, backend):
+        spec = JobSpec.from_dict(quick_payload(backend=backend, budgets=self.BUDGETS))
+        assert spec.budgets.time_budget_s == 0.5
+
+
 class TestWithBackend:
     def test_retarget_drops_forbidden_sections(self):
         spec = JobSpec.from_dict(quick_payload())

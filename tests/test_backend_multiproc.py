@@ -191,6 +191,31 @@ class TestRunBlockParallel:
         payload = report.to_json_dict()
         assert payload["kind"] == "neuroflux"
 
+    def test_profiling_is_booked_like_the_other_schedules(self, tiny_dataset):
+        """The same system books the same profiling seconds on every
+        schedule (the multiprocess path used to drop the per-layer
+        kernel-launch term), and it sits beside the makespan."""
+        system = _system(tiny_dataset)
+        report = run_block_parallel(system, epochs=1, processes=2)
+        # (On a roomy device: this 1 MiB configuration's last block is a
+        # few hundred bytes over its own budget at run()'s residency.)
+        from repro.parallel import Cluster
+
+        sequential = _system(tiny_dataset).train_parallel(
+            Cluster.from_names(["agx-orin"]), epochs=1, schedule="sequential"
+        ).report
+        _, profiling_flops = system.plan()
+        platform = system.platform
+        assert report.profiling_time_s == sequential.profiling_time_s
+        assert report.profiling_time_s == (
+            profiling_flops / platform.effective_flops
+            + len(system.specs) * platform.kernel_launch_overhead
+        )
+        ledger = report.result.ledger
+        assert ledger.profiling == report.profiling_time_s
+        assert ledger.compute == report.result.sim_time_s
+        assert ledger.total == ledger.compute + ledger.profiling
+
     def test_train_multiprocess_entry_point(self, tiny_dataset):
         system = _system(tiny_dataset)
         report = system.train_multiprocess(1, processes=2)

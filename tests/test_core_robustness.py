@@ -1,12 +1,14 @@
 """Robustness and failure-injection tests for the NeuroFlux core."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.core import NeuroFlux, NeuroFluxConfig
 from repro.core.cache import ActivationStore
 from repro.core.prefetcher import rebatch
-from repro.errors import MemoryBudgetExceeded
+from repro.errors import ConfigError, MemoryBudgetExceeded, PartitionError
 from repro.models import build_model
 
 MB = 2**20
@@ -46,6 +48,58 @@ class TestTimeBudgetedRun:
         # A couple of steps may overshoot, but 50 epochs must not complete.
         assert report.result.sim_time_s < 5.0
         assert report.result.history  # at least one checkpoint recorded
+
+
+class TestFailurePathsReleaseWhatTheyTook:
+    """A run that fails must leave no workspace attached to the model or
+    the aux heads, and no orphaned activation-cache directory."""
+
+    @pytest.fixture()
+    def cache_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def _assert_released(system, cache_root):
+        for module in (system.model, *system.aux_heads):
+            assert all(m.workspace is None for m in module.modules())
+        assert not list(cache_root.glob("neuroflux-cache-*"))
+
+    def test_partition_error_from_run(self, tiny_dataset, cache_root):
+        nf = NeuroFlux(
+            _model(), tiny_dataset, memory_budget=4096,
+            config=NeuroFluxConfig(batch_limit=16, seed=2),
+        )
+        for _ in range(3):
+            with pytest.raises(PartitionError):
+                nf.run(epochs=1)
+            self._assert_released(nf, cache_root)
+
+    def test_runtime_refusing_to_bind_a_pipelined_run(self, tiny_dataset, cache_root):
+        from repro.parallel import Cluster
+        from repro.runtime import AdaptiveRuntime, DeviceSlowdown, EventSchedule
+
+        nf = NeuroFlux(
+            _model(), tiny_dataset, memory_budget=MB,
+            config=NeuroFluxConfig(batch_limit=16, seed=2),
+        )
+        events = EventSchedule([DeviceSlowdown(time_s=9.0, device=9, factor=2.0)])
+        with pytest.raises(ConfigError, match="targets device 9"):
+            nf.train_parallel(
+                Cluster.from_names(["nano", "agx-orin"], memory_budget=8 * MB),
+                epochs=1,
+                schedule="pipelined",
+                runtime=AdaptiveRuntime(events=events),
+            )
+        self._assert_released(nf, cache_root)
+
+    def test_a_successful_run_releases_too(self, tiny_dataset, cache_root):
+        nf = NeuroFlux(
+            _model(), tiny_dataset, memory_budget=MB,
+            config=NeuroFluxConfig(batch_limit=16, seed=2),
+        )
+        nf.run(epochs=1)
+        self._assert_released(nf, cache_root)
 
 
 class TestCacheRobustness:

@@ -80,14 +80,16 @@ class TestSequentialSchedule:
             cluster, epochs=EPOCHS, schedule="sequential"
         )
         _assert_identical_weights(base_system, system)
-        # Same device, same charges: the clock must agree too.
-        assert preport.makespan_s == pytest.approx(
-            base_report.result.sim_time_s
+        # Same device, same charges: run() *is* a one-device cluster, so
+        # the clock, the ledger and the history agree to the last bit.
+        assert preport.makespan_s == base_report.result.sim_time_s
+        assert (
+            preport.report.result.ledger.as_dict()
+            == base_report.result.ledger.as_dict()
         )
+        assert preport.report.result.history == base_report.result.history
         assert preport.report.exit_layer == base_report.exit_layer
-        assert preport.report.exit_test_accuracy == pytest.approx(
-            base_report.exit_test_accuracy
-        )
+        assert preport.report.exit_test_accuracy == base_report.exit_test_accuracy
 
     def test_heterogeneous_cluster_identical_weights(self, data, baseline):
         base_system, _ = baseline
@@ -118,7 +120,7 @@ class TestSequentialSchedule:
             cluster, epochs=EPOCHS, schedule="sequential"
         )
         _assert_identical_weights(base_system, system)
-        assert preport.makespan_s == pytest.approx(base_report.result.sim_time_s)
+        assert preport.makespan_s == base_report.result.sim_time_s
 
     def test_sequential_utilization_sums_to_one(self, data):
         system = _make_system(data)

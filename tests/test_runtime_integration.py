@@ -355,3 +355,40 @@ class TestElasticJoin:
         # The newcomer took work off the throttled device.
         assert 4 in preport.placement
         assert preport.device_ledgers[4]["total"] > 0
+
+    def test_join_during_a_sequential_run(self, data):
+        """A device joining a block-after-block run grows the per-device
+        ledgers too (the merged ledger used to reject the longer
+        snapshot), and a later failure can move work onto it."""
+        probe = _make_system(data).train_parallel(
+            Cluster.from_names(["nano"], memory_budget=8 * MB),
+            epochs=1,
+            schedule="sequential",
+        )
+        events = EventSchedule(
+            [
+                DeviceJoin(
+                    time_s=0.1 * probe.makespan_s,
+                    platform="agx-orin",
+                    memory_budget=8 * MB,
+                ),
+                DeviceFailure(time_s=0.3 * probe.makespan_s, device=0),
+            ]
+        )
+        system = _make_system(data)
+        cluster = Cluster.from_names(["nano"], memory_budget=8 * MB)
+        preport = system.train_parallel(
+            cluster,
+            epochs=1,
+            schedule="sequential",
+            runtime=AdaptiveRuntime(events=events),
+        )
+        assert len(cluster) == 2
+        assert preport.runtime.joined_devices == [1]
+        assert len(preport.device_ledgers) == 2
+        assert preport.placement[-1] == 1
+        merged = preport.report.result.ledger
+        assert merged.total == pytest.approx(preport.makespan_s)
+        assert merged.total == pytest.approx(
+            sum(ledger["total"] for ledger in preport.device_ledgers)
+        )

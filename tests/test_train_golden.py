@@ -7,8 +7,8 @@ moved onto one shared run frame: 19 configurations of a 5-block
 width-0.125 vgg11 --
 
 * ``run`` with the activation cache, ``use_cache=False``,
-  ``adaptive_batch=False``, a ``time_budget_s`` that stops inside block
-  1, and ``bf16_weights``;
+  ``adaptive_batch=False``, a ``time_budget_s`` that stops during block
+  0's first epoch, and ``bf16_weights``;
 * ``train_parallel`` sequential on a one-device and a heterogeneous
   round-robin cluster, pipelined with optimised and round-robin
   placement -- each without a runtime, with an ``AdaptiveRuntime`` on an
@@ -23,13 +23,15 @@ report (placement, makespans, device ledgers, utilisation, bubble,
 ``comm_bytes``, runtime report) and the sha256 of the Chrome trace.
 Floats are stored as ``float.hex`` and compared with ``==``.
 
-The two ``mp-*`` cases carry three values re-recorded *after* the
-refactor, on purpose: ``profiling_time_s``, ``ledger.profiling`` and
-``ledger.total`` rose by exactly ``len(specs) * kernel_launch_overhead``
-when the multiprocess path started booking profiling through the same
+The two ``mp-*`` cases carry values re-recorded *after* the refactor, on
+purpose: ``profiling_time_s``, ``ledger.profiling`` and ``ledger.total``
+rose by exactly ``len(specs) * kernel_launch_overhead`` when the
+multiprocess path started booking profiling through the same
 ``_charge_profiling`` as the other schedules (it used to drop the
-per-layer launch term); ``test_multiprocess_profiling_matches_sequential``
-pins that relation.
+per-layer launch term), and ``trace_sha256`` moved with them (the
+parent process replays its timeline from ``profiling_time_s``);
+``test_profiling_is_booked_like_the_other_schedules`` in
+``tests/test_backend_multiproc.py`` pins the relation.
 
 Re-record (only when simulated behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_train_golden.py``.
