@@ -412,17 +412,22 @@ def _sha256_json(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def weights_digest(system) -> str:
-    """sha256 over every ``state_dict`` tensor of the model + aux heads."""
+def modules_digest(modules) -> str:
+    """sha256 over every ``state_dict`` tensor of ``modules``, in order."""
     import hashlib
 
     digest = hashlib.sha256()
-    for module in (system.model, *system.aux_heads):
+    for module in modules:
         for key, tensor in sorted(module.state_dict().items()):
             array = np.ascontiguousarray(tensor)
             digest.update(f"{key}:{array.dtype}:{array.shape}".encode())
             digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+def weights_digest(system) -> str:
+    """sha256 over every ``state_dict`` tensor of the model + aux heads."""
+    return modules_digest((system.model, *system.aux_heads))
 
 
 def run_train_golden_case(case: dict, seed: int = 0):
@@ -530,3 +535,98 @@ def train_golden_outcome(system, report, tracer) -> dict:
             "runtime": parallel.runtime,
         }
     return _exact(outcome)
+
+
+# --------------------------------------------------------------------- #
+# baseline golden: the six comparison trainers, recorded bit for bit    #
+# --------------------------------------------------------------------- #
+BASELINE_GOLDEN_EPOCHS = 2
+
+
+def baseline_golden_cases() -> dict[str, dict]:
+    """The recorded matrix: case id -> how to run it (all JSON-pure).
+
+    Every trainer on the small vgg11 with an explicit ``batch_size``
+    (40 over 96 samples: two full batches and a remainder) and with a
+    ``memory_budget`` that forces a smaller feasible batch; the trainers
+    that took ``time_budget_s`` before the shared frame (BP, FA, classic
+    LL, SP) also with a budget that stops during the first epoch; BP and
+    classic LL once more on resnet18 and mobilenet.
+    """
+    # trainer -> (class, constructor kwargs, the budget that binds)
+    trainers = {
+        "bp": ("BackpropTrainer", {}, 5 * _MB),
+        "fa": ("FeedbackAlignmentTrainer", {}, 5 * _MB),
+        "ll": ("LocalLearningTrainer", {"classic_filters": 32}, 6 * _MB),
+        "sp": ("SignalPropagationTrainer", {}, 5 * _MB // 4),
+        "ckpt": ("GradientCheckpointTrainer", {}, 3 * _MB),
+        "micro": ("MicrobatchTrainer", {"logical_batch": 40}, 5 * _MB),
+    }
+    cases: dict[str, dict] = {}
+    for key, (cls, init, budget) in trainers.items():
+        # MicrobatchTrainer.train takes epochs only: its batch is the
+        # logical batch, cut to the budget.
+        explicit = {} if key == "micro" else {"batch_size": 40}
+        sizings = (
+            ("batch", init, explicit),
+            ("budget", {**init, "memory_budget": budget}, {}),
+        )
+        for sizing, init_kwargs, train_kwargs in sizings:
+            case = {"trainer": cls, "model": "vgg11", "init": init_kwargs,
+                    "train": train_kwargs}
+            cases[f"{key}-vgg11-{sizing}"] = case
+            if key in ("bp", "fa", "ll", "sp"):
+                cases[f"{key}-vgg11-{sizing}-timed"] = {
+                    **case, "train": {**train_kwargs, "time_budget_s": 0.1}
+                }
+    for model, bp_budget, ll_budget in (
+        ("resnet18", 16 * _MB, 24 * _MB), ("mobilenet", 8 * _MB, 16 * _MB),
+    ):
+        cases[f"bp-{model}-budget"] = {
+            "trainer": "BackpropTrainer", "model": model,
+            "init": {"memory_budget": bp_budget}, "train": {},
+        }
+        cases[f"ll-{model}-budget"] = {
+            "trainer": "LocalLearningTrainer", "model": model,
+            "init": {"classic_filters": 32, "memory_budget": ll_budget}, "train": {},
+        }
+    return cases
+
+
+def run_baseline_golden_case(case: dict, seed: int = 1):
+    """Run one golden case on a fresh model; returns ``(trainer, result)``."""
+    from dataclasses import replace
+
+    import repro.training
+    from repro.data.registry import dataset_spec
+    from repro.models.zoo import build_model
+
+    spec = dataset_spec(
+        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=7
+    )
+    data = replace(spec, n_train=96, n_val=32, n_test=32).materialize()
+    model = build_model(
+        case["model"], num_classes=4, input_hw=(16, 16), width_multiplier=0.125, seed=3
+    )
+    trainer = getattr(repro.training, case["trainer"])(
+        model, data, seed=seed, **case["init"]
+    )
+    return trainer, trainer.train(BASELINE_GOLDEN_EPOCHS, **case["train"])
+
+
+def baseline_golden_outcome(trainer, result) -> dict:
+    """Everything the golden pins about one run, floats as ``float.hex``."""
+    heads = [a for a in getattr(trainer, "aux_heads", ()) if a is not None]
+    return _exact({
+        "weights_sha256": modules_digest((trainer.model, *heads)),
+        "method": result.method,
+        "batch_size": result.batch_size,
+        "epochs": result.epochs,
+        "peak_memory_bytes": result.peak_memory_bytes,
+        "num_parameters": result.num_parameters,
+        "sim_time_s": result.sim_time_s,
+        "ledger": result.ledger.as_dict(),
+        "final_accuracy": result.final_accuracy,
+        "history": result.history,
+        "extras": result.extras,
+    })
