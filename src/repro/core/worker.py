@@ -16,13 +16,16 @@ import numpy as np
 
 from repro.api.callbacks import BatchInfo, Callback
 from repro.errors import ConfigError
-from repro.flops.count import module_forward_flops, training_step_flops
+from repro.flops.count import (
+    count_module_kernels,
+    module_forward_flops,
+    training_step_flops,
+)
 from repro.hw.simulator import ExecutionSimulator
 from repro.models.layers import LayerSpec
 from repro.nn import CrossEntropyLoss
 from repro.nn.module import Module, run_backward
 from repro.nn.optim import Optimizer
-from repro.training.common import count_module_kernels
 
 
 def unit_train_flops(

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.flops.count import module_forward_flops
+from repro.flops.count import (
+    count_module_kernels,
+    model_forward_flops,
+    model_kernel_count,
+    module_forward_flops,
+)
 from repro.hw.platforms import Platform
 from repro.nn.module import Module
-from repro.training.common import count_module_kernels
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,6 @@ def convnet_throughput(
     model, platform: Platform, batch_size: int = 64, sample_bytes: int | None = None
 ) -> ThroughputResult:
     """Throughput of a full ConvNet (BP / classic LL deployment)."""
-    from repro.flops.count import model_forward_flops
-    from repro.training.common import model_kernel_count
-
     flops = model_forward_flops(model, 1)
     if sample_bytes is None:
         sample_bytes = 4 * model.in_channels * model.input_hw[0] * model.input_hw[1]

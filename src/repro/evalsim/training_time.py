@@ -17,8 +17,16 @@ calls whatever ``epochs`` and ``n_train`` are, and costs O(layers +
 blocks) of host work.  ``tests/helpers.py`` keeps the step-by-step replay
 as the reference the charges are checked against.
 
-Consistency with the real trainers is covered by tests: for a small real
-run, the simulated time here equals the trainer's ledger.
+The step prices are not copies: ``simulate_bp`` and
+``simulate_classic_ll`` call the cost functions their trainers charge with
+(:func:`~repro.training.backprop.bp_step_price`,
+:func:`~repro.training.local.ll_step_price`), ``simulate_neuroflux`` the
+worker's (:func:`~repro.core.worker.unit_train_flops`).  Three tests in
+``tests/test_training_time_sim.py`` hold the rest of the accounting to a
+real run, ledger line by ledger line:
+``test_bp_simulation_matches_trainer_ledger``,
+``test_ll_simulation_matches_trainer_ledger`` and
+``test_neuroflux_simulation_matches_run_ledger``.
 """
 
 from __future__ import annotations
@@ -28,15 +36,21 @@ from dataclasses import dataclass
 from repro.core.auxiliary import build_aux_heads
 from repro.core.partitioner import Block, partition
 from repro.core.profiler import MemoryProfiler, measure_unit_memory
+from repro.core.worker import unit_kernel_count, unit_train_flops
 from repro.data.datasets import DatasetSpec
 from repro.errors import MemoryBudgetExceeded, PartitionError
-from repro.flops.count import model_forward_flops, module_forward_flops, training_step_flops
+from repro.flops.count import module_forward_flops
 from repro.hw.platforms import Platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
 from repro.memory.estimator import bp_memory_by_batch, ll_memory_by_batch
 from repro.models.base import ConvNet
-from repro.training.backprop import DEFAULT_BATCH_LIMIT, max_feasible_batch
-from repro.training.common import count_module_kernels, model_kernel_count
+from repro.training.backprop import (
+    DEFAULT_BATCH_LIMIT,
+    BackpropTrainer,
+    bp_step_price,
+    max_feasible_batch,
+)
+from repro.training.local import LocalLearningTrainer, ll_step_price
 
 FLOAT_BYTES = 4
 
@@ -64,6 +78,42 @@ def _epoch_steps(n_samples: int, batch: int) -> list[tuple[int, int]]:
     return [(n, steps) for n, steps in ((batch, full), (rem, 1)) if n and steps]
 
 
+def _forward_flops(specs) -> int:
+    """Per-sample forward FLOPs of a run of layers."""
+    return sum(
+        module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0] for s in specs
+    )
+
+
+def _cached_sample_bytes(spec) -> int:
+    """Bytes one sample occupies in the activation cache after layer
+    ``spec``: its fp32 output plus the int64 label stored beside it."""
+    return spec.out_channels * spec.out_hw[0] * spec.out_hw[1] * FLOAT_BYTES + 8
+
+
+def _simulate_full_graph(
+    method: str,
+    step_price: tuple[int, int],
+    memory_by_batch,
+    data: DatasetSpec,
+    platform: Platform,
+    epochs: int,
+    memory_budget: int | None,
+    batch_limit: int,
+) -> SimulatedRun:
+    """The baseline frame's accounting (:class:`BaselineTrainer.train`):
+    one budget-sized batch for the whole model, one charge per step."""
+    mem = lambda b: memory_by_batch(b).total
+    batch = max_feasible_batch(mem, memory_budget, batch_limit)
+    sim = ExecutionSimulator(platform)
+    flops_per_sample, n_kernels = step_price
+    for n, steps in _epoch_steps(data.n_train, batch):
+        sim.add_training_step(
+            flops_per_sample * n, data.sample_bytes * n, n_kernels, count=steps * epochs
+        )
+    return SimulatedRun(method, batch, epochs, sim.elapsed, sim.ledger, mem(batch))
+
+
 def simulate_bp(
     model: ConvNet,
     data: DatasetSpec,
@@ -74,17 +124,12 @@ def simulate_bp(
     backward_multiplier: float = 2.0,
 ) -> SimulatedRun:
     """Replay :class:`BackpropTrainer`'s time accounting without training."""
-    breakdown = bp_memory_by_batch(model)
-    mem = lambda b: breakdown(b).total
-    batch = max_feasible_batch(mem, memory_budget, batch_limit)
-    sim = ExecutionSimulator(platform)
-    step_flops = training_step_flops(model_forward_flops(model, 1), backward_multiplier)
-    n_kernels = model_kernel_count(model)
-    for n, steps in _epoch_steps(data.n_train, batch):
-        sim.add_training_step(
-            step_flops * n, data.sample_bytes * n, n_kernels, count=steps * epochs
-        )
-    return SimulatedRun("backprop", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
+    return _simulate_full_graph(
+        BackpropTrainer.method,
+        bp_step_price(model, backward_multiplier),
+        bp_memory_by_batch(model),
+        data, platform, epochs, memory_budget, batch_limit,
+    )
 
 
 def simulate_classic_ll(
@@ -100,34 +145,12 @@ def simulate_classic_ll(
     """Replay :class:`LocalLearningTrainer`'s accounting (256-filter heads)."""
     heads = build_aux_heads(model, rule="classic", seed=seed)
     aux = list(heads[:-1]) + [None]
-    breakdown = ll_memory_by_batch(model, aux, residency="full")
-    mem = lambda b: breakdown(b).total
-    batch = max_feasible_batch(mem, memory_budget, batch_limit)
-
-    step_flops = 0
-    n_kernels = 0
-    for spec, head in zip(model.local_layers(), aux):
-        in_shape = (1, spec.in_channels, *spec.in_hw)
-        fwd, out_shape = module_forward_flops(spec.module, in_shape)
-        step_flops += training_step_flops(fwd, backward_multiplier)
-        n_kernels += count_module_kernels(spec.module)
-        if head is not None:
-            aux_fwd, _ = module_forward_flops(head, out_shape)
-            step_flops += training_step_flops(aux_fwd, backward_multiplier)
-            n_kernels += count_module_kernels(head)
-    last = model.local_layers()[-1]
-    head_fwd, _ = module_forward_flops(
-        model.head, (1, last.out_channels, *last.out_hw)
+    return _simulate_full_graph(
+        LocalLearningTrainer.method,
+        ll_step_price(model, aux, backward_multiplier),
+        ll_memory_by_batch(model, aux, residency="full"),
+        data, platform, epochs, memory_budget, batch_limit,
     )
-    step_flops += training_step_flops(head_fwd, backward_multiplier)
-    n_kernels += count_module_kernels(model.head)
-
-    sim = ExecutionSimulator(platform)
-    for n, steps in _epoch_steps(data.n_train, batch):
-        sim.add_training_step(
-            step_flops * n, data.sample_bytes * n, n_kernels, count=steps * epochs
-        )
-    return SimulatedRun("classic-ll", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
 
 
 def simulate_neuroflux(
@@ -171,20 +194,11 @@ def simulate_neuroflux(
     for block in blocks:
         block_specs = [specs[i] for i in block.layer_indices]
         block_heads = [heads[i] for i in block.layer_indices]
-        train_flops = 0
-        fwd_flops = 0
-        n_kernels = 0
-        for spec, head in zip(block_specs, block_heads):
-            in_shape = (1, spec.in_channels, *spec.in_hw)
-            fwd, out_shape = module_forward_flops(spec.module, in_shape)
-            fwd_flops += fwd
-            train_flops += training_step_flops(fwd, backward_multiplier)
-            aux_fwd, _ = module_forward_flops(head, out_shape)
-            train_flops += training_step_flops(aux_fwd, backward_multiplier)
-            n_kernels += count_module_kernels(spec.module) + count_module_kernels(head)
+        units = list(zip(block_specs, block_heads))
+        train_flops = sum(unit_train_flops(s, h, backward_multiplier) for s, h in units)
+        n_kernels = sum(unit_kernel_count(s, h) for s, h in units)
         residency = max(
-            measure_unit_memory(specs[i], heads[i], block.batch_size)
-            for i in block.layer_indices
+            measure_unit_memory(spec, head, block.batch_size) for spec, head in units
         )
         peak = max(peak, residency)
         if residency > memory_budget:
@@ -195,51 +209,43 @@ def simulate_neuroflux(
         )
         sim.ledger.overhead += sim.storage_time(block_params, n_ops=1)
 
-        in_spec = block_specs[0]
-        in_bytes_per_sample = (
-            in_spec.in_channels * in_spec.in_hw[0] * in_spec.in_hw[1] * FLOAT_BYTES
-        )
-        out_spec = block_specs[-1]
-        out_bytes_per_sample = (
-            out_spec.out_channels * out_spec.out_hw[0] * out_spec.out_hw[1] * FLOAT_BYTES
-        )
-        prior_fwd_flops = 0
-        if not use_cache and block.index > 0:
-            for s in specs[: block.first_layer]:
-                f, _ = module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))
-                prior_fwd_flops += f
         cached_input = use_cache and block.index > 0
         input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
         # Post-training forward pass that fills the activation cache.
         fills_cache = use_cache and block.index < len(blocks) - 1
+        fwd_flops = _forward_flops(block_specs) if fills_cache else 0
+        # Ablation: without the cache every batch re-runs the trained prefix.
+        prior_fwd_flops = 0 if use_cache else _forward_flops(specs[: block.first_layer])
         for n, steps in _epoch_steps(data.n_train, block.batch_size):
-            trained = steps * epochs
             sim.add_training_step(
                 train_flops * n,
                 data.sample_bytes * n,
                 n_kernels,
                 input_mode=input_mode,
-                count=trained,
+                count=steps * epochs,
             )
-            read_bytes = in_bytes_per_sample * n + 8 * n
-            if cached_input:
-                sim.add_cache_read(read_bytes, n_files=1, count=trained)
-            elif prior_fwd_flops:
+            if prior_fwd_flops:
                 sim.add_inference_batch(
                     prior_fwd_flops * n,
                     data.sample_bytes * n,
                     block.first_layer,
-                    count=trained,
+                    count=steps * epochs,
                 )
             if fills_cache:
                 sim.add_inference_batch(
                     fwd_flops * n, data.sample_bytes * n, n_kernels, count=steps
                 )
-                if cached_input:
-                    sim.add_cache_read(read_bytes, n_files=1, count=steps)
                 sim.add_cache_write(
-                    out_bytes_per_sample * n + 8 * n, n_files=1, count=steps
+                    _cached_sample_bytes(block_specs[-1]) * n, n_files=1, count=steps
                 )
+        if cached_input:
+            # One read per file the previous block wrote -- its batch size,
+            # not this block's (the prefetcher rebatches after the read) --
+            # on every training pass and on the cache-fill pass.
+            read_bytes = _cached_sample_bytes(specs[block.first_layer - 1])
+            passes = epochs + 1 if fills_cache else epochs
+            for n, files in _epoch_steps(data.n_train, blocks[block.index - 1].batch_size):
+                sim.add_cache_read(read_bytes * n, n_files=1, count=files * passes)
     return SimulatedRun(
         "neuroflux",
         max(b.batch_size for b in blocks),

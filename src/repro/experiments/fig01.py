@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from repro.data.registry import dataset_spec
 from repro.experiments.common import MB, ExperimentResult
-from repro.flops.count import model_forward_flops, training_step_flops
 from repro.hw.platforms import AGX_ORIN, Platform
 from repro.hw.simulator import ExecutionSimulator
 from repro.memory.estimator import bp_training_memory, inference_memory
 from repro.models.zoo import build_model
-from repro.training.common import model_kernel_count
+from repro.training.backprop import bp_step_price
 
 BATCHES = (4, 8, 256)
 
@@ -25,8 +24,7 @@ def simulated_epoch_time(
 ) -> float:
     """Simulated seconds for one BP epoch at a given batch size."""
     sim = ExecutionSimulator(platform)
-    step_flops = training_step_flops(model_forward_flops(model, 1))
-    n_kernels = model_kernel_count(model)
+    step_flops, n_kernels = bp_step_price(model)
     full, rem = divmod(n_samples, batch_size)
     for _ in range(full):
         sim.add_training_step(step_flops * batch_size, sample_bytes * batch_size, n_kernels)

@@ -1,4 +1,5 @@
-"""FLOP accounting for modules and models.
+"""FLOP and kernel-dispatch accounting for modules and models: the two
+inputs of a step's price on the execution simulator.
 
 Counts multiply-accumulates as two FLOPs (the usual convention).  Modules
 with data-dependent internals (e.g. residual blocks) expose a
@@ -137,3 +138,27 @@ def stage_output_shapes(model, batch_size: int = 1) -> list[tuple[int, ...]]:
         _, shape = module_forward_flops(stage, shape)
         shapes.append(shape)
     return shapes
+
+
+def count_module_kernels(module: Module) -> int:
+    """Number of atomic kernel dispatches in one forward of ``module``.
+
+    Used by the execution simulator to charge per-kernel launch overhead.
+    """
+    hook = getattr(module, "count_kernels", None)
+    if hook is not None:
+        return hook()
+    if isinstance(module, Sequential):
+        return sum(count_module_kernels(child) for child in module)
+    n_children = sum(1 for _ in module.children())
+    if n_children:
+        return sum(count_module_kernels(c) for c in module.children()) + 1
+    return 1
+
+
+def model_kernel_count(model) -> int:
+    """Kernel dispatches for one end-to-end forward of a ConvNet."""
+    total = sum(count_module_kernels(stage) for stage in model.stages)
+    if model.head is not None:
+        total += count_module_kernels(model.head)
+    return total

@@ -143,7 +143,7 @@ class CascadeRouter:
             raise ConfigError(f"unknown routing mode {mode!r}")
         self.model = model
         self.mode = mode
-        self._use_workspace = workspace
+        self._pool_scratch = workspace
         n = model.num_exits
         if isinstance(threshold, (int, float)):
             thresholds = [float(threshold)] * n
@@ -164,7 +164,7 @@ class CascadeRouter:
     def route(self, x: np.ndarray) -> RoutedBatch:
         n = len(x)
         model = self.model
-        if self._use_workspace and model.workspace is None:
+        if self._pool_scratch and model.workspace is None:
             # Serving reruns the same segment shapes for every batch; a
             # shared buffer pool keeps the im2col/window scratch warm
             # across requests.  Attached lazily (and only when absent) so

@@ -7,6 +7,11 @@
 * :class:`GradientCheckpointTrainer` -- checkpointed BP (Section 7).
 * :class:`MicrobatchTrainer` -- gradient accumulation (Section 7).
 
+All six run on one frame, :meth:`repro.training.common.BaselineTrainer.train`
+(batch sized to the budget, epochs, per-step charge, evaluation).  A new
+baseline subclasses it and supplies ``method``, its ``gpu_tag`` /
+``rng_tag``, ``memory_at_batch``, ``step_price`` and ``step``.
+
 NeuroFlux itself lives in :mod:`repro.core`.
 """
 

@@ -11,175 +11,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.datasets import SyntheticImageDataset
-from repro.data.loader import DataLoader
-from repro.errors import ConfigError, MemoryBudgetExceeded
-from repro.flops.count import model_forward_flops, training_step_flops
-from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator
+from repro.flops.count import (
+    model_forward_flops,
+    model_kernel_count,
+    training_step_flops,
+)
 from repro.memory.estimator import bp_training_memory
-from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
 from repro.nn import CrossEntropyLoss, make_optimizer
-from repro.training.common import (
-    HistoryPoint,
-    TrainResult,
-    evaluate_classifier,
-    model_kernel_count,
+from repro.training.common import (  # noqa: F401  (re-exported: their public home)
+    DEFAULT_BATCH_LIMIT,
+    BaselineTrainer,
+    max_feasible_batch,
 )
-from repro.utils.rng import spawn_rng
-
-DEFAULT_BATCH_LIMIT = 256
 
 
-def max_feasible_batch(memory_fn, budget_bytes: int | None, limit: int) -> int:
-    """Largest batch in [1, limit] whose ``memory_fn(batch)`` fits the budget.
-
-    ``memory_fn`` must be monotonically non-decreasing in the batch size
-    (activation memory is linear in it).  Raises
-    :class:`MemoryBudgetExceeded` when even a single sample does not fit --
-    the condition under which the paper reports "no data point" for a
-    method (Figure 11).
-    """
-    if budget_bytes is None:
-        return limit
-    need_one = memory_fn(1)
-    if need_one > budget_bytes:
-        raise MemoryBudgetExceeded(need_one, 0, budget_bytes, "single-sample step")
-    lo, hi = 1, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if memory_fn(mid) <= budget_bytes:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def bp_step_price(model: ConvNet, backward_multiplier: float = 2.0) -> tuple[int, int]:
+    """``(FLOPs per sample, kernel dispatches)`` of one end-to-end BP step."""
+    flops = training_step_flops(model_forward_flops(model, 1), backward_multiplier)
+    return flops, model_kernel_count(model)
 
 
-class BackpropTrainer:
+class BackpropTrainer(BaselineTrainer):
     """Trains a ConvNet with SGD over a global cross-entropy loss."""
 
     method = "backprop"
+    gpu_tag = "bp-training-step"
+    rng_tag = "bp"
 
-    def __init__(
-        self,
-        model: ConvNet,
-        data: SyntheticImageDataset,
-        platform: Platform = AGX_ORIN,
-        memory_budget: int | None = None,
-        optimizer: str = "sgd-momentum",
-        lr: float = 0.05,
-        backward_multiplier: float = 2.0,
-        seed: int = 0,
-        use_workspace: bool = True,
-    ):
-        self.model = model
-        self.data = data
-        self.platform = platform
-        self.memory_budget = memory_budget
-        self.optimizer_name = optimizer
-        self.lr = lr
-        self.backward_multiplier = backward_multiplier
-        self.seed = seed
-        self.use_workspace = use_workspace
-
-    # -- memory ---------------------------------------------------------
     def memory_at_batch(self, batch_size: int) -> int:
         return bp_training_memory(self.model, batch_size, self.optimizer_name).total
 
-    def max_feasible_batch(self, limit: int = DEFAULT_BATCH_LIMIT) -> int:
-        return max_feasible_batch(self.memory_at_batch, self.memory_budget, limit)
+    def step_price(self) -> tuple[int, int]:
+        return bp_step_price(self.model, self.backward_multiplier)
 
-    # -- hooks for subclasses (Feedback Alignment reuses this loop) ------
-    def _prepare_model(self) -> None:
-        """Subclass hook invoked once before training starts."""
-
-    # -- training ---------------------------------------------------------
-    def train(
-        self,
-        epochs: int,
-        batch_size: int | None = None,
-        batch_limit: int = DEFAULT_BATCH_LIMIT,
-        time_budget_s: float | None = None,
-    ) -> TrainResult:
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if batch_size is None:
-            batch_size = self.max_feasible_batch(batch_limit)
-        peak_bytes = self.memory_at_batch(batch_size)
-        gpu = SimulatedGpu(budget_bytes=self.memory_budget)
-        handle = gpu.alloc(peak_bytes, "bp-training-step")
-        gpu.free(handle)
-
-        self._prepare_model()
-        sim = ExecutionSimulator(self.platform)
-        loss_fn = CrossEntropyLoss()
-        opt = make_optimizer(self.optimizer_name, self.model.parameters(), lr=self.lr)
-        loader = DataLoader(
-            self.data.x_train,
-            self.data.y_train,
-            batch_size,
-            shuffle=True,
-            rng=spawn_rng(self.seed, "bp/loader"),
+    def _setup(self) -> None:
+        self._loss_fn = CrossEntropyLoss()
+        self._opt = make_optimizer(
+            self.optimizer_name, self.model.parameters(), lr=self.lr
         )
-        fwd_flops_per_sample = model_forward_flops(self.model, 1)
-        step_flops_per_sample = training_step_flops(
-            fwd_flops_per_sample, self.backward_multiplier
-        )
-        n_kernels = model_kernel_count(self.model)
-        sample_bytes = self.data.spec.sample_bytes
 
-        result = TrainResult(
-            method=self.method,
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            batch_size=batch_size,
-            epochs=epochs,
-            peak_memory_bytes=gpu.peak,
-            num_parameters=self.model.num_parameters(),
-        )
-        self.model.train()
-        if self.use_workspace:
-            # Shared buffer pool: per-step scratch (column matrices, GEMM
-            # outputs, scatter targets) is reused across steps instead of
-            # reallocated.  Results are bitwise unchanged.
-            self.model.attach_workspace()
-        stop = False
-        try:
-            for epoch in range(epochs):
-                for xb, yb in loader:
-                    logits = self.model.forward(xb)
-                    loss = loss_fn(logits, yb)
-                    self.model.zero_grad()
-                    # The gradient w.r.t. the model input is never used.
-                    self.model.backward(loss_fn.backward(), need_input_grad=False)
-                    opt.step()
-                    sim.add_training_step(
-                        step_flops_per_sample * len(xb),
-                        sample_bytes * len(xb),
-                        n_kernels,
-                    )
-                    if time_budget_s is not None and sim.elapsed >= time_budget_s:
-                        stop = True
-                        break
-                self.model.eval()
-                val_acc = evaluate_classifier(
-                    self.model.forward, self.data.x_val, self.data.y_val
-                )
-                self.model.train()
-                result.history.append(
-                    HistoryPoint(sim.elapsed, epoch + 1, val_acc, loss, "val")
-                )
-                if stop:
-                    break
-            self.model.eval()
-            result.final_accuracy = evaluate_classifier(
-                self.model.forward, self.data.x_test, self.data.y_test
-            )
-        finally:
-            if self.use_workspace:
-                self.model.detach_workspace()
-        result.sim_time_s = sim.elapsed
-        result.ledger = sim.ledger
-        return result
+    def step(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        loss = self._loss_fn(self.model.forward(xb), yb)
+        self.model.zero_grad()
+        # The gradient w.r.t. the model input is never used.
+        self.model.backward(self._loss_fn.backward(), need_input_grad=False)
+        self._opt.step()
+        return loss

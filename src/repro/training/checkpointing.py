@@ -20,33 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.datasets import SyntheticImageDataset
-from repro.data.loader import DataLoader
 from repro.errors import ConfigError
-from repro.flops.count import (
-    model_forward_flops,
-    module_forward_flops,
-    training_step_flops,
-)
-from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator
+from repro.flops.count import model_forward_flops, module_forward_flops
 from repro.memory.estimator import (
     FLOAT_BYTES,
     module_retained_bytes,
     module_sum_workspace_bytes,
     optimizer_state_bytes,
 )
-from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
-from repro.nn import CrossEntropyLoss, make_optimizer
-from repro.training.backprop import DEFAULT_BATCH_LIMIT, max_feasible_batch
-from repro.training.common import (
-    HistoryPoint,
-    TrainResult,
-    evaluate_classifier,
-    model_kernel_count,
-)
-from repro.utils.rng import spawn_rng
+from repro.nn.module import run_backward
+from repro.training.backprop import BackpropTrainer
 
 
 def checkpointed_training_memory(
@@ -78,119 +62,40 @@ def checkpointed_training_memory(
     )
 
 
-class GradientCheckpointTrainer:
+class GradientCheckpointTrainer(BackpropTrainer):
     """BP with stage-granular activation checkpointing."""
 
     method = "gradient-checkpointing"
-
-    def __init__(
-        self,
-        model: ConvNet,
-        data: SyntheticImageDataset,
-        platform: Platform = AGX_ORIN,
-        memory_budget: int | None = None,
-        optimizer: str = "sgd-momentum",
-        lr: float = 0.05,
-        backward_multiplier: float = 2.0,
-        seed: int = 0,
-    ):
-        self.model = model
-        self.data = data
-        self.platform = platform
-        self.memory_budget = memory_budget
-        self.optimizer_name = optimizer
-        self.lr = lr
-        self.backward_multiplier = backward_multiplier
-        self.seed = seed
+    gpu_tag = "checkpointed-step"
+    rng_tag = "ckpt"
 
     def memory_at_batch(self, batch_size: int) -> int:
         return checkpointed_training_memory(self.model, batch_size, self.optimizer_name)
 
-    def max_feasible_batch(self, limit: int = DEFAULT_BATCH_LIMIT) -> int:
-        return max_feasible_batch(self.memory_at_batch, self.memory_budget, limit)
-
-    def train(
-        self,
-        epochs: int,
-        batch_size: int | None = None,
-        batch_limit: int = DEFAULT_BATCH_LIMIT,
-    ) -> TrainResult:
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if batch_size is None:
-            batch_size = self.max_feasible_batch(batch_limit)
-        peak_bytes = self.memory_at_batch(batch_size)
-        gpu = SimulatedGpu(budget_bytes=self.memory_budget)
-        handle = gpu.alloc(peak_bytes, "checkpointed-step")
-        gpu.free(handle)
-
-        sim = ExecutionSimulator(self.platform)
-        loss_fn = CrossEntropyLoss()
-        opt = make_optimizer(self.optimizer_name, self.model.parameters(), lr=self.lr)
-        loader = DataLoader(
-            self.data.x_train,
-            self.data.y_train,
-            batch_size,
-            shuffle=True,
-            rng=spawn_rng(self.seed, "ckpt/loader"),
-        )
-        fwd = model_forward_flops(self.model, 1)
+    def step_price(self) -> tuple[int, int]:
         # Checkpointing re-runs the forward during backward: one extra
         # forward per step on top of the usual forward + backward.
-        step_flops = training_step_flops(fwd, self.backward_multiplier) + fwd
-        n_kernels = model_kernel_count(self.model)
-        sample_bytes = self.data.spec.sample_bytes
+        flops, n_kernels = super().step_price()
+        return flops + model_forward_flops(self.model, 1), n_kernels
 
-        result = TrainResult(
-            method=self.method,
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            batch_size=batch_size,
-            epochs=epochs,
-            peak_memory_bytes=gpu.peak,
-            num_parameters=self.model.num_parameters(),
-        )
-        stages = list(self.model.stages) + [self.model.head]
-        self.model.train()
-        for epoch in range(epochs):
-            for xb, yb in loader:
-                # Forward pass collecting segment boundaries; the backward
-                # loop re-runs each segment's forward (the recomputation
-                # cost of checkpointing) just before its backward.  As in
-                # naive torch.utils.checkpoint, BN running stats see each
-                # batch twice.
-                boundaries = [xb]
-                x = xb
-                for stage in stages:
-                    x = stage.forward(x)
-                    boundaries.append(x)
-                logits = boundaries[-1]
-                loss = loss_fn(logits, yb)
-                self.model.zero_grad()
-                grad = loss_fn.backward()
-                for i in reversed(range(len(stages))):
-                    stages[i].forward(boundaries[i])  # recompute segment
-                    grad = stages[i].backward(grad)
-                opt.step()
-                sim.add_training_step(
-                    step_flops * len(xb), sample_bytes * len(xb), n_kernels
-                )
-            self.model.eval()
-            val_acc = evaluate_classifier(
-                self.model.forward, self.data.x_val, self.data.y_val
-            )
-            self.model.train()
-            result.history.append(
-                HistoryPoint(sim.elapsed, epoch + 1, val_acc, loss, "val")
-            )
-        self.model.eval()
-        result.final_accuracy = evaluate_classifier(
-            self.model.forward, self.data.x_test, self.data.y_test
-        )
-        result.sim_time_s = sim.elapsed
-        result.ledger = sim.ledger
-        return result
+    def step(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        # Forward pass collecting segment boundaries; the backward loop
+        # re-runs each segment's forward (the recomputation cost of
+        # checkpointing) just before its backward.  As in naive
+        # torch.utils.checkpoint, BN running stats see each batch twice.
+        stages = [*self.model.stages, self.model.head]
+        boundaries = [xb]
+        for stage in stages:
+            boundaries.append(stage.forward(boundaries[-1]))
+        loss = self._loss_fn(boundaries[-1], yb)
+        self.model.zero_grad()
+        grad = self._loss_fn.backward()
+        for i in reversed(range(len(stages))):
+            stages[i].forward(boundaries[i])  # recompute segment
+            # The gradient w.r.t. the images is never used.
+            grad = run_backward(stages[i], grad, need_input_grad=i > 0)
+        self._opt.step()
+        return loss
 
 
 # -- block state checkpointing (migration / fault tolerance) ----------------

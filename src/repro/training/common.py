@@ -1,4 +1,11 @@
-"""Shared training infrastructure: evaluation, history, results."""
+"""Shared training infrastructure: the baseline run frame, evaluation,
+history and results.
+
+Every comparison in the paper follows one protocol -- pick the largest
+batch that fits the budget, run epochs, report accuracy against simulated
+time and peak memory -- and :class:`BaselineTrainer` is that protocol,
+written once.  A baseline is what differs: see the class docstring.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hw.simulator import TimeLedger
+from repro.data.datasets import SyntheticImageDataset
+from repro.data.loader import DataLoader
+from repro.errors import ConfigError, MemoryBudgetExceeded
+from repro.hw.platforms import AGX_ORIN, Platform
+from repro.hw.simulator import ExecutionSimulator, TimeLedger
+from repro.memory.tracker import SimulatedGpu
+from repro.models.base import ConvNet
+from repro.perf import BufferPool
+from repro.utils.rng import spawn_rng
+
+DEFAULT_BATCH_LIMIT = 256
 
 
 @dataclass
@@ -68,27 +85,182 @@ def evaluate_classifier(
     return correct / len(x) if len(x) else float("nan")
 
 
-def count_module_kernels(module) -> int:
-    """Number of atomic kernel dispatches in one forward of ``module``.
+def max_feasible_batch(memory_fn, budget_bytes: int | None, limit: int) -> int:
+    """Largest batch in [1, limit] whose ``memory_fn(batch)`` fits the budget.
 
-    Used by the execution simulator to charge per-kernel launch overhead.
+    ``memory_fn`` must be monotonically non-decreasing in the batch size
+    (activation memory is linear in it).  Raises
+    :class:`MemoryBudgetExceeded` when even a single sample does not fit --
+    the condition under which the paper reports "no data point" for a
+    method (Figure 11).
     """
-    from repro.nn.module import Sequential
+    if budget_bytes is None:
+        return limit
+    need_one = memory_fn(1)
+    if need_one > budget_bytes:
+        raise MemoryBudgetExceeded(need_one, 0, budget_bytes, "single-sample step")
+    lo, hi = 1, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if memory_fn(mid) <= budget_bytes:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
-    hook = getattr(module, "count_kernels", None)
-    if hook is not None:
-        return hook()
-    if isinstance(module, Sequential):
-        return sum(count_module_kernels(child) for child in module)
-    n_children = sum(1 for _ in module.children())
-    if n_children:
-        return sum(count_module_kernels(c) for c in module.children()) + 1
-    return 1
 
+class BaselineTrainer:
+    """The run frame every comparison trainer shares.
 
-def model_kernel_count(model) -> int:
-    """Kernel dispatches for one end-to-end forward of a ConvNet."""
-    total = sum(count_module_kernels(stage) for stage in model.stages)
-    if model.head is not None:
-        total += count_module_kernels(model.head)
-    return total
+    :meth:`train` is the whole protocol: size the batch against the
+    budget, book the step's footprint on a :class:`SimulatedGpu`, then
+    run epochs -- one :meth:`step` per loaded batch, charged to an
+    :class:`ExecutionSimulator` at the trainer's :meth:`step_price` --
+    evaluating on the validation split after each epoch and on the test
+    split at the end.  A baseline supplies only what differs:
+
+    * ``method`` (the name results carry), ``gpu_tag`` (the allocation
+      tag of its training step) and ``rng_tag`` (its loader draws from
+      the ``"<rng_tag>/loader"`` stream of the seed);
+    * :meth:`memory_at_batch` -- peak bytes of one step at a batch size;
+    * :meth:`step_price` -- per-sample FLOPs and kernel dispatches of one
+      step, a pure function of the model (and heads) that the closed-form
+      replays in :mod:`repro.evalsim.training_time` share;
+    * :meth:`_setup` -- per-run state (optimizers, loss);
+    * :meth:`step` -- train on one batch, return its loss;
+    * optionally ``aux_heads`` (pooled and counted with the model) and
+      :meth:`predict_logits` (how the trained model classifies).
+    """
+
+    method: str
+    gpu_tag: str
+    rng_tag: str
+    #: Auxiliary networks trained beside the model (``None`` = no head).
+    aux_heads: tuple = ()
+
+    def __init__(
+        self,
+        model: ConvNet,
+        data: SyntheticImageDataset,
+        platform: Platform = AGX_ORIN,
+        memory_budget: int | None = None,
+        optimizer: str = "sgd-momentum",
+        lr: float = 0.05,
+        backward_multiplier: float = 2.0,
+        seed: int = 0,
+    ):
+        self.model = model
+        self.data = data
+        self.platform = platform
+        self.memory_budget = memory_budget
+        self.optimizer_name = optimizer
+        self.lr = lr
+        self.backward_multiplier = backward_multiplier
+        self.seed = seed
+
+    # -- what a baseline supplies -------------------------------------------
+    def memory_at_batch(self, batch_size: int) -> int:
+        raise NotImplementedError
+
+    def step_price(self) -> tuple[int, int]:
+        """``(FLOPs per sample, kernel dispatches)`` of one training step."""
+        raise NotImplementedError
+
+    def _setup(self) -> None:
+        """Build the state one run trains with (invoked once per run)."""
+
+    def step(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def predict_logits(self, x: np.ndarray) -> np.ndarray:
+        return self.model.forward(x)
+
+    def _loader_batch(self, batch_size: int) -> int:
+        """Samples per :meth:`step`; the memory-sized batch unless a
+        baseline steps on more than it can hold at once (microbatching)."""
+        return batch_size
+
+    # -- the frame ------------------------------------------------------------
+    def max_feasible_batch(self, limit: int = DEFAULT_BATCH_LIMIT) -> int:
+        return max_feasible_batch(self.memory_at_batch, self.memory_budget, limit)
+
+    def train(
+        self,
+        epochs: int,
+        batch_size: int | None = None,
+        batch_limit: int = DEFAULT_BATCH_LIMIT,
+        time_budget_s: float | None = None,
+    ) -> TrainResult:
+        if epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if batch_size is None:
+            batch_size = self.max_feasible_batch(batch_limit)
+        gpu = SimulatedGpu(budget_bytes=self.memory_budget)
+        gpu.free(gpu.alloc(self.memory_at_batch(batch_size), self.gpu_tag))
+
+        self._setup()
+        data = self.data
+        sim = ExecutionSimulator(self.platform)
+        loader = DataLoader(
+            data.x_train,
+            data.y_train,
+            self._loader_batch(batch_size),
+            shuffle=True,
+            rng=spawn_rng(self.seed, f"{self.rng_tag}/loader"),
+        )
+        flops_per_sample, n_kernels = self.step_price()
+        sample_bytes = data.spec.sample_bytes
+        heads = [aux for aux in self.aux_heads if aux is not None]
+        result = TrainResult(
+            method=self.method,
+            model_name=self.model.name,
+            dataset_name=data.spec.name,
+            platform_name=self.platform.name,
+            batch_size=batch_size,
+            epochs=epochs,
+            peak_memory_bytes=gpu.peak,
+            num_parameters=self.model.num_parameters()
+            + sum(aux.num_parameters() for aux in heads),
+        )
+        # One shared buffer pool: per-step scratch (column matrices, GEMM
+        # outputs, scatter targets) is reused across steps instead of
+        # reallocated.  Results are bitwise unchanged.
+        pool = BufferPool()
+        try:
+            for module in (self.model, *heads):
+                module.attach_workspace(pool)
+                module.train()
+            loss = float("nan")
+            stop = False
+            for epoch in range(epochs):
+                for xb, yb in loader:
+                    loss = self.step(xb, yb)
+                    # A loaded batch larger than the memory-sized one
+                    # (microbatching) is that many separate load + kernel
+                    # passes.
+                    for start in range(0, len(xb), batch_size):
+                        n = min(batch_size, len(xb) - start)
+                        sim.add_training_step(
+                            flops_per_sample * n, sample_bytes * n, n_kernels
+                        )
+                    if time_budget_s is not None and sim.elapsed >= time_budget_s:
+                        stop = True
+                        break
+                self.model.eval()
+                val_acc = evaluate_classifier(self.predict_logits, data.x_val, data.y_val)
+                self.model.train()
+                result.history.append(
+                    HistoryPoint(sim.elapsed, epoch + 1, val_acc, loss, "val")
+                )
+                if stop:
+                    break
+            self.model.eval()
+            result.final_accuracy = evaluate_classifier(
+                self.predict_logits, data.x_test, data.y_test
+            )
+        finally:
+            for module in (self.model, *heads):
+                module.detach_workspace()
+        result.sim_time_s = sim.elapsed
+        result.ledger = sim.ledger
+        return result

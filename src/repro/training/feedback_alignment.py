@@ -20,7 +20,8 @@ class FeedbackAlignmentTrainer(BackpropTrainer):
 
     method = "feedback-alignment"
 
-    def _prepare_model(self) -> None:
+    def _setup(self) -> None:
+        super()._setup()
         rng = spawn_rng(self.seed, "fa/feedback")
         for module in self.model.modules():
             if isinstance(module, (Conv2d, Linear)):

@@ -14,32 +14,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.auxiliary import CLASSIC_AUX_FILTERS, build_aux_heads
+from repro.core.worker import unit_kernel_count, unit_train_flops
 from repro.data.datasets import SyntheticImageDataset
-from repro.data.loader import DataLoader
-from repro.errors import ConfigError
-from repro.flops.count import module_forward_flops, training_step_flops
 from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator
 from repro.memory.estimator import ll_training_memory
-from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
 from repro.nn import CrossEntropyLoss, make_optimizer
-from repro.nn.module import run_backward
-from repro.perf import BufferPool
-from repro.training.backprop import DEFAULT_BATCH_LIMIT, max_feasible_batch
-from repro.training.common import (
-    HistoryPoint,
-    TrainResult,
-    count_module_kernels,
-    evaluate_classifier,
-)
-from repro.utils.rng import spawn_rng
+from repro.nn.module import Module, run_backward
+from repro.training.common import BaselineTrainer
 
 
-class LocalLearningTrainer:
+def _local_heads(model: ConvNet, aux_heads: list[Module | None]) -> list[Module]:
+    """The network each layer's local loss is read from: its auxiliary
+    head, or the model's real classifier where it has none."""
+    return [aux if aux is not None else model.head for aux in aux_heads]
+
+
+def ll_step_price(
+    model: ConvNet, aux_heads: list[Module | None], backward_multiplier: float = 2.0
+) -> tuple[int, int]:
+    """``(FLOPs per sample, kernel dispatches)`` of one classic-LL step:
+    every layer trained with its head, priced like a NeuroFlux unit."""
+    units = list(zip(model.local_layers(), _local_heads(model, aux_heads)))
+    flops = sum(unit_train_flops(spec, head, backward_multiplier) for spec, head in units)
+    return flops, sum(unit_kernel_count(spec, head) for spec, head in units)
+
+
+class LocalLearningTrainer(BaselineTrainer):
     """Greedy layer-wise trainer with fixed-width auxiliary heads."""
 
     method = "classic-ll"
+    gpu_tag = "ll-training-step"
+    rng_tag = "ll"
 
     def __init__(
         self,
@@ -53,17 +59,10 @@ class LocalLearningTrainer:
         classic_filters: int = CLASSIC_AUX_FILTERS,
         backward_multiplier: float = 2.0,
         seed: int = 0,
-        use_workspace: bool = True,
     ):
-        self.model = model
-        self.data = data
-        self.platform = platform
-        self.memory_budget = memory_budget
-        self.optimizer_name = optimizer
-        self.lr = lr
-        self.backward_multiplier = backward_multiplier
-        self.seed = seed
-        self.use_workspace = use_workspace
+        super().__init__(
+            model, data, platform, memory_budget, optimizer, lr, backward_multiplier, seed
+        )
         heads = build_aux_heads(
             model, rule=aux_rule, classic_filters=classic_filters, seed=seed
         )
@@ -71,147 +70,40 @@ class LocalLearningTrainer:
         # it carries no auxiliary network.
         self.aux_heads = list(heads[:-1]) + [None]
 
-    # -- memory ---------------------------------------------------------
     def memory_at_batch(self, batch_size: int) -> int:
         return ll_training_memory(
             self.model, self.aux_heads, batch_size, self.optimizer_name
         ).total
 
-    def max_feasible_batch(self, limit: int = DEFAULT_BATCH_LIMIT) -> int:
-        return max_feasible_batch(self.memory_at_batch, self.memory_budget, limit)
+    def step_price(self) -> tuple[int, int]:
+        return ll_step_price(self.model, self.aux_heads, self.backward_multiplier)
 
-    # -- cost model --------------------------------------------------------
-    def _step_flops_per_sample(self) -> int:
-        total = 0
-        for spec, aux in zip(self.model.local_layers(), self.aux_heads):
-            in_shape = (1, spec.in_channels, *spec.in_hw)
-            unit_fwd, out_shape = module_forward_flops(spec.module, in_shape)
-            total += training_step_flops(unit_fwd, self.backward_multiplier)
-            if aux is not None:
-                aux_fwd, _ = module_forward_flops(aux, out_shape)
-                total += training_step_flops(aux_fwd, self.backward_multiplier)
-        head_in = self.model.local_layers()[-1]
-        head_shape = (1, head_in.out_channels, *head_in.out_hw)
-        head_fwd, _ = module_forward_flops(self.model.head, head_shape)
-        total += training_step_flops(head_fwd, self.backward_multiplier)
-        return total
-
-    def _kernel_count(self) -> int:
-        total = sum(count_module_kernels(s.module) for s in self.model.local_layers())
-        total += sum(count_module_kernels(a) for a in self.aux_heads if a is not None)
-        total += count_module_kernels(self.model.head)
-        return total
-
-    # -- training ---------------------------------------------------------
-    def train(
-        self,
-        epochs: int,
-        batch_size: int | None = None,
-        batch_limit: int = DEFAULT_BATCH_LIMIT,
-        time_budget_s: float | None = None,
-    ) -> TrainResult:
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if batch_size is None:
-            batch_size = self.max_feasible_batch(batch_limit)
-        peak_bytes = self.memory_at_batch(batch_size)
-        gpu = SimulatedGpu(budget_bytes=self.memory_budget)
-        handle = gpu.alloc(peak_bytes, "ll-training-step")
-        gpu.free(handle)
-
-        sim = ExecutionSimulator(self.platform)
-        loss_fn = CrossEntropyLoss()
-        specs = self.model.local_layers()
-        optimizers = []
-        for spec, aux in zip(specs, self.aux_heads):
-            params = spec.module.parameters()
-            if aux is not None:
-                params = params + aux.parameters()
-            else:
-                params = params + self.model.head.parameters()
-            optimizers.append(make_optimizer(self.optimizer_name, params, lr=self.lr))
-
-        loader = DataLoader(
-            self.data.x_train,
-            self.data.y_train,
-            batch_size,
-            shuffle=True,
-            rng=spawn_rng(self.seed, "ll/loader"),
-        )
-        step_flops = self._step_flops_per_sample()
-        n_kernels = self._kernel_count()
-        sample_bytes = self.data.spec.sample_bytes
-        aux_params = sum(a.num_parameters() for a in self.aux_heads if a is not None)
-
-        result = TrainResult(
-            method=self.method,
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            batch_size=batch_size,
-            epochs=epochs,
-            peak_memory_bytes=gpu.peak,
-            num_parameters=self.model.num_parameters() + aux_params,
-        )
-        self.model.train()
-        if self.use_workspace:
-            pool = BufferPool()
-            self.model.attach_workspace(pool)
-            for aux in self.aux_heads:
-                if aux is not None:
-                    aux.attach_workspace(pool)
-        for aux in self.aux_heads:
-            if aux is not None:
-                aux.train()
-        stop = False
-        last_loss = float("nan")
-        try:
-            for epoch in range(epochs):
-                for xb, yb in loader:
-                    x = xb
-                    for i, (spec, aux) in enumerate(zip(specs, self.aux_heads)):
-                        out = spec.module.forward(x)
-                        if aux is not None:
-                            z = aux.forward(out)
-                            last_loss = loss_fn(z, yb)
-                            dz = loss_fn.backward()
-                            dout = aux.backward(dz)
-                        else:
-                            z = self.model.head.forward(out)
-                            last_loss = loss_fn(z, yb)
-                            dz = loss_fn.backward()
-                            dout = self.model.head.backward(dz)
-                        # Local learning never propagates past the stage input.
-                        run_backward(spec.module, dout, need_input_grad=False)
-                        optimizers[i].step()
-                        optimizers[i].zero_grad()
-                        x = out
-                    sim.add_training_step(
-                        step_flops * len(xb), sample_bytes * len(xb), n_kernels
-                    )
-                    if time_budget_s is not None and sim.elapsed >= time_budget_s:
-                        stop = True
-                        break
-                self.model.eval()
-                val_acc = evaluate_classifier(
-                    self.model.forward, self.data.x_val, self.data.y_val
-                )
-                self.model.train()
-                result.history.append(
-                    HistoryPoint(sim.elapsed, epoch + 1, val_acc, last_loss, "val")
-                )
-                if stop:
-                    break
-            self.model.eval()
-            result.final_accuracy = evaluate_classifier(
-                self.model.forward, self.data.x_test, self.data.y_test
+    def _setup(self) -> None:
+        self._loss_fn = CrossEntropyLoss()
+        self._units = [
+            (
+                spec.module,
+                head,
+                make_optimizer(
+                    self.optimizer_name,
+                    spec.module.parameters() + head.parameters(),
+                    lr=self.lr,
+                ),
             )
-        finally:
-            if self.use_workspace:
-                self.model.detach_workspace()
-                for aux in self.aux_heads:
-                    if aux is not None:
-                        aux.detach_workspace()
-        result.sim_time_s = sim.elapsed
-        result.ledger = sim.ledger
-        return result
+            for spec, head in zip(
+                self.model.local_layers(), _local_heads(self.model, self.aux_heads)
+            )
+        ]
+
+    def step(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        x = xb
+        for layer, head, opt in self._units:
+            out = layer.forward(x)
+            loss = self._loss_fn(head.forward(out), yb)
+            dout = head.backward(self._loss_fn.backward())
+            # Local learning never propagates past the stage input.
+            run_backward(layer, dout, need_input_grad=False)
+            opt.step()
+            opt.zero_grad()
+            x = out
+        return loss

@@ -11,29 +11,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import SyntheticImageDataset
-from repro.data.loader import DataLoader
 from repro.errors import ConfigError
-from repro.flops.count import model_forward_flops, training_step_flops
 from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator
-from repro.memory.estimator import bp_training_memory
-from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
-from repro.nn import CrossEntropyLoss, make_optimizer
-from repro.training.backprop import DEFAULT_BATCH_LIMIT, max_feasible_batch
-from repro.training.common import (
-    HistoryPoint,
-    TrainResult,
-    evaluate_classifier,
-    model_kernel_count,
-)
-from repro.utils.rng import spawn_rng
+from repro.training.backprop import BackpropTrainer
+from repro.training.common import TrainResult
 
 
-class MicrobatchTrainer:
-    """BP with gradient accumulation over budget-sized micro-batches."""
+class MicrobatchTrainer(BackpropTrainer):
+    """BP with gradient accumulation over budget-sized micro-batches.
+
+    Memory and price per sample are BP's; what differs is that a step
+    loads ``logical_batch`` samples and passes them through the device
+    one micro-batch at a time (the frame charges each pass separately).
+    """
 
     method = "microbatching"
+    gpu_tag = "microbatch-step"
+    rng_tag = "micro"
 
     def __init__(
         self,
@@ -46,102 +41,38 @@ class MicrobatchTrainer:
         lr: float = 0.05,
         backward_multiplier: float = 2.0,
         seed: int = 0,
-        use_workspace: bool = True,
     ):
         if logical_batch < 1:
             raise ConfigError("logical_batch must be >= 1")
-        self.model = model
-        self.data = data
-        self.platform = platform
-        self.memory_budget = memory_budget
+        super().__init__(
+            model, data, platform, memory_budget, optimizer, lr, backward_multiplier, seed
+        )
         self.logical_batch = logical_batch
-        self.optimizer_name = optimizer
-        self.lr = lr
-        self.backward_multiplier = backward_multiplier
-        self.seed = seed
-        self.use_workspace = use_workspace
-
-    def memory_at_batch(self, micro_batch: int) -> int:
-        return bp_training_memory(self.model, micro_batch, self.optimizer_name).total
 
     def micro_batch_size(self) -> int:
         """Largest micro-batch that fits the budget (capped at logical)."""
-        return max_feasible_batch(
-            self.memory_at_batch, self.memory_budget, self.logical_batch
-        )
+        return self.max_feasible_batch(self.logical_batch)
+
+    def _loader_batch(self, batch_size: int) -> int:
+        return self.logical_batch
+
+    def _setup(self) -> None:
+        super()._setup()
+        self._micro = self.micro_batch_size()
 
     def train(self, epochs: int) -> TrainResult:
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        micro = self.micro_batch_size()
-        peak_bytes = self.memory_at_batch(micro)
-        gpu = SimulatedGpu(budget_bytes=self.memory_budget)
-        handle = gpu.alloc(peak_bytes, "microbatch-step")
-        gpu.free(handle)
-
-        sim = ExecutionSimulator(self.platform)
-        loss_fn = CrossEntropyLoss()
-        opt = make_optimizer(self.optimizer_name, self.model.parameters(), lr=self.lr)
-        loader = DataLoader(
-            self.data.x_train,
-            self.data.y_train,
-            self.logical_batch,
-            shuffle=True,
-            rng=spawn_rng(self.seed, "micro/loader"),
-        )
-        step_flops = training_step_flops(
-            model_forward_flops(self.model, 1), self.backward_multiplier
-        )
-        n_kernels = model_kernel_count(self.model)
-        sample_bytes = self.data.spec.sample_bytes
-
-        result = TrainResult(
-            method=self.method,
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            batch_size=micro,
-            epochs=epochs,
-            peak_memory_bytes=gpu.peak,
-            num_parameters=self.model.num_parameters(),
-            extras={"logical_batch": self.logical_batch},
-        )
-        self.model.train()
-        if self.use_workspace:
-            self.model.attach_workspace()
-        try:
-            for epoch in range(epochs):
-                for xb, yb in loader:
-                    self.model.zero_grad()
-                    n_micro = -(-len(xb) // micro)
-                    loss = float("nan")
-                    for start in range(0, len(xb), micro):
-                        xm = xb[start : start + micro]
-                        ym = yb[start : start + micro]
-                        logits = self.model.forward(xm)
-                        loss = loss_fn(logits, ym)
-                        grad = loss_fn.backward() * (len(xm) / len(xb))
-                        self.model.backward(grad, need_input_grad=False)
-                        # Every micro-batch is a separate load + kernel pass.
-                        sim.add_training_step(
-                            step_flops * len(xm), sample_bytes * len(xm), n_kernels
-                        )
-                    opt.step()
-                self.model.eval()
-                val_acc = evaluate_classifier(
-                    self.model.forward, self.data.x_val, self.data.y_val
-                )
-                self.model.train()
-                result.history.append(
-                    HistoryPoint(sim.elapsed, epoch + 1, val_acc, loss, "val")
-                )
-            self.model.eval()
-            result.final_accuracy = evaluate_classifier(
-                self.model.forward, self.data.x_test, self.data.y_test
-            )
-        finally:
-            if self.use_workspace:
-                self.model.detach_workspace()
-        result.sim_time_s = sim.elapsed
-        result.ledger = sim.ledger
+        result = super().train(epochs, batch_limit=self.logical_batch)
+        result.extras["logical_batch"] = self.logical_batch
         return result
+
+    def step(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        self.model.zero_grad()
+        loss = float("nan")
+        for start in range(0, len(xb), self._micro):
+            xm = xb[start : start + self._micro]
+            ym = yb[start : start + self._micro]
+            loss = self._loss_fn(self.model.forward(xm), ym)
+            grad = self._loss_fn.backward() * (len(xm) / len(xb))
+            self.model.backward(grad, need_input_grad=False)
+        self._opt.step()
+        return loss

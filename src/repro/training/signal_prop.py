@@ -16,28 +16,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import SyntheticImageDataset
-from repro.data.loader import DataLoader
-from repro.errors import ConfigError
-from repro.flops.count import module_forward_flops, training_step_flops
+from repro.flops.count import (
+    count_module_kernels,
+    module_forward_flops,
+    training_step_flops,
+)
 from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator
 from repro.memory.estimator import local_unit_training_memory
-from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
 from repro.nn import make_optimizer
-from repro.training.backprop import DEFAULT_BATCH_LIMIT, max_feasible_batch
-from repro.training.common import (
-    HistoryPoint,
-    TrainResult,
-    count_module_kernels,
-)
+from repro.nn.module import run_backward
+from repro.training.common import BaselineTrainer
 from repro.utils.rng import spawn_rng
 
 
-class SignalPropagationTrainer:
+class SignalPropagationTrainer(BaselineTrainer):
     """Forward-only layer-wise trainer with class-embedding targets."""
 
     method = "signal-propagation"
+    gpu_tag = "sp-training-step"
+    rng_tag = "sp"
 
     def __init__(
         self,
@@ -50,14 +48,9 @@ class SignalPropagationTrainer:
         backward_multiplier: float = 1.0,
         seed: int = 0,
     ):
-        self.model = model
-        self.data = data
-        self.platform = platform
-        self.memory_budget = memory_budget
-        self.optimizer_name = optimizer
-        self.lr = lr
-        self.backward_multiplier = backward_multiplier
-        self.seed = seed
+        super().__init__(
+            model, data, platform, memory_budget, optimizer, lr, backward_multiplier, seed
+        )
         # Fixed random unit-norm class embeddings per layer (the 'context'
         # produced by SP's target generator).
         self._targets: list[np.ndarray] = []
@@ -67,20 +60,25 @@ class SignalPropagationTrainer:
             t /= np.linalg.norm(t, axis=1, keepdims=True) + 1e-8
             self._targets.append(t)
 
-    # -- memory ---------------------------------------------------------
     def memory_at_batch(self, batch_size: int) -> int:
         # One layer resident at a time, no auxiliary networks: the defining
         # memory advantage of SP.
-        peak = 0
-        for spec in self.model.local_layers():
-            unit = local_unit_training_memory(spec, None, batch_size, self.optimizer_name)
-            peak = max(peak, unit.total)
-        return peak
+        return max(
+            local_unit_training_memory(spec, None, batch_size, self.optimizer_name).total
+            for spec in self.model.local_layers()
+        )
 
-    def max_feasible_batch(self, limit: int = DEFAULT_BATCH_LIMIT) -> int:
-        return max_feasible_batch(self.memory_at_batch, self.memory_budget, limit)
+    def step_price(self) -> tuple[int, int]:
+        specs = self.model.local_layers()
+        flops = sum(
+            training_step_flops(
+                module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0],
+                self.backward_multiplier,
+            )
+            for s in specs
+        )
+        return flops, sum(count_module_kernels(s.module) for s in specs)
 
-    # -- inference -------------------------------------------------------
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Negative distance to each class embedding at the final layer."""
         feats = self.model.forward_features(x)
@@ -90,96 +88,31 @@ class SignalPropagationTrainer:
         logits = 2 * pooled @ t.T - (t * t).sum(axis=1)[None, :]
         return logits
 
-    def _accuracy(self, x: np.ndarray, y: np.ndarray, batch: int = 256) -> float:
-        correct = 0
-        for start in range(0, len(x), batch):
-            logits = self.predict_logits(x[start : start + batch])
-            correct += int((np.argmax(logits, axis=1) == y[start : start + batch]).sum())
-        return correct / len(x)
-
-    # -- training ---------------------------------------------------------
-    def train(
-        self,
-        epochs: int,
-        batch_size: int | None = None,
-        batch_limit: int = DEFAULT_BATCH_LIMIT,
-        time_budget_s: float | None = None,
-    ) -> TrainResult:
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if batch_size is None:
-            batch_size = self.max_feasible_batch(batch_limit)
-        peak_bytes = self.memory_at_batch(batch_size)
-        gpu = SimulatedGpu(budget_bytes=self.memory_budget)
-        handle = gpu.alloc(peak_bytes, "sp-training-step")
-        gpu.free(handle)
-
-        sim = ExecutionSimulator(self.platform)
-        specs = self.model.local_layers()
-        optimizers = [
-            make_optimizer(self.optimizer_name, s.module.parameters(), lr=self.lr)
-            for s in specs
-        ]
-        loader = DataLoader(
-            self.data.x_train,
-            self.data.y_train,
-            batch_size,
-            shuffle=True,
-            rng=spawn_rng(self.seed, "sp/loader"),
-        )
-        step_flops = sum(
-            training_step_flops(
-                module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0],
-                self.backward_multiplier,
+    def _setup(self) -> None:
+        self._units = [
+            (
+                spec.module,
+                target,
+                make_optimizer(self.optimizer_name, spec.module.parameters(), lr=self.lr),
             )
-            for s in specs
-        )
-        n_kernels = sum(count_module_kernels(s.module) for s in specs)
-        sample_bytes = self.data.spec.sample_bytes
+            for spec, target in zip(self.model.local_layers(), self._targets)
+        ]
 
-        result = TrainResult(
-            method=self.method,
-            model_name=self.model.name,
-            dataset_name=self.data.spec.name,
-            platform_name=self.platform.name,
-            batch_size=batch_size,
-            epochs=epochs,
-            peak_memory_bytes=gpu.peak,
-            num_parameters=self.model.num_parameters(),
-        )
-        self.model.train()
-        stop = False
-        for epoch in range(epochs):
-            for xb, yb in loader:
-                x = xb
-                for i, spec in enumerate(specs):
-                    out = spec.module.forward(x)
-                    hw = out.shape[2] * out.shape[3]
-                    pooled = out.mean(axis=(2, 3))
-                    target = self._targets[i][yb]
-                    diff = pooled - target
-                    dpooled = (2.0 / diff.size) * diff
-                    dout = np.broadcast_to(
-                        (dpooled / hw)[:, :, None, None], out.shape
-                    ).astype(out.dtype)
-                    spec.module.backward(np.ascontiguousarray(dout))
-                    optimizers[i].step()
-                    optimizers[i].zero_grad()
-                    x = out
-                sim.add_training_step(
-                    step_flops * len(xb), sample_bytes * len(xb), n_kernels
-                )
-                if time_budget_s is not None and sim.elapsed >= time_budget_s:
-                    stop = True
-                    break
-            self.model.eval()
-            val_acc = self._accuracy(self.data.x_val, self.data.y_val)
-            self.model.train()
-            result.history.append(HistoryPoint(sim.elapsed, epoch + 1, val_acc))
-            if stop:
-                break
-        self.model.eval()
-        result.final_accuracy = self._accuracy(self.data.x_test, self.data.y_test)
-        result.sim_time_s = sim.elapsed
-        result.ledger = sim.ledger
-        return result
+    def step(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        x = xb
+        for layer, targets, opt in self._units:
+            out = layer.forward(x)
+            hw = out.shape[2] * out.shape[3]
+            pooled = out.mean(axis=(2, 3))
+            diff = pooled - targets[yb]
+            dpooled = (2.0 / diff.size) * diff
+            dout = np.broadcast_to(
+                (dpooled / hw)[:, :, None, None], out.shape
+            ).astype(out.dtype)
+            # Forward-only learning: nothing flows to the layer below.
+            run_backward(layer, np.ascontiguousarray(dout), need_input_grad=False)
+            opt.step()
+            opt.zero_grad()
+            x = out
+        # The alignment loss is not a classification loss; none is reported.
+        return float("nan")

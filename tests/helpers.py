@@ -130,7 +130,7 @@ def replay_bp(
     from repro.hw.simulator import ExecutionSimulator
     from repro.memory.estimator import bp_training_memory
     from repro.training.backprop import max_feasible_batch
-    from repro.training.common import model_kernel_count
+    from repro.flops.count import model_kernel_count
 
     mem = lambda b: bp_training_memory(model, b).total
     batch = max_feasible_batch(mem, memory_budget, batch_limit)
@@ -154,7 +154,7 @@ def replay_classic_ll(
     from repro.hw.simulator import ExecutionSimulator
     from repro.memory.estimator import ll_training_memory
     from repro.training.backprop import max_feasible_batch
-    from repro.training.common import count_module_kernels
+    from repro.flops.count import count_module_kernels
 
     heads = build_aux_heads(model, rule="classic", seed=seed)
     aux = list(heads[:-1]) + [None]
@@ -197,7 +197,7 @@ def replay_neuroflux(
     from repro.evalsim.training_time import SimulatedRun
     from repro.flops.count import module_forward_flops, training_step_flops
     from repro.hw.simulator import ExecutionSimulator
-    from repro.training.common import count_module_kernels
+    from repro.flops.count import count_module_kernels
 
     heads = build_aux_heads(model, rule="aan", seed=seed)
     specs = model.local_layers()
@@ -257,23 +257,30 @@ def replay_neuroflux(
                 prior_fwd_flops += f
         cached_input = use_cache and block.index > 0
         input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
+        # The cache holds one file per batch the *previous* block wrote;
+        # every pass over the cache reads each of them once, whatever
+        # batch size this block rebatches them to.
+        files = (
+            _replay_steps(data.n_train, blocks[block.index - 1].batch_size)
+            if cached_input else []
+        )
         for _ in range(epochs):
+            for n in files:
+                sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
             for n in steps:
                 sim.add_training_step(
                     train_flops * n, data.sample_bytes * n, n_kernels, input_mode=input_mode
                 )
-                if cached_input:
-                    sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
-                elif prior_fwd_flops:
+                if prior_fwd_flops:
                     sim.add_inference_batch(
                         prior_fwd_flops * n, data.sample_bytes * n, block.first_layer
                     )
         if use_cache and block.index < len(blocks) - 1:
             # Post-training forward pass that fills the activation cache.
+            for n in files:
+                sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
             for n in steps:
                 sim.add_inference_batch(fwd_flops * n, data.sample_bytes * n, n_kernels)
-                if block.index > 0:
-                    sim.add_cache_read(in_bytes_per_sample * n + 8 * n, n_files=1)
                 sim.add_cache_write(out_bytes_per_sample * n + 8 * n, n_files=1)
     return SimulatedRun(
         "neuroflux", max(b.batch_size for b in blocks), epochs, sim.elapsed, sim.ledger,
@@ -541,6 +548,11 @@ def train_golden_outcome(system, report, tracer) -> dict:
 # baseline golden: the six comparison trainers, recorded bit for bit    #
 # --------------------------------------------------------------------- #
 BASELINE_GOLDEN_EPOCHS = 2
+#: The six comparison trainers, by their name in ``repro.training``.
+BASELINE_TRAINERS = (
+    "BackpropTrainer", "FeedbackAlignmentTrainer", "LocalLearningTrainer",
+    "SignalPropagationTrainer", "GradientCheckpointTrainer", "MicrobatchTrainer",
+)
 
 
 def baseline_golden_cases() -> dict[str, dict]:

@@ -79,7 +79,10 @@ class TestParity:
         assert ev["bp"]["feasible"] is False and ev["bp_hours"] is None
         assert ev["ll"]["feasible"] is False
         assert ev["nf"]["feasible"] is True and ev["nf_hours"] > 0
-        assert doc["wall_clock_s"] == pytest.approx(ev["nf_hours"] * 3600)
+        # Exact at the precision the document has: both are the same clock,
+        # rounded to 1e-6 (seconds and hours respectively).
+        assert ev["nf_hours"] == round(doc["wall_clock_s"] / 3600, 6)
+        assert doc["wall_clock_s"] == round(report.nf.hours * 3600, 6)
         assert math.isnan(report.speedup_vs_bp)
 
 

@@ -206,7 +206,7 @@ class TestFusedConvBlock:
         np.testing.assert_allclose(blk.backward(g), ref.backward(g), atol=1e-6)
 
     def test_kernel_count_is_static(self):
-        from repro.training.common import count_module_kernels
+        from repro.flops.count import count_module_kernels
 
         # conv+bias+ReLU fuse to one dispatch; a pool adds one, charged
         # identically whether or not the runtime geometry lets it fuse

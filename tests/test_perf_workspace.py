@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import BASELINE_TRAINERS
 
 from repro.models.zoo import build_model
 from repro.nn import Conv2d, Sequential
@@ -101,17 +102,52 @@ class TestModuleAttachment:
             np.testing.assert_array_equal(plain.backward(g), pooled.backward(g))
             np.testing.assert_array_equal(plain.weight.grad, pooled.weight.grad)
 
-    def test_trainer_detaches_after_run(self):
-        from repro.data.registry import dataset_spec
-        from repro.training.backprop import BackpropTrainer
+    @pytest.fixture(params=BASELINE_TRAINERS)
+    def trainer(self, request):
+        from dataclasses import replace
 
-        data = dataset_spec(
-            "cifar10", num_classes=2, image_hw=(8, 8), seed=0
-        ).materialize()
+        import repro.training
+        from repro.data.registry import dataset_spec
+
+        spec = dataset_spec("cifar10", num_classes=2, image_hw=(8, 8), seed=0)
+        data = replace(spec, n_train=64, n_val=16, n_test=16).materialize()
         model = build_model("vgg11", num_classes=2, input_hw=(8, 8), width_multiplier=0.125)
-        trainer = BackpropTrainer(model, data)
-        trainer.train(epochs=1, batch_size=16)
-        assert all(m.workspace is None for m in model.modules())
+        # Four steps an epoch for every trainer: a budget that fits 16
+        # samples, and for microbatching a logical batch of as many.
+        extra = {"logical_batch": 16} if request.param == "MicrobatchTrainer" else {}
+        trainer = getattr(repro.training, request.param)(model, data, **extra)
+        trainer.memory_budget = trainer.memory_at_batch(16)
+        return trainer
+
+    @staticmethod
+    def _pooled_modules(trainer):
+        heads = [aux for aux in trainer.aux_heads if aux is not None]
+        return [m for root in (trainer.model, *heads) for m in root.modules()]
+
+    def test_trainer_detaches_after_run(self, trainer):
+        trainer.train(epochs=1)
+        modules = self._pooled_modules(trainer)
+        assert modules and all(m.workspace is None for m in modules)
+
+    def test_trainer_detaches_when_a_step_raises(self, trainer, monkeypatch):
+        """The frame attaches one pool to the model and every aux head and
+        must hand all of it back when training dies mid-epoch."""
+        real_step = type(trainer).step
+        seen = []
+
+        def step(xb, yb):
+            # The first step of the epoch trains; the second one dies.
+            if seen:
+                assert all(m.workspace is not None for m in self._pooled_modules(trainer))
+                raise RuntimeError("loss blew up")
+            seen.append(len(xb))
+            return real_step(trainer, xb, yb)
+
+        monkeypatch.setattr(trainer, "step", step)
+        with pytest.raises(RuntimeError, match="loss blew up"):
+            trainer.train(epochs=1)
+        assert seen == [16]
+        assert all(m.workspace is None for m in self._pooled_modules(trainer))
 
 
 class TestSequentialNeedInputGrad:

@@ -7,6 +7,8 @@ time accounting, since Figure 11 is produced from it.
 import pytest
 from helpers import replay_bp, replay_classic_ll, replay_neuroflux
 
+from repro.core.config import NeuroFluxConfig
+from repro.core.controller import NeuroFlux
 from repro.data.registry import dataset_spec
 from repro.evalsim.training_time import (
     simulate_bp,
@@ -27,25 +29,91 @@ def _small_model(seed=0):
     )
 
 
-class TestConsistencyWithRealTrainers:
-    def test_bp_simulation_matches_trainer_ledger(self, tiny_dataset):
-        model = _small_model()
-        real = BackpropTrainer(model, tiny_dataset).train(epochs=2, batch_size=32)
-        sim = simulate_bp(
-            model, tiny_dataset.spec, AGX_ORIN, epochs=2, batch_limit=32
-        )
-        assert sim.batch_size == 32
-        assert sim.time_s == pytest.approx(real.sim_time_s, rel=1e-6)
+def _assert_ledgers_agree(sim_ledger, real_ledger, cache_io_rel=1e-12):
+    """Line by line: the closed form multiplies by a step count where the
+    run adds step by step, so equality is to the last few ulps, not ``==``."""
+    sim, real = sim_ledger.as_dict(), real_ledger.as_dict()
+    assert sim.keys() == real.keys()
+    for line in sim:
+        if line in ("cache_io", "total"):
+            assert sim[line] == pytest.approx(real[line], rel=cache_io_rel), line
+        else:
+            assert sim[line] == pytest.approx(real[line], rel=1e-12), line
 
-    def test_ll_simulation_matches_trainer_ledger(self, tiny_dataset):
+
+def _aligned(nbytes):
+    """``nbytes`` as a ``SimulatedGpu`` reports it (allocator granularity)."""
+    from repro.memory.tracker import ALLOCATOR_ALIGNMENT
+
+    return -(-nbytes // ALLOCATOR_ALIGNMENT) * ALLOCATOR_ALIGNMENT
+
+
+class TestConsistencyWithRealTrainers:
+    @staticmethod
+    def _assert_same_run(sim, real, trainer):
+        """Same batch, same peak (the trainer reads it off the allocator,
+        i.e. rounded up to its granularity), same clock, same ledger."""
+        assert sim.batch_size == real.batch_size
+        assert sim.peak_memory_bytes == trainer.memory_at_batch(real.batch_size)
+        assert _aligned(sim.peak_memory_bytes) == real.peak_memory_bytes
+        assert sim.time_s == pytest.approx(real.sim_time_s, rel=1e-12)
+        _assert_ledgers_agree(sim.ledger, real.ledger)
+
+    # Sized by the batch cap, then by a budget that binds below it.
+    @pytest.mark.parametrize("sizing", [{"batch_limit": 32}, {"memory_budget": 5 * MB}])
+    def test_bp_simulation_matches_trainer_ledger(self, tiny_dataset, sizing):
         model = _small_model()
-        trainer = LocalLearningTrainer(model, tiny_dataset, classic_filters=256)
-        real = trainer.train(epochs=1, batch_size=32)
-        model2 = _small_model()
-        sim = simulate_classic_ll(
-            model2, tiny_dataset.spec, AGX_ORIN, epochs=1, batch_limit=32
+        trainer = BackpropTrainer(
+            model, tiny_dataset, memory_budget=sizing.get("memory_budget")
         )
-        assert sim.time_s == pytest.approx(real.sim_time_s, rel=1e-6)
+        real = trainer.train(epochs=2, batch_limit=sizing.get("batch_limit", 256))
+        sim = simulate_bp(model, tiny_dataset.spec, AGX_ORIN, epochs=2, **sizing)
+        assert sim.batch_size == 32 if "batch_limit" in sizing else sim.batch_size < 32
+        self._assert_same_run(sim, real, trainer)
+
+    @pytest.mark.parametrize("sizing", [{"batch_limit": 32}, {"memory_budget": 14 * MB}])
+    def test_ll_simulation_matches_trainer_ledger(self, tiny_dataset, sizing):
+        trainer = LocalLearningTrainer(
+            _small_model(), tiny_dataset, classic_filters=256,
+            memory_budget=sizing.get("memory_budget"),
+        )
+        real = trainer.train(epochs=1, batch_limit=sizing.get("batch_limit", 256))
+        sim = simulate_classic_ll(
+            _small_model(), tiny_dataset.spec, AGX_ORIN, epochs=1, **sizing
+        )
+        assert sim.batch_size == 32 if "batch_limit" in sizing else sim.batch_size < 32
+        self._assert_same_run(sim, real, trainer)
+
+    @pytest.mark.parametrize("adaptive_batch", [True, False])
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("budget_mb", [3, 8])
+    def test_neuroflux_simulation_matches_run_ledger(
+        self, tiny_dataset, budget_mb, use_cache, adaptive_batch
+    ):
+        """Same plan, same ledger.  ``cache_io`` (and the total it feeds)
+        agree to 1e-3 only: ``ActivationStore.write`` charges the ``.npz``
+        container bytes, which the closed form cannot know."""
+        system = NeuroFlux(
+            _small_model(),
+            tiny_dataset,
+            memory_budget=budget_mb * MB,
+            config=NeuroFluxConfig(
+                batch_limit=64, seed=0, use_cache=use_cache, adaptive_batch=adaptive_batch
+            ),
+        )
+        real = system.run(2)
+        sim = simulate_neuroflux(
+            _small_model(), tiny_dataset.spec, AGX_ORIN, 2, budget_mb * MB,
+            batch_limit=64, use_cache=use_cache, adaptive_batch=adaptive_batch,
+        )
+        assert [(b.layer_indices, b.batch_size) for b in sim.blocks] == [
+            (b.layer_indices, b.batch_size) for b in real.blocks
+        ]
+        # 3 MiB splits the model (batch 45 then 64); 8 MiB holds it whole.
+        assert len(sim.blocks) == (2 if budget_mb == 3 else 1)
+        _assert_ledgers_agree(sim.ledger, real.result.ledger, cache_io_rel=1e-3)
+        if use_cache and len(sim.blocks) > 1:
+            assert sim.ledger.cache_io > 0
 
 
 class TestSimulatedShapes:
