@@ -21,8 +21,15 @@ verdict:
 ``resolved-worse``   the same with the sides swapped;
 ``unresolved``       anything else.
 
+The metrics of ``EXACT_METRICS`` (``peak_rss_mb``) repeat to a fraction of
+a percent on this host, so they also resolve from ``EXACT_MIN_PAIRS``
+pairs: when one side wins *every* pair and the medians differ by more
+than ``EXACT_MIN_DELTA`` (2 %).
+
 Exit code 1 when any repetition failed (crash, time-out, output check),
-2 on a usage or git error.  Worktrees are removed on the way out.
+2 on a usage or git error, 3 when an exact metric resolved worse (a
+memory regression is a finding, not noise).  Worktrees are removed on
+the way out.
 """
 
 from __future__ import annotations
@@ -38,6 +45,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Below this many pairs nothing is resolved, whatever the wins.
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+#: Exact to ~0.1 % run to run (``benchmarks/e2e/README.md``, Host noise):
+#: a few unanimous pairs resolve them.  Time metrics never qualify.
+EXACT_METRICS = frozenset({"peak_rss_mb"})
+EXACT_MIN_PAIRS = 3
+EXACT_MIN_DELTA = 0.02
 #: Host seconds allowed on top of ``--seconds`` for one ``run.py`` call.
 RUN_GRACE_S = 300.0
 
@@ -61,25 +73,29 @@ def count_wins(parent: list[float], change: list[float], better: str) -> tuple[i
     return wins, losses
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> str:
+def verdict(parent: list[float], change: list[float], better: str,
+            exact: bool = False) -> str:
     """The house rule on paired samples of one metric.
 
     ``parent[i]`` and ``change[i]`` are the two sides of pair ``i``;
-    ``better`` is ``"lower"`` or ``"higher"``.
+    ``better`` is ``"lower"`` or ``"higher"``; ``exact`` marks a metric
+    of ``EXACT_METRICS``, which may also resolve from a few unanimous
+    pairs.
     """
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of samples per side")
     n = len(parent)
-    if n < MIN_PAIRS:
-        return "unresolved"
     wins, losses = count_wins(parent, change, better)
     q1, parent_median, q3 = quartiles(parent)
     delta = statistics.median(change) - parent_median
-    if abs(delta) <= q3 - q1:
-        return "unresolved"
     improved = delta < 0 if better == "lower" else delta > 0
+    if (exact and n >= EXACT_MIN_PAIRS and (wins if improved else losses) == n
+            and abs(delta) > EXACT_MIN_DELTA * abs(parent_median)):
+        return "resolved-better" if improved else "resolved-worse"
+    if n < MIN_PAIRS or abs(delta) <= q3 - q1:
+        return "unresolved"
     if improved and wins >= WIN_SHARE * n:
         return "resolved-better"
     if not improved and losses >= WIN_SHARE * n:
@@ -132,8 +148,19 @@ def metric_directions() -> dict[str, str]:
         return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
+def exact_regressions(samples: dict[str, dict[str, list[float]]],
+                      directions: dict[str, str]) -> list[str]:
+    """The exact metrics that resolved worse: what exit code 3 reports."""
+    return sorted(
+        name for name in EXACT_METRICS & samples["parent"].keys() & directions.keys()
+        if verdict(samples["parent"][name], samples["change"][name],
+                   directions[name], exact=True) == "resolved-worse"
+    )
+
+
 def format_table(workload: str, samples: dict[str, dict[str, list[float]]],
                  directions: dict[str, str]) -> str:
+    """The printed table; its last column is :func:`verdict` per metric."""
     head = (f"{'metric':<13}{'better':<8}{'pairs':>6}{'wins':>6}"
             f"{'parent med':>12}{'q1':>10}{'q3':>10}"
             f"{'change med':>12}{'q1':>10}{'q3':>10}{'chg/par':>9}  verdict")
@@ -149,7 +176,7 @@ def format_table(workload: str, samples: dict[str, dict[str, list[float]]],
         lines.append(
             f"{name:<13}{better:<8}{len(parent):>6}{wins:>6}"
             f"{pm:>12.4g}{p1:>10.4g}{p3:>10.4g}{cm:>12.4g}{c1:>10.4g}{c3:>10.4g}"
-            f"{ratio:>9.3f}  {verdict(parent, change, better)}"
+            f"{ratio:>9.3f}  {verdict(parent, change, better, name in EXACT_METRICS)}"
         )
     return "\n".join(lines)
 
@@ -202,6 +229,10 @@ def main(argv=None) -> int:
     if failures:
         print(f"{failures} failed repetition(s)", file=sys.stderr)
         return 1
+    worse = exact_regressions(samples, directions)
+    if worse:
+        print(f"exact metric(s) resolved worse: {', '.join(worse)}", file=sys.stderr)
+        return 3
     return 0
 
 

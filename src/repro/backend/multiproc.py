@@ -202,9 +202,8 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
     workers = []
     for block in stage_blocks:
         worker = system._build_worker(block, sim)
-        for spec, aux in zip(worker.layer_specs, worker.aux_heads):
-            spec.module.train()
-            aux.train()
+        for unit in worker.units:
+            unit.train()
         workers.append((block, worker))
     stats = {block.index: [0, 0.0] for block, _ in workers}
     host = {"busy_s": 0.0, "wait_s": 0.0}
@@ -265,8 +264,8 @@ def _load_state(module, payload: tuple) -> None:
 
 
 def _stage_worker(system, stage_id, stage_blocks, mb, epochs, inlink, outlink, result_q):
-    """Child-process entry: train (on the workspaces the run frame
-    attached before the fork), then ship trained weights upstream."""
+    """Child-process entry: train (each stage's workers attach their own
+    workspaces, after the fork), then ship trained weights upstream."""
     try:
         layers = [i for b in stage_blocks for i in b.layer_indices]
         payload = {

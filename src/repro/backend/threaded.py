@@ -17,16 +17,13 @@ conservative per-core cache share, then shrunk (never below
 amortize a dispatch -- and every problem when the pool has one thread,
 e.g. on a 1-core host -- short-circuit to plain ``np.matmul``.
 
-Per-thread scratch: tiles never allocate, but the batch-sliced scatter
-helper (``map_slices``, used by the threaded col2im path) hands each
-worker thread its own :class:`~repro.perf.workspace.Workspace` so the
-PR 2 buffer-reuse discipline extends across the pool without sharing
-(the pools are thread-local; no cross-thread buffer traffic, no locks).
+Tiles never allocate; the batch-sliced scatter helper (``map_slices``,
+used by the threaded col2im path) hands each worker thread a disjoint
+batch range of the caller's target, so it needs no scratch either.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -36,7 +33,6 @@ from repro.backend.base import ArrayBackend
 from repro.backend.blas import usable_cores
 from repro.backend.registry import register_array_backend
 from repro.errors import ConfigError
-from repro.perf.workspace import Workspace
 
 #: Per-tile cache budget: half of a typical 1 MiB L2, leaving room for
 #: the shared right operand's streaming working set.
@@ -65,7 +61,6 @@ class ThreadedBackend(ArrayBackend):
             if self.threads > 1
             else None
         )
-        self._tls = threading.local()
 
     @property
     def parallel(self) -> bool:  # type: ignore[override]
@@ -120,14 +115,6 @@ class ThreadedBackend(ArrayBackend):
         ]
         for f in futures:
             f.result()
-
-    def thread_workspace(self) -> Workspace:
-        """This thread's private scratch workspace (created on first use)."""
-        ws = getattr(self._tls, "workspace", None)
-        if ws is None:
-            ws = Workspace()
-            self._tls.workspace = ws
-        return ws
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

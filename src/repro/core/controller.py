@@ -48,14 +48,22 @@ from repro.models.base import ConvNet
 from repro.nn import make_optimizer
 from repro.obs.trace import active_tracer
 from repro.parallel.cluster import Cluster, Device, DeviceContext
-from repro.perf import BufferPool
 from repro.training.common import HistoryPoint, TrainResult, evaluate_classifier
 from repro.utils.rng import spawn_rng
 
 
-def _eval_forward(spec, feats: np.ndarray) -> np.ndarray:
+def _eval_forward(spec, feats: np.ndarray, chunk: int) -> np.ndarray:
+    """Eval-mode forward of one stage, ``chunk`` rows at a time: the
+    batch the device trains at, so evaluation never asks the stage's
+    workspace for more than a training step does (eval-mode layers are
+    per-sample, so the rows are the one-batch result's, bit for bit)."""
     spec.module.eval()
-    feats = spec.module.forward(feats)
+    feats = np.concatenate(
+        [
+            spec.module.forward(feats[start : start + chunk])
+            for start in range(0, len(feats), chunk)
+        ]
+    )
     spec.module.train()
     return feats
 
@@ -70,7 +78,9 @@ class _HistoryRecorder(Callback):
     executor reaches it as an ``on_epoch_end`` subscriber: all blocks
     are still training, so each point forwards the whole chain, and the
     shared ``metrics`` dict is enriched in place so callbacks later in
-    the list observe ``accuracy`` too.
+    the list observe ``accuracy`` too.  Either way the subset is
+    evaluated ``chunk`` rows at a time -- the batch those layers train
+    at (the block's own, or the pipeline's micro-batch).
     """
 
     def __init__(self, system: "NeuroFlux", result: TrainResult):
@@ -81,24 +91,32 @@ class _HistoryRecorder(Callback):
         self.labels = system.data.y_val[:n_eval]
         self.best_acc = 0.0
 
-    def record(self, time_s: float, epoch: int, loss: float, specs) -> float:
+    def record(
+        self, time_s: float, epoch: int, loss: float, specs, chunk: int
+    ) -> float:
         feats = self.feats
         for spec in specs:
-            feats = _eval_forward(spec, feats)
-            acc = self.system._exit_accuracy(feats, self.labels, spec.index)
+            feats = _eval_forward(spec, feats, chunk)
+            acc = self.system._exit_accuracy(feats, self.labels, spec.index, chunk)
             self.best_acc = max(self.best_acc, acc)
         self.result.history.append(
             HistoryPoint(time_s, epoch + 1, self.best_acc, loss, "val")
         )
         return self.best_acc
 
-    def advance(self, specs) -> None:
+    def advance(self, specs, chunk: int) -> None:
         for spec in specs:
-            self.feats = _eval_forward(spec, self.feats)
+            self.feats = _eval_forward(spec, self.feats, chunk)
 
     def on_epoch_end(self, epoch: int, time_s: float, metrics: dict) -> None:
+        # Only the pipelined frame subscribes; its batch size is the
+        # micro-batch every block trains at.
         metrics["accuracy"] = self.record(
-            time_s, epoch, metrics.get("loss", float("nan")), self.system.specs
+            time_s,
+            epoch,
+            metrics.get("loss", float("nan")),
+            self.system.specs,
+            self.result.batch_size,
         )
 
 
@@ -226,18 +244,11 @@ class NeuroFlux:
                 )
                 yield x, y
 
-    def _attach_workspaces(self) -> None:
-        """One buffer pool for the whole run: block workers, aux heads and
-        the cached-forward passes all reuse the same per-step scratch."""
-        ws_pool = BufferPool()
-        self.model.attach_workspace(ws_pool)
-        for aux in self.aux_heads:
-            aux.attach_workspace(ws_pool)
-
-    def _detach_workspaces(self) -> None:
-        self.model.detach_workspace()
-        for aux in self.aux_heads:
-            aux.detach_workspace()
+    def _release_workspaces(self, units=None) -> None:
+        """Drop the scratch workspaces of ``units`` (default: of every
+        layer and head), and with them every host byte they hold."""
+        for unit in (self.model, *self.aux_heads) if units is None else units:
+            unit.detach_workspace()
 
     def _charge_profiling(
         self,
@@ -259,7 +270,11 @@ class NeuroFlux:
         return seconds
 
     def _build_worker(self, block: Block, sim: ExecutionSimulator) -> BlockWorker:
-        """The block's trainer: one optimizer per member unit, one device."""
+        """The block's trainer: one optimizer per member unit, one device
+        and -- the host twin of ``ctx.alloc_block`` -- scratch workspaces
+        on exactly the units it trains.  They stay resident until
+        :meth:`_release_workspaces`: as long as the block trains in the
+        block loop, for the run where blocks train concurrently."""
         cfg = self.config
         optimizers = [
             make_optimizer(
@@ -276,7 +291,7 @@ class NeuroFlux:
             from repro.backend.bf16 import Bf16WeightOptimizer
 
             optimizers = [Bf16WeightOptimizer(opt) for opt in optimizers]
-        return BlockWorker(
+        worker = BlockWorker(
             [self.specs[i] for i in block.layer_indices],
             [self.aux_heads[i] for i in block.layer_indices],
             optimizers,
@@ -284,6 +299,9 @@ class NeuroFlux:
             sample_bytes=self.data.spec.sample_bytes,
             backward_multiplier=cfg.backward_multiplier,
         )
+        for unit in worker.units:
+            unit.attach_workspace()
+        return worker
 
     def _block_residency_bytes(self, block: Block, batch_size: int | None = None) -> int:
         """Peak working set of training this block (worst member layer) at
@@ -296,10 +314,12 @@ class NeuroFlux:
             self.config.optimizer,
         )
 
-    def _exit_accuracy(self, feats: np.ndarray, y: np.ndarray, layer_index: int) -> float:
+    def _exit_accuracy(
+        self, feats: np.ndarray, y: np.ndarray, layer_index: int, chunk: int
+    ) -> float:
         aux = self.aux_heads[layer_index]
         aux.eval()
-        acc = evaluate_classifier(aux.forward, feats, y)
+        acc = evaluate_classifier(aux.forward, feats, y, batch_size=chunk)
         aux.train()
         return acc
 
@@ -333,11 +353,12 @@ class NeuroFlux:
         """Everything around the training itself, once for all schedules.
 
         Takes a finished :meth:`plan` (a budget that cannot be partitioned
-        fails before anything is acquired), attaches workspaces, books
-        profiling, builds the report and history recorder, yields a
-        :class:`_RunFrame` to train inside, then reads the device
-        ledgers; the one ``finally`` releases whatever was acquired, on
-        every path, and the exit is selected on the released system.
+        fails before anything is acquired), books profiling, builds the
+        report and history recorder, yields a :class:`_RunFrame` to train
+        inside, then reads the device ledgers; the one ``finally``
+        releases whatever was acquired -- the workspaces of every worker
+        the schedule built included -- on every path, and the exit is
+        selected on the released system.
         ``ctx`` is absent only for the multiprocess schedule (its devices
         live in the forked stages).  ``sequential`` marks the
         block-at-a-time schedule: blocks hand
@@ -351,7 +372,6 @@ class NeuroFlux:
         tracer = active_tracer() if sequential else None
         store = ActivationStore(self.config.cache_dir) if sequential else None
         try:
-            self._attach_workspaces()
             if tracer is not None:
                 ctx.attach_tracer(tracer)
             result = TrainResult(
@@ -381,7 +401,7 @@ class NeuroFlux:
             if store is not None:
                 report.cache_bytes_written = store.bytes_written
         finally:
-            self._detach_workspaces()
+            self._release_workspaces()
             if ctx is not None:
                 ctx.release()
                 if tracer is not None:
@@ -390,8 +410,7 @@ class NeuroFlux:
                     ctx.detach_tracer()
             if store is not None:
                 store.close()
-        # Exit selection needs none of the run's resources; through a
-        # still-attached buffer pool it would pin full-val-set scratch.
+        # Exit selection needs none of the run's resources.
         self._finalize_exits(report)
 
     # -- the whole pipeline (steps 0-4) ---------------------------------------
@@ -530,7 +549,7 @@ class NeuroFlux:
                     # device that actually hosts it now.
                     sim = ctx.sim_for_block(block.index)
                     best_acc = history.record(
-                        ctx.elapsed, epoch, mean_loss, block_specs
+                        ctx.elapsed, epoch, mean_loss, block_specs, block.batch_size
                     )
                     cbs.on_epoch_end(
                         epoch,
@@ -565,8 +584,10 @@ class NeuroFlux:
                 if block.index > 0 and cfg.use_cache:
                     store.clear_block(block.index - 1)
 
-                history.advance(block_specs)
+                history.advance(block_specs, block.batch_size)
                 ctx.free_block(block.index)
+                # Nothing of this block stays resident on the host either.
+                self._release_workspaces(worker.units)
 
                 report.block_reports.append(
                     BlockReport(
@@ -586,15 +607,29 @@ class NeuroFlux:
 
     def _finalize_exits(self, report: NeuroFluxReport) -> None:
         """§4: evaluate every layer as an exit point on the full val set
-        and select the output model."""
-        feats = self.data.x_val
-        candidates = []
-        accuracies = []
+        and select the output model.
+
+        The sets are streamed through the stage chain at the plan's
+        smallest block batch -- one every block fits its budget at -- so
+        no layer ever sees (and the host never holds) a full-set
+        activation; only the heads' logits are collected.
+        """
+        chunk = min(b.batch_size for b in report.blocks)
+        x, y = self.data.x_val, self.data.y_val
         for spec, aux in zip(self.specs, self.aux_heads):
             spec.module.eval()
-            feats = spec.module.forward(feats)
-            acc = self._exit_accuracy(feats, self.data.y_val, spec.index)
-            accuracies.append(acc)
+            aux.eval()
+        logits = [[] for _ in self.specs]
+        for start in range(0, len(x), chunk):
+            feats = x[start : start + chunk]
+            for spec, aux, rows in zip(self.specs, self.aux_heads, logits):
+                feats = spec.module.forward(feats)
+                rows.append(aux.forward(feats))
+        for aux in self.aux_heads:
+            aux.train()
+        candidates = []
+        for spec, aux, rows in zip(self.specs, self.aux_heads, logits):
+            acc = evaluate_classifier(lambda z: z, np.concatenate(rows), y)
             stages = [s.module for s in self.specs[: spec.index + 1]]
             candidates.append(
                 ExitCandidate(
@@ -603,7 +638,7 @@ class NeuroFlux:
                     num_parameters=exit_model_parameters(stages, aux),
                 )
             )
-        report.layer_val_accuracies = accuracies
+        report.layer_val_accuracies = [c.val_accuracy for c in candidates]
         chosen = select_exit(candidates, tolerance=self.config.exit_tolerance)
         report.exit_layer = chosen.layer_index
         report.exit_params = chosen.num_parameters
@@ -611,7 +646,7 @@ class NeuroFlux:
 
         exit_model = self.build_exit_model(chosen.layer_index)
         report.exit_test_accuracy = evaluate_classifier(
-            exit_model.forward, self.data.x_test, self.data.y_test
+            exit_model.forward, self.data.x_test, self.data.y_test, batch_size=chunk
         )
         report.result.final_accuracy = report.exit_test_accuracy
 

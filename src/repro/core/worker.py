@@ -93,6 +93,11 @@ class BlockWorker:
         return total
 
     @property
+    def units(self) -> list[Module]:
+        """Every module this worker trains: its layers, then their heads."""
+        return [spec.module for spec in self.layer_specs] + list(self.aux_heads)
+
+    @property
     def train_flops_per_sample(self) -> int:
         return self._train_flops_per_sample
 
@@ -153,10 +158,8 @@ class BlockWorker:
         migration; later batches charge the new device).  ``block_index``
         labels the emitted :class:`BatchInfo`.
         """
-        for spec in self.layer_specs:
-            spec.module.train()
-        for aux in self.aux_heads:
-            aux.train()
+        for unit in self.units:
+            unit.train()
         n_batches = 0
         n_samples = 0
         loss_sum = 0.0

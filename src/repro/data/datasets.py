@@ -96,6 +96,11 @@ def _class_prototypes(spec: DatasetSpec) -> np.ndarray:
     return protos
 
 
+#: Rows of noise drawn at a time, so the float64 draw and its float32
+#: copy stay ~2 MiB at 3x32x32 however large the split is.
+_NOISE_ROWS = 64
+
+
 def _synthesize_split(
     spec: DatasetSpec, protos: np.ndarray, n: int, split: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +113,11 @@ def _synthesize_split(
             dy, dx = shifts[i]
             if dy or dx:
                 x[i] = np.roll(x[i], (int(dy), int(dx)), axis=(1, 2))
-    x += rng.normal(0.0, spec.noise_std, size=x.shape).astype(np.float32)
+    # A ``Generator.normal`` stream is position-exact: the chunked draws
+    # concatenate to the one whole-split draw, value for value.
+    for start in range(0, n, _NOISE_ROWS):
+        rows = x[start : start + _NOISE_ROWS]
+        rows += rng.normal(0.0, spec.noise_std, size=rows.shape).astype(np.float32)
     # Per-dataset standardization (what torchvision transforms would do).
     x -= x.mean()
     x /= x.std() + 1e-8

@@ -7,11 +7,28 @@ engine retains for backward (conv/BN/linear retain their *inputs*, ReLU its
 output, max-pool its indices), plus parameters, gradients, optimizer state
 and the largest transient conv workspace (im2col/implicit-GEMM buffer).
 
-Note the deliberate distinction from the numpy substrate: ``repro.nn``
-caches im2col matrices for speed, but the simulated-GPU numbers model the
-PyTorch/cuDNN retention semantics the paper measured.  All counts assume
-float32; ReLU outputs are retained as float (PyTorch keeps the output
-tensor), dropout masks 1 byte, pooling argmax indices 8 bytes (int64).
+Note the deliberate distinction from the numpy substrate: the
+simulated-GPU numbers model the PyTorch/cuDNN retention semantics the
+paper measured, not what ``repro.nn`` allocates.  What the host holds is
+now of the same kind and order, block by block: while a block trains, its
+units' :class:`~repro.perf.workspace.Workspace` slots -- sized by the
+block's own batch, since evaluation runs at that batch too -- and nothing
+of any other block.  Measured on ``benchmarks/e2e`` ``train_seq_cache``
+(vgg11 x0.25, 8 MiB budget, blocks at batch 20/32/54/186): per-block host
+peaks of 23.8 / 19.6 / 18.5 / 20.8 MiB against a simulated peak of
+8.0 MiB, ratio 2.97, gated by ``tests/test_host_memory.py``.  What the
+model does not explain of the remainder: (1) *every* unit of the block
+keeps its slots (15.1 MiB for block 0's two layers and heads) where
+:func:`repro.core.profiler.block_residency_bytes` counts the worst unit
+alone; (2)
+the slots are im2col lowerings -- an explicit ``cols`` matrix (k*k times
+the input, 4.9 MiB of block 0) plus ``out_mat``/``dmat`` GEMM operands --
+where the model charges retained inputs and one transient workspace; (3)
+layers without workspace support (BatchNorm, ReLU, the NHWC->NCHW output
+copies) allocate fresh temporaries every step, ~8.7 MiB of block 0's
+23.8.  All counts assume float32; ReLU outputs are retained as float
+(PyTorch keeps the output tensor), dropout masks 1 byte, pooling argmax
+indices 8 bytes (int64).
 
 Three training footprints matter for the paper's comparisons (Figure 4):
 

@@ -163,7 +163,11 @@ class Conv2d(Module):
         out_h, out_w = self._out_hw
         m = n * out_h * out_w
         if self._ws is None:
-            dmat = grad_out.transpose(0, 2, 3, 1).reshape(m, self.out_channels)
+            # Contiguous like the workspace path's copy: at batch 1 the
+            # reshape is a strided view, whose bias sum rounds differently.
+            dmat = np.ascontiguousarray(
+                grad_out.transpose(0, 2, 3, 1).reshape(m, self.out_channels)
+            )
             self.weight.grad += backend_matmul(dmat.T, self._cols).reshape(self.weight.data.shape)
         else:
             dmat, _ = self._buf("dmat", (m, self.out_channels), grad_out.dtype)

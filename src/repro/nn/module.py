@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.perf.workspace import BufferPool, Workspace
+from repro.perf.workspace import Workspace
 
 
 class Parameter:
@@ -141,31 +141,29 @@ class Module:
     ) -> tuple[np.ndarray, bool]:
         """A named scratch buffer: workspace-backed when attached, fresh
         otherwise.  ``fresh`` is True whenever the contents are undefined
-        (new allocation or shape change), letting callers amortize
+        (first use, or any shape/dtype change), letting callers amortize
         one-time initialization across steps."""
         if self._ws is not None:
             return self._ws.get(name, shape, dtype)
         return np.empty(shape, dtype), True
 
-    def attach_workspace(self, pool: BufferPool | None = None) -> "Module":
-        """Give self and every descendant a workspace over a shared pool.
+    def attach_workspace(self) -> "Module":
+        """Give self and every descendant its own (empty) workspace.
 
         Layers that support buffer reuse (conv, pooling, linear) then keep
         their per-step scratch -- column matrices, scatter targets, masks --
         alive across steps instead of reallocating.  Results are bitwise
-        unchanged; only allocation behavior differs.
+        unchanged; only allocation behavior differs.  The caller owns the
+        lifetime: the scratch stays resident until :meth:`detach_workspace`.
         """
-        pool = pool if pool is not None else BufferPool()
         for module in self.modules():
-            module._ws = Workspace(pool)
+            module._ws = Workspace()
         return self
 
     def detach_workspace(self) -> "Module":
-        """Release every workspace buffer back to its pool and detach."""
+        """Drop every workspace, and with it every scratch byte held."""
         for module in self.modules():
-            if module._ws is not None:
-                module._ws.release()
-                module._ws = None
+            module._ws = None
         return self
 
     # -- convenience ------------------------------------------------------

@@ -373,9 +373,8 @@ def bench_ll_step(
             model, rule="classic", classic_filters=32, seed=seed, fused=fused
         )
         if fused:
-            pool = model.attach_workspace().workspace.pool
-            for aux in aux_heads:
-                aux.attach_workspace(pool)
+            for module in (model, *aux_heads):
+                module.attach_workspace()
         loss_fn = CrossEntropyLoss()
         optimizers = [
             make_optimizer(

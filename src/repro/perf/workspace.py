@@ -1,116 +1,73 @@
-"""Workspace allocator: reusable scratch buffers for the numpy kernels.
+"""Workspace: reusable, capacity-keyed scratch buffers for the numpy kernels.
 
 The pure-numpy substrate spends a surprising share of each training step
 inside ``malloc``/page-zeroing: every conv forward materializes a fresh
 column matrix, every backward a fresh scatter target, every pooling pass a
-fresh window copy.  None of those arrays outlive the step.  ``BufferPool``
-keeps freed arrays on shape/dtype-keyed free lists so a steady-state
-training loop allocates nothing after the first step, and ``Workspace``
-gives each module a named view onto the pool: a slot keeps its buffer for
-as long as the requested shape stays stable (the common case -- fixed batch
-size), and rotates it through the pool when the shape changes.
+fresh window copy.  None of those arrays outlive the step.  A
+``Workspace`` gives one module named slots that persist across steps, so
+a steady-state loop allocates nothing after its first (largest) batch.
 
-Contract: workspace-backed buffers are *internal scratch*.  Arrays returned
-from ``forward``/``backward`` may alias a workspace slot only where the
-call pattern guarantees the value is consumed before the module runs again
-(the standard forward->backward step structure); everything that escapes a
-step is freshly allocated.
+Contract:
+
+* **Capacity, not shape.**  A slot is a grow-only byte buffer;
+  ``get(name, shape, dtype)`` hands out a *view* over its first bytes.
+  The buffer is reallocated only when a request exceeds its capacity, so
+  a slot holds exactly its largest request: a tail batch, a smaller
+  evaluation chunk or a different dtype re-view the same bytes instead of
+  parking a second buffer.
+* **Views and ``fresh``.**  While ``(shape, dtype)`` holds, ``get``
+  returns the same view object with ``fresh=False`` and the contents the
+  caller left there.  On *every* change of shape or dtype -- growing,
+  shrinking, or coming back to an earlier shape -- it returns a new view
+  with ``fresh=True`` and undefined contents: one-time initialization
+  (zeroed padding borders, the ones column of the fused bias trick) must
+  be redone, because the same bytes were laid out differently in between.
+* **Internal scratch.**  Arrays returned from ``forward``/``backward`` may
+  alias a slot only where the call pattern guarantees the value is
+  consumed before the module runs again (the standard forward->backward
+  step structure); everything that escapes a step is freshly allocated.
+* **Ownership.**  One workspace per module, shared with nothing:
+  ``Module.attach_workspace`` creates them, ``detach_workspace`` drops
+  them and every byte they hold.  Whoever attaches owns the lifetime --
+  the sequential block loop for exactly as long as the block trains, the
+  concurrent schedules and the baseline frame for the run, a
+  ``CascadeRouter`` until the server is torn down.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-def _key(shape: tuple[int, ...], dtype) -> tuple:
-    return (tuple(int(s) for s in shape), np.dtype(dtype).str)
+class Workspace:
+    """Named, persistent, capacity-keyed scratch slots for one module.
 
-
-class BufferPool:
-    """Shape/dtype-keyed free lists of reusable ndarrays.
-
-    ``acquire`` pops a recycled array when an exact shape/dtype match is
-    free, otherwise allocates.  ``release`` returns an array to its free
-    list.  Buffer contents are *not* cleared on either side; callers must
-    fully initialize what they read.
+    ``get(name, shape, dtype)`` returns ``(view, fresh)``; see the module
+    docstring for when ``fresh`` is True.
     """
 
-    __slots__ = ("_free", "hits", "misses", "bytes_allocated")
+    __slots__ = ("_slots",)
 
     def __init__(self) -> None:
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.bytes_allocated = 0
-
-    def acquire(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        stack = self._free.get(_key(shape, dtype))
-        if stack:
-            self.hits += 1
-            return stack.pop()
-        self.misses += 1
-        arr = np.empty(shape, dtype)
-        self.bytes_allocated += arr.nbytes
-        return arr
-
-    def release(self, arr: np.ndarray) -> None:
-        self._free.setdefault(_key(arr.shape, arr.dtype), []).append(arr)
-
-    def clear(self) -> None:
-        """Drop every pooled buffer (frees the memory to the allocator)."""
-        self._free.clear()
-
-    @property
-    def bytes_pooled(self) -> int:
-        """Bytes currently sitting on free lists."""
-        return sum(a.nbytes for stack in self._free.values() for a in stack)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_allocated": self.bytes_allocated,
-            "bytes_pooled": self.bytes_pooled,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BufferPool(hits={self.hits}, misses={self.misses}, "
-            f"allocated={self.bytes_allocated}b)"
-        )
-
-
-class Workspace:
-    """Named, persistent scratch slots for one module, backed by a pool.
-
-    ``get(name, shape, dtype)`` returns ``(buffer, fresh)``: the same array
-    as the previous step while the shape holds (``fresh=False``), or a
-    (possibly recycled) replacement when it changed.  ``fresh`` lets callers
-    amortize one-time initialization -- zeroed padding borders, a ones
-    column for the fused bias trick -- across steps.
-    """
-
-    __slots__ = ("pool", "_slots")
-
-    def __init__(self, pool: BufferPool | None = None):
-        self.pool = pool if pool is not None else BufferPool()
-        self._slots: dict[str, np.ndarray] = {}
+        #: name -> (backing bytes, current view over them)
+        self._slots: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def get(
         self, name: str, shape: tuple[int, ...], dtype=np.float32
     ) -> tuple[np.ndarray, bool]:
-        buf = self._slots.get(name)
-        if (
-            buf is not None
-            and buf.shape == tuple(shape)
-            and buf.dtype == np.dtype(dtype)
-        ):
-            return buf, False
-        if buf is not None:
-            self.pool.release(buf)
-        buf = self.pool.acquire(shape, dtype)
-        self._slots[name] = buf
-        return buf, True
+        shape = tuple(shape)
+        dtype = np.dtype(dtype)
+        raw, view = self._slots.get(name, (None, None))
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view, False
+        nbytes = math.prod(shape) * dtype.itemsize
+        if raw is None or raw.nbytes < nbytes:
+            raw = np.empty(nbytes, np.uint8)
+        view = raw[:nbytes].view(dtype).reshape(shape)
+        self._slots[name] = (raw, view)
+        return view, True
 
     def buf(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """Like :meth:`get` but without the freshness flag."""
@@ -122,14 +79,13 @@ class Workspace:
         buf.fill(0)
         return buf
 
-    def release(self) -> None:
-        """Return every slot to the pool."""
-        for buf in self._slots.values():
-            self.pool.release(buf)
-        self._slots.clear()
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: per slot, the largest request it has served."""
+        return sum(raw.nbytes for raw, _ in self._slots.values())
 
     def __len__(self) -> int:
         return len(self._slots)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Workspace(slots={sorted(self._slots)})"
+        return f"Workspace(slots={sorted(self._slots)}, nbytes={self.nbytes})"

@@ -165,10 +165,10 @@ class CascadeRouter:
         n = len(x)
         model = self.model
         if self._pool_scratch and model.workspace is None:
-            # Serving reruns the same segment shapes for every batch; a
-            # shared buffer pool keeps the im2col/window scratch warm
-            # across requests.  Attached lazily (and only when absent) so
-            # the router never clobbers a pool someone else owns.
+            # Serving reruns the same segments for every batch; workspaces
+            # keep the im2col/window scratch warm across requests, sized
+            # by the largest batch routed.  Attached lazily (and only when
+            # absent) so the router never clobbers one someone else owns.
             model.attach_workspace()
         predictions = np.zeros(n, dtype=np.int64)
         exit_indices = np.zeros(n, dtype=np.int64)

@@ -20,7 +20,6 @@ from repro.hw.platforms import AGX_ORIN, Platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
 from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
-from repro.perf import BufferPool
 from repro.utils.rng import spawn_rng
 
 DEFAULT_BATCH_LIMIT = 256
@@ -222,13 +221,13 @@ class BaselineTrainer:
             num_parameters=self.model.num_parameters()
             + sum(aux.num_parameters() for aux in heads),
         )
-        # One shared buffer pool: per-step scratch (column matrices, GEMM
+        # Workspaces for the run: per-step scratch (column matrices, GEMM
         # outputs, scatter targets) is reused across steps instead of
-        # reallocated.  Results are bitwise unchanged.
-        pool = BufferPool()
+        # reallocated, and evaluation runs at the training batch so it
+        # fits the same slots.  Results are bitwise unchanged.
         try:
             for module in (self.model, *heads):
-                module.attach_workspace(pool)
+                module.attach_workspace()
                 module.train()
             loss = float("nan")
             stop = False
@@ -247,7 +246,9 @@ class BaselineTrainer:
                         stop = True
                         break
                 self.model.eval()
-                val_acc = evaluate_classifier(self.predict_logits, data.x_val, data.y_val)
+                val_acc = evaluate_classifier(
+                    self.predict_logits, data.x_val, data.y_val, batch_size
+                )
                 self.model.train()
                 result.history.append(
                     HistoryPoint(sim.elapsed, epoch + 1, val_acc, loss, "val")
@@ -256,7 +257,7 @@ class BaselineTrainer:
                     break
             self.model.eval()
             result.final_accuracy = evaluate_classifier(
-                self.predict_logits, data.x_test, data.y_test
+                self.predict_logits, data.x_test, data.y_test, batch_size
             )
         finally:
             for module in (self.model, *heads):

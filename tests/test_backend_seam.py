@@ -204,23 +204,6 @@ class TestThreadedBackend:
         finally:
             backend.close()
 
-    def test_thread_workspace_private_per_thread(self):
-        backend = ThreadedBackend(threads=2)
-        try:
-            main_ws = backend.thread_workspace()
-            assert backend.thread_workspace() is main_ws  # cached
-            other = {}
-
-            def grab():
-                other["ws"] = backend.thread_workspace()
-
-            t = threading.Thread(target=grab)
-            t.start()
-            t.join()
-            assert other["ws"] is not main_ws
-        finally:
-            backend.close()
-
     def test_describe(self):
         backend = ThreadedBackend(threads=2)
         try:

@@ -68,6 +68,47 @@ def test_fewer_than_ten_pairs_resolve_nothing():
     assert verdict([4.0], [1.0], "lower") == "unresolved"
 
 
+def test_exact_metric_resolves_from_three_unanimous_pairs():
+    # PR 18's unclaimed 260 -> 207 MiB read "unresolved" at five pairs.
+    parent, change = [260.5, 260.4, 260.6], [207.3, 207.4, 207.3]
+    assert verdict(parent, change, "lower") == "unresolved"  # a time metric would be
+    assert verdict(parent, change, "lower", exact=True) == "resolved-better"
+    assert verdict(change, parent, "lower", exact=True) == "resolved-worse"
+    assert verdict(parent[:2], change[:2], "lower", exact=True) == "unresolved"
+
+
+def test_exact_metric_needs_every_pair_and_two_percent():
+    parent = [100.0, 100.0, 100.0, 100.0]
+    # One tie or one loss among the pairs: not unanimous.
+    assert verdict(parent, [90.0, 90.0, 90.0, 100.0], "lower", exact=True) == "unresolved"
+    assert verdict(parent, [90.0, 90.0, 90.0, 101.0], "lower", exact=True) == "unresolved"
+    # Unanimous, but inside 2 % of the parent's median.
+    assert verdict(parent, [98.5] * 4, "lower", exact=True) == "unresolved"
+    assert verdict(parent, [97.5] * 4, "lower", exact=True) == "resolved-better"
+    assert verdict(parent, [102.5] * 4, "lower", exact=True) == "resolved-worse"
+
+
+def test_exact_metric_still_resolves_by_the_ten_pair_rule():
+    # 0.5 % apart: too close for the short rule, resolved by the long one.
+    assert verdict([96.0] * 10, [95.5] * 10, "lower", exact=True) == "resolved-better"
+    # Nine of ten: not unanimous, but the house rule accepts it.
+    nine = [p / 2 for p in PARENT[:9]] + [PARENT[9] * 2]
+    assert verdict(PARENT, nine, "lower", exact=True) == "resolved-better"
+
+
+def test_only_a_worse_exact_metric_is_reported_as_a_regression():
+    directions = {"wall_s": "lower", "peak_rss_mb": "lower"}
+    slower = {"wall_s": [p * 2 for p in PARENT], "peak_rss_mb": [96.0] * 10}
+    fatter = {"wall_s": PARENT, "peak_rss_mb": [207.0, 207.1, 206.9]}
+    base = {"wall_s": PARENT, "peak_rss_mb": [96.0] * 10}
+    assert compare_revs.exact_regressions({"parent": base, "change": slower}, directions) == []
+    lean = {"wall_s": PARENT, "peak_rss_mb": [85.8, 85.7, 85.8]}
+    assert compare_revs.exact_regressions(
+        {"parent": lean, "change": fatter}, directions
+    ) == ["peak_rss_mb"]
+    assert compare_revs.exact_regressions({"parent": fatter, "change": lean}, directions) == []
+
+
 def test_malformed_samples_are_rejected():
     with pytest.raises(ValueError):
         verdict([1.0, 2.0], [1.0], "lower")
@@ -90,3 +131,13 @@ def test_table_lists_every_metric_with_its_verdict():
     assert rows[2].split()[:4] == ["wall_s", "lower", "10", "10"]
     assert rows[2].endswith("resolved-better")
     assert rows[3].endswith("unresolved")
+    # The table applies the exact rule to peak_rss_mb and only to it.
+    three = {
+        "parent": {"wall_s": [4.0, 4.1, 4.2], "peak_rss_mb": [207.4, 207.3, 207.4]},
+        "change": {"wall_s": [2.0, 2.1, 2.2], "peak_rss_mb": [85.8, 85.7, 85.8]},
+    }
+    rows = compare_revs.format_table(
+        "train_seq_cache", three, {"wall_s": "lower", "peak_rss_mb": "lower"}
+    ).splitlines()
+    assert rows[2].endswith("unresolved")
+    assert rows[3].endswith("resolved-better")

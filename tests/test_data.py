@@ -100,6 +100,38 @@ class TestSynthesis:
         acc = (np.argmin(d2, axis=1) == data.y_test).mean()
         assert acc > 0.5  # chance is 0.25
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DatasetSpec("chunks-a", 3, (8, 8), 3, 150, 70, 65, noise_std=0.3, seed=5),
+            DatasetSpec("chunks-b", 4, (6, 10), 1, 130, 129, 65, max_shift=0, seed=11),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_chunked_noise_equals_the_one_shot_draw(self, spec):
+        """Noise is drawn ``_NOISE_ROWS`` rows at a time; with a chunk
+        boundary inside the split (mid-split and at its last row) every
+        value equals the single whole-split draw's."""
+        from repro.data import datasets
+
+        data = spec.materialize()
+        protos = datasets._class_prototypes(spec)
+        for split, n in (("train", spec.n_train), ("val", spec.n_val), ("test", spec.n_test)):
+            rng = spawn_rng(spec.seed, spec.name, split)
+            labels = rng.integers(0, spec.num_classes, size=n).astype(np.int64)
+            x = protos[labels].copy()
+            if spec.max_shift > 0:
+                shifts = rng.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
+                for i, (dy, dx) in enumerate(shifts):
+                    x[i] = np.roll(x[i], (int(dy), int(dx)), axis=(1, 2))
+            x += rng.normal(0.0, spec.noise_std, size=x.shape).astype(np.float32)
+            x -= x.mean()
+            x /= x.std() + 1e-8
+            # A boundary inside the split, and a partial last chunk.
+            assert n > datasets._NOISE_ROWS and n % datasets._NOISE_ROWS
+            np.testing.assert_array_equal(getattr(data, f"x_{split}"), x)
+            np.testing.assert_array_equal(getattr(data, f"y_{split}"), labels)
+
     def test_nbytes_positive(self, data):
         assert data.nbytes > 0
 

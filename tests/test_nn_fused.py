@@ -28,7 +28,6 @@ from repro.nn.functional import (
     sliding_windows,
 )
 from repro.nn.pooling import _scatter_windows
-from repro.perf import BufferPool
 from repro.utils.rng import spawn_rng
 
 # Geometry strategy: small but varied conv shapes.
@@ -67,7 +66,7 @@ class TestFusedConvMatchesUnfused:
         )
         fz = Conv2d(
             **kwargs, rng=np.random.default_rng(5), fused=True, activation=act
-        ).attach_workspace(BufferPool())
+        ).attach_workspace()
         rng = spawn_rng(0, "fused-conv")
         for _ in range(2):  # second round exercises warm workspace buffers
             x = rng.normal(size=(n, cin, h, w)).astype(np.float32)

@@ -1,45 +1,17 @@
-"""Tests for repro.perf: BufferPool, Workspace, and module attachment."""
+"""Tests for repro.perf: the capacity-keyed Workspace and module attachment."""
 
 import numpy as np
 import pytest
 from helpers import BASELINE_TRAINERS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.auxiliary import AuxiliaryHead
+from repro.models.layers import conv_unit
 from repro.models.zoo import build_model
-from repro.nn import Conv2d, Sequential
-from repro.perf import BufferPool, Workspace
-
-
-class TestBufferPool:
-    def test_acquire_allocates_then_recycles(self):
-        pool = BufferPool()
-        a = pool.acquire((4, 3), np.float32)
-        assert a.shape == (4, 3) and a.dtype == np.float32
-        assert pool.misses == 1 and pool.hits == 0
-        pool.release(a)
-        b = pool.acquire((4, 3), np.float32)
-        assert b is a
-        assert pool.hits == 1
-
-    def test_shape_and_dtype_keyed(self):
-        pool = BufferPool()
-        a = pool.acquire((4, 3), np.float32)
-        pool.release(a)
-        assert pool.acquire((3, 4), np.float32) is not a
-        assert pool.acquire((4, 3), np.float64) is not a
-
-    def test_bytes_accounting(self):
-        pool = BufferPool()
-        a = pool.acquire((8,), np.float32)
-        assert pool.bytes_allocated == 32
-        assert pool.bytes_pooled == 0
-        pool.release(a)
-        assert pool.bytes_pooled == 32
-        pool.clear()
-        assert pool.bytes_pooled == 0
-
-    def test_stats_keys(self):
-        stats = BufferPool().stats()
-        assert set(stats) == {"hits", "misses", "bytes_allocated", "bytes_pooled"}
+from repro.nn import Conv2d, CrossEntropyLoss, Sequential
+from repro.nn.module import run_backward
+from repro.perf import Workspace
 
 
 class TestWorkspace:
@@ -49,16 +21,71 @@ class TestWorkspace:
         b, fresh_b = ws.get("x", (2, 2), np.float32)
         assert a is b
         assert fresh_a and not fresh_b
+        a[...] = 7  # contents persist with the view
+        assert ws.get("x", (2, 2), np.float32)[0].sum() == 28
 
-    def test_slot_rotates_on_shape_change(self):
-        pool = BufferPool()
-        ws = Workspace(pool)
-        a, _ = ws.get("x", (2, 2), np.float32)
-        b, fresh = ws.get("x", (3, 3), np.float32)
-        assert fresh and b.shape == (3, 3)
-        # The old buffer went back to the pool and is reused on re-request.
-        c, _ = ws.get("y", (2, 2), np.float32)
-        assert c is a
+    def test_every_shape_or_dtype_change_is_fresh(self):
+        ws = Workspace()
+        seen = []
+        for shape, dtype in [
+            ((4, 4), np.float32),  # first use
+            ((2, 4), np.float32),  # shrink
+            ((4, 4), np.float32),  # back to an earlier shape
+            ((16,), np.float32),  # same bytes, other layout
+            ((16,), np.int32),  # same layout, other dtype
+            ((5, 5), np.float32),  # grow
+        ]:
+            view, fresh = ws.get("x", shape, dtype)
+            assert fresh
+            assert view.shape == shape and view.dtype == dtype
+            assert view.flags.c_contiguous and view.flags.writeable
+            assert not any(view is old for old in seen)
+            assert ws.get("x", shape, dtype)[1] is False
+            seen.append(view)
+
+    def test_growing_reallocates_once_and_shrinking_never(self):
+        ws = Workspace()
+        small, _ = ws.get("x", (8,), np.float32)
+        assert ws.nbytes == 32
+        big, _ = ws.get("x", (20,), np.float32)
+        assert ws.nbytes == 80
+        assert not np.shares_memory(small, big)  # the one reallocation
+        for n in (12, 20, 1, 19, 20):
+            view, _ = ws.get("x", (n,), np.float32)
+            assert np.shares_memory(view, big)  # same bytes ever after
+            assert ws.nbytes == 80
+
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.integers(0, 40),
+                st.sampled_from([np.float32, np.float64, np.bool_, np.int64]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_nbytes_is_the_largest_request_per_slot(self, requests):
+        ws = Workspace()
+        largest: dict[str, int] = {}
+        held = 0
+        for name, n, dtype in requests:
+            view, _ = ws.get(name, (n, 3), dtype)
+            assert view.nbytes == n * 3 * np.dtype(dtype).itemsize
+            largest[name] = max(largest.get(name, 0), view.nbytes)
+            assert ws.nbytes >= held  # non-decreasing in requests
+            held = ws.nbytes
+            assert held == sum(largest.values())
+        assert len(ws) == len(largest)
+
+    def test_slots_do_not_alias_each_other(self):
+        ws = Workspace()
+        a = ws.buf("a", (4,), np.float32)
+        b = ws.buf("b", (4,), np.float32)
+        assert not np.shares_memory(a, b)
+        assert len(ws) == 2 and ws.nbytes == 32
 
     def test_zeros_clears_every_call(self):
         ws = Workspace()
@@ -66,25 +93,93 @@ class TestWorkspace:
         a += 5
         assert ws.zeros("z", (3,), np.float32).sum() == 0
 
-    def test_release_returns_slots_to_pool(self):
-        pool = BufferPool()
-        ws = Workspace(pool)
-        ws.buf("a", (4,), np.float32)
-        ws.buf("b", (4,), np.float32)
-        assert len(ws) == 2
-        ws.release()
-        assert len(ws) == 0
-        assert pool.bytes_pooled == 32
+
+def _twin_units(fused: bool, batch_norm: bool):
+    """A pooled ``conv_unit`` + ``AuxiliaryHead`` and an unpooled twin."""
+    twins = []
+    for _ in range(2):
+        unit = conv_unit(
+            3, 4, batch_norm=batch_norm, fused=fused, pool=2,
+            rng=np.random.default_rng(1),
+        )
+        head = AuxiliaryHead(
+            4, 5, 3, (4, 4), kernel_size=3, rng=np.random.default_rng(2), fused=fused
+        )
+        twins.append((unit, head))
+    for module in twins[0]:
+        module.attach_workspace()
+    return twins
 
 
 class TestModuleAttachment:
     def test_attach_detach_walks_children(self):
         model = build_model("vgg11", width_multiplier=0.125, input_hw=(8, 8))
         model.attach_workspace()
-        pools = {m.workspace.pool for m in model.modules()}
-        assert len(pools) == 1  # one shared pool
+        spaces = [m.workspace for m in model.modules()]
+        assert all(ws is not None for ws in spaces)
+        assert len({id(ws) for ws in spaces}) == len(spaces)  # one each, unshared
+        model.forward(np.zeros((2, 3, 8, 8), np.float32))
+        assert sum(ws.nbytes for ws in spaces) > 0
         model.detach_workspace()
         assert all(m.workspace is None for m in model.modules())
+
+    def test_padded_conv_survives_a_smaller_batch_in_between(self):
+        """20 -> 12 -> 20 re-views the same bytes twice; a padding border
+        not re-zeroed after either change would show in the output."""
+        rng = np.random.default_rng(0)
+        plain = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(1))
+        pooled = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(1))
+        pooled.attach_workspace()
+        for n in (20, 12, 20):
+            x = rng.standard_normal((n, 3, 8, 8)).astype(np.float32) + 3.0
+            g = rng.standard_normal((n, 4, 8, 8)).astype(np.float32)
+            np.testing.assert_array_equal(plain.forward(x), pooled.forward(x))
+            plain.zero_grad()
+            pooled.zero_grad()
+            np.testing.assert_array_equal(plain.backward(g), pooled.backward(g))
+            np.testing.assert_array_equal(plain.weight.grad, pooled.weight.grad)
+            np.testing.assert_array_equal(plain.bias.grad, pooled.bias.grad)
+
+    @pytest.mark.parametrize(
+        "fused,batch_norm", [(False, True), (True, True), (True, False)]
+    )
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=8
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_unit_and_head_match_unpooled_twin_over_any_batch_sequence(
+        self, fused, batch_norm, steps
+    ):
+        """Random batch sizes and train/eval modes: forward, and after a
+        training step every weight and bias gradient, bit-equal."""
+        (unit, head), (unit_ref, head_ref) = _twin_units(fused, batch_norm)
+        rng = np.random.default_rng(3)
+        loss_fn = CrossEntropyLoss()
+        for n, training in steps:
+            x = rng.standard_normal((n, 3, 8, 8)).astype(np.float32)
+            y = rng.integers(0, 3, size=n)
+            logits = []
+            for u, h in ((unit, head), (unit_ref, head_ref)):
+                u.train(training)
+                h.train(training)
+                u.zero_grad()
+                h.zero_grad()
+                out = u.forward(x)
+                z = h.forward(out)
+                logits.append((out, z))
+                if training:
+                    loss_fn(z, y)
+                    dout = h.backward(loss_fn.backward())
+                    run_backward(u, dout, need_input_grad=False)
+            np.testing.assert_array_equal(logits[0][0], logits[1][0])
+            np.testing.assert_array_equal(logits[0][1], logits[1][1])
+            for module, ref in ((unit, unit_ref), (head, head_ref)):
+                for (name, p), (_, q) in zip(
+                    module.named_parameters(), ref.named_parameters()
+                ):
+                    np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
 
     def test_workspace_reuse_is_bitwise_identical(self):
         rng = np.random.default_rng(0)

@@ -126,6 +126,32 @@ class TestCascadeRouter:
         np.testing.assert_array_equal(routed.predictions, single.predict(batch))
         assert routed.exit_counts == [len(batch)]
 
+    def test_scratch_is_sized_by_the_largest_batch_routed(self, multi_exit, batch):
+        """Every batch size 1..32 re-views the slots the largest one
+        allocated: a server's scratch does not grow with the number of
+        distinct batch sizes it has seen."""
+
+        def held():
+            return sum(m.workspace.nbytes for m in multi_exit.modules())
+
+        router = CascadeRouter(multi_exit, threshold=0.6)
+        try:
+            multi_exit.detach_workspace()
+            router.route(batch)
+            only_largest = held()
+            assert only_largest > 0
+            multi_exit.detach_workspace()
+            # Prefixes of one batch: per-sample routing, so no segment
+            # ever sees more rows than it does for the whole batch.
+            for n in range(1, len(batch) + 1):
+                router.route(batch[:n])
+            assert len(batch) == 32 and held() == only_largest
+            for n in (5, 32, 17):
+                router.route(batch[:n])
+            assert held() == only_largest
+        finally:
+            multi_exit.detach_workspace()
+
     def test_empty_batch(self, multi_exit):
         routed = CascadeRouter(multi_exit).route(np.zeros((0, 3, 16, 16), dtype=np.float32))
         assert len(routed.predictions) == 0
