@@ -3,7 +3,8 @@
 
 Trains the same small CNN with backpropagation, classic local learning,
 feedback alignment, signal propagation, gradient checkpointing,
-microbatching and NeuroFlux, then reports peak simulated memory, simulated
+microbatching and NeuroFlux -- seven specs through the one entry point,
+``repro.api.run`` -- then reports peak simulated memory, simulated
 training time and test accuracy side by side.
 
     python examples/paradigm_comparison.py
@@ -11,79 +12,48 @@ training time and test accuracy side by side.
 
 from __future__ import annotations
 
-from repro import NeuroFlux, NeuroFluxConfig, build_model, dataset_spec
-from repro.training import (
-    BackpropTrainer,
-    FeedbackAlignmentTrainer,
-    LocalLearningTrainer,
-    SignalPropagationTrainer,
-)
-from repro.training.checkpointing import GradientCheckpointTrainer
-from repro.training.microbatch import MicrobatchTrainer
+from repro.api import JobSpec, run
 
 MB = 2**20
-EPOCHS = 4
-BATCH = 32
 SEED = 7
 
+BASE = {
+    "backend": "baseline",
+    "platform": "agx_orin",
+    "model": {"name": "vgg11", "num_classes": 4, "input_hw": [16, 16],
+              "width_multiplier": 0.125, "seed": SEED},
+    "data": {"dataset": "cifar10", "num_classes": 4, "image_hw": [16, 16],
+             "scale": 0.005, "noise_std": 0.4, "seed": SEED},
+    "neuroflux": {"batch_limit": 32, "seed": SEED},
+    "budgets": {"memory_mb": 64, "epochs": 4},
+}
 
-def fresh():
-    data = dataset_spec(
-        "cifar10", num_classes=4, image_hw=(16, 16), scale=0.005,
-        noise_std=0.4, seed=SEED,
-    ).materialize()
-    model = build_model(
-        "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125, seed=SEED
-    )
-    return model, data
+#: Row label -> the dotted-path overrides that select the method.
+PARADIGMS = {
+    "backprop": {"baseline.method": "bp"},
+    "classic LL": {"baseline.method": "ll", "neuroflux.aux_rule": "classic",
+                   "neuroflux.classic_filters": 64},
+    "feedback alignment": {"baseline.method": "fa"},
+    "signal propagation": {"baseline.method": "sp"},
+    "grad checkpointing": {"baseline.method": "checkpoint"},
+    # A budget that cannot hold the logical batch of 32 at once.
+    "microbatching": {"baseline.method": "microbatch", "budgets.memory_mb": 5},
+    "NeuroFlux": {"backend": "sequential", "budgets.memory_mb": 12},
+}
 
 
 def main() -> None:
-    rows = []
-
-    model, data = fresh()
-    r = BackpropTrainer(model, data, seed=SEED).train(EPOCHS, BATCH)
-    rows.append(("backprop", r.peak_memory_bytes, r.sim_time_s, r.final_accuracy))
-
-    model, data = fresh()
-    r = LocalLearningTrainer(model, data, classic_filters=64, seed=SEED).train(EPOCHS, BATCH)
-    rows.append(("classic LL", r.peak_memory_bytes, r.sim_time_s, r.final_accuracy))
-
-    model, data = fresh()
-    r = FeedbackAlignmentTrainer(model, data, seed=SEED).train(EPOCHS, BATCH)
-    rows.append(("feedback alignment", r.peak_memory_bytes, r.sim_time_s, r.final_accuracy))
-
-    model, data = fresh()
-    r = SignalPropagationTrainer(model, data, seed=SEED).train(EPOCHS, BATCH)
-    rows.append(("signal propagation", r.peak_memory_bytes, r.sim_time_s, r.final_accuracy))
-
-    model, data = fresh()
-    r = GradientCheckpointTrainer(model, data, seed=SEED).train(EPOCHS, BATCH)
-    rows.append(("grad checkpointing", r.peak_memory_bytes, r.sim_time_s, r.final_accuracy))
-
-    model, data = fresh()
-    r = MicrobatchTrainer(model, data, logical_batch=BATCH, memory_budget=8 * MB, seed=SEED).train(EPOCHS)
-    rows.append(("microbatching", r.peak_memory_bytes, r.sim_time_s, r.final_accuracy))
-
-    model, data = fresh()
-    report = NeuroFlux(
-        model, data, memory_budget=12 * MB,
-        config=NeuroFluxConfig(batch_limit=BATCH, seed=SEED),
-    ).run(EPOCHS)
-    rows.append(
-        (
-            "NeuroFlux",
-            report.result.peak_memory_bytes,
-            report.result.sim_time_s,
-            report.exit_test_accuracy,
-        )
-    )
-
+    base = JobSpec.from_dict(BASE)
     header = f"{'method':<20} {'peak mem (MiB)':>15} {'sim time (s)':>13} {'accuracy':>9}"
     print(header)
     print("-" * len(header))
-    for name, mem, t, acc in rows:
-        print(f"{name:<20} {mem / MB:>15.1f} {t:>13.1f} {acc:>9.3f}")
+    for name, overrides in PARADIGMS.items():
+        report = run(base.overlay(overrides, retarget=True)).to_json_dict()
+        accuracy = report.get("exit_test_accuracy", report["final_accuracy"])
+        print(
+            f"{name:<20} {report['peak_memory_bytes'] / MB:>15.1f} "
+            f"{report['wall_clock_s']:>13.1f} {accuracy:>9.3f}"
+        )
     print(
         "\nThe ideal quadrant (Figure 3) is low memory at high accuracy -- "
         "NeuroFlux's row."

@@ -10,10 +10,13 @@ subsystem entry point behind ``Backend.run(spec, callbacks) -> Report``:
                           section's devices (bit-identical weights)
 ``pipelined``             :meth:`NeuroFlux.train_parallel(schedule="pipelined")`
 ``multiprocess``          :meth:`NeuroFlux.train_multiprocess` (real forked
-                          block-parallel processes, shared-memory handoff;
-                          rejects ``budgets.time_budget_s``)
+                          block-parallel processes, shared-memory handoff)
+``baseline``              :meth:`BaselineTrainer.train` of the comparison
+                          method ``baseline.method`` names (BP, FA, classic
+                          LL, SP, checkpointing, microbatching)
 ``evalsim``               :func:`~repro.evalsim.report.run_evalsim` (closed-form
-                          paper-scale training-time simulation)
+                          paper-scale training-time simulation plus the
+                          cell's analytic memory / FLOP / exit breakdown)
 ``federated``             :meth:`FederatedNeuroFlux.run` (synchronous FedAvg)
 ``federated-async``       :meth:`FederatedNeuroFlux.run_async` (bounded
                           staleness)
@@ -30,6 +33,8 @@ attributes (``needs_cluster`` / ``forbids`` / ``defaults`` /
 ``rejects_time_budget``, see :class:`~repro.api.registry.Backend`);
 ``JobSpec`` validation and ``with_backend`` read them through the
 registry, so registering a backend touches this file only.
+``multiprocess``, ``evalsim`` and the federated backends have nowhere to
+stop on ``budgets.time_budget_s`` and reject it; the others honour it.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ def build_runtime_from_spec(spec: JobSpec):
 class _TrainingBackend(Backend):
     """Shared adapter for the sequential and pipelined schedules."""
 
-    forbids = ("federated", "fleet")
+    forbids = ("federated", "fleet", "baseline")
     schedule = "sequential"
 
     def prepare(self, spec: JobSpec) -> JobContext:
@@ -198,7 +203,7 @@ class MultiprocessBackend(Backend):
     ``report.extras["wall_clock_s"]``.
     """
 
-    forbids = ("cluster", "runtime", "federated", "serving", "fleet")
+    forbids = ("cluster", "runtime", "federated", "serving", "fleet", "baseline")
     # The forked stages stream every epoch end to end; there is no
     # global simulated clock to stop them on.
     rejects_time_budget = True
@@ -218,6 +223,68 @@ class MultiprocessBackend(Backend):
 
 
 # --------------------------------------------------------------------- #
+# comparison-method backend                                             #
+# --------------------------------------------------------------------- #
+@register_backend("baseline")
+class BaselineBackend(Backend):
+    """One of the paper's comparison methods on the shared baseline frame.
+
+    ``baseline.method`` picks the trainer (:data:`repro.training.
+    BASELINE_TRAINERS`); the budget, epochs, time budget, platform and
+    the ``neuroflux`` section's ``seed`` / ``optimizer`` / ``lr`` /
+    ``batch_limit`` (the batch cap; microbatching's logical batch) --
+    and for ``ll`` its ``aux_rule`` / ``classic_filters`` -- are the
+    same fields the NeuroFlux backends read, so one sweep axis over
+    ``backend`` x ``baseline.method`` is the paper's comparison.  Only
+    what the spec has a field for is passed: anything else (SP's
+    ``backward_multiplier`` of 1.0) stays the trainer's own default.
+    """
+
+    forbids = ("cluster", "runtime", "federated", "serving", "fleet")
+    defaults = ("baseline",)
+
+    def prepare(self, spec: JobSpec) -> JobContext:
+        from repro.hw.platforms import get_platform
+        from repro.training import BASELINE_TRAINERS
+
+        nf = spec.neuroflux
+        method = spec.baseline.method
+        init = dict(
+            platform=get_platform(spec.platform),
+            memory_budget=spec.budgets.memory_bytes,
+            optimizer=nf.optimizer,
+            lr=nf.lr,
+            seed=nf.seed,
+        )
+        train = dict(
+            batch_limit=nf.batch_limit, time_budget_s=spec.budgets.time_budget_s
+        )
+        if method == "ll":
+            init.update(aux_rule=nf.aux_rule, classic_filters=nf.classic_filters)
+        elif method == "microbatch":
+            # The limit is the logical batch; the budget cuts its micro-batch.
+            init["logical_batch"] = train.pop("batch_limit")
+        context = JobContext(spec=spec, backend=self.name)
+        context.system = BASELINE_TRAINERS[method](
+            build_model_from_spec(spec), build_data_from_spec(spec), **init
+        )
+        context.extras["train_kwargs"] = train
+        return context
+
+    def execute(self, context: JobContext, callbacks):
+        result = context.system.train(
+            context.spec.budgets.epochs, **context.extras["train_kwargs"]
+        )
+        for point in result.history:
+            callbacks.on_epoch_end(
+                int(point.epoch),
+                point.sim_time_s,
+                {"accuracy": point.accuracy, "loss": point.loss},
+            )
+        return result
+
+
+# --------------------------------------------------------------------- #
 # closed-form simulation backend                                        #
 # --------------------------------------------------------------------- #
 @register_backend("evalsim")
@@ -225,19 +292,22 @@ class EvalSimBackend(Backend):
     """Closed-form paper-scale training-time simulation (the fig11 engine).
 
     Replays BP / classic-LL / NeuroFlux accounting for one (model,
-    dataset, platform, budget) cell without running any arithmetic --
-    exactly what ``experiments/fig11`` and the rho ablation do -- so the
-    paper's grids become ``repro sweep`` specs over this backend.  The
-    model is built against the *dataset's* class count and image size
+    dataset, platform, budget) cell without running any arithmetic, and
+    tabulates the cell's analytic memory / FLOP / early-exit breakdown,
+    so the paper's analytic and closed-form figures are ``repro sweep``
+    specs over this backend (``benchmarks/sweeps/``).  The model is
+    built against the *dataset's* class count and image size
     (paper-scale simulation only makes sense when they match); the
     ``model`` section contributes the architecture, width multiplier and
     seed.  ``budgets.memory_mb`` is the training budget, ``budgets.
-    epochs`` the simulated epochs, and the ``neuroflux`` section's
-    ``rho`` / ``batch_limit`` / ``use_cache`` / ``adaptive_batch``
-    switches govern the NeuroFlux arm.
+    epochs`` the simulated epochs; the ``neuroflux`` section's
+    ``batch_limit`` caps all three arms and ``rho`` / ``sample_batches``
+    / ``use_cache`` / ``adaptive_batch`` govern the NeuroFlux arm.
     """
 
-    forbids = ("cluster", "runtime", "federated", "serving", "fleet")
+    forbids = ("cluster", "runtime", "federated", "serving", "fleet", "baseline")
+    # A closed form has no clock to stop on.
+    rejects_time_budget = True
 
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.data.registry import dataset_spec
@@ -286,8 +356,10 @@ class EvalSimBackend(Backend):
 # --------------------------------------------------------------------- #
 class _FederatedBackend(Backend):
     # Clients *are* the cluster.
-    forbids = ("cluster", "runtime", "serving", "fleet")
+    forbids = ("cluster", "runtime", "serving", "fleet", "baseline")
     defaults = ("federated",)
+    # Rounds end on ``federated.rounds`` / ``duration_s``, not on a budget.
+    rejects_time_budget = True
 
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.extensions.federated import (
@@ -371,7 +443,7 @@ class ServingBackend(Backend):
     spec's ``platform``), no autoscaling, no churn.
     """
 
-    forbids = ("cluster", "runtime", "federated", "fleet")
+    forbids = ("cluster", "runtime", "federated", "fleet", "baseline")
     defaults = ("serving",)
 
     def prepare(self, spec: JobSpec) -> JobContext:
@@ -447,7 +519,7 @@ class ClusterServingBackend(ServingBackend):
     """
 
     needs_cluster = True
-    forbids = ("federated", "runtime")
+    forbids = ("federated", "runtime", "baseline")
     defaults = ("serving", "fleet")
 
     def prepare(self, spec: JobSpec) -> JobContext:

@@ -2,9 +2,9 @@
 
 A :class:`JobSpec` is composed of typed sections -- ``model``, ``data``,
 ``neuroflux`` (wrapping :class:`~repro.core.config.NeuroFluxConfig`),
-``cluster``, ``runtime``, ``federated``, ``serving``, ``budgets``,
-``observability``, ``compute`` -- plus two scalars: the ``backend`` that executes it
-and the single-device ``platform``.  Specs are JSON-round-trippable (``from_dict`` /
+``cluster``, ``runtime``, ``federated``, ``serving``, ``fleet``, ``budgets``,
+``observability``, ``compute``, ``baseline`` -- plus two scalars: the
+``backend`` that executes it and the single-device ``platform``.  Specs are JSON-round-trippable (``from_dict`` /
 ``to_dict`` / ``from_json_file``), and every validation failure raises a
 structured :class:`~repro.errors.SpecError` naming the offending
 section.
@@ -13,9 +13,9 @@ Defaulting rules:
 
 * the always-present sections (``model``, ``data``, ``neuroflux``,
   ``budgets``) fall back to their defaults when omitted;
-* *workload* sections (``federated``, ``serving``) are defaulted in when
-  the chosen backend needs them -- their defaults describe a deliberately
-  tiny job;
+* *workload* sections (``federated``, ``serving``, ``fleet``,
+  ``baseline``) are defaulted in when the chosen backend needs them --
+  their defaults describe a deliberately tiny job;
 * the *hardware* section (``cluster``) is never invented: a backend that
   needs devices (``pipelined``, or anything with a ``runtime`` section)
   raises :class:`SpecError` when it is missing.
@@ -28,7 +28,8 @@ and validation reads them through the registry): ``runtime`` requires
 ``sequential`` training backends forbid a ``federated`` section; the
 federated backends forbid ``cluster``/``runtime``/``serving`` (clients
 *are* the cluster); the ``serving`` backend forbids
-``cluster``/``runtime``/``federated``.
+``cluster``/``runtime``/``federated``; only the ``baseline`` backend
+takes a ``baseline`` section.
 
 One spec file can still drive every backend:
 :meth:`JobSpec.with_backend` (the CLI's ``repro run --backend``)
@@ -393,6 +394,26 @@ class ComputeSection:
 
 
 @dataclass
+class BaselineSection:
+    """Which comparison method the ``baseline`` backend trains with
+    (see :data:`repro.training.BASELINE_TRAINERS`)."""
+
+    _section = "baseline"
+
+    method: str = "bp"
+
+    def __post_init__(self) -> None:
+        from repro.training import BASELINE_TRAINERS
+
+        if self.method not in BASELINE_TRAINERS:
+            raise SpecError(
+                "baseline",
+                f"unknown method {self.method!r}; "
+                f"available: {', '.join(BASELINE_TRAINERS)}",
+            )
+
+
+@dataclass
 class BudgetsSection:
     """Resource envelope: training memory, epochs, optional time budget."""
 
@@ -435,6 +456,7 @@ class JobSpec:
     fleet: FleetSection | None = None
     observability: ObservabilitySection | None = None
     compute: ComputeSection | None = None
+    baseline: BaselineSection | None = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -525,19 +547,7 @@ class JobSpec:
     def to_dict(self) -> dict:
         """JSON-pure dict: tuples become lists, absent sections are omitted."""
         out: dict = {"backend": self.backend, "platform": self.platform}
-        out["model"] = _jsonify(dataclasses.asdict(self.model))
-        out["data"] = _jsonify(dataclasses.asdict(self.data))
-        out["neuroflux"] = self.neuroflux.to_dict()
-        out["budgets"] = _jsonify(dataclasses.asdict(self.budgets))
-        for name in (
-            "cluster",
-            "runtime",
-            "federated",
-            "serving",
-            "fleet",
-            "observability",
-            "compute",
-        ):
+        for name in _SECTION_TYPES:
             section = getattr(self, name)
             if section is not None:
                 out[name] = _jsonify(dataclasses.asdict(section))
@@ -559,21 +569,7 @@ class JobSpec:
             raise SpecError(
                 "jobspec", f"spec must be a mapping, got {type(payload).__name__}"
             )
-        known = {
-            "backend",
-            "platform",
-            "model",
-            "data",
-            "neuroflux",
-            "budgets",
-            "cluster",
-            "runtime",
-            "federated",
-            "serving",
-            "fleet",
-            "observability",
-            "compute",
-        }
+        known = {"backend", "platform", *_SECTION_TYPES}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise SpecError(
@@ -669,6 +665,7 @@ _SECTION_TYPES: dict[str, type] = {
     "fleet": FleetSection,
     "observability": ObservabilitySection,
     "compute": ComputeSection,
+    "baseline": BaselineSection,
 }
 
 

@@ -1,12 +1,7 @@
-"""Command-line interface: reproduce any paper experiment from the shell.
+"""Command-line interface: four subcommands, one front door.
 
 Usage::
 
-    python -m repro.cli list
-    python -m repro.cli fig04
-    python -m repro.cli fig11 --models vgg16 --datasets cifar10
-    python -m repro.cli table2
-    python -m repro.cli all          # everything (slow)
     python -m repro.cli run job.json
     python -m repro.cli run job.json --backend pipelined --report-json out.json
     python -m repro.cli run job.json --backend multiprocess --processes 4
@@ -14,16 +9,17 @@ Usage::
     python -m repro.cli run examples/specs/serving.json --trace-out trace.json
     python -m repro.cli analyze trace.json
     python -m repro.cli bench --quick
-    python -m repro.cli sweep run examples/specs/sweep_budget.json --workers 4
-    python -m repro.cli sweep results budget_sweep.sweep --select report.wall_clock_s
+    python -m repro.cli sweep run benchmarks/sweeps/fig11_time_vs_budget.json --workers 4
+    python -m repro.cli sweep results fig11_time_vs_budget.sweep \
+        --select spec.model.name spec.budgets.memory_mb report.evalsim.nf_hours
 
-Each command prints the reproduced figure/table as a plain-text table.
 ``run`` is the one way to train or serve from the shell: it executes a
 declarative :class:`repro.api.JobSpec` JSON file on any registered
-backend (``sequential`` / ``pipelined`` / ``multiprocess`` / ``evalsim`` /
-``federated`` / ``federated-async`` / ``serving`` / ``cluster-serving``;
-``examples/specs/quick.json`` re-targets at any of them with
-``--backend``) and prints the unified report; the ``--array-backend`` / ``--threads`` / ``--bf16-weights`` /
+backend (``sequential`` / ``pipelined`` / ``multiprocess`` / ``baseline``
+/ ``evalsim`` / ``federated`` / ``federated-async`` / ``serving`` /
+``cluster-serving``; ``examples/specs/quick.json`` re-targets at any of
+them with ``--backend``) and prints the unified report; the
+``--array-backend`` / ``--threads`` / ``--bf16-weights`` /
 ``--processes`` flags override the spec's ``compute`` section
 field-by-field.  ``analyze`` turns a trace or report into a critical
 path, a request breakdown, a diff or an SLO verdict (see
@@ -32,63 +28,17 @@ path vs fused+workspace path (see :mod:`repro.perf.bench`), and records
 the trajectory in ``BENCH_kernels.json``.  ``sweep`` runs a declarative
 experiment grid (one base JobSpec + axes over dotted section paths)
 through a resumable process-pool driver and queries the resulting store
-(see :mod:`repro.sweep`).
+(see :mod:`repro.sweep`) -- every figure and table of the paper is a
+committed spec under ``benchmarks/sweeps/``, and ``sweep results
+--select`` prints its rows (the README maps figure to file to columns).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from repro.experiments import (
-    ablations,
-    fig01,
-    fig03,
-    fig04,
-    fig05_06,
-    fig08,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    overheads,
-    table2,
-    table3_fig14,
-)
-from repro.experiments.common import ExperimentResult
-
-
-def _fig11_runner(args: argparse.Namespace) -> list[ExperimentResult]:
-    kwargs = {}
-    if args.models:
-        kwargs["models"] = tuple(args.models)
-    if args.datasets:
-        kwargs["datasets"] = tuple(args.datasets)
-    return [fig11.run(**kwargs)]
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], list[ExperimentResult]]]] = {
-    "fig01": ("BP memory breakdown + relative time", lambda a: [fig01.run()]),
-    "fig03": ("training-paradigm quadrant", lambda a: [fig03.run()]),
-    "fig04": ("VGG-19 memory: inference/AAN-LL/BP/classic LL", lambda a: [fig04.run()]),
-    "fig05": ("per-layer AAN-LL memory", lambda a: [fig05_06.run_fig05()]),
-    "fig06": ("max feasible batch per layer", lambda a: [fig05_06.run_fig06()]),
-    "fig08": ("linear memory models", lambda a: [fig08.run()]),
-    "fig10": ("layer-wise accuracy / exit point", lambda a: [fig10.run()]),
-    "fig11": ("training time vs memory budget", _fig11_runner),
-    "fig12": ("accuracy vs training time", lambda a: [fig12.run()]),
-    "fig13": ("activation sizes + aux FLOPs", lambda a: [fig13.run()]),
-    "table2": ("output-model compression", lambda a: [table2.run()]),
-    "table3": ("inference throughput (and fig14 gains)", lambda a: [table3_fig14.run()]),
-    "overheads": ("Section 6.4 system overheads", lambda a: [overheads.run()]),
-    "ablation-rho": ("grouping-threshold sweep", lambda a: [ablations.run_rho_sweep()]),
-    "ablation-aux": ("aux-head rule ablation", lambda a: [ablations.run_aux_rule_ablation()]),
-    "ablation-mechanisms": (
-        "cache / adaptive-batch ablation",
-        lambda a: [ablations.run_mechanism_ablation()],
-    ),
-}
+USAGE = "usage: python -m repro.cli {run,bench,analyze,sweep} ... (each takes --help)"
 
 
 # --------------------------------------------------------------------- #
@@ -594,63 +544,22 @@ def _sweep_expand(argv: list[str]) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli",
-        description="Reproduce NeuroFlux (EuroSys '24) figures and tables.",
-    )
-    parser.add_argument(
-        "experiment",
-        help="experiment id (see 'list'), or 'list' / 'all'",
-    )
-    parser.add_argument(
-        "--models", nargs="*", default=None, help="model subset (fig11)"
-    )
-    parser.add_argument(
-        "--datasets", nargs="*", default=None, help="dataset subset (fig11)"
-    )
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "run":
-        return _run_main(argv[1:])
-    if argv and argv[0] == "bench":
+    command, rest = (argv[0], argv[1:]) if argv else (None, [])
+    if command == "run":
+        return _run_main(rest)
+    if command == "bench":
         from repro.perf.bench import main as bench_main
 
-        return bench_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        return _analyze_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _sweep_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.experiment == "list":
-        width = max(len(k) for k in EXPERIMENTS)
-        for key, (desc, _) in EXPERIMENTS.items():
-            print(f"{key.ljust(width)}  {desc}")
-        print(f"{'run'.ljust(width)}  execute a JobSpec on any backend (run --help)")
-        print(f"{'bench'.ljust(width)}  kernel wall-clock benchmarks (bench --help)")
-        print(f"{'analyze'.ljust(width)}  trace/report analytics and SLO gates (analyze --help)")
-        print(f"{'sweep'.ljust(width)}  declarative experiment grids over JobSpecs (sweep --help)")
-        return 0
-    if args.experiment == "all":
-        names = list(EXPERIMENTS)
-    elif args.experiment in EXPERIMENTS:
-        names = [args.experiment]
-    else:
-        print(
-            f"unknown experiment {args.experiment!r}; try 'list'",
-            file=sys.stderr,
-        )
-        return 2
-    for name in names:
-        _, runner = EXPERIMENTS[name]
-        for result in runner(args):
-            print(result.table())
-            print()
-    return 0
+        return bench_main(rest)
+    if command == "analyze":
+        return _analyze_main(rest)
+    if command == "sweep":
+        return _sweep_main(rest)
+    print(USAGE, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

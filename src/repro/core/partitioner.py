@@ -16,7 +16,7 @@ from repro.core.profiler import LinearMemoryModel
 from repro.errors import ConfigError, PartitionError
 
 #: Paper Section 5.2: 40% was empirically the best grouping threshold
-#: across the 10%-70% sweep (reproduced by benchmarks/bench_ablation_rho).
+#: across the 10%-70% sweep (reproduced by benchmarks/sweeps/ablation_rho.json).
 DEFAULT_GROUPING_THRESHOLD = 0.4
 
 

@@ -15,7 +15,7 @@ ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,6 +138,9 @@ class ProfileResult:
     models: list[LinearMemoryModel]
     sample_batches: tuple[int, ...]
     profiling_flops: int
+    #: Measured peak bytes per layer, one per sample batch (what each
+    #: line was fitted to).
+    measured: list[tuple[int, ...]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.models)
@@ -188,6 +191,7 @@ class MemoryProfiler:
         """
         gpu = SimulatedGpu()
         models = []
+        measured = []
         profiling_flops = 0
         batches = np.asarray(self.sample_batches, dtype=np.float64)
         for spec, aux in zip(self.layer_specs, self.aux_heads):
@@ -202,8 +206,10 @@ class MemoryProfiler:
                     step += training_step_flops(aux_fwd, self.backward_multiplier)
                 profiling_flops += step
             models.append(self._fit(batches, np.asarray(peaks, dtype=np.float64)))
+            measured.append(tuple(peaks))
         return ProfileResult(
             models=models,
             sample_batches=self.sample_batches,
             profiling_flops=profiling_flops,
+            measured=measured,
         )

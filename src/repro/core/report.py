@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import common_json_fields, json_num as _num
+from repro.api.report import json_num as _num
 from repro.core.partitioner import Block
 from repro.training.common import TrainResult
 
@@ -46,10 +46,12 @@ class NeuroFluxReport:
     profiling_time_s: float = 0.0
 
     # -- unified report protocol (repro.api.report.Report) -------------------
+    # The method-comparable half is the ``TrainResult``'s own; this class
+    # adds what only NeuroFlux produces.
     @property
     def wall_clock_s(self) -> float:
         """End-to-end simulated seconds of the run."""
-        return self.result.sim_time_s
+        return self.result.wall_clock_s
 
     @property
     def peak_memory_bytes(self) -> int:
@@ -58,14 +60,11 @@ class NeuroFluxReport:
 
     def ledger_summary(self) -> dict[str, float]:
         """Simulated seconds by cost category (includes ``total``)."""
-        return self.result.ledger.as_dict()
+        return self.result.ledger_summary()
 
     def metrics_registry(self):
         """The run's metrics (embedded in the report JSON)."""
-        from repro.obs.metrics import report_base_metrics
-
-        reg = report_base_metrics(self)
-        reg.counter("epochs_total").inc(self.result.epochs)
+        reg = self.result.metrics_registry()
         reg.counter("blocks_total").inc(len(self.blocks))
         reg.counter("cache_bytes_written_total").inc(self.cache_bytes_written)
         reg.gauge("exit_layer").set(self.exit_layer)
@@ -77,30 +76,29 @@ class NeuroFluxReport:
         return reg
 
     def to_json_dict(self) -> dict:
-        """JSON-serializable run report (unified schema head + specifics)."""
-        out = common_json_fields(self, kind="neuroflux")
+        """JSON-serializable run report: the result's, plus the partition,
+        the exits and the Section 6.4 overheads."""
+        out = self.result.to_json_dict()
         out.update(
             {
-                "model": self.result.model_name,
-                "dataset": self.result.dataset_name,
-                "platform": self.result.platform_name,
-                "epochs": self.result.epochs,
+                "kind": "neuroflux",
+                "metrics": self.metrics_registry().snapshot(),
                 "blocks": [
                     {"layers": list(b.layer_indices), "batch_size": b.batch_size}
                     for b in self.blocks
                 ],
+                "layer_val_accuracies": [_num(a) for a in self.layer_val_accuracies],
                 "exit_layer": self.exit_layer,
+                "exit_params": self.exit_params,
+                "full_model_params": self.full_model_params,
                 "exit_val_accuracy": _num(self.exit_val_accuracy),
                 "exit_test_accuracy": _num(self.exit_test_accuracy),
                 "compression_factor": _num(self.compression_factor),
                 "cache_bytes_written": self.cache_bytes_written,
+                "dataset_bytes": self.dataset_bytes,
                 "profiling_time_s": _num(self.profiling_time_s),
             }
         )
-        # Executor-specific facts (the multiprocess run's host clocks,
-        # stage plan and BLAS-thread budget); absent when there are none.
-        if self.result.extras:
-            out["extras"] = dict(self.result.extras)
         return out
 
     @property

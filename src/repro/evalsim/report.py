@@ -2,14 +2,17 @@
 
 One :func:`run_evalsim` call replays the Figure 11 comparison for a
 single (model, dataset, platform, budget) cell: BP, classic LL and
-NeuroFlux are simulated closed-form at paper scale (the exact
-:mod:`repro.evalsim.training_time` formulas the legacy
-``experiments/fig11`` and rho-ablation scripts call), and the block
-structure the NeuroFlux arm was simulated with is reported beside them.
-Wrapped as the ``evalsim`` :mod:`repro.api` backend, this makes every
-paper grid -- fig11 time-vs-budget, the rho/mechanism ablations --
-expressible as one ``repro sweep`` spec instead of a bespoke driver
-script.
+NeuroFlux are simulated closed-form at paper scale (the
+:mod:`repro.evalsim.training_time` formulas), and the block structure
+the NeuroFlux arm was simulated with is reported beside them.  The
+report's ``breakdown`` section is the analytic table behind the paper's
+memory and deployment figures for the same cell: bytes per method at the
+cell's batch, and per local layer its activation size, auxiliary FLOPs,
+training bytes, fitted memory line, feasible batch, and the parameters
+and throughput of the early-exit model that ends there.  Wrapped as the
+``evalsim`` :mod:`repro.api` backend, this makes every analytic and
+closed-form figure of the paper (``benchmarks/sweeps/*.json``) one
+``repro sweep`` spec.
 
 A method that cannot fit a single training step under the budget is the
 paper's "no data point": ``feasible=False``, hours ``None`` -- never an
@@ -19,7 +22,7 @@ failing on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.api.report import common_json_fields, json_num
 from repro.obs.trace import active_tracer
@@ -77,6 +80,9 @@ class EvalSimReport:
     max_batch: int | None = None
     #: The NeuroFlux run's ledger (empty when NF is infeasible).
     _nf_ledger: dict | None = None
+    #: Analytic memory / FLOP / deployment table of the cell
+    #: (:func:`cell_breakdown`).
+    breakdown: dict = field(default_factory=dict)
 
     # -- Report protocol ---------------------------------------------------
     @property
@@ -148,6 +154,7 @@ class EvalSimReport:
                 "n_blocks": self.n_blocks,
                 "min_batch": self.min_batch,
                 "max_batch": self.max_batch,
+                "breakdown": self.breakdown,
             },
         }
 
@@ -177,30 +184,87 @@ class EvalSimReport:
         return "\n".join(lines)
 
 
-def _plan_blocks(model, memory_budget: int, config):
-    """The adaptive partition under the budget, ``()`` when there is none.
+def cell_breakdown(
+    model, aan_heads, profile, platform, memory_budget: int, batch: int,
+    classic_ll_bytes: int,
+) -> dict:
+    """The analytic table of one cell, from heads and a profile already built.
 
-    Only for a cell whose NeuroFlux arm is infeasible (a feasible arm
-    reports the blocks it was simulated with): the partition can exist
-    while a block's measured residency still overshoots the budget.
+    Per method the bytes of one step at ``batch`` (Figures 1 and 4); per
+    local layer what Figures 5, 6, 8 and 13 and Tables 2 and 3 plot:
+    activation elements, auxiliary-head forward FLOPs, the unit's
+    training bytes at ``batch``, the profiler's measurements and fitted
+    line, the largest batch the line predicts under ``memory_budget``,
+    and the parameter count and ``platform`` throughput of the early-exit
+    model ending at that layer, beside the full model's.  Estimator and
+    FLOP walks only -- nothing is executed.  ``classic_ll_bytes`` is
+    classic LL's step at ``batch``, taken while its heads were alive.
     """
-    from repro.core.auxiliary import build_aux_heads
-    from repro.core.partitioner import partition
-    from repro.core.profiler import MemoryProfiler
-    from repro.errors import MemoryBudgetExceeded, PartitionError
+    from repro.evalsim.throughput import convnet_throughput, inference_throughput
+    from repro.flops.count import count_module_kernels, module_forward_flops
+    from repro.memory.estimator import (
+        bp_training_memory,
+        inference_memory,
+        ll_training_memory,
+        local_unit_training_memory,
+    )
 
-    try:
-        heads = build_aux_heads(model, rule="aan", seed=config.seed)
-        profile = MemoryProfiler(
-            model.local_layers(),
-            list(heads),
-            backward_multiplier=config.backward_multiplier,
-        ).profile()
-        return partition(
-            profile.models, memory_budget, config.batch_limit, rho=config.rho
+    bp = bp_training_memory(model, batch)
+    sample_bytes = 4 * model.in_channels * model.input_hw[0] * model.input_hw[1]
+    layers = []
+    flops = n_kernels = params = 0
+    for spec, head, line, measured in zip(
+        model.local_layers(), aan_heads, profile.models, profile.measured
+    ):
+        stage_flops, out_shape = module_forward_flops(
+            spec.module, (1, spec.in_channels, *spec.in_hw)
         )
-    except (MemoryBudgetExceeded, PartitionError):
-        return ()
+        flops += stage_flops
+        n_kernels += count_module_kernels(spec.module)
+        params += spec.module.num_parameters()
+        head_flops, _ = module_forward_flops(head, out_shape)
+        exit_rate = inference_throughput(
+            flops + head_flops,
+            sample_bytes,
+            n_kernels + count_module_kernels(head),
+            platform,
+            batch,
+        )
+        layers.append(
+            {
+                "layer": spec.index + 1,
+                "activation_elements": spec.output_elements_per_sample,
+                "aux_forward_flops": head_flops,
+                "train_bytes": local_unit_training_memory(spec, head, batch).total,
+                "measured_bytes": list(measured),
+                "slope": json_num(line.slope),
+                "intercept": json_num(line.intercept),
+                "r_squared": json_num(line.r_squared),
+                "max_batch": line.max_batch(memory_budget),
+                "exit_params": params + head.num_parameters(),
+                "exit_images_per_s": json_num(exit_rate.images_per_second),
+            }
+        )
+    return {
+        "batch": batch,
+        "sample_batches": list(profile.sample_batches),
+        "inference": inference_memory(model, batch).total,
+        "aan_ll": ll_training_memory(
+            model, list(aan_heads), batch, residency="params-only"
+        ).total,
+        "bp": {
+            "activations": bp.activations,
+            "parameters": bp.parameters,
+            "optimizer": bp.optimizer,
+            "total": bp.total,
+        },
+        "classic_ll": classic_ll_bytes,
+        "full_params": model.num_parameters(),
+        "full_images_per_s": json_num(
+            convnet_throughput(model, platform, batch).images_per_second
+        ),
+        "layers": layers,
+    }
 
 
 def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
@@ -208,17 +272,51 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
 
     ``model`` is a built ConvNet, ``data`` an (unmaterialized)
     :class:`~repro.data.datasets.DatasetSpec` at paper scale, ``config``
-    a :class:`~repro.core.config.NeuroFluxConfig`.  BP and classic LL
-    use their trainers' default batch limit (as the legacy fig11 script
-    does); the config's ``batch_limit``/``rho``/cache/adaptive-batch
+    a :class:`~repro.core.config.NeuroFluxConfig`.  Its ``batch_limit``
+    caps all three arms (and is the batch the ``breakdown`` is taken
+    at); ``rho``, ``sample_batches`` and the cache / adaptive-batch
     switches govern only the NeuroFlux arm, mirroring the real system.
+    Each rule's auxiliary heads and the memory profile are built once
+    and shared by the arm, the reported plan and the breakdown; the
+    classic heads (the large ones) are dropped before the adaptive ones
+    are built, so a cell never holds both.
     """
+    from repro.core.auxiliary import build_aux_heads
+    from repro.core.partitioner import partition
+    from repro.core.profiler import MemoryProfiler
+    from repro.errors import PartitionError
     from repro.evalsim.training_time import (
         simulate_bp,
         simulate_classic_ll,
         simulate_neuroflux,
         try_simulate,
     )
+    from repro.memory.estimator import ll_training_memory
+
+    classic_heads = build_aux_heads(model, rule="classic", seed=config.seed)
+    ll = try_simulate(
+        simulate_classic_ll,
+        model,
+        data,
+        platform,
+        epochs,
+        memory_budget=memory_budget,
+        batch_limit=config.batch_limit,
+        backward_multiplier=config.backward_multiplier,
+        heads=classic_heads,
+    )
+    classic_ll_bytes = ll_training_memory(
+        model, list(classic_heads[:-1]) + [None], config.batch_limit, residency="full"
+    ).total
+    del classic_heads
+
+    aan_heads = build_aux_heads(model, rule="aan", seed=config.seed)
+    profile = MemoryProfiler(
+        model.local_layers(),
+        list(aan_heads),
+        sample_batches=config.sample_batches,
+        backward_multiplier=config.backward_multiplier,
+    ).profile()
 
     bp = try_simulate(
         simulate_bp,
@@ -227,17 +325,8 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         platform,
         epochs,
         memory_budget=memory_budget,
+        batch_limit=config.batch_limit,
         backward_multiplier=config.backward_multiplier,
-    )
-    ll = try_simulate(
-        simulate_classic_ll,
-        model,
-        data,
-        platform,
-        epochs,
-        memory_budget=memory_budget,
-        backward_multiplier=config.backward_multiplier,
-        seed=config.seed,
     )
     nf = try_simulate(
         simulate_neuroflux,
@@ -251,7 +340,8 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         backward_multiplier=config.backward_multiplier,
         use_cache=config.use_cache,
         adaptive_batch=config.adaptive_batch,
-        seed=config.seed,
+        heads=aan_heads,
+        profile=profile,
     )
 
     tracer = active_tracer()
@@ -269,7 +359,17 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
                     attrs={"batch_size": sim.batch_size},
                 )
 
-    blocks = nf.blocks if nf is not None else _plan_blocks(model, memory_budget, config)
+    if nf is not None:
+        blocks = nf.blocks
+    else:
+        # The partition can exist while a block's measured residency
+        # still overshoots the budget: report the adaptive plan then.
+        try:
+            blocks = partition(
+                profile.models, memory_budget, config.batch_limit, rho=config.rho
+            )
+        except PartitionError:
+            blocks = ()
     n_blocks = min_batch = max_batch = None
     if blocks:
         sizes = [b.batch_size for b in blocks]
@@ -289,4 +389,13 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         min_batch=min_batch,
         max_batch=max_batch,
         _nf_ledger=nf.ledger.as_dict() if nf is not None else None,
+        breakdown=cell_breakdown(
+            model,
+            aan_heads,
+            profile,
+            platform,
+            memory_budget,
+            config.batch_limit,
+            classic_ll_bytes,
+        ),
     )

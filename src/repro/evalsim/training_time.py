@@ -141,9 +141,14 @@ def simulate_classic_ll(
     batch_limit: int = DEFAULT_BATCH_LIMIT,
     backward_multiplier: float = 2.0,
     seed: int = 0,
+    heads=None,
 ) -> SimulatedRun:
-    """Replay :class:`LocalLearningTrainer`'s accounting (256-filter heads)."""
-    heads = build_aux_heads(model, rule="classic", seed=seed)
+    """Replay :class:`LocalLearningTrainer`'s accounting (256-filter heads).
+
+    ``heads`` are the classic heads if the caller has built them already.
+    """
+    if heads is None:
+        heads = build_aux_heads(model, rule="classic", seed=seed)
     aux = list(heads[:-1]) + [None]
     return _simulate_full_graph(
         LocalLearningTrainer.method,
@@ -165,19 +170,24 @@ def simulate_neuroflux(
     use_cache: bool = True,
     adaptive_batch: bool = True,
     seed: int = 0,
+    heads=None,
+    profile=None,
 ) -> SimulatedRun:
     """Replay the NeuroFlux controller's accounting without training.
 
     Mirrors :class:`repro.core.controller.NeuroFlux.run`: profiling,
     block swaps, Algorithm-2 training steps per block, the post-training
-    cache-write forward pass, and per-epoch cache reads.
+    cache-write forward pass, and per-epoch cache reads.  ``heads`` and
+    ``profile`` are the AAN heads and their memory profile if the caller
+    has built them already.
     """
-    heads = build_aux_heads(model, rule="aan", seed=seed)
     specs = model.local_layers()
-    profiler = MemoryProfiler(
-        specs, list(heads), backward_multiplier=backward_multiplier
-    )
-    profile = profiler.profile()
+    if heads is None:
+        heads = build_aux_heads(model, rule="aan", seed=seed)
+    if profile is None:
+        profile = MemoryProfiler(
+            specs, list(heads), backward_multiplier=backward_multiplier
+        ).profile()
     blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
     if not adaptive_batch:
         global_batch = min(b.batch_size for b in blocks)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.report import common_json_fields, json_num
 from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError, MemoryBudgetExceeded
@@ -20,6 +21,7 @@ from repro.hw.platforms import AGX_ORIN, Platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
 from repro.memory.tracker import SimulatedGpu
 from repro.models.base import ConvNet
+from repro.obs.trace import active_tracer
 from repro.utils.rng import spawn_rng
 
 DEFAULT_BATCH_LIMIT = 256
@@ -66,6 +68,70 @@ class TrainResult:
             if point.sim_time_s <= t:
                 best = max(best, point.accuracy)
         return best
+
+    # -- unified report protocol (repro.api.report.Report) -------------------
+    @property
+    def wall_clock_s(self) -> float:
+        """End-to-end simulated seconds of the run."""
+        return self.sim_time_s
+
+    def ledger_summary(self) -> dict[str, float]:
+        """Simulated seconds by cost category (includes ``total``)."""
+        return self.ledger.as_dict()
+
+    def metrics_registry(self):
+        """The run's metrics (embedded in the report JSON)."""
+        from repro.obs.metrics import report_base_metrics
+
+        reg = report_base_metrics(self)
+        reg.counter("epochs_total").inc(self.epochs)
+        reg.gauge("batch_size").set(self.batch_size)
+        reg.gauge("final_accuracy").set(self.final_accuracy)
+        return reg
+
+    def to_json_dict(self) -> dict:
+        """JSON-serializable run report (unified schema head + specifics)."""
+        out = common_json_fields(self, kind="baseline")
+        out.update(
+            {
+                "method": self.method,
+                "model": self.model_name,
+                "dataset": self.dataset_name,
+                "platform": self.platform_name,
+                "epochs": self.epochs,
+                "batch_size": self.batch_size,
+                "num_parameters": self.num_parameters,
+                "final_accuracy": json_num(self.final_accuracy),
+                "history": [
+                    {
+                        "sim_time_s": json_num(p.sim_time_s),
+                        "epoch": json_num(p.epoch),
+                        "accuracy": json_num(p.accuracy),
+                        "loss": json_num(p.loss),
+                        "split": p.split,
+                    }
+                    for p in self.history
+                ],
+            }
+        )
+        # Executor-specific facts (microbatching's logical batch, the
+        # multiprocess run's host clocks); absent when there are none.
+        if self.extras:
+            out["extras"] = dict(self.extras)
+        return out
+
+    def summary(self) -> str:
+        """Human-readable one-screen summary."""
+        return (
+            f"{self.method} run: {self.model_name} on {self.dataset_name} "
+            f"({self.platform_name})\n"
+            f"  batch size: {self.batch_size}  epochs: {self.epochs} "
+            f"({len(self.history)} evaluated)\n"
+            f"  simulated time: {self.sim_time_s:.1f}s  "
+            f"peak memory: {self.peak_memory_bytes / 2**20:.1f} MiB\n"
+            f"  test accuracy: {self.final_accuracy:.3f}  "
+            f"params: {self.num_parameters / 1e6:.2f}M"
+        )
 
 
 def evaluate_classifier(
@@ -174,10 +240,11 @@ class BaselineTrainer:
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         return self.model.forward(x)
 
-    def _loader_batch(self, batch_size: int) -> int:
-        """Samples per :meth:`step`; the memory-sized batch unless a
-        baseline steps on more than it can hold at once (microbatching)."""
-        return batch_size
+    def _passes(self, batch_size: int) -> list[int]:
+        """Samples per device pass of one full :meth:`step`: the
+        memory-sized batch, unless a baseline steps on more than it can
+        hold at once (microbatching) and passes it through in pieces."""
+        return [batch_size]
 
     # -- the frame ------------------------------------------------------------
     def max_feasible_batch(self, limit: int = DEFAULT_BATCH_LIMIT) -> int:
@@ -199,11 +266,12 @@ class BaselineTrainer:
 
         self._setup()
         data = self.data
-        sim = ExecutionSimulator(self.platform)
+        sim = ExecutionSimulator(self.platform, tracer=active_tracer())
+        passes = self._passes(batch_size)
         loader = DataLoader(
             data.x_train,
             data.y_train,
-            self._loader_batch(batch_size),
+            sum(passes),
             shuffle=True,
             rng=spawn_rng(self.seed, f"{self.rng_tag}/loader"),
         )
@@ -234,14 +302,17 @@ class BaselineTrainer:
             for epoch in range(epochs):
                 for xb, yb in loader:
                     loss = self.step(xb, yb)
-                    # A loaded batch larger than the memory-sized one
-                    # (microbatching) is that many separate load + kernel
-                    # passes.
-                    for start in range(0, len(xb), batch_size):
-                        n = min(batch_size, len(xb) - start)
+                    # Each device pass is its own load + kernel charge; a
+                    # short last batch ends the passes early.
+                    left = len(xb)
+                    for n in passes:
+                        n = min(n, left)
+                        if not n:
+                            break
                         sim.add_training_step(
                             flops_per_sample * n, sample_bytes * n, n_kernels
                         )
+                        left -= n
                     if time_budget_s is not None and sim.elapsed >= time_budget_s:
                         stop = True
                         break

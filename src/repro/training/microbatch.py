@@ -23,7 +23,8 @@ class MicrobatchTrainer(BackpropTrainer):
 
     Memory and price per sample are BP's; what differs is that a step
     loads ``logical_batch`` samples and passes them through the device
-    one micro-batch at a time (the frame charges each pass separately).
+    one micro-batch at a time (:meth:`_passes`; the frame charges each
+    pass separately).
     """
 
     method = "microbatching"
@@ -53,15 +54,18 @@ class MicrobatchTrainer(BackpropTrainer):
         """Largest micro-batch that fits the budget (capped at logical)."""
         return self.max_feasible_batch(self.logical_batch)
 
-    def _loader_batch(self, batch_size: int) -> int:
-        return self.logical_batch
+    def _passes(self, batch_size: int) -> list[int]:
+        full, rem = divmod(self.logical_batch, batch_size)
+        return [batch_size] * full + [rem] * bool(rem)
 
     def _setup(self) -> None:
         super()._setup()
         self._micro = self.micro_batch_size()
 
-    def train(self, epochs: int) -> TrainResult:
-        result = super().train(epochs, batch_limit=self.logical_batch)
+    def train(self, epochs: int, time_budget_s: float | None = None) -> TrainResult:
+        result = super().train(
+            epochs, batch_limit=self.logical_batch, time_budget_s=time_budget_s
+        )
         result.extras["logical_batch"] = self.logical_batch
         return result
 

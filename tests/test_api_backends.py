@@ -30,7 +30,7 @@ from repro.api.backends import (
     build_model_from_spec,
 )
 from repro.core.controller import NeuroFlux
-from repro.errors import ConfigError, SpecError
+from repro.errors import ConfigError, MemoryBudgetExceeded, SpecError
 from repro.hw.platforms import get_platform
 
 QUICK = Path(__file__).resolve().parent.parent / "examples/specs/quick.json"
@@ -112,23 +112,29 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="already registered"):
             register_backend("sequential")(Impostor)
 
-    def test_eight_builtins_stay_registered(self):
+    def test_nine_builtins_stay_registered(self):
         assert available_backends() == sorted(
-            ["sequential", "pipelined", "multiprocess", "evalsim", "federated",
-             "federated-async", "serving", "cluster-serving"]
+            ["sequential", "pipelined", "multiprocess", "baseline", "evalsim",
+             "federated", "federated-async", "serving", "cluster-serving"]
         )
 
     def test_section_rules_live_on_the_backend_class(self):
         """``needs_cluster`` / ``forbids`` / ``defaults`` are class
         attributes JobSpec reads through the registry; the values are the
-        ones the old name-keyed table in ``api/spec.py`` held."""
+        ones the old name-keyed table in ``api/spec.py`` held, plus the
+        ``baseline`` section only its own backend takes."""
         rules = {
             name: (b.needs_cluster, set(b.forbids), set(b.defaults))
             for name in available_backends()
             for b in [get_backend(name)]
         }
         heavy = {"cluster", "runtime", "federated", "serving", "fleet"}
-        assert rules == {
+        assert rules.pop("baseline") == (False, heavy, {"baseline"})
+        assert all("baseline" in forbids for _, forbids, _ in rules.values())
+        assert {
+            name: (needs, forbids - {"baseline"}, defaults)
+            for name, (needs, forbids, defaults) in rules.items()
+        } == {
             "sequential": (False, {"federated", "fleet"}, set()),
             "pipelined": (True, {"federated", "fleet"}, set()),
             "multiprocess": (False, heavy, set()),
@@ -137,6 +143,9 @@ class TestRegistry:
             "federated-async": (False, heavy - {"federated"}, {"federated"}),
             "serving": (False, heavy - {"serving"}, {"serving"}),
             "cluster-serving": (True, {"federated", "runtime"}, {"serving", "fleet"}),
+        }
+        assert {n for n in available_backends() if get_backend(n).rejects_time_budget} == {
+            "multiprocess", "evalsim", "federated", "federated-async"
         }
 
     def test_spec_validation_follows_a_newly_registered_backend(self):
@@ -241,9 +250,19 @@ class TestReportProtocol:
     @pytest.fixture(scope="class")
     def reports(self):
         spec = JobSpec.from_json_file(str(QUICK))
-        return {
-            name: run(spec.with_backend(name)) for name in available_backends()
+        reports = {
+            name: run(spec.with_backend(name))
+            for name in available_backends()
+            if name != "baseline"
         }
+        # The paper's point: BP cannot take a step in the 1 MB NeuroFlux
+        # trains in, so the baseline gets a budget it fits.
+        with pytest.raises(MemoryBudgetExceeded):
+            run(spec.with_backend("baseline"))
+        reports["baseline"] = run(
+            spec.with_backend("baseline").overlay({"budgets.memory_mb": 8})
+        )
+        return reports
 
     def test_every_backend_satisfies_report_protocol(self, reports):
         for name, report in reports.items():
@@ -270,6 +289,7 @@ class TestReportProtocol:
         assert kinds["federated"] == "federated"
         assert kinds["federated-async"] == "federated-async"
         assert kinds["sequential"] == kinds["pipelined"] == "parallel"
+        assert kinds["baseline"] == "baseline"
 
     def test_federated_tracks_peak_memory_and_ledgers(self, reports):
         fed = reports["federated"]

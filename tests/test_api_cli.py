@@ -110,9 +110,9 @@ class TestRunSubcommand:
         assert "malformed JSON" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_run_listed_in_cli_list(self, capsys):
-        assert main(["list"]) == 0
-        assert "run" in capsys.readouterr().out
+    def test_run_named_in_the_usage_line(self, capsys):
+        assert main([]) == 2
+        assert "run" in capsys.readouterr().err
 
 
 class TestRunFailsFast:

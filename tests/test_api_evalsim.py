@@ -1,12 +1,13 @@
 """The evalsim backend: closed-form paper-scale cells behind repro.api.
 
-Parity tests run tiny subsets (reduced epochs, one budget) -- the full
-fig11 / rho-ablation grids are covered at paper scale by
-``benchmarks/bench_fig11_time_vs_budget.py`` and
-``benchmarks/bench_ablation_rho.py`` against the committed sweep specs.
+Parity tests run one cell each against ``tests/data/figures_golden.json``
+-- the full fig11 / rho-ablation grids (and every other figure's sweep)
+are covered by ``tests/test_paper_figures.py``.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from repro.api import JobSpec, run
 from repro.errors import SpecError
 
 MB = 2**20
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data/figures_golden.json").read_text()
+)
 
 
 def payload(**overrides):
@@ -43,15 +47,13 @@ class TestSpecRules:
 
 
 class TestParity:
-    def test_matches_fig11_cell(self):
-        from repro.experiments import fig11
+    PAPER_BUDGETS = {"memory_mb": 300, "epochs": 50}
 
-        legacy = fig11.run(
-            models=("vgg16",), datasets=("cifar10",), budgets_mb=(300,),
-            epochs=2,
-        )
-        (row,) = legacy.rows
-        report = run(JobSpec.from_dict(payload()))
+    def test_matches_fig11_cell(self):
+        (row,) = [
+            r for r in GOLDEN["fig11"]["rows"] if r[:3] == ["vgg16", "cifar10", 300]
+        ]
+        report = run(JobSpec.from_dict(payload(budgets=self.PAPER_BUDGETS)))
         ev = report.to_json_dict()["evalsim"]
         assert abs(ev["bp_hours"] - row[3]) < 1e-6
         assert abs(ev["ll_hours"] - row[4]) < 1e-6
@@ -59,11 +61,10 @@ class TestParity:
         assert abs(ev["speedup_vs_bp"] - row[6]) < 1e-5
 
     def test_matches_rho_ablation_cell(self):
-        from repro.experiments import ablations
-
-        legacy = ablations.run_rho_sweep(rhos=(0.2,), epochs=2)
-        (row,) = legacy.rows
-        report = run(JobSpec.from_dict(payload(neuroflux={"rho": 0.2})))
+        (row,) = [r for r in GOLDEN["ablation-rho"]["rows"] if r[0] == 0.2]
+        report = run(JobSpec.from_dict(
+            payload(budgets=self.PAPER_BUDGETS, neuroflux={"rho": 0.2})
+        ))
         ev = report.to_json_dict()["evalsim"]
         assert ev["n_blocks"] == row[1]
         assert abs(ev["nf_hours"] - row[2]) < 1e-6
@@ -84,6 +85,89 @@ class TestParity:
         assert ev["nf_hours"] == round(doc["wall_clock_s"] / 3600, 6)
         assert doc["wall_clock_s"] == round(report.nf.hours * 3600, 6)
         assert math.isnan(report.speedup_vs_bp)
+
+
+class TestBatchLimit:
+    """``neuroflux.batch_limit`` caps all three arms, not only NeuroFlux."""
+
+    def test_default_is_every_arms_default(self):
+        from repro.core.config import NeuroFluxConfig
+        from repro.training.backprop import DEFAULT_BATCH_LIMIT
+
+        assert DEFAULT_BATCH_LIMIT == NeuroFluxConfig().batch_limit == 256
+
+    def test_limit_reaches_bp_and_classic_ll(self):
+        roomy = {"memory_mb": 4096, "epochs": 2}
+        default = run(JobSpec.from_dict(payload(budgets=roomy)))
+        capped = run(JobSpec.from_dict(
+            payload(budgets=roomy, neuroflux={"batch_limit": 8})
+        ))
+        assert (default.bp.batch_size, default.ll.batch_size) == (256, 256)
+        assert (capped.bp.batch_size, capped.ll.batch_size) == (8, 8)
+        assert capped.nf.batch_size == capped.max_batch == 8
+        assert capped.bp.hours > default.bp.hours  # smaller steps, more of them
+        assert capped.breakdown["batch"] == 8
+
+
+class TestBreakdown:
+    """The analytic section is what the estimator and profiler say."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        from repro.api import get_backend
+
+        spec = JobSpec.from_dict(payload(
+            model={"name": "vgg11", "width_multiplier": 0.25},
+            budgets={"memory_mb": 32, "epochs": 2},
+            neuroflux={"batch_limit": 16, "sample_batches": [4, 8, 12]},
+        ))
+        context = get_backend("evalsim").prepare(spec)
+        return context.system, run(spec).to_json_dict()["evalsim"]["breakdown"]
+
+    def test_method_bytes(self, cell):
+        from repro.memory.estimator import bp_training_memory, inference_memory
+
+        model, breakdown = cell
+        bp = bp_training_memory(model, 16)
+        assert breakdown["bp"] == {
+            "activations": bp.activations, "parameters": bp.parameters,
+            "optimizer": bp.optimizer, "total": bp.total,
+        }
+        assert breakdown["inference"] == inference_memory(model, 16).total
+        assert breakdown["inference"] < breakdown["aan_ll"] < breakdown["classic_ll"]
+
+    def test_layers(self, cell):
+        from repro.core.auxiliary import build_aux_heads
+        from repro.core.profiler import measure_unit_memory
+
+        model, breakdown = cell
+        heads = build_aux_heads(model, rule="aan", seed=0)
+        assert breakdown["sample_batches"] == [4, 8, 12]
+        assert len(breakdown["layers"]) == model.num_local_layers
+        for spec, head, layer in zip(model.local_layers(), heads, breakdown["layers"]):
+            assert layer["layer"] == spec.index + 1
+            assert layer["activation_elements"] == spec.output_elements_per_sample
+            assert layer["measured_bytes"] == [
+                measure_unit_memory(spec, head, b) for b in (4, 8, 12)
+            ]
+            assert layer["r_squared"] > 0.999
+            # The fitted line's own feasible batch under the 32 MB budget.
+            assert layer["slope"] * layer["max_batch"] + layer["intercept"] <= 32 * MB
+            assert layer["slope"] * (layer["max_batch"] + 1) + layer["intercept"] > 32 * MB
+        params = [layer["exit_params"] for layer in breakdown["layers"]]
+        assert params == sorted(params) and params[-1] > breakdown["full_params"] / 2
+        rates = [layer["exit_images_per_s"] for layer in breakdown["layers"]]
+        assert rates == sorted(rates, reverse=True)
+        assert rates[0] > breakdown["full_images_per_s"]
+
+    def test_infeasible_cell_still_has_a_breakdown(self):
+        report = run(JobSpec.from_dict(payload(
+            model={"name": "vgg11", "width_multiplier": 0.25},
+            budgets={"memory_mb": 0.25, "epochs": 2},
+        )))
+        assert report.nf.feasible is False
+        layers = report.breakdown["layers"]
+        assert min(layer["max_batch"] for layer in layers) == 0
 
 
 class TestReportedBlocks:

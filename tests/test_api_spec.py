@@ -291,14 +291,17 @@ class TestValidationFailures:
 
 
 class TestTimeBudgetPerBackend:
-    """``multiprocess`` has nowhere to stop on a time budget and says so
-    at validation; the schedules that honour it keep accepting it."""
+    """A backend with nowhere to stop on a time budget says so at
+    validation; the ones that honour it keep accepting it."""
 
     BUDGETS = {"memory_mb": 16, "epochs": 1, "time_budget_s": 0.5}
 
-    def test_multiprocess_rejects_a_time_budget(self):
+    @pytest.mark.parametrize(
+        "backend", ["multiprocess", "evalsim", "federated", "federated-async"]
+    )
+    def test_backends_that_cannot_stop_reject_a_time_budget(self, backend):
         payload = quick_payload(
-            backend="multiprocess", budgets=self.BUDGETS, cluster=None, serving=None
+            backend=backend, budgets=self.BUDGETS, cluster=None, serving=None
         )
         with pytest.raises(SpecError, match="time_budget_s") as err:
             JobSpec.from_dict(payload)
@@ -306,13 +309,13 @@ class TestTimeBudgetPerBackend:
         # ... on re-targeting too: the budget is never silently dropped.
         sequential = JobSpec.from_dict(quick_payload(budgets=self.BUDGETS))
         with pytest.raises(SpecError, match="time_budget_s"):
-            sequential.with_backend("multiprocess")
+            sequential.with_backend(backend)
         payload["budgets"] = {"memory_mb": 16, "epochs": 1}
         assert JobSpec.from_dict(payload).budgets.time_budget_s is None
 
-    @pytest.mark.parametrize("backend", ["sequential", "pipelined"])
+    @pytest.mark.parametrize("backend", ["sequential", "pipelined", "baseline"])
     def test_schedules_that_honour_it_accept_it(self, backend):
-        spec = JobSpec.from_dict(quick_payload(backend=backend, budgets=self.BUDGETS))
+        spec = JobSpec.from_dict(quick_payload(budgets=self.BUDGETS), backend=backend)
         assert spec.budgets.time_budget_s == 0.5
 
 
@@ -354,7 +357,7 @@ class TestWithBackend:
             )
 
     def test_bundled_quick_spec_retargets_everywhere(self):
-        """The CI smoke contract: examples/specs/quick.json fits all five."""
+        """The CI smoke contract: examples/specs/quick.json fits them all."""
         from pathlib import Path
 
         from repro.api import available_backends

@@ -1,64 +1,40 @@
-"""Tests for the experiment CLI."""
+"""Tests for the CLI's front door: run | bench | analyze | sweep."""
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
-
-
-class TestParser:
-    def test_accepts_experiment(self):
-        args = build_parser().parse_args(["fig04"])
-        assert args.experiment == "fig04"
-
-    def test_fig11_filters(self):
-        args = build_parser().parse_args(
-            ["fig11", "--models", "vgg16", "--datasets", "cifar10"]
-        )
-        assert args.models == ["vgg16"]
-        assert args.datasets == ["cifar10"]
-
-
-class TestMain:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for key in EXPERIMENTS:
-            assert key in out
-        assert "bench" in out
-        assert "run" in out
-
-    def test_unknown_experiment(self, capsys):
-        assert main(["fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
-
-    def test_runs_analytic_experiment(self, capsys):
-        assert main(["fig04"]) == 0
-        out = capsys.readouterr().out
-        assert "fig04" in out
-        assert "classic_LL" in out
-
-    def test_fig11_with_filters(self, capsys):
-        assert main(["fig11", "--models", "vgg16", "--datasets", "cifar10"]) == 0
-        out = capsys.readouterr().out
-        assert "vgg16" in out
-        assert "NF_speedup_vs_BP" in out
-
-    def test_every_registered_experiment_has_runner(self):
-        for key, (desc, runner) in EXPERIMENTS.items():
-            assert desc
-            assert callable(runner)
+from repro.cli import USAGE, main
 
 
 class TestRemovedSubcommands:
-    @pytest.mark.parametrize("name", ["serve", "parallel"])
-    def test_legacy_subcommands_are_unknown(self, capsys, name):
-        """``repro run <spec.json>`` is the one door; the old spec-builder
-        subcommands are gone, not aliased."""
-        assert main([name]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
-        assert main(["list"]) == 0
-        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert name not in listed and "run" in listed
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve"], ["parallel"], ["fig04"], ["list"], ["all"], ["fig99"],
+         ["fig11", "--models", "vgg16"], []],
+    )
+    def test_anything_else_prints_the_usage_line(self, capsys, argv):
+        """``repro run <spec.json>`` and ``repro sweep`` are the only ways
+        in: the old spec-builder subcommands and the figure name-door
+        (``fig04``, ``list``, ``all``) are gone, not aliased."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == USAGE
+        assert captured.out == ""
+
+    def test_cli_imports_no_figure_or_trainer_code(self):
+        """Importing the CLI costs nothing a subcommand does not ask for."""
+        import ast
+        import inspect
+
+        import repro.cli
+
+        tree = ast.parse(inspect.getsource(repro.cli))
+        top_level = {
+            alias.name if isinstance(node, ast.Import) else node.module
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert top_level <= {"__future__", "argparse", "sys", "typing"}
 
 
 class TestBench:
@@ -128,10 +104,6 @@ class TestSweep:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"name": "cli", "base": self.BASE, **axes}))
         return str(path)
-
-    def test_list_mentions_sweep(self, capsys):
-        assert main(["list"]) == 0
-        assert "sweep" in capsys.readouterr().out
 
     def test_sweep_run_results_and_summary(self, capsys, tmp_path):
         import json

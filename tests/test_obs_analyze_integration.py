@@ -38,6 +38,9 @@ def _clean_active_tracer():
 def quick_spec(backend: str, **extra) -> JobSpec:
     payload = json.loads(QUICK.read_text())
     payload.update(extra)
+    if backend == "baseline":
+        # BP cannot take a step in the 1 MB NeuroFlux trains in.
+        payload["budgets"] = {**payload["budgets"], "memory_mb": 8}
     return JobSpec.from_dict(payload, backend=backend)
 
 
