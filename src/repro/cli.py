@@ -8,7 +8,8 @@ Usage::
     python -m repro.cli run job.json --array-backend threaded --threads 4
     python -m repro.cli run examples/specs/serving.json --trace-out trace.json
     python -m repro.cli analyze trace.json
-    python -m repro.cli bench --quick
+    python -m repro.cli bench kernels --quick
+    python -m repro.cli bench fleet --json /tmp/BENCH_fleet.json
     python -m repro.cli sweep run benchmarks/sweeps/fig11_time_vs_budget.json --workers 4
     python -m repro.cli sweep results fig11_time_vs_budget.sweep \
         --select spec.model.name spec.budgets.memory_mb report.evalsim.nf_hours
@@ -23,9 +24,10 @@ them with ``--backend``) and prints the unified report; the
 ``--processes`` flags override the spec's ``compute`` section
 field-by-field.  ``analyze`` turns a trace or report into a critical
 path, a request breakdown, a diff or an SLO verdict (see
-:mod:`repro.obs.analyze`).  ``bench`` times the kernel substrate, seed
-path vs fused+workspace path (see :mod:`repro.perf.bench`), and records
-the trajectory in ``BENCH_kernels.json``.  ``sweep`` runs a declarative
+:mod:`repro.obs.analyze`).  ``bench <suite>`` (``kernels | pipeline |
+runtime | fleet | obs``) runs one benchmark suite, prints its table,
+records it in ``BENCH_<suite>.json`` unless ``--quick``, and exits 1 when a
+claim it asserts fails (see :mod:`repro.bench`).  ``sweep`` runs a declarative
 experiment grid (one base JobSpec + axes over dotted section paths)
 through a resumable process-pool driver and queries the resulting store
 (see :mod:`repro.sweep`) -- every figure and table of the paper is a
@@ -38,7 +40,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-USAGE = "usage: python -m repro.cli {run,bench,analyze,sweep} ... (each takes --help)"
+USAGE = (
+    "usage: python -m repro.cli {run,bench <suite>,analyze,sweep} ... "
+    "(each takes --help)"
+)
 
 
 # --------------------------------------------------------------------- #
@@ -551,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     if command == "run":
         return _run_main(rest)
     if command == "bench":
-        from repro.perf.bench import main as bench_main
+        from repro.bench import main as bench_main
 
         return bench_main(rest)
     if command == "analyze":

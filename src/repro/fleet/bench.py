@@ -27,22 +27,11 @@ one fixed-seed trace, so every number -- and the committed
 
 from __future__ import annotations
 
-import json
-import platform as _platform
-from dataclasses import replace
-
-import numpy as np
-
+from repro.bench import MB, MODEL, env_block, reference_data, reference_system
 from repro.errors import ConfigError
 
-MB = 2**20
-
-_MODEL = "vgg11"
 _WIDTH = 0.125
-_INPUT_HW = (16, 16)
-_NUM_CLASSES = 4
 _BUDGET = 16 * MB
-_BATCH_LIMIT = 64
 
 #: Each fleet replica shards the cascade across this device template.
 _REPLICA_TEMPLATE = ("nano", "agx-orin")
@@ -53,45 +42,6 @@ _N_REPLICAS = 3
 #: Event times as fractions of the trace duration.
 _SLOWDOWN_AT, _SLOWDOWN_FACTOR, _SLOWDOWN_SPAN = 0.2, 4.0, 0.4
 _FAILURE_AT = 0.55
-
-
-def _make_data(quick: bool, seed: int):
-    from repro.data.registry import dataset_spec
-
-    spec = dataset_spec(
-        "cifar10",
-        num_classes=_NUM_CLASSES,
-        image_hw=_INPUT_HW,
-        noise_std=0.4,
-        seed=7 + seed,
-    )
-    if quick:
-        spec = replace(spec, n_train=120, n_val=40, n_test=40)
-    else:
-        spec = replace(spec, n_train=240, n_val=60, n_test=60)
-    return spec.materialize()
-
-
-def _make_system(data, seed: int, epochs: int):
-    from repro.core.config import NeuroFluxConfig
-    from repro.core.controller import NeuroFlux
-    from repro.models.zoo import build_model
-
-    model = build_model(
-        _MODEL,
-        num_classes=_NUM_CLASSES,
-        input_hw=_INPUT_HW,
-        width_multiplier=_WIDTH,
-        seed=3 + seed,
-    )
-    system = NeuroFlux(
-        model,
-        data,
-        memory_budget=_BUDGET,
-        config=NeuroFluxConfig(batch_limit=_BATCH_LIMIT, seed=seed),
-    )
-    system.run(epochs=epochs)
-    return system
 
 
 def _schedule(name: str, duration_s: float):
@@ -159,18 +109,14 @@ def _arm_entry(report) -> dict:
     }
 
 
-def run_suite(quick: bool = False, seed: int = 0, rate: float | None = None,
-              duration_s: float | None = None) -> dict:
+def run_suite(quick: bool = False, seed: int = 0) -> dict:
     """Run the single-vs-fleet churn suite and return the JSON report."""
-    if rate is None:
-        rate = 1500.0
-    if duration_s is None:
-        duration_s = 0.4 if quick else 1.0
-    if rate <= 0 or duration_s <= 0:
-        raise ConfigError("rate and duration must be positive")
+    rate = 1500.0
+    duration_s = 0.4 if quick else 1.0
     epochs = 2 if quick else 5
-    data = _make_data(quick, seed)
-    system = _make_system(data, seed, epochs)
+    data = reference_data(seed, quick)
+    system = reference_system(data, _WIDTH, _BUDGET, seed)
+    system.run(epochs=epochs)
 
     scenarios: dict[str, dict] = {}
     for name in ("slowdown", "failure"):
@@ -234,7 +180,7 @@ def run_suite(quick: bool = False, seed: int = 0, rate: float | None = None,
             "quick": quick,
             "seed": seed,
             "epochs": epochs,
-            "model": _MODEL,
+            "model": MODEL,
             "width_multiplier": _WIDTH,
             "arrival_rate": rate,
             "duration_s": duration_s,
@@ -243,11 +189,7 @@ def run_suite(quick: bool = False, seed: int = 0, rate: float | None = None,
             "single_device": list(_SINGLE_DEVICE),
             "n_test": len(data.x_test),
         },
-        "env": {
-            "python": _platform.python_version(),
-            "numpy": np.__version__,
-            "machine": _platform.machine(),
-        },
+        "env": env_block(),
         "scenarios": scenarios,
         "policies": policies,
         "claims": claims,
@@ -301,56 +243,3 @@ def format_report(report: dict) -> str:
     for claim, holds in report["claims"].items():
         lines.append(f"claim {claim}: {'ok' if holds else 'FAILED'}")
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for benchmarks/bench_fleet.py."""
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="bench_fleet",
-        description="N-replica sharded fleet vs one static server under churn.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="short trace / light training (CI smoke)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="data/model/trace seed")
-    parser.add_argument(
-        "--rate", type=float, default=None, help="arrival rate (req/s)"
-    )
-    parser.add_argument(
-        "--duration", type=float, default=None, help="trace duration (s)"
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the report to PATH (default: BENCH_fleet.json unless --quick)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        report = run_suite(
-            quick=args.quick, seed=args.seed, rate=args.rate,
-            duration_s=args.duration,
-        )
-    except ConfigError as exc:
-        print(f"bench_fleet: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    json_path = args.json
-    if json_path is None and not args.quick:
-        json_path = "BENCH_fleet.json"
-    if json_path:
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-    if not all(report["claims"].values()):
-        print("bench_fleet: a headline claim failed", file=sys.stderr)
-        return 1
-    return 0

@@ -81,7 +81,7 @@ class ExecutionSimulator:
     time_scale: float = 1.0
     #: Optional span sink (:class:`repro.obs.trace.Tracer`).  ``None`` by
     #: default: every charge path guards on it with one ``is not None``
-    #: check, the zero-when-disabled contract bench_obs enforces.
+    #: check, the zero-when-disabled contract ``repro bench obs`` enforces.
     tracer: object | None = field(default=None, repr=False, compare=False)
     #: Trace track charges land on (one per simulated device).
     trace_track: str = field(default="dev0", repr=False, compare=False)

@@ -26,7 +26,8 @@ a shared machine (run-to-run noise is several percent); the projection
 is deterministic in ``g`` and pessimistic in the cost, so the claim is
 robust.
 
-Claims asserted by ``--check`` (the CI gate):
+Claims (``python -m repro.cli bench obs`` exits 1 when one fails; CI runs
+it ``--quick``):
 
 * disabled (projected) overhead < 1% -- the guards are free;
 * enabled macro overhead < 10% -- tracing a run stays cheap.
@@ -34,12 +35,9 @@ Claims asserted by ``--check`` (the CI gate):
 
 from __future__ import annotations
 
-import argparse
 import json
-import platform as _platform
-import sys
-import time
 
+from repro.bench import best_of, env_block
 from repro.hw.platforms import get_platform
 from repro.hw.simulator import ExecutionSimulator
 from repro.obs.trace import Tracer
@@ -144,20 +142,6 @@ class _BaselineSimulator(ExecutionSimulator):
         return compute + io + overhead
 
 
-def _interleaved_best_of(arms: dict, reps: int, warmup: int = 1) -> dict:
-    """Best-of-``reps`` seconds per arm, arms interleaved every rep."""
-    for fn in arms.values():
-        for _ in range(warmup):
-            fn()
-    best = dict.fromkeys(arms, float("inf"))
-    for _ in range(reps):
-        for name, fn in arms.items():
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    return best
-
-
 def bench_micro(calls: int, reps: int) -> dict:
     """Time ``calls`` `add_training_step` charges per arm (ns/call)."""
     platform = get_platform("agx_orin")
@@ -172,7 +156,7 @@ def bench_micro(calls: int, reps: int) -> dict:
                 step(1e6, 4096.0, 8, input_mode="prefetch-raw")
         return run
 
-    best = _interleaved_best_of(
+    best = best_of(
         {
             "baseline": arm(lambda: _BaselineSimulator(platform), False),
             "disabled": arm(lambda: ExecutionSimulator(platform), False),
@@ -224,7 +208,7 @@ def bench_macro(reps: int, spec_payload: dict | None = None) -> dict:
 
     spec_payload = spec_payload if spec_payload is not None else MACRO_SPEC
     spec = JobSpec.from_dict(spec_payload)
-    best = _interleaved_best_of(
+    best = best_of(
         {
             "untraced": lambda: run(spec),
             "traced": lambda: run(spec, callbacks=TracingCallback()),
@@ -264,7 +248,7 @@ def bench_analysis(reps: int) -> dict:
     callback = TracingCallback()
     run(JobSpec.from_dict(FLEET_MACRO_SPEC), callbacks=callback)
     model = TraceModel.from_tracer(callback.tracer)
-    best = _interleaved_best_of(
+    best = best_of(
         {
             "critical_path": lambda: compute_critical_path(model),
             "request_breakdown": lambda: request_breakdown(model),
@@ -297,8 +281,6 @@ def project_disabled_overhead(micro: dict, macro: dict) -> dict:
 
 
 def run_suite(quick: bool = False) -> dict:
-    import numpy as np
-
     micro = bench_micro(
         calls=20_000 if quick else 100_000, reps=3 if quick else 7
     )
@@ -331,11 +313,7 @@ def run_suite(quick: bool = False) -> dict:
             "enabled_macro_limit_pct": ENABLED_MACRO_LIMIT_PCT,
             "pessimistic_guard_ns": PESSIMISTIC_GUARD_NS,
         },
-        "env": {
-            "machine": _platform.machine(),
-            "numpy": np.__version__,
-            "python": _platform.python_version(),
-        },
+        "env": env_block(),
         "micro_add_training_step": micro,
         "macro_sequential_run": macro,
         "macro_fleet_run": fleet_macro,
@@ -346,41 +324,6 @@ def run_suite(quick: bool = False) -> dict:
     }
 
 
-def write_report(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Measure tracing overhead (zero-when-disabled contract)."
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller reps (the CI smoke run)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every overhead claim holds",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH", help="write the JSON report"
-    )
-    args = parser.parse_args(argv)
-    payload = run_suite(quick=args.quick)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        write_report(payload, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.check:
-        failed = [name for name, ok in payload["claims"].items() if not ok]
-        if failed:
-            print(f"overhead claim(s) failed: {failed}", file=sys.stderr)
-            return 1
-        print("all overhead claims hold", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def format_report(report: dict) -> str:
+    """The payload itself: every number here is a headline."""
+    return json.dumps(report, indent=2, sort_keys=True)

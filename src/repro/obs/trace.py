@@ -13,7 +13,7 @@ Engines discover the tracer through a module-level *active tracer*
 registry (:func:`activate` / :func:`active_tracer`), the same shape
 OpenTelemetry uses: instrumentation points hold no reference to any
 tracer and cost one ``is not None`` check when tracing is off -- the
-zero-when-disabled contract ``benchmarks/bench_obs.py`` enforces.
+zero-when-disabled contract ``repro bench obs`` enforces.
 
 Exports: :meth:`Tracer.write_chrome` emits Chrome trace-event JSON
 (loadable in Perfetto / chrome://tracing; one thread row per track, flow

@@ -14,7 +14,8 @@ dependency, which makes them pipelineable across devices:
 * :mod:`repro.parallel.pipeline` -- the micro-batch pipeline executor and
   its timing model (bounded queues, back-pressure, bubble accounting);
 * :mod:`repro.parallel.report` -- structured results;
-* :mod:`repro.parallel.bench` -- the committed pipeline benchmark.
+* :mod:`repro.parallel.bench` -- the committed pipeline benchmark
+  (``repro bench pipeline``, ``BENCH_pipeline.json``).
 
 Entry point: :meth:`repro.core.controller.NeuroFlux.train_parallel`.
 """

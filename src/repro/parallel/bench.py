@@ -10,85 +10,30 @@ training times:
 * ``round_robin`` -- pipelined schedule, naive block placement;
 * ``optimized`` -- pipelined schedule, local-search block placement.
 
-``run_suite`` returns a JSON-serializable report; ``benchmarks/
-bench_pipeline.py`` writes it to ``BENCH_pipeline.json`` -- the committed
-trajectory future PRs regress against.  The headline claims it records:
-the pipelined schedule beats the single-device makespan, and the
-optimized placement beats round-robin on both predicted and simulated
-makespan.  ``--quick`` shrinks the dataset and epochs to a CI smoke test.
+``run_suite`` returns a JSON-serializable report; ``python -m repro.cli
+bench pipeline`` (:mod:`repro.bench`) writes it to ``BENCH_pipeline.json``
+-- the committed trajectory future PRs regress against.  The headline
+claims it records: the pipelined schedule beats the single-device
+makespan, and the optimized placement beats round-robin on both predicted
+and simulated makespan.  ``--quick`` shrinks the dataset and epochs to a
+smoke test.
 """
 
 from __future__ import annotations
 
-import json
-import platform as _platform
-from dataclasses import replace
+from repro.bench import (
+    BATCH_LIMIT,
+    MB,
+    MODEL,
+    env_block,
+    reference_data,
+    reference_system,
+)
 
-import numpy as np
-
-from repro.errors import ConfigError
-
-MB = 2**20
-
-#: The benchmark workload: a width-scaled VGG-11 whose 3 MiB partition
-#: yields several comparable blocks -- enough stages to fill the cluster.
-_MODEL = "vgg11"
+#: The reference workload at a width whose 3 MiB partition yields several
+#: comparable blocks -- enough stages to fill the cluster.
 _WIDTH = 0.25
-_INPUT_HW = (16, 16)
-_NUM_CLASSES = 4
 _BUDGET = 3 * MB
-_BATCH_LIMIT = 64
-
-
-def _make_data(quick: bool, seed: int):
-    from repro.data.registry import dataset_spec
-
-    spec = dataset_spec(
-        "cifar10",
-        num_classes=_NUM_CLASSES,
-        image_hw=_INPUT_HW,
-        noise_std=0.4,
-        seed=7 + seed,
-    )
-    if quick:
-        spec = replace(spec, n_train=120, n_val=40, n_test=40)
-    else:
-        spec = replace(spec, n_train=240, n_val=60, n_test=60)
-    return spec.materialize()
-
-
-def _make_system(data, seed: int):
-    from repro.core.config import NeuroFluxConfig
-    from repro.core.controller import NeuroFlux
-    from repro.hw.platforms import get_platform
-    from repro.models.zoo import build_model
-    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER
-
-    model = build_model(
-        _MODEL,
-        num_classes=_NUM_CLASSES,
-        input_hw=_INPUT_HW,
-        width_multiplier=_WIDTH,
-        seed=3 + seed,
-    )
-    # Fastest cluster member hosts the single-device baseline.
-    fastest = max(
-        (get_platform(name) for name in DEFAULT_EDGE_CLUSTER),
-        key=lambda p: p.effective_flops,
-    )
-    return NeuroFlux(
-        model,
-        data,
-        memory_budget=_BUDGET,
-        platform=fastest,
-        config=NeuroFluxConfig(batch_limit=_BATCH_LIMIT, seed=seed),
-    )
-
-
-def _make_cluster():
-    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER, Cluster
-
-    return Cluster.from_names(DEFAULT_EDGE_CLUSTER)
 
 
 def _parallel_entry(preport) -> dict:
@@ -105,32 +50,37 @@ def _parallel_entry(preport) -> dict:
     }
 
 
-def run_suite(quick: bool = False, epochs: int | None = None, seed: int = 0) -> dict:
+def run_suite(quick: bool = False, seed: int = 0) -> dict:
     """Run all four variants and return the comparison report."""
-    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER
+    from repro.hw.platforms import get_platform
+    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER, Cluster
 
-    if epochs is None:
-        epochs = 2 if quick else 3
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    data = _make_data(quick, seed)
+    epochs = 2 if quick else 3
+    data = reference_data(seed, quick)
+    # Fastest cluster member hosts the single-device baseline.
+    fastest = max(
+        (get_platform(name) for name in DEFAULT_EDGE_CLUSTER),
+        key=lambda p: p.effective_flops,
+    )
 
-    single_system = _make_system(data, seed)
+    def fresh_system():
+        return reference_system(data, _WIDTH, _BUDGET, seed, platform=fastest)
+
+    def train(**schedule):
+        return fresh_system().train_parallel(
+            Cluster.from_names(DEFAULT_EDGE_CLUSTER), epochs=epochs, **schedule
+        )
+
+    single_system = fresh_system()
     single_report = single_system.run(epochs=epochs)
     n_blocks = len(single_report.blocks)
 
     # Spread blocks round-robin so the sequential row shows what naive
     # distribution costs (the default sequential placement would just pick
     # the fastest device and reduce to the single-device run).
-    seq = _make_system(data, seed).train_parallel(
-        _make_cluster(), epochs=epochs, schedule="sequential", placement="round-robin"
-    )
-    rr = _make_system(data, seed).train_parallel(
-        _make_cluster(), epochs=epochs, schedule="pipelined", placement="round-robin"
-    )
-    opt = _make_system(data, seed).train_parallel(
-        _make_cluster(), epochs=epochs, schedule="pipelined"
-    )
+    seq = train(schedule="sequential", placement="round-robin")
+    rr = train(schedule="pipelined", placement="round-robin")
+    opt = train(schedule="pipelined")
 
     single_time = single_report.result.sim_time_s
     report = {
@@ -139,19 +89,15 @@ def run_suite(quick: bool = False, epochs: int | None = None, seed: int = 0) -> 
             "quick": quick,
             "epochs": epochs,
             "seed": seed,
-            "model": _MODEL,
+            "model": MODEL,
             "width_multiplier": _WIDTH,
             "memory_budget_mb": _BUDGET / MB,
-            "batch_limit": _BATCH_LIMIT,
+            "batch_limit": BATCH_LIMIT,
             "n_train": len(data.x_train),
             "n_blocks": n_blocks,
             "cluster": list(DEFAULT_EDGE_CLUSTER),
         },
-        "env": {
-            "python": _platform.python_version(),
-            "numpy": np.__version__,
-            "machine": _platform.machine(),
-        },
+        "env": env_block(),
         "single": {
             "platform": single_system.platform.name,
             "sim_time_s": round(single_time, 6),
@@ -217,48 +163,3 @@ def format_report(report: dict) -> str:
     for claim, holds in report["claims"].items():
         lines.append(f"claim {claim}: {'ok' if holds else 'FAILED'}")
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for benchmarks/bench_pipeline.py."""
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="bench_pipeline",
-        description="Compare cluster training schedules against single-device.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="small dataset / few epochs (CI smoke)"
-    )
-    parser.add_argument("--epochs", type=int, default=None, help="training epochs")
-    parser.add_argument("--seed", type=int, default=0, help="data/model/training seed")
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the report to PATH (default: BENCH_pipeline.json unless --quick)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        report = run_suite(quick=args.quick, epochs=args.epochs, seed=args.seed)
-    except ConfigError as exc:
-        print(f"bench_pipeline: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    json_path = args.json
-    if json_path is None and not args.quick:
-        json_path = "BENCH_pipeline.json"
-    if json_path:
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-    if not all(report["claims"].values()):
-        print("bench_pipeline: a headline claim failed", file=sys.stderr)
-        return 1
-    return 0

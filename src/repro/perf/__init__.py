@@ -2,8 +2,8 @@
 
 ``Workspace`` (see :mod:`repro.perf.workspace`) backs the fused and
 workspace-aware paths of the nn layers; :mod:`repro.perf.bench`
-is the wall-clock benchmark harness behind ``benchmarks/bench_kernels.py``
-and the ``bench`` CLI subcommand.
+is the wall-clock kernel suite behind ``python -m repro.cli bench
+kernels``.
 """
 
 from repro.perf.workspace import Workspace

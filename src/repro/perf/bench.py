@@ -18,22 +18,22 @@ multiprocess block-parallel training vs the same executor single-process
 honestly), and bf16 weight emulation (``bf16_vgg11``: resident weight
 bytes, peak memory, end-accuracy delta).
 
-``run_suite`` returns a JSON-serializable report; ``benchmarks/
-bench_kernels.py`` and the ``bench`` CLI subcommand write it to
-``BENCH_kernels.json`` so every future PR has a committed perf baseline to
-regress against.  ``--quick`` shrinks shapes and repetitions to a smoke
-test (CI runs it on every push so the harness itself cannot rot).
+``run_suite`` returns a JSON-serializable report; ``python -m repro.cli
+bench kernels`` (:mod:`repro.bench`) writes it to ``BENCH_kernels.json`` so
+every future PR has a committed perf baseline to regress against.
+``--quick`` shrinks shapes and repetitions to a smoke test (CI runs it on
+every push so the harness itself cannot rot).
 """
 
 from __future__ import annotations
 
-import json
-import platform as _platform
+import sys
 import time
 
 import numpy as np
 
 from repro.backend.blas import usable_cores
+from repro.bench import MB, best_of, env_block, reference_data, reference_system
 from repro.errors import ConfigError
 
 #: Accepted suite selectors for run_suite / the CLI.
@@ -57,40 +57,6 @@ GATE_MP_FLOOR = 0.95
 _DEFAULT_MODEL = "vgg11"
 
 
-def _time_ms(fn, reps: int, warmup: int = 2) -> float:
-    """Best-of-``reps`` wall-clock milliseconds for one call of ``fn``."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
-
-
-def _time_pair_ms(fn_a, fn_b, reps: int, warmup: int = 2) -> tuple[float, float]:
-    """Best-of wall-clock for two functions, measured *interleaved*.
-
-    Timing the loops back-to-back lets scheduler noise land entirely on
-    one side (a 1.4x phantom "speedup" between identical calls was
-    observed on a busy host); alternating the samples makes both sides
-    see the same noise, which is what a CI regression gate needs.
-    """
-    for _ in range(warmup):
-        fn_a()
-        fn_b()
-    best_a = best_b = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - t0)
-    return best_a * 1e3, best_b * 1e3
-
-
 def _entry(seed_ms: float, fast_ms: float, **extra) -> dict:
     return {
         "seed_ms": round(seed_ms, 4),
@@ -98,6 +64,18 @@ def _entry(seed_ms: float, fast_ms: float, **extra) -> dict:
         "speedup": round(seed_ms / fast_ms, 3) if fast_ms > 0 else float("inf"),
         **extra,
     }
+
+
+def _ms(fn, reps: int) -> float:
+    """Best-of-``reps`` wall-clock milliseconds for ``fn`` timed alone."""
+    return 1e3 * best_of({"fn": fn}, reps, warmup=2)["fn"]
+
+
+def _paired_entry(seed_fn, fast_fn, reps: int, **extra) -> dict:
+    """Row for two paths timed interleaved -- the rows a gate or a parity
+    claim reads, where noise must land on both sides."""
+    best = best_of({"seed": seed_fn, "fast": fast_fn}, reps, warmup=2)
+    return _entry(1e3 * best["seed"], 1e3 * best["fast"], **extra)
 
 
 # -- micro: individual kernels ---------------------------------------------
@@ -121,8 +99,8 @@ def bench_im2col(batch: int, reps: int, seed: int = 0) -> dict:
         im2col_nhwc(xp, k, s, out=cols)
 
     return _entry(
-        _time_ms(lambda: im2col(x, k, s, p), reps),
-        _time_ms(fast, reps),
+        _ms(lambda: im2col(x, k, s, p), reps),
+        _ms(fast, reps),
         shape=[n, c, h, w],
         kernel=k,
     )
@@ -142,8 +120,8 @@ def bench_col2im(batch: int, reps: int, seed: int = 0) -> dict:
     out = np.empty((n, h + 2 * p, w + 2 * p, c), np.float32)
 
     return _entry(
-        _time_ms(lambda: col2im(dcols, (n, c, h, w), k, s, p, (oh, ow)), reps),
-        _time_ms(lambda: col2im_nhwc(dcols_nhwc, k, s, out=out), reps),
+        _ms(lambda: col2im(dcols, (n, c, h, w), k, s, p, (oh, ow)), reps),
+        _ms(lambda: col2im_nhwc(dcols_nhwc, k, s, out=out), reps),
         shape=[n, c, h, w],
         kernel=k,
     )
@@ -170,14 +148,10 @@ def bench_col2im_overlap(batch: int, reps: int, seed: int = 0) -> dict:
     dcols = rng.standard_normal((n, oh, ow, k, k, c)).astype(np.float32)
     out = np.empty((n, hp, hp, c), np.float32)
     path = col2im_dispatch(k, 1, False, n, dcols.size)
-    seed_ms, fast_ms = _time_pair_ms(
+    return _paired_entry(
         lambda: col2im_nhwc(dcols, k, 1, out=out, method="loop"),
         lambda: col2im_nhwc(dcols, k, 1, out=out, method=path),
         max(reps, 10),
-    )
-    return _entry(
-        seed_ms,
-        fast_ms,
         kernel=k,
         path=path,
         array_backend=active_backend().name,
@@ -205,14 +179,10 @@ def bench_gemm_im2col(batch: int, reps: int, seed: int = 0, threads: int | None 
     out = np.empty((m, cout), np.float32)
     backend = get_array_backend("threaded", threads=threads)
     try:
-        seed_ms, fast_ms = _time_pair_ms(
+        return _paired_entry(
             lambda: np.matmul(cols, wmat, out),
             lambda: backend.matmul(cols, wmat, out=out),
             max(reps, 10),  # the CI gate reads this row; buy stability
-        )
-        return _entry(
-            seed_ms,
-            fast_ms,
             shape=[m, c * k * k, cout],
             threads=backend.threads,
         )
@@ -244,7 +214,7 @@ def bench_conv_step(batch: int, reps: int, seed: int = 0) -> dict:
         fast_conv.backward(g)
 
     return _entry(
-        _time_ms(seed_step, reps), _time_ms(fast_step, reps), shape=[n, cin, hw, hw]
+        _ms(seed_step, reps), _ms(fast_step, reps), shape=[n, cin, hw, hw]
     )
 
 
@@ -276,7 +246,7 @@ def bench_maxpool_step(batch: int, reps: int, seed: int = 0) -> dict:
         pool.backward(g)
 
     return _entry(
-        _time_ms(seed_step, reps), _time_ms(fast_step, reps), shape=[n, c, hw, hw]
+        _ms(seed_step, reps), _ms(fast_step, reps), shape=[n, c, hw, hw]
     )
 
 
@@ -291,7 +261,7 @@ def _make_batch(batch: int, input_hw: tuple[int, int], num_classes: int, seed: i
 
 
 #: Width multiplier for the macro models -- the repo's standard scale for
-#: pure-numpy benchmarking (bench_serving and the test suite use the same
+#: pure-numpy benchmarking (the fleet suite and the test suite use the same
 #: family of scaled-down zoo models).
 MACRO_WIDTH = 0.125
 
@@ -344,7 +314,7 @@ def bench_bp_step(
             model.backward(loss_fn.backward(), need_input_grad=need_input_grad)
             opt.step()
 
-        results[mode] = _time_ms(step, reps)
+        results[mode] = _ms(step, reps)
     return _entry(
         results["seed"], results["fast"], model=model_name, batch=batch,
         input_hw=list(input_hw), width_multiplier=width,
@@ -401,7 +371,7 @@ def bench_ll_step(
                 opt.zero_grad()
                 feats = out
 
-        results[mode] = _time_ms(step, reps)
+        results[mode] = _ms(step, reps)
     return _entry(
         results["seed"], results["fast"], model=model_name, batch=batch,
         input_hw=list(input_hw), width_multiplier=width,
@@ -411,40 +381,22 @@ def bench_ll_step(
 # -- backend: real-parallelism and storage modes ---------------------------
 
 
-def _build_backend_system(
-    seed: int, bf16: bool = False, scale: float = 0.002, memory_mb: float = 1.0
-):
-    """A >=4-block vgg11 system on the tiny synthetic dataset.
+def _tiny_system(seed: int, bf16: bool = False, memory_mb: float = 1.0):
+    """A >=4-block fused reference system on the tiny (scale 0.002) dataset.
 
     The 1 MiB budget with the default 256 batch limit partitions the
     width-0.125 vgg11 into 6 blocks -- enough stages for the multiprocess
     executor to overlap meaningfully on a multi-core host.
     """
     from repro.backend import ComputeConfig
-    from repro.core.controller import NeuroFlux
-    from repro.data.registry import dataset_spec
-    from repro.models.zoo import build_model
 
-    data = dataset_spec(
-        "cifar10",
-        scale=scale,
-        image_hw=(16, 16),
-        num_classes=4,
-        noise_std=0.4,
-        seed=7 + seed,
-    ).materialize()
-    model = build_model(
-        "vgg11",
-        num_classes=4,
-        input_hw=(16, 16),
-        width_multiplier=MACRO_WIDTH,
-        seed=3 + seed,
+    return reference_system(
+        reference_data(seed, scale=0.002),
+        MACRO_WIDTH,
+        int(memory_mb * MB),
+        seed,
+        batch_limit=256,
         fused=True,
-    )
-    return NeuroFlux(
-        model,
-        data,
-        memory_budget=int(memory_mb * (1 << 20)),
         compute=ComputeConfig(bf16_weights=bf16),
     )
 
@@ -471,7 +423,7 @@ def bench_mp_block_parallel(seed: int = 0) -> dict:
     best: dict = {}
     for _ in range(reps):
         for processes in (1, None):  # None: a stage per core, capped at blocks
-            system = _build_backend_system(seed)
+            system = _tiny_system(seed)
             report = run_block_parallel(system, epochs, processes=processes)
             ex = report.result.extras
             held = best.get(processes)
@@ -516,7 +468,7 @@ def bench_bf16_vgg11(reps: int, quick: bool, seed: int = 0) -> dict:
         # 1.5 MiB: a 5-block partition with headroom for the sequential
         # executor's measured (not fitted) residency allocations in both
         # storage modes (bf16 packs batches closer to the budget line).
-        system = _build_backend_system(seed, bf16=bf16, memory_mb=1.5)
+        system = _tiny_system(seed, bf16=bf16, memory_mb=1.5)
         report = system.run(epochs)
         results[mode] = {
             "ms": (time.perf_counter() - t0) * 1e3,
@@ -586,12 +538,7 @@ def run_suite(
             "seed": seed,
             "array_backend": array_backend or "numpy",
         },
-        "env": {
-            "python": _platform.python_version(),
-            "numpy": np.__version__,
-            "machine": _platform.machine(),
-            "cores": usable_cores(),
-        },
+        "env": {**env_block(), "cores": usable_cores()},
     }
     backend_kwargs = {} if threads is None else {"threads": threads}
     with use_array_backend(array_backend, **backend_kwargs):
@@ -669,37 +616,12 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point shared by benchmarks/bench_kernels.py and the CLI."""
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="bench_kernels",
-        description="Time the numpy kernel substrate (seed vs fused+workspace).",
-    )
+def add_arguments(parser) -> None:
+    """The kernel suite's own flags (``repro.bench`` owns the shared ones)."""
     parser.add_argument("--suite", default="all", help="micro | macro | backend | all")
-    parser.add_argument(
-        "--quick", action="store_true", help="small shapes / few reps (CI smoke)"
-    )
     parser.add_argument("--batch", type=int, default=None, help="macro batch size")
     parser.add_argument("--reps", type=int, default=None, help="timing repetitions")
     parser.add_argument("--model", default=_DEFAULT_MODEL, help="macro model name")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for synthetic data and weights"
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the report to PATH (default: BENCH_kernels.json unless --quick)",
-    )
     parser.add_argument(
         "--array-backend",
         default=None,
@@ -732,28 +654,10 @@ def main(argv: list[str] | None = None) -> int:
             "hosts"
         ),
     )
-    args = parser.parse_args(argv)
-    try:
-        report = run_suite(
-            suite=args.suite,
-            quick=args.quick,
-            batch=args.batch,
-            reps=args.reps,
-            model=args.model,
-            seed=args.seed,
-            array_backend=args.array_backend,
-            threads=args.threads,
-        )
-    except ConfigError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    json_path = args.json
-    if json_path is None and not args.quick:
-        json_path = "BENCH_kernels.json"
-    if json_path:
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
+
+
+def gate(report: dict, args) -> int:
+    """Exit code of ``--gate-threaded`` / ``--gate-mp`` over a finished report."""
     if args.gate_threaded:
         row = report.get("micro", {}).get("gemm_im2col")
         if row is None:

@@ -17,7 +17,7 @@ the control loop for everything that assumption leaves out:
 * :mod:`repro.runtime.runtime` -- :class:`AdaptiveRuntime`, the loop
   itself, driven by :meth:`NeuroFlux.train_parallel(..., runtime=...)`;
 * :mod:`repro.runtime.bench` -- the committed static-vs-adaptive
-  scenario benchmark (``BENCH_runtime.json``).
+  scenario benchmark (``repro bench runtime``, ``BENCH_runtime.json``).
 """
 
 from repro.runtime.events import (

@@ -19,79 +19,34 @@ Three scenarios, timed as fractions of an unperturbed probe run:
 Because migration round-trips bit-identical state and events only touch
 ledgers, both arms train the *same weights* -- the comparison is pure
 timing, which is what makes the claims deterministic.  ``run_suite``
-returns a JSON-serializable report; ``benchmarks/bench_runtime.py``
-writes it to ``BENCH_runtime.json``.  ``--quick`` shrinks the workload
-to a CI smoke test.
+returns a JSON-serializable report; ``python -m repro.cli bench runtime``
+(:mod:`repro.bench`) writes it to ``BENCH_runtime.json``.  ``--quick``
+shrinks the workload to a smoke test.
 """
 
 from __future__ import annotations
 
-import json
-import platform as _platform
-from dataclasses import replace
-
 import numpy as np
 
+from repro.bench import (
+    BATCH_LIMIT,
+    MB,
+    MODEL,
+    env_block,
+    reference_data,
+    reference_system,
+)
 from repro.errors import ConfigError, FaultError
 
-MB = 2**20
-
 #: Same workload as the pipeline benchmark: enough comparable blocks to
-#: fill the cluster, small enough to run as a CI smoke.
-_MODEL = "vgg11"
+#: fill the cluster, small enough to run as a smoke test.
 _WIDTH = 0.25
-_INPUT_HW = (16, 16)
-_NUM_CLASSES = 4
 _BUDGET = 3 * MB
-_BATCH_LIMIT = 64
 
 #: Scenario timing/severity, as fractions of the probe makespan.
 _SLOWDOWN_AT, _SLOWDOWN_FACTOR = 0.25, 4.0
 _SPIKE_AT, _SPIKE_FACTOR, _SPIKE_DURATION = 0.1, 6.0, 2.0
 _FAILURE_AT = 0.4
-
-
-def _make_data(quick: bool, seed: int):
-    from repro.data.registry import dataset_spec
-
-    spec = dataset_spec(
-        "cifar10",
-        num_classes=_NUM_CLASSES,
-        image_hw=_INPUT_HW,
-        noise_std=0.4,
-        seed=7 + seed,
-    )
-    if quick:
-        spec = replace(spec, n_train=120, n_val=40, n_test=40)
-    else:
-        spec = replace(spec, n_train=240, n_val=60, n_test=60)
-    return spec.materialize()
-
-
-def _make_system(data, seed: int):
-    from repro.core.config import NeuroFluxConfig
-    from repro.core.controller import NeuroFlux
-    from repro.models.zoo import build_model
-
-    model = build_model(
-        _MODEL,
-        num_classes=_NUM_CLASSES,
-        input_hw=_INPUT_HW,
-        width_multiplier=_WIDTH,
-        seed=3 + seed,
-    )
-    return NeuroFlux(
-        model,
-        data,
-        memory_budget=_BUDGET,
-        config=NeuroFluxConfig(batch_limit=_BATCH_LIMIT, seed=seed),
-    )
-
-
-def _make_cluster():
-    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER, Cluster
-
-    return Cluster.from_names(DEFAULT_EDGE_CLUSTER, memory_budget=8 * MB)
 
 
 def _scenario_events(name: str, horizon_s: float, device: int):
@@ -168,12 +123,16 @@ def _refined_prediction(
 
 
 def _run_arm(data, seed: int, epochs: int, events, adapt: bool):
+    from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER, Cluster
     from repro.runtime import AdaptiveRuntime
 
-    system = _make_system(data, seed)
+    system = reference_system(data, _WIDTH, _BUDGET, seed)
     runtime = AdaptiveRuntime(events=events, adapt=adapt)
     preport = system.train_parallel(
-        _make_cluster(), epochs=epochs, schedule="pipelined", runtime=runtime
+        Cluster.from_names(DEFAULT_EDGE_CLUSTER, memory_budget=8 * MB),
+        epochs=epochs,
+        schedule="pipelined",
+        runtime=runtime,
     )
     return system, preport
 
@@ -199,15 +158,12 @@ def _arm_entry(system, preport, cluster_names, epochs, reference=None) -> dict:
     }
 
 
-def run_suite(quick: bool = False, epochs: int | None = None, seed: int = 0) -> dict:
+def run_suite(quick: bool = False, seed: int = 0) -> dict:
     """Run the drift/failure scenario suite and return the report."""
     from repro.parallel.cluster import DEFAULT_EDGE_CLUSTER
 
-    if epochs is None:
-        epochs = 2 if quick else 3
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    data = _make_data(quick, seed)
+    epochs = 2 if quick else 3
+    data = reference_data(seed, quick)
     cluster_names = DEFAULT_EDGE_CLUSTER
 
     # Unperturbed probe: sets the event time axis and the target device
@@ -287,19 +243,15 @@ def run_suite(quick: bool = False, epochs: int | None = None, seed: int = 0) -> 
             "quick": quick,
             "epochs": epochs,
             "seed": seed,
-            "model": _MODEL,
+            "model": MODEL,
             "width_multiplier": _WIDTH,
             "memory_budget_mb": _BUDGET / MB,
-            "batch_limit": _BATCH_LIMIT,
+            "batch_limit": BATCH_LIMIT,
             "n_train": len(data.x_train),
             "cluster": list(cluster_names),
             "target_device": target,
         },
-        "env": {
-            "python": _platform.python_version(),
-            "numpy": np.__version__,
-            "machine": _platform.machine(),
-        },
+        "env": env_block(),
         "probe": {
             "makespan_s": round(probe.makespan_s, 6),
             "placement": list(probe.placement),
@@ -345,48 +297,3 @@ def format_report(report: dict) -> str:
     for claim, holds in report["claims"].items():
         lines.append(f"claim {claim}: {'ok' if holds else 'FAILED'}")
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for benchmarks/bench_runtime.py."""
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="bench_runtime",
-        description="Static vs adaptive placement under drift and failures.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="small dataset / few epochs (CI smoke)"
-    )
-    parser.add_argument("--epochs", type=int, default=None, help="training epochs")
-    parser.add_argument("--seed", type=int, default=0, help="data/model/training seed")
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the report to PATH (default: BENCH_runtime.json unless --quick)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        report = run_suite(quick=args.quick, epochs=args.epochs, seed=args.seed)
-    except ConfigError as exc:
-        print(f"bench_runtime: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    json_path = args.json
-    if json_path is None and not args.quick:
-        json_path = "BENCH_runtime.json"
-    if json_path:
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-    if not all(report["claims"].values()):
-        print("bench_runtime: a headline claim failed", file=sys.stderr)
-        return 1
-    return 0

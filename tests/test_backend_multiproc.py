@@ -338,6 +338,7 @@ class TestGateMp:
         ],
     )
     def test_exit_code(self, monkeypatch, capsys, cores, speedup, claim_met, code):
+        from repro.cli import main
         from repro.perf import bench
 
         row = {"cores": cores, "processes": min(cores, 2), "speedup": speedup,
@@ -347,5 +348,6 @@ class TestGateMp:
             "backend": {"mp_block_parallel": row},
         }
         monkeypatch.setattr(bench, "run_suite", lambda **kwargs: report)
-        assert bench.main(["--quick", "--suite", "backend", "--gate-mp"]) == code
+        argv = ["bench", "kernels", "--quick", "--suite", "backend", "--gate-mp"]
+        assert main(argv) == code
         capsys.readouterr()

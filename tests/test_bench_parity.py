@@ -1,14 +1,16 @@
 """Parity golden for the five bench suites and their reference workload.
 
 Recorded on the five self-contained harnesses (before ``repro.bench``
-existed) and held across the move onto the shared core:
+existed) and held across the move onto the shared core; only the argv of
+the two quick runs and the builder calls of ``reference_copies`` changed:
 
 * the three simulated suites regenerate the committed ``BENCH_*.json`` on
   every key but ``env`` (which names the recording interpreter);
 * the ``--quick`` kernels and obs payloads keep their key sets (their
   values are host wall-clock);
 * the reference workload builds the same data and weights, by sha256, as
-  each of the five hand copies it replaced
+  each of the five hand copies it replaced -- the pipeline, runtime, fleet
+  and kernels harnesses and the deleted pytest-driven serving driver
   (``tests/data/bench_reference_digests.json``; ``PYTHONPATH=src python
   tests/test_bench_parity.py`` re-records it, which is only right when the
   workload is *meant* to change -- the BENCH files move with it).
@@ -27,7 +29,6 @@ from helpers import weights_digest
 
 REPO = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).parent / "data" / "bench_reference_digests.json"
-MB = 2**20
 
 SIMULATED = {
     "pipeline": "repro.parallel.bench",
@@ -63,7 +64,8 @@ def test_quick_kernels_payload_shape(tmp_path, capsys):
     from repro.cli import main
 
     report = _quick_payload(
-        main, ["bench", "--quick", "--json", str(tmp_path / "k.json")], capsys
+        main, ["bench", "kernels", "--quick", "--json", str(tmp_path / "k.json")],
+        capsys,
     )
     assert set(report) == {"schema", "config", "env", "macro", "micro", "backend"}
     assert set(report["config"]) == {
@@ -73,10 +75,11 @@ def test_quick_kernels_payload_shape(tmp_path, capsys):
 
 
 def test_quick_obs_payload_shape(tmp_path, capsys):
-    from repro.obs.bench import main
+    from repro.cli import main
 
     report = _quick_payload(
-        main, ["--quick", "--check", "--out", str(tmp_path / "o.json")], capsys
+        main, ["bench", "obs", "--quick", "--json", str(tmp_path / "o.json")],
+        capsys,
     )
     assert set(report) == {
         "config", "env", "claims", "micro_add_training_step",
@@ -110,33 +113,25 @@ def system_digest(system) -> str:
     return digest.hexdigest()
 
 
-def _serving_fixture_system():
-    """The ``trained_system`` fixture body of ``benchmarks/bench_serving.py``."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_serving", REPO / "benchmarks" / "bench_serving.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.trained_system._get_wrapped_function()()
-
-
 def reference_copies() -> dict:
-    """One system per hand copy of the reference workload, at seed 0."""
-    from repro.fleet import bench as fleet
-    from repro.parallel import bench as pipeline
-    from repro.perf import bench as kernels
-    from repro.runtime import bench as runtime
+    """The system each hand copy of the reference workload built, at seed 0."""
+    from repro.bench import MB, reference_data, reference_system
+    from repro.hw.platforms import AGX_ORIN
+    from repro.perf.bench import _tiny_system
 
+    data = reference_data()
+    trained = reference_system(data, 0.125, 16 * MB)
+    trained.run(epochs=5)
     return {
-        "pipeline": pipeline._make_system(pipeline._make_data(False, 0), 0),
-        "pipeline_quick": pipeline._make_system(pipeline._make_data(True, 0), 0),
-        "runtime": runtime._make_system(runtime._make_data(False, 0), 0),
-        "fleet": fleet._make_system(fleet._make_data(False, 0), 0, epochs=5),
-        "kernels": kernels._build_backend_system(0),
-        "kernels_bf16": kernels._build_backend_system(0, bf16=True, memory_mb=1.5),
-        "serving": _serving_fixture_system(),
+        "pipeline": reference_system(data, 0.25, 3 * MB, platform=AGX_ORIN),
+        "pipeline_quick": reference_system(
+            reference_data(quick=True), 0.25, 3 * MB, platform=AGX_ORIN
+        ),
+        "runtime": reference_system(data, 0.25, 3 * MB),
+        "fleet": trained,
+        "kernels": _tiny_system(0),
+        "kernels_bf16": _tiny_system(0, bf16=True, memory_mb=1.5),
+        "serving": trained,
     }
 
 

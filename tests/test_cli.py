@@ -43,7 +43,7 @@ class TestBench:
         import json
 
         path = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--json", str(path)]) == 0
+        assert main(["bench", "kernels", "--quick", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         for needle in ("bp_step", "ll_step", "im2col", "speedup"):
             assert needle in out
@@ -56,7 +56,7 @@ class TestBench:
 
     def test_bench_quick_skips_default_json(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--quick", "--suite", "micro"]) == 0
+        assert main(["bench", "kernels", "--quick", "--suite", "micro"]) == 0
         assert not (tmp_path / "BENCH_kernels.json").exists()
 
     def test_bench_seed_is_plumbed(self, capsys, tmp_path):
@@ -66,7 +66,7 @@ class TestBench:
         path = tmp_path / "bench.json"
         assert (
             main(
-                ["bench", "--quick", "--suite", "macro", "--seed", "5",
+                ["bench", "kernels", "--quick", "--suite", "macro", "--seed", "5",
                  "--json", str(path)]
             )
             == 0
@@ -77,13 +77,13 @@ class TestBench:
 
     def test_bench_bad_inputs_fail_fast(self, capsys):
         """Invalid suite/model/batch must error out before any timing."""
-        assert main(["bench", "--suite", "nano"]) == 2
+        assert main(["bench", "kernels", "--suite", "nano"]) == 2
         assert "unknown suite" in capsys.readouterr().err
-        assert main(["bench", "--model", "alexnet"]) == 2
+        assert main(["bench", "kernels", "--model", "alexnet"]) == 2
         assert "unknown model" in capsys.readouterr().err
-        assert main(["bench", "--quick", "--batch", "0"]) == 2
+        assert main(["bench", "kernels", "--quick", "--batch", "0"]) == 2
         assert "batch" in capsys.readouterr().err
-        assert main(["bench", "--quick", "--reps", "0"]) == 2
+        assert main(["bench", "kernels", "--quick", "--reps", "0"]) == 2
         assert "reps" in capsys.readouterr().err
 
 

@@ -1,6 +1,7 @@
-"""Serving benchmark: latency/throughput vs arrival rate, cascade on/off.
+"""Serving shape claims: latency/throughput vs arrival rate, cascade on/off.
 
-Shape claims exercised on AGX Orin vs Raspberry Pi 4B:
+Exercised on AGX Orin vs Raspberry Pi 4B, on the bench core's reference
+workload (the system the fleet suite trains):
 
 * faster platforms serve at lower latency for the same stream;
 * the cascade completes the stream with less server busy time than
@@ -12,37 +13,19 @@ Shape claims exercised on AGX Orin vs Raspberry Pi 4B:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro.core.config import NeuroFluxConfig
-from repro.core.controller import NeuroFlux
-from repro.data.registry import dataset_spec
+from repro.bench import MB, reference_data, reference_system
 from repro.fleet import FleetConfig, simulate_fleet
-from repro.models.zoo import build_model
 from repro.serving import ServerConfig, WorkloadSpec
 
 #: Platform short names (``Cluster.from_names`` shape).
 AGX_ORIN, RASPBERRY_PI_4B = "agx-orin", "pi4b"
 
-MB = 2**20
-
 
 @pytest.fixture(scope="module")
 def trained_system():
-    spec = dataset_spec(
-        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=7
-    )
-    spec = replace(spec, n_train=240, n_val=60, n_test=60)
-    system = NeuroFlux(
-        build_model(
-            "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125, seed=3
-        ),
-        spec.materialize(),
-        memory_budget=16 * MB,
-        config=NeuroFluxConfig(batch_limit=64, seed=0),
-    )
+    system = reference_system(reference_data(), width=0.125, budget=16 * MB)
     system.run(epochs=5)
     return system
 
@@ -72,16 +55,12 @@ def _mean_batch(report) -> float:
     return replica.n_completed / replica.n_batches
 
 
-def test_serving_platform_and_cascade_shape(benchmark, trained_system):
-    reports = benchmark.pedantic(
-        lambda: {
-            (platform, mode): _serve(trained_system, platform, 200.0, mode)
-            for platform in (AGX_ORIN, RASPBERRY_PI_4B)
-            for mode in ("cascade", "shallow-only", "deepest-only")
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_serving_platform_and_cascade_shape(trained_system):
+    reports = {
+        (platform, mode): _serve(trained_system, platform, 200.0, mode)
+        for platform in (AGX_ORIN, RASPBERRY_PI_4B)
+        for mode in ("cascade", "shallow-only", "deepest-only")
+    }
     for (platform, mode), report in reports.items():
         print(
             f"\n{platform} / {mode}: acc={report.accuracy:.3f} "
