@@ -10,10 +10,11 @@ synchronous FedAvg over NeuroFlux clients:
 * each round, clients run NeuroFlux locally from the current global
   weights, then the server averages stage and auxiliary-head parameters
   (shard-size weighted);
-* clients are devices of a :class:`repro.parallel.cluster.Cluster`, so
-  per-client time comes from each device's own ledger: the local training
-  run's charges plus the model download/upload over the client's WAN link
-  (booked under ``communication``);
+* clients are the devices of one :class:`repro.parallel.cluster.Cluster`,
+  and a client round trains through the controller's block loop with
+  every block placed on the client's device: local work is charged to
+  that device's ledger as it runs, and the model download/upload over the
+  client's WAN link is booked there under ``communication``;
 * round latency is the slowest device's simulated time (synchronous
   FedAvg -- the straggler sets the pace).
 
@@ -21,15 +22,18 @@ synchronous FedAvg over NeuroFlux clients:
 server applies client updates the moment they arrive (bounded staleness,
 FedAsync-style mixing), ordered by the same discrete event clock the
 adaptive cluster runtime uses -- so a straggler delays only its own
-contribution, not the round.  The same fault/load schedules apply:
-a :class:`~repro.runtime.events.DeviceSlowdown` throttles one client's
-ledger, a :class:`~repro.runtime.events.DeviceFailure` drops the client
-(and any in-flight update) outright.
+contribution, not the round.  The same fault/load schedules apply, by
+the simulator's one rule: a :class:`~repro.runtime.events.DeviceSlowdown`
+or :class:`~repro.runtime.events.LoadSpike` sets the client device's
+``time_scale``, which scales local work where it is charged (profiling,
+block loads and WAN transfers are not scaled); a
+:class:`~repro.runtime.events.DeviceFailure` drops the client (and any
+in-flight update) outright.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +50,8 @@ from repro.data.datasets import SyntheticImageDataset
 from repro.errors import ConfigError
 from repro.hw.platforms import AGX_ORIN, WAN_100MBIT, Link, Platform
 from repro.models.zoo import build_model
-from repro.obs.trace import active_tracer, no_tracing
-from repro.parallel.cluster import Cluster, Device, ledger_delta
+from repro.obs.trace import active_tracer
+from repro.parallel.cluster import Cluster, Device, DeviceContext, ledger_delta
 from repro.training.common import evaluate_classifier
 
 
@@ -100,37 +104,26 @@ class FederatedRound:
     communication_time_s: float = 0.0
 
 
-@dataclass
-class FederatedResult:
-    rounds: list[FederatedRound]
-    final_accuracy: float
-    total_sim_time_s: float
-    #: Per-client device ledgers (cost category -> seconds, incl. total).
-    device_ledgers: list[dict[str, float]] = field(default_factory=list)
-    #: Highest simulated GPU high-water mark across all client runs.
-    peak_memory_bytes: int = 0
+class _FederatedReport:
+    """The :class:`repro.api.report.Report` half both federated results
+    share: the run's clock is ``total_sim_time_s``, its ledger the client
+    devices' ``device_ledgers`` merged.  A result names its JSON ``kind``
+    and adds its own metrics (``_add_metrics``) and JSON fields
+    (``_json_fields``)."""
 
-    # -- unified report protocol (repro.api.report.Report) -------------------
     @property
     def wall_clock_s(self) -> float:
-        """Sum of synchronous round latencies (straggler-paced)."""
         return self.total_sim_time_s
 
     def ledger_summary(self) -> dict[str, float]:
         return merge_ledger_summaries(self.device_ledgers)
 
     def metrics_registry(self):
-        """The federated run's metrics (embedded in the report JSON)."""
+        """The run's metrics (embedded in the report JSON)."""
         from repro.obs.metrics import report_base_metrics
 
         reg = report_base_metrics(self)
-        reg.counter("rounds_total").inc(len(self.rounds))
-        reg.gauge("final_accuracy").set(self.final_accuracy)
-        round_seconds = reg.histogram("round_seconds")
-        comm = reg.counter("communication_seconds_total")
-        for r in self.rounds:
-            round_seconds.observe(r.sim_time_s)
-            comm.inc(r.communication_time_s)
+        self._add_metrics(reg)
         for c, ledger in enumerate(self.device_ledgers):
             for category, seconds in ledger.items():
                 reg.counter(
@@ -139,28 +132,51 @@ class FederatedResult:
         return reg
 
     def to_json_dict(self) -> dict:
-        out = common_json_fields(self, kind="federated")
-        out.update(
-            {
-                "n_rounds": len(self.rounds),
-                "final_accuracy": _num(self.final_accuracy),
-                "rounds": [
-                    {
-                        "round": r.round_index,
-                        "sim_time_s": _num(r.sim_time_s),
-                        "global_accuracy": _num(r.global_accuracy),
-                        "client_exit_layers": list(r.client_exit_layers),
-                        "communication_time_s": _num(r.communication_time_s),
-                    }
-                    for r in self.rounds
-                ],
-                "device_ledgers": [
-                    {k: _num(v) for k, v in ledger.items()}
-                    for ledger in self.device_ledgers
-                ],
-            }
-        )
+        out = common_json_fields(self, kind=self.kind)
+        out.update(self._json_fields())
+        out["device_ledgers"] = [
+            {k: _num(v) for k, v in ledger.items()} for ledger in self.device_ledgers
+        ]
         return out
+
+
+@dataclass
+class FederatedResult(_FederatedReport):
+    rounds: list[FederatedRound]
+    final_accuracy: float
+    #: Sum of synchronous round latencies (straggler-paced).
+    total_sim_time_s: float
+    #: Per-client device ledgers (cost category -> seconds, incl. total).
+    device_ledgers: list[dict[str, float]] = field(default_factory=list)
+    #: Highest simulated GPU high-water mark across all client runs.
+    peak_memory_bytes: int = 0
+
+    kind = "federated"
+
+    def _add_metrics(self, reg) -> None:
+        reg.counter("rounds_total").inc(len(self.rounds))
+        reg.gauge("final_accuracy").set(self.final_accuracy)
+        round_seconds = reg.histogram("round_seconds")
+        comm = reg.counter("communication_seconds_total")
+        for r in self.rounds:
+            round_seconds.observe(r.sim_time_s)
+            comm.inc(r.communication_time_s)
+
+    def _json_fields(self) -> dict:
+        return {
+            "n_rounds": len(self.rounds),
+            "final_accuracy": _num(self.final_accuracy),
+            "rounds": [
+                {
+                    "round": r.round_index,
+                    "sim_time_s": _num(r.sim_time_s),
+                    "global_accuracy": _num(r.global_accuracy),
+                    "client_exit_layers": list(r.client_exit_layers),
+                    "communication_time_s": _num(r.communication_time_s),
+                }
+                for r in self.rounds
+            ],
+        }
 
     def summary(self) -> str:
         lines = [
@@ -188,12 +204,13 @@ class AppliedUpdate:
 
 
 @dataclass
-class AsyncFederatedResult:
+class AsyncFederatedResult(_FederatedReport):
     """What one bounded-staleness asynchronous run produced."""
 
     applied: list[AppliedUpdate]
     n_rejected: int
     final_accuracy: float
+    #: Event-clock time of the last applied update.
     total_sim_time_s: float
     client_times_s: list[float] = field(default_factory=list)
     dropped_clients: list[int] = field(default_factory=list)
@@ -201,6 +218,8 @@ class AsyncFederatedResult:
     device_ledgers: list[dict[str, float]] = field(default_factory=list)
     #: Highest simulated GPU high-water mark across all client runs.
     peak_memory_bytes: int = 0
+
+    kind = "federated-async"
 
     @property
     def n_applied(self) -> int:
@@ -212,20 +231,7 @@ class AsyncFederatedResult:
             return float("nan")
         return sum(u.staleness for u in self.applied) / len(self.applied)
 
-    # -- unified report protocol (repro.api.report.Report) -------------------
-    @property
-    def wall_clock_s(self) -> float:
-        """Event-clock time of the last applied update."""
-        return self.total_sim_time_s
-
-    def ledger_summary(self) -> dict[str, float]:
-        return merge_ledger_summaries(self.device_ledgers)
-
-    def metrics_registry(self):
-        """The async federated run's metrics (embedded in the report JSON)."""
-        from repro.obs.metrics import report_base_metrics
-
-        reg = report_base_metrics(self)
+    def _add_metrics(self, reg) -> None:
         reg.counter("updates_applied_total").inc(self.n_applied)
         reg.counter("updates_rejected_total").inc(self.n_rejected)
         reg.counter("clients_dropped_total").inc(len(self.dropped_clients))
@@ -234,30 +240,16 @@ class AsyncFederatedResult:
         staleness = reg.histogram("update_staleness")
         for update in self.applied:
             staleness.observe(update.staleness)
-        for c, ledger in enumerate(self.device_ledgers):
-            for category, seconds in ledger.items():
-                reg.counter(
-                    "client_ledger_seconds_total", client=c, category=category
-                ).inc(seconds)
-        return reg
 
-    def to_json_dict(self) -> dict:
-        out = common_json_fields(self, kind="federated-async")
-        out.update(
-            {
-                "n_applied": self.n_applied,
-                "n_rejected": self.n_rejected,
-                "mean_staleness": _num(self.mean_staleness),
-                "final_accuracy": _num(self.final_accuracy),
-                "dropped_clients": list(self.dropped_clients),
-                "client_times_s": [_num(t) for t in self.client_times_s],
-                "device_ledgers": [
-                    {k: _num(v) for k, v in ledger.items()}
-                    for ledger in self.device_ledgers
-                ],
-            }
-        )
-        return out
+    def _json_fields(self) -> dict:
+        return {
+            "n_applied": self.n_applied,
+            "n_rejected": self.n_rejected,
+            "mean_staleness": _num(self.mean_staleness),
+            "final_accuracy": _num(self.final_accuracy),
+            "dropped_clients": list(self.dropped_clients),
+            "client_times_s": [_num(t) for t in self.client_times_s],
+        }
 
     def summary(self) -> str:
         lines = [
@@ -317,34 +309,18 @@ class FederatedNeuroFlux:
         self._global_aux_states = [h.state_dict() for h in self._global_aux]
         # The client fleet as a cluster: one device per client, so every
         # client's compute and communication lands in its own ledger.
+        # The ledgers accumulate for the life of the federation (another
+        # call continues training the same global model); each call
+        # reports what it charged, against a snapshot taken as it starts.
         self.cluster = Cluster(
             [
                 Device(platform=c.platform, memory_budget=c.memory_budget)
                 for c in clients
             ]
         )
-        #: Highest simulated GPU high-water mark seen across client runs.
-        self._peak_memory = 0
 
     def _build_model(self):
         return build_model(self.model_name, seed=self.seed, **self.model_kwargs)
-
-    def _snapshot_for_run(self) -> list[dict[str, float]]:
-        """Per-run accounting baseline.
-
-        Client device ledgers accumulate for the life of the federation
-        (incremental ``run`` calls continue training the same global
-        model), but each call's *report* must describe that call alone:
-        ledgers are reported as deltas against this snapshot and the
-        peak-memory high-water mark restarts.
-        """
-        self._peak_memory = 0
-        return self.cluster.ledger_snapshot()
-
-    def _run_ledgers(
-        self, base: list[dict[str, float]]
-    ) -> list[dict[str, float]]:
-        return ledger_delta(self.cluster.ledger_snapshot(), base)
 
     def _update_bytes(self) -> int:
         """Bytes of one full model+heads update (download or upload)."""
@@ -362,15 +338,15 @@ class FederatedNeuroFlux:
         if rounds < 1:
             raise ConfigError("rounds must be >= 1")
         cbs = as_callback_list(callbacks)
-        base_ledgers = self._snapshot_for_run()
-        # Each client's spans ride its own device clock (track
-        # ``client{id}``); the server's round spans ride the synchronous
-        # round clock (straggler-paced).  The client's *inner* NeuroFlux
-        # run is suppressed via no_tracing() -- its device clock restarts
-        # at zero and would pollute the federation timeline.
+        base_ledgers = self.cluster.ledger_snapshot()
+        # Each client round is a span on its device clock (track
+        # ``client{id}``), around the charge spans its block loop puts on
+        # ``dev{id}``; the server's round spans ride the synchronous round
+        # clock (straggler-paced).
         tracer = active_tracer()
         history: list[FederatedRound] = []
         total_time = 0.0
+        peak = 0
         for round_idx in range(rounds):
             states = []
             aux_states: list[list[dict[str, np.ndarray]]] = []
@@ -380,9 +356,10 @@ class FederatedNeuroFlux:
             round_comm = 0.0
             for client, device in zip(self.clients, self.cluster):
                 t0 = device.sim.elapsed
-                state, client_aux, exit_layer, comm = self._run_client_once(
-                    client, device, local_epochs
+                state, client_aux, exit_layer, comm, client_peak = (
+                    self._run_client_once(client, device, local_epochs)
                 )
+                peak = max(peak, client_peak)
                 round_comm += comm
                 states.append(state)
                 aux_states.append(client_aux)
@@ -441,20 +418,24 @@ class FederatedNeuroFlux:
             rounds=history,
             final_accuracy=history[-1].global_accuracy,
             total_sim_time_s=total_time,
-            device_ledgers=self._run_ledgers(base_ledgers),
-            peak_memory_bytes=self._peak_memory,
+            device_ledgers=ledger_delta(self.cluster.ledger_snapshot(), base_ledgers),
+            peak_memory_bytes=peak,
         )
 
     def _run_client_once(
-        self, client: FederatedClient, device, local_epochs: int
-    ) -> tuple[dict[str, np.ndarray], list[dict[str, np.ndarray]], int, float]:
-        """One local round on one client, charged to its device ledger.
+        self, client: FederatedClient, device: Device, local_epochs: int
+    ) -> tuple[dict[str, np.ndarray], list[dict[str, np.ndarray]], int, float, int]:
+        """One local round on one client, charged to its device as it runs.
 
-        Downloads the current global state, trains NeuroFlux locally,
-        uploads the update.  Local work (the merged training ledger) is
-        scaled by the device's ``time_scale`` perturbation -- a throttled
-        client trains slower -- while WAN transfers are not.  Returns
-        ``(model_state, aux_states, exit_layer, comm_seconds)``.
+        Downloads the current global state, trains NeuroFlux through the
+        controller's block loop with every block placed on ``device`` of
+        the federation's cluster, uploads the update.  The client charges
+        that device's ledger directly (and, when tracing, its ``dev{index}``
+        track), so faults follow the simulator's one rule: the device's
+        ``time_scale`` scales local work where it is charged -- a
+        throttled client trains slower -- while profiling, block loads
+        and the WAN transfers are not scaled.  Returns ``(model_state,
+        aux_states, exit_layer, comm_seconds, peak_memory_bytes)``.
         """
         comm = device.sim.add_communication(self._update_bytes(), client.link)
         model = self._build_model()
@@ -468,24 +449,16 @@ class FederatedNeuroFlux:
         )
         for head, state in zip(nf.aux_heads, self._global_aux_states):
             head.load_state_dict(state)
-        # The client's local run is a full nested NeuroFlux job on a clock
-        # that restarts at zero; its spans would pollute the federation
-        # timeline, so tracing is suppressed -- the caller emits one span
-        # per client round instead.
-        with no_tracing():
-            report = nf.run(local_epochs)
-        self._peak_memory = max(self._peak_memory, report.result.peak_memory_bytes)
-        ledger = report.result.ledger
-        if device.sim.time_scale != 1.0:
-            for f in fields(ledger):
-                setattr(ledger, f.name, getattr(ledger, f.name) * device.sim.time_scale)
-        device.sim.ledger.merge(ledger)
+        plan = nf.plan()
+        ctx = DeviceContext(self.cluster, [device.index] * len(plan[0]))
+        report = nf._train_blocks(local_epochs, None, ctx, plan)
         comm += device.sim.add_communication(self._update_bytes(), client.link)
         return (
             model.state_dict(),
             [h.state_dict() for h in nf.aux_heads],
             report.exit_layer,
             comm,
+            report.result.peak_memory_bytes,
         )
 
     def run_async(
@@ -511,6 +484,9 @@ class FederatedNeuroFlux:
         Stop conditions: each client runs at most ``rounds`` local rounds
         (``None`` = unbounded) and starts no new round after
         ``duration_s`` simulated seconds; at least one bound is required.
+        Durations, event times and every reported time are on this
+        call's clock -- each device's time since the call began -- so a
+        federation that already trained runs the same way again.
 
         ``events`` (an :class:`~repro.runtime.events.EventSchedule`) maps
         device indices to clients: a slowdown/spike throttles the
@@ -548,9 +524,15 @@ class FederatedNeuroFlux:
                     f"only {len(self.clients)} clients"
                 )
         cbs = as_callback_list(callbacks)
-        base_ledgers = self._snapshot_for_run()
-        # Client spans ride each device's own clock; server-side
-        # apply/reject decisions are instants on the shared event clock.
+        base_ledgers = self.cluster.ledger_snapshot()
+        start = [ledger["total"] for ledger in base_ledgers]
+
+        def clock(c: int) -> float:
+            return self.cluster[c].sim.elapsed - start[c]
+
+        # Client spans ride each device's own clock, where that device's
+        # charge spans are; server-side apply/reject decisions are
+        # instants on the call's event clock.
         tracer = active_tracer()
         # The runtime's schedule player owns the event semantics (window
         # expiry, scale combination, failure dedup); here a "device" is a
@@ -574,6 +556,7 @@ class FederatedNeuroFlux:
         n_rejected = 0
         exit_layers: list[int] = []
         last_applied_s = 0.0
+        peak = 0
 
         while True:
             runnable = [
@@ -581,13 +564,9 @@ class FederatedNeuroFlux:
                 for c in range(n)
                 if c not in failed
                 and rounds_left[c] != 0
-                and (duration_s is None or self.cluster[c].sim.elapsed < duration_s)
+                and (duration_s is None or clock(c) < duration_s)
             ]
-            next_start = (
-                min((self.cluster[c].sim.elapsed, c) for c in runnable)
-                if runnable
-                else None
-            )
+            next_start = min((clock(c), c) for c in runnable) if runnable else None
             next_done = pending.peek_time()
             if next_start is None and next_done is None:
                 break
@@ -648,19 +627,21 @@ class FederatedNeuroFlux:
                 client = self.clients[client_id]
                 device = self.cluster[client_id]
                 v0 = version
-                state, aux_states, exit_layer, _ = self._run_client_once(
-                    client, device, local_epochs
+                device_t0 = device.sim.elapsed
+                state, aux_states, exit_layer, _, client_peak = (
+                    self._run_client_once(client, device, local_epochs)
                 )
+                peak = max(peak, client_peak)
                 if tracer is not None:
                     tracer.add_span(
                         "local-round", "train", f"client{client_id}",
-                        t0, device.sim.elapsed,
+                        device_t0, device.sim.elapsed,
                         attrs={"version": v0, "exit_layer": exit_layer},
                     )
                 if rounds_left[client_id] > 0:
                     rounds_left[client_id] -= 1
                 pending.push(
-                    device.sim.elapsed,
+                    clock(client_id),
                     (client_id, v0, state, aux_states, exit_layer),
                 )
 
@@ -675,10 +656,10 @@ class FederatedNeuroFlux:
             n_rejected=n_rejected,
             final_accuracy=accuracy,
             total_sim_time_s=last_applied_s,
-            client_times_s=[d.sim.elapsed for d in self.cluster],
+            client_times_s=[clock(c) for c in range(n)],
             dropped_clients=sorted(failed),
-            device_ledgers=self._run_ledgers(base_ledgers),
-            peak_memory_bytes=self._peak_memory,
+            device_ledgers=ledger_delta(self.cluster.ledger_snapshot(), base_ledgers),
+            peak_memory_bytes=peak,
         )
 
     def _global_exit_accuracy(self, client_exits: list[int]) -> float:

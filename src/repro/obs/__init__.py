@@ -27,7 +27,6 @@ from repro.obs.trace import (
     activate,
     active_tracer,
     deactivate,
-    no_tracing,
     validate_monotonic,
     validate_nesting,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "active_tracer",
     "build_observability_callbacks",
     "deactivate",
-    "no_tracing",
     "percentile",
     "report_base_metrics",
     "validate_monotonic",

@@ -291,23 +291,6 @@ def active_tracer() -> Tracer | None:
     return _active
 
 
-@contextmanager
-def no_tracing():
-    """Suppress tracing inside the block.
-
-    Used where an engine runs a *nested* engine whose spans would pollute
-    the outer timeline -- e.g. each federated client locally runs a full
-    sequential NeuroFlux job whose device clock restarts at zero; the
-    federated loop emits its own per-client spans instead.
-    """
-    global _active
-    saved, _active = _active, None
-    try:
-        yield
-    finally:
-        _active = saved
-
-
 # -- validation (tests / check_trace_schema) ---------------------------------
 
 

@@ -25,7 +25,6 @@ from repro.parallel.cluster import (
     Cluster,
     Device,
     ledger_delta,
-    merge_ledger_deltas,
 )
 from repro.parallel.pipeline import (
     PipelineClock,
@@ -64,7 +63,6 @@ __all__ = [
     "first_fit_placement",
     "greedy_placement",
     "ledger_delta",
-    "merge_ledger_deltas",
     "optimize_placement",
     "placement_feasible",
     "predict_makespan",

@@ -13,9 +13,10 @@ answer to "which simulator and which simulated GPU host this block".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.api.report import merge_ledger_summaries
 from repro.errors import ConfigError
 from repro.hw.platforms import GIGABIT_ETHERNET, Link, Platform, get_platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
@@ -199,15 +200,6 @@ def ledger_delta(
     ]
 
 
-def merge_ledger_deltas(deltas: list[dict[str, float]]) -> TimeLedger:
-    """Collapse per-device ledger deltas into one :class:`TimeLedger`."""
-    total = TimeLedger()
-    for delta in deltas:
-        for f in fields(TimeLedger):
-            setattr(total, f.name, getattr(total, f.name) + delta.get(f.name, 0.0))
-    return total
-
-
 class DeviceContext:
     """One training run placed on a cluster: block -> simulator / GPU.
 
@@ -313,7 +305,9 @@ class DeviceContext:
         )
 
     def merged_ledger(self) -> TimeLedger:
-        return merge_ledger_deltas(self.device_ledgers())
+        merged = merge_ledger_summaries(self.device_ledgers())
+        del merged["total"]
+        return TimeLedger(**merged)
 
     @property
     def peak_memory(self) -> int:

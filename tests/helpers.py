@@ -342,6 +342,42 @@ def recorded_fleet_simulators(base=None):
 
 
 # --------------------------------------------------------------------- #
+# federated fixture                                                     #
+# --------------------------------------------------------------------- #
+def make_federation(platforms=("nano", "agx-orin")):
+    """Clients on ``platforms``, each with a contiguous shard of 180
+    training samples and a 12 MiB budget, federating a width-0.125 vgg11."""
+    from dataclasses import replace
+
+    from repro.core import NeuroFluxConfig
+    from repro.data.registry import dataset_spec
+    from repro.extensions import FederatedClient, FederatedNeuroFlux, shard_dataset
+    from repro.hw.platforms import get_platform
+
+    spec = dataset_spec(
+        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=11
+    )
+    spec = replace(spec, n_train=180, n_val=40, n_test=60)
+    global_data = spec.materialize()
+    clients = []
+    for i, ((x, y), name) in enumerate(
+        zip(shard_dataset(global_data, len(platforms)), platforms)
+    ):
+        shard = replace(spec, n_train=len(x)).materialize()
+        shard.x_train, shard.y_train = x, y
+        clients.append(
+            FederatedClient(i, shard, 12 * _MB, platform=get_platform(name))
+        )
+    return FederatedNeuroFlux(
+        "vgg11",
+        clients,
+        global_data,
+        model_kwargs=dict(num_classes=4, input_hw=(16, 16), width_multiplier=0.125),
+        config=NeuroFluxConfig(batch_limit=32, seed=0),
+    )
+
+
+# --------------------------------------------------------------------- #
 # training golden: every schedule, recorded bit for bit                 #
 # --------------------------------------------------------------------- #
 TRAIN_GOLDEN_EPOCHS = 2

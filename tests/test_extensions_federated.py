@@ -1,21 +1,11 @@
 """Tests for the federated-learning extension."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core import NeuroFluxConfig
-from repro.data.registry import dataset_spec
+from helpers import make_federation
 from repro.errors import ConfigError
-from repro.extensions import (
-    FederatedClient,
-    FederatedNeuroFlux,
-    federated_average,
-    shard_dataset,
-)
-
-MB = 2**20
+from repro.extensions import FederatedNeuroFlux, federated_average, shard_dataset
 
 
 class TestFederatedAverage:
@@ -64,26 +54,7 @@ class TestSharding:
 class TestFederatedNeuroFlux:
     @pytest.fixture(scope="class")
     def fed(self):
-        spec = dataset_spec(
-            "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=11
-        )
-        spec = replace(spec, n_train=180, n_val=40, n_test=60)
-        global_data = spec.materialize()
-        shards = shard_dataset(global_data, 2)
-        clients = []
-        for i, (x, y) in enumerate(shards):
-            shard = replace(spec, n_train=len(x)).materialize()
-            shard.x_train, shard.y_train = x, y
-            clients.append(
-                FederatedClient(client_id=i, data=shard, memory_budget=12 * MB)
-            )
-        return FederatedNeuroFlux(
-            model_name="vgg11",
-            clients=clients,
-            eval_data=global_data,
-            model_kwargs=dict(num_classes=4, input_hw=(16, 16), width_multiplier=0.125),
-            config=NeuroFluxConfig(batch_limit=32, seed=0),
-        )
+        return make_federation(("agx-orin", "agx-orin"))
 
     @pytest.fixture(scope="class")
     def fed_result(self, fed):
@@ -136,42 +107,12 @@ class TestFederatedNeuroFlux:
             FederatedNeuroFlux("vgg11", [], tiny_dataset)
 
 
-def _make_fed(seed=0, platforms=("nano", "agx-orin")):
-    from repro.hw.platforms import get_platform
-
-    spec = dataset_spec(
-        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=11
-    )
-    spec = replace(spec, n_train=180, n_val=40, n_test=60)
-    global_data = spec.materialize()
-    shards = shard_dataset(global_data, len(platforms))
-    clients = []
-    for i, ((x, y), name) in enumerate(zip(shards, platforms)):
-        shard = replace(spec, n_train=len(x)).materialize()
-        shard.x_train, shard.y_train = x, y
-        clients.append(
-            FederatedClient(
-                client_id=i,
-                data=shard,
-                memory_budget=12 * MB,
-                platform=get_platform(name),
-            )
-        )
-    return FederatedNeuroFlux(
-        model_name="vgg11",
-        clients=clients,
-        eval_data=global_data,
-        model_kwargs=dict(num_classes=4, input_hw=(16, 16), width_multiplier=0.125),
-        config=NeuroFluxConfig(batch_limit=32, seed=seed),
-    )
-
-
 class TestAsyncFederated:
     """Bounded-staleness asynchronous rounds (no synchronous barrier)."""
 
     @pytest.fixture(scope="class")
     def async_result(self):
-        fed = _make_fed()
+        fed = make_federation()
         return fed, fed.run_async(rounds=2, local_epochs=1, max_staleness=2)
 
     def test_applies_updates_in_event_clock_order(self, async_result):
@@ -197,7 +138,7 @@ class TestAsyncFederated:
 
     def test_async_wall_clock_no_worse_than_sync(self, async_result):
         _, result = async_result
-        sync = _make_fed().run(rounds=2, local_epochs=1)
+        sync = make_federation().run(rounds=2, local_epochs=1)
         assert result.total_sim_time_s <= sync.total_sim_time_s * (1 + 1e-9)
 
     def test_model_still_learns(self, async_result):
@@ -207,7 +148,7 @@ class TestAsyncFederated:
     def test_stale_updates_rejected_when_bound_is_zero(self):
         """max_staleness=0 admits only updates trained against the very
         latest global version -- concurrent clients must see rejections."""
-        fed = _make_fed(platforms=("nano", "agx-orin", "agx-orin"))
+        fed = make_federation(("nano", "agx-orin", "agx-orin"))
         result = fed.run_async(rounds=2, local_epochs=1, max_staleness=0)
         assert result.n_rejected > 0
         assert all(u.staleness == 0 for u in result.applied)
@@ -217,8 +158,8 @@ class TestAsyncFederated:
         rounds than the throttled one (straggler mitigation)."""
         from repro.runtime import DeviceSlowdown, EventSchedule
 
-        fed = _make_fed(platforms=("agx-orin", "agx-orin"))
-        probe = _make_fed(platforms=("agx-orin",))
+        fed = make_federation(("agx-orin", "agx-orin"))
+        probe = make_federation(("agx-orin",))
         one_round = probe.run(rounds=1, local_epochs=1).total_sim_time_s
         events = EventSchedule([DeviceSlowdown(time_s=0.0, device=0, factor=4.0)])
         result = fed.run_async(duration_s=3.2 * one_round, events=events)
@@ -229,11 +170,39 @@ class TestAsyncFederated:
         # The throttled client's ledger really ran slower per round.
         assert result.client_times_s[0] > 0
 
+    def test_slowdown_scales_local_work_not_profiling_or_wan(self):
+        """Faults follow the simulator's one rule: a throttled client's
+        local work is scaled where it is charged; its profiling, block
+        loads and WAN transfers are not."""
+        from repro.runtime import DeviceSlowdown, EventSchedule
+
+        plain = make_federation(("agx-orin",)).run_async(rounds=1)
+        events = EventSchedule([DeviceSlowdown(time_s=0.0, device=0, factor=4.0)])
+        slow = make_federation(("agx-orin",)).run_async(rounds=1, events=events)
+        plain, slow = plain.device_ledgers[0], slow.device_ledgers[0]
+        for category in ("compute", "data_io", "cache_io"):
+            assert slow[category] == pytest.approx(4 * plain[category], rel=1e-12)
+        assert slow["profiling"] == plain["profiling"]
+        assert slow["communication"] == plain["communication"]
+        # Training steps' dispatch overhead is scaled, the block load not.
+        assert plain["overhead"] < slow["overhead"] < 4 * plain["overhead"]
+
+    def test_reused_federation_runs_on_each_calls_own_clock(self):
+        """The device clocks keep every earlier call's time; a call's
+        duration, events and reported times start from its own start."""
+        fed = make_federation()
+        for _ in range(2):
+            result = fed.run_async(duration_s=0.3)
+            assert result.n_applied > 0
+            for c, ledger in enumerate(result.device_ledgers):
+                assert result.client_times_s[c] == ledger["total"]
+            assert result.total_sim_time_s <= max(result.client_times_s)
+
     def test_failure_drops_client_and_in_flight_update(self):
         from repro.runtime import DeviceFailure, EventSchedule
 
         events = EventSchedule([DeviceFailure(time_s=1e-6, device=0)])
-        fed = _make_fed()
+        fed = make_federation()
         result = fed.run_async(rounds=2, local_epochs=1, events=events)
         assert result.dropped_clients == [0]
         assert all(u.client_id != 0 for u in result.applied)
@@ -241,13 +210,13 @@ class TestAsyncFederated:
     def test_join_events_rejected(self):
         from repro.runtime import DeviceJoin, EventSchedule
 
-        fed = _make_fed()
+        fed = make_federation()
         events = EventSchedule([DeviceJoin(time_s=0.0, platform="nano")])
         with pytest.raises(ConfigError):
             fed.run_async(rounds=1, events=events)
 
     def test_needs_a_stop_condition(self):
-        fed = _make_fed()
+        fed = make_federation()
         with pytest.raises(ConfigError):
             fed.run_async()
         with pytest.raises(ConfigError):

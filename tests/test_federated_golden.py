@@ -39,16 +39,14 @@ Re-record (only when simulated behaviour is *meant* to change) with
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from helpers import _exact, modules_digest
+from helpers import _exact, make_federation, modules_digest
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data/federated_golden.json"
 QUICK = Path(__file__).resolve().parent.parent / "examples/specs/quick.json"
-MB = 2**20
 PLATFORMS = {
     "nano-orin": ["nano", "agx-orin"],
     "orin2": ["agx-orin", "agx-orin"],
@@ -112,37 +110,6 @@ def federated_golden_cases() -> dict[str, dict]:
     return cases
 
 
-def _federation(platforms: list[str]):
-    """Clients on ``platforms``, each with a contiguous shard of 180
-    samples and a 12 MiB budget."""
-    from repro.core import NeuroFluxConfig
-    from repro.data.registry import dataset_spec
-    from repro.extensions import FederatedClient, FederatedNeuroFlux, shard_dataset
-    from repro.hw.platforms import get_platform
-
-    spec = dataset_spec(
-        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=11
-    )
-    spec = replace(spec, n_train=180, n_val=40, n_test=60)
-    global_data = spec.materialize()
-    clients = []
-    for i, ((x, y), name) in enumerate(
-        zip(shard_dataset(global_data, len(platforms)), platforms)
-    ):
-        shard = replace(spec, n_train=len(x)).materialize()
-        shard.x_train, shard.y_train = x, y
-        clients.append(
-            FederatedClient(i, shard, 12 * MB, platform=get_platform(name))
-        )
-    return FederatedNeuroFlux(
-        "vgg11",
-        clients,
-        global_data,
-        model_kwargs=dict(num_classes=4, input_hw=(16, 16), width_multiplier=0.125),
-        config=NeuroFluxConfig(batch_limit=32, seed=0),
-    )
-
-
 def run_federated_golden_case(case: dict):
     """Run one case, traced; returns ``(federation, result, tracer)``."""
     from repro.api import Callback, JobSpec, run
@@ -162,7 +129,7 @@ def run_federated_golden_case(case: dict):
             callbacks=[grab, TracingCallback(tracer=tracer)],
         )
         return grab.system, result, tracer
-    fed = _federation(PLATFORMS[case["platforms"]])
+    fed = make_federation(PLATFORMS[case["platforms"]])
     kwargs = dict(case["kwargs"])
     if "events" in case:
         kwargs["events"] = EventSchedule.from_json_dict({"events": case["events"]})

@@ -18,7 +18,6 @@ from repro.obs import (
     activate,
     active_tracer,
     deactivate,
-    no_tracing,
     percentile,
     validate_monotonic,
     validate_nesting,
@@ -175,9 +174,6 @@ class TestTracer:
     def test_active_tracer_registry(self):
         assert active_tracer() is None
         t = activate(Tracer())
-        assert active_tracer() is t
-        with no_tracing():
-            assert active_tracer() is None
         assert active_tracer() is t
         deactivate()
         assert active_tracer() is None

@@ -149,6 +149,28 @@ class TestRuntimeTracing:
         assert 'runtime_events_total{kind="slowdown"}' in metrics
 
 
+class TestFederatedTracing:
+    """Clients train inside the federation's trace: their device charges
+    are spans on ``dev{c}``, on the clock of the ``client{c}`` rounds."""
+
+    @pytest.mark.parametrize("backend", ["federated", "federated-async"])
+    def test_client_charges_are_device_spans(self, backend):
+        tracer = Tracer()
+        report = run(quick_spec(backend), callbacks=TracingCallback(tracer=tracer))
+        assert validate_nesting(tracer.spans) == []
+        assert validate_monotonic(tracer.spans) == []
+        for c, ledger in enumerate(report.device_ledgers):
+            spans = [
+                s for s in tracer.spans
+                if s.track == f"dev{c}" and s.kind == "complete"
+            ]
+            assert spans, f"dev{c}"
+            # Only the WAN transfers are charged outside the block loop.
+            assert sum(s.duration_s for s in spans) == pytest.approx(
+                ledger["total"] - ledger["communication"], rel=0, abs=1e-12
+            )
+
+
 class TestLedgerKeySync:
     def test_fallback_summary_covers_every_ledger_category(self):
         # Regression: a serving report's fallback used to hand-list the

@@ -2,16 +2,11 @@
 
 import pytest
 
+from repro.api.report import merge_ledger_summaries
 from repro.errors import ConfigError
 from repro.hw import GIGABIT_ETHERNET, WIFI_AC, Link
 from repro.hw.platforms import AGX_ORIN, JETSON_NANO
-from repro.parallel import (
-    DEFAULT_EDGE_CLUSTER,
-    Cluster,
-    Device,
-    ledger_delta,
-    merge_ledger_deltas,
-)
+from repro.parallel import DEFAULT_EDGE_CLUSTER, Cluster, Device, ledger_delta
 
 MB = 2**20
 
@@ -124,6 +119,6 @@ class TestCluster:
         assert delta[0]["communication"] > 0
         assert delta[0]["compute"] == 0.0
         assert delta[1]["compute"] > 0
-        merged = merge_ledger_deltas(delta)
-        assert merged.total == pytest.approx(cluster.total_elapsed)
-        assert merged.communication == pytest.approx(delta[0]["communication"])
+        merged = merge_ledger_summaries(delta)
+        assert merged["total"] == pytest.approx(cluster.total_elapsed)
+        assert merged["communication"] == pytest.approx(delta[0]["communication"])
