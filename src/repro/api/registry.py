@@ -128,28 +128,11 @@ class Backend:
             # callbacks after user callbacks so user hooks observe the
             # job before its trace/metrics files are finalized.
             cbs = CallbackList(list(cbs) + obs)
-        with self._array_backend(spec):
-            context = self.prepare(spec)
-            cbs.on_job_start(context)
-            context.report = self.execute(context, cbs)
-            cbs.on_job_end(context)
+        context = self.prepare(spec)
+        cbs.on_job_start(context)
+        context.report = self.execute(context, cbs)
+        cbs.on_job_end(context)
         return context.report
-
-    @staticmethod
-    def _array_backend(spec):
-        """Context manager activating the spec's ``compute`` array backend.
-
-        Specs without a compute section (or with the default ``numpy``
-        backend) get a no-op, so the hot-path dispatch stays on the
-        module-level default.
-        """
-        from repro.backend import use_array_backend
-
-        compute = getattr(spec, "compute", None)
-        if compute is None or compute.array_backend == "numpy":
-            return use_array_backend(None)
-        kwargs = {} if compute.threads is None else {"threads": compute.threads}
-        return use_array_backend(compute.array_backend, **kwargs)
 
     @staticmethod
     def _observability_callbacks(spec) -> list[Callback]:

@@ -350,32 +350,18 @@ class ComputeSection:
     """Compute substrate selection (see :mod:`repro.backend`).
 
     Backend-agnostic, like ``observability``: any backend accepts it.
-    ``array_backend`` picks the process's GEMM engine (``numpy`` |
-    ``threaded``); ``threads`` caps the threaded pool (null = one per
-    core); ``bf16_weights`` stores weights as truncated bf16 (fp32
-    compute, 2 bytes/scalar residency); ``processes`` sizes the
-    ``multiprocess`` backend's worker-process fan-out (null = one per
-    core, capped at the block count).
+    ``bf16_weights`` stores weights as truncated bf16 (fp32 compute, 2
+    bytes/scalar residency); ``processes`` sizes the ``multiprocess``
+    backend's worker-process fan-out (null = one per core, capped at the
+    block count).
     """
 
     _section = "compute"
 
-    array_backend: str = "numpy"
-    threads: int | None = None
     bf16_weights: bool = False
     processes: int | None = None
 
     def __post_init__(self) -> None:
-        from repro.backend import available_array_backends
-
-        if self.array_backend not in available_array_backends():
-            raise SpecError(
-                "compute",
-                f"unknown array_backend {self.array_backend!r}; "
-                f"registered: {', '.join(available_array_backends())}",
-            )
-        if self.threads is not None and self.threads < 1:
-            raise SpecError("compute", "threads must be >= 1")
         if self.processes is not None and self.processes < 1:
             raise SpecError("compute", "processes must be >= 1")
         if not isinstance(self.bf16_weights, bool):
@@ -386,10 +372,7 @@ class ComputeSection:
         from repro.backend import ComputeConfig
 
         return ComputeConfig(
-            array_backend=self.array_backend,
-            threads=self.threads,
-            bf16_weights=self.bf16_weights,
-            processes=self.processes,
+            bf16_weights=self.bf16_weights, processes=self.processes
         )
 
 

@@ -1,57 +1,40 @@
-"""repro.backend: the pluggable array-backend seam and its engines.
+"""repro.backend: how the nn kernels use the host's compute.
 
-The nn kernels dispatch their GEMMs, scratch allocation, and
-batch-sliced scatters through one process-global :class:`ArrayBackend`
-(:mod:`repro.backend.base` defines the protocol, :mod:`.registry` the
-selection machinery).  Three engines ship with the seam:
+numpy is the one array engine and OpenBLAS the one thread pool; this
+package holds what sits around them:
 
-* ``numpy`` -- the seed engine, a zero-cost passthrough (default;
-  bit-identical to pre-seam numerics);
-* ``threaded`` -- cache-blocked row-tiled GEMMs fanned over a thread
-  pool for the im2col hot path (:mod:`.threaded`);
-* the multiprocess block-parallel executor (:mod:`.multiproc`) -- not
-  an :class:`ArrayBackend` but a training executor built on the same
-  package: blocks are gradient-independent under local learning, so
-  stages of blocks train concurrently in forked worker processes with
-  shared-memory activation handoff.
+* :mod:`.registry` -- ``matmul``, the GEMM every conv and linear kernel
+  calls;
+* :mod:`.blas` -- the one place the program decides BLAS threading;
+* :mod:`.multiproc` -- the multiprocess block-parallel executor: blocks
+  are gradient-independent under local learning, so stages of blocks
+  train concurrently in forked worker processes with shared-memory
+  activation handoff;
+* :mod:`.bf16` -- bf16 *weight-storage* emulation (truncated-uint16
+  storage semantics on fp32 compute arrays), reported through the
+  existing peak-memory plumbing.
 
-Orthogonally, :mod:`.bf16` provides bf16 *weight-storage* emulation
-(truncated-uint16 storage semantics on fp32 compute arrays), reported
-through the existing peak-memory plumbing.
-
-Selection comes from a JobSpec ``compute`` section (see
-:class:`repro.api.spec.ComputeSection`) or directly::
-
-    from repro.backend import use_array_backend
-
-    with use_array_backend("threaded", threads=4):
-        report = system.run(epochs=3)
+A JobSpec ``compute`` section (:class:`repro.api.spec.ComputeSection`)
+selects the last two and reaches the controller as a
+:class:`ComputeConfig`.
 """
 
-from repro.backend.base import ArrayBackend, ComputeConfig, NumpyBackend
-from repro.backend.registry import (
-    active_backend,
-    available_array_backends,
-    get_array_backend,
-    map_slices,
-    matmul,
-    register_array_backend,
-    set_active_backend,
-    use_array_backend,
-)
-from repro.backend.threaded import ThreadedBackend
+from __future__ import annotations
 
-__all__ = [
-    "ArrayBackend",
-    "ComputeConfig",
-    "NumpyBackend",
-    "ThreadedBackend",
-    "active_backend",
-    "available_array_backends",
-    "get_array_backend",
-    "map_slices",
-    "matmul",
-    "register_array_backend",
-    "set_active_backend",
-    "use_array_backend",
-]
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class ComputeConfig:
+    """Validated compute selection, as carried by a JobSpec ``compute``
+    section.
+
+    ``bf16_weights`` turns on truncated-uint16 weight storage (fp32
+    compute); ``processes`` is the worker-process count for the
+    multiprocess block-parallel executor (``None`` = one per pipeline
+    stage, capped at the core count).
+    """
+
+    bf16_weights: bool = False
+    processes: int | None = None
+

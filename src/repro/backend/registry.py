@@ -1,132 +1,18 @@
-"""Array-backend registry and per-process selection.
+"""The GEMM the nn kernels call, at a dotted path the e2e benchmark patches.
 
-Mirrors the api-level backend registry's plugin shape one layer down:
-:func:`register_array_backend` maps a name to a factory, and the active
-backend is a process-global resolved at dispatch time.  The nn kernels
-call the module-level :func:`matmul` / :func:`map_slices` helpers, which
-read that global directly -- one attribute load per GEMM, so the seam
-costs nothing measurable on the hot path.
-
-Selection is per-process by design: worker processes of the
-multiprocess executor each pick their own engine after fork, and a
-parent's context-managed selection (:func:`use_array_backend`) never
-leaks across jobs because the context restores the previous backend on
-exit and closes any backend it constructed itself.
+``benchmarks/e2e/span_table.py`` times and FLOP-counts every conv and
+linear GEMM by wrapping ``repro.backend.registry.matmul``, so
+``nn/conv.py`` and ``nn/linear.py`` call it here rather than
+``np.matmul`` directly.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable
-
 import numpy as np
 
-from repro.backend.base import ArrayBackend, NumpyBackend
-from repro.errors import ConfigError
 
-_FACTORIES: dict[str, Callable[..., ArrayBackend]] = {}
-
-_DEFAULT = NumpyBackend()
-_active: ArrayBackend = _DEFAULT
-
-
-def register_array_backend(name: str):
-    """Decorator: make an :class:`ArrayBackend` factory selectable by
-    name (from a JobSpec ``compute`` section or ``use_array_backend``)."""
-
-    def deco(factory: Callable[..., ArrayBackend]):
-        existing = _FACTORIES.get(name)
-        if existing is not None and existing is not factory:
-            raise ConfigError(
-                f"array backend {name!r} is already registered to "
-                f"{existing!r}"
-            )
-        _FACTORIES[name] = factory
-        return factory
-
-    return deco
-
-
-def available_array_backends() -> list[str]:
-    """Names accepted by :func:`get_array_backend`."""
-    return sorted(_FACTORIES)
-
-
-def get_array_backend(name: str, **kwargs) -> ArrayBackend:
-    """Construct a fresh backend registered under ``name``."""
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown array backend {name!r}; registered: "
-            f"{', '.join(sorted(_FACTORIES))}"
-        )
-    return factory(**kwargs)
-
-
-def active_backend() -> ArrayBackend:
-    """The backend this process's kernels currently dispatch through."""
-    return _active
-
-
-def set_active_backend(backend: ArrayBackend | str | None, **kwargs) -> ArrayBackend:
-    """Install ``backend`` (instance, registered name, or ``None`` for
-    the numpy default) as this process's active backend; returns the
-    previously active one so callers can restore it."""
-    global _active
-    previous = _active
-    if backend is None:
-        _active = _DEFAULT
-    elif isinstance(backend, str):
-        _active = get_array_backend(backend, **kwargs)
-    elif isinstance(backend, ArrayBackend):
-        _active = backend
-    else:
-        raise ConfigError(
-            f"set_active_backend takes an ArrayBackend, a registered "
-            f"name, or None; got {type(backend).__name__}"
-        )
-    return previous
-
-
-@contextmanager
-def use_array_backend(backend: ArrayBackend | str | None = None, **kwargs):
-    """Scoped backend selection.
-
-    ``None`` keeps whatever is active (a no-op scope, so call sites can
-    pass an optional spec field straight through).  A name constructs a
-    fresh backend, installs it for the scope, and closes it on exit; an
-    instance is installed but left open for the caller to manage.
-    """
-    if backend is None:
-        yield _active
-        return
-    owned = isinstance(backend, str)
-    previous = set_active_backend(backend, **kwargs)
-    try:
-        yield _active
-    finally:
-        current = _active
-        set_active_backend(previous)
-        if owned:
-            current.close()
-
-
-# -- hot-path dispatch helpers (one global load, then the method) ----------
 def matmul(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``a @ b`` through the active backend."""
-    return _active.matmul(a, b, out=out)
-
-
-def map_slices(fn, n: int, min_chunk: int = 1) -> None:
-    """Partitioned ``fn(lo, hi)`` over ``range(0, n)`` through the
-    active backend."""
-    _active.map_slices(fn, n, min_chunk=min_chunk)
-
-
-# Built-in registrations.  The numpy factory returns the shared default
-# (stateless, nothing to close); threaded is registered by its module.
-register_array_backend("numpy")(lambda **kwargs: NumpyBackend())
-
-from repro.backend import threaded as _threaded  # noqa: E402,F401  (registration)
+    """``a @ b``, optionally into a preallocated ``out``."""
+    return np.matmul(a, b, out=out)

@@ -147,7 +147,9 @@ def env_block() -> dict:
     }
 
 
-def write_report(report: dict, path: str) -> None:
+def write_report(report: dict | list, path: str) -> None:
+    """The one JSON layout every file the CLI writes uses (BENCH files,
+    reports, sweep rows): indented, sorted keys, trailing newline."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli run job.json
     python -m repro.cli run job.json --backend pipelined --report-json out.json
     python -m repro.cli run job.json --backend multiprocess --processes 4
-    python -m repro.cli run job.json --array-backend threaded --threads 4
     python -m repro.cli run examples/specs/serving.json --trace-out trace.json
     python -m repro.cli analyze trace.json
     python -m repro.cli bench kernels --quick
@@ -20,11 +19,10 @@ backend (``sequential`` / ``pipelined`` / ``multiprocess`` / ``baseline``
 / ``evalsim`` / ``federated`` / ``federated-async`` / ``serving`` /
 ``cluster-serving``; ``examples/specs/quick.json`` re-targets at any of
 them with ``--backend``) and prints the unified report; the
-``--array-backend`` / ``--threads`` / ``--bf16-weights`` /
-``--processes`` flags override the spec's ``compute`` section
-field-by-field.  ``analyze`` turns a trace or report into a critical
-path, a request breakdown, a diff or an SLO verdict (see
-:mod:`repro.obs.analyze`).  ``bench <suite>`` (``kernels | pipeline |
+``--bf16-weights`` / ``--processes`` flags override the spec's
+``compute`` section field-by-field.  ``analyze`` turns a trace or
+report into a critical path, a request breakdown, a diff or an SLO
+verdict (see :mod:`repro.obs.analyze`).  ``bench <suite>`` (``kernels | pipeline |
 runtime | fleet | obs``) runs one benchmark suite, prints its table,
 records it in ``BENCH_<suite>.json`` unless ``--quick``, and exits 1 when a
 claim it asserts fails (see :mod:`repro.bench`).  ``sweep`` runs a declarative
@@ -105,21 +103,6 @@ def build_run_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write one CSV row per epoch/round (loss, accuracy, wall-clock)",
     )
-    from repro.backend import available_array_backends
-
-    parser.add_argument(
-        "--array-backend",
-        default=None,
-        choices=available_array_backends(),
-        help="override the spec's compute.array_backend (GEMM engine)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="GEMM threads for the threaded array backend",
-    )
     parser.add_argument(
         "--bf16-weights",
         action="store_true",
@@ -145,12 +128,10 @@ def _run_main(argv: list[str]) -> int:
         return 2
 
 
-def _write_report_json(path: str, report) -> None:
-    import json
+def _write_json(path: str, payload) -> None:
+    from repro.bench import write_report
 
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(payload, path)
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -178,8 +159,6 @@ def _run_run(argv: list[str]) -> int:
     # Same override rule for the compute section: flags win field-by-field,
     # absent flags leave the spec's values (or defaults) alone.
     compute_flags = {
-        "array_backend": args.array_backend,
-        "threads": args.threads,
         "bf16_weights": args.bf16_weights or None,
         "processes": args.processes,
     }
@@ -199,7 +178,7 @@ def _run_run(argv: list[str]) -> int:
     report = run_job(spec)
     print(report.summary())
     if args.report_json:
-        _write_report_json(args.report_json, report)
+        _write_json(args.report_json, report.to_json_dict())
     return 0
 
 
@@ -365,7 +344,7 @@ def _analyze_run(argv: list[str]) -> int:
         )
         print(analysis.summary())
     if args.json_out:
-        _write_report_json(args.json_out, analysis)
+        _write_json(args.json_out, analysis.to_json_dict())
     failed = not analysis.ok
     diff = analysis.trace_diff or analysis.report_diff
     if args.fail_on_diff and diff is not None and not diff.is_empty:
@@ -497,13 +476,11 @@ def _sweep_run(argv: list[str]) -> int:
     )
     if args.summary_json:
         report = SweepReport.from_store(ResultsStore.open(store_path))
-        _write_report_json(args.summary_json, report)
+        _write_json(args.summary_json, report.to_json_dict())
     return 1 if summary.failed else 0
 
 
 def _sweep_results(argv: list[str]) -> int:
-    import json
-
     from repro.sweep import (
         ResultsStore,
         SweepReport,
@@ -522,15 +499,12 @@ def _sweep_results(argv: list[str]) -> int:
     )
     print(render_table(flat))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(flat, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}", file=sys.stderr)
+        _write_json(args.json, flat)
     if args.csv:
         to_csv(flat, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
     if args.summary_json:
-        _write_report_json(args.summary_json, SweepReport.from_store(store))
+        _write_json(args.summary_json, SweepReport.from_store(store).to_json_dict())
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.report import common_json_fields
 from repro.api.report import json_num as _num
 from repro.core.partitioner import Block
 from repro.training.common import TrainResult
@@ -78,28 +79,24 @@ class NeuroFluxReport:
     def to_json_dict(self) -> dict:
         """JSON-serializable run report: the result's, plus the partition,
         the exits and the Section 6.4 overheads."""
-        out = self.result.to_json_dict()
-        out.update(
-            {
-                "kind": "neuroflux",
-                "metrics": self.metrics_registry().snapshot(),
-                "blocks": [
-                    {"layers": list(b.layer_indices), "batch_size": b.batch_size}
-                    for b in self.blocks
-                ],
-                "layer_val_accuracies": [_num(a) for a in self.layer_val_accuracies],
-                "exit_layer": self.exit_layer,
-                "exit_params": self.exit_params,
-                "full_model_params": self.full_model_params,
-                "exit_val_accuracy": _num(self.exit_val_accuracy),
-                "exit_test_accuracy": _num(self.exit_test_accuracy),
-                "compression_factor": _num(self.compression_factor),
-                "cache_bytes_written": self.cache_bytes_written,
-                "dataset_bytes": self.dataset_bytes,
-                "profiling_time_s": _num(self.profiling_time_s),
-            }
-        )
-        return out
+        return {
+            **common_json_fields(self, kind="neuroflux"),
+            **self.result.json_fields(),
+            "blocks": [
+                {"layers": list(b.layer_indices), "batch_size": b.batch_size}
+                for b in self.blocks
+            ],
+            "layer_val_accuracies": [_num(a) for a in self.layer_val_accuracies],
+            "exit_layer": self.exit_layer,
+            "exit_params": self.exit_params,
+            "full_model_params": self.full_model_params,
+            "exit_val_accuracy": _num(self.exit_val_accuracy),
+            "exit_test_accuracy": _num(self.exit_test_accuracy),
+            "compression_factor": _num(self.compression_factor),
+            "cache_bytes_written": self.cache_bytes_written,
+            "dataset_bytes": self.dataset_bytes,
+            "profiling_time_s": _num(self.profiling_time_s),
+        }
 
     @property
     def compression_factor(self) -> float:

@@ -498,7 +498,9 @@ class FederatedNeuroFlux:
         contained inside one round is invisible -- unlike the cluster
         runtime, which samples per micro-batch.  Join events are not
         meaningful here (a client is a data shard, not just hardware)
-        and are rejected.
+        and are rejected.  The schedule applies only within this call:
+        every device leaves it at its call-start ``time_scale``, so a
+        permanent slowdown does not throttle the federation's next call.
         """
         from repro.runtime.events import DeviceJoin, EventClock, SchedulePlayer
 
@@ -558,92 +560,97 @@ class FederatedNeuroFlux:
         last_applied_s = 0.0
         peak = 0
 
-        while True:
-            runnable = [
-                c
-                for c in range(n)
-                if c not in failed
-                and rounds_left[c] != 0
-                and (duration_s is None or clock(c) < duration_s)
-            ]
-            next_start = min((clock(c), c) for c in runnable) if runnable else None
-            next_done = pending.peek_time()
-            if next_start is None and next_done is None:
-                break
-            if next_done is not None and (
-                next_start is None or next_done <= next_start[0]
-            ):
-                t, payload = pending.pop()
-                client_id, v0, state, aux_states, exit_layer = payload
-                advance_events(t)
-                if client_id in failed:
-                    continue  # the update died with the client
-                staleness = version - v0
-                if staleness > max_staleness:
-                    n_rejected += 1
+        scales_at_start = [device.sim.time_scale for device in self.cluster]
+        try:
+            while True:
+                runnable = [
+                    c
+                    for c in range(n)
+                    if c not in failed
+                    and rounds_left[c] != 0
+                    and (duration_s is None or clock(c) < duration_s)
+                ]
+                next_start = min((clock(c), c) for c in runnable) if runnable else None
+                next_done = pending.peek_time()
+                if next_start is None and next_done is None:
+                    break
+                if next_done is not None and (
+                    next_start is None or next_done <= next_start[0]
+                ):
+                    t, payload = pending.pop()
+                    client_id, v0, state, aux_states, exit_layer = payload
+                    advance_events(t)
+                    if client_id in failed:
+                        continue  # the update died with the client
+                    staleness = version - v0
+                    if staleness > max_staleness:
+                        n_rejected += 1
+                        if tracer is not None:
+                            tracer.instant(
+                                f"reject-stale-client{client_id}", "round",
+                                "server", t, {"staleness": staleness},
+                            )
+                        continue
+                    alpha = base_mix / (1 + staleness)
+                    self._global_state = federated_average(
+                        [self._global_state, state], [1.0 - alpha, alpha]
+                    )
+                    self._global_aux_states = [
+                        federated_average([g, u], [1.0 - alpha, alpha])
+                        for g, u in zip(self._global_aux_states, aux_states)
+                    ]
+                    version += 1
+                    applied.append(AppliedUpdate(t, client_id, staleness, alpha))
                     if tracer is not None:
                         tracer.instant(
-                            f"reject-stale-client{client_id}", "round",
-                            "server", t, {"staleness": staleness},
+                            f"apply-client{client_id}", "round", "server", t,
+                            {"staleness": staleness,
+                             "mix_weight": round(alpha, 6)},
                         )
-                    continue
-                alpha = base_mix / (1 + staleness)
-                self._global_state = federated_average(
-                    [self._global_state, state], [1.0 - alpha, alpha]
-                )
-                self._global_aux_states = [
-                    federated_average([g, u], [1.0 - alpha, alpha])
-                    for g, u in zip(self._global_aux_states, aux_states)
-                ]
-                version += 1
-                applied.append(AppliedUpdate(t, client_id, staleness, alpha))
-                if tracer is not None:
-                    tracer.instant(
-                        f"apply-client{client_id}", "round", "server", t,
-                        {"staleness": staleness,
-                         "mix_weight": round(alpha, 6)},
+                    # Each applied update is one global-model step: the epoch
+                    # analogue on the unified callback protocol.
+                    cbs.on_epoch_end(
+                        len(applied) - 1,
+                        t,
+                        {
+                            "client": client_id,
+                            "staleness": staleness,
+                            "mix_weight": alpha,
+                        },
                     )
-                # Each applied update is one global-model step: the epoch
-                # analogue on the unified callback protocol.
-                cbs.on_epoch_end(
-                    len(applied) - 1,
-                    t,
-                    {
-                        "client": client_id,
-                        "staleness": staleness,
-                        "mix_weight": alpha,
-                    },
-                )
-                # Only updates that actually entered the global model vote
-                # on the consensus exit (rejected/dropped rounds never
-                # influenced the weights being evaluated).
-                exit_layers.append(exit_layer)
-                last_applied_s = max(last_applied_s, t)
-            else:
-                t0, client_id = next_start
-                advance_events(t0)
-                if client_id in failed:
-                    continue
-                client = self.clients[client_id]
-                device = self.cluster[client_id]
-                v0 = version
-                device_t0 = device.sim.elapsed
-                state, aux_states, exit_layer, _, client_peak = (
-                    self._run_client_once(client, device, local_epochs)
-                )
-                peak = max(peak, client_peak)
-                if tracer is not None:
-                    tracer.add_span(
-                        "local-round", "train", f"client{client_id}",
-                        device_t0, device.sim.elapsed,
-                        attrs={"version": v0, "exit_layer": exit_layer},
+                    # Only updates that actually entered the global model vote
+                    # on the consensus exit (rejected/dropped rounds never
+                    # influenced the weights being evaluated).
+                    exit_layers.append(exit_layer)
+                    last_applied_s = max(last_applied_s, t)
+                else:
+                    t0, client_id = next_start
+                    advance_events(t0)
+                    if client_id in failed:
+                        continue
+                    client = self.clients[client_id]
+                    device = self.cluster[client_id]
+                    v0 = version
+                    device_t0 = device.sim.elapsed
+                    state, aux_states, exit_layer, _, client_peak = (
+                        self._run_client_once(client, device, local_epochs)
                     )
-                if rounds_left[client_id] > 0:
-                    rounds_left[client_id] -= 1
-                pending.push(
-                    clock(client_id),
-                    (client_id, v0, state, aux_states, exit_layer),
-                )
+                    peak = max(peak, client_peak)
+                    if tracer is not None:
+                        tracer.add_span(
+                            "local-round", "train", f"client{client_id}",
+                            device_t0, device.sim.elapsed,
+                            attrs={"version": v0, "exit_layer": exit_layer},
+                        )
+                    if rounds_left[client_id] > 0:
+                        rounds_left[client_id] -= 1
+                    pending.push(
+                        clock(client_id),
+                        (client_id, v0, state, aux_states, exit_layer),
+                    )
+        finally:
+            for device, scale in zip(self.cluster, scales_at_start):
+                device.sim.time_scale = scale
 
         self._global_model.load_state_dict(self._global_state)
         for head, state in zip(self._global_aux, self._global_aux_states):

@@ -10,9 +10,14 @@ full training step -- in two configurations:
 * ``fast``: the fused NHWC path with a workspace attached and input
   gradients skipped where trainers discard them.
 
-The ``backend`` suite covers the pluggable array-backend layer
-(:mod:`repro.backend`): threaded tiled GEMMs vs plain numpy
-(``gemm_im2col``, also the ``--gate-threaded`` CI floor), real forked
+Two micro rows are not seed/fast paths.  ``gemm_im2col`` times the
+conv-core ``np.matmul`` pinned to one BLAS thread (``seed``) against the
+BLAS thread count in force (``fast``, the row's ``threads``): what
+OpenBLAS's own pool, the program's one CPU thread pool, buys on this
+host.  ``col2im_overlap_k5`` times the two non-tiled scatter strategies,
+``"loop"`` against ``"overlap"``.
+
+The ``backend`` suite covers :mod:`repro.backend`: real forked
 multiprocess block-parallel training vs the same executor single-process
 (``mp_block_parallel``, with cores and the >=1.5x claim recorded
 honestly), and bf16 weight emulation (``bf16_vgg11``: resident weight
@@ -39,19 +44,11 @@ from repro.errors import ConfigError
 #: Accepted suite selectors for run_suite / the CLI.
 SUITES = ("micro", "macro", "backend", "all")
 
-#: Floor for the ``--gate-threaded`` CI check on the ``gemm_im2col``
-#: speedup.  On a single-core host the threaded backend degrades to plain
-#: ``np.matmul`` (so the true ratio is 1.0x) -- the margin below 1.0 only
-#: absorbs timer jitter, it is not a license to regress.  The gate is
-#: skipped (not failed) when the requested thread count oversubscribes
-#: the host's cores: a forced pool on too few cores pays real overhead.
-GATE_THREADED_FLOOR = 0.95
-
 #: Floor for the ``--gate-mp`` check on hosts with >= 2 usable cores:
 #: more processes must not be slower than one.  The measured ratio on a
-#: 2-core host is 1.04-1.36x run to run, so the same jitter margin as the
-#: threaded gate applies; the regression it exists for (every stage
-#: spinning a full BLAS pool) measures 0.34x.
+#: 2-core host is 1.04-1.36x run to run; the margin below 1.0 only absorbs
+#: timer jitter.  The regression it exists for (every stage spinning a
+#: full BLAS pool) measures 0.34x.
 GATE_MP_FLOOR = 0.95
 
 _DEFAULT_MODEL = "vgg11"
@@ -128,18 +125,14 @@ def bench_col2im(batch: int, reps: int, seed: int = 0) -> dict:
 
 
 def bench_col2im_overlap(batch: int, reps: int, seed: int = 0) -> dict:
-    """Large-kernel stride-1 scatter: serial loop vs the auto-dispatched path.
+    """Large-kernel stride-1 scatter: the ``"loop"`` vs ``"overlap"`` paths.
 
-    The single-thread overlap-add rewrite benched at parity with the loop
-    (1.06x), so ``method="auto"`` now resolves through
-    :func:`~repro.nn.functional.col2im_dispatch` instead: ``"threaded"``
-    (the loop core fanned over batch chunks) when the active array backend
-    has worker threads and the scatter is big enough, else an explicit
-    ``"loop"`` fallback.  The resolved path is recorded in the row so the
-    committed baseline states which strategy actually ran.
+    These are the two strategies left when the geometry does not tile.
+    The overlap-add rewrite benches near parity with the loop, so
+    ``method="auto"`` keeps the loop and this row keeps the choice
+    measured.
     """
-    from repro.backend import active_backend
-    from repro.nn.functional import col2im_dispatch, col2im_nhwc
+    from repro.nn.functional import col2im_nhwc
 
     rng = np.random.default_rng(seed)
     n, c, k = batch, 16, 5
@@ -147,47 +140,46 @@ def bench_col2im_overlap(batch: int, reps: int, seed: int = 0) -> dict:
     hp = oh + k - 1
     dcols = rng.standard_normal((n, oh, ow, k, k, c)).astype(np.float32)
     out = np.empty((n, hp, hp, c), np.float32)
-    path = col2im_dispatch(k, 1, False, n, dcols.size)
     return _paired_entry(
         lambda: col2im_nhwc(dcols, k, 1, out=out, method="loop"),
-        lambda: col2im_nhwc(dcols, k, 1, out=out, method=path),
+        lambda: col2im_nhwc(dcols, k, 1, out=out, method="overlap"),
         max(reps, 10),
         kernel=k,
-        path=path,
-        array_backend=active_backend().name,
+        path="overlap",
     )
 
 
-def bench_gemm_im2col(batch: int, reps: int, seed: int = 0, threads: int | None = None) -> dict:
-    """The conv-core GEMM (im2col rows x filter matrix): numpy vs threaded.
+def bench_gemm_im2col(batch: int, reps: int, seed: int = 0) -> dict:
+    """The conv-core GEMM (im2col rows x filter matrix) on one BLAS
+    thread vs on the count in force.
 
-    Row tiles are bit-identical to the monolithic ``np.matmul`` (each
-    output row is one independent dot-product sweep), so the threaded
-    backend is a pure wall-clock play; the row records the thread count
-    actually used.
+    Both sides are the same ``np.matmul``; ``seed`` runs it under
+    ``blas_threads(1)`` (:mod:`repro.backend.blas`).  ``threads`` is the
+    count the ``fast`` side ran with, capped at the usable cores
+    (``threads_per_process(1)``); where BLAS cannot be controlled both
+    sides run the same and the ratio reads ~1.
     """
-    from repro.backend import get_array_backend
+    from repro.backend.blas import blas_threads, threads_per_process
 
     rng = np.random.default_rng(seed)
     n, oh, c, k, cout = batch, 16, 32, 3, 64
-    # At least 4096 rows: big enough that one call dwarfs timer noise
-    # (the CI gate reads this row) and that the tiled path actually
-    # engages (the backend needs >= 2*min_rows to split).
+    # At least 4096 rows: big enough that one call dwarfs timer noise.
     m = max(4096, n * oh * oh)
     cols = rng.standard_normal((m, c * k * k)).astype(np.float32)
     wmat = rng.standard_normal((c * k * k, cout)).astype(np.float32)
     out = np.empty((m, cout), np.float32)
-    backend = get_array_backend("threaded", threads=threads)
-    try:
-        return _paired_entry(
-            lambda: np.matmul(cols, wmat, out),
-            lambda: backend.matmul(cols, wmat, out=out),
-            max(reps, 10),  # the CI gate reads this row; buy stability
-            shape=[m, c * k * k, cout],
-            threads=backend.threads,
-        )
-    finally:
-        backend.close()
+
+    def one_thread():
+        with blas_threads(1):
+            np.matmul(cols, wmat, out)
+
+    return _paired_entry(
+        one_thread,
+        lambda: np.matmul(cols, wmat, out),
+        max(reps, 10),
+        shape=[m, c * k * k, cout],
+        threads=threads_per_process(1),
+    )
 
 
 def bench_conv_step(batch: int, reps: int, seed: int = 0) -> dict:
@@ -502,16 +494,8 @@ def run_suite(
     reps: int | None = None,
     model: str = _DEFAULT_MODEL,
     seed: int = 0,
-    array_backend: str | None = None,
-    threads: int | None = None,
 ) -> dict:
-    """Run the requested benchmark suite and return the report dict.
-
-    ``array_backend`` activates a registered array backend for the whole
-    suite (the seed/fast kernels then dispatch their GEMMs and scatters
-    through it); ``None`` keeps the numpy default.
-    """
-    from repro.backend import use_array_backend
+    """Run the requested benchmark suite and return the report dict."""
     from repro.models.zoo import list_models
 
     if suite not in SUITES:
@@ -536,39 +520,33 @@ def run_suite(
             "reps": reps,
             "model": model,
             "seed": seed,
-            "array_backend": array_backend or "numpy",
         },
         "env": {**env_block(), "cores": usable_cores()},
     }
-    backend_kwargs = {} if threads is None else {"threads": threads}
-    with use_array_backend(array_backend, **backend_kwargs):
-        # Macro first: the micro benches leave allocator state (freed pools,
-        # fragmented arenas) that measurably skews subsequent macro timings.
-        if suite in ("macro", "all"):
-            report["macro"] = {
-                "bp_step": bench_bp_step(model, batch, reps, quick, seed=seed),
-                "ll_step": bench_ll_step(model, batch, reps, quick, seed=seed),
-            }
-            if not quick:
-                # A wider build tracks how the gains scale as the GEMMs (which
-                # both paths share) take a larger share of the step.
-                report["macro"]["bp_step_wide"] = bench_bp_step(
-                    model, batch, reps, quick, width=2 * MACRO_WIDTH, seed=seed
-                )
-        if suite in ("micro", "all"):
-            micro_batch = max(1, batch // 4) if quick else batch
-            report["micro"] = {
-                "im2col": bench_im2col(micro_batch, reps, seed),
-                "col2im": bench_col2im(micro_batch, reps, seed),
-                "col2im_overlap_k5": bench_col2im_overlap(micro_batch, reps, seed),
-                "gemm_im2col": bench_gemm_im2col(micro_batch, reps, seed, threads),
-                "conv_step": bench_conv_step(micro_batch, reps, seed),
-                "maxpool_step": bench_maxpool_step(micro_batch, reps, seed),
-            }
+    # Macro first: the micro benches leave allocator state (freed pools,
+    # fragmented arenas) that measurably skews subsequent macro timings.
+    if suite in ("macro", "all"):
+        report["macro"] = {
+            "bp_step": bench_bp_step(model, batch, reps, quick, seed=seed),
+            "ll_step": bench_ll_step(model, batch, reps, quick, seed=seed),
+        }
+        if not quick:
+            # A wider build tracks how the gains scale as the GEMMs (which
+            # both paths share) take a larger share of the step.
+            report["macro"]["bp_step_wide"] = bench_bp_step(
+                model, batch, reps, quick, width=2 * MACRO_WIDTH, seed=seed
+            )
+    if suite in ("micro", "all"):
+        micro_batch = max(1, batch // 4) if quick else batch
+        report["micro"] = {
+            "im2col": bench_im2col(micro_batch, reps, seed),
+            "col2im": bench_col2im(micro_batch, reps, seed),
+            "col2im_overlap_k5": bench_col2im_overlap(micro_batch, reps, seed),
+            "gemm_im2col": bench_gemm_im2col(micro_batch, reps, seed),
+            "conv_step": bench_conv_step(micro_batch, reps, seed),
+            "maxpool_step": bench_maxpool_step(micro_batch, reps, seed),
+        }
     if suite in ("backend", "all"):
-        # The backend suite manages its own engines (the multiprocess
-        # executor forks workers; an ambient thread pool must not be
-        # inherited mid-flight), so it runs outside the override.
         report["backend"] = {
             "mp_block_parallel": bench_mp_block_parallel(seed),
             "bf16_vgg11": bench_bf16_vgg11(reps, quick, seed),
@@ -623,27 +601,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--reps", type=int, default=None, help="timing repetitions")
     parser.add_argument("--model", default=_DEFAULT_MODEL, help="macro model name")
     parser.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help="run the suite under a registered array backend (e.g. threaded)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="thread count for the threaded array backend",
-    )
-    parser.add_argument(
-        "--gate-threaded",
-        action="store_true",
-        help=(
-            "fail (exit 1) if the gemm_im2col threaded speedup falls below "
-            f"{GATE_THREADED_FLOOR}x of plain numpy (the CI regression gate)"
-        ),
-    )
-    parser.add_argument(
         "--gate-mp",
         action="store_true",
         help=(
@@ -657,33 +614,7 @@ def add_arguments(parser) -> None:
 
 
 def gate(report: dict, args) -> int:
-    """Exit code of ``--gate-threaded`` / ``--gate-mp`` over a finished report."""
-    if args.gate_threaded:
-        row = report.get("micro", {}).get("gemm_im2col")
-        if row is None:
-            print("bench: --gate-threaded needs the micro suite", file=sys.stderr)
-            return 2
-        cores = usable_cores()
-        if row["threads"] > cores:
-            # Oversubscribed pools pay real context-switch cost with no
-            # parallelism to show for it; a speed floor is meaningless.
-            print(
-                f"gate-threaded skipped: {row['threads']} threads on "
-                f"{cores} core(s) (oversubscribed; measured "
-                f"{row['speedup']}x, not enforced)"
-            )
-            return 0
-        if row["speedup"] < GATE_THREADED_FLOOR:
-            print(
-                f"bench: threaded gemm regressed: {row['speedup']}x < "
-                f"{GATE_THREADED_FLOOR}x floor (threads={row['threads']})",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"gate-threaded ok: {row['speedup']}x >= {GATE_THREADED_FLOOR}x "
-            f"(threads={row['threads']})"
-        )
+    """Exit code of ``--gate-mp`` over a finished report."""
     if args.gate_mp:
         row = report.get("backend", {}).get("mp_block_parallel")
         if row is None:

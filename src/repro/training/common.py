@@ -91,29 +91,31 @@ class TrainResult:
 
     def to_json_dict(self) -> dict:
         """JSON-serializable run report (unified schema head + specifics)."""
-        out = common_json_fields(self, kind="baseline")
-        out.update(
-            {
-                "method": self.method,
-                "model": self.model_name,
-                "dataset": self.dataset_name,
-                "platform": self.platform_name,
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "num_parameters": self.num_parameters,
-                "final_accuracy": json_num(self.final_accuracy),
-                "history": [
-                    {
-                        "sim_time_s": json_num(p.sim_time_s),
-                        "epoch": json_num(p.epoch),
-                        "accuracy": json_num(p.accuracy),
-                        "loss": json_num(p.loss),
-                        "split": p.split,
-                    }
-                    for p in self.history
-                ],
-            }
-        )
+        return {**common_json_fields(self, kind="baseline"), **self.json_fields()}
+
+    def json_fields(self) -> dict:
+        """The method-comparable fields below the unified head, for this
+        report and for the reports that wrap a result under their own."""
+        out = {
+            "method": self.method,
+            "model": self.model_name,
+            "dataset": self.dataset_name,
+            "platform": self.platform_name,
+            "epochs": self.epochs,
+            "batch_size": self.batch_size,
+            "num_parameters": self.num_parameters,
+            "final_accuracy": json_num(self.final_accuracy),
+            "history": [
+                {
+                    "sim_time_s": json_num(p.sim_time_s),
+                    "epoch": json_num(p.epoch),
+                    "accuracy": json_num(p.accuracy),
+                    "loss": json_num(p.loss),
+                    "split": p.split,
+                }
+                for p in self.history
+            ],
+        }
         # Executor-specific facts (microbatching's logical batch, the
         # multiprocess run's host clocks); absent when there are none.
         if self.extras:

@@ -290,6 +290,64 @@ class TestValidationFailures:
         assert issubclass(SpecError, ConfigError)
 
 
+class TestComputeSection:
+    COMPUTE = {"bf16_weights": True, "processes": 3}
+
+    def test_round_trip(self):
+        spec = JobSpec.from_dict(quick_payload(compute=self.COMPUTE))
+        again = JobSpec.from_dict(spec.to_dict())
+        assert again.compute == spec.compute
+        assert again.compute.bf16_weights is True
+        assert again.compute.processes == 3
+
+    def test_to_compute_config(self):
+        from repro.api import ComputeSection
+        from repro.backend import ComputeConfig
+
+        cfg = ComputeSection(**self.COMPUTE).to_compute_config()
+        assert cfg == ComputeConfig(bf16_weights=True, processes=3)
+
+    def test_positive_processes_required(self):
+        with pytest.raises(SpecError, match="processes must be >= 1"):
+            JobSpec.from_dict(quick_payload(compute={"processes": 0}))
+
+    def test_multiprocess_backend_forbids_cluster(self):
+        payload = quick_payload(backend="multiprocess")
+        del payload["serving"]
+        with pytest.raises(SpecError) as err:
+            JobSpec.from_dict(payload)
+        assert err.value.section == "cluster"
+
+    def test_retarget_drops_forbidden_sections_and_keeps_compute(self):
+        spec = JobSpec.from_dict(quick_payload(compute=self.COMPUTE))
+        mp = spec.with_backend("multiprocess")
+        assert mp.backend == "multiprocess"
+        assert mp.cluster is None
+        assert mp.compute == spec.compute
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--array-backend", "numpy"), ("--threads", "2")]
+    )
+    def test_removed_knobs_are_unknown(self, flag, value, tmp_path, capsys):
+        """The GEMM-engine knobs are gone, as spec keys and as flags: numpy
+        is the one array engine and :mod:`repro.backend.blas` decides
+        threading, so a spec or command that still sets them fails loudly."""
+        from repro.cli import main
+
+        key = flag[2:].replace("-", "_")
+        with pytest.raises(SpecError) as err:
+            JobSpec.from_dict(quick_payload(compute={key: value}))
+        assert err.value.section == "compute"
+        assert "unknown key(s)" in str(err.value) and key in str(err.value)
+
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(quick_payload()))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(path), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestTimeBudgetPerBackend:
     """A backend with nowhere to stop on a time budget says so at
     validation; the ones that honour it keep accepting it."""

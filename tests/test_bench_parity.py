@@ -69,7 +69,7 @@ def test_quick_kernels_payload_shape(tmp_path, capsys):
     )
     assert set(report) == {"schema", "config", "env", "macro", "micro", "backend"}
     assert set(report["config"]) == {
-        "suite", "quick", "batch", "reps", "model", "seed", "array_backend",
+        "suite", "quick", "batch", "reps", "model", "seed",
     }
     assert set(report["env"]) == ENV_KEYS | {"cores"}
 

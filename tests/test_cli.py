@@ -86,6 +86,31 @@ class TestBench:
         assert main(["bench", "kernels", "--quick", "--reps", "0"]) == 2
         assert "reps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--array-backend", "numpy"], ["--threads", "2"], ["--gate-threaded"]]
+    )
+    def test_removed_engine_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "kernels", "--quick", *argv])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+    def test_gemm_row_is_one_blas_thread_vs_the_count_in_force(self):
+        from repro.backend.blas import threads_per_process
+        from repro.perf.bench import bench_gemm_im2col
+
+        row = bench_gemm_im2col(1, 1)
+        assert row["threads"] == threads_per_process(1) >= 1
+        assert row["shape"] == [4096, 288, 64]
+        assert row["seed_ms"] > 0 and row["fast_ms"] > 0
+
+    def test_col2im_overlap_row_is_loop_vs_overlap(self):
+        from repro.perf.bench import bench_col2im_overlap
+
+        row = bench_col2im_overlap(1, 1)
+        assert set(row) == {"seed_ms", "fast_ms", "speedup", "kernel", "path"}
+        assert row["path"] == "overlap" and row["kernel"] == 5
+
 
 class TestSweep:
     BASE = {

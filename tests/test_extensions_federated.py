@@ -198,6 +198,21 @@ class TestAsyncFederated:
                 assert result.client_times_s[c] == ledger["total"]
             assert result.total_sim_time_s <= max(result.client_times_s)
 
+    @pytest.mark.parametrize("follow_up", ["run_async", "run"])
+    def test_a_calls_schedule_does_not_outlive_it(self, follow_up):
+        """A permanent slowdown throttles only the call that scheduled it:
+        the federation's next call charges what a fresh one does."""
+        from repro.runtime import DeviceSlowdown, EventSchedule
+
+        fed = make_federation()
+        events = EventSchedule([DeviceSlowdown(time_s=0.0, device=0, factor=4.0)])
+        fed.run_async(rounds=1, events=events)
+        assert [device.sim.time_scale for device in fed.cluster] == [1.0, 1.0]
+        second = getattr(fed, follow_up)(rounds=1)
+        fresh = getattr(make_federation(), follow_up)(rounds=1)
+        for got, want in zip(second.device_ledgers, fresh.device_ledgers):
+            assert got["compute"] == pytest.approx(want["compute"], rel=1e-12)
+
     def test_failure_drops_client_and_in_flight_update(self):
         from repro.runtime import DeviceFailure, EventSchedule
 

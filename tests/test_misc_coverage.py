@@ -64,6 +64,21 @@ class TestTrainResultHelpers:
         assert result.accuracy_at_time(2.5) == 0.6
         assert result.accuracy_at_time(10.0) == 0.6  # best-so-far, not last
 
+    def test_neuroflux_report_builds_the_result_metrics_once(self, monkeypatch):
+        from repro.core.report import NeuroFluxReport
+
+        calls = []
+        build = TrainResult.metrics_registry
+
+        def counted(self):
+            calls.append(self)
+            return build(self)
+
+        monkeypatch.setattr(TrainResult, "metrics_registry", counted)
+        doc = NeuroFluxReport(TrainResult("m", "x", "d", "p")).to_json_dict()
+        assert len(calls) == 1
+        assert doc["kind"] == "neuroflux" and "blocks_total" in doc["metrics"]
+
 
 class TestIdentity:
     def test_passthrough_both_ways(self):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ShapeError
 from repro.nn import (
     AvgPool2d,
     Conv2d,
@@ -298,6 +299,76 @@ class TestCol2imNhwcAdjoint:
         got = pad2d_nhwc(x, 2)
         ref = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (2, 2), (2, 2), (0, 0)))
         np.testing.assert_array_equal(got, ref)
+
+
+def _col2im_case(k, s, oh, extra=0, n=2, c=3, seed=10):
+    """dcols for an (oh, oh) output grid and an empty padded target."""
+    d = spawn_rng(seed, "col2im").normal(size=(n, oh, oh, k, k, c)).astype(np.float32)
+    hp = (oh - 1) * s + k + extra
+    return d, np.empty((n, hp, hp, c), np.float32)
+
+
+class TestCol2imMethodChoice:
+    """``method="auto"`` is ``"tiled"`` when the geometry tiles, else
+    ``"loop"``; explicit methods check their own preconditions."""
+
+    @pytest.mark.parametrize("k, s, oh", [(2, 2, 4), (3, 3, 3), (1, 1, 5)])
+    def test_auto_is_tiled_when_the_geometry_tiles(self, k, s, oh):
+        d, out = _col2im_case(k, s, oh)
+        auto = col2im_nhwc(d, k, s, out=out.copy(), method="auto")
+        tiled = col2im_nhwc(d, k, s, out=out.copy(), method="tiled")
+        loop = col2im_nhwc(d, k, s, out=out.copy(), method="loop")
+        np.testing.assert_array_equal(auto, tiled)
+        np.testing.assert_array_equal(auto, loop)
+
+    @pytest.mark.parametrize(
+        "k, s, oh, extra", [(3, 1, 6, 0), (5, 1, 4, 0), (3, 2, 4, 0), (2, 2, 4, 1)]
+    )
+    def test_auto_is_the_loop_otherwise(self, k, s, oh, extra):
+        d, out = _col2im_case(k, s, oh, extra)
+        auto = col2im_nhwc(d, k, s, out=out.copy())
+        loop = col2im_nhwc(d, k, s, out=out.copy(), method="loop")
+        np.testing.assert_array_equal(auto, loop)
+        with pytest.raises(ShapeError, match="tiled col2im requires"):
+            col2im_nhwc(d, k, s, out=out.copy(), method="tiled")
+
+    @pytest.mark.parametrize(
+        "method, k, s", [("loop", 3, 1), ("loop", 3, 2), ("overlap", 3, 1), ("tiled", 2, 2)]
+    )
+    def test_stale_target_is_fully_overwritten(self, method, k, s):
+        d, out = _col2im_case(k, s, 4)
+        fresh = col2im_nhwc(d, k, s, out=np.zeros_like(out), method=method)
+        out.fill(np.nan)
+        stale = col2im_nhwc(d, k, s, out=out, method=method)
+        assert stale is out
+        np.testing.assert_array_equal(stale, fresh)
+
+    @pytest.mark.parametrize("method", ["threaded", "fast"])
+    def test_unknown_method_raises(self, method):
+        d, out = _col2im_case(3, 1, 4)
+        with pytest.raises(ShapeError, match="unknown col2im method"):
+            col2im_nhwc(d, 3, 1, out=out, method=method)
+
+    def test_overlap_requires_stride_one(self):
+        d, out = _col2im_case(3, 2, 4)
+        with pytest.raises(ShapeError, match="overlap col2im requires stride == 1"):
+            col2im_nhwc(d, 3, 2, out=out, method="overlap")
+
+    def test_tiled_requires_stride_equal_to_kernel(self):
+        d, out = _col2im_case(3, 1, 4)
+        with pytest.raises(ShapeError, match="tiled col2im requires"):
+            col2im_nhwc(d, 3, 1, out=out, method="tiled")
+
+    @pytest.mark.parametrize("mismatch", ["channels", "kernel"])
+    def test_target_must_match_the_columns(self, mismatch):
+        d, out = _col2im_case(3, 1, 4)
+        if mismatch == "channels":
+            out = np.empty(out.shape[:-1] + (out.shape[-1] + 1,), np.float32)
+            kernel = 3
+        else:
+            kernel = 2
+        with pytest.raises(ShapeError, match="does not match"):
+            col2im_nhwc(d, kernel, 1, out=out)
 
 
 class TestScatterWindowsFastPaths:

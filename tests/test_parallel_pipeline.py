@@ -122,6 +122,29 @@ class TestSequentialSchedule:
         _assert_identical_weights(base_system, system)
         assert preport.makespan_s == base_report.result.sim_time_s
 
+    def test_sequential_train_parallel_unaffected(self, tiny_dataset):
+        """The fused kernels too: a two-device sequential schedule keeps
+        run()'s weights bit for bit."""
+
+        def fused_system():
+            model = build_model(
+                "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125,
+                seed=3, fused=True,
+            )
+            return NeuroFlux(
+                model, tiny_dataset, memory_budget=2 * MB,
+                config=NeuroFluxConfig(batch_limit=32, seed=0),
+            )
+
+        solo = fused_system()
+        solo.run(1)
+        clustered = fused_system()
+        cluster = Cluster.from_names(
+            ["agx-orin", "agx-orin"], memory_budget=[2 * MB, 2 * MB]
+        )
+        clustered.train_parallel(cluster, epochs=1, schedule="sequential")
+        _assert_identical_weights(solo, clustered)
+
     def test_sequential_utilization_sums_to_one(self, data):
         system = _make_system(data)
         cluster = Cluster.from_names(CLUSTER_NAMES, memory_budget=8 * MB)
