@@ -116,9 +116,9 @@ def main() -> None:
             f"{migration.replay_microbatches} micro-batches, "
             f"recovery {1e3 * migration.recovery_s:.1f} ms"
         )
-    same = survived.report.exit_test_accuracy == calm.report.exit_test_accuracy
+    same = survived.exit_test_accuracy == calm.exit_test_accuracy
     print(
-        f"accuracy {survived.report.exit_test_accuracy:.3f} "
+        f"accuracy {survived.exit_test_accuracy:.3f} "
         f"({'identical to' if same else 'differs from'} the calm run -- "
         f"migration moves state bit-for-bit)"
     )

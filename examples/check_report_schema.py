@@ -7,7 +7,9 @@ registered backend::
     python examples/check_report_schema.py /tmp/report-*.json
 
 Checks every :data:`repro.api.REPORT_SCHEMA_KEYS` key is present, the
-ledger totals are non-negative, and the payload is valid JSON.
+ledger totals are non-negative, the payload is valid JSON, and every
+training report -- a comparison method, NeuroFlux on one device or on a
+cluster -- carries the same training fields.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ except ImportError:  # standalone use without PYTHONPATH=src
     REQUIRED_KEYS = frozenset(
         {"schema", "kind", "wall_clock_s", "peak_memory_bytes", "ledger", "metrics"}
     )
+
+#: The kinds of a training run, and the fields the paper compares them on.
+TRAINING_KINDS = ("baseline", "neuroflux", "parallel")
+TRAINING_KEYS = ("method", "final_accuracy", "history")
 
 
 def check(path: str) -> None:
@@ -37,6 +43,12 @@ def check(path: str) -> None:
             raise AssertionError(f"{path}: ledger[{key!r}] = {value} is negative")
     if report["peak_memory_bytes"] < 0:
         raise AssertionError(f"{path}: negative peak_memory_bytes")
+    if report["kind"] in TRAINING_KINDS:
+        missing = [key for key in TRAINING_KEYS if key not in report]
+        if missing:
+            raise AssertionError(
+                f"{path}: {report['kind']} report lacks training field(s) {missing}"
+            )
     metrics = report["metrics"]
     if not isinstance(metrics, dict) or not metrics:
         raise AssertionError(f"{path}: metrics must be a non-empty dict")

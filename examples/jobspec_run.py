@@ -3,9 +3,9 @@
 
 Loads three small JobSpec files -- sequential training, pipelined
 cluster training, and early-exit serving -- and executes each through
-the single :func:`repro.api.run` entry point.  Every result implements
-the same :class:`repro.api.Report` protocol, so the reporting loop below
-does not care which subsystem ran.
+the single :func:`repro.api.run` entry point.  Every result is a
+:class:`repro.api.Report`, so the reporting loop below does not care
+which subsystem ran.
 
     python examples/jobspec_run.py
 

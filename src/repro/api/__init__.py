@@ -13,9 +13,10 @@ pieces:
 * a backend registry -- ``@register_backend("sequential")`` etc. adapt
   each subsystem behind one ``Backend.run(spec, callbacks) -> Report``
   protocol, so :func:`run` is the single entry point;
-* a unified :class:`Callback` protocol and :class:`Report` protocol that
-  every subsystem emits through, replacing the per-subsystem hook styles
-  and report shapes.
+* a unified :class:`Callback` protocol every subsystem emits through,
+  and the :class:`Report` base class every result subclasses (it writes
+  the JSON head and the base metrics; each report adds its own fields),
+  replacing the per-subsystem hook styles and report shapes.
 
 Quick start::
 
@@ -68,7 +69,7 @@ _EXPORTS = {
     "get_backend": "repro.api.registry",
     "register_backend": "repro.api.registry",
     "run": "repro.api.registry",
-    # report protocol
+    # report base
     "Report": "repro.api.report",
     "REPORT_SCHEMA_KEYS": "repro.api.report",
     "json_num": "repro.api.report",

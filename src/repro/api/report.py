@@ -1,14 +1,13 @@
-"""The unified report protocol every backend's result implements.
+"""The one base class every backend's result subclasses.
 
-Training, parallel, federated and serving runs historically produced
-four unrelated result shapes.  They still carry their own
-subsystem-specific fields, but all of them now satisfy one structural
-protocol, so callers of :func:`repro.api.run` can treat any outcome
-uniformly:
+Training, parallel, federated, serving, closed-form, sweep and analysis
+runs each carry their own fields, but every :func:`repro.api.run` result
+is a :class:`Report`, so callers can treat any outcome uniformly:
 
 * ``summary()`` -- human-readable one-screen text;
 * ``to_json_dict()`` -- a JSON-serializable dict that always contains
   the :data:`REPORT_SCHEMA_KEYS`;
+* ``metrics_registry()`` -- the run's metrics (the ``metrics`` key);
 * ``wall_clock_s`` -- end-to-end simulated seconds of the run;
 * ``peak_memory_bytes`` -- simulated GPU high-water mark (``0`` where
   the subsystem does not model residency, e.g. serving);
@@ -21,7 +20,7 @@ classes across the tree can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import ClassVar
 
 #: Keys guaranteed present in every report's ``to_json_dict()`` -- the
 #: contract the CI smoke step and downstream tooling assert against.
@@ -30,21 +29,62 @@ REPORT_SCHEMA_KEYS = frozenset(
 )
 
 
-@runtime_checkable
-class Report(Protocol):
-    """Structural protocol of every :func:`repro.api.run` result."""
+class Report:
+    """Base class of every :func:`repro.api.run` result.
 
-    @property
-    def wall_clock_s(self) -> float: ...
+    The base writes the schema head and the wall-clock, peak and ledger
+    metrics once.  A subclass names its ``kind``, provides
+    ``wall_clock_s`` and ``peak_memory_bytes`` (fields or properties),
+    :meth:`ledger_summary` and :meth:`summary`, and overrides the two
+    hooks :meth:`json_fields` and :meth:`add_metrics` for what only it
+    reports.
+    """
 
-    @property
-    def peak_memory_bytes(self) -> int: ...
+    #: The JSON ``kind``: one per concrete report class.
+    kind: ClassVar[str] = ""
 
-    def ledger_summary(self) -> dict[str, float]: ...
+    wall_clock_s: float
+    peak_memory_bytes: int
 
-    def to_json_dict(self) -> dict: ...
+    def ledger_summary(self) -> dict[str, float]:
+        raise NotImplementedError
 
-    def summary(self) -> str: ...
+    def summary(self) -> str:
+        raise NotImplementedError
+
+    def json_fields(self) -> dict:
+        """This report's JSON below the unified head."""
+        return {}
+
+    def add_metrics(self, reg) -> None:
+        """Register this report's metrics beyond the base ones."""
+
+    def metrics_registry(self):
+        """The run's metrics: wall clock and peak memory as gauges, one
+        ``ledger_seconds_total`` counter per cost category, then
+        :meth:`add_metrics`."""
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        reg.gauge("wall_clock_seconds").set(self.wall_clock_s)
+        reg.gauge("peak_memory_bytes").set(self.peak_memory_bytes)
+        for category, seconds in self.ledger_summary().items():
+            reg.counter("ledger_seconds_total", category=category).inc(seconds)
+        self.add_metrics(reg)
+        return reg
+
+    def to_json_dict(self) -> dict:
+        """JSON-serializable report: the unified head, then
+        :meth:`json_fields`."""
+        return {
+            "schema": 1,
+            "kind": self.kind,
+            "wall_clock_s": json_num(self.wall_clock_s),
+            "peak_memory_bytes": int(self.peak_memory_bytes),
+            "ledger": {k: json_num(v) for k, v in self.ledger_summary().items()},
+            "metrics": self.metrics_registry().snapshot(),
+            **self.json_fields(),
+        }
 
 
 def merge_ledger_summaries(ledgers: list[dict[str, float]]) -> dict[str, float]:
@@ -57,24 +97,6 @@ def merge_ledger_summaries(ledgers: list[dict[str, float]]) -> dict[str, float]:
             merged[key] = merged.get(key, 0.0) + value
     merged["total"] = sum(merged.values())
     return merged
-
-
-def common_json_fields(report: Report, kind: str, schema: int = 1) -> dict:
-    """The shared ``to_json_dict`` head every report starts from."""
-    out = {
-        "schema": schema,
-        "kind": kind,
-        "wall_clock_s": json_num(report.wall_clock_s),
-        "peak_memory_bytes": int(report.peak_memory_bytes),
-        "ledger": {k: json_num(v) for k, v in report.ledger_summary().items()},
-    }
-    # Duck-typed so this module stays import-light: a report that exposes
-    # a metrics_registry() (all five built-in backends do) gets its
-    # snapshot embedded under the "metrics" schema key.
-    registry_fn = getattr(report, "metrics_registry", None)
-    if callable(registry_fn):
-        out["metrics"] = registry_fn().snapshot()
-    return out
 
 
 def json_num(x: float | None) -> float | None:

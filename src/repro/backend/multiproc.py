@@ -320,13 +320,13 @@ def run_block_parallel(
     # exits (on the failure path too).
     n_threads = threads_per_process(len(stages)) if len(stages) > 1 else None
     budget = blas_threads(n_threads) if n_threads else contextlib.nullcontext(False)
-    with system._run_frame(epochs, "neuroflux-mp", plan, mb) as frame:
+    with system._run_frame(epochs, "neuroflux-mp", plan, mb) as (report, _, _):
         wall_t0 = time.perf_counter()
         with budget as controllable:
             stage_stats = _run_stages(system, stages, mb, epochs, slots)
         wall_clock_s = time.perf_counter() - wall_t0
-        _book_stages(system, frame.report, stages, stage_stats, mb)
-        frame.report.result.extras.update(
+        _book_stages(system, report, stages, stage_stats, mb)
+        report.result.extras.update(
             wall_clock_s=wall_clock_s,
             blas_threads=n_threads,
             blas_controllable=controllable,
@@ -338,8 +338,8 @@ def run_block_parallel(
             schedule="mp-pipelined",
             stages=[[b.index for b in stage] for stage in stages],
         )
-    _emit_trace(frame.report, stages)
-    return frame.report
+    _emit_trace(report, stages)
+    return report
 
 
 def _run_stages(system, stages, mb, epochs, slots) -> dict:

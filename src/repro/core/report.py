@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import common_json_fields
+from repro.api.report import Report
 from repro.api.report import json_num as _num
 from repro.core.partitioner import Block
 from repro.training.common import TrainResult
@@ -23,7 +23,7 @@ class BlockReport:
 
 
 @dataclass
-class NeuroFluxReport:
+class NeuroFluxReport(Report):
     """Everything a NeuroFlux run produced.
 
     ``result`` carries the method-comparable fields (history, simulated
@@ -32,6 +32,8 @@ class NeuroFluxReport:
     and its compression factor, cache and profiling overheads
     (Section 6.4).
     """
+
+    kind = "neuroflux"
 
     result: TrainResult
     blocks: list[Block] = field(default_factory=list)
@@ -46,7 +48,7 @@ class NeuroFluxReport:
     dataset_bytes: int = 0
     profiling_time_s: float = 0.0
 
-    # -- unified report protocol (repro.api.report.Report) -------------------
+    # -- Report ----------------------------------------------------------------
     # The method-comparable half is the ``TrainResult``'s own; this class
     # adds what only NeuroFlux produces.
     @property
@@ -63,9 +65,8 @@ class NeuroFluxReport:
         """Simulated seconds by cost category (includes ``total``)."""
         return self.result.ledger_summary()
 
-    def metrics_registry(self):
-        """The run's metrics (embedded in the report JSON)."""
-        reg = self.result.metrics_registry()
+    def add_metrics(self, reg) -> None:
+        self.result.add_metrics(reg)
         reg.counter("blocks_total").inc(len(self.blocks))
         reg.counter("cache_bytes_written_total").inc(self.cache_bytes_written)
         reg.gauge("exit_layer").set(self.exit_layer)
@@ -74,13 +75,11 @@ class NeuroFluxReport:
         block_seconds = reg.histogram("block_train_seconds")
         for block_report in self.block_reports:
             block_seconds.observe(block_report.sim_time_s)
-        return reg
 
-    def to_json_dict(self) -> dict:
-        """JSON-serializable run report: the result's, plus the partition,
-        the exits and the Section 6.4 overheads."""
+    def json_fields(self) -> dict:
+        """The result's fields, plus the partition, the exits and the
+        Section 6.4 overheads."""
         return {
-            **common_json_fields(self, kind="neuroflux"),
             **self.result.json_fields(),
             "blocks": [
                 {"layers": list(b.layer_indices), "batch_size": b.batch_size}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import common_json_fields, json_num
+from repro.api.report import Report, json_num
 from repro.obs.trace import active_tracer
 
 
@@ -61,8 +61,10 @@ def _outcome(method: str, run) -> MethodOutcome:
 
 
 @dataclass
-class EvalSimReport:
+class EvalSimReport(Report):
     """Unified report of one closed-form training-time simulation cell."""
+
+    kind = "evalsim"
 
     model_name: str
     dataset: str
@@ -84,7 +86,7 @@ class EvalSimReport:
     #: (:func:`cell_breakdown`).
     breakdown: dict = field(default_factory=dict)
 
-    # -- Report protocol ---------------------------------------------------
+    # -- Report ----------------------------------------------------------------
     @property
     def wall_clock_s(self) -> float:
         """Simulated end-to-end seconds of the *NeuroFlux* run (NaN when
@@ -114,10 +116,7 @@ class EvalSimReport:
             return float("nan")
         return self.ll.hours / self.nf.hours
 
-    def metrics_registry(self):
-        from repro.obs.metrics import MetricsRegistry, report_base_metrics
-
-        reg = report_base_metrics(self, MetricsRegistry())
+    def add_metrics(self, reg) -> None:
         for outcome in (self.bp, self.ll, self.nf):
             hours = outcome.hours if outcome.hours is not None else float("nan")
             reg.gauge("evalsim_train_hours", method=outcome.method).set(hours)
@@ -128,14 +127,12 @@ class EvalSimReport:
         reg.gauge("evalsim_speedup_vs_ll").set(self.speedup_vs_ll)
         if self.n_blocks is not None:
             reg.gauge("evalsim_n_blocks").set(float(self.n_blocks))
-        return reg
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
         def hours(outcome):
             return json_num(outcome.hours) if outcome.hours is not None else None
 
         return {
-            **common_json_fields(self, kind="evalsim"),
             "evalsim": {
                 "model": self.model_name,
                 "dataset": self.dataset,

@@ -38,11 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.callbacks import Callback, as_callback_list
-from repro.api.report import (
-    common_json_fields,
-    json_num as _num,
-    merge_ledger_summaries,
-)
+from repro.api.report import Report, json_num as _num, merge_ledger_summaries
 from repro.core.auxiliary import build_aux_heads
 from repro.core.config import NeuroFluxConfig
 from repro.core.controller import NeuroFlux
@@ -104,44 +100,25 @@ class FederatedRound:
     communication_time_s: float = 0.0
 
 
-class _FederatedReport:
-    """The :class:`repro.api.report.Report` half both federated results
-    share: the run's clock is ``total_sim_time_s``, its ledger the client
-    devices' ``device_ledgers`` merged.  A result names its JSON ``kind``
-    and adds its own metrics (``_add_metrics``) and JSON fields
-    (``_json_fields``)."""
+def _client_ledger_metrics(reg, device_ledgers: list[dict[str, float]]) -> None:
+    """One ``client_ledger_seconds_total`` counter per client and category."""
+    for c, ledger in enumerate(device_ledgers):
+        for category, seconds in ledger.items():
+            reg.counter(
+                "client_ledger_seconds_total", client=c, category=category
+            ).inc(seconds)
 
-    @property
-    def wall_clock_s(self) -> float:
-        return self.total_sim_time_s
 
-    def ledger_summary(self) -> dict[str, float]:
-        return merge_ledger_summaries(self.device_ledgers)
-
-    def metrics_registry(self):
-        """The run's metrics (embedded in the report JSON)."""
-        from repro.obs.metrics import report_base_metrics
-
-        reg = report_base_metrics(self)
-        self._add_metrics(reg)
-        for c, ledger in enumerate(self.device_ledgers):
-            for category, seconds in ledger.items():
-                reg.counter(
-                    "client_ledger_seconds_total", client=c, category=category
-                ).inc(seconds)
-        return reg
-
-    def to_json_dict(self) -> dict:
-        out = common_json_fields(self, kind=self.kind)
-        out.update(self._json_fields())
-        out["device_ledgers"] = [
-            {k: _num(v) for k, v in ledger.items()} for ledger in self.device_ledgers
-        ]
-        return out
+def _device_ledgers_json(device_ledgers: list[dict[str, float]]) -> list[dict]:
+    return [{k: _num(v) for k, v in ledger.items()} for ledger in device_ledgers]
 
 
 @dataclass
-class FederatedResult(_FederatedReport):
+class FederatedResult(Report):
+    """What one synchronous FedAvg run produced."""
+
+    kind = "federated"
+
     rounds: list[FederatedRound]
     final_accuracy: float
     #: Sum of synchronous round latencies (straggler-paced).
@@ -151,9 +128,14 @@ class FederatedResult(_FederatedReport):
     #: Highest simulated GPU high-water mark across all client runs.
     peak_memory_bytes: int = 0
 
-    kind = "federated"
+    @property
+    def wall_clock_s(self) -> float:
+        return self.total_sim_time_s
 
-    def _add_metrics(self, reg) -> None:
+    def ledger_summary(self) -> dict[str, float]:
+        return merge_ledger_summaries(self.device_ledgers)
+
+    def add_metrics(self, reg) -> None:
         reg.counter("rounds_total").inc(len(self.rounds))
         reg.gauge("final_accuracy").set(self.final_accuracy)
         round_seconds = reg.histogram("round_seconds")
@@ -161,8 +143,9 @@ class FederatedResult(_FederatedReport):
         for r in self.rounds:
             round_seconds.observe(r.sim_time_s)
             comm.inc(r.communication_time_s)
+        _client_ledger_metrics(reg, self.device_ledgers)
 
-    def _json_fields(self) -> dict:
+    def json_fields(self) -> dict:
         return {
             "n_rounds": len(self.rounds),
             "final_accuracy": _num(self.final_accuracy),
@@ -176,6 +159,7 @@ class FederatedResult(_FederatedReport):
                 }
                 for r in self.rounds
             ],
+            "device_ledgers": _device_ledgers_json(self.device_ledgers),
         }
 
     def summary(self) -> str:
@@ -204,8 +188,10 @@ class AppliedUpdate:
 
 
 @dataclass
-class AsyncFederatedResult(_FederatedReport):
+class AsyncFederatedResult(Report):
     """What one bounded-staleness asynchronous run produced."""
+
+    kind = "federated-async"
 
     applied: list[AppliedUpdate]
     n_rejected: int
@@ -219,7 +205,12 @@ class AsyncFederatedResult(_FederatedReport):
     #: Highest simulated GPU high-water mark across all client runs.
     peak_memory_bytes: int = 0
 
-    kind = "federated-async"
+    @property
+    def wall_clock_s(self) -> float:
+        return self.total_sim_time_s
+
+    def ledger_summary(self) -> dict[str, float]:
+        return merge_ledger_summaries(self.device_ledgers)
 
     @property
     def n_applied(self) -> int:
@@ -231,7 +222,7 @@ class AsyncFederatedResult(_FederatedReport):
             return float("nan")
         return sum(u.staleness for u in self.applied) / len(self.applied)
 
-    def _add_metrics(self, reg) -> None:
+    def add_metrics(self, reg) -> None:
         reg.counter("updates_applied_total").inc(self.n_applied)
         reg.counter("updates_rejected_total").inc(self.n_rejected)
         reg.counter("clients_dropped_total").inc(len(self.dropped_clients))
@@ -240,8 +231,9 @@ class AsyncFederatedResult(_FederatedReport):
         staleness = reg.histogram("update_staleness")
         for update in self.applied:
             staleness.observe(update.staleness)
+        _client_ledger_metrics(reg, self.device_ledgers)
 
-    def _json_fields(self) -> dict:
+    def json_fields(self) -> dict:
         return {
             "n_applied": self.n_applied,
             "n_rejected": self.n_rejected,
@@ -249,6 +241,7 @@ class AsyncFederatedResult(_FederatedReport):
             "final_accuracy": _num(self.final_accuracy),
             "dropped_clients": list(self.dropped_clients),
             "client_times_s": [_num(t) for t in self.client_times_s],
+            "device_ledgers": _device_ledgers_json(self.device_ledgers),
         }
 
     def summary(self) -> str:

@@ -1,8 +1,8 @@
-"""FleetReport: the cluster-serving run's unified-protocol result.
+"""FleetReport: the cluster-serving run's unified report.
 
-Satisfies :class:`repro.api.report.Report` like every other backend's
-result: ``wall_clock_s`` is the fleet makespan, the ledger merges every
-replica device's :class:`~repro.hw.simulator.TimeLedger`, and the
+A :class:`repro.api.report.Report` like every other backend's result:
+``wall_clock_s`` is the fleet makespan, the ledger merges every replica
+device's :class:`~repro.hw.simulator.TimeLedger`, and the
 ``"metrics"`` snapshot carries per-replica labeled series next to the
 fleet-wide aggregates.  The headline numbers are the tail latencies
 *under churn* -- p50/p95/p99 measured across slowdowns, failures and
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import common_json_fields, json_num as _num, merge_ledger_summaries
+from repro.api.report import Report, json_num as _num, merge_ledger_summaries
 from repro.hw.simulator import TimeLedger
-from repro.obs.metrics import MetricsRegistry, percentile, report_base_metrics
+from repro.obs.metrics import percentile
 
 
 @dataclass
@@ -56,8 +56,10 @@ class ReplicaSummary:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(Report):
     """Aggregated outcome of one multi-replica serving run."""
+
+    kind = "fleet"
 
     pattern: str
     arrival_rate: float
@@ -150,7 +152,7 @@ class FleetReport:
                 counts[k] += c
         return counts
 
-    # -- unified report protocol ---------------------------------------------
+    # -- Report ----------------------------------------------------------------
     @property
     def wall_clock_s(self) -> float:
         return self.makespan_s
@@ -165,8 +167,7 @@ class FleetReport:
             return merge_ledger_summaries(self.device_ledgers)
         return {name: 0.0 for name in [*TimeLedger.category_names(), "total"]}
 
-    def metrics_registry(self) -> MetricsRegistry:
-        reg = report_base_metrics(self)
+    def add_metrics(self, reg) -> None:
         reg.counter("requests_offered_total").inc(self.n_offered)
         reg.counter("requests_completed_total").inc(self.n_completed)
         reg.counter("requests_rejected_total").inc(self.n_rejected)
@@ -199,7 +200,6 @@ class FleetReport:
             self.compute_seconds
         )
         reg.histogram("request_comm_seconds").samples.extend(self.comm_seconds)
-        return reg
 
     def latency_breakdown(self) -> dict:
         """Fleet-wide queue/compute/comm split of completed-request time."""
@@ -216,49 +216,45 @@ class FleetReport:
             out[share_key] = _num(value / total if total > 0 else 0.0)
         return out
 
-    def to_json_dict(self) -> dict:
-        out = common_json_fields(self, kind="fleet")
-        out.update(
-            {
-                "policy": self.policy,
-                "pattern": self.pattern,
-                "arrival_rate": self.arrival_rate,
-                "duration_s": self.duration_s,
-                "mode": self.mode,
-                "num_exits": self.num_exits,
-                "n_replicas_initial": self.n_replicas_initial,
-                "n_replicas_peak": self.n_replicas_peak,
-                "predicted_batch_s": _num(self.predicted_batch_s),
-                "n_offered": self.n_offered,
-                "n_completed": self.n_completed,
-                "n_rejected": self.n_rejected,
-                "n_shed": self.n_shed,
-                "n_failed_over": self.n_failed_over,
-                "n_failures": self.n_failures,
-                "accounting": {
-                    "offered": self.n_offered,
-                    "completed": self.n_completed,
-                    "rejected": self.n_rejected,
-                    "shed": self.n_shed,
-                    "unaccounted": self.n_unaccounted,
-                },
-                "survived_churn": self.survived_churn,
-                "dnf": self.dnf,
-                "rejection_rate": _num(self.rejection_rate),
-                "throughput_rps": _num(self.throughput_rps),
-                "p50_latency_s": _num(self.latency_percentile(50)),
-                "p95_latency_s": _num(self.latency_percentile(95)),
-                "p99_latency_s": _num(self.latency_percentile(99)),
-                "mean_latency_s": _num(self.mean_latency_s),
-                "latency_breakdown": self.latency_breakdown(),
-                "exit_counts": self.exit_counts,
-                "accuracy": _num(self.accuracy),
-                "replicas": [r.to_json_dict() for r in self.replicas],
-                "events": list(self.events_applied),
-                "autoscale_events": list(self.scale_events),
-            }
-        )
-        return out
+    def json_fields(self) -> dict:
+        return {
+            "policy": self.policy,
+            "pattern": self.pattern,
+            "arrival_rate": self.arrival_rate,
+            "duration_s": self.duration_s,
+            "mode": self.mode,
+            "num_exits": self.num_exits,
+            "n_replicas_initial": self.n_replicas_initial,
+            "n_replicas_peak": self.n_replicas_peak,
+            "predicted_batch_s": _num(self.predicted_batch_s),
+            "n_offered": self.n_offered,
+            "n_completed": self.n_completed,
+            "n_rejected": self.n_rejected,
+            "n_shed": self.n_shed,
+            "n_failed_over": self.n_failed_over,
+            "n_failures": self.n_failures,
+            "accounting": {
+                "offered": self.n_offered,
+                "completed": self.n_completed,
+                "rejected": self.n_rejected,
+                "shed": self.n_shed,
+                "unaccounted": self.n_unaccounted,
+            },
+            "survived_churn": self.survived_churn,
+            "dnf": self.dnf,
+            "rejection_rate": _num(self.rejection_rate),
+            "throughput_rps": _num(self.throughput_rps),
+            "p50_latency_s": _num(self.latency_percentile(50)),
+            "p95_latency_s": _num(self.latency_percentile(95)),
+            "p99_latency_s": _num(self.latency_percentile(99)),
+            "mean_latency_s": _num(self.mean_latency_s),
+            "latency_breakdown": self.latency_breakdown(),
+            "exit_counts": self.exit_counts,
+            "accuracy": _num(self.accuracy),
+            "replicas": [r.to_json_dict() for r in self.replicas],
+            "events": list(self.events_applied),
+            "autoscale_events": list(self.scale_events),
+        }
 
     def summary(self) -> str:
         return self.table()

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     percentile,
-    report_base_metrics,
 )
 from repro.obs.trace import (
     Span,
@@ -47,7 +46,6 @@ __all__ = [
     "build_observability_callbacks",
     "deactivate",
     "percentile",
-    "report_base_metrics",
     "validate_monotonic",
     "validate_nesting",
 ]

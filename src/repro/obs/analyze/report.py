@@ -1,6 +1,6 @@
-"""AnalysisReport: analysis results on the unified Report protocol.
+"""AnalysisReport: analysis results as a unified Report.
 
-Like every backend's report, the analyzer's output satisfies
+Like every backend's report, the analyzer's output is a
 :class:`repro.api.report.Report` -- ``summary()``, ``to_json_dict()``
 with the :data:`~repro.api.report.REPORT_SCHEMA_KEYS`, a wall clock, a
 ledger and a metrics snapshot -- so the same schema checks, storage and
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import common_json_fields
+from repro.api.report import Report
 from repro.obs.analyze.critical_path import (
     CriticalPath,
     compute_critical_path,
@@ -36,12 +36,13 @@ from repro.obs.analyze.diff import (
 from repro.obs.analyze.model import TraceModel
 from repro.obs.analyze.requests import RequestBreakdown, request_breakdown
 from repro.obs.analyze.slo import SloResult, SloSpec, evaluate_slo
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
-class AnalysisReport:
-    """One analysis run's outcome (unified Report protocol)."""
+class AnalysisReport(Report):
+    """One analysis run's outcome."""
+
+    kind = "analysis"
 
     source: str
     target_kind: str  # "trace" | "report"
@@ -53,7 +54,7 @@ class AnalysisReport:
     ledger: dict[str, float] = field(default_factory=dict)
     analyzed_wall_clock_s: float = 0.0
 
-    # -- unified report protocol ---------------------------------------------
+    # -- Report ----------------------------------------------------------------
     @property
     def wall_clock_s(self) -> float:
         return self.analyzed_wall_clock_s
@@ -68,12 +69,7 @@ class AnalysisReport:
             return dict(self.ledger)
         return {"total": 0.0}
 
-    def metrics_registry(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.gauge("wall_clock_seconds").set(self.wall_clock_s)
-        reg.gauge("peak_memory_bytes").set(0)
-        for category, seconds in self.ledger_summary().items():
-            reg.counter("ledger_seconds_total", category=category).inc(seconds)
+    def add_metrics(self, reg) -> None:
         cp = self.critical_path
         if cp is not None:
             reg.gauge("critical_path_span_seconds").set(cp.span_seconds)
@@ -93,12 +89,9 @@ class AnalysisReport:
         diff = self.trace_diff or self.report_diff
         if diff is not None:
             reg.gauge("diff_empty").set(1.0 if diff.is_empty else 0.0)
-        return reg
 
-    def to_json_dict(self) -> dict:
-        out = common_json_fields(self, kind="analysis")
-        out["source"] = self.source
-        out["target_kind"] = self.target_kind
+    def json_fields(self) -> dict:
+        out = {"source": self.source, "target_kind": self.target_kind}
         if self.critical_path is not None:
             out["critical_path"] = self.critical_path.to_json_dict()
         if self.requests is not None and self.requests.n_requests:

@@ -85,10 +85,13 @@ class TracingCallback(Callback):
 class MetricsCallback(Callback):
     """Aggregates run counters and exports one metrics snapshot JSON.
 
-    The exported snapshot merges the report's own ``metrics_registry()``
-    (the same dict embedded in ``Report.to_json_dict()['metrics']``) with
+    The exported snapshot is the report's own ``metrics_registry()``
+    (the same dict embedded in ``Report.to_json_dict()['metrics']``) plus
     the live counters this callback accumulates from the hook stream
-    (batches, samples, events, migrations, per-step histograms).
+    (batches, samples, events, migrations, per-step histograms).  A
+    series both count (``epochs_total``, ``runtime_events_total``,
+    ``migrations_total``, ``migration_recovery_seconds``) is the report's:
+    the run's total, counted once.
     """
 
     def __init__(self, path: str | None = None):
@@ -116,11 +119,8 @@ class MetricsCallback(Callback):
         self.registry.histogram("migration_recovery_seconds").observe(record.recovery_s)
 
     def on_job_end(self, context) -> None:
-        merged = MetricsRegistry()
-        registry_fn = getattr(context.report, "metrics_registry", None)
-        if callable(registry_fn):
-            merged.merge(registry_fn())
-        merged.merge(self.registry)
+        merged = MetricsRegistry().merge(self.registry)
+        merged.update(context.report.metrics_registry())
         self.snapshot = merged.snapshot()
         if self.path:
             merged.write_json(self.path)
@@ -163,10 +163,7 @@ class ProgressCallback(Callback):
 
     def on_job_end(self, context) -> None:
         report = context.report
-        parts = [f"[{self._backend}] done:"]
-        wall = getattr(report, "wall_clock_s", None)
-        if wall is not None:
-            parts.append(f"wall_clock={wall:.3f}s")
+        parts = [f"[{self._backend}] done:", f"wall_clock={report.wall_clock_s:.3f}s"]
         if self._batches:
             parts.append(f"batches={self._batches}")
         n_completed = getattr(report, "n_completed", None)

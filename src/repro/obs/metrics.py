@@ -195,6 +195,12 @@ class MetricsRegistry:
                 )
         return self
 
+    def update(self, other: "MetricsRegistry") -> "MetricsRegistry":
+        """Take every metric of ``other``, replacing any of the same key
+        (``dict.update``: nothing is added up)."""
+        self._metrics.update(other._metrics)
+        return self
+
     def snapshot(self) -> dict:
         """Flat JSON-serializable view, keys sorted (byte-stable)."""
         return {
@@ -209,18 +215,3 @@ class MetricsRegistry:
             )
             fh.write("\n")
 
-
-def report_base_metrics(report, registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Fold the unified-Report scalars shared by every backend into a registry.
-
-    Wall clock and peak memory become gauges; the ledger summary becomes
-    one ``ledger_seconds_total`` counter per cost category.  Report
-    classes call this first, then layer on their backend-specific
-    metrics.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    reg.gauge("wall_clock_seconds").set(report.wall_clock_s)
-    reg.gauge("peak_memory_bytes").set(report.peak_memory_bytes)
-    for category, seconds in report.ledger_summary().items():
-        reg.counter("ledger_seconds_total", category=category).inc(seconds)
-    return reg

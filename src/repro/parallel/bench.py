@@ -46,7 +46,7 @@ def _parallel_entry(preport) -> dict:
         "bubble_fraction": round(preport.bubble_fraction, 4),
         "comm_mib": round(preport.comm_bytes / MB, 3),
         "microbatch": preport.microbatch,
-        "accuracy": round(preport.report.exit_test_accuracy, 4),
+        "accuracy": round(preport.exit_test_accuracy, 4),
     }
 
 

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import common_json_fields, json_num as _num
+from repro.api.report import json_num as _num
 from repro.core.report import NeuroFluxReport
 
 
-@dataclass
-class ParallelReport:
+@dataclass(kw_only=True)
+class ParallelReport(NeuroFluxReport):
     """Everything a :meth:`NeuroFlux.train_parallel` run produced.
 
-    ``report`` carries the familiar single-run outputs (partition, exit
-    selection, accuracies, merged ledger); the remaining fields describe
-    the cluster execution: where blocks ran, how long the run took end to
-    end, how busy each device was and what crossing links cost.
+    The inherited fields are the run's single-run outputs (partition,
+    exit selection, accuracies, merged ledger), so a cluster run reports
+    the same training fields as a one-device run; the fields below
+    describe the cluster execution: where blocks ran, how long the run
+    took end to end, how busy each device was and what crossing links
+    cost.
 
     ``predicted_makespan_s`` is always the *pipelined* timing model's
     prediction for the chosen placement -- the quantity the placement
@@ -24,10 +26,11 @@ class ParallelReport:
     of the sequential makespan.
     """
 
+    kind = "parallel"
+
     schedule: str
     placement: list[int]
     device_names: list[str]
-    report: NeuroFluxReport
     makespan_s: float
     predicted_makespan_s: float
     device_ledgers: list[dict[str, float]] = field(default_factory=list)
@@ -46,26 +49,14 @@ class ParallelReport:
         """Total simulated seconds each device charged during the run."""
         return [ledger.get("total", 0.0) for ledger in self.device_ledgers]
 
-    # -- unified report protocol (repro.api.report.Report) -------------------
+    # -- Report ----------------------------------------------------------------
     @property
     def wall_clock_s(self) -> float:
         """End-to-end simulated seconds (the cluster makespan)."""
         return self.makespan_s
 
-    @property
-    def peak_memory_bytes(self) -> int:
-        """Highest simulated GPU high-water mark across devices."""
-        return self.report.result.peak_memory_bytes
-
-    def ledger_summary(self) -> dict[str, float]:
-        """Cost categories merged across all device ledgers."""
-        return self.report.result.ledger.as_dict()
-
-    def metrics_registry(self):
-        """The parallel run's metrics (embedded in the report JSON)."""
-        from repro.obs.metrics import report_base_metrics
-
-        reg = report_base_metrics(self)
+    def add_metrics(self, reg) -> None:
+        """The cluster's metrics, in place of the single-device ones."""
         for name, ledger in zip(self.device_names, self.device_ledgers):
             for category, seconds in ledger.items():
                 reg.counter(
@@ -91,7 +82,6 @@ class ParallelReport:
                     "migrations_total", reason=migration.get("reason", "?")
                 ).inc()
                 recovery.observe(migration.get("recovery_s", 0.0))
-        return reg
 
     def summary(self) -> str:
         """Human-readable one-screen summary."""
@@ -120,17 +110,17 @@ class ParallelReport:
                 f"busy={busy:.1f}s util={100 * util:.1f}%"
             )
         lines.append(
-            f"  exit layer: {self.report.exit_layer + 1} "
-            f"(test acc {self.report.exit_test_accuracy:.3f})"
+            f"  exit layer: {self.exit_layer + 1} "
+            f"(test acc {self.exit_test_accuracy:.3f})"
         )
         if self.runtime is not None:
             lines.append(self.runtime.summary())
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
-        """JSON-serializable run report (the CLI's ``--report-json``)."""
+    def json_fields(self) -> dict:
+        """The training fields, plus the cluster execution."""
         return {
-            **common_json_fields(self, kind="parallel"),
+            **super().json_fields(),
             "schedule": self.schedule,
             "placement": list(self.placement),
             "device_names": list(self.device_names),
@@ -145,8 +135,6 @@ class ParallelReport:
             "comm_bytes": self.comm_bytes,
             "microbatch": self.microbatch,
             "n_microbatches": self.n_microbatches,
-            "exit_layer": self.report.exit_layer,
-            "exit_test_accuracy": _num(self.report.exit_test_accuracy),
             "runtime": (
                 self.runtime.to_json_dict() if self.runtime is not None else None
             ),

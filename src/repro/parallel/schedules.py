@@ -119,10 +119,10 @@ def train_parallel(
         device.platform.name for device in cluster
     )
     return ParallelReport(
+        **vars(report),
         schedule=schedule,
         placement=list(ctx.placement),  # the runtime may have re-placed
         device_names=[device.name for device in cluster],
-        report=report,
         makespan_s=stats.makespan_s,
         predicted_makespan_s=predicted,
         device_ledgers=ctx.device_ledgers(),
@@ -142,7 +142,7 @@ def _train_pipelined(
     runtime = ctx.runtime
     with system._run_frame(
         epochs, "neuroflux-pipelined", plan, problem.microbatch, ctx
-    ) as frame:
+    ) as (report, history, _):
         workers = []
         for block in plan[0]:
             ctx.alloc_block(block.index, problem.costs[block.index].residency_bytes)
@@ -152,7 +152,7 @@ def _train_pipelined(
         if runtime is not None:
             runtime.bind_pipeline(problem, plan[0], workers, ctx)
         start_offsets = [0.0] * len(ctx.cluster)
-        start_offsets[ctx.placement[0]] = frame.report.profiling_time_s
+        start_offsets[ctx.placement[0]] = report.profiling_time_s
         executor = PipelineExecutor(
             ctx.cluster,
             ctx.placement,
@@ -165,9 +165,9 @@ def _train_pipelined(
             start_offsets=start_offsets,
             # The history recorder enriches on_epoch_end metrics with
             # the accuracy user callbacks read.
-            callbacks=system._subscribers(runtime, callbacks, frame.history),
+            callbacks=system._subscribers(runtime, callbacks, history),
             runtime=runtime,
         )
         stats = executor.run(epochs, time_budget_s)
-        frame.report.result.sim_time_s = stats.makespan_s
-    return frame.report, stats
+        report.result.sim_time_s = stats.makespan_s
+    return report, stats

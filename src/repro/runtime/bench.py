@@ -154,7 +154,7 @@ def _arm_entry(system, preport, cluster_names, epochs, reference=None) -> dict:
         "recovery_time_s": round(rt.recovery_time_s, 6),
         "checkpoint_time_s": round(rt.checkpoint_time_s, 6),
         "coefficients": [round(c, 3) for c in rt.coefficients],
-        "accuracy": round(preport.report.exit_test_accuracy, 4),
+        "accuracy": round(preport.exit_test_accuracy, 4),
     }
 
 

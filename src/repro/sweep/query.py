@@ -19,9 +19,9 @@ so metric keys that themselves contain dots or label syntax
 (``report.metrics.evalsim_train_hours{method="bp"}.value``) resolve
 without escaping.
 
-:class:`SweepReport` aggregates a whole store into the repo's unified
-Report protocol, which is what lets ``repro analyze --slo`` gate a sweep
-exactly like any single run.
+:class:`SweepReport` aggregates a whole store into one
+:class:`~repro.api.report.Report`, which is what lets ``repro analyze
+--slo`` gate a sweep exactly like any single run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import csv
 import json
 from dataclasses import dataclass
 
-from repro.api.report import common_json_fields, merge_ledger_summaries
+from repro.api.report import Report, merge_ledger_summaries
 from repro.errors import SweepError
 
 _MISSING = object()
@@ -187,8 +187,8 @@ def to_csv(flat_rows: list[dict], path: str) -> None:
 
 
 @dataclass
-class SweepReport:
-    """A whole store folded into the unified Report protocol.
+class SweepReport(Report):
+    """A whole store folded into one :class:`~repro.api.report.Report`.
 
     ``wall_clock_s`` is the *sum* of simulated/measured wall clock over
     completed runs (the sweep's total modelled cost), peak memory the
@@ -196,6 +196,8 @@ class SweepReport:
     tooling (``repro analyze``, SLO gates, the schema checker) consumes
     a sweep exactly like a single job.
     """
+
+    kind = "sweep"
 
     name: str
     total: int
@@ -229,7 +231,7 @@ class SweepReport:
             _run_scalars=scalars,
         )
 
-    # -- Report protocol ---------------------------------------------------
+    # -- Report ----------------------------------------------------------------
     @property
     def wall_clock_s(self) -> float:
         return float(sum(wall for wall, _, _ in self._run_scalars))
@@ -244,21 +246,16 @@ class SweepReport:
         )
         return merged if merged.get("total") else {"total": 0.0}
 
-    def metrics_registry(self):
-        from repro.obs.metrics import MetricsRegistry, report_base_metrics
-
-        reg = report_base_metrics(self, MetricsRegistry())
+    def add_metrics(self, reg) -> None:
         reg.gauge("sweep_runs_total").set(float(self.total))
         reg.gauge("sweep_runs_done").set(float(self.done))
         reg.gauge("sweep_runs_failed").set(float(self.failed))
         hist = reg.histogram("sweep_run_wall_clock_seconds")
         for wall, _, _ in self._run_scalars:
             hist.observe(wall)
-        return reg
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
         return {
-            **common_json_fields(self, kind="sweep"),
             "sweep": {
                 "name": self.name,
                 "runs_total": self.total,

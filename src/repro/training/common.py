@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.report import common_json_fields, json_num
+from repro.api.report import Report, json_num
 from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError, MemoryBudgetExceeded
@@ -39,13 +39,15 @@ class HistoryPoint:
 
 
 @dataclass
-class TrainResult:
+class TrainResult(Report):
     """Outcome of one training run, comparable across methods.
 
     ``sim_time_s`` is simulated wall-clock on the target platform (see
     :mod:`repro.hw.simulator`); ``peak_memory_bytes`` is the simulated GPU
     high-water mark.
     """
+
+    kind = "baseline"
 
     method: str
     model_name: str
@@ -69,7 +71,7 @@ class TrainResult:
                 best = max(best, point.accuracy)
         return best
 
-    # -- unified report protocol (repro.api.report.Report) -------------------
+    # -- Report ----------------------------------------------------------------
     @property
     def wall_clock_s(self) -> float:
         """End-to-end simulated seconds of the run."""
@@ -79,23 +81,14 @@ class TrainResult:
         """Simulated seconds by cost category (includes ``total``)."""
         return self.ledger.as_dict()
 
-    def metrics_registry(self):
-        """The run's metrics (embedded in the report JSON)."""
-        from repro.obs.metrics import report_base_metrics
-
-        reg = report_base_metrics(self)
+    def add_metrics(self, reg) -> None:
         reg.counter("epochs_total").inc(self.epochs)
         reg.gauge("batch_size").set(self.batch_size)
         reg.gauge("final_accuracy").set(self.final_accuracy)
-        return reg
-
-    def to_json_dict(self) -> dict:
-        """JSON-serializable run report (unified schema head + specifics)."""
-        return {**common_json_fields(self, kind="baseline"), **self.json_fields()}
 
     def json_fields(self) -> dict:
         """The method-comparable fields below the unified head, for this
-        report and for the reports that wrap a result under their own."""
+        report and for the NeuroFlux reports that carry a result."""
         out = {
             "method": self.method,
             "model": self.model_name,

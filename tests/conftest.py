@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.data.registry import dataset_spec
+from repro.bench import MB, reference_data, reference_system
 from repro.models.zoo import build_model
 
 
 @pytest.fixture(scope="session")
 def tiny_dataset():
-    """A 4-class 16x16 dataset small enough for real training in tests."""
-    from dataclasses import replace
-
-    spec = dataset_spec(
-        "cifar10", num_classes=4, image_hw=(16, 16), noise_std=0.4, seed=7
-    )
-    spec = replace(spec, n_train=240, n_val=60, n_test=60)
-    return spec.materialize()
+    """The reference workload's data: a 4-class 16x16 dataset small
+    enough for real training in tests (240/60/60 samples)."""
+    return reference_data()
 
 
 @pytest.fixture(scope="session")
@@ -28,17 +22,7 @@ def served_system(tiny_dataset):
     Session-scoped: serving only reads the trained weights, so the tests
     in the ``test_serving_*`` modules can share one training run.
     """
-    from repro.core.config import NeuroFluxConfig
-    from repro.core.controller import NeuroFlux
-
-    system = NeuroFlux(
-        build_model(
-            "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125, seed=3
-        ),
-        tiny_dataset,
-        memory_budget=16 * 2**20,
-        config=NeuroFluxConfig(batch_limit=64, seed=0),
-    )
+    system = reference_system(tiny_dataset, width=0.125, budget=16 * MB)
     system.run(epochs=5)
     return system
 

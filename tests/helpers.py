@@ -530,9 +530,9 @@ def run_train_golden_case(case: dict, seed: int = 0):
 
 def train_golden_outcome(system, report, tracer) -> dict:
     """Everything the golden pins about one run, floats as ``float.hex``."""
-    parallel = report if hasattr(report, "placement") else None
-    nf = parallel.report if parallel is not None else report
-    result = nf.result
+    from repro.parallel import ParallelReport
+
+    result = report.result
     # Host-clock extras (wall seconds, BLAS threads, core counts) vary
     # run to run; the simulated ones are part of the contract.
     extras = {
@@ -551,31 +551,31 @@ def train_golden_outcome(system, report, tracer) -> dict:
         "peak_memory_bytes": result.peak_memory_bytes,
         "final_accuracy": result.final_accuracy,
         "extras": extras,
-        "profiling_time_s": nf.profiling_time_s,
-        "cache_bytes_written": nf.cache_bytes_written,
-        "exit_layer": nf.exit_layer,
-        "exit_params": nf.exit_params,
-        "exit_val_accuracy": nf.exit_val_accuracy,
-        "exit_test_accuracy": nf.exit_test_accuracy,
-        "layer_val_accuracies": nf.layer_val_accuracies,
+        "profiling_time_s": report.profiling_time_s,
+        "cache_bytes_written": report.cache_bytes_written,
+        "exit_layer": report.exit_layer,
+        "exit_params": report.exit_params,
+        "exit_val_accuracy": report.exit_val_accuracy,
+        "exit_test_accuracy": report.exit_test_accuracy,
+        "layer_val_accuracies": report.layer_val_accuracies,
         "history": result.history,
-        "blocks": [[b.layer_indices, b.batch_size] for b in nf.blocks],
-        "block_reports": nf.block_reports,
+        "blocks": [[b.layer_indices, b.batch_size] for b in report.blocks],
+        "block_reports": report.block_reports,
     }
-    if parallel is not None:
+    if isinstance(report, ParallelReport):
         outcome["parallel"] = {
-            "schedule": parallel.schedule,
-            "placement": parallel.placement,
-            "device_names": parallel.device_names,
-            "makespan_s": parallel.makespan_s,
-            "predicted_makespan_s": parallel.predicted_makespan_s,
-            "device_ledgers": parallel.device_ledgers,
-            "utilization": parallel.utilization,
-            "bubble_fraction": parallel.bubble_fraction,
-            "comm_bytes": parallel.comm_bytes,
-            "microbatch": parallel.microbatch,
-            "n_microbatches": parallel.n_microbatches,
-            "runtime": parallel.runtime,
+            "schedule": report.schedule,
+            "placement": report.placement,
+            "device_names": report.device_names,
+            "makespan_s": report.makespan_s,
+            "predicted_makespan_s": report.predicted_makespan_s,
+            "device_ledgers": report.device_ledgers,
+            "utilization": report.utilization,
+            "bubble_fraction": report.bubble_fraction,
+            "comm_bytes": report.comm_bytes,
+            "microbatch": report.microbatch,
+            "n_microbatches": report.n_microbatches,
+            "runtime": report.runtime,
         }
     return _exact(outcome)
 

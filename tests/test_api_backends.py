@@ -3,7 +3,7 @@
 The acceptance-critical tests live here: ``repro.api.run(spec)`` must
 produce bit-identical final weights to the legacy ``NeuroFlux.run()``
 and ``train_parallel()`` entry points on fixed seeds, and every
-backend's result must satisfy the unified :class:`Report` protocol.
+backend's result must be a :class:`Report`.
 """
 
 import json
@@ -229,10 +229,7 @@ class TestBitIdentity:
         assert_same_weights(grab.system, legacy)
         assert api_report.placement == legacy_report.placement
         assert api_report.makespan_s == legacy_report.makespan_s
-        assert (
-            api_report.report.exit_test_accuracy
-            == legacy_report.report.exit_test_accuracy
-        )
+        assert api_report.exit_test_accuracy == legacy_report.exit_test_accuracy
 
     def test_sequential_on_cluster_matches_single_device(self):
         """The cluster-sequential backend keeps single-device semantics."""
@@ -246,7 +243,15 @@ class TestBitIdentity:
         assert_same_weights(grab_single.system, grab_clustered.system)
 
 
-class TestReportProtocol:
+def _report_classes(cls=Report):
+    """Every subclass of ``cls`` defined under ``repro``, recursively."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from _report_classes(sub)
+
+
+class TestReportBase:
     @pytest.fixture(scope="class")
     def reports(self):
         spec = JobSpec.from_json_file(str(QUICK))
@@ -264,7 +269,9 @@ class TestReportProtocol:
         )
         return reports
 
-    def test_every_backend_satisfies_report_protocol(self, reports):
+    def test_every_backend_returns_a_report(self, reports):
+        assert sorted(reports) == available_backends()
+        assert len(reports) == 9
         for name, report in reports.items():
             assert isinstance(report, Report), name
             assert report.wall_clock_s >= 0, name
@@ -290,6 +297,31 @@ class TestReportProtocol:
         assert kinds["federated-async"] == "federated-async"
         assert kinds["sequential"] == kinds["pipelined"] == "parallel"
         assert kinds["baseline"] == "baseline"
+        assert kinds["multiprocess"] == "neuroflux"
+        assert kinds["evalsim"] == "evalsim"
+
+    def test_every_report_class_has_its_own_kind(self, reports):
+        import repro.obs.analyze  # noqa: F401 -- defines AnalysisReport
+        import repro.sweep  # noqa: F401 -- defines SweepReport
+
+        classes = list(_report_classes())
+        assert {c.__name__ for c in classes} == {
+            "TrainResult", "NeuroFluxReport", "ParallelReport", "FleetReport",
+            "EvalSimReport", "SweepReport", "AnalysisReport", "FederatedResult",
+            "AsyncFederatedResult",
+        }
+        kinds = [c.kind for c in classes]
+        assert all(kinds), kinds
+        assert len(set(kinds)) == len(kinds), kinds
+
+    def test_training_reports_share_the_training_fields(self, reports):
+        """BP, NeuroFlux on one device and NeuroFlux on a cluster are one
+        comparison: each report carries the method, accuracy and history."""
+        for name in ("baseline", "multiprocess", "sequential", "pipelined"):
+            payload = reports[name].to_json_dict()
+            assert {"method", "final_accuracy", "history"} <= set(payload), name
+        cluster = reports["pipelined"].to_json_dict()
+        assert cluster["method"] == "neuroflux-pipelined" and cluster["history"]
 
     def test_federated_tracks_peak_memory_and_ledgers(self, reports):
         fed = reports["federated"]

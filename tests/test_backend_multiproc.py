@@ -187,7 +187,7 @@ class TestRunBlockParallel:
         assert len(report.block_reports) == len(report.blocks)
         assert report.result.peak_memory_bytes > 0
         assert report.profiling_time_s > 0
-        # The unified report protocol must serialize.
+        # The report must serialize.
         payload = report.to_json_dict()
         assert payload["kind"] == "neuroflux"
 
@@ -203,7 +203,7 @@ class TestRunBlockParallel:
 
         sequential = _system(tiny_dataset).train_parallel(
             Cluster.from_names(["agx-orin"]), epochs=1, schedule="sequential"
-        ).report
+        )
         _, profiling_flops = system.plan()
         platform = system.platform
         assert report.profiling_time_s == sequential.profiling_time_s

@@ -68,16 +68,17 @@ class TestTrainResultHelpers:
         from repro.core.report import NeuroFluxReport
 
         calls = []
-        build = TrainResult.metrics_registry
+        add = TrainResult.add_metrics
 
-        def counted(self):
+        def counted(self, reg):
             calls.append(self)
-            return build(self)
+            add(self, reg)
 
-        monkeypatch.setattr(TrainResult, "metrics_registry", counted)
+        monkeypatch.setattr(TrainResult, "add_metrics", counted)
         doc = NeuroFluxReport(TrainResult("m", "x", "d", "p")).to_json_dict()
         assert len(calls) == 1
-        assert doc["kind"] == "neuroflux" and "blocks_total" in doc["metrics"]
+        assert doc["kind"] == "neuroflux"
+        assert {"blocks_total", "epochs_total"} <= set(doc["metrics"])
 
 
 class TestIdentity:

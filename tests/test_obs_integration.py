@@ -265,3 +265,34 @@ class TestProgressAndCsvCallbacks:
         # Counts both callback-observed and report-side metrics.
         assert "requests_completed_total" in snap
         assert "wall_clock_seconds" in snap
+
+
+class TestMetricsExport:
+    """``--metrics-out`` counts every series once: where the report and
+    the live hook stream count the same series, the report's total is
+    written, and the live-only series are added beside it."""
+
+    SPECS = Path(__file__).resolve().parent.parent / "examples/specs"
+    DEVICE3_FAILURE = {
+        "events": {"events": [{"type": "failure", "time_s": 0.1, "device": 3}]}
+    }
+
+    @pytest.mark.parametrize("spec_name", ["sequential.json", "pipelined.json"])
+    def test_report_series_are_written_once(self, tmp_path, spec_name):
+        spec = JobSpec.from_json_file(str(self.SPECS / spec_name))
+        if spec.cluster is not None:
+            spec = spec.overlay({"runtime": self.DEVICE3_FAILURE})
+        path = tmp_path / "m.json"
+        report = run(spec, callbacks=MetricsCallback(path=str(path)))
+        written = json.loads(path.read_text())["metrics"]
+        own = report.to_json_dict()["metrics"]
+        assert {k: written[k] for k in own} == own
+        live_only = set(written) - set(own)
+        assert "samples_total" in live_only
+        assert any(k.startswith("batches_total{") for k in live_only)
+        assert any(k.startswith("step_seconds{") for k in live_only)
+        if spec.cluster is None:
+            assert written["epochs_total"]["value"] == spec.budgets.epochs
+        else:
+            assert written['migrations_total{reason="failure"}']["value"] == 1
+            assert written['runtime_events_total{kind="failure"}']["value"] == 1

@@ -84,12 +84,12 @@ class TestSequentialSchedule:
         # the clock, the ledger and the history agree to the last bit.
         assert preport.makespan_s == base_report.result.sim_time_s
         assert (
-            preport.report.result.ledger.as_dict()
+            preport.result.ledger.as_dict()
             == base_report.result.ledger.as_dict()
         )
-        assert preport.report.result.history == base_report.result.history
-        assert preport.report.exit_layer == base_report.exit_layer
-        assert preport.report.exit_test_accuracy == base_report.exit_test_accuracy
+        assert preport.result.history == base_report.result.history
+        assert preport.exit_layer == base_report.exit_layer
+        assert preport.exit_test_accuracy == base_report.exit_test_accuracy
 
     def test_heterogeneous_cluster_identical_weights(self, data, baseline):
         base_system, _ = baseline
@@ -103,7 +103,7 @@ class TestSequentialSchedule:
         _assert_identical_weights(base_system, system)
         # Blocks crossed devices, so links were charged.
         assert preport.comm_bytes > 0
-        merged = preport.report.result.ledger
+        merged = preport.result.ledger
         assert merged.communication > 0
         assert preport.makespan_s == pytest.approx(merged.total)
 
@@ -168,7 +168,7 @@ class TestPipelinedSchedule:
     def test_report_shape(self, pipelined):
         _, cluster, report = pipelined
         assert report.schedule == "pipelined"
-        assert len(report.placement) == len(report.report.blocks)
+        assert len(report.placement) == len(report.blocks)
         assert report.makespan_s > 0
         assert len(report.utilization) == len(cluster)
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in report.utilization)
@@ -208,8 +208,8 @@ class TestPipelinedSchedule:
         # Bounded staleness changes the dynamics but must still train:
         # well above 4-class chance, and history must be recorded.
         _, _, report = pipelined
-        assert report.report.exit_test_accuracy > 0.5
-        history = report.report.result.history
+        assert report.exit_test_accuracy > 0.5
+        history = report.result.history
         assert len(history) == EPOCHS
         assert history[-1].sim_time_s == pytest.approx(report.makespan_s)
 
@@ -222,9 +222,9 @@ class TestPipelinedSchedule:
             cluster, epochs=1, schedule="pipelined"
         )
         assert report.comm_bytes == 0
-        assert report.report.result.ledger.communication == 0.0
+        assert report.result.ledger.communication == 0.0
         # Only the profiling ramp-in is idle from the pipeline's viewpoint.
-        profiling = report.report.profiling_time_s
+        profiling = report.profiling_time_s
         assert report.utilization[0] == pytest.approx(
             1.0 - profiling / report.makespan_s
         )

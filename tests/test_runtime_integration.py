@@ -108,8 +108,8 @@ class TestEmptyScheduleRegression:
             runtime=AdaptiveRuntime(),
         )
         _assert_identical_weights(base_system, system)
-        assert preport.report.exit_test_accuracy == pytest.approx(
-            base_report.report.exit_test_accuracy
+        assert preport.exit_test_accuracy == pytest.approx(
+            base_report.exit_test_accuracy
         )
         rt = preport.runtime
         assert rt.n_replacements == 0
@@ -387,7 +387,7 @@ class TestElasticJoin:
         assert preport.runtime.joined_devices == [1]
         assert len(preport.device_ledgers) == 2
         assert preport.placement[-1] == 1
-        merged = preport.report.result.ledger
+        merged = preport.result.ledger
         assert merged.total == pytest.approx(preport.makespan_s)
         assert merged.total == pytest.approx(
             sum(ledger["total"] for ledger in preport.device_ledgers)

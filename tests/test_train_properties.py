@@ -76,7 +76,7 @@ def test_sequential_schedule_is_run_with_distributed_accounting(
         schedule="sequential",
         placement=placement,
     )
-    result = preport.report.result
+    result = preport.result
 
     assert weights_digest(system) == weights_digest(base)
     assert preport.placement == placement
@@ -92,4 +92,4 @@ def test_sequential_schedule_is_run_with_distributed_accounting(
         assert result.ledger.as_dict() == base_report.result.ledger.as_dict()
         assert result.history == base_report.result.history
         assert result.peak_memory_bytes == base_report.result.peak_memory_bytes
-        assert preport.report.block_reports == base_report.block_reports
+        assert preport.block_reports == base_report.block_reports
