@@ -303,6 +303,13 @@ class EvalSimBackend(Backend):
     epochs`` the simulated epochs; the ``neuroflux`` section's
     ``batch_limit`` caps all three arms and ``rho`` / ``sample_batches``
     / ``use_cache`` / ``adaptive_batch`` govern the NeuroFlux arm.
+
+    The cell's model and its classic and adaptive auxiliary heads are
+    built shape-only (:class:`repro.nn.init.shapes_only`): every weight
+    is a read-only zero array of the right shape.  The closed forms read
+    shapes, element counts and bytes, never a weight value, so the report
+    is exactly the one a drawn model gives -- without the weight draws,
+    which were most of a cell's host time.
     """
 
     forbids = ("cluster", "runtime", "federated", "serving", "fleet", "baseline")
@@ -312,6 +319,7 @@ class EvalSimBackend(Backend):
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.data.registry import dataset_spec
         from repro.models.zoo import build_model
+        from repro.nn.init import shapes_only
 
         context = JobContext(spec=spec, backend=self.name)
         d = spec.data
@@ -325,30 +333,34 @@ class EvalSimBackend(Backend):
             seed=d.seed,
         )
         m = spec.model
-        context.system = build_model(
-            m.name,
-            num_classes=data.num_classes,
-            input_hw=data.image_hw,
-            width_multiplier=m.width_multiplier,
-            seed=m.seed,
-            fused=m.fused,
-        )
+        with shapes_only():
+            context.system = build_model(
+                m.name,
+                num_classes=data.num_classes,
+                input_hw=data.image_hw,
+                width_multiplier=m.width_multiplier,
+                seed=m.seed,
+                fused=m.fused,
+            )
         context.extras["data_spec"] = data
         return context
 
     def execute(self, context: JobContext, callbacks):
         from repro.evalsim.report import run_evalsim
         from repro.hw.platforms import get_platform
+        from repro.nn.init import shapes_only
 
         spec: JobSpec = context.spec
-        return run_evalsim(
-            context.system,
-            context.extras["data_spec"],
-            get_platform(spec.platform),
-            epochs=spec.budgets.epochs,
-            memory_budget=spec.budgets.memory_bytes,
-            config=spec.neuroflux,
-        )
+        # run_evalsim builds the classic and adaptive auxiliary heads.
+        with shapes_only():
+            return run_evalsim(
+                context.system,
+                context.extras["data_spec"],
+                get_platform(spec.platform),
+                epochs=spec.budgets.epochs,
+                memory_budget=spec.budgets.memory_bytes,
+                config=spec.neuroflux,
+            )
 
 
 # --------------------------------------------------------------------- #

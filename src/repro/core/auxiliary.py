@@ -24,6 +24,8 @@ from repro.utils.rng import spawn_rng
 
 #: Filter count used by classic local learning's auxiliary networks.
 CLASSIC_AUX_FILTERS = 256
+#: The filter rules :func:`aux_filter_counts` accepts.
+AUX_RULES = ("aan", "classic", "uniform-small")
 
 
 class AuxiliaryHead(Sequential):
@@ -104,7 +106,7 @@ def aux_filter_counts(
         return [classic_filters for _ in specs]
     if rule == "uniform-small":
         return [max(min_w // 2, 2) for _ in specs]
-    raise ConfigError(f"unknown aux rule {rule!r}")
+    raise ConfigError(f"unknown aux rule {rule!r}; available: {', '.join(AUX_RULES)}")
 
 
 def build_aux_heads(

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 from repro.core.partitioner import DEFAULT_GROUPING_THRESHOLD
 from repro.errors import ConfigError
+
+#: Fields that count something: integers >= 1.
+_COUNT_FIELDS = ("batch_limit", "classic_filters", "aux_pool_to", "eval_subset")
+#: Fields that must be finite real numbers.
+_REAL_FIELDS = ("rho", "lr", "exit_tolerance", "backward_multiplier")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -35,14 +46,42 @@ class NeuroFluxConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_limit < 1:
-            raise ConfigError("batch_limit must be >= 1")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.rho < 0:
             raise ConfigError("rho must be non-negative")
         if self.exit_tolerance < 0:
             raise ConfigError("exit_tolerance must be non-negative")
-        if self.eval_subset < 1:
-            raise ConfigError("eval_subset must be >= 1")
+        if self.backward_multiplier <= 0:
+            raise ConfigError("backward_multiplier must be positive")
+        batches = self.sample_batches
+        if (
+            not isinstance(batches, (tuple, list))
+            or not all(_is_int(b) and b >= 1 for b in batches)
+            or len(set(batches)) < 2
+        ):
+            raise ConfigError(
+                "sample_batches must hold at least two distinct integers >= 1, "
+                f"got {batches!r}"
+            )
+        from repro.core.auxiliary import AUX_RULES
+
+        if self.aux_rule not in AUX_RULES:
+            raise ConfigError(
+                f"unknown aux_rule {self.aux_rule!r}; available: {', '.join(AUX_RULES)}"
+            )
 
     # -- serialization (the JobSpec ``neuroflux`` section) -------------------
     def to_dict(self) -> dict:

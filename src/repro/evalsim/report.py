@@ -277,6 +277,13 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
     and shared by the arm, the reported plan and the breakdown; the
     classic heads (the large ones) are dropped before the adaptive ones
     are built, so a cell never holds both.
+
+    Nothing here reads a weight value -- only shapes, element counts and
+    bytes -- so the report is the same for a drawn model as for one built
+    shape-only.  The ``evalsim`` backend therefore builds the model and
+    runs this function inside :class:`repro.nn.init.shapes_only`, where
+    every weight (the heads' too) is a read-only zero array and no
+    random draw is spent on it.
     """
     from repro.core.auxiliary import build_aux_heads
     from repro.core.partitioner import partition

@@ -356,11 +356,8 @@ class DepthwiseConv2d(Module):
         self.padding = padding
         rng = rng if rng is not None else np.random.default_rng(0)
         # Shape (C, k, k); each channel has its own kernel.  fan_in = k*k.
-        std = np.sqrt(2.0 / (kernel_size * kernel_size))
-        self.weight = Parameter(
-            rng.normal(0.0, std, size=(channels, kernel_size, kernel_size)).astype(dtype),
-            "weight",
-        )
+        wshape = (channels, kernel_size, kernel_size)
+        self.weight = Parameter(nn_init.kaiming_normal(rng, wshape, dtype), "weight")
         self.bias = Parameter(nn_init.zeros((channels,), dtype), "bias") if bias else None
         self._win: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None

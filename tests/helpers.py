@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 from contextlib import contextmanager
 
 import numpy as np
@@ -314,6 +315,22 @@ def serve_single(system, workload, platform="agx-orin", config=None,
     finally:
         if tracer is not None:
             deactivate()
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail (instead of hanging tier-1) if the body outlives ``seconds``."""
+
+    def _expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @contextmanager

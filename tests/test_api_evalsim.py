@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import time_limit
 from repro.api import JobSpec, run
 from repro.errors import SpecError
 
@@ -223,6 +224,96 @@ class TestReportedBlocks:
         assert report.nf.feasible is False
         assert (report.n_blocks, report.min_batch, report.max_batch) == (None,) * 3
         assert report.to_json_dict()["evalsim"]["n_blocks"] is None
+
+
+class TestNeuroFluxSectionRejects:
+    """Values the ``neuroflux`` section used to accept.  Run on an evalsim
+    cell, each hung, raised a bare error at run time, or silently ran
+    something else; now each fails at parse time, naming the section."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"batch_limit": 2.5},  # hung
+            {"batch_limit": True},  # reported batch_size true
+            {"sample_batches": [8, 8]},  # RankWarning, then infeasible
+            {"sample_batches": "816"},  # profiled at batches (1, 6, 8)
+            {"sample_batches": [2.5, 8]},  # truncated to 2
+            {"sample_batches": [0, 8]},  # profiled batch 0
+            {"sample_batches": [-8, 16]},  # an allocator error at run time
+            {"rho": float("nan")},
+            {"backward_multiplier": float("nan")},  # a bare ValueError
+            {"backward_multiplier": -1.0},
+            {"aux_rule": "bogus"},
+            {"aux_pool_to": 0},
+            {"classic_filters": 0},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()),
+    )
+    def test_rejected_at_parse_time(self, fields):
+        small = payload(
+            model={"name": "vgg11", "width_multiplier": 0.25},
+            budgets={"memory_mb": 32, "epochs": 2},
+            neuroflux=fields,
+        )
+        with time_limit(1.0):
+            with pytest.raises(SpecError) as info:
+                run(JobSpec.from_dict(small))
+        assert info.value.section == "neuroflux"
+
+
+class TestShapeOnlyParity:
+    """The backend builds its cells shape-only; a drawn model gives the
+    same report, byte for byte."""
+
+    CELLS = {
+        **{
+            f"{name}-{label}": dict(
+                model={"name": name, "width_multiplier": 0.5},
+                budgets={"memory_mb": mb, "epochs": 2},
+            )
+            for name in ("vgg11", "resnet18", "mobilenet")
+            for label, mb in (("feasible", 300), ("0.5MB", 0.5))
+        },
+        # The e2e sweep's half-width vgg16 cell: only classic LL is out.
+        "vgg16-half-100MB": dict(
+            model={"name": "vgg16", "width_multiplier": 0.5},
+            budgets={"memory_mb": 100, "epochs": 2},
+        ),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_drawn_model_gives_the_same_report(self, cell):
+        from repro.api import get_backend
+        from repro.evalsim.report import run_evalsim
+        from repro.hw.platforms import get_platform
+        from repro.models import build_model
+
+        spec = JobSpec.from_dict(payload(**self.CELLS[cell]))
+        context = get_backend("evalsim").prepare(spec)
+        data = context.extras["data_spec"]
+        weights = [p for p in context.system.parameters() if p.name == "weight"]
+        assert not any(w.data.flags.writeable or w.data.any() for w in weights)
+
+        m = spec.model
+        drawn = build_model(
+            m.name, num_classes=data.num_classes, input_hw=data.image_hw,
+            width_multiplier=m.width_multiplier, seed=m.seed,
+        )
+        assert all(w.data.any() for w in drawn.parameters() if w.name == "weight")
+        expected = run_evalsim(
+            drawn, data, get_platform(spec.platform), epochs=spec.budgets.epochs,
+            memory_budget=spec.budgets.memory_bytes, config=spec.neuroflux,
+        )
+        report = run(spec)
+        assert report.to_json_dict() == expected.to_json_dict()
+        feasible = {arm: getattr(report, arm).feasible for arm in ("bp", "ll", "nf")}
+        if cell.endswith("feasible"):
+            assert all(feasible.values()), feasible
+        elif cell.endswith("0.5MB"):
+            assert not any(feasible.values()), feasible
+        else:
+            assert feasible == {"bp": True, "ll": False, "nf": True}
 
 
 class TestReportProtocol:

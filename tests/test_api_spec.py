@@ -107,8 +107,8 @@ class TestNeuroFluxConfigRoundTrip:
         batch_limit=st.integers(min_value=1, max_value=1024),
         lr=st.floats(min_value=1e-4, max_value=1.0, allow_nan=False),
         sample_batches=st.lists(
-            st.integers(min_value=1, max_value=256), min_size=1, max_size=6
-        ),
+            st.integers(min_value=1, max_value=256), min_size=2, max_size=6
+        ).filter(lambda batches: len(set(batches)) >= 2),
         use_cache=st.booleans(),
         adaptive_batch=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31 - 1),

@@ -1,15 +1,14 @@
 """Tests for the serving workload generator and adaptive batcher."""
 
 import math
-import signal
 from collections import deque
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import time_limit
 from repro.errors import ConfigError
 from repro.serving.batcher import AdaptiveBatcher
 from repro.serving.workload import (
@@ -21,22 +20,6 @@ from repro.serving.workload import (
     iter_requests,
 )
 from repro.utils.rng import spawn_rng
-
-
-@contextmanager
-def _time_limit(seconds):
-    """Fail (instead of hanging tier-1) if the body outlives ``seconds``."""
-
-    def _expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _inter_arrivals(requests):
@@ -80,7 +63,7 @@ class TestWorkloadSpec:
         ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
     )
     def test_rejects_degenerate_numbers_at_construction(self, fields):
-        with _time_limit(1.0):
+        with time_limit(1.0):
             with pytest.raises(ConfigError):
                 # Generating too: a spec that slipped through must not
                 # be able to hang the suite.
@@ -271,7 +254,7 @@ class TestIterRequests:
         spec = WorkloadSpec(
             pattern=pattern, arrival_rate=5000.0, duration_s=604800.0, seed=0
         )
-        with _time_limit(1.0):
+        with time_limit(1.0):
             head = list(islice(iter_requests(spec, n_samples=100), 5))
         assert len(head) == 5
         assert [r.request_id for r in head] == list(range(5))
