@@ -35,7 +35,6 @@ from repro.core.profiler import (
     MemoryProfiler,
     ProfileResult,
     measure_unit_memory,
-    unit_allocation_plan,
 )
 from repro.core.report import BlockReport, NeuroFluxReport
 from repro.core.worker import BlockWorker
@@ -66,5 +65,4 @@ __all__ = [
     "partition",
     "rebatch",
     "select_exit",
-    "unit_allocation_plan",
 ]

@@ -124,8 +124,10 @@ def build_aux_heads(
     aux convolutions (Belilovsky et al.'s CNN auxiliary, whose large
     early-layer activations are exactly what the paper criticises), while
     the adaptive rules use 1x1 convolutions (NeuroFlux's streamlined
-    heads).  The paper does not pin down the kernel size; DESIGN.md
-    records this interpretation.
+    heads).  The paper does not pin down the kernel size, so this split is
+    our reading of it: a 3x3 classic head carries the large early-layer
+    activations the paper measures for classic LL, while a 1x1 AAN head
+    leaves the adaptive heads' cost to their filter count.
     """
     if kernel_size is None:
         kernel_size = 3 if rule == "classic" else 1

@@ -7,10 +7,12 @@ intercept`` by least squares.  The paper observes (Figure 8) that layer
 training memory is linear in the batch size, which makes these models
 usable for feasible-batch prediction by the Partitioner.
 
-The measurement goes through the :class:`SimulatedGpu` allocator, one
-allocation per logical tensor, so the fitted models see the same alignment
-quantization a real profiler would -- they are not handed the analytic
-ground truth.
+What is measured is the estimator's own model: a unit's tensor list
+(:func:`repro.memory.estimator.local_unit_tensors_by_batch`, the list the
+estimator's breakdown sums by tensor class) allocated on the
+:class:`SimulatedGpu`, one allocation per tensor.  So the fitted lines see
+the alignment quantization a real profiler would and are not handed the
+analytic totals, and no byte rule lives in this module.
 """
 
 from __future__ import annotations
@@ -21,17 +23,10 @@ import numpy as np
 
 from repro.errors import ProfilingError
 from repro.flops.count import module_forward_flops, training_step_flops
-from repro.memory.estimator import (
-    iter_atomic_ops,
-    module_sum_workspace_bytes,
-    optimizer_state_bytes,
-    retained_bytes,
-)
+from repro.memory.estimator import local_unit_tensors_by_batch
 from repro.memory.tracker import SimulatedGpu, measure_peak
 from repro.models.layers import LayerSpec
 from repro.nn.module import Module
-
-FLOAT_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -52,52 +47,6 @@ class LinearMemoryModel:
         return max(0, int((budget_bytes - self.intercept) // self.slope))
 
 
-def unit_allocation_plan(
-    spec: LayerSpec,
-    aux_head: Module | None,
-    batch_size: int,
-    optimizer: str = "sgd-momentum",
-) -> list[tuple[str, int]]:
-    """The tensor-by-tensor allocation sequence of one unit training step.
-
-    This is what the Profiler 'runs': parameters, gradients, optimizer
-    state, the input batch, every retained tensor and every op output of
-    the layer and its auxiliary head.
-    """
-    plan: list[tuple[str, int]] = []
-    params = spec.module.parameter_bytes()
-    grads = spec.module.gradient_bytes()
-    if aux_head is not None:
-        params += aux_head.parameter_bytes()
-        grads += aux_head.gradient_bytes()
-    plan.append(("params", params))
-    # Gradients and optimizer state are full precision regardless of the
-    # weight storage mode (bf16 emulation halves only the params line),
-    # so they are sized from gradient bytes, not resident weight bytes.
-    # In fp32 mode the two are equal and the plan is unchanged.
-    plan.append(("grads", grads))
-    plan.append(("optimizer", optimizer_state_bytes(grads, optimizer)))
-    in_shape = (batch_size, spec.in_channels, *spec.in_hw)
-    plan.append(("input", int(np.prod(in_shape)) * FLOAT_BYTES))
-    shape = in_shape
-    for op, i_shape, o_shape in iter_atomic_ops(spec.module, in_shape):
-        plan.append((f"retained/{type(op).__name__}", retained_bytes(op, i_shape, o_shape)))
-        shape = o_shape
-    plan.append(("layer-output", int(np.prod(shape)) * FLOAT_BYTES))
-    workspace = module_sum_workspace_bytes(spec.module, in_shape)
-    if aux_head is not None:
-        aux_shape = shape
-        for op, i_shape, o_shape in iter_atomic_ops(aux_head, aux_shape):
-            plan.append(
-                (f"aux-retained/{type(op).__name__}", retained_bytes(op, i_shape, o_shape))
-            )
-            aux_shape = o_shape
-        plan.append(("aux-output", int(np.prod(aux_shape)) * FLOAT_BYTES))
-        workspace += module_sum_workspace_bytes(aux_head, shape)
-    plan.append(("conv-workspace", workspace))
-    return plan
-
-
 def measure_unit_memory(
     spec: LayerSpec,
     aux_head: Module | None,
@@ -105,11 +54,10 @@ def measure_unit_memory(
     optimizer: str = "sgd-momentum",
     gpu: SimulatedGpu | None = None,
 ) -> int:
-    """Simulated peak memory of one training step of a unit."""
-    gpu = gpu if gpu is not None else SimulatedGpu()
-    gpu.reset_peak()
-    plan = unit_allocation_plan(spec, aux_head, batch_size, optimizer)
-    return measure_peak(plan, gpu)
+    """Simulated peak memory of one training step of a unit: its tensor
+    list allocated tensor by tensor."""
+    tensors = local_unit_tensors_by_batch(spec, aux_head, optimizer)(batch_size)
+    return measure_peak(tensors, gpu if gpu is not None else SimulatedGpu())
 
 
 def block_residency_bytes(
@@ -185,9 +133,10 @@ class MemoryProfiler:
     def profile(self) -> ProfileResult:
         """Measure every layer at every sample batch size and fit lines.
 
-        Also returns the FLOPs spent profiling (one training step per
-        layer per sample batch), which the controller converts to time for
-        the Section 6.4 overhead accounting.
+        Each unit's tensor list is built once and allocated at every
+        sample batch.  Also returns the FLOPs spent profiling (one training
+        step per layer per sample batch), which the controller converts to
+        time for the Section 6.4 overhead accounting.
         """
         gpu = SimulatedGpu()
         models = []
@@ -195,9 +144,10 @@ class MemoryProfiler:
         profiling_flops = 0
         batches = np.asarray(self.sample_batches, dtype=np.float64)
         for spec, aux in zip(self.layer_specs, self.aux_heads):
+            tensors_at = local_unit_tensors_by_batch(spec, aux, self.optimizer)
             peaks = []
             for b in self.sample_batches:
-                peaks.append(measure_unit_memory(spec, aux, b, self.optimizer, gpu))
+                peaks.append(measure_peak(tensors_at(b), gpu))
                 in_shape = (b, spec.in_channels, *spec.in_hw)
                 fwd, out_shape = module_forward_flops(spec.module, in_shape)
                 step = training_step_flops(fwd, self.backward_multiplier)

@@ -42,7 +42,11 @@ from repro.errors import MemoryBudgetExceeded, PartitionError
 from repro.flops.count import module_forward_flops
 from repro.hw.platforms import Platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
-from repro.memory.estimator import bp_memory_by_batch, ll_memory_by_batch
+from repro.memory.estimator import (
+    boundary_sample_bytes,
+    bp_memory_by_batch,
+    ll_memory_by_batch,
+)
 from repro.models.base import ConvNet
 from repro.training.backprop import (
     DEFAULT_BATCH_LIMIT,
@@ -51,8 +55,6 @@ from repro.training.backprop import (
     max_feasible_batch,
 )
 from repro.training.local import LocalLearningTrainer, ll_step_price
-
-FLOAT_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,6 @@ def _forward_flops(specs) -> int:
     return sum(
         module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0] for s in specs
     )
-
-
-def _cached_sample_bytes(spec) -> int:
-    """Bytes one sample occupies in the activation cache after layer
-    ``spec``: its fp32 output plus the int64 label stored beside it."""
-    return spec.out_channels * spec.out_hw[0] * spec.out_hw[1] * FLOAT_BYTES + 8
 
 
 def _simulate_full_graph(
@@ -246,13 +242,16 @@ def simulate_neuroflux(
                     fwd_flops * n, data.sample_bytes * n, n_kernels, count=steps
                 )
                 sim.add_cache_write(
-                    _cached_sample_bytes(block_specs[-1]) * n, n_files=1, count=steps
+                    boundary_sample_bytes(block_specs[-1].output_elements_per_sample) * n,
+                    n_files=1, count=steps,
                 )
         if cached_input:
             # One read per file the previous block wrote -- its batch size,
             # not this block's (the prefetcher rebatches after the read) --
             # on every training pass and on the cache-fill pass.
-            read_bytes = _cached_sample_bytes(specs[block.first_layer - 1])
+            read_bytes = boundary_sample_bytes(
+                specs[block.first_layer - 1].output_elements_per_sample
+            )
             passes = epochs + 1 if fills_cache else epochs
             for n, files in _epoch_steps(data.n_train, blocks[block.index - 1].batch_size):
                 sim.add_cache_read(read_bytes * n, n_files=1, count=files * passes)

@@ -23,11 +23,10 @@ from repro.core.early_exit import MultiExitModel
 from repro.core.partitioner import Block
 from repro.errors import ConfigError
 from repro.hw.simulator import ExecutionSimulator
+from repro.memory.estimator import FLOAT_BYTES
 from repro.parallel.cluster import Cluster
 from repro.parallel.placement import BlockCost, PlacementProblem, optimize_placement
 from repro.serving.cascade import CascadeCostModel
-
-FLOAT_BYTES = 4
 
 #: Micro-batches the makespan predictor streams when scoring a candidate
 #: shard map -- deep enough that steady-state throughput dominates the

@@ -1,7 +1,10 @@
 """Simulated GPU memory subsystem: analytic estimator + budgeted allocator.
 
-Substitutes for CUDA memory measurement in the paper's evaluation; see
-DESIGN.md section 2 for the substitution rationale.
+No GPU is measured here.  The estimator writes down, op by op, the
+tensors a PyTorch/cuDNN training step holds -- the quantity the paper's
+Profiler reads with ``torch.cuda.max_memory_allocated()`` -- and the
+allocator replays a unit's tensor list with CUDA's 512-byte granularity
+under a budget whose overflow stands in for a CUDA OOM.
 """
 
 from repro.memory.estimator import (
@@ -9,16 +12,16 @@ from repro.memory.estimator import (
     MemoryBreakdown,
     bp_memory_by_batch,
     bp_training_memory,
+    checkpointed_training_memory,
     inference_memory,
     iter_atomic_ops,
     ll_memory_by_batch,
     ll_training_memory,
     local_unit_memory_by_batch,
+    local_unit_tensors_by_batch,
     local_unit_training_memory,
     module_max_workspace_bytes,
-    module_sum_workspace_bytes,
     module_peak_transient_bytes,
-    module_retained_bytes,
     op_workspace_bytes,
     optimizer_state_bytes,
     retained_bytes,
@@ -32,18 +35,18 @@ __all__ = [
     "SimulatedGpu",
     "bp_memory_by_batch",
     "bp_training_memory",
+    "checkpointed_training_memory",
     "inference_memory",
     "iter_atomic_ops",
     "ll_memory_by_batch",
     "ll_training_memory",
     "local_unit_memory_by_batch",
+    "local_unit_tensors_by_batch",
     "module_max_workspace_bytes",
-    "module_sum_workspace_bytes",
     "op_workspace_bytes",
     "local_unit_training_memory",
     "measure_peak",
     "module_peak_transient_bytes",
-    "module_retained_bytes",
     "optimizer_state_bytes",
     "retained_bytes",
 ]

@@ -1,11 +1,25 @@
-"""Analytic GPU-memory model.
+"""Analytic GPU-memory model: the one place that decides what a training
+step holds.
 
 The paper's Profiler measures training-time GPU memory per layer and per
 batch size (Figure 8) and observes it is linear in the batch size.  This
-module reproduces the quantity being measured: the tensors a CUDA autograd
+module writes down the quantity being measured: the tensors a CUDA autograd
 engine retains for backward (conv/BN/linear retain their *inputs*, ReLU its
 output, max-pool its indices), plus parameters, gradients, optimizer state
-and the largest transient conv workspace (im2col/implicit-GEMM buffer).
+and the conv workspaces (im2col/implicit-GEMM buffers).  Gradients and
+optimizer state are sized from ``gradient_bytes()``, full precision
+whatever the weight storage: bf16 weight emulation halves the parameters
+only.
+
+One model, two readers.  :func:`local_unit_tensors_by_batch` lists the
+tensors one unit (a layer plus its auxiliary head) holds in a training
+step.  :func:`local_unit_memory_by_batch` sums that list by tensor class,
+and the Profiler (:mod:`repro.core.profiler`) allocates it tensor by
+tensor on the simulated GPU, so a fitted line differs from the breakdown
+by the allocator's alignment and nothing else.  The whole-model
+footprints apply the same byte rules to the same per-sample op walk, and
+:func:`boundary_sample_bytes` fixes what a sample carries from one block
+to the next: a change to what training holds is an edit here alone.
 
 Note the deliberate distinction from the numpy substrate: the
 simulated-GPU numbers model the PyTorch/cuDNN retention semantics the
@@ -30,7 +44,8 @@ copies) allocate fresh temporaries every step, ~8.7 MiB of block 0's
 (PyTorch keeps the output tensor), dropout masks 1 byte, pooling argmax
 indices 8 bytes (int64).
 
-Three training footprints matter for the paper's comparisons (Figure 4):
+Four training footprints matter for the paper's comparisons (Figure 4 and
+Section 7):
 
 * :func:`bp_training_memory` -- end-to-end BP retains *every* layer's
   backward state at once.
@@ -42,6 +57,8 @@ Three training footprints matter for the paper's comparisons (Figure 4):
   which is what NeuroFlux's Worker keeps resident; with ``residency=
   "params-only"``, :func:`ll_training_memory` models AAN-LL as measured in
   Figures 4-6 (model weights resident, one unit trained at a time).
+* :func:`checkpointed_training_memory` -- BP that keeps only the stage
+  boundaries and recomputes one stage's interior at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +83,8 @@ from repro.nn.pooling import AdaptiveAvgPool2d, AvgPool2d, MaxPool2d
 FLOAT_BYTES = 4
 INDEX_BYTES = 8
 MASK_BYTES = 1
+#: An int64 class label travels with every sample's activations.
+LABEL_BYTES = 8
 
 #: Optimizer state bytes as a multiple of parameter bytes.
 OPTIMIZER_STATE_MULTIPLIER = {
@@ -95,18 +114,16 @@ class MemoryBreakdown:
             + self.workspace
         )
 
-    def __add__(self, other: "MemoryBreakdown") -> "MemoryBreakdown":
-        return MemoryBreakdown(
-            self.activations + other.activations,
-            self.parameters + other.parameters,
-            self.gradients + other.gradients,
-            self.optimizer + other.optimizer,
-            self.workspace + other.workspace,
-        )
-
 
 def _numel(shape: tuple[int, ...]) -> int:
     return math.prod(shape)
+
+
+def boundary_sample_bytes(elements: int) -> int:
+    """Bytes one sample carries from a block to the next -- its fp32
+    activation of ``elements`` scalars plus its label -- whether handed
+    to the next pipeline stage or written to the activation cache."""
+    return elements * FLOAT_BYTES + LABEL_BYTES
 
 
 def optimizer_state_bytes(param_bytes: int, optimizer: str) -> int:
@@ -201,13 +218,6 @@ def op_workspace_bytes(op: Module, in_shape: tuple[int, ...], out_shape: tuple[i
     return 0
 
 
-def module_retained_bytes(module: Module, in_shape: tuple[int, ...]) -> int:
-    """Total retained bytes over every atomic op inside ``module``."""
-    return sum(
-        retained_bytes(op, i, o) for op, i, o in iter_atomic_ops(module, in_shape)
-    )
-
-
 def module_max_workspace_bytes(module: Module, in_shape: tuple[int, ...]) -> int:
     """Largest transient conv workspace while executing ``module``.
 
@@ -217,21 +227,6 @@ def module_max_workspace_bytes(module: Module, in_shape: tuple[int, ...]) -> int
     return max(
         (op_workspace_bytes(op, i, o) for op, i, o in iter_atomic_ops(module, in_shape)),
         default=0,
-    )
-
-
-def module_sum_workspace_bytes(module: Module, in_shape: tuple[int, ...]) -> int:
-    """Total conv workspace across every op in ``module``.
-
-    Models the CUDA caching-allocator behaviour the paper measures against:
-    each layer's lowering/workspace block stays in the allocator pool
-    across steps (it is re-used every iteration, never returned to the
-    device), so a full-graph method pays the *sum* of workspaces, not the
-    max.  This is a large part of why BP's measured footprint far exceeds
-    the naive retained-tensor sum.
-    """
-    return sum(
-        op_workspace_bytes(op, i, o) for op, i, o in iter_atomic_ops(module, in_shape)
     )
 
 
@@ -247,6 +242,19 @@ def module_peak_transient_bytes(module: Module, in_shape: tuple[int, ...]) -> in
     return peak
 
 
+def _stage_walk(model: ConvNet) -> list[tuple[list[SampleOp], tuple[int, ...]]]:
+    """Every stage of ``model``, classifier head last, as its per-sample
+    atomic ops and its per-sample output shape."""
+    shape = (model.in_channels, *model.input_hw)
+    walk = []
+    for stage in [*model.stages, model.head]:
+        ops = _sample_ops(stage, shape)
+        _, out_shape = module_forward_flops(stage, (1, *shape))
+        shape = out_shape[1:]
+        walk.append((ops, shape))
+    return walk
+
+
 def bp_memory_by_batch(
     model: ConvNet, optimizer: str = "sgd-momentum"
 ) -> Callable[[int], MemoryBreakdown]:
@@ -257,16 +265,12 @@ def bp_memory_by_batch(
     probe.
     """
     sample_shape = (model.in_channels, *model.input_hw)
-    ops: list[SampleOp] = []
-    largest_output = 0
-    shape = sample_shape
-    for stage in list(model.stages) + [model.head]:
-        ops += _sample_ops(stage, shape)
-        _, out_shape = module_forward_flops(stage, (1, *shape))
-        shape = out_shape[1:]
-        largest_output = max(largest_output, _numel(shape))
+    walk = _stage_walk(model)
+    ops = [op for stage_ops, _ in walk for op in stage_ops]
+    largest_output = max(_numel(shape) for _, shape in walk)
     params = model.parameter_bytes()
-    optimizer_bytes = optimizer_state_bytes(params, optimizer)
+    grads = model.gradient_bytes()
+    optimizer_bytes = optimizer_state_bytes(grads, optimizer)
 
     def at(batch_size: int) -> MemoryBreakdown:
         if batch_size < 1:
@@ -274,12 +278,15 @@ def bp_memory_by_batch(
         # The input batch itself, then every layer's backward state.
         retained = batch_size * _numel(sample_shape) * FLOAT_BYTES
         retained += _ops_bytes(retained_bytes, ops, batch_size)
-        # Full-graph training: every layer's workspace stays pooled.
+        # The CUDA caching allocator keeps each kernel's lowering buffer
+        # pooled across steps (re-used, never returned), so full-graph
+        # training pays the *sum* of workspaces, not the max: a large part
+        # of why BP's measured footprint exceeds its retained tensors.
         workspace = _ops_bytes(op_workspace_bytes, ops, batch_size)
         return MemoryBreakdown(
             activations=retained,
             parameters=params,
-            gradients=params,
+            gradients=grads,
             optimizer=optimizer_bytes,
             workspace=workspace + batch_size * largest_output * FLOAT_BYTES,
         )
@@ -297,6 +304,34 @@ def bp_training_memory(
     and scale with both depth and batch size.
     """
     return bp_memory_by_batch(model, optimizer)(batch_size)
+
+
+def checkpointed_training_memory(
+    model: ConvNet, batch_size: int, optimizer: str = "sgd-momentum"
+) -> int:
+    """Peak bytes of checkpointed BP (the Section 7 baseline).
+
+    Boundary activations of every stage are retained; the interior retained
+    set exists for only one segment at a time (the one being recomputed),
+    so the peak adds the *largest* segment's interior to the boundary sum.
+    """
+    if batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    boundary = _numel((model.in_channels, *model.input_hw))
+    worst_interior = 0
+    for ops, out_shape in _stage_walk(model):
+        interior = _ops_bytes(retained_bytes, ops, batch_size)
+        interior += _ops_bytes(op_workspace_bytes, ops, batch_size)
+        worst_interior = max(worst_interior, interior)
+        boundary += _numel(out_shape)
+    grads = model.gradient_bytes()
+    return (
+        batch_size * boundary * FLOAT_BYTES
+        + worst_interior
+        + model.parameter_bytes()
+        + grads
+        + optimizer_state_bytes(grads, optimizer)
+    )
 
 
 def inference_memory(model: ConvNet, batch_size: int) -> MemoryBreakdown:
@@ -319,36 +354,79 @@ def inference_memory(model: ConvNet, batch_size: int) -> MemoryBreakdown:
     )
 
 
+#: The tensor class a unit's fixed tags are charged to; every other tag
+#: (the input, retained tensors, outputs) is an activation.
+_TENSOR_CLASS = {
+    "params": "parameters",
+    "grads": "gradients",
+    "optimizer": "optimizer",
+    "conv-workspace": "workspace",
+}
+
+
+def local_unit_tensors_by_batch(
+    spec: LayerSpec, aux_head: Module | None, optimizer: str = "sgd-momentum"
+) -> Callable[[int], list[tuple[str, int]]]:
+    """The tensors one training step of a unit (layer + aux head) holds,
+    as a function of the batch size alone: ``[(tag, nbytes)]``.
+
+    In allocation order: parameters, gradients, optimizer state, the input
+    batch, every tensor the layer retains for backward and its output, the
+    same for the auxiliary head, then the conv workspaces, which stay
+    pooled because the unit's own kernels run every step.  The unit is
+    walked once; each call only re-applies the byte rules.
+    """
+    in_shape = (spec.in_channels, *spec.in_hw)
+    out_shape = (spec.out_channels, *spec.out_hw)
+    modules = [spec.module] if aux_head is None else [spec.module, aux_head]
+    grads = sum(m.gradient_bytes() for m in modules)
+    fixed = [
+        ("params", sum(m.parameter_bytes() for m in modules)),
+        ("grads", grads),
+        ("optimizer", optimizer_state_bytes(grads, optimizer)),
+    ]
+
+    # Per module: the tag prefix of its retained tensors, its per-sample
+    # ops, then its output's tag and per-sample size.
+    walks = [("retained/", _sample_ops(spec.module, in_shape), "layer-output", out_shape)]
+    if aux_head is not None:
+        _, aux_out = module_forward_flops(aux_head, (1, *out_shape))
+        walks.append(
+            ("aux-retained/", _sample_ops(aux_head, out_shape), "aux-output", aux_out[1:])
+        )
+    input_elements = _numel(in_shape)
+
+    def at(batch_size: int) -> list[tuple[str, int]]:
+        if batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        tensors = [*fixed, ("input", batch_size * input_elements * FLOAT_BYTES)]
+        workspace = 0
+        for prefix, ops, output_tag, output_shape in walks:
+            tensors += [
+                (prefix + type(op).__name__, retained_bytes(op, (batch_size, *i), (batch_size, *o)))
+                for op, i, o in ops
+            ]
+            tensors.append((output_tag, batch_size * _numel(output_shape) * FLOAT_BYTES))
+            workspace += _ops_bytes(op_workspace_bytes, ops, batch_size)
+        tensors.append(("conv-workspace", workspace))
+        return tensors
+
+    return at
+
+
 def local_unit_memory_by_batch(
     spec: LayerSpec, aux_head: Module | None, optimizer: str = "sgd-momentum"
 ) -> Callable[[int], MemoryBreakdown]:
     """:func:`local_unit_training_memory` as a function of the batch size
-    alone (the unit is walked once)."""
-    in_shape = (spec.in_channels, *spec.in_hw)
-    out_shape = (spec.out_channels, *spec.out_hw)
-    ops = _sample_ops(spec.module, in_shape)
-    # Tensors held whole: the unit input batch and the unit output.
-    held = _numel(in_shape) + _numel(out_shape)
-    params = spec.module.parameter_bytes()
-    if aux_head is not None:
-        ops += _sample_ops(aux_head, out_shape)
-        _, aux_out = module_forward_flops(aux_head, (1, *out_shape))
-        held += _numel(aux_out[1:])
-        params += aux_head.parameter_bytes()
-    optimizer_bytes = optimizer_state_bytes(params, optimizer)
+    alone: the unit's tensor list (:func:`local_unit_tensors_by_batch`)
+    summed by tensor class."""
+    tensors_at = local_unit_tensors_by_batch(spec, aux_head, optimizer)
 
     def at(batch_size: int) -> MemoryBreakdown:
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        return MemoryBreakdown(
-            activations=batch_size * held * FLOAT_BYTES
-            + _ops_bytes(retained_bytes, ops, batch_size),
-            parameters=params,
-            gradients=params,
-            optimizer=optimizer_bytes,
-            # The unit's own kernels run every step: workspaces stay pooled.
-            workspace=_ops_bytes(op_workspace_bytes, ops, batch_size),
-        )
+        sums = dict.fromkeys(("activations", *_TENSOR_CLASS.values()), 0)
+        for tag, nbytes in tensors_at(batch_size):
+            sums[_TENSOR_CLASS.get(tag, "activations")] += nbytes
+        return MemoryBreakdown(**sums)
 
     return at
 
@@ -387,13 +465,14 @@ def ll_memory_by_batch(
         local_unit_memory_by_batch(spec, aux, optimizer)
         for spec, aux in zip(specs, aux_heads)
     ]
-    aux_params = sum(a.parameter_bytes() for a in aux_heads if a is not None)
-    params = model.parameter_bytes() + aux_params
+    heads = [a for a in aux_heads if a is not None]
+    params = model.parameter_bytes() + sum(a.parameter_bytes() for a in heads)
+    all_grads = model.gradient_bytes() + sum(a.gradient_bytes() for a in heads)
 
     def at(batch_size: int) -> MemoryBreakdown:
         worst_act = 0
         worst_workspace = 0
-        worst_unit_params = 0
+        worst_unit_grads = 0
         total_workspace = 0
         for unit_at in units:
             unit = unit_at(batch_size)
@@ -401,15 +480,15 @@ def ll_memory_by_batch(
             if unit.activations + unit.workspace > worst_act + worst_workspace:
                 worst_act = unit.activations
                 worst_workspace = unit.workspace
-                worst_unit_params = unit.parameters
+                worst_unit_grads = unit.gradients
         if residency == "full":
             # Classic LL executes every layer each step: all workspaces
             # pooled, all parameter/gradient/optimizer state resident.
-            grads = params
+            grads = all_grads
             workspace = total_workspace
         else:
             # AAN-LL measurement: weights resident, one unit active at a time.
-            grads = worst_unit_params
+            grads = worst_unit_grads
             workspace = worst_workspace
         return MemoryBreakdown(
             activations=worst_act,

@@ -117,10 +117,16 @@ def measure_peak(nbyte_components: list[tuple[str, int]], gpu: SimulatedGpu) -> 
 
     This is the Profiler's 'run one training step and read the high-water
     mark' primitive: each logical tensor is allocated separately so the
-    alignment quantization matches a real allocator's accounting.
+    alignment quantization matches a real allocator's accounting.  The
+    peak is read from what is live when the call starts, and what was
+    allocated is freed even when an allocation exceeds the budget.
     """
-    handles = [gpu.alloc(nbytes, tag) for tag, nbytes in nbyte_components]
-    peak = gpu.peak
-    for h in handles:
-        gpu.free(h)
-    return peak
+    gpu.reset_peak()
+    handles = []
+    try:
+        for tag, nbytes in nbyte_components:
+            handles.append(gpu.alloc(nbytes, tag))
+        return gpu.peak
+    finally:
+        for h in handles:
+            gpu.free(h)

@@ -30,13 +30,11 @@ from repro.core.profiler import block_residency_bytes
 from repro.core.worker import unit_kernel_count, unit_train_flops
 from repro.errors import ConfigError, PlacementError
 from repro.hw.simulator import ExecutionSimulator
+from repro.memory.estimator import boundary_sample_bytes
 from repro.models.layers import LayerSpec
 from repro.nn.module import Module
 from repro.parallel.cluster import Cluster
 from repro.parallel.pipeline import PipelineClock
-
-FLOAT_BYTES = 4
-LABEL_BYTES = 8  # int64 class labels travel with the activations
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,11 @@ def block_cost(
         specs, aux_heads, block.layer_indices, microbatch, optimizer
     )
     last = specs[block.last_layer]
-    out_bytes = last.output_elements_per_sample * FLOAT_BYTES + LABEL_BYTES
     return BlockCost(
         train_flops_per_sample=flops,
         n_kernels=n_kernels,
         residency_bytes=residency,
-        out_bytes_per_sample=out_bytes,
+        out_bytes_per_sample=boundary_sample_bytes(last.output_elements_per_sample),
     )
 
 

@@ -18,10 +18,7 @@ NeuroFlux itself lives in :mod:`repro.core`.
 """
 
 from repro.training.backprop import BackpropTrainer, max_feasible_batch
-from repro.training.checkpointing import (
-    GradientCheckpointTrainer,
-    checkpointed_training_memory,
-)
+from repro.training.checkpointing import GradientCheckpointTrainer
 from repro.training.common import (
     BaselineTrainer,
     HistoryPoint,
@@ -55,7 +52,6 @@ __all__ = [
     "MicrobatchTrainer",
     "SignalPropagationTrainer",
     "TrainResult",
-    "checkpointed_training_memory",
     "evaluate_classifier",
     "max_feasible_batch",
 ]

@@ -21,45 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.flops.count import model_forward_flops, module_forward_flops
-from repro.memory.estimator import (
-    FLOAT_BYTES,
-    module_retained_bytes,
-    module_sum_workspace_bytes,
-    optimizer_state_bytes,
-)
-from repro.models.base import ConvNet
+from repro.flops.count import model_forward_flops
+from repro.memory.estimator import checkpointed_training_memory
 from repro.nn.module import run_backward
 from repro.training.backprop import BackpropTrainer
-
-
-def checkpointed_training_memory(
-    model: ConvNet, batch_size: int, optimizer: str = "sgd-momentum"
-) -> int:
-    """Peak bytes of checkpointed BP.
-
-    Boundary activations of every stage are retained; the interior retained
-    set exists for only one segment at a time (the one being recomputed),
-    so the peak adds the *largest* segment's interior to the boundary sum.
-    """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    shape: tuple[int, ...] = (batch_size, model.in_channels, *model.input_hw)
-    boundary = int(np.prod(shape)) * FLOAT_BYTES
-    worst_interior = 0
-    for stage in list(model.stages) + [model.head]:
-        interior = module_retained_bytes(stage, shape)
-        interior += module_sum_workspace_bytes(stage, shape)
-        worst_interior = max(worst_interior, interior)
-        _, shape = module_forward_flops(stage, shape)
-        boundary += int(np.prod(shape)) * FLOAT_BYTES
-    params = model.parameter_bytes()
-    return (
-        boundary
-        + worst_interior
-        + 2 * params
-        + optimizer_state_bytes(params, optimizer)
-    )
 
 
 class GradientCheckpointTrainer(BackpropTrainer):

@@ -7,8 +7,9 @@ implementation uses the simplest faithful form of that idea -- fixed random
 unit-norm class embeddings per layer as targets, an MSE alignment loss on
 globally-pooled features, and nearest-embedding classification -- which
 reproduces SP's published profile: memory far below BP/LL (no aux nets, one
-layer resident) but accuracy below both.  DESIGN.md records this
-simplification.
+layer resident) but accuracy below both.  The fixed embeddings stand in
+for SP's learned target generator: a simplification that keeps the memory
+profile the paper compares and claims nothing about SP's best accuracy.
 """
 
 from __future__ import annotations

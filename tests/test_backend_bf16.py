@@ -108,18 +108,33 @@ class TestStorageAccounting:
         assert after == before // 2
 
     def test_unit_plan_optimizer_sized_from_fp32_grads(self, small_vgg):
-        """Profiler plans: params line halves, grads/optimizer lines do not."""
+        """A unit's tensor list: params line halves, grads/optimizer lines do not."""
         from repro.core.auxiliary import build_aux_heads
-        from repro.core.profiler import unit_allocation_plan
+        from repro.memory.estimator import local_unit_tensors_by_batch
 
         aux = build_aux_heads(small_vgg, rule="classic", classic_filters=32, seed=0)
         spec = small_vgg.local_layers()[0]
-        plan_fp32 = dict(unit_allocation_plan(spec, aux[0], 8))
+        plan_fp32 = dict(local_unit_tensors_by_batch(spec, aux[0])(8))
         enable_bf16_weights(small_vgg, *aux)
-        plan_bf16 = dict(unit_allocation_plan(spec, aux[0], 8))
+        plan_bf16 = dict(local_unit_tensors_by_batch(spec, aux[0])(8))
         assert plan_bf16["params"] == plan_fp32["params"] // 2
         assert plan_bf16["grads"] == plan_fp32["grads"]
         assert plan_bf16["optimizer"] == plan_fp32["optimizer"]
+
+    def test_every_footprint_sizes_gradients_from_fp32(self):
+        """One gradient rule: the estimator's breakdowns charge a bf16
+        model's gradients and optimizer state at fp32, as the Profiler's
+        allocations do."""
+        from repro.core.auxiliary import build_aux_heads
+        from repro.memory.estimator import bp_training_memory, local_unit_training_memory
+
+        model = build_model("vgg11", num_classes=10, width_multiplier=0.25)
+        heads = build_aux_heads(model, rule="aan")
+        enable_bf16_weights(model, *heads)
+        unit = local_unit_training_memory(model.local_layers()[0], heads[0], 8)
+        assert (unit.parameters, unit.gradients, unit.optimizer) == (8_244, 16_488, 16_488)
+        bp = bp_training_memory(model, 8)
+        assert bp.gradients == bp.optimizer == model.gradient_bytes() == 2 * bp.parameters
 
 
 class TestBf16WeightOptimizer:

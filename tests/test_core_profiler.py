@@ -1,17 +1,17 @@
 """Tests for the NeuroFlux Profiler (linear memory models)."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.auxiliary import build_aux_heads
-from repro.core.profiler import (
-    LinearMemoryModel,
-    MemoryProfiler,
-    measure_unit_memory,
-    unit_allocation_plan,
-)
+from repro.core.profiler import LinearMemoryModel, MemoryProfiler, measure_unit_memory
 from repro.errors import ProfilingError
-from repro.memory.estimator import local_unit_training_memory
+from repro.memory.estimator import local_unit_tensors_by_batch, local_unit_training_memory
+from repro.memory.tracker import ALLOCATOR_ALIGNMENT
 from repro.models import build_model
 
 
@@ -21,6 +21,15 @@ def profiled():
     heads = build_aux_heads(model, rule="aan")
     profiler = MemoryProfiler(model.local_layers(), list(heads))
     return model, heads, profiler.profile()
+
+
+@functools.lru_cache(maxsize=None)
+def _units(name: str, rule: str):
+    """``(spec, head)`` of every unit of a width-0.25 model under a head rule."""
+    model = build_model(name, num_classes=10, width_multiplier=0.25)
+    specs = model.local_layers()
+    heads = [None] * len(specs) if rule == "none" else build_aux_heads(model, rule=rule)
+    return list(zip(specs, heads))
 
 
 class TestLinearMemoryModel:
@@ -43,20 +52,33 @@ class TestMeasurement:
     def test_plan_components_nonnegative(self, profiled):
         model, heads, _ = profiled
         spec = model.local_layers()[0]
-        plan = unit_allocation_plan(spec, heads[0], 8)
+        plan = local_unit_tensors_by_batch(spec, heads[0])(8)
         assert all(nbytes >= 0 for _, nbytes in plan)
         tags = [t for t, _ in plan]
         assert "params" in tags and "input" in tags and "conv-workspace" in tags
 
-    def test_measured_close_to_analytic(self, profiled):
-        """Allocator measurement should match the analytic estimator up to
-        alignment rounding (one 512B block per tensor at most)."""
-        model, heads, _ = profiled
-        spec = model.local_layers()[1]
-        analytic = local_unit_training_memory(spec, heads[1], 16).total
-        measured = measure_unit_memory(spec, heads[1], 16)
-        plan_len = len(unit_allocation_plan(spec, heads[1], 16))
-        assert analytic <= measured <= analytic + 512 * plan_len
+    @settings(deadline=None, max_examples=40)
+    @given(
+        name=st.sampled_from(["vgg11", "resnet18", "mobilenet"]),
+        rule=st.sampled_from(["aan", "classic", "none"]),
+        layer=st.integers(0, 63),
+        batch=st.integers(1, 128),
+        optimizer=st.sampled_from(["sgd", "sgd-momentum", "adam"]),
+    )
+    def test_measured_close_to_analytic(self, name, rule, layer, batch, optimizer):
+        """The Profiler measures exactly the estimator's model: the
+        breakdown's total is the unit's tensor list summed, the measured
+        peak the same list with each tensor rounded up to an allocator
+        block."""
+        units = _units(name, rule)
+        spec, head = units[layer % len(units)]
+        plan = local_unit_tensors_by_batch(spec, head, optimizer)(batch)
+        analytic = local_unit_training_memory(spec, head, batch, optimizer).total
+        assert analytic == sum(nbytes for _, nbytes in plan)
+        block = ALLOCATOR_ALIGNMENT
+        assert measure_unit_memory(spec, head, batch, optimizer) == sum(
+            -(-nbytes // block) * block for _, nbytes in plan
+        )
 
     def test_measurement_monotone_in_batch(self, profiled):
         model, heads, _ = profiled

@@ -14,7 +14,6 @@ from repro.memory import (
     ll_training_memory,
     local_unit_training_memory,
     measure_peak,
-    module_retained_bytes,
     optimizer_state_bytes,
 )
 from repro.models import build_model
@@ -131,6 +130,15 @@ class TestUnitMemory:
         bp = bp_training_memory(vgg, 16).total
         assert unit < bp
 
+    def test_zero_batch_raises_in_estimator_and_profiler(self, vgg, vgg_aux):
+        from repro.core.profiler import measure_unit_memory
+
+        spec = vgg.local_layers()[0]
+        with pytest.raises(ConfigError):
+            local_unit_training_memory(spec, vgg_aux[0], 0)
+        with pytest.raises(ConfigError):
+            measure_unit_memory(spec, vgg_aux[0], 0)
+
     def test_retained_bytes_requires_known_op(self):
         class Strange:
             pass
@@ -203,6 +211,13 @@ class TestSimulatedGpu:
         peak = measure_peak([("a", 1000), ("b", 2000)], gpu)
         assert peak >= 3000
         assert gpu.in_use == 0
+
+    def test_measure_peak_releases_everything_on_overflow(self):
+        gpu = SimulatedGpu(budget_bytes=1024)
+        with pytest.raises(MemoryBudgetExceeded):
+            measure_peak([("a", 512), ("b", 2048)], gpu)
+        assert gpu.in_use == 0
+        assert gpu.would_fit(1024)
 
     def test_negative_alloc_raises(self):
         with pytest.raises(ConfigError):

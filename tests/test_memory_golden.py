@@ -35,9 +35,9 @@ BF16_KEY = "bf16/vgg11/aan/unit0/b8/sgd-momentum"
 
 
 def unit_plan(spec, head, batch, optimizer):
-    from repro.core.profiler import unit_allocation_plan
+    from repro.memory.estimator import local_unit_tensors_by_batch
 
-    return unit_allocation_plan(spec, head, batch, optimizer)
+    return local_unit_tensors_by_batch(spec, head, optimizer)(batch)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,10 +75,10 @@ def unit_case(name, rule, batch, optimizer) -> dict:
 def model_case(name, batch, optimizer) -> dict:
     from repro.memory.estimator import (
         bp_training_memory,
+        checkpointed_training_memory,
         inference_memory,
         ll_training_memory,
     )
-    from repro.training import checkpointed_training_memory
 
     model, heads = model_and_heads(name)
     case = {

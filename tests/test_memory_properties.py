@@ -14,10 +14,11 @@ from repro.memory.estimator import (
     inference_memory,
     ll_memory_by_batch,
     ll_training_memory,
+    iter_atomic_ops,
     local_unit_training_memory,
-    module_retained_bytes,
-    module_sum_workspace_bytes,
+    op_workspace_bytes,
     optimizer_state_bytes,
+    retained_bytes,
 )
 from repro.models import build_model
 
@@ -90,18 +91,23 @@ class TestDominanceInvariants:
                 assert breakdown.workspace >= 0
 
 
+def _module_bytes(rule, module, in_shape):
+    """A byte ``rule`` summed over ``module``'s ops, walked at ``in_shape``."""
+    return sum(rule(op, i, o) for op, i, o in iter_atomic_ops(module, in_shape))
+
+
 def _walked_unit_memory(spec, aux_head, batch):
     """``local_unit_training_memory`` by walking the unit at ``batch``
     itself -- the reference for the walk-once ``*_by_batch`` forms."""
     in_shape = (batch, spec.in_channels, *spec.in_hw)
     out_shape = (batch, spec.out_channels, *spec.out_hw)
     activations = 4 * int(np.prod(in_shape)) + 4 * int(np.prod(out_shape))
-    activations += module_retained_bytes(spec.module, in_shape)
-    workspace = module_sum_workspace_bytes(spec.module, in_shape)
+    activations += _module_bytes(retained_bytes, spec.module, in_shape)
+    workspace = _module_bytes(op_workspace_bytes, spec.module, in_shape)
     params = spec.module.parameter_bytes()
     if aux_head is not None:
-        activations += module_retained_bytes(aux_head, out_shape)
-        workspace += module_sum_workspace_bytes(aux_head, out_shape)
+        activations += _module_bytes(retained_bytes, aux_head, out_shape)
+        workspace += _module_bytes(op_workspace_bytes, aux_head, out_shape)
         activations += 4 * int(np.prod(module_forward_flops(aux_head, out_shape)[1]))
         params += aux_head.parameter_bytes()
     optimizer = optimizer_state_bytes(params, "sgd-momentum")
@@ -113,8 +119,8 @@ def _walked_bp_memory(model, batch):
     retained = 4 * int(np.prod(shape))
     workspace = largest_output = 0
     for stage in [*model.stages, model.head]:
-        retained += module_retained_bytes(stage, shape)
-        workspace += module_sum_workspace_bytes(stage, shape)
+        retained += _module_bytes(retained_bytes, stage, shape)
+        workspace += _module_bytes(op_workspace_bytes, stage, shape)
         shape = module_forward_flops(stage, shape)[1]
         largest_output = max(largest_output, 4 * int(np.prod(shape)))
     params = model.parameter_bytes()

@@ -8,9 +8,8 @@ from repro.training import (
     BackpropTrainer,
     GradientCheckpointTrainer,
     MicrobatchTrainer,
-    checkpointed_training_memory,
 )
-from repro.memory.estimator import bp_training_memory
+from repro.memory.estimator import bp_training_memory, checkpointed_training_memory
 
 
 @pytest.fixture()
