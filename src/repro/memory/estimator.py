@@ -29,8 +29,8 @@ units' :class:`~repro.perf.workspace.Workspace` slots -- sized by the
 block's own batch, since evaluation runs at that batch too -- and nothing
 of any other block.  Measured on ``benchmarks/e2e`` ``train_seq_cache``
 (vgg11 x0.25, 8 MiB budget, blocks at batch 20/32/54/186): per-block host
-peaks of 23.8 / 19.6 / 18.5 / 20.8 MiB against a simulated peak of
-8.0 MiB, ratio 2.97, gated by ``tests/test_host_memory.py``.  What the
+peaks of 22.7 / 19.0 / 18.0 / 20.4 MiB against a simulated peak of
+8.0 MiB, ratio 2.84, gated by ``tests/test_host_memory.py``.  What the
 model does not explain of the remainder: (1) *every* unit of the block
 keeps its slots (15.1 MiB for block 0's two layers and heads) where
 :func:`repro.core.profiler.block_residency_bytes` counts the worst unit
@@ -40,9 +40,14 @@ the input, 4.9 MiB of block 0) plus ``out_mat``/``dmat`` GEMM operands --
 where the model charges retained inputs and one transient workspace; (3)
 layers without workspace support (BatchNorm, ReLU, the NHWC->NCHW output
 copies) allocate fresh temporaries every step, ~8.7 MiB of block 0's
-23.8.  All counts assume float32; ReLU outputs are retained as float
-(PyTorch keeps the output tensor), dropout masks 1 byte, pooling argmax
-indices 8 bytes (int64).
+peak when that peak read 23.8 MiB.  All counts assume float32; ReLU
+outputs are retained as float (PyTorch keeps the output tensor), dropout
+masks 1 byte, pooling argmax indices 8 bytes (int64).  The last is a
+modelling decision: the host's tiled ``MaxPool2d`` records its routing
+as a k*k-byte bool one-hot mask per pooled output (4 bytes at k = 2), not
+an index, but the model keeps charging ``INDEX_BYTES`` per pooled
+output, as PyTorch's ``max_pool2d`` retains, because the simulated GPU
+models that engine.
 
 Four training footprints matter for the paper's comparisons (Figure 4 and
 Section 7):

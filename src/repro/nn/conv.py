@@ -8,9 +8,11 @@ forward weights, while the weight gradient stays exact.
 Two execution paths share the same parameters and (up to fp32 rounding)
 the same numbers:
 
-* the default path -- the original NCHW im2col lowering, kept bit-for-bit
-  stable; when a workspace is attached its column matrix, GEMM outputs and
-  scatter targets come from reusable buffers instead of fresh allocations.
+* the default path -- the original NCHW im2col lowering, its column
+  matrix and GEMM operands kept bit-for-bit stable; when a workspace is
+  attached its column matrix, GEMM outputs and scatter targets come from
+  reusable buffers instead of fresh allocations, and its ``xp`` slot is
+  the zero-bordered NHWC scratch the column gather is staged through.
 * the ``fused=True`` path -- conv, bias and an optional ReLU run as one
   NHWC pipeline: the padding copy doubles as the layout transpose, the
   window gather moves contiguous channel runs, bias rides along as a ones
@@ -130,7 +132,7 @@ class Conv2d(Module):
             if self.padding:
                 hp = x.shape[2] + 2 * self.padding
                 wp = x.shape[3] + 2 * self.padding
-                xp, fresh = self._buf("xp", (n, self.in_channels, hp, wp), x.dtype)
+                xp, fresh = self._buf("xp", (n, hp, wp, self.in_channels), x.dtype)
                 if fresh:
                     xp.fill(0)
             kk = self.in_channels * self.kernel_size * self.kernel_size

@@ -2,14 +2,17 @@
 
 The convolution layers use the classic im2col/col2im lowering: convolution
 becomes one large matrix multiply, which is the fastest formulation available
-to a pure-numpy substrate.  ``im2col`` extracts sliding windows with stride
-tricks (zero-copy until the final reshape) and ``col2im`` is its exact
-adjoint, verified by property tests.
+to a pure-numpy substrate.  ``col2im`` is the exact adjoint of ``im2col``,
+verified by property tests.
 
 Two lowering layouts coexist:
 
-* the original NCHW layout (``im2col``/``col2im``), kept bit-for-bit stable
-  because the default training paths run on it; and
+* the original NCHW column layout (``im2col``/``col2im``), whose values
+  are kept bit-for-bit stable because the default training paths run on
+  it.  ``im2col`` stages its input once in NHWC and gathers one
+  contiguous-channel slab per kernel offset into that layout, instead of
+  copying k-float runs out of a 6-D strided window view (the reference
+  formulation ``tests/test_nn_kernel_oracle.py`` holds it to); and
 * an NHWC layout (``im2col_nhwc``/``col2im_nhwc``) used by the fused conv
   path, where window extraction and the scatter-add adjoint move contiguous
   channel runs instead of strided single floats, and where the conv GEMM
@@ -83,29 +86,32 @@ def im2col(
 
     Returns the column matrix and the spatial output size.  ``out`` is an
     optional preallocated column buffer; ``padded`` an optional padded
-    scratch (N, C, H+2p, W+2p) whose border is already zero -- workspace
-    callers pass both so the lowering allocates nothing.
+    NHWC scratch (N, H+2p, W+2p, C) whose border is already zero --
+    workspace callers pass both so the lowering allocates nothing.
+
+    The input is staged once in NHWC (the padding copy doubles as the
+    transpose), then each of the k*k kernel offsets gathers one
+    (N, out_h, out_w, C) slab, moving contiguous channel runs, into its
+    column of the ``(C, k, k)``-ordered layout.  A 1x1 unpadded kernel
+    gathers straight from the transposed input.
     """
-    if padded is not None and padding:
-        n, c, h, w = x.shape
-        if padded.shape != (n, c, h + 2 * padding, w + 2 * padding):
-            raise ShapeError(
-                f"padded buffer {padded.shape} does not match input {x.shape}"
-            )
-        padded[:, :, padding : padding + h, padding : padding + w] = x
-        xp = padded
-    else:
-        xp = pad2d(x, padding)
-    win = sliding_windows(xp, kernel, stride)
-    n, c, out_h, out_w, _, _ = win.shape
+    n, c, h, w = x.shape
+    out_h, out_w = conv_output_hw((h, w), kernel, stride, padding)
+    shape = (n * out_h * out_w, c * kernel * kernel)
     if out is None:
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(
-            n * out_h * out_w, c * kernel * kernel
-        )
-        return np.ascontiguousarray(cols), (out_h, out_w)
-    out.reshape(n, out_h, out_w, c, kernel, kernel)[...] = win.transpose(
-        0, 2, 3, 1, 4, 5
-    )
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape:
+        raise ShapeError(f"column buffer {out.shape} does not match {shape}")
+    if kernel == 1 and padding == 0:
+        xs = x.transpose(0, 2, 3, 1)
+    else:
+        xs = pad2d_nhwc(x, padding, out=padded, fresh=False)
+    cols = out.reshape(n, out_h, out_w, c, kernel, kernel)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, :, :, i, j] = xs[
+                :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
+            ]
     return out, (out_h, out_w)
 
 

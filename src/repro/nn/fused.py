@@ -12,8 +12,10 @@ Backward fuses the other way: the pool scatter writes the routed gradient
 straight into the conv's (M, F) gradient buffer, the ReLU mask collapses
 to one multiply on the pooled tensor (the selected window element equals
 the pooled maximum, so ``pooled > 0`` decides gradient flow exactly), and
-the conv core takes over from there.  Gradient routing matches
-``argmax``'s first-maximum tie semantics bit for bit; the GEMM outputs
+the conv core takes over from there.  Gradient routing is the one-hot
+mask of :func:`~repro.nn.pooling.first_max_mask`, shared with
+``MaxPool2d``: ``argmax``'s first-maximum tie semantics bit for bit, NaN
+included; the GEMM outputs
 match the unfused stage within fp32 rounding (property-tested).
 
 Parameters live on the inner ``Conv2d`` at ``layers.0``, exactly where the
@@ -28,7 +30,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.nn.conv import Conv2d
 from repro.nn.module import Sequential
-from repro.nn.pooling import MaxPool2d
+from repro.nn.pooling import MaxPool2d, first_max_mask
 
 
 class FusedConvBlock(Sequential):
@@ -159,25 +161,19 @@ class FusedConvBlock(Sequential):
             # -- one multiply on the pooled tensor replaces a full-size
             # mask pass.
             np.multiply(gp, pout > 0, out=gp)
+            # First-maximum routing, shared with MaxPool2d: a one-hot
+            # mask over the conv output, then one broadcast multiply.
             dmat, _ = self._buf("dmat", (m, f), gp.dtype)
-            dv = dmat.reshape(n, ph, k, pw, k, f)
-            v = conv._out_mat.reshape(n, ph, k, pw, k, f)
-            eq, _ = self._buf("eq", (n, ph, pw, f), np.bool_)
-            nt, _ = self._buf("nt", (n, ph, pw, f), np.bool_)
+            mask, _ = self._buf("mask", (m, f), np.bool_)
             taken, _ = self._buf("taken", (n, ph, pw, f), np.bool_)
-            routed, _ = self._buf("routed", (n, ph, pw, f), gp.dtype)
-            taken.fill(False)
-            # First-maximum routing, identical to argmax tie semantics:
-            # a window position receives the gradient iff it equals the
-            # maximum and no earlier position claimed it.
-            for t in range(k * k):
-                i, j = divmod(t, k)
-                np.equal(v[:, :, i, :, j, :], pout, out=eq)
-                np.logical_not(taken, out=nt)
-                np.logical_and(eq, nt, out=eq)
-                np.logical_or(taken, eq, out=taken)
-                np.multiply(gp, eq, out=routed)
-                dv[:, :, i, :, j, :] = routed
+
+            def offsets_first(a: np.ndarray) -> np.ndarray:
+                return a.reshape(n, ph, k, pw, k, f).transpose(2, 4, 0, 1, 3, 5)
+
+            mask = first_max_mask(
+                offsets_first(conv._out_mat), pout, offsets_first(mask), taken
+            )
+            np.multiply(gp, mask, out=offsets_first(dmat))
             self._pout = None
             dxp = conv._fused_backward_core(
                 dmat, need_input_grad, apply_activation_mask=False

@@ -1,4 +1,13 @@
-"""Batch normalization over NCHW feature maps."""
+"""Batch normalization over NCHW feature maps.
+
+The training forward computes the batch statistics in one pass over the
+centered batch: numpy's own ``mean`` / ``var`` steps (one ``add.reduce``,
+a ``true_divide`` by the ``intp`` element count, the squared deviations
+summed and divided the same way), with ``x - mean`` computed once and
+scaled in place into ``xhat``.  ``mean``, ``var``, ``xhat`` and the
+running statistics are bit-equal to ``x.mean`` / ``x.var`` and a second
+subtraction, which ``tests/test_nn_kernel_oracle.py`` holds it to.
+"""
 
 from __future__ import annotations
 
@@ -38,8 +47,15 @@ class BatchNorm2d(Module):
         if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ShapeError(f"expected (N, {self.num_features}, H, W), got {x.shape}")
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # numpy's own mean/var steps, so both stay bit-equal to
+            # x.mean / x.var; the centered batch becomes xhat in place.
+            count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
+            mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
+            np.true_divide(mean, count, out=mean, casting="unsafe")
+            xhat = x - mean
+            var = np.add.reduce(np.square(xhat), axis=(0, 2, 3))
+            np.true_divide(var, count, out=var, casting="unsafe")
+            mean = mean.reshape(-1)
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             ).astype(self.running_mean.dtype)
@@ -47,7 +63,7 @@ class BatchNorm2d(Module):
                 (1 - self.momentum) * self.running_var + self.momentum * var
             ).astype(self.running_var.dtype)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+            np.multiply(xhat, inv_std[None, :, None, None], out=xhat)
             self._xhat = xhat
             self._inv_std = inv_std
         else:
@@ -56,7 +72,8 @@ class BatchNorm2d(Module):
                 None, :, None, None
             ]
             self._xhat = None
-        out = self.gamma.data[None, :, None, None] * xhat + self.beta.data[None, :, None, None]
+        out = self.gamma.data[None, :, None, None] * xhat
+        out += self.beta.data[None, :, None, None]
         return out.astype(x.dtype, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 The overwhelmingly common geometry -- ``stride == kernel`` with the input
 an exact multiple of the window (every pool in the model zoo) -- gets a
-vectorized fast path: forward reduces over a zero-copy reshape of the
-input instead of materializing a window copy, and backward scatters with
-single reshaped assignments instead of the k x k Python loop.  The generic
-geometry keeps the original formulation (with workspace-backed buffers
-when a workspace is attached), and ``_scatter_windows`` additionally
-vectorizes the ``stride == 1`` overlap case via :func:`overlap_add`.
+vectorized fast path: forward reduces over a zero-copy window-major view
+of the input (whatever its strides) instead of materializing a window
+copy, max pooling records its gradient routing as a one-hot bool mask
+built by :func:`first_max_mask` (shared with the fused conv block), and
+backward is one broadcast multiply or assignment instead of the k x k
+Python loop.  The generic geometry keeps the original formulation (with
+workspace-backed buffers when a workspace is attached), and
+``_scatter_windows`` additionally vectorizes the ``stride == 1`` overlap
+case via :func:`overlap_add`.  Max pooling propagates NaN on every path.
 """
 
 from __future__ import annotations
@@ -78,13 +81,66 @@ def _tiles_exactly(shape: tuple[int, ...], kernel: int, stride: int) -> bool:
     return stride == kernel and h % kernel == 0 and w % kernel == 0
 
 
+def _window_major(a: np.ndarray, k: int) -> np.ndarray:
+    """(k, k, N, C, H//k, W//k) view of an NCHW array tiled by k x k
+    windows: window offset (i, j) first, whatever the array's strides."""
+    n, c, h, w = a.shape
+    return a.reshape(n, c, h // k, k, w // k, k).transpose(3, 5, 0, 1, 2, 4)
+
+
+def first_max_mask(
+    windows: np.ndarray, pooled: np.ndarray, mask: np.ndarray, taken: np.ndarray
+) -> np.ndarray:
+    """One-hot routing mask: each window's first maximum, in window order.
+
+    ``windows`` is a (k, k, *P) view of the pooled input, ``pooled`` its
+    maxima, broadcastable to that shape, ``mask`` a bool (k, k, *P) view
+    it fills and ``taken`` a bool (*P) scratch.  A position is marked iff
+    it equals the window's maximum and no earlier position (row-major over
+    the window) did -- ``argmax``'s tie rule.  A window whose maximum is
+    NaN marks its first NaN, again as ``argmax`` does.  One broadcast
+    compare does the bulk; ties are resolved on pooled-size arrays.
+    """
+    k = windows.shape[1]
+    np.equal(windows, pooled, out=mask)
+    np.copyto(taken, mask[0, 0])
+    for t in range(1, k * k):
+        m = mask[divmod(t, k)]
+        np.greater(m, taken, out=m)  # m and not taken
+        np.logical_or(taken, m, out=taken)
+    if not taken.all():
+        # Only a NaN maximum equals nothing in its window.
+        for t in range(k * k):
+            m = mask[divmod(t, k)]
+            nan = np.isnan(windows[divmod(t, k)])
+            np.greater(nan, taken, out=nan)
+            np.logical_or(m, nan, out=m)
+            np.logical_or(taken, nan, out=taken)
+    return mask
+
+
 class MaxPool2d(Module):
-    """Max pooling with square windows (no padding, floor semantics)."""
+    """Max pooling with square windows (no padding, floor semantics).
+
+    NaN propagates: a window holding a NaN pools to NaN, as ``np.maximum``
+    and PyTorch do, on every path and in both modes.  The gradient of a
+    window goes to its first maximum in row-major window order; a NaN
+    window sends it to its first NaN.
+
+    Two paths.  When ``stride == kernel`` tiles the input exactly (every
+    pool in the model zoo), the windows are a zero-copy view: forward is a
+    chain of ``np.maximum`` over the k*k window offsets, training records a
+    bool one-hot mask (:func:`first_max_mask`, k*k bytes per pooled output,
+    laid out window-major as (k, k, N, C, oh, ow)) and backward is one
+    broadcast multiply.  Any other geometry copies the windows and routes
+    by ``argmax``.  Backward follows whichever record forward left.
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None):
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
+        self._mask: np.ndarray | None = None
         self._argmax: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
 
@@ -93,31 +149,18 @@ class MaxPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        if _tiles_exactly(x.shape, k, self.stride) and x.flags.c_contiguous:
-            n, c, h, w = x.shape
-            oh, ow = h // k, w // k
-            # Zero-copy view: no window materialization.  A running
-            # max/argmax over the k*k candidates keeps argmax's
-            # first-maximum tie semantics (strict greater-than).
-            v = x.reshape(n, c, oh, k, ow, k)
-            out = np.empty((n, c, oh, ow), dtype=x.dtype)
-            out[...] = v[:, :, :, 0, :, 0]
+        self._mask = self._argmax = None
+        if _tiles_exactly(x.shape, k, self.stride):
+            v = _window_major(x, k)
+            out = np.empty(v.shape[2:], dtype=x.dtype)
+            out[...] = v[0, 0]
+            for t in range(1, k * k):
+                np.maximum(out, v[divmod(t, k)], out=out)
             if self.training:
-                idx, _ = self._buf("argmax", (n, c, oh, ow), np.int64)
-                idx.fill(0)
-                better, _ = self._buf("better", (n, c, oh, ow), np.bool_)
-                for t in range(1, k * k):
-                    i, j = divmod(t, k)
-                    cand = v[:, :, :, i, :, j]
-                    np.greater(cand, out, out=better)
-                    np.copyto(out, cand, where=better)
-                    np.copyto(idx, t, where=better)
-            else:
-                # Inference needs no argmax bookkeeping: plain maxima.
-                idx = None
-                for t in range(1, k * k):
-                    i, j = divmod(t, k)
-                    np.maximum(out, v[:, :, :, i, :, j], out=out)
+                # Window-major, so every per-offset slice is contiguous.
+                mask, _ = self._buf("mask", v.shape, np.bool_)
+                taken, _ = self._buf("taken", out.shape, np.bool_)
+                self._mask = first_max_mask(v, out, mask, taken)
         else:
             win = sliding_windows(x, k, self.stride)
             n, c, oh, ow, _, _ = win.shape
@@ -127,35 +170,26 @@ class MaxPool2d(Module):
             out = np.ascontiguousarray(
                 np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
             )
-        if self.training:
-            self._argmax = idx
-            self._x_shape = x.shape
-        else:
-            self._argmax = None
+            if self.training:
+                self._argmax = idx
+        self._x_shape = x.shape if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._argmax is None or self._x_shape is None:
+        if self._x_shape is None or (self._mask is None and self._argmax is None):
             raise ShapeError("backward called before training-mode forward")
         k = self.kernel_size
         n, c, oh, ow = grad_out.shape
-        if _tiles_exactly(self._x_shape, k, self.stride):
+        if self._mask is not None:
             dx = np.empty(self._x_shape, dtype=grad_out.dtype)
-            v = dx.reshape(n, c, oh, k, ow, k)
-            hit, _ = self._buf("hit", (n, c, oh, ow), np.bool_)
-            routed, _ = self._buf("routed", (n, c, oh, ow), grad_out.dtype)
-            for t in range(k * k):
-                i, j = divmod(t, k)
-                np.equal(self._argmax, t, out=hit)
-                np.multiply(grad_out, hit, out=routed)
-                v[:, :, :, i, :, j] = routed
+            np.multiply(grad_out, self._mask, out=_window_major(dx, k))
         else:
             dflat, _ = self._buf("dflat", (n, c, oh, ow, k * k), grad_out.dtype)
             dflat.fill(0)
             np.put_along_axis(dflat, self._argmax[..., None], grad_out[..., None], axis=-1)
             dwin = dflat.reshape(n, c, oh, ow, k, k)
             dx = _scatter_windows(dwin, self._x_shape, k, self.stride)
-        self._argmax = None
+        self._mask = self._argmax = None
         return dx
 
 

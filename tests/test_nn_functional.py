@@ -84,6 +84,18 @@ class TestIm2Col:
                         naive[n, f, i, j] = (xp[n, :, i : i + 3, j : j + 3] * w[f]).sum()
         np.testing.assert_allclose(out, naive, rtol=1e-10, atol=1e-10)
 
+    def test_wrong_column_buffer_raises_shape_error(self):
+        x = np.ones((2, 3, 5, 5), np.float32)
+        with pytest.raises(ShapeError, match="column buffer"):
+            im2col(x, 3, 1, 1, out=np.empty((50, 26), np.float32))
+
+    def test_wrong_padded_buffer_raises_shape_error(self):
+        x = np.ones((2, 3, 5, 5), np.float32)
+        out = np.empty((50, 27), np.float32)
+        # The NCHW shape the padded scratch had before it moved to NHWC.
+        with pytest.raises(ShapeError, match="pad buffer"):
+            im2col(x, 3, 1, 1, out=out, padded=np.zeros((2, 3, 7, 7), np.float32))
+
     @settings(deadline=None, max_examples=25)
     @given(
         n=st.integers(1, 3),

@@ -18,6 +18,9 @@ from repro.nn import (
     ReLU,
     Tanh,
 )
+from repro.nn.conv import Conv2d
+from repro.nn.fused import FusedConvBlock
+from repro.nn.module import Sequential
 from repro.utils.rng import spawn_rng
 
 
@@ -106,6 +109,75 @@ class TestMaxPool:
         pool = MaxPool2d(3, stride=1)
         x = spawn_rng(4, "x").normal(size=(1, 2, 5, 5)) * 10
         assert pool.forward(x).shape == (1, 2, 3, 3)
+
+
+def _nan_pool_path(path: str):
+    """(module, input) whose one pooling window is [1, NaN, 3, 2]."""
+    window = np.array([[[[1.0, np.nan], [3.0, 2.0]]]], np.float32)
+    if path == "tiled":
+        return MaxPool2d(2), window
+    if path == "tiled-noncontiguous":
+        column_major = np.ascontiguousarray(window.transpose(0, 1, 3, 2))
+        return MaxPool2d(2), column_major.transpose(0, 1, 3, 2)
+    if path == "generic":  # 3x3 does not tile by 2: the argmax path
+        x = np.full((1, 1, 3, 3), -5.0, np.float32)
+        x[:, :, :2, :2] = window
+        return MaxPool2d(2), x
+    # The fused block: a 1x1 identity conv, its ReLU, then the pool.
+    block = FusedConvBlock(1, 1, kernel_size=1, padding=0, pool=2)
+    block.conv.weight.data[...] = 1.0
+    return block, window
+
+
+class TestMaxPoolNaN:
+    """NaN propagates on every path and in both modes; the gradient of a
+    NaN window goes to its first NaN (argmax's rule)."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "path", ["tiled", "tiled-noncontiguous", "generic", "fused"]
+    )
+    def test_nan_window_pools_to_nan(self, path, mode):
+        module, x = _nan_pool_path(path)
+        module.train(mode == "train")
+        out = module.forward(x)
+        assert np.isnan(out[0, 0, 0, 0])
+
+    @pytest.mark.parametrize("path", ["tiled", "tiled-noncontiguous", "generic"])
+    def test_nan_window_routes_gradient_to_first_nan(self, path):
+        module, x = _nan_pool_path(path)
+        out = module.forward(x)
+        dx = module.backward(np.full(out.shape, 7.0, np.float32))
+        expected = np.zeros(x.shape, np.float32)
+        expected[0, 0, 0, 1] = 7.0
+        np.testing.assert_array_equal(dx, expected)
+
+    def test_fused_nan_window_matches_unfused_stack(self):
+        block, x = _nan_pool_path("fused")
+        conv = Conv2d(1, 1, 1)
+        conv.weight.data[...] = 1.0
+        stack = Sequential(conv, ReLU(), MaxPool2d(2))
+        g = np.full((1, 1, 1, 1), 7.0, np.float32)
+        np.testing.assert_array_equal(block.forward(x), stack.forward(x))
+        np.testing.assert_array_equal(block.backward(g), stack.backward(g))
+
+
+class TestMaxPoolLayouts:
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_noncontiguous_input_trains_like_its_contiguous_copy(self, workspace):
+        rng = spawn_rng(6, "pool-layout")
+        base = np.maximum(rng.normal(size=(3, 4, 8, 6)), 0).astype(np.float32)
+        x_nc = base.transpose(0, 1, 3, 2)  # (3, 4, 6, 8), not C-contiguous
+        assert not x_nc.flags.c_contiguous
+        g = rng.normal(size=(3, 4, 3, 4)).astype(np.float32)
+        results = []
+        for x in (x_nc, np.ascontiguousarray(x_nc)):
+            pool = MaxPool2d(2)
+            if workspace:
+                pool.attach_workspace()
+            out = pool.forward(x)
+            results.append((out.tobytes(), pool.backward(g).tobytes()))
+        assert results[0] == results[1]
 
 
 class TestAvgPool:
