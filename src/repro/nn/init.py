@@ -4,8 +4,8 @@ All initializers take an explicit ``numpy.random.Generator`` so that model
 construction is fully deterministic given a seed (see ``repro.utils.rng``).
 
 Inside a :class:`shapes_only` block the drawing initializers return
-read-only zeros of the right shape and dtype instead, and leave ``rng``
-untouched.  A model built there has exact shapes, parameter counts and
+read-only zeros of the right shape and dtype instead (one zero,
+broadcast: they hold no memory), and leave ``rng`` untouched.  A model built there has exact shapes, parameter counts and
 byte sizes and no meaningful weights: it is for the closed-form
 ``evalsim`` backend, whose numbers read only shapes and bytes.  A
 paper-scale evalsim cell would otherwise spend most of its time drawing
@@ -26,8 +26,8 @@ class shapes_only:
     """Context manager: build models with placeholder weights.
 
     Inside it :func:`kaiming_normal`, :func:`kaiming_uniform` and
-    :func:`xavier_uniform` return ``np.zeros(shape, dtype)`` marked
-    read-only, so training such a model or loading a state dict into it
+    :func:`xavier_uniform` return read-only zeros (``np.broadcast_to``
+    of one zero), so training such a model or loading a state dict into it
     raises instead of silently running on zeros.  The previous setting
     is restored on exit, also when the body raises.
     """
@@ -43,9 +43,11 @@ class shapes_only:
 
 
 def _placeholder(shape: tuple[int, ...], dtype) -> np.ndarray:
-    out = np.zeros(shape, dtype)
-    out.flags.writeable = False
-    return out
+    # One zero broadcast to the shape: read-only, and no bytes behind it.
+    # Real zeros would be touched or not depending on whether the
+    # allocator serves them from its heap or from fresh pages, which made
+    # a sweep's peak RSS swing by a third with the checkout path.
+    return np.broadcast_to(np.zeros((), dtype), shape)
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -33,8 +33,10 @@ class Parameter:
     __slots__ = ("data", "grad", "name", "storage")
 
     def __init__(self, data: np.ndarray, name: str = ""):
-        self.data = np.ascontiguousarray(data)
-        self.grad = np.zeros_like(self.data)
+        # A read-only array (a shape-only placeholder) is kept as given, and
+        # np.zeros leaves a gradient nobody writes without resident pages.
+        self.data = data if not data.flags.writeable else np.ascontiguousarray(data)
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
         self.name = name
         self.storage = "fp32"
 

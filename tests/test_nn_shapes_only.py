@@ -58,6 +58,7 @@ def test_weights_are_read_only_zeros(built):
         for w in weights:
             assert not w.data.flags.writeable, w.name
             assert not w.data.any(), w.name
+            assert not any(w.data.strides), w.name  # one zero: no memory
             assert w.grad.flags.writeable  # gradients stay ordinary buffers
 
 
