@@ -5,9 +5,10 @@ construction is fully deterministic given a seed (see ``repro.utils.rng``).
 
 Inside a :class:`shapes_only` block the drawing initializers return
 read-only zeros of the right shape and dtype instead (one zero,
-broadcast: they hold no memory), and leave ``rng`` untouched.  A model built there has exact shapes, parameter counts and
-byte sizes and no meaningful weights: it is for the closed-form
-``evalsim`` backend, whose numbers read only shapes and bytes.  A
+broadcast: they hold no memory), and leave ``rng`` untouched.  A model
+built there has exact shapes, parameter counts and byte sizes and no
+meaningful weights: it is for the closed-form ``evalsim`` backend,
+whose numbers read only shapes and bytes.  A
 paper-scale evalsim cell would otherwise spend most of its time drawing
 weights -- the heads of classic local learning alone are 3x3 convolutions
 with 256 filters on every layer -- that no simulated number reads.
@@ -27,8 +28,8 @@ class shapes_only:
 
     Inside it :func:`kaiming_normal`, :func:`kaiming_uniform` and
     :func:`xavier_uniform` return read-only zeros (``np.broadcast_to``
-    of one zero), so training such a model or loading a state dict into it
-    raises instead of silently running on zeros.  The previous setting
+    of one zero), so training such a model or loading a state dict into
+    it raises instead of silently running on zeros.  The previous setting
     is restored on exit, also when the body raises.
     """
 

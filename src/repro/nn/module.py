@@ -35,7 +35,7 @@ class Parameter:
     def __init__(self, data: np.ndarray, name: str = ""):
         # A read-only array (a shape-only placeholder) is kept as given, and
         # np.zeros leaves a gradient nobody writes without resident pages.
-        self.data = data if not data.flags.writeable else np.ascontiguousarray(data)
+        self.data = np.ascontiguousarray(data) if data.flags.writeable else data
         self.grad = np.zeros(self.data.shape, self.data.dtype)
         self.name = name
         self.storage = "fp32"
