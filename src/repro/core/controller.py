@@ -274,7 +274,13 @@ class NeuroFlux:
         and -- the host twin of ``ctx.alloc_block`` -- scratch workspaces
         on exactly the units it trains.  They stay resident until
         :meth:`_release_workspaces`: as long as the block trains in the
-        block loop, for the run where blocks train concurrently."""
+        block loop, for the run where blocks train concurrently.
+
+        Units train one at a time, so the block's layers share one
+        workspace pool and its heads another, and the host holds each
+        slot at its worst unit, as ``block_residency_bytes`` charges.  A
+        layer and its own head never share: the layer's ``cols`` must
+        survive the head's forward and backward."""
         cfg = self.config
         optimizers = [
             make_optimizer(
@@ -299,8 +305,10 @@ class NeuroFlux:
             sample_bytes=self.data.spec.sample_bytes,
             backward_multiplier=cfg.backward_multiplier,
         )
-        for unit in worker.units:
-            unit.attach_workspace()
+        layer_pool, head_pool = {}, {}
+        for spec, aux in zip(worker.layer_specs, worker.aux_heads):
+            spec.module.attach_workspace(layer_pool)
+            aux.attach_workspace(head_pool)
         return worker
 
     def _block_residency_bytes(self, block: Block, batch_size: int | None = None) -> int:

@@ -27,20 +27,22 @@ paper measured, not what ``repro.nn`` allocates.  What the host holds is
 now of the same kind and order, block by block: while a block trains, its
 units' :class:`~repro.perf.workspace.Workspace` slots -- sized by the
 block's own batch, since evaluation runs at that batch too -- and nothing
-of any other block.  Measured on ``benchmarks/e2e`` ``train_seq_cache``
-(vgg11 x0.25, 8 MiB budget, blocks at batch 20/32/54/186): per-block host
-peaks of 22.7 / 19.0 / 18.0 / 20.4 MiB against a simulated peak of
-8.0 MiB, ratio 2.84, gated by ``tests/test_host_memory.py``.  What the
-model does not explain of the remainder: (1) *every* unit of the block
-keeps its slots (15.1 MiB for block 0's two layers and heads) where
+of any other block.  The units train one at a time, so the block's layers
+share one workspace per position and its heads another: each slot holds
+its worst unit's request, as
 :func:`repro.core.profiler.block_residency_bytes` counts the worst unit
-alone; (2)
-the slots are im2col lowerings -- an explicit ``cols`` matrix (k*k times
-the input, 4.9 MiB of block 0) plus ``out_mat``/``dmat`` GEMM operands --
-where the model charges retained inputs and one transient workspace; (3)
-layers without workspace support (BatchNorm, ReLU, the NHWC->NCHW output
-copies) allocate fresh temporaries every step, ~8.7 MiB of block 0's
-peak when that peak read 23.8 MiB.  All counts assume float32; ReLU
+alone.  Measured on ``benchmarks/e2e`` ``train_seq_cache`` (vgg11 x0.25,
+8 MiB budget, blocks at batch 20/32/54/186): per-block host peaks of
+12.6 / 12.3 / 12.3 / 12.5 MiB against a simulated peak of 8.0 MiB, ratio
+1.58 (22.7 / 19.0 / 18.0 / 20.4 MiB, ratio 2.84, while every unit kept
+its own slots), gated by ``tests/test_host_memory.py``.  What the model
+does not explain of the remainder: (1) the slots are im2col lowerings --
+an explicit ``cols`` matrix (k*k times the input) beside the ``out_mat``
+GEMM operand, which backward reuses for its gradients -- where the model
+charges retained inputs and one transient workspace; (2) layers without
+workspace support (ReLU, the NHWC->NCHW output copies, BatchNorm's two
+backward buffers) allocate fresh temporaries every step.  All counts
+assume float32; ReLU
 outputs are retained as float (PyTorch keeps the output tensor), dropout
 masks 1 byte, pooling argmax indices 8 bytes (int64).  The last is a
 modelling decision: the host's tiled ``MaxPool2d`` records its routing

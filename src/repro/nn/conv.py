@@ -13,6 +13,10 @@ the same numbers:
   attached its column matrix, GEMM outputs and scatter targets come from
   reusable buffers instead of fresh allocations, and its ``xp`` slot is
   the zero-bordered NHWC scratch the column gather is staged through.
+  Backward reuses forward's slots once they are dead: the output
+  gradient goes into ``out_mat`` (forward already copied its result
+  out) and the column gradient into ``cols`` (dead once ``dW`` is
+  computed), so a training step holds one column matrix, not two.
 * the ``fused=True`` path -- conv, bias and an optional ReLU run as one
   NHWC pipeline: the padding copy doubles as the layout transpose, the
   window gather moves contiguous channel runs, bias rides along as a ones
@@ -152,7 +156,9 @@ class Conv2d(Module):
             self._out_hw = (out_h, out_w)
         else:
             self._cols = None
-        return np.ascontiguousarray(y)
+        # Always a copy: at a 1x1 output the transposed view is already
+        # contiguous, and returning it would alias the out_mat slot.
+        return y.copy()
 
     def backward(
         self, grad_out: np.ndarray, need_input_grad: bool = True
@@ -172,7 +178,7 @@ class Conv2d(Module):
             )
             self.weight.grad += backend_matmul(dmat.T, self._cols).reshape(self.weight.data.shape)
         else:
-            dmat, _ = self._buf("dmat", (m, self.out_channels), grad_out.dtype)
+            dmat, _ = self._buf("out_mat", (m, self.out_channels), grad_out.dtype)
             dmat[...] = grad_out.transpose(0, 2, 3, 1).reshape(m, self.out_channels)
             dw, _ = self._buf("dw", (self.out_channels, self._cols.shape[1]), dmat.dtype)
             backend_matmul(dmat.T, self._cols, out=dw)
@@ -187,7 +193,7 @@ class Conv2d(Module):
         if self._ws is None:
             dcols = backend_matmul(dmat, wmat)
         else:
-            dcols, _ = self._buf("dcols", (m, wmat.shape[1]), dmat.dtype)
+            dcols, _ = self._buf("cols", (m, wmat.shape[1]), dmat.dtype)
             backend_matmul(dmat, wmat, out=dcols)
         dx = col2im(
             dcols, self._x_shape, self.kernel_size, self.stride, self.padding, self._out_hw
@@ -265,9 +271,7 @@ class Conv2d(Module):
         out = self._fused_forward_core(x)
         n = x.shape[0]
         out_h, out_w = self.output_hw((x.shape[2], x.shape[3]))
-        return np.ascontiguousarray(
-            out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        )
+        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2).copy()
 
     def _fused_backward_core(
         self,

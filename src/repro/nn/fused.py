@@ -110,9 +110,9 @@ class FusedConvBlock(Sequential):
         f = conv.out_channels
         k = self.pool_size
         if k is None:
-            return np.ascontiguousarray(
-                out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-            )
+            # Copies, not ascontiguousarray: at a 1x1 output that would
+            # return the workspace slot itself.
+            return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2).copy()
         if oh % k or ow % k:
             # Non-tiling geometry: fall back to the module pool on NCHW.
             self._pooled_tiled = False
@@ -127,7 +127,7 @@ class FusedConvBlock(Sequential):
             i, j = divmod(t, k)
             np.maximum(pout, v[:, :, i, :, j, :], out=pout)
         self._pout = pout if self.training else None
-        return np.ascontiguousarray(pout.transpose(0, 3, 1, 2))
+        return pout.transpose(0, 3, 1, 2).copy()
 
     # -- backward ---------------------------------------------------------
     def backward(

@@ -143,23 +143,33 @@ class Module:
     ) -> tuple[np.ndarray, bool]:
         """A named scratch buffer: workspace-backed when attached, fresh
         otherwise.  ``fresh`` is True whenever the contents are undefined
-        (first use, or any shape/dtype change), letting callers amortize
-        one-time initialization across steps."""
+        (first use, any shape/dtype change, or another module of the pool
+        used the slot since), letting callers amortize one-time
+        initialization across steps."""
         if self._ws is not None:
-            return self._ws.get(name, shape, dtype)
+            return self._ws.get(name, shape, dtype, self)
         return np.empty(shape, dtype), True
 
-    def attach_workspace(self) -> "Module":
-        """Give self and every descendant its own (empty) workspace.
+    def attach_workspace(self, pool: dict[int, Workspace] | None = None) -> "Module":
+        """Bind self and every descendant to a workspace.
 
         Layers that support buffer reuse (conv, pooling, linear) then keep
         their per-step scratch -- column matrices, scatter targets, masks --
         alive across steps instead of reallocating.  Results are bitwise
-        unchanged; only allocation behavior differs.  The caller owns the
-        lifetime: the scratch stays resident until :meth:`detach_workspace`.
+        unchanged; only allocation behavior differs.
+
+        The module at position ``i`` of :meth:`modules` takes
+        ``pool.setdefault(i, Workspace())``.  Trees attached to one pool
+        share their scratch position by position, so they must never run
+        interleaved: one tree's forward-to-backward step ends before the
+        next one's starts (the layer units of one block, or their heads).
+        ``None`` is a fresh pool -- every module its own workspace.  The
+        caller owns the lifetime: the scratch stays resident until
+        :meth:`detach_workspace` on every tree bound to it.
         """
-        for module in self.modules():
-            module._ws = Workspace()
+        pool = {} if pool is None else pool
+        for i, module in enumerate(self.modules()):
+            module._ws = pool.setdefault(i, Workspace())
         return self
 
     def detach_workspace(self) -> "Module":

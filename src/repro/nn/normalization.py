@@ -7,6 +7,9 @@ summed and divided the same way), with ``x - mean`` computed once and
 scaled in place into ``xhat``.  ``mean``, ``var``, ``xhat`` and the
 running statistics are bit-equal to ``x.mean`` / ``x.var`` and a second
 subtraction, which ``tests/test_nn_kernel_oracle.py`` holds it to.
+Backward runs the textbook expression's ufuncs in their order, in place
+in two full-size buffers instead of eight temporaries, and is held to
+that expression bit for bit the same way.
 """
 
 from __future__ import annotations
@@ -81,17 +84,23 @@ class BatchNorm2d(Module):
             raise ShapeError("backward called before training-mode forward")
         xhat, inv_std = self._xhat, self._inv_std
         m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
-        dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-        dbeta = grad_out.sum(axis=(0, 2, 3))
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
-        g = self.gamma.data[None, :, None, None]
-        dxhat = grad_out * g
-        dx = (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True) / m
-        ) * inv_std[None, :, None, None]
+        axes = (0, 2, 3)
+        # dx = (dxhat - mean(dxhat) - xhat * sum(dxhat * xhat) / m) * inv_std,
+        # with dxhat = grad_out * gamma: the same ufuncs in the same order
+        # as that expression, run in place in two full-size buffers (bit
+        # for bit while gradient, input and parameters share one dtype).
+        prod = np.multiply(grad_out, xhat)
+        self.gamma.grad += prod.sum(axis=axes)
+        self.beta.grad += grad_out.sum(axis=axes)
+        dx = np.multiply(grad_out, self.gamma.data[None, :, None, None])
+        dxhat_mean = dx.mean(axis=axes, keepdims=True)
+        np.multiply(dx, xhat, out=prod)
+        proj = prod.sum(axis=axes, keepdims=True)
+        np.subtract(dx, dxhat_mean, out=dx)
+        np.multiply(xhat, proj, out=prod)
+        np.true_divide(prod, m, out=prod)
+        np.subtract(dx, prod, out=dx)
+        np.multiply(dx, inv_std[None, :, None, None], out=dx)
         self._xhat = None
         self._inv_std = None
         return dx.astype(grad_out.dtype, copy=False)

@@ -1,20 +1,24 @@
 """Kernel oracle: the seed-path kernels against the formulations they replaced.
 
 The NCHW ``im2col``, the tiled ``MaxPool2d`` and ``BatchNorm2d``'s
-training forward are written for speed under one contract: every value
-stays what the straightforward formulation gives, to the bit.  Those
-formulations live here as test-only references:
+training forward and backward are written for speed under one contract:
+every value stays what the straightforward formulation gives, to the
+bit.  Those formulations live here as test-only references:
 
 * ``ref_im2col`` -- the 6-D strided window view, transposed and copied;
 * ``ref_maxpool`` -- the running max/argmax over a tiled window view with
   its k*k equal/multiply backward (window copy + ``argmax`` + scatter for
   every other geometry);
 * ``ref_batchnorm_train`` -- ``x.mean`` / ``x.var`` and a second
-  subtraction for ``xhat``.
+  subtraction for ``xhat``;
+* ``ref_batchnorm_backward`` -- the textbook input-gradient expression,
+  one fresh temporary per operation.
 
 Hypothesis drives module and reference over small geometries, with and
 without an attached workspace, and reuses one module across two batch
-sizes so the workspace's reshaped (``fresh``) slots are exercised.
+sizes so the workspace's reshaped (``fresh``) slots are exercised.  The
+workspace-backed conv backward, which writes its gradients into the
+slots forward's results have left dead, is held to its unpooled twin.
 Comparisons are ``np.array_equal``, never ``allclose``.  Finite-difference
 checks pin the gradients themselves.
 """
@@ -93,6 +97,20 @@ def ref_batchnorm_train(x, gamma, beta, running_mean, running_var, momentum, eps
     return out.astype(x.dtype, copy=False), xhat, inv_std, running_mean, running_var
 
 
+def ref_batchnorm_backward(grad_out, xhat, inv_std, gamma):
+    """(dx, dgamma, dbeta) of one training step."""
+    m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
+    dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    dbeta = grad_out.sum(axis=(0, 2, 3))
+    dxhat = grad_out * gamma[None, :, None, None]
+    dx = (
+        dxhat
+        - dxhat.mean(axis=(0, 2, 3), keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True) / m
+    ) * inv_std[None, :, None, None]
+    return dx.astype(grad_out.dtype, copy=False), dgamma, dbeta
+
+
 def assert_same(actual, expected):
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
@@ -149,6 +167,40 @@ class TestIm2colOracle:
             assert_same(conv._cols, ref_im2col(x, k, s, p))
             cols, _ = im2col(x, k, s, p)
             assert_same(cols, ref_im2col(x, k, s, p))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        p=st.sampled_from([0, 1, 2]),
+        need_input_grad=st.booleans(),
+        feedback=st.booleans(),
+        **{key: value for key, value in geometry.items() if key != "workspace"},
+    )
+    def test_workspace_backward_matches_unpooled_twin(
+        self, n1, n2, c, hw, k, s, p, need_input_grad, feedback, seed
+    ):
+        assume(hw + 2 * p >= k)
+        twins = []
+        for _ in range(2):
+            conv = Conv2d(c, 3, k, stride=s, padding=p, rng=np.random.default_rng(seed))
+            if feedback:
+                conv.enable_feedback_alignment(np.random.default_rng(seed + 1))
+            twins.append(conv)
+        pooled, plain = twins
+        pooled.attach_workspace()
+        # Gradients accumulate over the three steps, as over a block's batches.
+        for i, n in enumerate((n1, n2, n1)):
+            x = make_input("normal", (n, c, hw, hw), seed + i)
+            y = pooled.forward(x)
+            assert_same(y, plain.forward(x))
+            g = make_input("normal", y.shape, seed + 100 + i)
+            dx = pooled.backward(g, need_input_grad=need_input_grad)
+            ref_dx = plain.backward(g, need_input_grad=need_input_grad)
+            if need_input_grad:
+                assert_same(dx, ref_dx)
+            else:
+                assert dx is None and ref_dx is None
+            assert_same(pooled.weight.grad, plain.weight.grad)
+            assert_same(pooled.bias.grad, plain.bias.grad)
 
     @settings(deadline=None, max_examples=30)
     @given(p=st.sampled_from([0, 1, 2]), **geometry)
@@ -248,6 +300,36 @@ class TestBatchNormOracle:
             ):
                 assert_same(actual, ref)
             bn.backward(np.ones_like(out))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n1=geometry["n1"],
+        n2=geometry["n2"],
+        c=geometry["c"],
+        hw=st.sampled_from([1, 2, 3, 4, 5, 8]),
+        seed=geometry["seed"],
+    )
+    def test_backward_matches_reference(self, dtype, n1, n2, c, hw, seed):
+        rng = np.random.default_rng(seed)
+        bn = BatchNorm2d(c, dtype=dtype)
+        bn.gamma.data[...] = rng.normal(size=c)
+        bn.beta.data[...] = rng.normal(size=c)
+        dgamma_sum = np.zeros(c, dtype)
+        dbeta_sum = np.zeros(c, dtype)
+        # Two steps: the parameter gradients accumulate across them.
+        for i, n in enumerate((n1, n2)):
+            x = (make_input("normal", (n, c, hw, hw), seed + i, dtype) * 3 + 1).astype(dtype)
+            bn.forward(x)
+            g = make_input("normal", x.shape, seed + 100 + i, dtype)
+            ref_dx, dgamma, dbeta = ref_batchnorm_backward(
+                g, bn._xhat, bn._inv_std, bn.gamma.data
+            )
+            dgamma_sum += dgamma
+            dbeta_sum += dbeta
+            assert_same(bn.backward(g), ref_dx)
+            assert_same(bn.gamma.grad, dgamma_sum)
+            assert_same(bn.beta.grad, dbeta_sum)
 
     def test_input_grad_numeric(self):
         x = np.random.default_rng(2).normal(size=(3, 2, 3, 3)) * 2 + 0.5

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from repro.core.auxiliary import AuxiliaryHead
 from repro.models.layers import conv_unit
 from repro.models.zoo import build_model
-from repro.nn import Conv2d, CrossEntropyLoss, Sequential
+from repro.nn import (
+    Conv2d,
+    CrossEntropyLoss,
+    DepthwiseConv2d,
+    FusedConvBlock,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Sequential,
+)
 from repro.nn.module import run_backward
 from repro.perf import Workspace
 
@@ -92,6 +101,18 @@ class TestWorkspace:
         a = ws.zeros("z", (3,), np.float32)
         a += 5
         assert ws.zeros("z", (3,), np.float32).sum() == 0
+
+    def test_another_user_in_between_makes_the_slot_fresh(self):
+        ws = Workspace()
+        a, b = object(), object()
+        view, fresh = ws.get("x", (4,), np.float32, a)
+        assert fresh
+        assert ws.get("x", (4,), np.float32, a) == (view, False)
+        # Same shape and dtype, but b may have left anything there.
+        assert ws.get("x", (4,), np.float32, b) == (view, True)
+        assert ws.get("x", (4,), np.float32, b)[1] is False
+        assert ws.get("x", (4,), np.float32, a)[1] is True
+        assert ws.nbytes == 16
 
 
 def _twin_units(fused: bool, batch_norm: bool):
@@ -243,6 +264,129 @@ class TestModuleAttachment:
             trainer.train(epochs=1)
         assert seen == [16]
         assert all(m.workspace is None for m in self._pooled_modules(trainer))
+
+
+def _second_forward_cases():
+    """Every workspace-using module, at geometries down to a 1x1 output."""
+    rng = np.random.default_rng
+    return {
+        "conv-1x1-out": (lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)),
+        "conv": (lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1)), (2, 4, 5, 5)),
+        "conv-fused-1x1-out": (
+            lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1), fused=True, activation="relu"),
+            (2, 4, 1, 1),
+        ),
+        "fused-block-1x1-out": (
+            lambda: FusedConvBlock(4, 8, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)
+        ),
+        "fused-block-pooled-1x1-out": (
+            lambda: FusedConvBlock(4, 8, 3, padding=1, pool=2, rng=rng(1)), (2, 4, 2, 2)
+        ),
+        "fused-block-pooled": (
+            lambda: FusedConvBlock(4, 8, 3, padding=1, pool=2, rng=rng(1)), (2, 4, 4, 4)
+        ),
+        "depthwise-1x1-out": (
+            lambda: DepthwiseConv2d(4, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)
+        ),
+        "maxpool-tiled-1x1-out": (lambda: MaxPool2d(2), (2, 4, 2, 2)),
+        "maxpool-generic": (lambda: MaxPool2d(3, stride=2), (2, 4, 5, 5)),
+        "linear": (lambda: Linear(6, 3, rng=rng(1)), (2, 6)),
+        "linear-fused": (
+            lambda: Linear(6, 3, rng=rng(1), fused=True, activation="relu"), (2, 6)
+        ),
+    }
+
+
+class TestArena:
+    def test_pool_binds_each_position_to_one_workspace(self):
+        a = Sequential(Conv2d(3, 4, 3, padding=1), ReLU())
+        b = Sequential(Conv2d(4, 6, 3), ReLU(), MaxPool2d(2))
+        pool: dict[int, Workspace] = {}
+        a.attach_workspace(pool)
+        b.attach_workspace(pool)
+        assert sorted(pool) == [0, 1, 2, 3]
+        for i, module in enumerate(b.modules()):
+            assert module.workspace is pool[i]
+        for i, module in enumerate(a.modules()):
+            assert module.workspace is pool[i]
+        a.detach_workspace()
+        assert all(m.workspace is None for m in a.modules())
+        assert all(m.workspace is pool[i] for i, m in enumerate(b.modules()))
+
+    @pytest.mark.parametrize("case", sorted(_second_forward_cases()))
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_second_forward_leaves_the_first_result_unchanged(self, case, training):
+        make, shape = _second_forward_cases()[case]
+        module = make().attach_workspace().train(training)
+        rng = np.random.default_rng(0)
+        x1 = rng.standard_normal(shape).astype(np.float32)
+        x2 = rng.standard_normal(shape).astype(np.float32)
+        y1 = module.forward(x1)
+        kept = y1.copy()
+        module.forward(x2)
+        np.testing.assert_array_equal(y1, kept)
+
+    @staticmethod
+    def _block(pooled: bool):
+        """Three units a block could hold, chained, each with its head:
+        a padded 3x3 conv, an unpadded one with another C, and a padded
+        5x5 one whose padded input has the first's shape but a wider
+        zero border."""
+        rng = np.random.default_rng
+        layers = [
+            Sequential(Conv2d(3, 4, 3, padding=1, rng=rng(1)), ReLU()),
+            Sequential(Conv2d(4, 3, 3, padding=0, rng=rng(2)), ReLU()),
+            Sequential(Conv2d(3, 4, 5, padding=2, rng=rng(3)), ReLU()),
+        ]
+        heads = [
+            AuxiliaryHead(4, 5, 3, (8, 8), kernel_size=3, rng=rng(4)),
+            AuxiliaryHead(3, 5, 3, (6, 6), kernel_size=3, rng=rng(5)),
+            AuxiliaryHead(4, 5, 3, (6, 6), kernel_size=3, rng=rng(6)),
+        ]
+        layer_pool, head_pool = ({}, {}) if pooled else (None, None)
+        for layer, head in zip(layers, heads):
+            layer.attach_workspace(layer_pool)
+            head.attach_workspace(head_pool)
+        return layers, heads
+
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(1, 6), st.booleans()), min_size=3, max_size=8
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_units_of_different_geometry_share_one_pool(self, steps):
+        """The block step of ``BlockWorker.train_batch`` over any batch
+        sequence: shared slots stay bit-equal to every unit's own."""
+        blocks = [self._block(pooled=True), self._block(pooled=False)]
+        rng = np.random.default_rng(7)
+        loss_fn = CrossEntropyLoss()
+        for n, training in steps:
+            x0 = rng.standard_normal((n, 3, 8, 8)).astype(np.float32) + 2.0
+            y = rng.integers(0, 3, size=n)
+            seen = []
+            for layers, heads in blocks:
+                x, outs = x0, []
+                for layer, head in zip(layers, heads):
+                    layer.train(training)
+                    head.train(training)
+                    layer.zero_grad()
+                    head.zero_grad()
+                    out = layer.forward(x)
+                    z = head.forward(out)
+                    if training:
+                        loss_fn(z, y)
+                        run_backward(layer, head.backward(loss_fn.backward()), False)
+                    outs.append((out, z))
+                    x = out
+                grads = [p.grad.copy() for m in (*layers, *heads) for p in m.parameters()]
+                seen.append((outs, grads))
+            (outs, grads), (ref_outs, ref_grads) = seen
+            for (out, z), (ref_out, ref_z) in zip(outs, ref_outs):
+                np.testing.assert_array_equal(out, ref_out)
+                np.testing.assert_array_equal(z, ref_z)
+            for g, ref in zip(grads, ref_grads):
+                np.testing.assert_array_equal(g, ref)
 
 
 class TestSequentialNeedInputGrad:
