@@ -16,8 +16,11 @@ Mechanics:
   (model, aux heads, data) by address-space copy; nothing is pickled on
   the way in.  Stage 0 runs in the parent, so its weights train in
   place; other stages ship their trained ``state_dict`` back through a
-  result queue (bf16-packed at 2 bytes/scalar when bf16 storage is on)
-  and the parent loads them before evaluation.
+  result queue (bf16-packed at 2 bytes/scalar when bf16 storage is on),
+  with each BatchNorm's running statistics beside it
+  (:mod:`repro.utils.serialization`'s one BN-stat format), and the parent
+  loads both before evaluation -- an exit layer scores the same on any
+  process count.
 * **shared-memory rings** -- each stage boundary owns ``slots``
   preallocated micro-batch buffers (``mp.RawArray``, allocated before
   fork so both sides see the same pages) plus free/full token queues.
@@ -61,6 +64,7 @@ from repro.data.loader import DataLoader
 from repro.errors import ConfigError
 from repro.hw.simulator import ExecutionSimulator
 from repro.utils.rng import spawn_rng
+from repro.utils.serialization import _load_running_stats, _running_stats
 
 #: Micro-batch buffers per stage boundary; 4 keeps a slow consumer from
 #: stalling the producer without holding more than a step of slack.
@@ -248,19 +252,23 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
 
 
 def _ship_state(module) -> tuple:
-    """Wire format for one module's weights: bf16-packed when stored
-    bf16 (half the pipe traffic, lossless for truncated weights)."""
+    """Wire format for one module's trained state: its weights,
+    bf16-packed when stored bf16 (half the pipe traffic, lossless for
+    truncated weights), and its BatchNorm running statistics, which
+    ``state_dict`` does not carry but evaluation reads."""
     state = module.state_dict()
+    stats = _running_stats(module)
     if any(is_bf16(p) for p in module.parameters()):
-        return ("bf16", pack_bf16_state(state))
-    return ("fp32", state)
+        return ("bf16", pack_bf16_state(state), stats)
+    return ("fp32", state, stats)
 
 
 def _load_state(module, payload: tuple) -> None:
-    kind, state = payload
+    kind, state, stats = payload
     if kind == "bf16":
         state = unpack_bf16_state(state)
     module.load_state_dict(state)
+    _load_running_stats(module, stats)
 
 
 def _stage_worker(system, stage_id, stage_blocks, mb, epochs, inlink, outlink, result_q):

@@ -164,6 +164,35 @@ class TestRunBlockParallel:
         for wa, wb in zip(_weights(a), _weights(b)):
             assert np.array_equal(wa, wb)
 
+    def test_forked_stages_ship_batchnorm_statistics(self, tiny_dataset):
+        """A layer trained in a child is evaluated in the parent with the
+        running statistics it trained, not a fresh BatchNorm's 0 / 1:
+        every process count scores every layer the same."""
+        from repro.nn.normalization import BatchNorm2d
+
+        def outcome(processes):
+            system = _system(tiny_dataset)
+            report = run_block_parallel(system, epochs=1, processes=processes)
+            assert len(report.result.extras["stages"]) == processes
+            stats = [
+                (m.running_mean.copy(), m.running_var.copy())
+                for unit in [*(s.module for s in system.specs), *system.aux_heads]
+                for m in unit.modules()
+                if isinstance(m, BatchNorm2d)
+            ]
+            return report, stats
+
+        one, one_stats = outcome(1)
+        assert one_stats
+        for processes in (2, 3):
+            many, many_stats = outcome(processes)
+            assert many.layer_val_accuracies == one.layer_val_accuracies
+            assert many.exit_layer == one.exit_layer
+            assert len(many_stats) == len(one_stats)
+            for (mean_a, var_a), (mean_b, var_b) in zip(one_stats, many_stats):
+                assert np.array_equal(mean_a, mean_b)
+                assert np.array_equal(var_a, var_b)
+
     def test_bf16_weights_ship_truncated(self, tiny_dataset):
         from repro.backend.bf16 import bf16_roundtrip, is_bf16
 
