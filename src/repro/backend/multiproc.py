@@ -59,7 +59,7 @@ import numpy as np
 from repro.backend.bf16 import is_bf16, pack_bf16_state, unpack_bf16_state
 from repro.backend.blas import blas_threads, threads_per_process, usable_cores
 from repro.core.report import BlockReport, NeuroFluxReport
-from repro.core.worker import unit_train_flops
+from repro.core.worker import unit_host_step_seconds
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError
 from repro.hw.simulator import ExecutionSimulator
@@ -81,42 +81,49 @@ def fork_available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-def plan_stages(blocks, specs, aux_heads, n_stages: int, backward_multiplier: float):
-    """Group contiguous blocks into ``n_stages`` load-balanced stages.
+def plan_stages(blocks, specs, aux_heads, n_stages: int, mb: int):
+    """Group contiguous blocks into ``n_stages`` stages with the smallest
+    possible slowest stage.
 
-    Balancing weight is per-sample training FLOPs (all stages see the
-    same sample stream, so FLOPs/sample is the per-stage service time).
-    Greedy contiguous cut: close a stage once it reaches the ideal
-    share, keeping one block in hand per remaining stage.
+    A block weighs what its training step costs on the host at the stage
+    micro-batch ``mb`` (:func:`~repro.core.worker.unit_host_step_seconds`:
+    bytes touched and kernel dispatches, fitted on one BLAS thread);
+    every stage sees the same micro-batch stream, so the heaviest stage
+    sets the pipeline's pace.  The cut is the exact min-max contiguous
+    partition (:func:`_min_max_cut`), not a greedy share.
     """
     if n_stages < 1:
         raise ConfigError(f"process count must be >= 1, got {n_stages}")
-    n_stages = min(n_stages, len(blocks))
     loads = [
-        sum(
-            unit_train_flops(specs[i], aux_heads[i], backward_multiplier)
-            for i in b.layer_indices
-        )
+        sum(unit_host_step_seconds(specs[i], aux_heads[i], mb) for i in b.layer_indices)
         for b in blocks
     ]
-    total = sum(loads)
-    target = total / n_stages
-    stages: list[list] = []
-    current: list = []
-    acc = 0.0
-    for pos, (block, load) in enumerate(zip(blocks, loads)):
-        current.append(block)
-        acc += load
-        remaining_blocks = len(blocks) - pos - 1
-        remaining_stages = n_stages - len(stages) - 1
-        if remaining_stages and (
-            acc >= target or remaining_blocks <= remaining_stages
-        ):
-            stages.append(current)
-            current, acc = [], 0.0
-    if current:
-        stages.append(current)
-    return stages
+    bounds = _min_max_cut(loads, min(n_stages, len(blocks)))
+    return [list(blocks[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _min_max_cut(loads: list[float], n_parts: int) -> list[int]:
+    """Boundaries ``[0, ..., len(loads)]`` of the contiguous ``n_parts``-way
+    partition whose largest part sum is smallest (the earliest such cut
+    on ties).  Dynamic programme over (prefix, parts): a stage plan has a
+    few dozen blocks at most."""
+    n = len(loads)
+    part = [[sum(loads[a:b]) for b in range(n + 1)] for a in range(n + 1)]
+    # cost[k][j]: the best largest part of loads[:j] cut into k parts;
+    # cut[k][j]: where that cut's last part starts.
+    cost = [[float("inf")] * (n + 1) for _ in range(n_parts + 1)]
+    cut = [[0] * (n + 1) for _ in range(n_parts + 1)]
+    cost[0][0] = 0.0
+    for k in range(1, n_parts + 1):
+        for j in range(k, n + 1):
+            for i in range(k - 1, j):
+                worst = max(cost[k - 1][i], part[i][j])
+                if worst < cost[k][j]:
+                    cost[k][j], cut[k][j] = worst, i
+    bounds = [n]
+    for k in range(n_parts, 0, -1):
+        bounds.append(cut[k][bounds[-1]])
+    return bounds[::-1]
 
 
 class _ActivationRing:
@@ -203,9 +210,11 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
     an inlink) and in forked children.
     """
     sim = ExecutionSimulator(system.platform)
+    # One arena for the stage: its blocks take turns per micro-batch.
+    pools = ({}, {})
     workers = []
     for block in stage_blocks:
-        worker = system._build_worker(block, sim)
+        worker = system._build_worker(block, sim, pools)
         for unit in worker.units:
             unit.train()
         workers.append((block, worker))
@@ -310,7 +319,6 @@ def run_block_parallel(
             "the multiprocess executor needs the fork start method "
             "(POSIX); this platform does not provide it"
         )
-    cfg = system.config
     plan = system.plan()
     blocks = plan[0]
     mb = int(microbatch) if microbatch else min(b.batch_size for b in blocks)
@@ -319,9 +327,7 @@ def run_block_parallel(
     n_stages = (
         processes if processes is not None else min(usable_cores(), len(blocks))
     )
-    stages = plan_stages(
-        blocks, system.specs, list(system.aux_heads), n_stages, cfg.backward_multiplier
-    )
+    stages = plan_stages(blocks, system.specs, list(system.aux_heads), n_stages, mb)
 
     # One BLAS-thread budget across the stages; forked children inherit
     # it, and the parent is back on all cores before the frame evaluates

@@ -269,7 +269,9 @@ class NeuroFlux:
         ledger.profiling += seconds
         return seconds
 
-    def _build_worker(self, block: Block, sim: ExecutionSimulator) -> BlockWorker:
+    def _build_worker(
+        self, block: Block, sim: ExecutionSimulator, pools: tuple[dict, dict] | None = None
+    ) -> BlockWorker:
         """The block's trainer: one optimizer per member unit, one device
         and -- the host twin of ``ctx.alloc_block`` -- scratch workspaces
         on exactly the units it trains.  They stay resident until
@@ -280,7 +282,11 @@ class NeuroFlux:
         workspace pool and its heads another, and the host holds each
         slot at its worst unit, as ``block_residency_bytes`` charges.  A
         layer and its own head never share: the layer's ``cols`` must
-        survive the head's forward and backward."""
+        survive the head's forward and backward.  ``pools`` -- a
+        ``(layer_pool, head_pool)`` pair -- widens the sharing to every
+        block built with it: a multiprocess stage's blocks interleave per
+        micro-batch but never run at the same time, so the stage holds one
+        arena, not one per block."""
         cfg = self.config
         optimizers = [
             make_optimizer(
@@ -305,7 +311,7 @@ class NeuroFlux:
             sample_bytes=self.data.spec.sample_bytes,
             backward_multiplier=cfg.backward_multiplier,
         )
-        layer_pool, head_pool = {}, {}
+        layer_pool, head_pool = pools if pools is not None else ({}, {})
         for spec, aux in zip(worker.layer_specs, worker.aux_heads):
             spec.module.attach_workspace(layer_pool)
             aux.attach_workspace(head_pool)

@@ -22,6 +22,7 @@ from repro.flops.count import (
     training_step_flops,
 )
 from repro.hw.simulator import ExecutionSimulator
+from repro.memory.estimator import local_unit_tensors_by_batch
 from repro.models.layers import LayerSpec
 from repro.nn import CrossEntropyLoss
 from repro.nn.module import Module, run_backward
@@ -48,6 +49,34 @@ def unit_train_flops(
 def unit_kernel_count(spec: LayerSpec, aux: Module) -> int:
     """Kernel dispatches of one local unit (layer + aux head)."""
     return count_module_kernels(spec.module) + count_module_kernels(aux)
+
+
+#: Host seconds per byte a training step touches, and per kernel it
+#: dispatches: numpy on the host is bound by the bytes a step moves and
+#: by per-kernel overhead, not by FLOPs.  Least-squares fit of
+#: :func:`unit_host_step_seconds` to measured blocks on one BLAS thread
+#: (the stages' own condition); the table and the measuring script are
+#: ``tests/data/host_price_fit.json`` and ``benchmarks/host_price_fit.py``.
+HOST_S_PER_BYTE = 6.37e-10
+HOST_DISPATCH_S = 1.51e-4
+
+
+def unit_host_step_seconds(spec: LayerSpec, aux: Module, batch: int) -> float:
+    """Host seconds of one training step of a local unit (layer + aux
+    head) at ``batch`` samples: the bytes it touches plus its kernel
+    dispatches, priced by the fitted host constants above.
+
+    The bytes are the batch-proportional part of the unit's tensor list
+    (:func:`repro.memory.estimator.local_unit_tensors_by_batch`, the one
+    memory model), so the price follows the estimator rather than a
+    second byte count.
+    """
+    tensors_at = local_unit_tensors_by_batch(spec, aux)
+    per_sample = sum(n for _, n in tensors_at(2)) - sum(n for _, n in tensors_at(1))
+    return (
+        batch * per_sample * HOST_S_PER_BYTE
+        + unit_kernel_count(spec, aux) * HOST_DISPATCH_S
+    )
 
 
 class BlockWorker:

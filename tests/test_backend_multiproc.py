@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FakeBlas
 from repro.backend.multiproc import fork_available, plan_stages, run_block_parallel
 from repro.errors import ConfigError
 from repro.models.zoo import build_model
+
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "host_price_fit", REPO / "benchmarks/host_price_fit.py"
+)
+host_fit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(host_fit)
+FIT_ROWS = json.loads((REPO / "tests/data/host_price_fit.json").read_text())["rows"]
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable on this platform"
@@ -49,7 +65,7 @@ class TestPlanStages:
         system = _system(tiny_dataset)
         blocks, _ = system.plan()
         return blocks, plan_stages(
-            blocks, system.specs, list(system.aux_heads), n_stages, 2.0
+            blocks, system.specs, list(system.aux_heads), n_stages, 11
         )
 
     def test_contiguous_cover(self, tiny_dataset):
@@ -72,31 +88,111 @@ class TestPlanStages:
         system = _system(tiny_dataset)
         blocks, _ = system.plan()
         with pytest.raises(ConfigError, match="process count"):
-            plan_stages(blocks, system.specs, list(system.aux_heads), 0, 2.0)
+            plan_stages(blocks, system.specs, list(system.aux_heads), 0, 11)
 
-    def test_balanced_by_flops(self, tiny_dataset):
-        """No stage may carry more than the single-heaviest-block excess."""
-        from repro.core.worker import unit_train_flops
+    @settings(max_examples=200, deadline=None)
+    @given(
+        loads=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=9),
+        n_stages=st.integers(1, 10),
+    )
+    def test_slowest_stage_is_the_brute_force_minimum(self, loads, n_stages):
+        """Over every contiguous cut, none has a lighter heaviest stage."""
+        from repro.backend import multiproc
 
-        system = _system(tiny_dataset)
-        blocks, _ = system.plan()
-        stages = plan_stages(blocks, system.specs, list(system.aux_heads), 3, 2.0)
-        loads = [
-            sum(
-                unit_train_flops(system.specs[i], system.aux_heads[i], 2.0)
-                for b in stage
-                for i in b.layer_indices
-            )
-            for stage in stages
-        ]
-        heaviest_block = max(
-            sum(
-                unit_train_flops(system.specs[i], system.aux_heads[i], 2.0)
-                for i in b.layer_indices
-            )
-            for b in blocks
+        blocks = [SimpleNamespace(index=i, layer_indices=[i]) for i in range(len(loads))]
+        with pytest.MonkeyPatch.context() as patch:
+            # Layer i's spec *is* its host price.
+            patch.setattr(multiproc, "unit_host_step_seconds", lambda spec, aux, mb: spec)
+            stages = plan_stages(blocks, loads, [None] * len(loads), n_stages, 1)
+        assert [b for stage in stages for b in stage] == blocks
+        assert len(stages) == min(n_stages, len(loads))
+        assert _slowest([[b.index for b in stage] for stage in stages], loads) == min(
+            _slowest(cut, loads) for cut in _contiguous_cuts(len(loads), len(stages))
         )
-        assert max(loads) <= sum(loads) / 3 + heaviest_block
+
+
+def _contiguous_cuts(n: int, parts: int):
+    """Every split of ``range(n)`` into ``parts`` non-empty contiguous runs."""
+    for inner in itertools.combinations(range(1, n), parts - 1):
+        bounds = (0, *inner, n)
+        yield [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _slowest(cut, loads) -> float:
+    return max(sum(loads[i] for i in stage) for stage in cut)
+
+
+class TestHostPrice:
+    """The host step price is fitted to measured blocks
+    (``benchmarks/host_price_fit.py``, table in ``tests/data``), and it
+    cuts every measured model where the measurements say to."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        from repro.api.backends import build_system_from_spec
+
+        return {
+            model: build_system_from_spec(host_fit.job_spec(model))
+            for model in host_fit.MODELS
+        }
+
+    def test_constants_are_the_tables_least_squares_fit(self):
+        from repro.core import worker
+
+        per_byte, dispatch_s = host_fit.fit(FIT_ROWS)
+        assert worker.HOST_S_PER_BYTE == float(f"{per_byte:.3g}")
+        assert worker.HOST_DISPATCH_S == float(f"{dispatch_s:.3g}")
+        # The two terms explain the host better than FLOPs alone.
+        fitted = host_fit.mean_abs_error(FIT_ROWS, per_byte, dispatch_s)
+        assert fitted < 0.5 * host_fit.flops_only_error(FIT_ROWS)
+
+    def test_table_rows_are_todays_blocks(self, systems):
+        """Bytes and kernels come from the memory model and the kernel
+        counter as they stand: a move in either makes the table stale."""
+        for model, system in systems.items():
+            blocks, _ = system.plan()
+            rows = [r for r in FIT_ROWS if r["model"] == model]
+            assert [r["block"] for r in rows] == [b.index for b in blocks]
+            for row, block in zip(rows, blocks):
+                terms = host_fit.block_terms(system, block)
+                assert {k: row[k] for k in terms} == terms, (model, block.index)
+
+    def test_unit_price_is_bytes_and_dispatches(self, systems):
+        from repro.core.worker import (
+            HOST_DISPATCH_S,
+            HOST_S_PER_BYTE,
+            unit_host_step_seconds,
+            unit_kernel_count,
+        )
+
+        system = systems["vgg11"]
+        spec, aux = system.specs[0], system.aux_heads[0]
+        one, many = unit_host_step_seconds(spec, aux, 1), unit_host_step_seconds(spec, aux, 20)
+        dispatch = unit_kernel_count(spec, aux) * HOST_DISPATCH_S
+        assert many - dispatch == pytest.approx(20 * (one - dispatch))
+        assert (one - dispatch) / HOST_S_PER_BYTE > 0
+
+    @pytest.mark.parametrize("model", host_fit.MODELS)
+    def test_planner_takes_the_measured_best_cut(self, systems, model):
+        system = systems[model]
+        blocks, _ = system.plan()
+        mb = min(b.batch_size for b in blocks)
+        measured = [r["host_s"] for r in FIT_ROWS if r["model"] == model]
+        for n_stages in range(2, min(4, len(blocks)) + 1):
+            stages = plan_stages(blocks, system.specs, list(system.aux_heads), n_stages, mb)
+            cut = [[b.index for b in stage] for stage in stages]
+            best = min(
+                _slowest(c, measured) for c in _contiguous_cuts(len(blocks), n_stages)
+            )
+            assert _slowest(cut, measured) == best, (model, n_stages, cut)
+
+    def test_train_mp_2proc_splits_after_the_first_block(self, systems):
+        """The benchmark's vgg11: block 0 alone outweighs blocks 1-3 on
+        the host, though it has the fewest FLOPs but one."""
+        system = systems["vgg11"]
+        blocks, _ = system.plan()
+        stages = plan_stages(blocks, system.specs, list(system.aux_heads), 2, 20)
+        assert [[b.index for b in stage] for stage in stages] == [[0], [1, 2, 3]]
 
 
 class TestBlockWorkerState:
@@ -192,6 +288,34 @@ class TestRunBlockParallel:
             for (mean_a, var_a), (mean_b, var_b) in zip(one_stats, many_stats):
                 assert np.array_equal(mean_a, mean_b)
                 assert np.array_equal(var_a, var_b)
+
+    def test_a_stage_holds_one_arena(self, tiny_dataset, monkeypatch):
+        """Every block of a stage trains on one layer pool and one head
+        pool; a layer never shares a workspace with its own head."""
+        from repro.core.controller import NeuroFlux
+
+        real = NeuroFlux._build_worker
+        built = []
+
+        def build_worker(system, block, sim, pools=None):
+            worker = real(system, block, sim, pools)
+            units = [
+                ({id(m.workspace) for m in spec.module.modules()},
+                 {id(m.workspace) for m in aux.modules()})
+                for spec, aux in zip(worker.layer_specs, worker.aux_heads)
+            ]
+            built.append((pools, units))
+            return worker
+
+        monkeypatch.setattr(NeuroFlux, "_build_worker", build_worker)
+        report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=1)
+        assert len(built) == len(report.blocks) > 1
+        layer_pool, head_pool = built[0][0]
+        assert all(pools[0] is layer_pool and pools[1] is head_pool for pools, _ in built)
+        units = [unit for _, block_units in built for unit in block_units]
+        assert set().union(*(layer for layer, _ in units)) == {id(w) for w in layer_pool.values()}
+        assert set().union(*(head for _, head in units)) == {id(w) for w in head_pool.values()}
+        assert not any(layer & head for layer, head in units)
 
     def test_bf16_weights_ship_truncated(self, tiny_dataset):
         from repro.backend.bf16 import bf16_roundtrip, is_bf16
