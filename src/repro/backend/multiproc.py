@@ -16,7 +16,7 @@ Mechanics:
   (model, aux heads, data) by address-space copy; nothing is pickled on
   the way in.  Stage 0 runs in the parent, so its weights train in
   place; other stages ship their trained ``state_dict`` back through a
-  result queue (bf16-packed at 2 bytes/scalar when bf16 storage is on),
+  result pipe of their own (bf16-packed at 2 bytes/scalar when bf16 storage is on),
   with each BatchNorm's running statistics beside it
   (:mod:`repro.utils.serialization`'s one BN-stat format), and the parent
   loads both before evaluation -- an exit layer scores the same on any
@@ -191,12 +191,29 @@ def _guarded_get(q, liveness=None):
         try:
             return q.get(timeout=_POLL_S)
         except queue_mod.Empty:
-            for proc in liveness:
-                if proc.exitcode is not None and proc.exitcode != 0:
-                    raise ConfigError(
-                        f"multiprocess stage worker {proc.name} died with "
-                        f"exit code {proc.exitcode}"
-                    )
+            _raise_if_dead(liveness)
+
+
+def _guarded_recv(conn, proc, liveness):
+    """Blocking receive of ``proc``'s outcome; fail fast on dead peers."""
+    while not conn.poll(_POLL_S):
+        _raise_if_dead(liveness)
+    try:
+        return conn.recv()
+    except EOFError:
+        # The pipe closed without an outcome: the worker is gone.
+        proc.join(timeout=_JOIN_S)
+        _raise_if_dead(liveness)
+        raise ConfigError(f"multiprocess stage worker {proc.name} sent no result") from None
+
+
+def _raise_if_dead(liveness) -> None:
+    for proc in liveness:
+        if proc.exitcode is not None and proc.exitcode != 0:
+            raise ConfigError(
+                f"multiprocess stage worker {proc.name} died with "
+                f"exit code {proc.exitcode}"
+            )
 
 
 def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
@@ -280,9 +297,13 @@ def _load_state(module, payload: tuple) -> None:
     _load_running_stats(module, stats)
 
 
-def _stage_worker(system, stage_id, stage_blocks, mb, epochs, inlink, outlink, result_q):
+def _stage_worker(system, stage_blocks, mb, epochs, inlink, outlink, result):
     """Child-process entry: train (each stage's workers attach their own
-    workspaces, after the fork), then ship trained weights upstream."""
+    workspaces, after the fork), then ship trained weights upstream.
+
+    The outcome goes through the stage's own pipe, pickled on this
+    thread: a queue would pickle it on a feeder thread, in a fresh malloc
+    arena whose megabytes of new pages the child's RSS would carry."""
     try:
         layers = [i for b in stage_blocks for i in b.layer_indices]
         payload = {
@@ -290,11 +311,11 @@ def _stage_worker(system, stage_id, stage_blocks, mb, epochs, inlink, outlink, r
             "layers": {i: _ship_state(system.specs[i].module) for i in layers},
             "aux": {i: _ship_state(system.aux_heads[i]) for i in layers},
         }
-        result_q.put((stage_id, payload))
+        result.send(payload)
     except BaseException:
         traceback.print_exc(file=sys.stderr)
         try:
-            result_q.put((stage_id, None))
+            result.send(None)
         finally:
             os._exit(1)
 
@@ -367,19 +388,22 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
         x_shape = (mb, first.in_channels, *first.in_hw)
         rings.append(_ActivationRing(ctx, slots, x_shape, y_dtype, mb))
 
-    result_q = ctx.Queue()
     procs: list = []
+    results: list = []
     try:
         for sid in range(1, len(stages)):
             inlink = rings[sid - 1]
             outlink = rings[sid] if sid < len(stages) - 1 else None
+            result, child_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_stage_worker,
                 name=f"repro-stage{sid}",
-                args=(system, sid, stages[sid], mb, epochs, inlink, outlink, result_q),
+                args=(system, stages[sid], mb, epochs, inlink, outlink, child_end),
             )
             proc.start()
+            child_end.close()
             procs.append(proc)
+            results.append(result)
 
         # Stage 0 runs here: the parent drives the data loader, trains
         # its own blocks in place, and feeds the first ring.
@@ -391,8 +415,8 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
             outlink.put = lambda x, y: original_put(x, y, liveness=procs)
         stage_stats = {0: _train_stage(system, stages[0], mb, epochs, None, outlink)}
 
-        for _ in procs:
-            sid, payload = _guarded_get(result_q, liveness=procs)
+        for sid, (proc, result) in enumerate(zip(procs, results), start=1):
+            payload = _guarded_recv(result, proc, procs)
             if payload is None:
                 raise ConfigError(
                     f"multiprocess stage {sid} failed (see worker traceback)"
@@ -409,6 +433,8 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=_JOIN_S)
+        for result in results:
+            result.close()
     return stage_stats
 
 

@@ -476,6 +476,22 @@ class TestBlasThreadBudget:
             assert lookup[1]() == before
 
 
+    def test_stage_that_cannot_ship_fails_cleanly(self, tiny_dataset, monkeypatch):
+        """A stage that raises after training sends ``None`` down its
+        result pipe: the parent names the stage, and no child is left."""
+        import multiprocessing
+
+        from repro.backend import multiproc
+
+        def cannot_ship(module):
+            raise RuntimeError("stage blew up")
+
+        monkeypatch.setattr(multiproc, "_ship_state", cannot_ship)
+        with pytest.raises(ConfigError, match=r"multiprocess stage 1 failed"):
+            run_block_parallel(_system(tiny_dataset), epochs=1, processes=2)
+        assert multiprocessing.active_children() == []
+
+
 class TestGateMp:
     """``bench --gate-mp``: slower-than-one-process fails on any host
     with two usable cores; the 1.5x claim needs four."""
