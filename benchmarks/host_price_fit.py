@@ -10,8 +10,9 @@ stages gets -- at the stage micro-batch, and times every block's
 
 * ``host_s``: median over ``--reps`` runs of its summed step seconds;
 * ``samples`` / ``steps``: what it trained on in that time;
-* ``bytes``: the batch-proportional bytes of its units' tensor lists
-  (:func:`repro.memory.estimator.local_unit_tensors_by_batch`) per sample;
+* ``bytes``: its units' step bytes per sample
+  (:func:`repro.core.worker.unit_step_bytes_per_sample`, the
+  batch-proportional part of the estimator's tensor lists);
 * ``kernels``: its units' kernel dispatches per step;
 * ``flops``: its per-sample training FLOPs (for the comparison only).
 
@@ -72,14 +73,16 @@ def job_spec(model: str):
 
 def block_terms(system, block) -> dict:
     """A block's price inputs: bytes per sample, kernels, FLOPs per sample."""
-    from repro.core.worker import unit_kernel_count, unit_train_flops
-    from repro.memory.estimator import local_unit_tensors_by_batch
+    from repro.core.worker import (
+        unit_kernel_count,
+        unit_step_bytes_per_sample,
+        unit_train_flops,
+    )
 
     terms = {"bytes": 0, "kernels": 0, "flops": 0}
     for i in block.layer_indices:
         spec, aux = system.specs[i], system.aux_heads[i]
-        tensors_at = local_unit_tensors_by_batch(spec, aux)
-        terms["bytes"] += sum(n for _, n in tensors_at(2)) - sum(n for _, n in tensors_at(1))
+        terms["bytes"] += unit_step_bytes_per_sample(spec, aux)
         terms["kernels"] += unit_kernel_count(spec, aux)
         terms["flops"] += unit_train_flops(spec, aux)
     return terms

@@ -12,15 +12,28 @@ schedule's (block ``k`` trains on the still-improving outputs of block
 
 Mechanics:
 
+* **a host-priced, exact cut** -- :func:`plan_stages` weighs each block
+  by what its training step costs on the host
+  (:func:`~repro.core.worker.unit_host_step_seconds`: bytes touched and
+  kernel dispatches, constants fitted on one BLAS thread) and takes the
+  contiguous cut whose slowest stage is lightest.  The plan is a host
+  decision; the simulated platform then prices that plan, so
+  ``sim_time_s`` is the simulator's makespan of a cut it did not choose
+  (ROADMAP 5(b), fitting the simulator to the host, reconciles the two).
+* **one arena per stage** -- a stage's blocks take turns per
+  micro-batch and never run at once, so every block of a stage attaches
+  to one layer workspace pool and one head pool
+  (``NeuroFlux._build_worker(block, sim, pools)``); the stage holds each
+  scratch slot once, at its worst unit.
 * **fork start method** -- workers inherit the fully-built system
   (model, aux heads, data) by address-space copy; nothing is pickled on
   the way in.  Stage 0 runs in the parent, so its weights train in
   place; other stages ship their trained ``state_dict`` back through a
-  result pipe of their own (bf16-packed at 2 bytes/scalar when bf16 storage is on),
-  with each BatchNorm's running statistics beside it
-  (:mod:`repro.utils.serialization`'s one BN-stat format), and the parent
-  loads both before evaluation -- an exit layer scores the same on any
-  process count.
+  result pipe of their own (bf16-packed at 2 bytes/scalar when bf16
+  storage is on), with each BatchNorm's running statistics beside it
+  (:mod:`repro.utils.serialization`'s one BN-stat format), and the
+  parent loads both before evaluation -- an exit layer scores the same
+  on any process count.
 * **shared-memory rings** -- each stage boundary owns ``slots``
   preallocated micro-batch buffers (``mp.RawArray``, allocated before
   fork so both sides see the same pages) plus free/full token queues.

@@ -61,20 +61,22 @@ HOST_S_PER_BYTE = 6.37e-10
 HOST_DISPATCH_S = 1.51e-4
 
 
+def unit_step_bytes_per_sample(spec: LayerSpec, aux: Module) -> int:
+    """Bytes one training step of a local unit touches per sample: the
+    batch-proportional part of its tensor list
+    (:func:`repro.memory.estimator.local_unit_tensors_by_batch`, the one
+    memory model), so the host price follows the estimator rather than a
+    second byte count."""
+    tensors_at = local_unit_tensors_by_batch(spec, aux)
+    return sum(n for _, n in tensors_at(2)) - sum(n for _, n in tensors_at(1))
+
+
 def unit_host_step_seconds(spec: LayerSpec, aux: Module, batch: int) -> float:
     """Host seconds of one training step of a local unit (layer + aux
     head) at ``batch`` samples: the bytes it touches plus its kernel
-    dispatches, priced by the fitted host constants above.
-
-    The bytes are the batch-proportional part of the unit's tensor list
-    (:func:`repro.memory.estimator.local_unit_tensors_by_batch`, the one
-    memory model), so the price follows the estimator rather than a
-    second byte count.
-    """
-    tensors_at = local_unit_tensors_by_batch(spec, aux)
-    per_sample = sum(n for _, n in tensors_at(2)) - sum(n for _, n in tensors_at(1))
+    dispatches, priced by the fitted host constants above."""
     return (
-        batch * per_sample * HOST_S_PER_BYTE
+        batch * unit_step_bytes_per_sample(spec, aux) * HOST_S_PER_BYTE
         + unit_kernel_count(spec, aux) * HOST_DISPATCH_S
     )
 

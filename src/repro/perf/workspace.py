@@ -31,13 +31,14 @@ Contract:
 * **Pools.**  ``Module.attach_workspace(pool)`` binds each module of a
   tree to ``pool[position]`` (its index in ``modules()`` order), so
   modules that never run at the same time -- the layer units of one
-  block, or their auxiliary heads -- share one workspace per position
-  and a slot holds the largest request of *any* of its users.  Without a
-  pool every module gets its own workspace.  What a module leaves in a
-  slot -- a column matrix kept for its backward, a zeroed border --
-  therefore lasts only until another user of the slot runs: a request
-  from any other user than the last hands the slot out ``fresh``, so
-  one-time initialization is redone.
+  block, or their auxiliary heads; in a multiprocess stage, those of all
+  the stage's blocks, which take turns per micro-batch -- share one
+  workspace per position and a slot holds the largest request of *any*
+  of its users.  Without a pool every module gets its own workspace.
+  What a module leaves in a slot -- a column matrix kept for its
+  backward, a zeroed border -- therefore lasts only until another user
+  of the slot runs: a request from any other user than the last hands
+  the slot out ``fresh``, so one-time initialization is redone.
 * **Ownership.**  ``detach_workspace`` drops a module's binding; the
   bytes go when the last module bound to them does.  Whoever attaches
   owns the lifetime -- the sequential block loop for exactly as long as
