@@ -76,7 +76,6 @@ def build_model_from_spec(spec: JobSpec):
         input_hw=tuple(m.input_hw),
         width_multiplier=m.width_multiplier,
         seed=m.seed,
-        fused=m.fused,
     )
 
 
@@ -340,8 +339,7 @@ class EvalSimBackend(Backend):
                 input_hw=data.image_hw,
                 width_multiplier=m.width_multiplier,
                 seed=m.seed,
-                fused=m.fused,
-            )
+                    )
         context.extras["data_spec"] = data
         return context
 
@@ -407,8 +405,7 @@ class _FederatedBackend(Backend):
                 num_classes=m.num_classes,
                 input_hw=tuple(m.input_hw),
                 width_multiplier=m.width_multiplier,
-                fused=m.fused,
-            ),
+                    ),
             config=spec.neuroflux,
             seed=m.seed,
         )

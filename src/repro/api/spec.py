@@ -65,7 +65,6 @@ class ModelSection:
     input_hw: tuple[int, int] = (32, 32)
     width_multiplier: float = 1.0
     seed: int = 0
-    fused: bool = False
 
     def __post_init__(self) -> None:
         if self.width_multiplier <= 0:

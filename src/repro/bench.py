@@ -85,7 +85,6 @@ def reference_system(
     budget: int,
     seed: int = 0,
     batch_limit: int = BATCH_LIMIT,
-    fused: bool = False,
     **system_kwargs,
 ):
     """An untrained NeuroFlux system over a width-scaled vgg11 on ``data``.
@@ -102,7 +101,6 @@ def reference_system(
         input_hw=(16, 16),
         width_multiplier=width,
         seed=3 + seed,
-        fused=fused,
     )
     return NeuroFlux(
         model,

@@ -46,7 +46,6 @@ class AuxiliaryHead(Sequential):
         pool_to: int = 2,
         kernel_size: int = 1,
         rng: np.random.Generator | None = None,
-        fused: bool = False,
     ):
         if num_filters < 1:
             raise ConfigError("num_filters must be >= 1")
@@ -56,23 +55,12 @@ class AuxiliaryHead(Sequential):
         # (spatial reduction without a large receptive-field cost); the
         # kernel size is configurable for ablations.
         padding = kernel_size // 2
-        if fused:
-            front = [
-                Conv2d(
-                    in_channels, num_filters, kernel_size, stride=1,
-                    padding=padding, rng=rng, fused=True, activation="relu",
-                )
-            ]
-        else:
-            front = [
-                Conv2d(in_channels, num_filters, kernel_size, stride=1, padding=padding, rng=rng),
-                ReLU(),
-            ]
         super().__init__(
-            *front,
+            Conv2d(in_channels, num_filters, kernel_size, stride=1, padding=padding, rng=rng),
+            ReLU(),
             AdaptiveAvgPool2d(pool),
             Flatten(),
-            Linear(num_filters * pool * pool, num_classes, rng=rng, fused=fused),
+            Linear(num_filters * pool * pool, num_classes, rng=rng),
         )
         self.in_channels = in_channels
         self.num_filters = num_filters
@@ -116,7 +104,6 @@ def build_aux_heads(
     seed: int = 0,
     pool_to: int = 2,
     kernel_size: int | None = None,
-    fused: bool = False,
 ) -> list[AuxiliaryHead]:
     """One auxiliary head per local layer (every layer is an exit point).
 
@@ -144,7 +131,6 @@ def build_aux_heads(
                 pool_to=pool_to,
                 kernel_size=kernel_size,
                 rng=rng,
-                fused=fused,
             )
         )
     return heads

@@ -61,9 +61,6 @@ def module_forward_flops(
         flops = 2 * macs
         if module.bias is not None:
             flops += n * module.out_channels * oh * ow
-        if module.activation is not None:
-            # Fused nonlinearity: same elementwise cost as a ReLU module.
-            flops += n * module.out_channels * oh * ow
         return flops, (n, module.out_channels, oh, ow)
 
     if isinstance(module, DepthwiseConv2d):
@@ -79,8 +76,6 @@ def module_forward_flops(
         n = in_shape[0]
         flops = 2 * n * module.in_features * module.out_features
         if module.bias is not None:
-            flops += n * module.out_features
-        if module.activation is not None:
             flops += n * module.out_features
         return flops, (n, module.out_features)
 

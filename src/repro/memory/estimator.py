@@ -189,14 +189,7 @@ def _ops_bytes(rule, ops: list[SampleOp], batch_size: int) -> int:
 
 def retained_bytes(op: Module, in_shape: tuple[int, ...], out_shape: tuple[int, ...]) -> int:
     """Bytes autograd keeps alive after a training-mode forward of ``op``."""
-    if isinstance(op, (Conv2d, Linear)):
-        retained = _numel(in_shape) * FLOAT_BYTES
-        if op.activation is not None:
-            # Fused ReLU keeps the pre-mask output alive for backward,
-            # exactly like a standalone ReLU retains its activation.
-            retained += _numel(out_shape) * FLOAT_BYTES
-        return retained
-    if isinstance(op, DepthwiseConv2d):
+    if isinstance(op, (Conv2d, DepthwiseConv2d, Linear)):
         return _numel(in_shape) * FLOAT_BYTES
     if isinstance(op, BatchNorm2d):
         # Input plus per-channel saved mean / inverse std.

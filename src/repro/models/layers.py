@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.conv import Conv2d
-from repro.nn.fused import FusedConvBlock
 from repro.nn.module import Module, Sequential
 from repro.nn.normalization import BatchNorm2d
 from repro.nn.activations import ReLU
@@ -29,45 +28,24 @@ def conv_unit(
     padding: int = 1,
     *,
     batch_norm: bool = True,
-    fused: bool = False,
     rng: np.random.Generator | None = None,
     pool: int | None = None,
 ) -> Sequential:
     """One conv(+BN)+ReLU(+max-pool) local-learning unit, seed-stable.
 
-    The shared builder behind the model zoo blocks.  With
-    ``batch_norm=False`` and ``fused=True`` the whole unit becomes a
-    :class:`~repro.nn.fused.FusedConvBlock` (conv, bias, ReLU and pool as
-    one NHWC pipeline); with batch norm present only the conv's execution
-    path switches to the fused NHWC lowering (BN still needs the
-    pre-activation).  Parameter initialization draws from ``rng`` in the
-    same order regardless of flags, so fused and unfused builds start from
-    identical weights, and parameter paths stay at ``layers.0.*`` in every
-    configuration, keeping state dicts interchangeable.
+    The shared builder behind the model zoo blocks.  With batch norm the
+    conv carries no bias (BN's shift replaces it).  Parameters sit at
+    ``layers.0.*`` in every configuration.
     """
-    if fused and not batch_norm:
-        return FusedConvBlock(
+    parts: list[Module] = [
+        Conv2d(
             in_channels, out_channels, kernel_size, stride=stride,
-            padding=padding, bias=True, pool=pool, rng=rng,
+            padding=padding, bias=not batch_norm, rng=rng,
         )
-    parts: list[Module] = []
+    ]
     if batch_norm:
-        parts.append(
-            Conv2d(
-                in_channels, out_channels, kernel_size, stride=stride,
-                padding=padding, bias=False, rng=rng, fused=fused,
-            )
-        )
         parts.append(BatchNorm2d(out_channels))
-        parts.append(ReLU())
-    else:
-        parts.append(
-            Conv2d(
-                in_channels, out_channels, kernel_size, stride=stride,
-                padding=padding, bias=True, rng=rng,
-            )
-        )
-        parts.append(ReLU())
+    parts.append(ReLU())
     if pool is not None:
         parts.append(MaxPool2d(pool))
     return Sequential(*parts)

@@ -50,14 +50,13 @@ class MobileNet(ConvNet):
         width_multiplier: float = 1.0,
         seed: int = 0,
         config: list[tuple[int, int]] | None = None,
-        fused: bool = False,
     ):
         super().__init__("mobilenet", input_hw, num_classes)
         config = config if config is not None else MOBILENET_CONFIG
         stem_width = scale_width(32, width_multiplier)
         stem_rng = spawn_rng(seed, "mobilenet/stem")
         stem = Sequential(
-            Conv2d(self.in_channels, stem_width, 3, stride=1, padding=1, bias=False, rng=stem_rng, fused=fused),
+            Conv2d(self.in_channels, stem_width, 3, stride=1, padding=1, bias=False, rng=stem_rng),
             BatchNorm2d(stem_width),
             ReLU(),
         )
@@ -87,7 +86,7 @@ class MobileNet(ConvNet):
                 DepthwiseConv2d(in_ch, 3, stride=stride, padding=1, bias=False, rng=rng),
                 BatchNorm2d(in_ch),
                 ReLU(),
-                Conv2d(in_ch, width, 1, bias=False, rng=rng, fused=fused),
+                Conv2d(in_ch, width, 1, bias=False, rng=rng),
                 BatchNorm2d(width),
                 ReLU(),
             )
@@ -119,7 +118,7 @@ class MobileNet(ConvNet):
         self.head = Sequential(
             GlobalAvgPool2d(),
             Flatten(),
-            Linear(in_ch, num_classes, rng=head_rng, fused=fused),
+            Linear(in_ch, num_classes, rng=head_rng),
         )
 
 

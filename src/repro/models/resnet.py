@@ -38,21 +38,20 @@ class BasicBlock(Module):
         out_channels: int,
         stride: int = 1,
         rng: np.random.Generator | None = None,
-        fused: bool = False,
     ):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.stride = stride
-        self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, bias=False, rng=rng, fused=fused)
+        self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, bias=False, rng=rng)
         self.bn1 = BatchNorm2d(out_channels)
         self.relu1 = ReLU()
-        self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, padding=1, bias=False, rng=rng, fused=fused)
+        self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, padding=1, bias=False, rng=rng)
         self.bn2 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
             self.shortcut: Module = Sequential(
-                Conv2d(in_channels, out_channels, 1, stride=stride, bias=False, rng=rng, fused=fused),
+                Conv2d(in_channels, out_channels, 1, stride=stride, bias=False, rng=rng),
                 BatchNorm2d(out_channels),
             )
         else:
@@ -129,14 +128,13 @@ class ResNet(ConvNet):
         width_multiplier: float = 1.0,
         seed: int = 0,
         blocks_per_stage: tuple[int, ...] = (2, 2, 2, 2),
-        fused: bool = False,
     ):
         super().__init__(variant, input_hw, num_classes)
         widths = [scale_width(c, width_multiplier) for c in (64, 128, 256, 512)]
         stem_rng = spawn_rng(seed, f"{variant}/stem")
         stem_width = widths[0]
         stem = Sequential(
-            Conv2d(self.in_channels, stem_width, 3, stride=1, padding=1, bias=False, rng=stem_rng, fused=fused),
+            Conv2d(self.in_channels, stem_width, 3, stride=1, padding=1, bias=False, rng=stem_rng),
             BatchNorm2d(stem_width),
             ReLU(),
         )
@@ -166,7 +164,7 @@ class ResNet(ConvNet):
                 want_stride = 2 if (stage_i > 0 and block_i == 0) else 1
                 stride = want_stride if min(hw) >= 2 else 1
                 rng = spawn_rng(seed, f"{variant}/s{stage_i}b{block_i}")
-                block = BasicBlock(in_ch, width, stride=stride, rng=rng, fused=fused)
+                block = BasicBlock(in_ch, width, stride=stride, rng=rng)
                 out_hw = block.output_hw(hw)
                 downsamples = stride > 1
                 if downsamples:
@@ -193,7 +191,7 @@ class ResNet(ConvNet):
         self.head = Sequential(
             GlobalAvgPool2d(),
             Flatten(),
-            Linear(in_ch, num_classes, rng=head_rng, fused=fused),
+            Linear(in_ch, num_classes, rng=head_rng),
         )
 
 

@@ -47,7 +47,6 @@ class VGG(ConvNet):
         width_multiplier: float = 1.0,
         batch_norm: bool = True,
         seed: int = 0,
-        fused: bool = False,
     ):
         if variant not in VGG_CONFIGS:
             raise ConfigError(f"unknown VGG variant {variant!r}")
@@ -74,7 +73,7 @@ class VGG(ConvNet):
                 i += 1  # consume the 'M' marker either way
             stage = conv_unit(
                 in_ch, width, 3, stride=1, padding=1,
-                batch_norm=batch_norm, fused=fused, rng=rng, pool=pool,
+                batch_norm=batch_norm, rng=rng, pool=pool,
             )
             if downsamples:
                 downsampled_yet = True
@@ -101,7 +100,7 @@ class VGG(ConvNet):
         self.head = Sequential(
             GlobalAvgPool2d(),
             Flatten(),
-            Linear(in_ch, num_classes, rng=head_rng, fused=fused),
+            Linear(in_ch, num_classes, rng=head_rng),
         )
 
 

@@ -36,16 +36,13 @@ def build_model(
     input_hw: tuple[int, int] = (32, 32),
     width_multiplier: float = 1.0,
     seed: int = 0,
-    fused: bool = False,
     **kwargs,
 ) -> ConvNet:
     """Construct a model by name with deterministic initialization.
 
     ``width_multiplier`` scales every channel count, which is how the test
     suite and benchmarks obtain smaller, faster variants with identical
-    topology.  ``fused=True`` builds the same topology (and identical
-    initial weights) on the fused conv/linear execution paths -- pair it
-    with ``model.attach_workspace()`` for the full fast path.
+    topology.
     """
     if name not in _BUILDERS:
         raise ConfigError(f"unknown model {name!r}; available: {list_models()}")
@@ -54,6 +51,5 @@ def build_model(
         input_hw=input_hw,
         width_multiplier=width_multiplier,
         seed=seed,
-        fused=fused,
         **kwargs,
     )

@@ -11,7 +11,6 @@ from repro.nn.activations import LeakyReLU, ReLU, Tanh
 from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
-from repro.nn.fused import FusedConvBlock
 from repro.nn.linear import Linear
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Identity, Module, Parameter, Sequential, run_backward
@@ -29,7 +28,6 @@ __all__ = [
     "DepthwiseConv2d",
     "Dropout",
     "Flatten",
-    "FusedConvBlock",
     "GlobalAvgPool2d",
     "Identity",
     "LeakyReLU",

@@ -5,23 +5,22 @@ becomes one large matrix multiply, which is the fastest formulation available
 to a pure-numpy substrate.  ``col2im`` is the exact adjoint of ``im2col``,
 verified by property tests.
 
-Two lowering layouts coexist:
+The conv layers train on one layout, the NCHW column layout
+(``im2col``/``col2im``), whose values are kept bit-for-bit stable.
+``im2col`` stages its input once in NHWC (:func:`pad2d_nhwc`) and gathers
+one contiguous-channel slab per kernel offset into that layout, instead of
+copying k-float runs out of a 6-D strided window view (the reference
+formulation ``tests/test_nn_kernel_oracle.py`` holds it to).
 
-* the original NCHW column layout (``im2col``/``col2im``), whose values
-  are kept bit-for-bit stable because the default training paths run on
-  it.  ``im2col`` stages its input once in NHWC and gathers one
-  contiguous-channel slab per kernel offset into that layout, instead of
-  copying k-float runs out of a 6-D strided window view (the reference
-  formulation ``tests/test_nn_kernel_oracle.py`` holds it to); and
-* an NHWC layout (``im2col_nhwc``/``col2im_nhwc``) used by the fused conv
-  path, where window extraction and the scatter-add adjoint move contiguous
-  channel runs instead of strided single floats, and where the conv GEMM
-  writes its output in the layout the next kernel wants.
-
-``overlap_add_1d`` and the fast paths inside ``col2im_nhwc`` replace the
-k x k Python scatter loop with single reshaped assignments for the two
-geometries that dominate real models: ``stride == kernel`` (pooling-style
-exact tiling) and ``stride == 1`` (same-size convs).
+The NHWC lowerings ``im2col_nhwc``/``col2im_nhwc`` no longer back any
+layer.  They remain because the kernels suite's ``im2col`` / ``col2im`` /
+``col2im_overlap_k5`` rows time them against the NCHW pair and the e2e
+span table (``benchmarks/e2e/span_table.py``) names them; they go when
+that table does.  Their window extraction and scatter-add move contiguous
+channel runs, and ``col2im_nhwc``'s fast paths replace the k x k Python
+loop with reshaped assignments (``stride == kernel``) or two
+:func:`overlap_add` passes (``stride == 1``), which ``MaxPool2d``'s
+scatter shares.
 """
 
 from __future__ import annotations
@@ -29,6 +28,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+
+
+def check_conv_geometry(kernel: int, stride: int, padding: int) -> None:
+    """Reject a kernel, stride or padding no conv/pool can be built with."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise ShapeError(
+            f"kernel {kernel} and stride {stride} must be positive and "
+            f"padding {padding} non-negative"
+        )
 
 
 def conv_output_hw(
@@ -142,10 +150,11 @@ def col2im(
 def pad2d_nhwc(
     x: np.ndarray, padding: int, out: np.ndarray | None = None, fresh: bool = True
 ) -> np.ndarray:
-    """Zero-pad an NCHW batch into an NHWC buffer (layout change + pad fused).
+    """Zero-pad an NCHW batch into an NHWC buffer, layout change and pad
+    in one pass.
 
-    This is the entry copy of the fused conv path: the one pass the seed
-    path already pays for ``np.pad`` doubles as the NCHW->NHWC transpose.
+    This is ``im2col``'s staging copy: the one pass ``np.pad`` would cost
+    doubles as the NCHW->NHWC transpose.
     ``out`` is the padded (N, H+2p, W+2p, C) target; when ``fresh`` is
     False its border is assumed to still be zero from a previous call and
     only the interior is rewritten.

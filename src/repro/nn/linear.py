@@ -1,10 +1,9 @@
 """Fully-connected layer with optional Feedback Alignment backward.
 
-``fused=True`` mirrors the fused conv path at the matrix level: the bias
-rides as a ones column appended to the input, so forward is a single GEMM
-and backward produces the weight *and* bias gradients from one GEMM;
-``activation="relu"`` applies the nonlinearity in place on the GEMM output
-and masks the incoming gradient in backward.
+Forward is one GEMM plus the bias add.  Backward accumulates the weight
+gradient (into a workspace slot when one is attached) and the bias
+gradient, and with ``need_input_grad=False`` skips the input-gradient
+GEMM that local learning would discard.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.registry import matmul as backend_matmul
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 from repro.nn import init as nn_init
 from repro.nn.module import Module, Parameter
-
-_ACTIVATIONS = (None, "relu")
 
 
 class Linear(Module):
@@ -31,18 +28,12 @@ class Linear(Module):
         bias: bool = True,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
-        fused: bool = False,
-        activation: str | None = None,
     ):
         super().__init__()
-        if activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown linear activation {activation!r}")
-        if activation is not None and not fused:
-            raise ConfigError("activation requires fused=True")
+        if in_features < 1 or out_features < 1:
+            raise ShapeError("feature counts must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        self.fused = fused
-        self.activation = activation
         rng = rng if rng is not None else np.random.default_rng(0)
         self.weight = Parameter(
             nn_init.kaiming_uniform(rng, (out_features, in_features), dtype), "weight"
@@ -50,7 +41,6 @@ class Linear(Module):
         self.bias = Parameter(nn_init.zeros((out_features,), dtype), "bias") if bias else None
         self.feedback: np.ndarray | None = None
         self._x: np.ndarray | None = None
-        self._out: np.ndarray | None = None
 
     def enable_feedback_alignment(self, rng: np.random.Generator) -> None:
         """Attach fixed random feedback weights (FA baseline)."""
@@ -61,8 +51,6 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"expected (N, {self.in_features}), got {x.shape}")
-        if self.fused:
-            return self._forward_fused(x)
         out = backend_matmul(x, self.weight.data.T)
         if self.bias is not None:
             out += self.bias.data
@@ -74,8 +62,6 @@ class Linear(Module):
     ) -> np.ndarray | None:
         if self._x is None:
             raise ShapeError("backward called before training-mode forward")
-        if self.fused:
-            return self._backward_fused(grad_out, need_input_grad)
         if self._ws is None:
             self.weight.grad += backend_matmul(grad_out.T, self._x)
         else:
@@ -89,50 +75,3 @@ class Linear(Module):
             return None
         back_w = self.feedback if self.feedback is not None else self.weight.data
         return backend_matmul(grad_out, back_w)
-
-    # -- fused path -------------------------------------------------------
-    def _forward_fused(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        d = self.in_features
-        dext = d + (1 if self.bias is not None else 0)
-        rt = np.result_type(x.dtype, self.weight.data.dtype)
-        xext, fresh = self._buf("x_ext", (n, dext), rt)
-        xext[:, :d] = x
-        if self.bias is not None and fresh:
-            xext[:, d] = 1.0
-        wext, _ = self._buf("w_ext", (self.out_features, dext), rt)
-        wext[:, :d] = self.weight.data
-        if self.bias is not None:
-            wext[:, d] = self.bias.data
-        out = np.empty((n, self.out_features), rt)
-        backend_matmul(xext, wext.T, out=out)
-        if self.activation == "relu":
-            np.maximum(out, 0, out=out)
-        if self.training:
-            self._x = xext
-            self._out = out
-        else:
-            self._x = None
-            self._out = None
-        return out
-
-    def _backward_fused(
-        self, grad_out: np.ndarray, need_input_grad: bool
-    ) -> np.ndarray | None:
-        d = self.in_features
-        if self.activation == "relu":
-            dmat, _ = self._buf("dmat", grad_out.shape, grad_out.dtype)
-            np.multiply(grad_out, self._out > 0, out=dmat)
-        else:
-            dmat = grad_out
-        dwdb, _ = self._buf("dwdb", (self.out_features, self._x.shape[1]), dmat.dtype)
-        backend_matmul(dmat.T, self._x, out=dwdb)
-        self.weight.grad += dwdb[:, :d]
-        if self.bias is not None:
-            self.bias.grad += dwdb[:, d]
-        self._x = None
-        self._out = None
-        if not need_input_grad:
-            return None
-        back_w = self.feedback if self.feedback is not None else self.weight.data
-        return backend_matmul(dmat, back_w)

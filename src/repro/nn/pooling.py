@@ -5,7 +5,7 @@ an exact multiple of the window (every pool in the model zoo) -- gets a
 vectorized fast path: forward reduces over a zero-copy window-major view
 of the input (whatever its strides) instead of materializing a window
 copy, max pooling records its gradient routing as a one-hot bool mask
-built by :func:`first_max_mask` (shared with the fused conv block), and
+built by :func:`first_max_mask`, and
 backward is one broadcast multiply or assignment instead of the k x k
 Python loop.  The generic geometry keeps the original formulation (with
 workspace-backed buffers when a workspace is attached), and

@@ -1,7 +1,7 @@
 """Performance subsystem: workspace allocator and kernel benchmarks.
 
-``Workspace`` (see :mod:`repro.perf.workspace`) backs the fused and
-workspace-aware paths of the nn layers; :mod:`repro.perf.bench`
+``Workspace`` (see :mod:`repro.perf.workspace`) backs the scratch
+buffers of the nn layers' one execution path; :mod:`repro.perf.bench`
 is the wall-clock kernel suite behind ``python -m repro.cli bench
 kernels``.
 """

@@ -3,12 +3,13 @@
 Every trainer and the serving cascade funnel through the same handful of
 kernels (im2col/col2im lowering, conv GEMMs, pooling windows, the loss).
 This module times them -- micro benchmarks per kernel, macro benchmarks per
-full training step -- in two configurations:
+full training step -- in two configurations of the one conv path:
 
-* ``seed``: the original execution path (NCHW im2col, separate bias/ReLU
-  passes, fresh allocations every step, full input gradients); and
-* ``fast``: the fused NHWC path with a workspace attached and input
-  gradients skipped where trainers discard them.
+* ``seed``: fresh allocations every step and full input gradients, as the
+  original trainers ran it; and
+* ``fast``: what the trainers run today -- a workspace attached and input
+  gradients skipped where the trainers discard them (``need_input_grad``
+  as :mod:`repro.training` and :mod:`repro.core.worker` pass it).
 
 Two micro rows are not seed/fast paths.  ``gemm_im2col`` times the
 conv-core ``np.matmul`` pinned to one BLAS thread (``seed``) against the
@@ -183,7 +184,8 @@ def bench_gemm_im2col(batch: int, reps: int, seed: int = 0) -> dict:
 
 
 def bench_conv_step(batch: int, reps: int, seed: int = 0) -> dict:
-    """One conv forward+backward: unfused fresh-alloc vs fused+workspace."""
+    """One conv forward+backward: fresh allocations and the input gradient
+    vs a workspace and no input gradient (a unit's first conv in training)."""
     from repro.nn import Conv2d
 
     rng = np.random.default_rng(seed)
@@ -191,19 +193,17 @@ def bench_conv_step(batch: int, reps: int, seed: int = 0) -> dict:
     x = rng.standard_normal((n, cin, hw, hw)).astype(np.float32)
     seed_conv = Conv2d(cin, cout, 3, padding=1, rng=np.random.default_rng(seed + 1))
     fast_conv = Conv2d(
-        cin, cout, 3, padding=1, rng=np.random.default_rng(seed + 1),
-        fused=True, activation="relu",
+        cin, cout, 3, padding=1, rng=np.random.default_rng(seed + 1)
     ).attach_workspace()
     g = rng.standard_normal((n, cout, hw, hw)).astype(np.float32)
 
     def seed_step():
-        y = seed_conv.forward(x)
-        np.maximum(y, 0)  # the separate ReLU pass the fused path absorbs
+        seed_conv.forward(x)
         seed_conv.backward(g)
 
     def fast_step():
         fast_conv.forward(x)
-        fast_conv.backward(g)
+        fast_conv.backward(g, need_input_grad=False)
 
     return _entry(
         _ms(seed_step, reps), _ms(fast_step, reps), shape=[n, cin, hw, hw]
@@ -258,21 +258,15 @@ def _make_batch(batch: int, input_hw: tuple[int, int], num_classes: int, seed: i
 MACRO_WIDTH = 0.125
 
 
-def _build(model_name: str, input_hw: tuple[int, int], fused: bool, width: float, seed: int = 0):
+def _build(model_name: str, input_hw: tuple[int, int], width: float, seed: int = 0):
     from repro.models.zoo import build_model
 
-    # Only VGG exposes batch_norm; BN-less VGG is the configuration where
-    # conv+bias+ReLU fuse completely.  ResNet/MobileNet keep their BN and
-    # still benefit from the fused NHWC conv lowering.
-    kwargs = {"batch_norm": False} if model_name.startswith("vgg") else {}
     return build_model(
         model_name,
         num_classes=10,
         input_hw=input_hw,
         width_multiplier=width,
         seed=seed,
-        fused=fused,
-        **kwargs,
     )
 
 
@@ -290,14 +284,14 @@ def bench_bp_step(
     input_hw = (16, 16) if quick else (32, 32)
     x, y = _make_batch(batch, input_hw, 10, seed)
     results = {}
-    for mode, fused in (("seed", False), ("fast", True)):
-        model = _build(model_name, input_hw, fused, width, seed)
-        if fused:
+    for mode, fast in (("seed", False), ("fast", True)):
+        model = _build(model_name, input_hw, width, seed)
+        if fast:
             model.attach_workspace()
         loss_fn = CrossEntropyLoss()
         opt = make_optimizer("sgd-momentum", model.parameters(), lr=1e-4)
         model.train()
-        need_input_grad = not fused  # seed behavior computed the input grad
+        need_input_grad = not fast  # seed behavior computed the input grad
 
         def step():
             logits = model.forward(x)
@@ -329,12 +323,10 @@ def bench_ll_step(
     input_hw = (16, 16) if quick else (32, 32)
     x, y = _make_batch(batch, input_hw, 10, seed)
     results = {}
-    for mode, fused in (("seed", False), ("fast", True)):
-        model = _build(model_name, input_hw, fused, width, seed)
-        aux_heads = build_aux_heads(
-            model, rule="classic", classic_filters=32, seed=seed, fused=fused
-        )
-        if fused:
+    for mode, fast in (("seed", False), ("fast", True)):
+        model = _build(model_name, input_hw, width, seed)
+        aux_heads = build_aux_heads(model, rule="classic", classic_filters=32, seed=seed)
+        if fast:
             for module in (model, *aux_heads):
                 module.attach_workspace()
         loss_fn = CrossEntropyLoss()
@@ -349,7 +341,7 @@ def bench_ll_step(
         model.train()
         for aux in aux_heads:
             aux.train()
-        need_input_grad = not fused
+        need_input_grad = not fast
 
         def step():
             feats = x
@@ -374,7 +366,7 @@ def bench_ll_step(
 
 
 def _tiny_system(seed: int, bf16: bool = False, memory_mb: float = 1.0):
-    """A >=4-block fused reference system on the tiny (scale 0.002) dataset.
+    """A >=4-block reference system on the tiny (scale 0.002) dataset.
 
     The 1 MiB budget with the default 256 batch limit partitions the
     width-0.125 vgg11 into 6 blocks -- enough stages for the multiprocess
@@ -388,7 +380,6 @@ def _tiny_system(seed: int, bf16: bool = False, memory_mb: float = 1.0):
         int(memory_mb * MB),
         seed,
         batch_limit=256,
-        fused=True,
         compute=ComputeConfig(bf16_weights=bf16),
     )
 

@@ -20,8 +20,8 @@ Contract:
   ``fresh=False`` and the contents the caller left there.  On *every*
   change of shape or dtype -- growing, shrinking, or coming back to an
   earlier shape -- it returns a new view with ``fresh=True`` and undefined
-  contents: one-time initialization (zeroed padding borders, the ones
-  column of the fused bias trick) must be redone, because the same bytes
+  contents: one-time initialization (the zeroed padding border of the
+  conv's NHWC staging slot) must be redone, because the same bytes
   were laid out differently in between.
 * **Internal scratch.**  ``forward`` never returns a view of a slot: a
   unit's output outlives its own backward and feeds the next unit, which

@@ -212,6 +212,8 @@ class TestValidationFailures:
                 "neuroflux",
                 "batch_limit",
             ),
+            # the deleted second conv path: an old spec must not train silently
+            ({"model": {"name": "vgg11", "fused": True}}, "model", "unknown key(s): fused"),
         ],
     )
     def test_conflict_names_section(self, mutation, section, needle):

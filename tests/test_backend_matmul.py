@@ -63,30 +63,19 @@ class TestKernelsCallTheOneBinding:
         the kernels must hold that very function, not a copy."""
         assert importlib.import_module(module).backend_matmul is matmul
 
-    @pytest.mark.parametrize(
-        "layer",
-        [
-            "conv",
-            "conv_fused",
-            "linear",
-            "linear_fused",
-        ],
-    )
+    @pytest.mark.parametrize("layer", ["conv", "linear"])
     def test_forward_backward_gemms_go_through_it(self, layer, monkeypatch):
         """Forward is one GEMM, backward two (weight and input gradient),
         and routing them through the binding changes no bit."""
         from repro.nn import Conv2d, Linear
 
         rng = np.random.default_rng(7)
-        if layer.startswith("conv"):
+        if layer == "conv":
             x = rng.standard_normal((4, 3, 12, 12)).astype(np.float32)
             g = rng.standard_normal((4, 8, 12, 12)).astype(np.float32)
 
             def build():
-                return Conv2d(
-                    3, 8, 3, padding=1, rng=np.random.default_rng(42),
-                    fused=layer.endswith("fused"),
-                )
+                return Conv2d(3, 8, 3, padding=1, rng=np.random.default_rng(42))
 
             module = "repro.nn.conv"
         else:
@@ -94,10 +83,7 @@ class TestKernelsCallTheOneBinding:
             g = rng.standard_normal((6, 10)).astype(np.float32)
 
             def build():
-                return Linear(
-                    20, 10, rng=np.random.default_rng(42),
-                    fused=layer.endswith("fused"),
-                )
+                return Linear(20, 10, rng=np.random.default_rng(42))
 
             module = "repro.nn.linear"
 
@@ -121,7 +107,7 @@ class TestKernelsCallTheOneBinding:
             assert np.array_equal(want, got)
 
 
-def _system(tiny_dataset, fused: bool = True):
+def _system(tiny_dataset):
     return NeuroFlux(
         build_model(
             "vgg11",
@@ -129,7 +115,6 @@ def _system(tiny_dataset, fused: bool = True):
             input_hw=(16, 16),
             width_multiplier=0.125,
             seed=3,
-            fused=fused,
         ),
         tiny_dataset,
         memory_budget=2 * 2**20,
@@ -151,11 +136,10 @@ def _assert_same_weights(a, b):
 
 
 class TestTrainingNumerics:
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-    def test_run_is_bit_identical_on_rerun(self, tiny_dataset, fused):
-        first = _system(tiny_dataset, fused)
+    def test_run_is_bit_identical_on_rerun(self, tiny_dataset):
+        first = _system(tiny_dataset)
         r_first = first.run(1)
-        second = _system(tiny_dataset, fused)
+        second = _system(tiny_dataset)
         r_second = second.run(1)
         _assert_same_weights(first, second)
         assert r_first.exit_test_accuracy == r_second.exit_test_accuracy

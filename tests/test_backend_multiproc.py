@@ -44,7 +44,6 @@ def _system(tiny_dataset, seed: int = 0, bf16: bool = False):
             input_hw=(16, 16),
             width_multiplier=0.125,
             seed=3,
-            fused=True,
         ),
         tiny_dataset,
         memory_budget=1 << 20,
@@ -386,7 +385,6 @@ class TestRunBlockParallel:
                 input_hw=(16, 16),
                 width_multiplier=0.125,
                 seed=3,
-                fused=True,
             ),
             tiny_dataset,
             memory_budget=1 << 20,

@@ -1,9 +1,10 @@
-"""Property tests: fused/workspace kernel paths match the seed paths.
+"""Property tests: the NHWC lowering helpers and the pooling fast paths
+match their reference formulations.
 
-The fused NHWC conv pipeline, the bias-fold GEMM, the pooling fast paths
-and the vectorized col2im variants must be numerically interchangeable
-with the original formulations (fp32 allclose for the GEMM-reordered
-parts, exact for pure re-orderings of the same additions).
+The vectorized col2im variants and the pooling fast paths must be
+numerically interchangeable with the original formulations (exact for
+pure re-orderings of the same additions, allclose where the overlap-add
+sums in a different order).
 """
 
 import numpy as np
@@ -12,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.nn import (
-    AvgPool2d,
-    Conv2d,
-    FusedConvBlock,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Sequential,
-)
+from repro.nn import AvgPool2d, MaxPool2d
 from repro.nn.functional import (
     col2im_nhwc,
     im2col_nhwc,
@@ -30,221 +23,6 @@ from repro.nn.functional import (
 )
 from repro.nn.pooling import _scatter_windows
 from repro.utils.rng import spawn_rng
-
-# Geometry strategy: small but varied conv shapes.
-conv_geometries = st.tuples(
-    st.integers(1, 3),   # batch
-    st.integers(1, 4),   # in channels
-    st.integers(1, 4),   # out channels
-    st.integers(1, 3),   # kernel
-    st.integers(1, 2),   # stride
-    st.integers(0, 2),   # padding
-    st.integers(5, 9),   # height
-    st.integers(5, 8),   # width
-)
-
-
-def _unfused_reference(conv_kwargs, activation):
-    layers = [Conv2d(**conv_kwargs)]
-    if activation == "relu":
-        layers.append(ReLU())
-    return Sequential(*layers)
-
-
-class TestFusedConvMatchesUnfused:
-    @settings(max_examples=40, deadline=None)
-    @given(geom=conv_geometries, bias=st.booleans(), act=st.sampled_from([None, "relu"]))
-    def test_forward_backward_equivalence(self, geom, bias, act):
-        n, cin, cout, k, s, p, h, w = geom
-        if h + 2 * p < k or w + 2 * p < k:
-            return
-        kwargs = dict(
-            in_channels=cin, out_channels=cout, kernel_size=k, stride=s,
-            padding=p, bias=bias,
-        )
-        ref = _unfused_reference(
-            dict(kwargs, rng=np.random.default_rng(5)), act
-        )
-        fz = Conv2d(
-            **kwargs, rng=np.random.default_rng(5), fused=True, activation=act
-        ).attach_workspace()
-        rng = spawn_rng(0, "fused-conv")
-        for _ in range(2):  # second round exercises warm workspace buffers
-            x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
-            y_ref = ref.forward(x)
-            y = fz.forward(x)
-            np.testing.assert_allclose(y, y_ref, rtol=1e-4, atol=1e-5)
-            g = rng.normal(size=y.shape).astype(np.float32)
-            ref.zero_grad()
-            fz.zero_grad()
-            dx_ref = ref.backward(g)
-            dx = fz.backward(g)
-            np.testing.assert_allclose(dx, dx_ref, rtol=1e-3, atol=1e-4)
-            conv_ref = ref.layers[0]
-            np.testing.assert_allclose(
-                fz.weight.grad, conv_ref.weight.grad, rtol=1e-3, atol=1e-4
-            )
-            if bias:
-                np.testing.assert_allclose(
-                    fz.bias.grad, conv_ref.bias.grad, rtol=1e-3, atol=1e-4
-                )
-
-    def test_need_input_grad_false_skips_dx_only(self):
-        rng = spawn_rng(1, "nig")
-        a = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(2), fused=True)
-        b = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(2), fused=True)
-        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        g = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
-        a.forward(x)
-        b.forward(x)
-        assert a.backward(g) is not None
-        assert b.backward(g, need_input_grad=False) is None
-        np.testing.assert_array_equal(a.weight.grad, b.weight.grad)
-
-    def test_feedback_alignment_fused_matches_unfused(self):
-        ref = Conv2d(3, 5, 3, padding=1, rng=np.random.default_rng(7))
-        fz = Conv2d(3, 5, 3, padding=1, rng=np.random.default_rng(7), fused=True)
-        ref.enable_feedback_alignment(np.random.default_rng(9))
-        fz.enable_feedback_alignment(np.random.default_rng(9))
-        fz.attach_workspace()
-        rng = spawn_rng(2, "fa")
-        x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
-        g = rng.normal(size=(2, 5, 7, 7)).astype(np.float32)
-        np.testing.assert_allclose(
-            fz.forward(x), ref.forward(x), rtol=1e-4, atol=1e-5
-        )
-        np.testing.assert_allclose(
-            fz.backward(g), ref.backward(g), rtol=1e-3, atol=1e-4
-        )
-
-    def test_reseeded_feedback_is_honored_with_warm_workspace(self):
-        # Regression: the fused path must not serve a stale cached
-        # feedback matrix after enable_feedback_alignment is called again.
-        conv = Conv2d(3, 5, 3, padding=1, rng=np.random.default_rng(7), fused=True)
-        conv.attach_workspace()
-        conv.enable_feedback_alignment(np.random.default_rng(1))
-        rng = spawn_rng(4, "reseed")
-        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        g = rng.normal(size=(2, 5, 6, 6)).astype(np.float32)
-        conv.forward(x)
-        conv.backward(g)  # warms the feedback workspace slot
-        conv.enable_feedback_alignment(np.random.default_rng(2))
-        conv.forward(x)
-        dx = conv.backward(g)
-        fresh = Conv2d(3, 5, 3, padding=1, rng=np.random.default_rng(7), fused=True)
-        fresh.enable_feedback_alignment(np.random.default_rng(2))
-        fresh.forward(x)
-        np.testing.assert_allclose(dx, fresh.backward(g), rtol=1e-4, atol=1e-5)
-
-    def test_activation_requires_fused(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            Conv2d(3, 4, 3, activation="relu")
-        with pytest.raises(ConfigError):
-            Conv2d(3, 4, 3, fused=True, activation="gelu")
-
-
-class TestFusedConvBlock:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        hw=st.integers(6, 12),
-        pool=st.sampled_from([None, 2, 3]),
-        n=st.integers(1, 3),
-    )
-    def test_block_matches_sequential(self, hw, pool, n):
-        # Covers exact-tiling pools, non-tiling fallbacks, and no pool.
-        if pool is not None and hw < pool:
-            return
-        ref = Sequential(
-            Conv2d(3, 5, 3, padding=1, rng=np.random.default_rng(3)),
-            ReLU(),
-            *([MaxPool2d(pool)] if pool else []),
-        )
-        blk = FusedConvBlock(
-            3, 5, 3, padding=1, pool=pool, rng=np.random.default_rng(3)
-        ).attach_workspace()
-        rng = spawn_rng(3, "blk")
-        for _ in range(2):
-            x = rng.normal(size=(n, 3, hw, hw)).astype(np.float32)
-            y_ref = ref.forward(x)
-            y = blk.forward(x)
-            np.testing.assert_allclose(y, y_ref, rtol=1e-4, atol=1e-5)
-            g = rng.normal(size=y.shape).astype(np.float32)
-            ref.zero_grad()
-            blk.zero_grad()
-            np.testing.assert_allclose(
-                blk.backward(g), ref.backward(g), rtol=1e-3, atol=1e-4
-            )
-            for (na, pa), (nb, pb) in zip(
-                ref.named_parameters(), blk.named_parameters()
-            ):
-                assert na == nb
-                np.testing.assert_allclose(pa.grad, pb.grad, rtol=1e-3, atol=1e-4)
-
-    def test_tie_routing_matches_argmax_semantics(self):
-        # Integer-valued activations force max ties inside pool windows;
-        # the fused router must pick the same (first) window position as
-        # the seed argmax formulation.
-        ref = Sequential(
-            Conv2d(2, 3, 1, padding=0, rng=np.random.default_rng(4)),
-            ReLU(),
-            MaxPool2d(2),
-        )
-        blk = FusedConvBlock(
-            2, 3, 1, padding=0, pool=2, rng=np.random.default_rng(4)
-        )
-        # Force identical, tie-heavy pre-activations: zero weights, so the
-        # conv output is the (shared) bias everywhere -- every window is a
-        # 4-way tie.
-        for m in (ref.layers[0], blk.conv):
-            m.weight.data[...] = 0
-            m.bias.data[...] = 1.0
-        x = np.ones((2, 2, 4, 4), dtype=np.float32)
-        np.testing.assert_allclose(blk.forward(x), ref.forward(x))
-        g = spawn_rng(5, "tie").normal(size=(2, 3, 2, 2)).astype(np.float32)
-        np.testing.assert_allclose(blk.backward(g), ref.backward(g), atol=1e-6)
-
-    def test_kernel_count_is_static(self):
-        from repro.flops.count import count_module_kernels
-
-        # conv+bias+ReLU fuse to one dispatch; a pool adds one, charged
-        # identically whether or not the runtime geometry lets it fuse
-        # (trainers snapshot counts before the first forward).
-        assert count_module_kernels(FusedConvBlock(3, 4, 3, padding=1)) == 1
-        assert count_module_kernels(FusedConvBlock(3, 4, 3, padding=1, pool=2)) == 2
-
-
-class TestFusedLinear:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(1, 5), din=st.integers(1, 6), dout=st.integers(1, 5),
-        bias=st.booleans(), act=st.sampled_from([None, "relu"]),
-    )
-    def test_matches_unfused(self, n, din, dout, bias, act):
-        ref = Linear(din, dout, bias=bias, rng=np.random.default_rng(6))
-        fz = Linear(
-            din, dout, bias=bias, rng=np.random.default_rng(6),
-            fused=True, activation=act,
-        ).attach_workspace()
-        rng = spawn_rng(6, "lin")
-        x = rng.normal(size=(n, din)).astype(np.float32)
-        y_ref = ref.forward(x)
-        if act == "relu":
-            y_ref = np.maximum(y_ref, 0)
-        y = fz.forward(x)
-        np.testing.assert_allclose(y, y_ref, rtol=1e-4, atol=1e-5)
-        g = rng.normal(size=y.shape).astype(np.float32)
-        ref.zero_grad()
-        fz.zero_grad()
-        g_ref = g * (y_ref > 0) if act == "relu" else g
-        np.testing.assert_allclose(
-            fz.backward(g), ref.backward(g_ref), rtol=1e-3, atol=1e-4
-        )
-        np.testing.assert_allclose(
-            fz.weight.grad, ref.weight.grad, rtol=1e-3, atol=1e-4
-        )
-
 
 class TestCol2imNhwcAdjoint:
     @settings(max_examples=40, deadline=None)

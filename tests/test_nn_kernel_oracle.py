@@ -1,11 +1,15 @@
 """Kernel oracle: the seed-path kernels against the formulations they replaced.
 
-The NCHW ``im2col``, the tiled ``MaxPool2d`` and ``BatchNorm2d``'s
-training forward and backward are written for speed under one contract:
-every value stays what the straightforward formulation gives, to the
-bit.  Those formulations live here as test-only references:
+The NCHW ``im2col`` and its adjoint ``col2im``, the tiled ``MaxPool2d``
+and ``BatchNorm2d``'s training forward and backward are written for speed
+under one contract: every value stays what the straightforward
+formulation gives, to the bit.  Those formulations live here as test-only
+references:
 
 * ``ref_im2col`` -- the 6-D strided window view, transposed and copied;
+* ``ref_col2im`` -- one unbuffered ``np.add.at`` per kernel offset, in
+  the same ``(i, j)`` order, so every input position sums the same
+  addends in the same order;
 * ``ref_maxpool`` -- the running max/argmax over a tiled window view with
   its k*k equal/multiply backward (window copy + ``argmax`` + scatter for
   every other geometry);
@@ -29,7 +33,7 @@ from hypothesis import strategies as st
 
 from helpers import check_module_input_grad
 from repro.nn.conv import Conv2d
-from repro.nn.functional import im2col, pad2d, sliding_windows
+from repro.nn.functional import col2im, conv_output_hw, im2col, pad2d, sliding_windows
 from repro.nn.normalization import BatchNorm2d
 from repro.nn.pooling import MaxPool2d
 
@@ -43,6 +47,23 @@ def ref_im2col(x, kernel, stride, padding):
     n, c, oh, ow, _, _ = win.shape
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kernel * kernel)
     return np.ascontiguousarray(cols)
+
+
+def ref_col2im(dcols, x_shape, kernel, stride, padding, out_hw):
+    n, c, h, w = x_shape
+    oh, ow = out_hw
+    dwin = dcols.reshape(n, oh, ow, c, kernel, kernel)
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dcols.dtype)
+    rows = stride * np.arange(oh)[:, None]
+    cols = stride * np.arange(ow)[None, :]
+    for i in range(kernel):
+        for j in range(kernel):
+            np.add.at(
+                dxp,
+                (slice(None), slice(None), i + rows, j + cols),
+                dwin[..., i, j].transpose(0, 3, 1, 2),
+            )
+    return dxp[:, :, padding : padding + h, padding : padding + w]
 
 
 def ref_maxpool(x, kernel, stride, grad_out):
@@ -213,6 +234,34 @@ class TestIm2colOracle:
         cols, _ = im2col(x, k, s, p, out=out, padded=padded)
         assert cols is out
         assert_same(out, expected)
+
+
+# --------------------------------------------------------------------- #
+# col2im                                                                #
+# --------------------------------------------------------------------- #
+class TestCol2imOracle:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(1, 4),
+        c=st.sampled_from([1, 3, 16]),
+        hw=st.integers(1, 9),
+        k=st.sampled_from([1, 2, 3, 5]),
+        s=st.sampled_from([1, 2, 3]),
+        p=st.sampled_from([0, 1, 2]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scatter_matches_reference(self, n, c, hw, k, s, p, dtype, seed):
+        assume(hw + 2 * p >= k)
+        out_hw = conv_output_hw((hw, hw), k, s, p)
+        dcols = make_input(
+            "normal", (n * out_hw[0] * out_hw[1], c * k * k), seed, dtype
+        )
+        x_shape = (n, c, hw, hw)
+        assert_same(
+            col2im(dcols, x_shape, k, s, p, out_hw),
+            ref_col2im(dcols, x_shape, k, s, p, out_hw),
+        )
 
 
 # --------------------------------------------------------------------- #

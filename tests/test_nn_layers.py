@@ -18,9 +18,7 @@ from repro.nn import (
     ReLU,
     Tanh,
 )
-from repro.nn.conv import Conv2d
-from repro.nn.fused import FusedConvBlock
-from repro.nn.module import Sequential
+from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.utils.rng import spawn_rng
 
 
@@ -58,6 +56,30 @@ class TestLinear:
         dx2 = fa.backward(g)
         assert not np.allclose(dx1, dx2)
         np.testing.assert_allclose(exact.weight.grad, fa.weight.grad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Conv2d(2, 3, 3, stride=0),
+        lambda: Conv2d(2, 3, 0),
+        lambda: Conv2d(2, 3, 3, padding=-1),
+        lambda: DepthwiseConv2d(2, 3, stride=0),
+        lambda: DepthwiseConv2d(2, 0),
+        lambda: DepthwiseConv2d(2, 3, padding=-1),
+        lambda: DepthwiseConv2d(0, 3),
+        lambda: Linear(3, 0),
+        lambda: Linear(0, 3),
+    ],
+    ids=[
+        "conv-stride0", "conv-kernel0", "conv-padding-1",
+        "dw-stride0", "dw-kernel0", "dw-padding-1", "dw-channels0",
+        "linear-out0", "linear-in0",
+    ],
+)
+def test_bad_geometry_is_rejected_at_construction(build):
+    with pytest.raises(ShapeError):
+        build()
 
 
 class TestActivations:
@@ -119,14 +141,10 @@ def _nan_pool_path(path: str):
     if path == "tiled-noncontiguous":
         column_major = np.ascontiguousarray(window.transpose(0, 1, 3, 2))
         return MaxPool2d(2), column_major.transpose(0, 1, 3, 2)
-    if path == "generic":  # 3x3 does not tile by 2: the argmax path
-        x = np.full((1, 1, 3, 3), -5.0, np.float32)
-        x[:, :, :2, :2] = window
-        return MaxPool2d(2), x
-    # The fused block: a 1x1 identity conv, its ReLU, then the pool.
-    block = FusedConvBlock(1, 1, kernel_size=1, padding=0, pool=2)
-    block.conv.weight.data[...] = 1.0
-    return block, window
+    # "generic": 3x3 does not tile by 2, the argmax path
+    x = np.full((1, 1, 3, 3), -5.0, np.float32)
+    x[:, :, :2, :2] = window
+    return MaxPool2d(2), x
 
 
 class TestMaxPoolNaN:
@@ -134,9 +152,7 @@ class TestMaxPoolNaN:
     NaN window goes to its first NaN (argmax's rule)."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize(
-        "path", ["tiled", "tiled-noncontiguous", "generic", "fused"]
-    )
+    @pytest.mark.parametrize("path", ["tiled", "tiled-noncontiguous", "generic"])
     def test_nan_window_pools_to_nan(self, path, mode):
         module, x = _nan_pool_path(path)
         module.train(mode == "train")
@@ -151,15 +167,6 @@ class TestMaxPoolNaN:
         expected = np.zeros(x.shape, np.float32)
         expected[0, 0, 0, 1] = 7.0
         np.testing.assert_array_equal(dx, expected)
-
-    def test_fused_nan_window_matches_unfused_stack(self):
-        block, x = _nan_pool_path("fused")
-        conv = Conv2d(1, 1, 1)
-        conv.weight.data[...] = 1.0
-        stack = Sequential(conv, ReLU(), MaxPool2d(2))
-        g = np.full((1, 1, 1, 1), 7.0, np.float32)
-        np.testing.assert_array_equal(block.forward(x), stack.forward(x))
-        np.testing.assert_array_equal(block.backward(g), stack.backward(g))
 
 
 class TestMaxPoolLayouts:

@@ -21,13 +21,13 @@ from repro.nn.init import shapes_only
 MODELS = ("vgg11", "resnet18", "mobilenet")
 
 
-def _build(name, fused):
+def _build(name):
     """A small model and its classic and adaptive auxiliary heads."""
-    model = build_model(name, width_multiplier=0.25, seed=3, fused=fused)
+    model = build_model(name, width_multiplier=0.25, seed=3)
     heads = [
         head
         for rule in ("classic", "aan")
-        for head in build_aux_heads(model, rule=rule, seed=3, fused=fused)
+        for head in build_aux_heads(model, rule=rule, seed=3)
     ]
     return [model, *heads]
 
@@ -41,13 +41,11 @@ def _drawn_weights(module):
     ]
 
 
-@pytest.fixture(scope="module", params=[(n, f) for n in MODELS for f in (False, True)],
-                ids=lambda p: f"{p[0]}-{'fused' if p[1] else 'unfused'}")
+@pytest.fixture(scope="module", params=MODELS)
 def built(request):
-    name, fused = request.param
     with shapes_only():
-        placeholder = _build(name, fused)
-    return placeholder, _build(name, fused)
+        placeholder = _build(request.param)
+    return placeholder, _build(request.param)
 
 
 def test_weights_are_read_only_zeros(built):

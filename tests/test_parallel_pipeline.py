@@ -123,22 +123,22 @@ class TestSequentialSchedule:
         assert preport.makespan_s == base_report.result.sim_time_s
 
     def test_sequential_train_parallel_unaffected(self, tiny_dataset):
-        """The fused kernels too: a two-device sequential schedule keeps
-        run()'s weights bit for bit."""
+        """A two-device sequential schedule keeps run()'s weights bit for
+        bit."""
 
-        def fused_system():
+        def small_system():
             model = build_model(
                 "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125,
-                seed=3, fused=True,
+                seed=3,
             )
             return NeuroFlux(
                 model, tiny_dataset, memory_budget=2 * MB,
                 config=NeuroFluxConfig(batch_limit=32, seed=0),
             )
 
-        solo = fused_system()
+        solo = small_system()
         solo.run(1)
-        clustered = fused_system()
+        clustered = small_system()
         cluster = Cluster.from_names(
             ["agx-orin", "agx-orin"], memory_budget=[2 * MB, 2 * MB]
         )

@@ -13,7 +13,6 @@ from repro.nn import (
     Conv2d,
     CrossEntropyLoss,
     DepthwiseConv2d,
-    FusedConvBlock,
     Linear,
     MaxPool2d,
     ReLU,
@@ -115,17 +114,14 @@ class TestWorkspace:
         assert ws.nbytes == 16
 
 
-def _twin_units(fused: bool, batch_norm: bool):
+def _twin_units(batch_norm: bool):
     """A pooled ``conv_unit`` + ``AuxiliaryHead`` and an unpooled twin."""
     twins = []
     for _ in range(2):
         unit = conv_unit(
-            3, 4, batch_norm=batch_norm, fused=fused, pool=2,
-            rng=np.random.default_rng(1),
+            3, 4, batch_norm=batch_norm, pool=2, rng=np.random.default_rng(1)
         )
-        head = AuxiliaryHead(
-            4, 5, 3, (4, 4), kernel_size=3, rng=np.random.default_rng(2), fused=fused
-        )
+        head = AuxiliaryHead(4, 5, 3, (4, 4), kernel_size=3, rng=np.random.default_rng(2))
         twins.append((unit, head))
     for module in twins[0]:
         module.attach_workspace()
@@ -161,9 +157,7 @@ class TestModuleAttachment:
             np.testing.assert_array_equal(plain.weight.grad, pooled.weight.grad)
             np.testing.assert_array_equal(plain.bias.grad, pooled.bias.grad)
 
-    @pytest.mark.parametrize(
-        "fused,batch_norm", [(False, True), (True, True), (True, False)]
-    )
+    @pytest.mark.parametrize("batch_norm", [True, False])
     @given(
         steps=st.lists(
             st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=8
@@ -171,11 +165,11 @@ class TestModuleAttachment:
     )
     @settings(max_examples=15, deadline=None)
     def test_unit_and_head_match_unpooled_twin_over_any_batch_sequence(
-        self, fused, batch_norm, steps
+        self, batch_norm, steps
     ):
         """Random batch sizes and train/eval modes: forward, and after a
         training step every weight and bias gradient, bit-equal."""
-        (unit, head), (unit_ref, head_ref) = _twin_units(fused, batch_norm)
+        (unit, head), (unit_ref, head_ref) = _twin_units(batch_norm)
         rng = np.random.default_rng(3)
         loss_fn = CrossEntropyLoss()
         for n, training in steps:
@@ -272,18 +266,15 @@ def _second_forward_cases():
     return {
         "conv-1x1-out": (lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)),
         "conv": (lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1)), (2, 4, 5, 5)),
-        "conv-fused-1x1-out": (
-            lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1), fused=True, activation="relu"),
-            (2, 4, 1, 1),
+        # A 1x1 map has nothing to pool: that unit stops at its ReLU.
+        "unit-1x1-out": (
+            lambda: conv_unit(4, 8, batch_norm=False, rng=rng(1)), (2, 4, 1, 1)
         ),
-        "fused-block-1x1-out": (
-            lambda: FusedConvBlock(4, 8, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)
+        "unit-pooled-1x1-out": (
+            lambda: conv_unit(4, 8, batch_norm=False, pool=2, rng=rng(1)), (2, 4, 2, 2)
         ),
-        "fused-block-pooled-1x1-out": (
-            lambda: FusedConvBlock(4, 8, 3, padding=1, pool=2, rng=rng(1)), (2, 4, 2, 2)
-        ),
-        "fused-block-pooled": (
-            lambda: FusedConvBlock(4, 8, 3, padding=1, pool=2, rng=rng(1)), (2, 4, 4, 4)
+        "unit-pooled": (
+            lambda: conv_unit(4, 8, batch_norm=False, pool=2, rng=rng(1)), (2, 4, 4, 4)
         ),
         "depthwise-1x1-out": (
             lambda: DepthwiseConv2d(4, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)
@@ -291,9 +282,6 @@ def _second_forward_cases():
         "maxpool-tiled-1x1-out": (lambda: MaxPool2d(2), (2, 4, 2, 2)),
         "maxpool-generic": (lambda: MaxPool2d(3, stride=2), (2, 4, 5, 5)),
         "linear": (lambda: Linear(6, 3, rng=rng(1)), (2, 6)),
-        "linear-fused": (
-            lambda: Linear(6, 3, rng=rng(1), fused=True, activation="relu"), (2, 6)
-        ),
     }
 
 
@@ -404,11 +392,9 @@ class TestSequentialNeedInputGrad:
             a.layers[0].weight.grad, b.layers[0].weight.grad
         )
 
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_model_backward_flag(self, fused):
+    def test_model_backward_flag(self):
         model = build_model(
-            "vgg11", width_multiplier=0.125, input_hw=(8, 8),
-            batch_norm=False, fused=fused,
+            "vgg11", width_multiplier=0.125, input_hw=(8, 8), batch_norm=False
         )
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
