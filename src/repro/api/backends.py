@@ -339,7 +339,7 @@ class EvalSimBackend(Backend):
                 input_hw=data.image_hw,
                 width_multiplier=m.width_multiplier,
                 seed=m.seed,
-                    )
+            )
         context.extras["data_spec"] = data
         return context
 
@@ -405,7 +405,7 @@ class _FederatedBackend(Backend):
                 num_classes=m.num_classes,
                 input_hw=tuple(m.input_hw),
                 width_multiplier=m.width_multiplier,
-                    ),
+            ),
             config=spec.neuroflux,
             seed=m.seed,
         )

@@ -28,8 +28,9 @@ class shapes_only:
 
     Inside it :func:`kaiming_normal`, :func:`kaiming_uniform` and
     :func:`xavier_uniform` return read-only zeros (``np.broadcast_to``
-    of one zero), so training such a model or loading a state dict into
-    it raises instead of silently running on zeros.  The previous setting
+    of one zero), and a :class:`~repro.nn.module.Parameter` built on one
+    gets a gradient of the same kind, so training such a model or loading
+    a state dict into it raises instead of silently running on zeros.  The previous setting
     is restored on exit, also when the body raises.
     """
 
@@ -43,11 +44,12 @@ class shapes_only:
         _shapes_only = self._before
 
 
-def _placeholder(shape: tuple[int, ...], dtype) -> np.ndarray:
-    # One zero broadcast to the shape: read-only, and no bytes behind it.
-    # Real zeros would be touched or not depending on whether the
-    # allocator serves them from its heap or from fresh pages, which made
-    # a sweep's peak RSS swing by a third with the checkout path.
+def placeholder(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """One zero broadcast to ``shape``: read-only, and no bytes behind it."""
+    # Real zeros -- weights or their gradients -- would be touched or not
+    # depending on whether the allocator serves them from its heap or from
+    # fresh pages, which made a sweep's peak RSS swing by 5-30 % with the
+    # checkout path or unrelated changes to the code that ran before.
     return np.broadcast_to(np.zeros((), dtype), shape)
 
 
@@ -69,7 +71,7 @@ def kaiming_normal(
     """He-normal init (gain for ReLU), fan-in mode."""
     fan_in, _ = _fan_in_out(shape)
     if _shapes_only:
-        return _placeholder(shape, dtype)
+        return placeholder(shape, dtype)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(dtype)
 
@@ -80,7 +82,7 @@ def kaiming_uniform(
     """He-uniform init, fan-in mode."""
     fan_in, _ = _fan_in_out(shape)
     if _shapes_only:
-        return _placeholder(shape, dtype)
+        return placeholder(shape, dtype)
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
@@ -91,7 +93,7 @@ def xavier_uniform(
     """Glorot-uniform init."""
     fan_in, fan_out = _fan_in_out(shape)
     if _shapes_only:
-        return _placeholder(shape, dtype)
+        return placeholder(shape, dtype)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 

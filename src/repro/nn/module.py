@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.nn.init import placeholder
 from repro.perf.workspace import Workspace
 
 
@@ -33,10 +34,14 @@ class Parameter:
     __slots__ = ("data", "grad", "name", "storage")
 
     def __init__(self, data: np.ndarray, name: str = ""):
-        # A read-only array (a shape-only placeholder) is kept as given, and
-        # np.zeros leaves a gradient nobody writes without resident pages.
-        self.data = np.ascontiguousarray(data) if data.flags.writeable else data
-        self.grad = np.zeros(self.data.shape, self.data.dtype)
+        if data.flags.writeable:
+            self.data = np.ascontiguousarray(data)
+            self.grad = np.zeros(self.data.shape, self.data.dtype)
+        else:
+            # A shape-only placeholder is kept as given, and its gradient
+            # is one too; see placeholder() for why not np.zeros.
+            self.data = data
+            self.grad = placeholder(data.shape, data.dtype)
         self.name = name
         self.storage = "fp32"
 
