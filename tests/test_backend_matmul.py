@@ -63,14 +63,18 @@ class TestKernelsCallTheOneBinding:
         the kernels must hold that very function, not a copy."""
         assert importlib.import_module(module).backend_matmul is matmul
 
-    @pytest.mark.parametrize("layer", ["conv", "linear"])
+    @pytest.mark.parametrize(
+        "layer", ["conv", "conv_workspace", "linear", "linear_workspace"]
+    )
     def test_forward_backward_gemms_go_through_it(self, layer, monkeypatch):
         """Forward is one GEMM, backward two (weight and input gradient),
-        and routing them through the binding changes no bit."""
+        and routing them through the binding changes no bit -- also with a
+        workspace attached, as the trainers run, where the GEMMs write
+        into its slots."""
         from repro.nn import Conv2d, Linear
 
         rng = np.random.default_rng(7)
-        if layer == "conv":
+        if layer.startswith("conv"):
             x = rng.standard_normal((4, 3, 12, 12)).astype(np.float32)
             g = rng.standard_normal((4, 8, 12, 12)).astype(np.float32)
 
@@ -89,9 +93,11 @@ class TestKernelsCallTheOneBinding:
 
         def run_once():
             net = build()
+            if layer.endswith("_workspace"):
+                net.attach_workspace()
             y = net.forward(x)
             dx = net.backward(g)
-            return y, dx, net.weight.grad.copy()
+            return y.copy(), dx.copy(), net.weight.grad.copy()
 
         reference = run_once()
         calls = []
@@ -107,7 +113,7 @@ class TestKernelsCallTheOneBinding:
             assert np.array_equal(want, got)
 
 
-def _system(tiny_dataset):
+def _system(tiny_dataset, batch_norm: bool = True):
     return NeuroFlux(
         build_model(
             "vgg11",
@@ -115,6 +121,7 @@ def _system(tiny_dataset):
             input_hw=(16, 16),
             width_multiplier=0.125,
             seed=3,
+            batch_norm=batch_norm,
         ),
         tiny_dataset,
         memory_budget=2 * 2**20,
@@ -136,10 +143,13 @@ def _assert_same_weights(a, b):
 
 
 class TestTrainingNumerics:
-    def test_run_is_bit_identical_on_rerun(self, tiny_dataset):
-        first = _system(tiny_dataset)
+    @pytest.mark.parametrize("batch_norm", [True, False], ids=["bn", "no-bn"])
+    def test_run_is_bit_identical_on_rerun(self, tiny_dataset, batch_norm):
+        """With batch norm the running statistics are trained state too;
+        without it every conv carries a bias and its gradient."""
+        first = _system(tiny_dataset, batch_norm)
         r_first = first.run(1)
-        second = _system(tiny_dataset)
+        second = _system(tiny_dataset, batch_norm)
         r_second = second.run(1)
         _assert_same_weights(first, second)
         assert r_first.exit_test_accuracy == r_second.exit_test_accuracy

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import check_module_input_grad, check_param_grads, rand_image_batch
 from repro.errors import ConfigError, ShapeError
+from repro.models.layers import conv_unit
 from repro.nn import (
     AdaptiveAvgPool2d,
     AvgPool2d,
@@ -141,10 +142,14 @@ def _nan_pool_path(path: str):
     if path == "tiled-noncontiguous":
         column_major = np.ascontiguousarray(window.transpose(0, 1, 3, 2))
         return MaxPool2d(2), column_major.transpose(0, 1, 3, 2)
-    # "generic": 3x3 does not tile by 2, the argmax path
-    x = np.full((1, 1, 3, 3), -5.0, np.float32)
-    x[:, :, :2, :2] = window
-    return MaxPool2d(2), x
+    if path == "generic":  # 3x3 does not tile by 2: the argmax path
+        x = np.full((1, 1, 3, 3), -5.0, np.float32)
+        x[:, :, :2, :2] = window
+        return MaxPool2d(2), x
+    # "unit": a 1x1 identity conv, its ReLU, then the pool
+    unit = conv_unit(1, 1, kernel_size=1, padding=0, batch_norm=False, pool=2)
+    unit.layers[0].weight.data[...] = 1.0
+    return unit, window
 
 
 class TestMaxPoolNaN:
@@ -152,7 +157,9 @@ class TestMaxPoolNaN:
     NaN window goes to its first NaN (argmax's rule)."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize("path", ["tiled", "tiled-noncontiguous", "generic"])
+    @pytest.mark.parametrize(
+        "path", ["tiled", "tiled-noncontiguous", "generic", "unit"]
+    )
     def test_nan_window_pools_to_nan(self, path, mode):
         module, x = _nan_pool_path(path)
         module.train(mode == "train")

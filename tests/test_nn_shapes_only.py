@@ -13,12 +13,13 @@ import pytest
 
 from test_model_weights_golden import GOLDEN, mobilenet_digest
 from repro.core.auxiliary import build_aux_heads
-from repro.models import build_model
+from repro.models import build_model, list_models
 from repro.nn import SGD, Conv2d, DepthwiseConv2d, Linear
 from repro.nn import init as nn_init
 from repro.nn.init import shapes_only
 
-MODELS = ("vgg11", "resnet18", "mobilenet")
+# Every model the zoo builds: a sweep grid may name any of them shape-only.
+MODELS = tuple(list_models())
 
 
 def _build(name):

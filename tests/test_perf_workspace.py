@@ -157,6 +157,31 @@ class TestModuleAttachment:
             np.testing.assert_array_equal(plain.weight.grad, pooled.weight.grad)
             np.testing.assert_array_equal(plain.bias.grad, pooled.bias.grad)
 
+    @pytest.mark.parametrize(
+        "make,x_shape",
+        [
+            (lambda: Conv2d(3, 5, 3, padding=1, rng=np.random.default_rng(7)), (2, 3, 6, 6)),
+            (lambda: Linear(6, 5, rng=np.random.default_rng(7)), (2, 6)),
+        ],
+        ids=["conv", "linear"],
+    )
+    def test_reseeded_feedback_is_honored_with_warm_workspace(self, make, x_shape):
+        """A backward with warm workspace slots must not reuse anything
+        of the feedback weights it replaced."""
+        rng = np.random.default_rng(4)
+        layer = make().attach_workspace()
+        layer.enable_feedback_alignment(np.random.default_rng(1))
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        g = rng.standard_normal(layer.forward(x).shape).astype(np.float32)
+        layer.backward(g)  # warms every backward slot
+        layer.enable_feedback_alignment(np.random.default_rng(2))
+        layer.forward(x)
+        dx = layer.backward(g)
+        fresh = make()
+        fresh.enable_feedback_alignment(np.random.default_rng(2))
+        fresh.forward(x)
+        np.testing.assert_array_equal(dx, fresh.backward(g))
+
     @pytest.mark.parametrize("batch_norm", [True, False])
     @given(
         steps=st.lists(
@@ -276,6 +301,13 @@ def _second_forward_cases():
         "unit-pooled": (
             lambda: conv_unit(4, 8, batch_norm=False, pool=2, rng=rng(1)), (2, 4, 4, 4)
         ),
+        # The unit every VGG stage trains: conv, batch norm, ReLU, pool.
+        "unit-bn-pooled": (lambda: conv_unit(4, 8, pool=2, rng=rng(1)), (2, 4, 4, 4)),
+        # Conv, adaptive pool and linear sharing one arena.
+        "aux-head": (
+            lambda: AuxiliaryHead(4, 5, 3, (4, 4), kernel_size=3, rng=rng(1)),
+            (2, 4, 4, 4),
+        ),
         "depthwise-1x1-out": (
             lambda: DepthwiseConv2d(4, 3, padding=1, rng=rng(1)), (2, 4, 1, 1)
         ),
@@ -392,9 +424,10 @@ class TestSequentialNeedInputGrad:
             a.layers[0].weight.grad, b.layers[0].weight.grad
         )
 
-    def test_model_backward_flag(self):
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_model_backward_flag(self, batch_norm):
         model = build_model(
-            "vgg11", width_multiplier=0.125, input_hw=(8, 8), batch_norm=False
+            "vgg11", width_multiplier=0.125, input_hw=(8, 8), batch_norm=batch_norm
         )
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
