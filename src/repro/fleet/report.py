@@ -12,6 +12,7 @@ silently: every offered request is completed, rejected, or shed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.api.report import Report, json_num as _num, merge_ledger_summaries
@@ -70,16 +71,19 @@ class FleetReport(Report):
     n_replicas_initial: int
     predicted_batch_s: float = 0.0
     replicas: list[ReplicaSummary] = field(default_factory=list)
-    #: End-to-end latency of every completed request (arrival to
-    #: completion, failovers included under their original arrival).
-    latencies: list[float] = field(default_factory=list)
-    #: Exact per-request latency decomposition, index-aligned with
-    #: ``latencies``: time queued (to dispatch, plus mid-chain device
-    #: stalls), segment compute, and boundary-hop comm.  Per request,
+    #: The four per-request series are float64 columns (``array("d")``,
+    #: 8 bytes a completed request each), index-aligned in completion
+    #: order.  ``latencies``: end-to-end latency of every completed
+    #: request (arrival to completion, failovers included under their
+    #: original arrival).
+    latencies: array = field(default_factory=lambda: array("d"))
+    #: Exact per-request latency decomposition of ``latencies``: time
+    #: queued (to dispatch, plus mid-chain device stalls), segment
+    #: compute, and boundary-hop comm.  Per request,
     #: ``queue + compute + comm == latency``.
-    queue_seconds: list[float] = field(default_factory=list)
-    compute_seconds: list[float] = field(default_factory=list)
-    comm_seconds: list[float] = field(default_factory=list)
+    queue_seconds: array = field(default_factory=lambda: array("d"))
+    compute_seconds: array = field(default_factory=lambda: array("d"))
+    comm_seconds: array = field(default_factory=lambda: array("d"))
     n_completed: int = 0
     n_rejected: int = 0
     n_shed: int = 0
@@ -193,13 +197,10 @@ class FleetReport(Report):
                 "replica_batches_total", replica=r.replica_id
             ).inc(r.n_batches)
             reg.gauge("replica_busy_seconds", replica=r.replica_id).set(r.busy_s)
-        latency = reg.histogram("request_latency_seconds")
-        latency.samples.extend(self.latencies)
-        reg.histogram("request_queue_seconds").samples.extend(self.queue_seconds)
-        reg.histogram("request_compute_seconds").samples.extend(
-            self.compute_seconds
-        )
-        reg.histogram("request_comm_seconds").samples.extend(self.comm_seconds)
+        reg.histogram("request_latency_seconds").extend(self.latencies)
+        reg.histogram("request_queue_seconds").extend(self.queue_seconds)
+        reg.histogram("request_compute_seconds").extend(self.compute_seconds)
+        reg.histogram("request_comm_seconds").extend(self.comm_seconds)
 
     def latency_breakdown(self) -> dict:
         """Fleet-wide queue/compute/comm split of completed-request time."""

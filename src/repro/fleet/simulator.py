@@ -586,57 +586,61 @@ def simulate_fleet(
     fleet = fleet if fleet is not None else FleetConfig()
     server_config = server_config if server_config is not None else ServerConfig()
     model = system.build_multi_exit_model(exit_layers)
+    router = CascadeRouter(model, threshold=threshold, mode=mode)
     try:
-        router = CascadeRouter(model, threshold=threshold, mode=mode)
-        cost_model = CascadeCostModel(
-            model, system.model.in_channels, system.model.input_hw
+        route_cache = build_route_cache(
+            router, system.data.x_test, system.data.y_test
         )
-        x, y = system.data.x_test, system.data.y_test
-        route_cache = build_route_cache(router, x, y)
-        sample_bytes = system.data.spec.sample_bytes
-        budgets = (
-            list(memory_budgets)
-            if memory_budgets is not None
-            else [None] * len(cluster_names)
-        )
-
-        from repro.parallel.cluster import Cluster
-
-        def template_factory():
-            return Cluster.from_names(cluster_names, memory_budget=budgets)
-
-        plan = plan_cascade_shards(
-            model,
-            cost_model,
-            template_factory(),
-            batch=server_config.batch_cap,
-            sample_bytes=sample_bytes,
-        )
-
-        def single_factory(platform_name: str, memory_budget: int | None):
-            cluster = Cluster.from_names(
-                [platform_name], memory_budget=[memory_budget]
-            )
-            single = single_device_plan(
-                model, cost_model, cluster,
-                batch=server_config.batch_cap, sample_bytes=sample_bytes,
-            )
-            return cluster, single
-
-        simulator = FleetSimulator(
-            route_cache=route_cache,
-            plan=plan,
-            template_factory=template_factory,
-            single_factory=single_factory,
-            workload=workload,
-            server_config=server_config,
-            fleet=fleet,
-            schedule=schedule,
-            sample_bytes=sample_bytes,
-        )
-        return simulator.run()
     finally:
+        # The route cache is the model's only forward pass: drop the
+        # scratch the router attached before the event loop, which only
+        # reads the cache.
         model.detach_workspace()
+    cost_model = CascadeCostModel(
+        model, system.model.in_channels, system.model.input_hw
+    )
+    sample_bytes = system.data.spec.sample_bytes
+    budgets = (
+        list(memory_budgets)
+        if memory_budgets is not None
+        else [None] * len(cluster_names)
+    )
+
+    from repro.parallel.cluster import Cluster
+
+    def template_factory():
+        return Cluster.from_names(cluster_names, memory_budget=budgets)
+
+    plan = plan_cascade_shards(
+        model,
+        cost_model,
+        template_factory(),
+        batch=server_config.batch_cap,
+        sample_bytes=sample_bytes,
+    )
+
+    def single_factory(platform_name: str, memory_budget: int | None):
+        cluster = Cluster.from_names(
+            [platform_name], memory_budget=[memory_budget]
+        )
+        single = single_device_plan(
+            model, cost_model, cluster,
+            batch=server_config.batch_cap, sample_bytes=sample_bytes,
+        )
+        return cluster, single
+
+    simulator = FleetSimulator(
+        route_cache=route_cache,
+        plan=plan,
+        template_factory=template_factory,
+        single_factory=single_factory,
+        workload=workload,
+        server_config=server_config,
+        fleet=fleet,
+        schedule=schedule,
+        sample_bytes=sample_bytes,
+    )
+    return simulator.run()
 
 
 def build_route_cache(

@@ -7,41 +7,71 @@ simplest: a metric is a name plus a sorted label set, and a snapshot is
 one flat JSON-friendly dict keyed ``name{label="value",...}``.
 
 The percentile helper here is the one implementation the repo uses for
-latency quantiles (serving percentiles route through it): pure-python
-linear interpolation on the sorted sample, numerically identical to
-``numpy.percentile``'s default ``linear`` method.
+latency quantiles (serving percentiles route through it): linear
+interpolation on the sorted sample (see :func:`percentile` for how it
+differs from ``numpy.percentile`` in the last bits).
 
-Stdlib-only (no numpy, no repro imports), like ``repro.obs.trace``, so
-report modules at any layer can import it without cycles.
+A histogram holds its samples as one float64 column (``array("d")``,
+8 bytes a sample, against 32 for a list of Python floats) and widens
+them only to sort.
+
+No repro imports, like ``repro.obs.trace``, so report modules at any
+layer can import it without cycles.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 #: Sentinel: ``percentile`` raises on empty samples unless a default is given.
 _RAISE = object()
 
 
-def percentile(values: list[float], q: float, *, empty=_RAISE) -> float:
-    """The ``q``-th percentile by linear interpolation (numpy-compatible).
+def percentile(values, q: float, *, empty=_RAISE) -> float:
+    """The ``q``-th percentile of ``values`` by linear interpolation.
+
+    ``values`` is any float sequence (a list, an ``array("d")`` column,
+    a numpy array).  Between the two order statistics ``a <= b`` around
+    the rank it returns ``a * (1 - t) + b * t``; ``numpy.percentile``
+    uses a two-sided lerp instead, so the two agree to the last few bits
+    but not bit for bit.  The committed goldens pin this form -- keep
+    it.  A sample holding any NaN has NaN percentiles (rendered ``null``
+    in JSON), whatever order the NaN arrived in.
 
     An empty sample has no percentiles: the call raises a ``ValueError``
     unless ``empty=`` supplies an explicit fallback (callers that render
     optional latency tables pass ``float("nan")`` and let the JSON layer
     map it to ``null``).  ``q`` is clamped to [0, 100].
     """
-    if not values:
+    if len(values) == 0:
         if empty is _RAISE:
             raise ValueError(
                 f"cannot take the p{q:g} of an empty sample; "
                 "pass empty=<fallback> to tolerate it"
             )
         return empty
-    data = sorted(values)
+    return _interpolate(_sorted(values), q)
+
+
+def _sorted(values) -> np.ndarray:
+    """``values`` as one sorted float64 column, NaNs last.
+
+    Stable, so equal values (``0.0`` and ``-0.0``) keep their arrival
+    order.
+    """
+    return np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+
+
+def _interpolate(data: np.ndarray, q: float) -> float:
+    """The ``q``-th percentile of the non-empty sorted column ``data``."""
+    if math.isnan(data[-1]):
+        return float("nan")
     q = min(100.0, max(0.0, q))
     rank = q / 100.0 * (len(data) - 1)
     lo = math.floor(rank)
@@ -49,7 +79,7 @@ def percentile(values: list[float], q: float, *, empty=_RAISE) -> float:
     if lo == hi:
         return float(data[int(rank)])
     frac = rank - lo
-    return float(data[lo] * (1.0 - frac) + data[hi] * frac)
+    return float(data[lo]) * (1.0 - frac) + float(data[hi]) * frac
 
 
 @dataclass
@@ -82,12 +112,24 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """A sample distribution; snapshots count/sum/min/max and quantiles."""
+    """A sample distribution; snapshots count/sum/min/max and quantiles.
 
-    samples: list[float] = field(default_factory=list)
+    ``samples`` is a float64 column of its own: construction,
+    :meth:`observe`, :meth:`extend` and :meth:`MetricsRegistry.merge`
+    copy values in and never alias another histogram's column.
+    """
+
+    samples: array = field(default_factory=lambda: array("d"))
+
+    def __post_init__(self) -> None:
+        self.samples = array("d", self.samples)
 
     def observe(self, value: float) -> None:
         self.samples.append(value)
+
+    def extend(self, values) -> None:
+        """Append every value of ``values`` (any float iterable)."""
+        self.samples.extend(values)
 
     @property
     def count(self) -> int:
@@ -95,6 +137,8 @@ class Histogram:
 
     @property
     def total(self) -> float:
+        # The builtin, not a numpy reduction: pairwise summation would
+        # round differently and move every committed ``sum``.
         return sum(self.samples)
 
     @property
@@ -110,18 +154,31 @@ class Histogram:
         return percentile(self.samples, q)
 
     def snapshot(self) -> dict:
-        empty = not self.samples
-        return {
+        out = {
             "type": "histogram",
             "count": self.count,
             "sum": _num(self.total),
-            "mean": _num(self.mean) if not empty else None,
-            "min": _num(min(self.samples)) if not empty else None,
-            "max": _num(max(self.samples)) if not empty else None,
-            "p50": _num(self.quantile(50)) if not empty else None,
-            "p95": _num(self.quantile(95)) if not empty else None,
-            "p99": _num(self.quantile(99)) if not empty else None,
+            "mean": None,
+            "min": None,
+            "max": None,
+            "p50": None,
+            "p95": None,
+            "p99": None,
         }
+        if not self.samples:
+            return out
+        data = _sorted(self.samples)  # one sort for all five order stats
+        # NaN sorts last, so a NaN anywhere makes min NaN too.
+        nan = math.isnan(data[-1])
+        out.update(
+            mean=_num(self.mean),
+            min=_num(float("nan") if nan else data[0]),
+            max=_num(data[-1]),
+            p50=_num(_interpolate(data, 50)),
+            p95=_num(_interpolate(data, 95)),
+            p99=_num(_interpolate(data, 99)),
+        )
+        return out
 
 
 def _num(value) -> float | None:
@@ -181,13 +238,13 @@ class MetricsRegistry:
                 elif isinstance(metric, Gauge):
                     self._metrics[key] = Gauge(metric.value)
                 else:
-                    self._metrics[key] = Histogram(list(metric.samples))
+                    self._metrics[key] = Histogram(metric.samples)
             elif isinstance(mine, Counter) and isinstance(metric, Counter):
                 mine.inc(metric.value)
             elif isinstance(mine, Gauge) and isinstance(metric, Gauge):
                 mine.set(metric.value)
             elif isinstance(mine, Histogram) and isinstance(metric, Histogram):
-                mine.samples.extend(metric.samples)
+                mine.extend(metric.samples)
             else:
                 raise ValueError(
                     f"cannot merge {type(metric).__name__} into "

@@ -43,7 +43,8 @@ Contract:
   bytes go when the last module bound to them does.  Whoever attaches
   owns the lifetime -- the sequential block loop for exactly as long as
   the block trains, the concurrent schedules and the baseline frame for
-  the run, a ``CascadeRouter`` until the server is torn down.
+  the run, ``simulate_fleet`` for as long as it builds the route cache
+  (a ``CascadeRouter`` attaches lazily; its model's builder detaches).
 """
 
 from __future__ import annotations

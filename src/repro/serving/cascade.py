@@ -165,10 +165,13 @@ class CascadeRouter:
         n = len(x)
         model = self.model
         if self._pool_scratch and model.workspace is None:
-            # Serving reruns the same segments for every batch; workspaces
-            # keep the im2col/window scratch warm across requests, sized
-            # by the largest batch routed.  Attached lazily (and only when
-            # absent) so the router never clobbers one someone else owns.
+            # The fleet routes its sample bank once, one route-cache chunk
+            # per call (``build_route_cache``); workspaces keep the
+            # im2col/window scratch warm across chunks, sized by the
+            # largest chunk.  Attached lazily (and only when absent) so the
+            # router never clobbers one someone else owns; the model's
+            # builder detaches it (``simulate_fleet``, before its event
+            # loop).
             model.attach_workspace()
         predictions = np.zeros(n, dtype=np.int64)
         exit_indices = np.zeros(n, dtype=np.int64)

@@ -6,11 +6,14 @@ explicitly shed -- ``n_unaccounted`` stays zero -- and the deterministic
 churn tests pin byte-identical reports and Chrome traces across reruns.
 """
 
+import gc
 import json
+import tracemalloc
+from array import array
 
 import pytest
 
-from repro.fleet import FleetConfig, FleetReport, simulate_fleet
+from repro.fleet import FleetConfig, FleetReport, FleetSimulator, simulate_fleet
 from repro.obs.trace import Tracer, activate, deactivate, validate_nesting
 from repro.runtime.events import (
     DeviceFailure,
@@ -45,13 +48,13 @@ CHURN = EventSchedule(
 )
 
 
-def _run_churn(system, tracer=None, policy="latency-aware"):
+def _run_churn(system, tracer=None, policy="latency-aware", workload=None):
     if tracer is not None:
         activate(tracer)
     try:
         return simulate_fleet(
             system,
-            _workload(),
+            workload or _workload(),
             cluster_names=["nano", "agx-orin"],
             fleet=FleetConfig(n_replicas=2, policy=policy),
             server_config=_config(),
@@ -274,6 +277,69 @@ class TestRouterPoliciesEndToEnd:
 
         aware, rr = run("latency-aware"), run("round-robin")
         assert aware.latency_percentile(99) <= rr.latency_percentile(99)
+
+
+#: Bytes a finished fleet run retains beyond its four float64 columns
+#: (replica summaries, event logs, ledgers, column over-allocation):
+#: measured at ~7 KiB on the workload below, for ~4 000 completions.
+RETAINED_CONSTANT_BYTES = 64 * 1024
+
+
+class TestHostMemory:
+    """What the host holds for a fleet run: 8 bytes per completed request
+    per series, and no routing scratch through the event loop."""
+
+    def test_no_scratch_in_the_loop_and_float64_columns(
+        self, served_system, monkeypatch
+    ):
+        models = []
+        build = served_system.build_multi_exit_model
+
+        def capture(*args, **kwargs):
+            models.append(build(*args, **kwargs))
+            return models[-1]
+
+        run = FleetSimulator.run
+
+        def checked_run(self):
+            # The loop only reads the route cache: the model's scratch
+            # must be gone before it starts.
+            held = [
+                type(m).__name__ for m in models[0].modules()
+                if m.workspace is not None
+            ]
+            assert held == [], f"workspaces held through the loop: {held}"
+            return run(self)
+
+        monkeypatch.setattr(served_system, "build_multi_exit_model", capture)
+        monkeypatch.setattr(FleetSimulator, "run", checked_run)
+        report = _run_churn(served_system)
+        assert len(models) == 1
+        for series in (
+            report.latencies, report.queue_seconds,
+            report.compute_seconds, report.comm_seconds,
+        ):
+            assert isinstance(series, array) and series.typecode == "d"
+            assert len(series) == report.n_completed
+
+    def test_retained_bytes_are_the_four_columns(self, served_system):
+        workload = _workload(rate=4000.0, duration=1.0)
+        _run_churn(served_system, workload=workload)  # lazy imports, caches
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            report = _run_churn(served_system, workload=workload)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert report.n_completed > 3000
+        bound = 4 * 8 * report.n_completed + RETAINED_CONSTANT_BYTES
+        assert retained <= bound, (retained, report.n_completed)
 
 
 class TestReportProtocol:

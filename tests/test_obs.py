@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import struct
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     Counter,
@@ -60,6 +64,107 @@ class TestPercentile:
     def test_clamps_out_of_range_q(self):
         assert percentile([1.0, 2.0], -5) == 1.0
         assert percentile([1.0, 2.0], 150) == 2.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0, math.nan, 1.0, 2.0], [math.nan, 3.0, 1.0, 2.0], [3.0, 1.0, math.nan, 2.0]],
+        ids=["nan-second", "nan-first", "nan-third"],
+    )
+    def test_nan_anywhere_is_nan_everywhere(self, values):
+        """Order statistics of a sample holding NaN do not depend on
+        where the NaN arrived: all are NaN (null in JSON), like sum and
+        mean."""
+        for q in (0, 50, 95, 99, 100):
+            assert math.isnan(percentile(values, q))
+        snap = Histogram(values).snapshot()
+        for key in ("sum", "mean", "min", "max", "p50", "p95", "p99"):
+            assert snap[key] is None, key
+        assert snap["count"] == 4
+
+
+def _percentile_of_sorted_list(values, q):
+    """The pure-python list form the float64 column replaced: the
+    reference the column must match bit for bit on NaN-free samples."""
+    data = sorted(values)
+    q = min(100.0, max(0.0, q))
+    rank = q / 100.0 * (len(data) - 1)
+    lo, hi = math.floor(rank), math.ceil(rank)
+    if lo == hi:
+        return float(data[int(rank)])
+    frac = rank - lo
+    return float(data[lo] * (1.0 - frac) + data[hi] * frac)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+_SUBNORMALS = [5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 0.0, -0.0]
+#: Finite samples with forced ties (values drawn from a small pool) and
+#: subnormals in the pool; length 1 included.
+_samples = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(_SUBNORMALS),
+    ),
+    min_size=1,
+    max_size=6,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+#: q inside [0, 100] and beyond it on both sides (clamped).
+_qs = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=-1e3, max_value=-1e-9),
+    st.floats(min_value=100.0 + 1e-9, max_value=1e3),
+    st.sampled_from([0.0, 12.5, 33.3, 50.0, 95.0, 99.0, 100.0]),
+)
+
+
+class TestColumns:
+    """Float64 columns compute exactly what Python-float lists computed."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(xs=_samples, q=_qs)
+    def test_percentile_column_equals_list(self, xs, q):
+        column = percentile(array("d", xs), q)
+        assert _bits(column) == _bits(percentile(xs, q))
+        assert _bits(column) == _bits(_percentile_of_sorted_list(xs, q))
+
+    @settings(deadline=None, max_examples=100)
+    @given(xs=_samples)
+    def test_histogram_snapshot_column_equals_list(self, xs):
+        from_list = Histogram(xs)
+        from_column = Histogram(array("d", xs))
+        observed = Histogram()
+        for x in xs:
+            observed.observe(x)
+        extended = Histogram()
+        extended.extend(xs)
+        expected = json.dumps(from_list.snapshot())
+        for h in (from_column, observed, extended):
+            assert json.dumps(h.snapshot()) == expected
+        assert _bits(from_column.total) == _bits(sum(xs))
+
+    @settings(deadline=None, max_examples=50)
+    @given(xs=_samples, ys=_samples)
+    def test_merge_copies_never_aliases(self, xs, ys):
+        source = MetricsRegistry()
+        source.histogram("h").extend(xs)
+        fresh = MetricsRegistry().merge(source)  # key absent: a new column
+        pooled = MetricsRegistry()
+        pooled.histogram("h").extend(ys)
+        pooled.merge(source)  # key present: appended to
+        fresh.histogram("h").observe(1.0)
+        pooled.histogram("h").observe(1.0)
+        src = source.histogram("h").samples
+        assert [_bits(v) for v in src] == [_bits(v) for v in xs]
+        assert len(fresh.histogram("h").samples) == len(xs) + 1
+        assert len(pooled.histogram("h").samples) == len(ys) + len(xs) + 1
+
+    def test_construction_copies_the_column(self):
+        column = array("d", [1.0, 2.0])
+        h = Histogram(column)
+        h.observe(3.0)
+        assert list(column) == [1.0, 2.0]
 
 
 class TestMetrics:
