@@ -12,8 +12,8 @@ interpolation on the sorted sample (see :func:`percentile` for how it
 differs from ``numpy.percentile`` in the last bits).
 
 A histogram holds its samples as one float64 column (``array("d")``,
-8 bytes a sample, against 32 for a list of Python floats) and widens
-them only to sort.
+8 bytes a sample, against 32 for a list of Python floats); its order
+statistics come from one numpy sort of that column.
 
 No repro imports, like ``repro.obs.trace``, so report modules at any
 layer can import it without cycles.
