@@ -473,20 +473,24 @@ def _sha256_json(payload) -> str:
 
 
 def modules_digest(modules) -> str:
-    """sha256 over every ``state_dict`` tensor of ``modules``, in order."""
+    """sha256 over every parameter of ``modules``, in order.
+
+    Parameters only: BatchNorm running statistics are held by their own
+    assertions, so a digest recorded before they joined ``state_dict``
+    still names the same bytes."""
     import hashlib
 
     digest = hashlib.sha256()
     for module in modules:
-        for key, tensor in sorted(module.state_dict().items()):
-            array = np.ascontiguousarray(tensor)
+        for key, param in sorted(module.named_parameters(), key=lambda kv: kv[0]):
+            array = np.ascontiguousarray(param.data)
             digest.update(f"{key}:{array.dtype}:{array.shape}".encode())
             digest.update(array.tobytes())
     return digest.hexdigest()
 
 
 def weights_digest(system) -> str:
-    """sha256 over every ``state_dict`` tensor of the model + aux heads."""
+    """sha256 over every parameter of the model + aux heads."""
     return modules_digest((system.model, *system.aux_heads))
 
 

@@ -3,8 +3,8 @@
 ``tests/data/model_weights_golden.json`` was recorded (by :func:`record`
 below) while ``DepthwiseConv2d`` still drew its kernel inline with
 ``rng.normal(...).astype(dtype)`` instead of through ``repro.nn.init``.
-Each case is ``build_model("mobilenet", seed=s).state_dict()`` for one
-seed; the digest is a sha256 over every parameter's name, dtype, shape
+Each case is ``build_model("mobilenet", seed=s).named_parameters()`` for
+one seed; the digest is a sha256 over every parameter's name, dtype, shape
 and bytes, in name order.  A moved digest means a MobileNet parameter
 drew a different stream, std or cast.
 
@@ -34,7 +34,8 @@ def state_digest(state: dict) -> str:
 def mobilenet_digest(seed: int) -> str:
     from repro.models import build_model
 
-    return state_digest(build_model("mobilenet", seed=seed).state_dict())
+    model = build_model("mobilenet", seed=seed)
+    return state_digest({name: p.data for name, p in model.named_parameters()})
 
 
 def record() -> None:
