@@ -28,12 +28,11 @@ Mechanics:
 * **fork start method** -- workers inherit the fully-built system
   (model, aux heads, data) by address-space copy; nothing is pickled on
   the way in.  Stage 0 runs in the parent, so its weights train in
-  place; other stages ship their trained ``state_dict`` back through a
-  result pipe of their own (bf16-packed at 2 bytes/scalar when bf16
-  storage is on), with each BatchNorm's running statistics beside it
-  (:mod:`repro.utils.serialization`'s one BN-stat format), and the
-  parent loads both before evaluation -- an exit layer scores the same
-  on any process count.
+  place; other stages ship their trained ``state_dict`` -- weights and
+  BatchNorm running statistics -- back through a result pipe of their
+  own (bf16-stored weights packed at 2 bytes/scalar), and the parent
+  loads it before evaluation -- an exit layer scores the same on any
+  process count.
 * **shared-memory rings** -- each stage boundary owns ``slots``
   preallocated micro-batch buffers (``mp.RawArray``, allocated before
   fork so both sides see the same pages) plus free/full token queues.
@@ -52,7 +51,7 @@ Mechanics:
   count is restored before evaluation.  A single stage touches none of it.
 
 The per-block optimizer states built inside each worker process stay
-there; what returns is the trained weights, which is all later stages
+there; what returns is the trained module state, which is all later stages
 of the NeuroFlux pipeline (exit selection, serving) consume.
 """
 
@@ -77,7 +76,6 @@ from repro.data.loader import DataLoader
 from repro.errors import ConfigError
 from repro.hw.simulator import ExecutionSimulator
 from repro.utils.rng import spawn_rng
-from repro.utils.serialization import _load_running_stats, _running_stats
 
 #: Micro-batch buffers per stage boundary; 4 keeps a slow consumer from
 #: stalling the producer without holding more than a step of slack.
@@ -290,29 +288,28 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
     return {"stats": stats, "sim_elapsed": sim.elapsed, **host}
 
 
-def _ship_state(module) -> tuple:
-    """Wire format for one module's trained state: its weights,
-    bf16-packed when stored bf16 (half the pipe traffic, lossless for
-    truncated weights), and its BatchNorm running statistics, which
-    ``state_dict`` does not carry but evaluation reads."""
+def _ship_state(module) -> dict[str, np.ndarray]:
+    """Wire format for one module's trained state: its ``state_dict``,
+    with every bf16-stored parameter packed to ``uint16`` bit patterns
+    (half the pipe traffic, lossless for truncated weights).  BatchNorm
+    statistics are never truncated: they travel fp32, as they train."""
     state = module.state_dict()
-    stats = _running_stats(module)
-    if any(is_bf16(p) for p in module.parameters()):
-        return ("bf16", pack_bf16_state(state), stats)
-    return ("fp32", state, stats)
+    state.update(
+        pack_bf16_state(
+            {name: state[name] for name, p in module.named_parameters() if is_bf16(p)}
+        )
+    )
+    return state
 
 
-def _load_state(module, payload: tuple) -> None:
-    kind, state, stats = payload
-    if kind == "bf16":
-        state = unpack_bf16_state(state)
-    module.load_state_dict(state)
-    _load_running_stats(module, stats)
+def _load_state(module, state: dict[str, np.ndarray]) -> None:
+    packed = {k: v for k, v in state.items() if v.dtype == np.uint16}
+    module.load_state_dict({**state, **unpack_bf16_state(packed)})
 
 
 def _stage_worker(system, stage_blocks, mb, epochs, inlink, outlink, result):
     """Child-process entry: train (each stage's workers attach their own
-    workspaces, after the fork), then ship trained weights upstream.
+    workspaces, after the fork), then ship trained state upstream.
 
     The outcome goes through the stage's own pipe, pickled on this
     thread: a queue would pickle it on a feeder thread, in a fresh malloc
@@ -392,7 +389,7 @@ def run_block_parallel(
 
 def _run_stages(system, stages, mb, epochs, slots) -> dict:
     """Fork stages 1.., train stage 0 here, collect every stage's outcome
-    (loading the children's trained weights into ``system``)."""
+    (loading the children's trained state into ``system``)."""
     ctx = mp.get_context("fork")
     y_dtype = system.data.y_train.dtype
     rings: list[_ActivationRing] = []

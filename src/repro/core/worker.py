@@ -214,32 +214,6 @@ class BlockWorker:
         mean_loss = loss_sum / n_samples if n_samples else float("nan")
         return n_batches, n_samples, mean_loss
 
-    def state_dict(self) -> dict[str, dict]:
-        """Everything this worker trains, keyed by member-unit position.
-
-        The multiprocess executor ships this across the process boundary
-        after a worker finishes its stage; keys are positional (stable
-        for a given block), values are the member modules'/optimizers'
-        own state dicts.
-        """
-        state: dict[str, dict] = {}
-        for i, (spec, aux, opt) in enumerate(
-            zip(self.layer_specs, self.aux_heads, self.optimizers)
-        ):
-            state[f"layer{i}"] = spec.module.state_dict()
-            state[f"aux{i}"] = aux.state_dict()
-            state[f"opt{i}"] = opt.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict[str, dict]) -> None:
-        """Inverse of :meth:`state_dict` (strict: every key required)."""
-        for i, (spec, aux, opt) in enumerate(
-            zip(self.layer_specs, self.aux_heads, self.optimizers)
-        ):
-            spec.module.load_state_dict(state[f"layer{i}"])
-            aux.load_state_dict(state[f"aux{i}"])
-            opt.load_state_dict(state[f"opt{i}"])
-
     def forward_pass(
         self,
         batches: Iterable[tuple[np.ndarray, np.ndarray]],

@@ -8,8 +8,8 @@ synchronous FedAvg over NeuroFlux clients:
 * every client holds a disjoint shard of the training data and a memory
   budget (possibly different per device);
 * each round, clients run NeuroFlux locally from the current global
-  weights, then the server averages stage and auxiliary-head parameters
-  (shard-size weighted);
+  state, then the server averages stage and auxiliary-head state dicts
+  -- parameters and BatchNorm running statistics -- shard-size weighted;
 * clients are the devices of one :class:`repro.parallel.cluster.Cluster`,
   and a client round trains through the controller's block loop with
   every block placed on the client's device: local work is charged to
@@ -54,7 +54,9 @@ from repro.training.common import evaluate_classifier
 def federated_average(
     states: list[dict[str, np.ndarray]], weights: list[float]
 ) -> dict[str, np.ndarray]:
-    """Weighted average of parameter dictionaries (FedAvg)."""
+    """Weighted average of state dicts (FedAvg), BatchNorm running
+    statistics included.  Products and sums run in float64 before the
+    one cast back, so identical clients come back bit for bit."""
     if not states:
         raise ConfigError("no client states to average")
     if len(states) != len(weights):
@@ -70,7 +72,7 @@ def federated_average(
     for key in keys:
         acc = np.zeros_like(states[0][key], dtype=np.float64)
         for state, w in zip(states, weights):
-            acc += (w / total) * state[key]
+            acc += np.multiply(state[key], w / total, dtype=np.float64)
         out[key] = acc.astype(states[0][key].dtype)
     return out
 
@@ -316,7 +318,9 @@ class FederatedNeuroFlux:
         return build_model(self.model_name, seed=self.seed, **self.model_kwargs)
 
     def _update_bytes(self) -> int:
-        """Bytes of one full model+heads update (download or upload)."""
+        """Bytes of one full model+heads update (download or upload):
+        every ``state_dict`` entry, BatchNorm running statistics
+        included."""
         nbytes = sum(a.nbytes for a in self._global_state.values())
         for state in self._global_aux_states:
             nbytes += sum(a.nbytes for a in state.values())

@@ -79,6 +79,11 @@ class Module:
     composition is plain attribute assignment (or lists of modules).
     """
 
+    #: Attribute names of the plain arrays that are trained state without
+    #: being parameters (BatchNorm's running statistics): no gradient, no
+    #: optimizer, but :meth:`state_dict` carries them.
+    buffer_names: tuple[str, ...] = ()
+
     #: Class flag: set True on modules whose ``backward`` accepts
     #: ``need_input_grad=False`` (lets callers skip the input-gradient
     #: kernels when the result would be discarded, e.g. the first layer of
@@ -123,19 +128,35 @@ class Module:
                     params.append(value)
         return params
 
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
-        out: list[tuple[str, Parameter]] = []
+    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
+        """Yield ``(prefix, module)`` in :meth:`modules` order, where
+        ``prefix`` is the module's attribute path plus a trailing dot
+        (``"layers.0."``; ``""`` for self)."""
+        yield prefix, self
         for attr, value in self.__dict__.items():
-            path = f"{prefix}{attr}"
-            if isinstance(value, Parameter):
-                out.append((path, value))
-            elif isinstance(value, Module):
-                out.extend(value.named_parameters(prefix=path + "."))
+            if isinstance(value, Module):
+                yield from value.named_modules(f"{prefix}{attr}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        out.extend(item.named_parameters(prefix=f"{path}.{i}."))
-        return out
+                        yield from item.named_modules(f"{prefix}{attr}.{i}.")
+
+    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
+        return [
+            (path + attr, value)
+            for path, module in self.named_modules(prefix)
+            for attr, value in module.__dict__.items()
+            if isinstance(value, Parameter)
+        ]
+
+    def named_buffers(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+        """Every declared buffer (:attr:`buffer_names`), named on the same
+        paths as the parameters (``layers.1.running_mean``)."""
+        return [
+            (path + name, getattr(module, name))
+            for path, module in self.named_modules(prefix)
+            for name in module.buffer_names
+        ]
 
     # -- workspace --------------------------------------------------------
     @property
@@ -209,10 +230,18 @@ class Module:
 
     # -- (de)serialization -------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
+        """Copies of every parameter and buffer, keyed by path: the one
+        format module state moves in (block snapshots, the forked-stage
+        ship, FedAvg, checkpoint files)."""
+        state = {name: p.data.copy() for name, p in self.named_parameters()}
+        state.update((name, b.copy()) for name, b in self.named_buffers())
+        return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
+        """Copy ``state`` into the parameters and buffers in place; strict:
+        every name must match, and every shape."""
+        own = {name: p.data for name, p in self.named_parameters()}
+        own.update(self.named_buffers())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if missing or unexpected:
@@ -220,14 +249,14 @@ class Module:
                 f"state dict mismatch: missing={sorted(missing)} "
                 f"unexpected={sorted(unexpected)}"
             )
-        for name, p in own.items():
+        for name, target in own.items():
             value = state[name]
-            if value.shape != p.data.shape:
+            if value.shape != target.shape:
                 raise ShapeError(
-                    f"parameter {name!r}: expected shape {p.data.shape}, "
+                    f"state {name!r}: expected shape {target.shape}, "
                     f"got {value.shape}"
                 )
-            p.data[...] = value
+            target[...] = value
 
 
 def run_backward(

@@ -25,8 +25,11 @@ class BatchNorm2d(Module):
 
     Training-mode forward caches the normalized activations ``xhat`` and the
     batch inverse std; the memory estimator counts both (this mirrors what a
-    CUDA autograd engine retains for the BN backward).
+    CUDA autograd engine retains for the BN backward).  The running
+    statistics are buffers: trained state that ``state_dict`` carries.
     """
+
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(
         self,

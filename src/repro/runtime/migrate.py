@@ -1,7 +1,9 @@
 """Live block migration and fault recovery.
 
-A NeuroFlux block's entire training state is its member layers' weights,
-its auxiliary heads, and its optimizers' momentum buffers -- a
+A NeuroFlux block's entire training state is its member layers' and
+auxiliary heads' weights and BatchNorm running statistics (the cached
+eval-mode outputs the next block trains on read them), and its
+optimizers' momentum buffers -- a
 :class:`~repro.training.checkpointing.BlockCheckpoint`.  Because local
 learning never back-propagates across blocks, moving a block between
 devices requires no pipeline flush: the block checkpoints, ships over a

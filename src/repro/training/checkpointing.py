@@ -6,8 +6,8 @@ Two related concerns live here:
   that trades compute for memory by recomputing segment interiors during
   backward;
 * block *state* checkpointing -- bit-exact snapshot / serialize /
-  restore of a partition block's weights, auxiliary heads and optimizer
-  state.  This is the substrate live block migration and fault-tolerant
+  restore of a partition block's layers and auxiliary heads (weights
+  and BatchNorm running statistics) and its optimizer state.  This is the substrate live block migration and fault-tolerant
   recovery (:mod:`repro.runtime.migrate`) rely on: a restored block must
   be indistinguishable from the original, down to the last bit, or a
   migrated run would silently diverge from the unperturbed one.
@@ -76,9 +76,12 @@ class BlockCheckpoint:
     """Bit-exact snapshot of one partition block's training state.
 
     One state dict per member layer, per auxiliary head, and per
-    optimizer, in block order.  ``nbytes`` is the in-memory payload size
-    (what a migration must move); the serialized form adds a small
-    container overhead on top.
+    optimizer, in block order; a layer's or head's state dict is its
+    parameters plus its BatchNorm running statistics, which the eval-mode
+    forward that feeds the next block reads.  ``nbytes`` is the in-memory
+    payload size -- parameter, statistic and optimizer bytes, what a
+    migration must move; the serialized form adds a small container
+    overhead on top.
     """
 
     layer_states: list[dict[str, np.ndarray]] = field(default_factory=list)

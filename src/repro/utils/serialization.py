@@ -1,4 +1,5 @@
-"""Model checkpointing: save/load parameters (and BN running stats)."""
+"""Model checkpointing: a module's ``state_dict`` -- parameters and
+BatchNorm running statistics, keyed by path -- in an ``.npz`` file."""
 
 from __future__ import annotations
 
@@ -6,64 +7,22 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.nn.module import Module
-from repro.nn.normalization import BatchNorm2d
-
-
-def _running_stats(module: Module) -> dict[str, np.ndarray]:
-    stats = {}
-    index = 0
-    for sub in module.modules():
-        if isinstance(sub, BatchNorm2d):
-            stats[f"bn{index}.running_mean"] = sub.running_mean.copy()
-            stats[f"bn{index}.running_var"] = sub.running_var.copy()
-            index += 1
-    return stats
-
-
-def _load_running_stats(module: Module, data: dict[str, np.ndarray]) -> None:
-    index = 0
-    for sub in module.modules():
-        if isinstance(sub, BatchNorm2d):
-            mean = data.get(f"bn{index}.running_mean")
-            var = data.get(f"bn{index}.running_var")
-            if mean is None or var is None:
-                raise ShapeError(f"checkpoint missing stats for BN #{index}")
-            sub.running_mean[...] = mean
-            sub.running_var[...] = var
-            index += 1
 
 
 def save_checkpoint(module: Module, path: str | Path) -> int:
-    """Write a module's parameters and BN statistics to an ``.npz`` file.
+    """Write ``module.state_dict()`` to an ``.npz`` file.
 
     Returns the number of bytes written.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {
-        f"param:{name}": p.data for name, p in module.named_parameters()
-    }
-    for key, value in _running_stats(module).items():
-        arrays[f"stat:{key}"] = value
-    np.savez(path, **arrays)
+    np.savez(path, **module.state_dict())
     return path.stat().st_size
 
 
 def load_checkpoint(module: Module, path: str | Path) -> None:
-    """Restore parameters and BN statistics saved by :func:`save_checkpoint`."""
-    path = Path(path)
-    with np.load(path) as data:
-        params = {
-            key[len("param:"):]: data[key]
-            for key in data.files
-            if key.startswith("param:")
-        }
-        stats = {
-            key[len("stat:"):]: data[key]
-            for key in data.files
-            if key.startswith("stat:")
-        }
-        module.load_state_dict(params)
-        _load_running_stats(module, stats)
+    """Load a file written by :func:`save_checkpoint` (strict, as
+    :meth:`~repro.nn.module.Module.load_state_dict` is)."""
+    with np.load(Path(path)) as data:
+        module.load_state_dict({key: data[key] for key in data.files})

@@ -194,40 +194,6 @@ class TestHostPrice:
         assert [[b.index for b in stage] for stage in stages] == [[0], [1, 2, 3]]
 
 
-class TestBlockWorkerState:
-    def test_state_dict_round_trip(self, tiny_dataset):
-        from repro.hw.simulator import ExecutionSimulator
-
-        system = _system(tiny_dataset)
-        blocks, _ = system.plan()
-        sim = ExecutionSimulator(system.platform)
-        worker = system._build_worker(blocks[0], sim)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(
-            (4, system.specs[0].in_channels, *system.specs[0].in_hw)
-        ).astype(np.float32)
-        y = rng.integers(0, 4, 4)
-        worker.train_batch(x, y)
-        state = worker.state_dict()
-
-        fresh = system._build_worker(blocks[0], ExecutionSimulator(system.platform))
-        fresh.load_state_dict(state)
-        for i, (spec, aux) in enumerate(zip(fresh.layer_specs, fresh.aux_heads)):
-            for key, value in spec.module.state_dict().items():
-                assert np.array_equal(value, state[f"layer{i}"][key])
-            for key, value in aux.state_dict().items():
-                assert np.array_equal(value, state[f"aux{i}"][key])
-
-    def test_load_missing_key_raises(self, tiny_dataset):
-        from repro.hw.simulator import ExecutionSimulator
-
-        system = _system(tiny_dataset)
-        blocks, _ = system.plan()
-        worker = system._build_worker(blocks[0], ExecutionSimulator(system.platform))
-        with pytest.raises(KeyError):
-            worker.load_state_dict({})
-
-
 @needs_fork
 class TestRunBlockParallel:
     def test_single_process_trains(self, tiny_dataset):
@@ -259,14 +225,16 @@ class TestRunBlockParallel:
         for wa, wb in zip(_weights(a), _weights(b)):
             assert np.array_equal(wa, wb)
 
-    def test_forked_stages_ship_batchnorm_statistics(self, tiny_dataset):
+    @pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
+    def test_forked_stages_ship_batchnorm_statistics(self, tiny_dataset, bf16):
         """A layer trained in a child is evaluated in the parent with the
-        running statistics it trained, not a fresh BatchNorm's 0 / 1:
-        every process count scores every layer the same."""
+        running statistics it trained, not a fresh BatchNorm's 0 / 1 nor
+        a bf16-truncated copy: every process count scores every layer
+        the same."""
         from repro.nn.normalization import BatchNorm2d
 
         def outcome(processes):
-            system = _system(tiny_dataset)
+            system = _system(tiny_dataset, bf16=bf16)
             report = run_block_parallel(system, epochs=1, processes=processes)
             assert len(report.result.extras["stages"]) == processes
             stats = [

@@ -1,8 +1,8 @@
 """Round-trip property tests for block state checkpointing.
 
 Live migration and failure recovery (repro.runtime.migrate) are only
-sound if a block's weights *and* optimizer state serialize/deserialize
-bit-identically -- a single flipped bit and a migrated run would diverge
+sound if a block's weights, BatchNorm statistics *and* optimizer state
+serialize/deserialize bit-identically -- a single flipped bit and a migrated run would diverge
 from the unperturbed one.  These tests pin that property down across
 optimizers, seeds and the real wire format.
 """
@@ -17,6 +17,7 @@ from repro.hw.platforms import AGX_ORIN
 from repro.hw.simulator import ExecutionSimulator
 from repro.models.zoo import build_model
 from repro.nn import make_optimizer
+from repro.nn.normalization import BatchNorm2d
 from repro.training.checkpointing import (
     checkpoint_block,
     deserialize_checkpoint,
@@ -147,15 +148,45 @@ def test_snapshot_is_a_copy_not_a_view():
     _assert_bit_identical(want, _full_state(worker))
 
 
+def _batchnorm_stats(worker: BlockWorker) -> list[np.ndarray]:
+    units = [s.module for s in worker.layer_specs] + list(worker.aux_heads)
+    return [
+        stat.copy()
+        for unit in units
+        for m in unit.modules()
+        if isinstance(m, BatchNorm2d)
+        for stat in (m.running_mean, m.running_var)
+    ]
+
+
 def test_nbytes_counts_payload():
+    """Parameter bytes + BatchNorm statistic bytes + optimizer bytes."""
     worker = _make_worker(0, "adam")
     ckpt = snapshot(worker)
     params = sum(
         s.module.parameter_bytes() for s in worker.layer_specs
     ) + sum(a.parameter_bytes() for a in worker.aux_heads)
+    stats = sum(stat.nbytes for stat in _batchnorm_stats(worker))
+    assert stats > 0
     opt = sum(o.state_bytes() for o in worker.optimizers)
     # Adam also serializes its step counter (one int64 per unit).
-    assert ckpt.nbytes == params + opt + 8 * len(worker.optimizers)
+    assert ckpt.nbytes == params + stats + opt + 8 * len(worker.optimizers)
+
+
+def test_restore_worker_rolls_back_batchnorm_statistics():
+    """Training on after a snapshot moves the running statistics;
+    ``restore_worker`` puts them back with the weights."""
+    from repro.runtime import restore_worker, snapshot_worker
+
+    worker = _make_worker(5, "sgd-momentum")
+    _train_a_bit(worker, 5)
+    want = _batchnorm_stats(worker)
+    ckpt = snapshot_worker(worker)
+    _train_a_bit(worker, 6)
+    assert not all(np.array_equal(a, b) for a, b in zip(want, _batchnorm_stats(worker)))
+    restore_worker(worker, ckpt)
+    for a, b in zip(want, _batchnorm_stats(worker)):
+        assert np.array_equal(a, b)
 
 
 def test_misaligned_inputs_rejected():

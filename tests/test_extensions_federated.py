@@ -41,6 +41,37 @@ class TestFederatedAverage:
             federated_average([{"w": np.zeros(1)}], [0.0])
 
 
+class TestFederatedStatistics:
+    """FedAvg averages BatchNorm running statistics as it does weights."""
+
+    def test_identical_clients_come_back_bit_for_bit(self):
+        from repro.models.zoo import build_model
+        from repro.utils.rng import spawn_rng
+
+        model = build_model(
+            "resnet18", num_classes=4, input_hw=(16, 16), width_multiplier=0.125
+        )
+        model.forward(spawn_rng(0, "fedavg").normal(size=(4, 3, 16, 16)).astype(np.float32))
+        state = model.state_dict()
+        assert any(key.endswith(".running_var") for key in state)
+        avg = federated_average([state, dict(state), dict(state)], [90.0, 7.0, 33.0])
+        assert set(avg) == set(state)
+        for key, value in state.items():
+            assert avg[key].dtype == value.dtype
+            assert np.array_equal(avg[key], value), key
+
+    def test_one_round_leaves_no_fresh_batchnorm(self):
+        from repro.nn.normalization import BatchNorm2d
+
+        fed = make_federation(("agx-orin", "agx-orin"))
+        fed.run(rounds=1, local_epochs=1)
+        bns = [m for m in fed._global_model.modules() if isinstance(m, BatchNorm2d)]
+        assert bns
+        for bn in bns:
+            fresh = (bn.running_mean == 0).all() and (bn.running_var == 1).all()
+            assert not fresh
+
+
 class TestSharding:
     def test_shards_cover_dataset(self, tiny_dataset):
         shards = shard_dataset(tiny_dataset, 3)
