@@ -1,10 +1,11 @@
 """Round-trip property tests for block state checkpointing.
 
 Live migration and failure recovery (repro.runtime.migrate) are only
-sound if a block's weights, BatchNorm statistics *and* optimizer state
-serialize/deserialize bit-identically -- a single flipped bit and a migrated run would diverge
-from the unperturbed one.  These tests pin that property down across
-optimizers, seeds and the real wire format.
+sound if a block's weights, BatchNorm statistics *and* optimizer
+state serialize/deserialize bit-identically -- a single flipped bit
+and a migrated run would diverge from the unperturbed one.  These
+tests pin that property down across optimizers, seeds and the real
+wire format.
 """
 
 import numpy as np

@@ -51,7 +51,8 @@ class TestFederatedStatistics:
         model = build_model(
             "resnet18", num_classes=4, input_hw=(16, 16), width_multiplier=0.125
         )
-        model.forward(spawn_rng(0, "fedavg").normal(size=(4, 3, 16, 16)).astype(np.float32))
+        x = spawn_rng(0, "fedavg").normal(size=(4, 3, 16, 16)).astype(np.float32)
+        model.forward(x)
         state = model.state_dict()
         assert any(key.endswith(".running_var") for key in state)
         avg = federated_average([state, dict(state), dict(state)], [90.0, 7.0, 33.0])

@@ -71,12 +71,12 @@ def _eval_outputs(worker: BlockWorker, x: np.ndarray) -> list[np.ndarray]:
     return outs
 
 
-def _move_by_block_checkpoint(src, dst) -> None:
+def _move_by_block_checkpoint(src, dst, tmp_path) -> None:
     wire = serialize_checkpoint(snapshot_worker(src[1]))
     restore_worker(dst[1], deserialize_checkpoint(wire))
 
 
-def _move_by_ship(src, dst) -> None:
+def _move_by_ship(src, dst, tmp_path) -> None:
     for a, b in zip(src[1].layer_specs, dst[1].layer_specs):
         _load_state(b.module, _ship_state(a.module))
     for a, b in zip(src[1].aux_heads, dst[1].aux_heads):
@@ -84,15 +84,16 @@ def _move_by_ship(src, dst) -> None:
 
 
 def _move_by_checkpoint_file(src, dst, tmp_path) -> None:
-    for i, (a, b) in enumerate(zip([src[0], *src[1].aux_heads], [dst[0], *dst[1].aux_heads])):
+    units = zip([src[0], *src[1].aux_heads], [dst[0], *dst[1].aux_heads])
+    for i, (a, b) in enumerate(units):
         path = tmp_path / f"unit{i}.npz"
         save_checkpoint(a, path)
         load_checkpoint(b, path)
 
 
 PATHS = {
-    "block-checkpoint": lambda src, dst, tmp: _move_by_block_checkpoint(src, dst),
-    "ship": lambda src, dst, tmp: _move_by_ship(src, dst),
+    "block-checkpoint": _move_by_block_checkpoint,
+    "ship": _move_by_ship,
     "checkpoint-file": _move_by_checkpoint_file,
 }
 
