@@ -51,8 +51,8 @@ Mechanics:
   count is restored before evaluation.  A single stage touches none of it.
 
 The per-block optimizer states built inside each worker process stay
-there; what returns is the trained module state, which is all later stages
-of the NeuroFlux pipeline (exit selection, serving) consume.
+there; what returns is the trained module state, which is all later
+stages of the NeuroFlux pipeline (exit selection, serving) consume.
 """
 
 from __future__ import annotations

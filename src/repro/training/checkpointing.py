@@ -7,9 +7,10 @@ Two related concerns live here:
   backward;
 * block *state* checkpointing -- bit-exact snapshot / serialize /
   restore of a partition block's layers and auxiliary heads (weights
-  and BatchNorm running statistics) and its optimizer state.  This is the substrate live block migration and fault-tolerant
-  recovery (:mod:`repro.runtime.migrate`) rely on: a restored block must
-  be indistinguishable from the original, down to the last bit, or a
+  and BatchNorm running statistics) and its optimizer state.  This is
+  the substrate live block migration and fault-tolerant recovery
+  (:mod:`repro.runtime.migrate`) rely on: a restored block must be
+  indistinguishable from the original, down to the last bit, or a
   migrated run would silently diverge from the unperturbed one.
 """
 
