@@ -28,7 +28,10 @@ JSON, and every key it has beyond those is one of the run's
 ``neuroflux`` fields, with the recorded value.
 
 Re-record (only when a report is *meant* to change) with
-``PYTHONPATH=src python tests/test_report_golden.py``.
+``PYTHONPATH=src python tests/test_report_golden.py [CASE ...]``: the
+named cases, or every case, each in its committed shape (a ``parallel``
+entry keeps its recorded ``keys`` and ``neuroflux_fields`` names), so
+a case whose report did not change is rewritten byte for byte.
 """
 
 import functools
@@ -134,8 +137,13 @@ def _sha256(payload) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def report_golden_outcome(report) -> dict:
-    """Everything the golden pins about one report."""
+def report_golden_outcome(report, layout: dict | None = None) -> dict:
+    """Everything the golden pins about one report.
+
+    A ``parallel`` report given the ``layout`` of its recorded entry keeps
+    that entry's shape: the JSON digest projects onto the recorded
+    ``keys`` and ``neuroflux_fields`` hashes the recorded names.
+    """
     doc = canonical_json(report)
     outcome = {
         "kind": doc["kind"],
@@ -149,17 +157,25 @@ def report_golden_outcome(report) -> dict:
         from repro.api import REPORT_SCHEMA_KEYS
 
         nested = canonical_json(getattr(report, "report", report))
-        outcome["neuroflux_fields"] = {
-            k: _sha256(v) for k, v in nested.items() if k not in REPORT_SCHEMA_KEYS
-        }
+        names = [k for k in nested if k not in REPORT_SCHEMA_KEYS]
+        if layout is not None:
+            outcome["keys"] = layout["keys"]
+            outcome["json_sha256"] = _sha256({k: doc[k] for k in layout["keys"]})
+            names = layout["neuroflux_fields"]
+        outcome["neuroflux_fields"] = {k: _sha256(nested[k]) for k in names}
     return outcome
 
 
-def record() -> None:
-    golden = {
-        name: {"case": case, "expected": report_golden_outcome(run_report_golden_case(case))}
-        for name, case in report_golden_cases().items()
-    }
+def record(names=()) -> None:
+    """Re-record the cases ``names`` (every case when empty), each in the
+    shape its committed entry has; the other entries stay as they are."""
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    for name, case in report_golden_cases().items():
+        if names and name not in names:
+            continue
+        layout = golden.get(name, {}).get("expected")
+        outcome = report_golden_outcome(run_report_golden_case(case), layout)
+        golden[name] = {"case": case, "expected": outcome}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 
@@ -196,5 +212,17 @@ def test_case_matches_golden(name):
         assert _sha256(doc[key]) == fields[key], f"{name}: {key} differs from neuroflux"
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n, e in GOLDEN.items() if e["expected"]["kind"] == "parallel")
+)
+def test_recorder_keeps_the_committed_shape(name):
+    """Re-recording a ``parallel`` case whose report did not change
+    rewrites its entry byte for byte."""
+    want = GOLDEN[name]["expected"]
+    assert report_golden_outcome(run_report_golden_case(GOLDEN[name]["case"]), want) == want
+
+
 if __name__ == "__main__":
-    record()
+    import sys
+
+    record(sys.argv[1:])
