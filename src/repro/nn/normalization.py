@@ -62,12 +62,12 @@ class BatchNorm2d(Module):
             var = np.add.reduce(np.square(xhat), axis=(0, 2, 3))
             np.true_divide(var, count, out=var, casting="unsafe")
             mean = mean.reshape(-1)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            ).astype(self.running_mean.dtype)
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            ).astype(self.running_var.dtype)
+            # The buffers update in place, so an array taken from
+            # named_buffers() sees the step; the ufuncs are those of
+            # ``(1 - m) * r + m * stat``, rounded to the buffer's dtype.
+            for r, stat in ((self.running_mean, mean), (self.running_var, var)):
+                r *= 1 - self.momentum
+                r += self.momentum * stat
             inv_std = 1.0 / np.sqrt(var + self.eps)
             np.multiply(xhat, inv_std[None, :, None, None], out=xhat)
             self._xhat = xhat

@@ -254,6 +254,24 @@ class TestBatchNorm:
         bn.forward(x)
         assert (bn.running_mean > 1).all()
 
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    def test_held_buffers_show_a_training_step(self, x_dtype):
+        """The running statistics update in place: arrays taken from
+        ``named_buffers()`` before a step hold its update afterwards, bit
+        for bit ``(1 - m) * r + m * batch_stat`` rounded to the buffers'
+        float32 (a float64 batch included)."""
+        bn = BatchNorm2d(3)
+        held = dict(bn.named_buffers())
+        before = {name: r.copy() for name, r in held.items()}
+        x = (rand_image_batch(4, 3, 5, 5, seed=15) * 2 + 1).astype(x_dtype)
+        bn.backward(bn.forward(x))
+        stats = {"running_mean": x.mean(axis=(0, 2, 3)), "running_var": x.var(axis=(0, 2, 3))}
+        for name, stat in stats.items():
+            assert held[name] is getattr(bn, name)
+            want = ((1 - bn.momentum) * before[name] + bn.momentum * stat).astype(np.float32)
+            assert np.array_equal(held[name], want), name
+            assert not np.array_equal(held[name], before[name]), name
+
     def test_eval_uses_running_stats(self):
         bn = BatchNorm2d(2, momentum=1.0, dtype=np.float64)
         x = rand_image_batch(4, 2, 3, 3, seed=12)
