@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.api.report import Report, json_num as _num, merge_ledger_summaries
 from repro.hw.simulator import TimeLedger
-from repro.obs.metrics import percentile
+from repro.obs.metrics import percentile_of_sorted, sorted_column
 
 
 @dataclass
@@ -98,6 +98,12 @@ class FleetReport(Report):
     scale_events: list[dict] = field(default_factory=list)
     #: Per-replica-device ledgers, flattened fleet-wide.
     device_ledgers: list[dict] = field(default_factory=list)
+    #: ``(column, length, sorted copy)``: the latency column sorted once
+    #: for every percentile the report prints, re-sorted only when the
+    #: column is replaced or grows.
+    _latency_order: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- aggregates ----------------------------------------------------------
     @property
@@ -132,7 +138,13 @@ class FleetReport(Report):
 
     def latency_percentile(self, q: float) -> float:
         # NaN (rendered null in JSON) when nothing completed, e.g. a DNF.
-        return percentile(self.latencies, q, empty=float("nan"))
+        if not self.latencies:
+            return float("nan")
+        held = self._latency_order
+        if held is None or held[0] is not self.latencies or held[1] != len(held[0]):
+            held = (self.latencies, len(self.latencies), sorted_column(self.latencies))
+            self._latency_order = held
+        return percentile_of_sorted(held[2], q)
 
     @property
     def mean_latency_s(self) -> float:

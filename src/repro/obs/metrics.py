@@ -56,10 +56,10 @@ def percentile(values, q: float, *, empty=_RAISE) -> float:
                 "pass empty=<fallback> to tolerate it"
             )
         return empty
-    return _interpolate(_sorted(values), q)
+    return percentile_of_sorted(sorted_column(values), q)
 
 
-def _sorted(values) -> np.ndarray:
+def sorted_column(values) -> np.ndarray:
     """``values`` as one sorted float64 column, NaNs last.
 
     Stable, so equal values (``0.0`` and ``-0.0``) keep their arrival
@@ -68,8 +68,10 @@ def _sorted(values) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=np.float64), kind="stable")
 
 
-def _interpolate(data: np.ndarray, q: float) -> float:
-    """The ``q``-th percentile of the non-empty sorted column ``data``."""
+def percentile_of_sorted(data: np.ndarray, q: float) -> float:
+    """The ``q``-th percentile of the non-empty column ``data`` that
+    :func:`sorted_column` returned: :func:`percentile` without its sort,
+    for a caller that takes several from one sample."""
     if math.isnan(data[-1]):
         return float("nan")
     q = min(100.0, max(0.0, q))
@@ -167,16 +169,16 @@ class Histogram:
         }
         if not self.samples:
             return out
-        data = _sorted(self.samples)  # one sort for all five order stats
+        data = sorted_column(self.samples)  # one sort for all five order stats
         # NaN sorts last, so a NaN anywhere makes min NaN too.
         nan = math.isnan(data[-1])
         out.update(
             mean=_num(self.mean),
             min=_num(float("nan") if nan else data[0]),
             max=_num(data[-1]),
-            p50=_num(_interpolate(data, 50)),
-            p95=_num(_interpolate(data, 95)),
-            p99=_num(_interpolate(data, 99)),
+            p50=_num(percentile_of_sorted(data, 50)),
+            p95=_num(percentile_of_sorted(data, 95)),
+            p99=_num(percentile_of_sorted(data, 99)),
         )
         return out
 

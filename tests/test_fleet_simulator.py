@@ -11,9 +11,11 @@ import json
 import tracemalloc
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.fleet import FleetConfig, FleetReport, FleetSimulator, simulate_fleet
+from repro.obs.metrics import percentile
 from repro.obs.trace import Tracer, activate, deactivate, validate_nesting
 from repro.runtime.events import (
     DeviceFailure,
@@ -378,3 +380,46 @@ class TestReportProtocol:
         assert isinstance(report, FleetReport)
         assert report.survived_churn
         assert report.n_unaccounted == 0
+
+
+class TestLatencyPercentiles:
+    QS = (0, 25, 50, 95, 99, 100)
+
+    @staticmethod
+    def _report(latencies) -> FleetReport:
+        report = FleetReport(
+            pattern="poisson", arrival_rate=1.0, duration_s=1.0,
+            mode="cascade", num_exits=2, policy="round-robin",
+            n_replicas_initial=1,
+        )
+        report.latencies.extend(latencies)
+        return report
+
+    @pytest.mark.parametrize("nan_at", [None, 0, 17, 1000])
+    def test_equal_np_percentile_on_the_raw_column(self, nan_at):
+        raw = np.random.default_rng(0).exponential(0.01, 1001)
+        if nan_at is not None:
+            raw[nan_at] = np.nan
+        report = self._report(raw)
+        for q in self.QS:
+            got = report.latency_percentile(q)
+            # Bit for bit the unsorted path; numpy's two-sided lerp may
+            # differ from it in the last bits only.
+            assert np.array_equal(got, percentile(raw, q), equal_nan=True), q
+            np.testing.assert_allclose(got, np.percentile(raw, q), rtol=1e-12)
+
+    def test_column_is_sorted_once_per_report(self, monkeypatch):
+        from repro.fleet import report as report_module
+
+        sorts = []
+        real = report_module.sorted_column
+        monkeypatch.setattr(
+            report_module, "sorted_column", lambda v: sorts.append(len(v)) or real(v)
+        )
+        report = self._report([0.3, 0.1, 0.2])
+        report.to_json_dict()
+        report.summary()
+        assert sorts == [3]
+        report.latencies.append(0.5)  # a column that grows is sorted again
+        assert report.latency_percentile(100) == 0.5
+        assert sorts == [3, 4]
