@@ -4,8 +4,8 @@ the host step price the multiprocess stage planner cuts by.
 For vgg11, vgg16, resnet18 and mobilenet at width 0.25 under an 8 MiB
 budget (the ``train_mp_2proc`` configuration: 500 CIFAR-10-shaped
 samples, 2 epochs), the script plans the blocks, trains them all in one
-process on one BLAS thread -- ``threads_per_process(2)``, what each of two
-stages gets -- at the stage micro-batch, and times every block's
+process on one BLAS thread (every repro GEMM runs on one,
+:mod:`repro.backend.blas`) at the stage micro-batch, and times every block's
 ``train_batch`` calls.  Each row of the table is one block:
 
 * ``host_s``: median over ``--reps`` runs of its summed step seconds;
@@ -127,16 +127,14 @@ def measure(reps: int) -> list[dict]:
     every model once, so a drift in the host's speed spreads over all
     of them instead of scaling one model's blocks against another's."""
     from repro.api.backends import build_system_from_spec
-    from repro.backend.blas import blas_threads, threads_per_process
 
     systems = {model: build_system_from_spec(job_spec(model)) for model in MODELS}
     plans = {model: system.plan()[0] for model, system in systems.items()}
     runs: dict[str, list] = {model: [] for model in MODELS}
-    with blas_threads(threads_per_process(2)):
-        for _ in range(reps):
-            for model, blocks in plans.items():
-                mb = min(b.batch_size for b in blocks)
-                runs[model].append(_time_blocks(systems[model], blocks, mb))
+    for _ in range(reps):
+        for model, blocks in plans.items():
+            mb = min(b.batch_size for b in blocks)
+            runs[model].append(_time_blocks(systems[model], blocks, mb))
     rows = []
     for model, blocks in plans.items():
         seconds, samples, steps = zip(*runs[model])

@@ -1,11 +1,12 @@
 """repro.backend: how the nn kernels use the host's compute.
 
-numpy is the one array engine and OpenBLAS the one thread pool; this
-package holds what sits around them:
+numpy is the one array engine, every GEMM runs on one BLAS thread, and
+processes are the one way to use more cores; this package holds what
+sits around them:
 
 * :mod:`.registry` -- ``matmul``, the GEMM every conv and linear kernel
-  calls;
-* :mod:`.blas` -- the one place the program decides BLAS threading;
+  calls, where the one-thread rule applies;
+* :mod:`.blas` -- the rule and its control of the loaded OpenBLAS;
 * :mod:`.multiproc` -- the multiprocess block-parallel executor: blocks
   are gradient-independent under local learning, so stages of blocks
   train concurrently in forked worker processes with shared-memory

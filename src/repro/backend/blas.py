@@ -1,12 +1,14 @@
-"""The one place the program decides BLAS threading.
+"""The one rule for BLAS threading: repro's numpy compute runs on one
+BLAS thread in every process.
 
-OpenBLAS starts one spinning worker thread per core in *every* process,
-so N forked compute processes on a C-core host run N x C BLAS threads
-on C cores and each GEMM slows several-fold.  Whoever forks compute
-(:mod:`repro.backend.multiproc`, :mod:`repro.sweep.driver`) brackets
-the fork with ``blas_threads(threads_per_process(n))``: the children
-inherit the count across ``fork`` and the parent gets its own back on
-exit.  Single-process paths never call in here.
+OpenBLAS's default, one spinning thread per core in every process, buys
+a GEMM here almost nothing, holds host memory no budget accounts for and
+makes the trained weights depend on the core count (a product splits
+differently over more threads).  So cores are used by processes
+(``multiprocess`` stages, sweep workers), never by BLAS threads.  The
+rule applies at the one GEMM call site,
+:func:`repro.backend.registry.matmul`, which runs each product under
+``blas_threads(1)`` and so hands the caller's count back.
 
 Control is ctypes on the OpenBLAS numpy already has mapped, resolved on
 first use (never at import).  With no such library -- MKL, Accelerate, a
@@ -73,20 +75,17 @@ def _lookup():
     return None
 
 
-def threads_per_process(n_procs: int) -> int:
-    """BLAS threads each of ``n_procs`` concurrent compute processes
-    gets: an even share of the usable cores, never more than the count
-    already in force (an inherited ``OPENBLAS_NUM_THREADS`` stays an
-    upper bound), never less than one."""
-    share = max(1, usable_cores() // max(1, n_procs))
+def threads_in_force() -> int | None:
+    """The BLAS thread count a plain ``np.matmul`` runs with here, or
+    ``None`` when BLAS cannot be controlled."""
     blas = _lookup()
-    return max(1, min(share, blas[1]())) if blas else share
+    return blas[1]() if blas else None
 
 
 @contextlib.contextmanager
 def blas_threads(n: int):
-    """Run the body (and whatever it forks) with ``n`` BLAS threads, then
-    restore the previous count.  Yields whether BLAS was controllable."""
+    """Run the body with ``n`` BLAS threads, then restore the previous
+    count.  Yields whether BLAS was controllable."""
     blas = _lookup()
     if blas is None:
         yield False

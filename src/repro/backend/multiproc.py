@@ -44,11 +44,10 @@ Mechanics:
   children copy parent state deterministically and train without rng.
   Two runs with the same seed produce bit-identical weights
   (regression-tested).
-* **one BLAS-thread budget** -- fork, stage 0 and result collection run
-  under ``blas_threads(threads_per_process(n_stages))``
-  (:mod:`repro.backend.blas`), so the stages together use the host's
-  cores once instead of each spinning a full OpenBLAS pool; the parent's
-  count is restored before evaluation.  A single stage touches none of it.
+* **processes, not BLAS threads** -- every stage runs its GEMMs on one
+  BLAS thread (:mod:`repro.backend.blas`, applied per product), so
+  ``n`` stages use ``n`` cores instead of each spinning a full OpenBLAS
+  pool; nothing is set around the fork.
 
 The per-block optimizer states built inside each worker process stay
 there; what returns is the trained module state, which is all later
@@ -57,7 +56,6 @@ stages of the NeuroFlux pipeline (exit selection, serving) consume.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import multiprocessing as mp
 import os
@@ -69,7 +67,7 @@ import traceback
 import numpy as np
 
 from repro.backend.bf16 import is_bf16, pack_bf16_state, unpack_bf16_state
-from repro.backend.blas import blas_threads, threads_per_process, usable_cores
+from repro.backend.blas import threads_in_force, usable_cores
 from repro.core.report import BlockReport, NeuroFluxReport
 from repro.core.worker import unit_host_step_seconds
 from repro.data.loader import DataLoader
@@ -360,20 +358,15 @@ def run_block_parallel(
     )
     stages = plan_stages(blocks, system.specs, list(system.aux_heads), n_stages, mb)
 
-    # One BLAS-thread budget across the stages; forked children inherit
-    # it, and the parent is back on all cores before the frame evaluates
-    # exits (on the failure path too).
-    n_threads = threads_per_process(len(stages)) if len(stages) > 1 else None
-    budget = blas_threads(n_threads) if n_threads else contextlib.nullcontext(False)
     with system._run_frame(epochs, "neuroflux-mp", plan, mb) as (report, _, _):
         wall_t0 = time.perf_counter()
-        with budget as controllable:
-            stage_stats = _run_stages(system, stages, mb, epochs, slots)
+        stage_stats = _run_stages(system, stages, mb, epochs, slots)
         wall_clock_s = time.perf_counter() - wall_t0
         _book_stages(system, report, stages, stage_stats, mb)
+        controllable = threads_in_force() is not None
         report.result.extras.update(
             wall_clock_s=wall_clock_s,
-            blas_threads=n_threads,
+            blas_threads=1 if controllable else None,  # every stage's GEMMs
             blas_controllable=controllable,
             processes=len(stages),
             cores=usable_cores(),

@@ -1,9 +1,13 @@
-"""The GEMM the nn kernels call, at a dotted path the e2e benchmark patches.
+"""The GEMM repro's kernels call, at a dotted path the e2e benchmark patches.
 
 ``benchmarks/e2e/span_table.py`` times and FLOP-counts every conv and
 linear GEMM by wrapping ``repro.backend.registry.matmul``, so
-``nn/conv.py`` and ``nn/linear.py`` call it here rather than
-``np.matmul`` directly.
+``nn/conv.py``, ``nn/linear.py`` and ``training/signal_prop.py`` call it
+here rather than ``np.matmul`` directly.
+
+Every product runs on one BLAS thread (:mod:`repro.backend.blas`'s
+rule); ``blas`` is imported on the first, so a path that runs no GEMM (a
+closed-form evalsim cell) never loads it.
 """
 
 from __future__ import annotations
@@ -14,5 +18,8 @@ import numpy as np
 def matmul(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``a @ b``, optionally into a preallocated ``out``."""
-    return np.matmul(a, b, out=out)
+    """``a @ b`` on one BLAS thread, optionally into a preallocated ``out``."""
+    from repro.backend.blas import blas_threads
+
+    with blas_threads(1):
+        return np.matmul(a, b, out=out)

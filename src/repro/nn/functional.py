@@ -30,6 +30,11 @@ import numpy as np
 from repro.errors import ShapeError
 
 
+#: Column bytes :func:`im2col` gathers per tile of samples: well inside a
+#: core's L2, so a tile's k*k strided passes hit cache.
+IM2COL_TILE_BYTES = 1 << 20
+
+
 def check_conv_geometry(kernel: int, stride: int, padding: int) -> None:
     """Reject a kernel, stride or padding no conv/pool can be built with."""
     if kernel < 1 or stride < 1 or padding < 0:
@@ -99,9 +104,15 @@ def im2col(
 
     The input is staged once in NHWC (the padding copy doubles as the
     transpose), then each of the k*k kernel offsets gathers one
-    (N, out_h, out_w, C) slab, moving contiguous channel runs, into its
+    (n, out_h, out_w, C) slab, moving contiguous channel runs, into its
     column of the ``(C, k, k)``-ordered layout.  A 1x1 unpadded kernel
     gathers straight from the transposed input.
+
+    The gather runs over tiles of samples, about :data:`IM2COL_TILE_BYTES`
+    of columns each, all k*k offsets per tile: each offset writes every
+    k*k-th float, so an untiled pass streams the whole matrix through
+    the cache k*k times, while a tile's passes stay in L2.  Every
+    element is the same copy either way.
     """
     n, c, h, w = x.shape
     out_h, out_w = conv_output_hw((h, w), kernel, stride, padding)
@@ -115,11 +126,15 @@ def im2col(
     else:
         xs = pad2d_nhwc(x, padding, out=padded, fresh=False)
     cols = out.reshape(n, out_h, out_w, c, kernel, kernel)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, :, :, i, j] = xs[
-                :, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
-            ]
+    sample_bytes = out.itemsize * c * kernel * kernel * out_h * out_w
+    tile = max(1, IM2COL_TILE_BYTES // max(1, sample_bytes))
+    for a in range(0, n, tile):
+        b = min(n, a + tile)
+        for i in range(kernel):
+            for j in range(kernel):
+                cols[a:b, :, :, :, i, j] = xs[
+                    a:b, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
+                ]
     return out, (out_h, out_w)
 
 

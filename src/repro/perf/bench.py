@@ -12,10 +12,11 @@ full training step -- in two configurations of the one conv path:
   as :mod:`repro.training` and :mod:`repro.core.worker` pass it).
 
 Two micro rows are not seed/fast paths.  ``gemm_im2col`` times the
-conv-core ``np.matmul`` pinned to one BLAS thread (``seed``) against the
-BLAS thread count in force (``fast``, the row's ``threads``): what
-OpenBLAS's own pool, the program's one CPU thread pool, buys on this
-host.  ``col2im_overlap_k5`` times the two non-tiled scatter strategies,
+conv-core GEMM as repro runs it, on one BLAS thread (``seed``), against
+a plain ``np.matmul`` on the BLAS thread count in force (``fast``, the
+row's ``threads``): what an OpenBLAS pool would buy on this host, and
+what the one-thread rule gives up for weights that do not depend on
+the core count.  ``col2im_overlap_k5`` times the two non-tiled scatter strategies,
 ``"loop"`` against ``"overlap"``.
 
 The ``backend`` suite covers :mod:`repro.backend`: real forked
@@ -154,13 +155,14 @@ def bench_gemm_im2col(batch: int, reps: int, seed: int = 0) -> dict:
     """The conv-core GEMM (im2col rows x filter matrix) on one BLAS
     thread vs on the count in force.
 
-    Both sides are the same ``np.matmul``; ``seed`` runs it under
-    ``blas_threads(1)`` (:mod:`repro.backend.blas`).  ``threads`` is the
-    count the ``fast`` side ran with, capped at the usable cores
-    (``threads_per_process(1)``); where BLAS cannot be controlled both
-    sides run the same and the ratio reads ~1.
+    ``seed`` is :func:`repro.backend.registry.matmul`, the rule every
+    repro GEMM runs under (one BLAS thread, :mod:`repro.backend.blas`);
+    ``fast`` is a plain ``np.matmul`` on the count in force, reported as
+    ``threads``.  Where BLAS cannot be controlled both sides run the
+    same, ``threads`` is None and the ratio reads ~1.
     """
-    from repro.backend.blas import blas_threads, threads_per_process
+    from repro.backend.blas import threads_in_force
+    from repro.backend.registry import matmul
 
     rng = np.random.default_rng(seed)
     n, oh, c, k, cout = batch, 16, 32, 3, 64
@@ -169,17 +171,12 @@ def bench_gemm_im2col(batch: int, reps: int, seed: int = 0) -> dict:
     cols = rng.standard_normal((m, c * k * k)).astype(np.float32)
     wmat = rng.standard_normal((c * k * k, cout)).astype(np.float32)
     out = np.empty((m, cout), np.float32)
-
-    def one_thread():
-        with blas_threads(1):
-            np.matmul(cols, wmat, out)
-
     return _paired_entry(
-        one_thread,
+        lambda: matmul(cols, wmat, out),
         lambda: np.matmul(cols, wmat, out),
         max(reps, 10),
         shape=[m, c * k * k, cout],
-        threads=threads_per_process(1),
+        threads=threads_in_force(),
     )
 
 

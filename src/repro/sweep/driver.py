@@ -15,11 +15,9 @@ one produced by ``--workers 1`` -- and makes the journaled set at any
 kill point a strict prefix, so a resumed sweep converges on the same
 bytes as an uninterrupted one.
 
-Pool workers share one BLAS-thread budget
-(:mod:`repro.backend.blas`): the pool forks under
-``blas_threads(threads_per_process(workers))``, so ``workers`` numpy
-cells use the host's cores once instead of each spinning a full
-OpenBLAS pool.  ``workers=1`` runs inline and touches none of it.
+Pool workers are the host's parallelism: each runs its GEMMs on one
+BLAS thread (:mod:`repro.backend.blas`), so ``workers`` numpy cells use
+``workers`` cores, never a full OpenBLAS pool each.
 
 A run that raises is journaled as ``status="failed"`` with the error
 string; the sweep keeps going (an OOM cell in a budget sweep is data,
@@ -32,7 +30,6 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.backend.blas import blas_threads, threads_per_process
 from repro.sweep.spec import SweepRun, SweepSpec
 from repro.sweep.store import ResultsStore, make_record
 
@@ -148,11 +145,7 @@ def _run_pool(store, pending, total, workers, echo) -> int:
         context = multiprocessing.get_context()
     failed = 0
     workers = min(workers, len(pending))
-    # The executor forks its workers while runs are being submitted, so
-    # they inherit the budget; it is lifted once the pool has shut down.
-    with blas_threads(threads_per_process(workers)), ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         futures = [pool.submit(_execute_run, run.to_json_dict()) for run in pending]
         # Await in submission (= grid index) order: a later run that
         # finishes early waits in its future until every earlier run is

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend.registry import matmul as backend_matmul
 from repro.data.datasets import SyntheticImageDataset
 from repro.flops.count import (
     count_module_kernels,
@@ -86,7 +87,7 @@ class SignalPropagationTrainer(BaselineTrainer):
         pooled = feats.mean(axis=(2, 3))
         t = self._targets[-1]
         # -||f - t_c||^2 expanded; monotone in similarity.
-        logits = 2 * pooled @ t.T - (t * t).sum(axis=1)[None, :]
+        logits = backend_matmul(2 * pooled, t.T) - (t * t).sum(axis=1)[None, :]
         return logits
 
     def _setup(self) -> None:

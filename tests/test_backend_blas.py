@@ -1,8 +1,8 @@
-"""repro.backend.blas: the BLAS-thread budget shared by forked compute."""
+"""repro.backend.blas: the one-BLAS-thread rule's controls (the rule
+itself, at the GEMM call site, is held by ``test_backend_matmul.py``)."""
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import subprocess
 import sys
@@ -11,7 +11,6 @@ import pytest
 
 from helpers import FakeBlas
 from repro.backend import blas
-from repro.backend.multiproc import fork_available
 
 
 real_blas = pytest.mark.skipif(
@@ -30,27 +29,14 @@ class TestUsableCores:
         assert blas.usable_cores() == 1
 
 
-class TestThreadsPerProcess:
-    @pytest.mark.parametrize(
-        "cores, in_force, n_procs, expected",
-        [
-            (8, 8, 1, 8),
-            (8, 8, 2, 4),
-            (8, 8, 3, 2),
-            (2, 2, 2, 1),
-            (2, 2, 3, 1),  # more processes than cores: floor of one
-            (8, 2, 2, 2),  # inherited OPENBLAS_NUM_THREADS=2 stays a cap
-            (8, 1, 2, 1),
-            (8, None, 2, 4),  # uncontrollable: the plain share
-        ],
-    )
-    def test_table(self, monkeypatch, cores, in_force, n_procs, expected):
-        monkeypatch.setattr(blas, "usable_cores", lambda: cores)
-        if in_force is None:
-            monkeypatch.setattr(blas, "_lookup", lambda: None)
-        else:
-            FakeBlas(in_force).install(monkeypatch)
-        assert blas.threads_per_process(n_procs) == expected
+class TestThreadsInForce:
+    def test_reads_the_library_count(self, monkeypatch):
+        FakeBlas(3).install(monkeypatch)
+        assert blas.threads_in_force() == 3
+
+    def test_uncontrollable_is_none(self, monkeypatch):
+        monkeypatch.setattr(blas, "_lookup", lambda: None)
+        assert blas.threads_in_force() is None
 
 
 class TestBlasThreads:
@@ -85,21 +71,6 @@ class TestBlasThreads:
         with blas.blas_threads(1) as controllable:
             assert controllable is True
             assert getter() == 1
-        assert getter() == before
-
-    @real_blas
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_forked_child_inherits_budget_parent_restored(self):
-        _, getter = blas._lookup()
-        before = getter()
-        ctx = mp.get_context("fork")
-        seen = ctx.Queue()
-        with blas.blas_threads(1):
-            probe = ctx.Process(target=lambda: seen.put(getter()))
-            probe.start()
-            assert seen.get(timeout=30) == 1
-            probe.join(timeout=30)
-        assert probe.exitcode == 0
         assert getter() == before
 
 

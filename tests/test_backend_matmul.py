@@ -1,18 +1,25 @@
 """repro.backend.registry.matmul: the one GEMM the nn kernels call.
 
-numpy is the one array engine, so the function is ``np.matmul``; what these
-tests pin is that it stays exactly that, that every conv and linear GEMM
-goes through the one binding a tracer patches, and that training numerics
-do not move a bit with the BLAS thread count in force.
+numpy is the one array engine, so the function is ``np.matmul`` on one
+BLAS thread; what these tests pin is that it stays exactly that, that it
+hands the caller's thread count back, that every conv and linear GEMM
+goes through the one binding a tracer patches, and that trained weights
+do not move a bit with the BLAS thread count a process starts with.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import FakeBlas
 from repro.backend import ComputeConfig, blas
 from repro.backend.registry import matmul
 from repro.core.config import NeuroFluxConfig
@@ -155,14 +162,92 @@ class TestTrainingNumerics:
         assert r_first.exit_test_accuracy == r_second.exit_test_accuracy
         assert r_first.result.sim_time_s == r_second.result.sim_time_s
 
+
+class TestOneThreadRule:
+    @staticmethod
+    def _spy(monkeypatch, count):
+        """Record the BLAS thread count each ``np.matmul`` starts under."""
+        seen, real = [], np.matmul
+
+        def spy(*args, **kwargs):
+            seen.append(count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return seen
+
+    def test_runs_on_one_thread_and_restores_the_callers_count(self, monkeypatch):
+        fake = FakeBlas(4).install(monkeypatch)
+        seen = self._spy(monkeypatch, lambda: fake.count)
+        a = np.ones((3, 5), np.float32)
+        assert np.array_equal(matmul(a, a.T), np.full((3, 3), 5, np.float32))
+        assert seen == [1]
+        assert fake.sets == [1, 4] and fake.count == 4
+
+    def test_restores_the_count_when_the_product_raises(self, monkeypatch):
+        fake = FakeBlas(4).install(monkeypatch)
+        with pytest.raises(ValueError):
+            matmul(np.ones((2, 3)), np.ones((2, 3)))
+        assert fake.count == 4
+
+    def test_uncontrollable_blas_still_multiplies(self, monkeypatch):
+        monkeypatch.setattr(blas, "_lookup", lambda: None)
+        a = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(matmul(a, a.T), a @ a.T)
+
     @real_blas
-    def test_run_is_bit_identical_on_one_blas_thread(self, tiny_dataset):
-        """OpenBLAS splits a GEMM's output, never its reduction, across its
-        threads: pinning it to one thread must not move a bit."""
-        default = _system(tiny_dataset)
-        r_default = default.run(1)
-        pinned = _system(tiny_dataset)
-        with blas.blas_threads(1):
-            r_pinned = pinned.run(1)
-        _assert_same_weights(default, pinned)
-        assert r_default.exit_test_accuracy == r_pinned.exit_test_accuracy
+    def test_real_library(self, monkeypatch):
+        _, getter = blas._lookup()
+        before = getter()
+        seen = self._spy(monkeypatch, getter)
+        matmul(np.ones((64, 64), np.float32), np.ones((64, 64), np.float32))
+        assert seen == [1]
+        assert getter() == before
+
+
+#: Trains ``examples/specs/pipelined.json`` with a device-3 failure (the
+#: ``pipelined-failure`` report golden) and prints a sha256 over the
+#: trained model's ``state_dict``.
+_TRAIN_AND_DIGEST = """
+import hashlib, json, sys
+from repro.api import Callback, JobSpec, run
+
+class Keep(Callback):
+    def on_job_end(self, context):
+        self.model = context.system.model
+
+spec = JobSpec.from_json_file(sys.argv[1]).overlay(json.loads(sys.argv[2]))
+keep = Keep()
+run(spec, callbacks=[keep])
+digest = hashlib.sha256()
+for name, value in sorted(keep.model.state_dict().items()):
+    digest.update(name.encode())
+    digest.update(value.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@real_blas
+def test_weights_do_not_depend_on_the_thread_count_a_process_starts_with():
+    """Two fresh children, one started on one OpenBLAS thread and one on
+    two, train the same spec to the same bytes.  Before every GEMM ran on
+    one thread this spec diverged: OpenBLAS splits a product with a
+    transposed left operand differently over two threads."""
+    from test_report_golden import DEVICE3_FAILURE
+
+    spec = Path(__file__).resolve().parent.parent / "examples/specs/pipelined.json"
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_DIGEST, str(spec),
+             json.dumps({"runtime": DEVICE3_FAILURE})],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -364,24 +364,24 @@ class TestRunBlockParallel:
 
 
 @needs_fork
-class TestBlasThreadBudget:
-    def test_single_process_never_touches_blas_control(self, tiny_dataset, monkeypatch):
+class TestBlasThreadRule:
+    def test_single_process_runs_the_rule(self, tiny_dataset, monkeypatch):
         fake = FakeBlas(2).install(monkeypatch)
         report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=1)
-        assert fake.lookups == 0
+        # Every GEMM on one thread, the caller's two handed back each time.
+        assert fake.sets and fake.sets == [1, 2] * (len(fake.sets) // 2)
         extras = report.result.extras
-        assert extras["blas_threads"] is None
-        assert extras["blas_controllable"] is False
+        assert extras["blas_threads"] == 1
+        assert extras["blas_controllable"] is True
 
-    def test_budget_and_stage_clocks_in_extras(self, tiny_dataset):
+    def test_rule_and_stage_clocks_in_extras(self, tiny_dataset):
         from repro.backend import blas
 
         report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=2)
         extras = report.result.extras
         assert extras["cores"] == blas.usable_cores()
         assert extras["blas_controllable"] is (blas._lookup() is not None)
-        assert extras["blas_threads"] == blas.threads_per_process(2)
-        assert extras["blas_threads"] * 2 <= max(extras["cores"], 2)
+        assert extras["blas_threads"] == (1 if extras["blas_controllable"] else None)
         assert len(extras["stage_busy_s"]) == len(extras["stage_wait_s"]) == 2
         assert all(s > 0 for s in extras["stage_busy_s"])
         assert all(s >= 0 for s in extras["stage_wait_s"])
@@ -396,6 +396,7 @@ class TestBlasThreadBudget:
         monkeypatch.setattr(blas, "_lookup", lambda: None)
         report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=2)
         assert report.result.extras["blas_controllable"] is False
+        assert report.result.extras["blas_threads"] is None
         assert report.result.extras["processes"] == 2
 
     def test_three_stages_match_single_process_under_budget(self, tiny_dataset):

@@ -96,11 +96,11 @@ class TestBench:
         assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     def test_gemm_row_is_one_blas_thread_vs_the_count_in_force(self):
-        from repro.backend.blas import threads_per_process
+        from repro.backend.blas import threads_in_force
         from repro.perf.bench import bench_gemm_im2col
 
         row = bench_gemm_im2col(1, 1)
-        assert row["threads"] == threads_per_process(1) >= 1
+        assert row["threads"] == threads_in_force()
         assert row["shape"] == [4096, 288, 64]
         assert row["seed_ms"] > 0 and row["fast_ms"] > 0
 

@@ -126,18 +126,18 @@ def test_derived_seeds_reach_the_executed_jobs(tmp_path):
     assert [r["spec"]["neuroflux"]["seed"] for r in manifest["runs"]] == seeds
 
 
-def test_inline_sweep_never_touches_blas_control(tmp_path, monkeypatch):
+def test_inline_sweep_runs_the_rule_in_the_parent(tmp_path, monkeypatch):
     fake = FakeBlas(2).install(monkeypatch)
     run_sweep(SweepSpec.from_dict(SWEEP), str(tmp_path / "w1"), workers=1)
-    assert fake.lookups == 0
+    # Every GEMM runs on one BLAS thread and hands the caller's count back.
+    assert fake.sets and fake.sets == [1, 2] * (len(fake.sets) // 2)
+    assert fake.count == 2
 
 
-def test_pool_forks_under_one_blas_budget_and_lifts_it(tmp_path, monkeypatch):
-    from repro.backend import blas
-
+def test_pool_sets_no_blas_budget_in_the_parent(tmp_path, monkeypatch):
     fake = FakeBlas(8).install(monkeypatch)
-    monkeypatch.setattr(blas, "usable_cores", lambda: 8)
     summary = run_sweep(SweepSpec.from_dict(SWEEP), str(tmp_path / "w2"), workers=2)
     assert (summary.executed, summary.failed) == (4, 0)
-    # 8 cores over 2 workers while the pool lives, then the parent's 8 back.
-    assert fake.sets == [4, 8]
+    # The workers are the parallelism; the parent sets no thread count
+    # around the fork (each worker's GEMMs set their own one thread).
+    assert fake.sets == []
