@@ -1,8 +1,7 @@
 """repro.backend: how the nn kernels use the host's compute.
 
-numpy is the one array engine, every GEMM runs on one BLAS thread, and
-processes are the one way to use more cores; this package holds what
-sits around them:
+numpy is the one array engine, and every GEMM runs on one BLAS thread;
+this package holds what sits around them:
 
 * :mod:`.registry` -- ``matmul``, the GEMM every conv and linear kernel
   calls, where the one-thread rule applies;

@@ -1,14 +1,14 @@
 """The one rule for BLAS threading: repro's numpy compute runs on one
-BLAS thread in every process.
+BLAS thread in every process, and cores are used by processes.
 
-OpenBLAS's default, one spinning thread per core in every process, buys
-a GEMM here almost nothing, holds host memory no budget accounts for and
-makes the trained weights depend on the core count (a product splits
-differently over more threads).  So cores are used by processes
-(``multiprocess`` stages, sweep workers), never by BLAS threads.  The
-rule applies at the one GEMM call site,
-:func:`repro.backend.registry.matmul`, which runs each product under
-``blas_threads(1)`` and so hands the caller's count back.
+OpenBLAS's default pool of one thread per core buys a GEMM here almost
+nothing, holds memory no budget accounts for, and makes trained weights
+depend on the core count.  The rule applies at the one GEMM call site,
+:func:`repro.backend.registry.matmul`: each product runs under
+``blas_threads(1)``, which hands the caller's count back.  Whoever forks
+compute (:mod:`repro.backend.multiproc`, :mod:`repro.sweep.driver`)
+forks under it too: OpenBLAS drops its pool at a fork and rebuilds it on
+the next count change, which a child inheriting one thread never makes.
 
 Control is ctypes on the OpenBLAS numpy already has mapped, resolved on
 first use (never at import).  With no such library -- MKL, Accelerate, a
@@ -76,8 +76,7 @@ def _lookup():
 
 
 def threads_in_force() -> int | None:
-    """The BLAS thread count a plain ``np.matmul`` runs with here, or
-    ``None`` when BLAS cannot be controlled."""
+    """The count a plain ``np.matmul`` runs with; None if uncontrollable."""
     blas = _lookup()
     return blas[1]() if blas else None
 
@@ -92,6 +91,9 @@ def blas_threads(n: int):
         return
     setter, getter = blas
     before = getter()
+    if before == n:  # e.g. a forked child: no change, no pool rebuilt
+        yield True
+        return
     setter(n)
     try:
         yield True

@@ -3,11 +3,8 @@
 ``benchmarks/e2e/span_table.py`` times and FLOP-counts every conv and
 linear GEMM by wrapping ``repro.backend.registry.matmul``, so
 ``nn/conv.py``, ``nn/linear.py`` and ``training/signal_prop.py`` call it
-here rather than ``np.matmul`` directly.
-
-Every product runs on one BLAS thread (:mod:`repro.backend.blas`'s
-rule); ``blas`` is imported on the first, so a path that runs no GEMM (a
-closed-form evalsim cell) never loads it.
+here rather than ``np.matmul`` directly.  It is also where
+:mod:`repro.backend.blas`'s one-thread rule applies.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ def matmul(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``a @ b`` on one BLAS thread, optionally into a preallocated ``out``."""
-    from repro.backend.blas import blas_threads
+    from repro.backend.blas import blas_threads  # a run with no GEMM never loads it
 
     with blas_threads(1):
         return np.matmul(a, b, out=out)

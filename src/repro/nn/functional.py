@@ -128,12 +128,12 @@ def im2col(
     cols = out.reshape(n, out_h, out_w, c, kernel, kernel)
     sample_bytes = out.itemsize * c * kernel * kernel * out_h * out_w
     tile = max(1, IM2COL_TILE_BYTES // max(1, sample_bytes))
-    for a in range(0, n, tile):
-        b = min(n, a + tile)
+    for lo in range(0, n, tile):
+        hi = min(n, lo + tile)
         for i in range(kernel):
             for j in range(kernel):
-                cols[a:b, :, :, :, i, j] = xs[
-                    a:b, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
+                cols[lo:hi, :, :, :, i, j] = xs[
+                    lo:hi, i : i + stride * out_h : stride, j : j + stride * out_w : stride, :
                 ]
     return out, (out_h, out_w)
 

@@ -14,10 +14,10 @@ full training step -- in two configurations of the one conv path:
 Two micro rows are not seed/fast paths.  ``gemm_im2col`` times the
 conv-core GEMM as repro runs it, on one BLAS thread (``seed``), against
 a plain ``np.matmul`` on the BLAS thread count in force (``fast``, the
-row's ``threads``): what an OpenBLAS pool would buy on this host, and
-what the one-thread rule gives up for weights that do not depend on
-the core count.  ``col2im_overlap_k5`` times the two non-tiled scatter strategies,
-``"loop"`` against ``"overlap"``.
+row's ``threads``): what an OpenBLAS pool would buy on this host, which
+the one-thread rule gives up for weights that do not depend on the core
+count.  ``col2im_overlap_k5`` times the two non-tiled scatter
+strategies, ``"loop"`` against ``"overlap"``.
 
 The ``backend`` suite covers :mod:`repro.backend`: real forked
 multiprocess block-parallel training vs the same executor single-process

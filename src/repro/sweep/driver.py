@@ -17,7 +17,9 @@ bytes as an uninterrupted one.
 
 Pool workers are the host's parallelism: each runs its GEMMs on one
 BLAS thread (:mod:`repro.backend.blas`), so ``workers`` numpy cells use
-``workers`` cores, never a full OpenBLAS pool each.
+``workers`` cores, never a full OpenBLAS pool each.  The pool forks under
+``blas_threads(1)``, so a worker inherits the one thread and never
+rebuilds a pool.
 
 A run that raises is journaled as ``status="failed"`` with the error
 string; the sweep keeps going (an OOM cell in a budget sweep is data,
@@ -30,6 +32,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from repro.backend.blas import blas_threads
 from repro.sweep.spec import SweepRun, SweepSpec
 from repro.sweep.store import ResultsStore, make_record
 
@@ -145,7 +148,10 @@ def _run_pool(store, pending, total, workers, echo) -> int:
         context = multiprocessing.get_context()
     failed = 0
     workers = min(workers, len(pending))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+    # The executor forks its workers while runs are being submitted.
+    with blas_threads(1), ProcessPoolExecutor(
+        max_workers=workers, mp_context=context
+    ) as pool:
         futures = [pool.submit(_execute_run, run.to_json_dict()) for run in pending]
         # Await in submission (= grid index) order: a later run that
         # finishes early waits in its future until every earlier run is

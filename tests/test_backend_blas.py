@@ -54,6 +54,14 @@ class TestBlasThreads:
                 raise RuntimeError("boom")
         assert fake.sets == [2, 6]
 
+    def test_count_already_in_force_sets_nothing(self, monkeypatch):
+        """What keeps a child forked on one thread from ever changing its
+        count, which would make OpenBLAS rebuild the pool it dropped."""
+        fake = FakeBlas(1).install(monkeypatch)
+        with blas.blas_threads(1) as controllable:
+            assert controllable is True
+        assert fake.sets == []
+
     def test_uncontrollable_is_a_silent_noop(self, monkeypatch):
         monkeypatch.setattr(blas, "_lookup", lambda: None)
         with blas.blas_threads(1) as controllable:

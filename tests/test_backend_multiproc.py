@@ -364,12 +364,14 @@ class TestRunBlockParallel:
 
 
 @needs_fork
-class TestBlasThreadRule:
+class TestBlasThreadBudget:
     def test_single_process_runs_the_rule(self, tiny_dataset, monkeypatch):
         fake = FakeBlas(2).install(monkeypatch)
         report = run_block_parallel(_system(tiny_dataset), epochs=1, processes=1)
-        # Every GEMM on one thread, the caller's two handed back each time.
+        # One thread around the stages and around every GEMM outside
+        # them, the caller's two handed back each time.
         assert fake.sets and fake.sets == [1, 2] * (len(fake.sets) // 2)
+        assert fake.count == 2
         extras = report.result.extras
         assert extras["blas_threads"] == 1
         assert extras["blas_controllable"] is True

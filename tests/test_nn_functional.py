@@ -84,6 +84,31 @@ class TestIm2Col:
                         naive[n, f, i, j] = (xp[n, :, i : i + 3, j : j + 3] * w[f]).sum()
         np.testing.assert_allclose(out, naive, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("tile_bytes", [1, 2 * 5292, None], ids=["1", "2", "default"])
+    @pytest.mark.parametrize("k, s, p", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (5, 2, 2)])
+    def test_sample_tiles_gather_the_reference(self, monkeypatch, tile_bytes, k, s, p):
+        """Tiles of one sample, of two with a ragged last tile (5292 B is
+        one sample's 3x3 columns here), and the default: the same matrix."""
+        from repro.nn import functional
+        from test_nn_kernel_oracle import ref_im2col
+
+        if tile_bytes is not None:
+            monkeypatch.setattr(functional, "IM2COL_TILE_BYTES", tile_bytes)
+        x = spawn_rng(2, "tiles").normal(size=(5, 3, 7, 7)).astype(np.float32)
+        cols, _ = im2col(x, k, s, p)
+        assert np.array_equal(cols, ref_im2col(x, k, s, p))
+
+    def test_default_tiles_split_a_training_batch(self):
+        """At a vgg layer's size one sample's columns pass half the
+        default tile, so the batch is gathered a sample at a time."""
+        from repro.nn import functional
+        from test_nn_kernel_oracle import ref_im2col
+
+        x = spawn_rng(3, "tiles").normal(size=(4, 16, 32, 32)).astype(np.float32)
+        assert 32 * 32 * 16 * 9 * 4 > functional.IM2COL_TILE_BYTES // 2
+        cols, _ = im2col(x, 3, 1, 1)
+        assert np.array_equal(cols, ref_im2col(x, 3, 1, 1))
+
     def test_wrong_column_buffer_raises_shape_error(self):
         x = np.ones((2, 3, 5, 5), np.float32)
         with pytest.raises(ShapeError, match="column buffer"):

@@ -134,10 +134,10 @@ def test_inline_sweep_runs_the_rule_in_the_parent(tmp_path, monkeypatch):
     assert fake.count == 2
 
 
-def test_pool_sets_no_blas_budget_in_the_parent(tmp_path, monkeypatch):
+def test_pool_forks_under_one_blas_budget_and_lifts_it(tmp_path, monkeypatch):
     fake = FakeBlas(8).install(monkeypatch)
     summary = run_sweep(SweepSpec.from_dict(SWEEP), str(tmp_path / "w2"), workers=2)
     assert (summary.executed, summary.failed) == (4, 0)
-    # The workers are the parallelism; the parent sets no thread count
-    # around the fork (each worker's GEMMs set their own one thread).
-    assert fake.sets == []
+    # One thread while the pool lives (the workers inherit it and never
+    # change it), then the parent's 8 back.
+    assert fake.sets == [1, 8]
