@@ -148,7 +148,8 @@ def _run_pool(store, pending, total, workers, echo) -> int:
         context = multiprocessing.get_context()
     failed = 0
     workers = min(workers, len(pending))
-    # The executor forks its workers while runs are being submitted.
+    # The executor forks its workers as runs are submitted, so inside
+    # the bracket: each inherits one thread and never changes it.
     with blas_threads(1), ProcessPoolExecutor(
         max_workers=workers, mp_context=context
     ) as pool:
