@@ -1,18 +1,15 @@
-"""The one rule for BLAS threading: repro's numpy compute runs on one
-BLAS thread in every process, and cores are used by processes.
-
-OpenBLAS's default pool of one thread per core buys a GEMM here almost
-nothing, holds memory no budget accounts for, and makes trained weights
-depend on the core count.  The rule applies at the one GEMM call site,
-:func:`repro.backend.registry.matmul`: each product runs under
-``blas_threads(1)``, which hands the caller's count back.  Whoever forks
-compute (:mod:`repro.backend.multiproc`, :mod:`repro.sweep.driver`)
-forks under it too: OpenBLAS drops its pool at a fork and rebuilds it on
-the next count change, which a child inheriting one thread never makes.
+"""The one rule for BLAS threading, :func:`one_thread`: repro's numpy
+compute runs on one BLAS thread in every process, and cores are used by
+processes.  OpenBLAS's pool of one thread per core holds memory no budget
+accounts for and makes trained weights depend on the core count; the rule
+gives up one core's GEMM throughput per process, on every host.
+:func:`repro.backend.registry.matmul` runs each product under it, and
+whoever forks compute (:mod:`repro.backend.multiproc`,
+:mod:`repro.sweep.driver`) forks under it.
 
 Control is ctypes on the OpenBLAS numpy already has mapped, resolved on
 first use (never at import).  With no such library -- MKL, Accelerate, a
-static build -- everything is a no-op and ``blas_threads`` yields False.
+static build -- everything is a no-op and ``one_thread`` yields False.
 """
 
 from __future__ import annotations
@@ -82,19 +79,21 @@ def threads_in_force() -> int | None:
 
 
 @contextlib.contextmanager
-def blas_threads(n: int):
-    """Run the body with ``n`` BLAS threads, then restore the previous
-    count.  Yields whether BLAS was controllable."""
+def one_thread():
+    """The rule: run the body on one BLAS thread and hand the caller's
+    count back; yields whether BLAS was controllable.  A count already in
+    force is not set again, so a child forked under it never rebuilds the
+    pool OpenBLAS drops at a fork (it does so at the next count change)."""
     blas = _lookup()
     if blas is None:
         yield False
         return
     setter, getter = blas
     before = getter()
-    if before == n:  # e.g. a forked child: no change, no pool rebuilt
+    if before == 1:
         yield True
         return
-    setter(n)
+    setter(1)
     try:
         yield True
     finally:

@@ -45,10 +45,9 @@ Mechanics:
   Two runs with the same seed produce bit-identical weights
   (regression-tested).
 * **processes, not BLAS threads** -- every stage runs its GEMMs on one
-  BLAS thread (:mod:`repro.backend.blas`), so ``n`` stages use ``n``
-  cores instead of each spinning a full OpenBLAS pool.  Fork, stage 0
-  and result collection run under ``blas_threads(1)``, so the children
-  inherit the one thread and never rebuild a pool.
+  BLAS thread, so ``n`` stages use ``n`` cores instead of each spinning
+  a full OpenBLAS pool.  Fork, stage 0 and result collection run under
+  :func:`repro.backend.blas.one_thread`.
 
 The per-block optimizer states built inside each worker process stay
 there; what returns is the trained module state, which is all later
@@ -68,7 +67,7 @@ import traceback
 import numpy as np
 
 from repro.backend.bf16 import is_bf16, pack_bf16_state, unpack_bf16_state
-from repro.backend.blas import blas_threads, usable_cores
+from repro.backend.blas import one_thread, threads_in_force, usable_cores
 from repro.core.report import BlockReport, NeuroFluxReport
 from repro.core.worker import unit_host_step_seconds
 from repro.data.loader import DataLoader
@@ -361,13 +360,14 @@ def run_block_parallel(
 
     with system._run_frame(epochs, "neuroflux-mp", plan, mb) as (report, _, _):
         wall_t0 = time.perf_counter()
-        with blas_threads(1) as controllable:
+        with one_thread() as controllable:
+            threads = threads_in_force()
             stage_stats = _run_stages(system, stages, mb, epochs, slots)
         wall_clock_s = time.perf_counter() - wall_t0
         _book_stages(system, report, stages, stage_stats, mb)
         report.result.extras.update(
             wall_clock_s=wall_clock_s,
-            blas_threads=1 if controllable else None,
+            blas_threads=threads,
             blas_controllable=controllable,
             processes=len(stages),
             cores=usable_cores(),

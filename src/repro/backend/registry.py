@@ -4,7 +4,7 @@
 linear GEMM by wrapping ``repro.backend.registry.matmul``, so
 ``nn/conv.py``, ``nn/linear.py`` and ``training/signal_prop.py`` call it
 here rather than ``np.matmul`` directly.  It is also where
-:mod:`repro.backend.blas`'s one-thread rule applies.
+:func:`repro.backend.blas.one_thread`, the one-thread rule, applies.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ def matmul(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``a @ b`` on one BLAS thread, optionally into a preallocated ``out``."""
-    from repro.backend.blas import blas_threads  # a run with no GEMM never loads it
+    from repro.backend.blas import one_thread  # a run with no GEMM never loads it
 
-    with blas_threads(1):
+    with one_thread():
         return np.matmul(a, b, out=out)

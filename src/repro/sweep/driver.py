@@ -16,10 +16,9 @@ kill point a strict prefix, so a resumed sweep converges on the same
 bytes as an uninterrupted one.
 
 Pool workers are the host's parallelism: each runs its GEMMs on one
-BLAS thread (:mod:`repro.backend.blas`), so ``workers`` numpy cells use
-``workers`` cores, never a full OpenBLAS pool each.  The pool forks under
-``blas_threads(1)``, so a worker inherits the one thread and never
-rebuilds a pool.
+BLAS thread, so ``workers`` numpy cells use ``workers`` cores, never a
+full OpenBLAS pool each.  The pool forks under
+:func:`repro.backend.blas.one_thread`.
 
 A run that raises is journaled as ``status="failed"`` with the error
 string; the sweep keeps going (an OOM cell in a budget sweep is data,
@@ -32,7 +31,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.backend.blas import blas_threads
+from repro.backend.blas import one_thread
 from repro.sweep.spec import SweepRun, SweepSpec
 from repro.sweep.store import ResultsStore, make_record
 
@@ -149,8 +148,8 @@ def _run_pool(store, pending, total, workers, echo) -> int:
     failed = 0
     workers = min(workers, len(pending))
     # The executor forks its workers as runs are submitted, so inside
-    # the bracket: each inherits one thread and never changes it.
-    with blas_threads(1), ProcessPoolExecutor(
+    # the bracket.
+    with one_thread(), ProcessPoolExecutor(
         max_workers=workers, mp_context=context
     ) as pool:
         futures = [pool.submit(_execute_run, run.to_json_dict()) for run in pending]

@@ -3,14 +3,17 @@ itself, at the GEMM call site, is held by ``test_backend_matmul.py``)."""
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import FakeBlas
-from repro.backend import blas
+from repro.backend import blas, registry
+from repro.backend.multiproc import fork_available
 
 
 real_blas = pytest.mark.skipif(
@@ -42,29 +45,29 @@ class TestThreadsInForce:
 class TestBlasThreads:
     def test_sets_then_restores(self, monkeypatch):
         fake = FakeBlas(6).install(monkeypatch)
-        with blas.blas_threads(2) as controllable:
+        with blas.one_thread() as controllable:
             assert controllable is True
-            assert fake.count == 2
-        assert fake.sets == [2, 6]
+            assert fake.count == 1
+        assert fake.sets == [1, 6]
 
     def test_restores_on_exception(self, monkeypatch):
         fake = FakeBlas(6).install(monkeypatch)
         with pytest.raises(RuntimeError, match="boom"):
-            with blas.blas_threads(2):
+            with blas.one_thread():
                 raise RuntimeError("boom")
-        assert fake.sets == [2, 6]
+        assert fake.sets == [1, 6]
 
     def test_count_already_in_force_sets_nothing(self, monkeypatch):
         """What keeps a child forked on one thread from ever changing its
         count, which would make OpenBLAS rebuild the pool it dropped."""
         fake = FakeBlas(1).install(monkeypatch)
-        with blas.blas_threads(1) as controllable:
+        with blas.one_thread() as controllable:
             assert controllable is True
         assert fake.sets == []
 
     def test_uncontrollable_is_a_silent_noop(self, monkeypatch):
         monkeypatch.setattr(blas, "_lookup", lambda: None)
-        with blas.blas_threads(1) as controllable:
+        with blas.one_thread() as controllable:
             assert controllable is False
 
     def test_lookup_miss_reports_uncontrollable(self, monkeypatch):
@@ -76,9 +79,36 @@ class TestBlasThreads:
     def test_real_library_round_trip(self):
         _, getter = blas._lookup()
         before = getter()
-        with blas.blas_threads(1) as controllable:
+        with blas.one_thread() as controllable:
             assert controllable is True
             assert getter() == 1
+        assert getter() == before
+
+    @real_blas
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_forked_child_inherits_budget_parent_restored(self):
+        """A child forked under the rule starts on the real library's one
+        thread, and its GEMMs never set a count (a set would rebuild the
+        pool OpenBLAS dropped at the fork); the parent gets its count back."""
+        setter, getter = blas._lookup()
+        before = getter()
+        ctx = mp.get_context("fork")
+        seen = ctx.Queue()
+
+        def probe():
+            sets = []
+            blas._lookup = lambda: (lambda n: (sets.append(n), setter(n)), getter)
+            inherited = getter()
+            a = np.ones((64, 64), np.float32)
+            registry.matmul(a, a)
+            seen.put((inherited, sets, getter()))
+
+        with blas.one_thread():
+            child = ctx.Process(target=probe)
+            child.start()
+            assert seen.get(timeout=30) == (1, [], 1)
+            child.join(timeout=30)
+        assert child.exitcode == 0
         assert getter() == before
 
 
