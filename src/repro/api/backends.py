@@ -118,20 +118,7 @@ def build_runtime_from_spec(spec: JobSpec):
         events = EventSchedule.from_json_dict(r.events)
     elif r.events_file is not None:
         events = EventSchedule.load(r.events_file)
-    return AdaptiveRuntime(
-        events=events,
-        adapt=r.adapt,
-        drift_threshold=r.drift_threshold,
-        ewma_alpha=r.ewma_alpha,
-        min_samples=r.min_samples,
-        check_every=r.check_every,
-        checkpoint_every=r.checkpoint_every,
-        improvement_margin=r.improvement_margin,
-        migration_safety=r.migration_safety,
-        cooldown_s=r.cooldown_s,
-        stability_tol=r.stability_tol,
-        idle_decay=r.idle_decay,
-    )
+    return AdaptiveRuntime(events=events, adapt=r.adapt)
 
 
 # --------------------------------------------------------------------- #

@@ -4,8 +4,8 @@ Before this module existed each subsystem grew its own hook style: the
 sequential controller passed an ``on_batch`` callable into
 :meth:`BlockWorker.train_pass`, the pipelined path handed an
 ``on_epoch_end`` closure to the executor, and the adaptive runtime was
-wired through dedicated ``on_stage_step`` / ``after_microbatch`` methods
-the executor special-cased.  All of those emit through *one* protocol
+wired through dedicated per-step methods the executor special-cased.
+All of those emit through *one* protocol
 now: anything that wants to observe a run -- a progress bar, a metrics
 logger, the adaptive runtime itself -- subclasses :class:`Callback` and
 overrides the hooks it cares about.
@@ -131,10 +131,6 @@ class CallbackList(Callback):
 
     def __iter__(self):
         return iter(self.callbacks)
-
-    def prepend(self, callback: Callback) -> None:
-        _check_callback(callback)
-        self.callbacks.insert(0, callback)
 
     def append(self, callback: Callback) -> None:
         _check_callback(callback)

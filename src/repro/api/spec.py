@@ -151,16 +151,6 @@ class RuntimeSection:
     events: dict | None = None
     #: Path to a schedule file; mutually exclusive with ``events``.
     events_file: str | None = None
-    drift_threshold: float = 0.25
-    ewma_alpha: float = 0.6
-    min_samples: int = 2
-    check_every: int = 1
-    checkpoint_every: int = 4
-    improvement_margin: float = 0.05
-    migration_safety: float = 1.0
-    cooldown_s: float = 0.0
-    stability_tol: float = 0.15
-    idle_decay: float = 0.25
 
     def __post_init__(self) -> None:
         if self.events is not None and self.events_file is not None:
@@ -534,9 +524,6 @@ class JobSpec:
             if section is not None:
                 out[name] = _jsonify(dataclasses.asdict(section))
         return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: dict, backend: str | None = None) -> "JobSpec":

@@ -87,12 +87,6 @@ class ActivationStore:
     def bytes_read(self) -> int:
         return self._bytes_read
 
-    @property
-    def total_bytes_on_disk(self) -> int:
-        return sum(
-            p.stat().st_size for p in self.root.glob("block*/batch*.npz")
-        )
-
     def close(self) -> None:
         """Remove all cache files (and the temp dir if we created one)."""
         if self.root.exists():

@@ -43,7 +43,7 @@ from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError
 from repro.hw.platforms import AGX_ORIN, Platform
-from repro.hw.simulator import ExecutionSimulator, TimeLedger
+from repro.hw.simulator import ExecutionSimulator, TimeLedger, block_input_mode
 from repro.models.base import ConvNet
 from repro.nn import make_optimizer
 from repro.obs.trace import active_tracer
@@ -531,10 +531,9 @@ class NeuroFlux:
                 )
                 ctx.alloc_block(block.index, self._block_residency_bytes(block))
                 worker = self._build_worker(block, sim)
-                cached_input = cfg.use_cache and block.index > 0
-                input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
+                input_mode = block_input_mode(block.index, cfg.use_cache)
                 if runtime is not None:
-                    runtime.sequential_block_start(block, worker, input_mode)
+                    runtime.bind_live({block.index: worker})
 
                 block_t0 = ctx.elapsed
                 mean_loss = float("nan")
@@ -577,9 +576,6 @@ class NeuroFlux:
                     if time_budget_s is not None and ctx.elapsed >= time_budget_s:
                         stop = True
                         break
-
-                if runtime is not None:
-                    runtime.sequential_block_end(block)
 
                 # §3.3: cache the trained block's outputs for the next block.
                 is_last = block.index == len(blocks) - 1

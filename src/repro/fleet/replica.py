@@ -193,10 +193,6 @@ class CascadeReplica:
 
     # -- queue state --------------------------------------------------------
     @property
-    def queue_len(self) -> int:
-        return len(self.pending)
-
-    @property
     def load(self) -> int:
         """Requests owned but not completed: queued plus in flight."""
         return len(self.pending) + self.in_flight_requests

@@ -63,6 +63,14 @@ def _check_count(count: int) -> None:
         raise ConfigError(f"step count must be an int >= 1, got {count!r}")
 
 
+def block_input_mode(block_index: int, cached: bool = True) -> str:
+    """The input mode block ``block_index`` trains on: raw samples for the
+    first block, the previous block's activations for the rest -- unless
+    ``cached`` is off (the sequential run without the activation cache
+    re-derives every block's inputs from raw samples)."""
+    return "prefetch-cache" if cached and block_index > 0 else "prefetch-raw"
+
+
 @dataclass
 class ExecutionSimulator:
     """Converts work (FLOPs, bytes, dispatches) to simulated seconds.

@@ -90,10 +90,6 @@ class SimulatedGpu:
             raise ConfigError(f"double free or unknown allocation id {ident}")
         self._in_use -= alloc.nbytes
 
-    def free_all(self) -> None:
-        self._live.clear()
-        self._in_use = self.base_reserved
-
     @property
     def in_use(self) -> int:
         return self._in_use

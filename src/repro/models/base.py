@@ -89,21 +89,12 @@ class ConvNet(Module):
         return len(self._specs)
 
     @property
-    def conv_widths(self) -> list[int]:
-        """Output channel counts of every conv stage (drives the AAN rule)."""
-        return list(self._conv_widths)
-
-    @property
     def min_conv_width(self) -> int:
         return min(self._conv_widths)
 
     @property
     def max_conv_width(self) -> int:
         return max(self._conv_widths)
-
-    def head_parameters(self) -> int:
-        assert self.head is not None
-        return self.head.num_parameters()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

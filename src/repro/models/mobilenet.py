@@ -120,8 +120,3 @@ class MobileNet(ConvNet):
             Flatten(),
             Linear(in_ch, num_classes, rng=head_rng),
         )
-
-
-def build_mobilenet(**kwargs) -> MobileNet:
-    """Factory used by the model zoo."""
-    return MobileNet(**kwargs)

@@ -193,8 +193,3 @@ class ResNet(ConvNet):
             Flatten(),
             Linear(in_ch, num_classes, rng=head_rng),
         )
-
-
-def build_resnet18(**kwargs) -> ResNet:
-    """Factory used by the model zoo."""
-    return ResNet("resnet18", **kwargs)

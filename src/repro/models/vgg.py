@@ -102,8 +102,3 @@ class VGG(ConvNet):
             Flatten(),
             Linear(in_ch, num_classes, rng=head_rng),
         )
-
-
-def build_vgg(variant: str, **kwargs) -> VGG:
-    """Factory used by the model zoo."""
-    return VGG(variant, **kwargs)

@@ -31,6 +31,7 @@ import numpy as np
 from repro.api.callbacks import BatchInfo, Callback
 from repro.core.worker import BlockWorker
 from repro.errors import ConfigError
+from repro.hw.simulator import block_input_mode
 from repro.obs.trace import active_tracer
 from repro.parallel.cluster import Cluster
 
@@ -256,7 +257,7 @@ class PipelineExecutor:
         #: streaming.
         self.callbacks = callbacks
         #: The adaptive control loop itself, kept for run-start binding
-        #: (:meth:`AdaptiveRuntime.start_pipeline`); its per-step
+        #: (:meth:`AdaptiveRuntime.bind_live`); its per-step
         #: observations arrive through :attr:`callbacks` like everyone
         #: else's.
         self.runtime = runtime
@@ -288,7 +289,7 @@ class PipelineExecutor:
             self.start_offsets,
         )
         if self.runtime is not None:
-            self.runtime.start_pipeline(clock)
+            self.runtime.bind_live(dict(enumerate(self.workers)), clock)
         # The executor emits its own spans from the pipeline clock (not
         # from the device simulators' ledgers, whose cumulative totals are
         # a different timeline): one complete span per (stage, micro-batch)
@@ -309,9 +310,8 @@ class PipelineExecutor:
             for x, y in self._epoch_batches(epoch):
                 loss = float("nan")
                 for k, worker in enumerate(self.workers):
-                    input_mode = "prefetch-raw" if k == 0 else "prefetch-cache"
                     out, loss, step_t = worker.train_batch(
-                        x, y, input_mode=input_mode
+                        x, y, input_mode=block_input_mode(k)
                     )
                     comm_t = 0.0
                     nbytes = 0

@@ -29,7 +29,7 @@ from repro.core.partitioner import Block
 from repro.core.profiler import block_residency_bytes
 from repro.core.worker import unit_kernel_count, unit_train_flops
 from repro.errors import ConfigError, PlacementError
-from repro.hw.simulator import ExecutionSimulator
+from repro.hw.simulator import ExecutionSimulator, block_input_mode
 from repro.memory.estimator import boundary_sample_bytes
 from repro.models.layers import LayerSpec
 from repro.nn.module import Module
@@ -152,11 +152,11 @@ def build_problem(
     ]
     step_times = []
     for k, cost in enumerate(costs):
-        input_mode = "prefetch-raw" if k == 0 else "prefetch-cache"
         step_times.append(
             tuple(
                 price_training_step(
-                    device.platform, cost, microbatch, sample_bytes, input_mode
+                    device.platform, cost, microbatch, sample_bytes,
+                    block_input_mode(k),
                 )
                 for device in cluster
             )

@@ -12,6 +12,7 @@ summarised as one :class:`~repro.parallel.pipeline.PipelineStats`.
 from __future__ import annotations
 
 from repro.errors import ConfigError
+from repro.hw.simulator import block_input_mode
 from repro.obs.trace import active_tracer
 from repro.parallel import placement as _placement
 from repro.parallel.cluster import DeviceContext
@@ -93,11 +94,21 @@ def train_parallel(
             },
         )
     ctx = DeviceContext(cluster, placement, runtime)
+    if runtime is not None:
+        # What one training step of each block is fed: a pipelined block
+        # takes micro-batches of its upstream stage's activations, a
+        # sequential one its own batch through the loader/cache path.
+        if schedule == "sequential":
+            step_inputs = [
+                (b.batch_size, block_input_mode(b.index, system.config.use_cache))
+                for b in blocks
+            ]
+        else:
+            step_inputs = [(microbatch, block_input_mode(b.index)) for b in blocks]
+        runtime.bind(
+            schedule, problem, ctx, step_inputs, system._block_residency_bytes
+        )
     if schedule == "sequential":
-        if runtime is not None:
-            runtime.bind_sequential(
-                problem, blocks, ctx, system._block_residency_bytes
-            )
         report = system._train_blocks(epochs, time_budget_s, ctx, plan, callbacks)
         # Devices never overlap, so each one's busy time is its ledger
         # total.  No micro-batch stream ran: blocks iterated at their own
@@ -149,8 +160,6 @@ def _train_pipelined(
             workers.append(
                 system._build_worker(block, ctx.sim_for_block(block.index))
             )
-        if runtime is not None:
-            runtime.bind_pipeline(problem, plan[0], workers, ctx)
         start_offsets = [0.0] * len(ctx.cluster)
         start_offsets[ctx.placement[0]] = report.profiling_time_s
         executor = PipelineExecutor(

@@ -8,7 +8,7 @@ perf4sight's remedy -- refine the cost model online against measurements
 *observed* step seconds (what the device ledger actually charged) and
 *predicted* step seconds (what the cost model priced for that block on
 that device).  A coefficient of ``1.0`` means the model is faithful; a
-device whose coefficient strays beyond ``drift_threshold`` is *drifted*,
+device whose coefficient strays beyond :data:`DRIFT_THRESHOLD` is *drifted*,
 and re-running the placement search with coefficient-scaled step times
 prices candidate placements against the cluster as it is now, not as it
 was at planning time.
@@ -18,28 +18,21 @@ from __future__ import annotations
 
 from repro.errors import ConfigError
 
+#: Relative departure of a coefficient from ``1.0`` that counts as drift.
+DRIFT_THRESHOLD = 0.25
+#: Weight of the newest observed/predicted ratio in the EWMA.
+EWMA_ALPHA = 0.6
+#: Observations a device needs before it can count as drifted: a single
+#: noisy step never triggers a re-placement.
+MIN_SAMPLES = 2
+
 
 class DriftMonitor:
     """Tracks observed-vs-predicted step-time ratios per device."""
 
-    def __init__(
-        self,
-        n_devices: int,
-        alpha: float = 0.5,
-        drift_threshold: float = 0.25,
-        min_samples: int = 2,
-    ):
+    def __init__(self, n_devices: int):
         if n_devices < 1:
             raise ConfigError("need at least one device")
-        if not 0 < alpha <= 1:
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        if drift_threshold <= 0:
-            raise ConfigError("drift threshold must be positive")
-        if min_samples < 1:
-            raise ConfigError("min_samples must be >= 1")
-        self.alpha = float(alpha)
-        self.drift_threshold = float(drift_threshold)
-        self.min_samples = int(min_samples)
         self._coefficient = [1.0] * n_devices
         self._n_observed = [0] * n_devices
 
@@ -64,14 +57,10 @@ class DriftMonitor:
             self._coefficient[device] = ratio
         else:
             c = self._coefficient[device]
-            self._coefficient[device] = (1 - self.alpha) * c + self.alpha * ratio
+            self._coefficient[device] = (1 - EWMA_ALPHA) * c + EWMA_ALPHA * ratio
         self._n_observed[device] += 1
 
     # -- queries -----------------------------------------------------------
-    def n_observed(self, device: int) -> int:
-        self.ensure_device(device)
-        return self._n_observed[device]
-
     def coefficient(self, device: int) -> float:
         """Refined cost multiplier for a device (``1.0`` when unobserved).
 
@@ -109,13 +98,13 @@ class DriftMonitor:
     def drifted(self, device: int) -> bool:
         """True when the device has demonstrably departed from the model.
 
-        Requires ``min_samples`` observations: a single noisy step (or no
-        steps at all) never triggers a re-placement.
+        Requires :data:`MIN_SAMPLES` observations: a single noisy step (or
+        no steps at all) never triggers a re-placement.
         """
         self.ensure_device(device)
-        if self._n_observed[device] < self.min_samples:
+        if self._n_observed[device] < MIN_SAMPLES:
             return False
-        return abs(self._coefficient[device] - 1.0) > self.drift_threshold
+        return abs(self._coefficient[device] - 1.0) > DRIFT_THRESHOLD
 
     def drifted_devices(self) -> list[int]:
         return [d for d in range(len(self._coefficient)) if self.drifted(d)]

@@ -9,9 +9,8 @@ priced in -- and weighs the predicted makespan saving over the
 *remaining* stream against the cost of moving the affected blocks.
 
 Hysteresis is built in: a re-placement must clear a relative improvement
-margin net of migration cost, and a cooldown separates consecutive
-re-placements.  Two placements whose refined costs are within the margin
-of each other can therefore never oscillate.
+margin net of migration cost, so two placements whose refined costs are
+within the margin of each other can never oscillate.
 """
 
 from __future__ import annotations
@@ -19,13 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.errors import ConfigError, PlacementError
+from repro.errors import PlacementError
+from repro.hw.simulator import block_input_mode
 from repro.parallel.placement import (
     PlacementProblem,
     optimize_placement,
     predict_makespan,
     price_training_step,
 )
+
+#: A re-placement must beat staying put by this fraction of the current
+#: predicted makespan, net of its migration cost.
+IMPROVEMENT_MARGIN = 0.05
+#: Local-search rounds per consultation.
+MAX_ROUNDS = 30
 
 
 def refined_step_times(
@@ -43,7 +49,6 @@ def refined_step_times(
     """
     rows = []
     for k, cost in enumerate(problem.costs):
-        input_mode = "prefetch-raw" if k == 0 else "prefetch-cache"
         row = []
         for d, device in enumerate(cluster):
             if d in dead:
@@ -51,7 +56,7 @@ def refined_step_times(
                 continue
             t = price_training_step(
                 device.platform, cost, problem.microbatch,
-                problem.sample_bytes, input_mode,
+                problem.sample_bytes, block_input_mode(k),
             )
             coef = coefficients[d] if d < len(coefficients) else 1.0
             row.append(t * coef)
@@ -95,24 +100,6 @@ class ReplacementDecision:
 class ReplacementPolicy:
     """Decides whether a re-placement pays for its migrations."""
 
-    def __init__(
-        self,
-        improvement_margin: float = 0.05,
-        migration_safety: float = 1.0,
-        cooldown_s: float = 0.0,
-        max_rounds: int = 30,
-    ):
-        if improvement_margin < 0:
-            raise ConfigError("improvement margin must be non-negative")
-        if migration_safety < 0:
-            raise ConfigError("migration safety factor must be non-negative")
-        if cooldown_s < 0:
-            raise ConfigError("cooldown must be non-negative")
-        self.improvement_margin = float(improvement_margin)
-        self.migration_safety = float(migration_safety)
-        self.cooldown_s = float(cooldown_s)
-        self.max_rounds = int(max_rounds)
-
     def consider(
         self,
         problem: PlacementProblem,
@@ -121,28 +108,21 @@ class ReplacementPolicy:
         coefficients: list[float],
         dead: set[int],
         remaining_microbatches: int,
-        now: float,
-        last_replacement_s: float | None,
         migration_cost_fn: Callable[[int, int, int], float],
     ) -> ReplacementDecision:
         """Weigh re-placing against staying put.
 
         ``migration_cost_fn(block, src, dst)`` prices one block move in
         seconds.  A placement stranded on a dead device (predicted cost
-        infinity) is *forced* to move regardless of margin or cooldown.
+        infinity) is *forced* to move regardless of margin.
         """
         rp = refined_problem(
             problem, cluster, coefficients, dead, remaining_microbatches
         )
         current = predict_makespan(rp, placement)
         forced = any(d in dead for d in placement)
-        if not forced and last_replacement_s is not None:
-            if now - last_replacement_s < self.cooldown_s:
-                return ReplacementDecision(
-                    False, "cooldown", tuple(placement), (), current, current, 0.0
-                )
         result = optimize_placement(
-            rp, max_rounds=self.max_rounds, extra_starts=[list(placement)]
+            rp, max_rounds=MAX_ROUNDS, extra_starts=[list(placement)]
         )
         candidate = list(result.placement)
         if any(d in dead for d in candidate):
@@ -170,11 +150,8 @@ class ReplacementPolicy:
                 result.predicted_makespan_s,
                 migration_cost,
             )
-        threshold = current * (1.0 - self.improvement_margin)
-        if (
-            result.predicted_makespan_s + self.migration_safety * migration_cost
-            >= threshold
-        ):
+        threshold = current * (1.0 - IMPROVEMENT_MARGIN)
+        if result.predicted_makespan_s + migration_cost >= threshold:
             return ReplacementDecision(
                 False,
                 "insufficient saving",

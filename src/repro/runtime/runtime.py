@@ -123,6 +123,23 @@ class RuntimeReport:
         return "\n".join(lines)
 
 
+#: Steps of the live set (pipelined micro-batches, or the current
+#: sequential block's batches) between periodic checkpoints of every
+#: live block: the fault-tolerance overhead, and what failure recovery
+#: replays from.
+CHECKPOINT_EVERY = 4
+#: A pipelined re-placement waits until every refined coefficient has
+#: settled -- moved less than this fraction since the previous check:
+#: acting on a half-converged EWMA would optimize against a cost model
+#: that is still moving, then "correct" the move a moment later.
+STABILITY_TOL = 0.15
+#: Per-consultation relaxation of *idle* device coefficients toward
+#: ``1.0`` (:meth:`DriftMonitor.decay_toward_unit`): a vacated device
+#: stops producing observations, so without decay an expired load spike
+#: would blacklist it forever.
+IDLE_DECAY = 0.25
+
+
 class AdaptiveRuntime(Callback):
     """Adaptive control loop for one cluster training run.
 
@@ -134,115 +151,84 @@ class AdaptiveRuntime(Callback):
     the same list: injected fault/load events surface as ``on_event``
     and block moves as ``on_migration`` to every other subscriber.
 
-    Constructor knobs:
+    ``events`` is the fault/load schedule to inject (``None`` = calm);
+    ``adapt=False`` injects events but never re-places (the benchmark's
+    static arm; a failure with live state then raises
+    :class:`FaultError`).
 
-    * ``events`` -- the fault/load schedule to inject (``None`` = calm);
-    * ``adapt`` -- ``False`` injects events but never re-places (the
-      benchmark's static arm; a failure with live state then raises
-      :class:`FaultError`);
-    * ``drift_threshold`` / ``ewma_alpha`` / ``min_samples`` -- monitor;
-    * ``check_every`` -- micro-batches between policy consultations;
-    * ``stability_tol`` -- re-placement waits until every refined
-      coefficient has settled (changed less than this fraction since the
-      previous check): acting on a half-converged EWMA would optimize
-      against a cost model that is still moving, then "correct" the move
-      a moment later -- exactly the oscillation hysteresis exists to
-      prevent;
-    * ``checkpoint_every`` -- micro-batches between periodic block
-      checkpoints (the fault-tolerance overhead; what failure recovery
-      replays from);
-    * ``improvement_margin`` / ``migration_safety`` / ``cooldown_s`` --
-      re-placement hysteresis (see :class:`ReplacementPolicy`);
-    * ``idle_decay`` -- per-consultation relaxation of *idle* device
-      coefficients toward ``1.0`` (see
-      :meth:`DriftMonitor.decay_toward_unit`): a vacated device stops
-      producing observations, so without decay an expired load spike
-      would blacklist it forever.  ``0.0`` disables the decay.
+    Both schedules run one loop.  :meth:`bind` attaches the run, and
+    :meth:`bind_live` each *live set* -- the blocks training right now:
+    every block of a pipelined run, the current block of a sequential
+    one.  Every batch is observed against its nominal price; each unit
+    of progress (``BatchInfo.last_stage``) advances the event stream,
+    consults the monitor and, every :data:`CHECKPOINT_EVERY` steps,
+    checkpoints the live set.  Two rules differ by schedule: the
+    decision (a pipelined run asks the migration-priced
+    :class:`ReplacementPolicy`, once the coefficients have settled to
+    within :data:`STABILITY_TOL`; a sequential run re-places its
+    untrained blocks for free) and failure handling.  Idle devices'
+    coefficients relax by :data:`IDLE_DECAY` per consultation.
     """
 
-    def __init__(
-        self,
-        events: EventSchedule | None = None,
-        adapt: bool = True,
-        drift_threshold: float = 0.25,
-        ewma_alpha: float = 0.6,
-        min_samples: int = 2,
-        check_every: int = 1,
-        checkpoint_every: int = 4,
-        improvement_margin: float = 0.05,
-        migration_safety: float = 1.0,
-        cooldown_s: float = 0.0,
-        stability_tol: float = 0.15,
-        idle_decay: float = 0.25,
-    ):
-        if check_every < 1:
-            raise ConfigError("check_every must be >= 1")
-        if checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
-        if stability_tol < 0:
-            raise ConfigError("stability_tol must be non-negative")
-        if not 0 <= idle_decay <= 1:
-            raise ConfigError("idle_decay must be in [0, 1]")
+    def __init__(self, events: EventSchedule | None = None, adapt: bool = True):
         self.schedule = events if events is not None else EventSchedule()
         self.adapt = bool(adapt)
-        self.check_every = int(check_every)
-        self.checkpoint_every = int(checkpoint_every)
-        self._monitor_args = dict(
-            alpha=ewma_alpha,
-            drift_threshold=drift_threshold,
-            min_samples=min_samples,
-        )
-        self.policy = ReplacementPolicy(
-            improvement_margin=improvement_margin,
-            migration_safety=migration_safety,
-            cooldown_s=cooldown_s,
-        )
+        self.policy = ReplacementPolicy()
         self.store = CheckpointStore()
         self.monitor: DriftMonitor | None = None
-        self.idle_decay = float(idle_decay)
         #: Outbound hook sink: the callback list of the driving run
         #: (set by the controller when it assembles the list).  Injected
         #: events and block moves are emitted through it as
         #: ``on_event`` / ``on_migration``.
         self.callbacks: Callback = Callback()
         # -- run state --
-        self._mode: str | None = None
+        self.ctx = None
+        self.clock = None
         self._player = SchedulePlayer(None)
         self._joined: list[int] = []
         self._events_applied: list[dict] = []
         self.migrations: list[MigrationRecord] = []
         self._n_replacements = 0
-        self._last_replacement_s: float | None = None
         self._checkpoint_time_s = 0.0
         self._initial_placement: list[int] = []
-        self._m = 0  # micro-batches completed (pipelined) / batches (sequential)
-        self._base_step_cache: dict[tuple[int, int], float] = {}
-        self.stability_tol = float(stability_tol)
+        self._placement_history: list[list[int]] = []
+        self._workers: dict = {}  # live block index -> its worker
+        self._steps = 0  # units of progress of the live set
+        self._price_cache: dict[tuple[int, int], float] = {}
         self._coeffs_at_last_check: list[float] | None = None
         self._coeffs_at_last_decision: list[float] | None = None
-        self._placement_history: list[list[int]] = []
         self._wire_nbytes: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # binding                                                            #
     # ------------------------------------------------------------------ #
-    def _bind_common(self, mode: str, problem, blocks, ctx) -> None:
-        if self._mode is not None:
+    def bind(self, schedule, problem, ctx, step_inputs, residency_fn) -> None:
+        """Attach to one cluster run (called once, by ``train_parallel``).
+
+        ``step_inputs[k]`` is block ``k``'s ``(batch, input_mode)``: what
+        one of its training steps is fed, which prices it, replays it
+        and ranks devices for it.  ``residency_fn(block)`` is a block's
+        resident bytes at its own batch (the sequential re-placement's
+        fit test).
+        """
+        if self.ctx is not None:
             raise ConfigError(
                 "an AdaptiveRuntime instance drives exactly one run; "
                 "construct a fresh one"
             )
-        self._mode = mode
+        self._mode = schedule
         #: The run's :class:`~repro.parallel.cluster.DeviceContext`:
         #: block residency moves and joined devices go through it.
         self.ctx = ctx
         self.cluster = cluster = ctx.cluster
         self.problem = problem
-        self.blocks = blocks
+        self.blocks = problem.blocks
+        self.step_inputs = step_inputs
+        self.residency_fn = residency_fn
         self.placement: list[int] = ctx.placement  # shared list: updates are live
         self._initial_placement = list(self.placement)
         self._placement_history = [list(self.placement)]
-        self.monitor = DriftMonitor(len(cluster), **self._monitor_args)
+        self.monitor = DriftMonitor(len(cluster))
         # Fail fast on a schedule the cluster can never satisfy, instead
         # of erroring mid-run with the training paid for: a targeted
         # device must exist by the time the event fires -- present now,
@@ -260,52 +246,79 @@ class AdaptiveRuntime(Callback):
                 )
         self._player = SchedulePlayer(self.schedule)
 
-    def bind_pipeline(self, problem, blocks, workers, ctx) -> None:
-        """Attach to a pipelined run (called by the schedule)."""
-        self._bind_common("pipelined", problem, blocks, ctx)
-        self.workers = workers
-        self.clock = None
-
-    def start_pipeline(self, clock) -> None:
-        """Attach to the live executor's clock (called by the executor)."""
-        if self._mode != "pipelined":
-            raise ConfigError("runtime was not bound to a pipelined run")
+    def bind_live(self, workers: dict, clock=None) -> None:
+        """Bind the live set: ``workers`` maps each block now training to
+        its worker.  ``clock`` is the pipeline's; a sequential run's clock
+        is its context's serialized work."""
+        self._workers = workers
         self.clock = clock
+        self._steps = 0
         if self.adapt:
-            # Baseline checkpoints: a failure before the first periodic
-            # checkpoint must still have something to recover from.
-            for k in range(len(self.workers)):
-                self._checkpoint_pipelined(k, now=clock.makespan)
+            # Baseline checkpoints, taken before looking at the event
+            # stream: a failure that fires this very instant must have
+            # something to restore.  Each starts on the clock as the
+            # previous one left it.
+            for k in workers:
+                self._checkpoint(k, self._now())
+        self._advance_events(self._now())
 
-    def bind_sequential(self, problem, blocks, ctx, residency_fn) -> None:
-        """Attach to a sequential (block-after-block) cluster run."""
-        self._bind_common("sequential", problem, blocks, ctx)
-        self.residency_fn = residency_fn
-        self._cur_block = None
-        self._cur_worker = None
-        self._cur_input_mode = "prefetch-raw"
-        self._cur_batches = 0
+    def _now(self) -> float:
+        return self.clock.makespan if self.clock is not None else self.ctx.elapsed
 
     # ------------------------------------------------------------------ #
-    # unified callback protocol (both modes)                             #
+    # the loop                                                           #
     # ------------------------------------------------------------------ #
     def on_batch(self, info: BatchInfo) -> None:
-        """The runtime's inbound hook on the unified callback protocol.
-
-        The controller (sequential) and pipeline executor (stage scope)
-        emit every trained batch through one callback list; this
-        dispatches to the mode's observation/consultation logic.  In the
-        pipelined schedule the final stage of each micro-batch doubles
-        as the end-of-micro-batch consultation point.
-        """
-        if self._mode == "pipelined":
-            self.on_stage_step(info.block_index, info.step_s, info.n_samples)
-            if info.last_stage:
-                self.after_microbatch()
-        elif self._mode == "sequential":
-            self.sequential_on_batch(info.n_done, info.step_s, info.n_samples)
-        else:
+        """The runtime's inbound hook on the unified callback protocol:
+        observe every batch, then act once per unit of progress."""
+        if not self._workers:
             raise ConfigError("runtime observed a batch before being bound")
+        k = info.block_index
+        # A ragged final batch is skipped: the cost model priced full
+        # ones, so the ratio would read as phantom drift.
+        if info.n_samples == self.step_inputs[k][0]:
+            d = self.placement[k]
+            self.monitor.observe(d, self._price(k, d), info.step_s)
+        if not info.last_stage:
+            return
+        self._steps += 1
+        now = self._now()
+        self._advance_events(now)
+        if self.adapt:
+            self._consult(now)
+            if self._steps % CHECKPOINT_EVERY == 0:
+                for k in self._workers:
+                    self._checkpoint(k, now)
+
+    def _price(self, k: int, d: int) -> float:
+        """Nominal (coefficient-free) step price of block ``k`` on ``d``,
+        at the batch and input mode the schedule feeds it -- the call
+        ``build_problem`` priced the pipelined ``step_times`` with."""
+        key = (k, d)
+        if key not in self._price_cache:
+            batch, mode = self.step_inputs[k]
+            self._price_cache[key] = price_training_step(
+                self.cluster[d].platform,
+                self.problem.costs[k],
+                batch,
+                self.problem.sample_bytes,
+                mode,
+            )
+        return self._price_cache[key]
+
+    def _checkpoint(self, k: int, now: float) -> None:
+        d = self.placement[k]
+        ckpt = snapshot_worker(self._workers[k])
+        t = self.cluster[d].sim.add_cache_write(ckpt.nbytes, n_files=1)
+        self._checkpoint_time_s += t
+        self._hold(d, now, t)
+        self.store.put(k, self._steps, ckpt)
+
+    def _hold(self, d: int, now: float, seconds: float) -> None:
+        """Occupy ``d`` for ``seconds`` from ``now`` on the pipeline clock
+        (a sequential run's clock is the ledger charge itself)."""
+        if self.clock is not None:
+            self.clock.hold_device(d, max(self.clock.device_free[d], now) + seconds)
 
     def _decay_idle_coefficients(self) -> None:
         """Relax coefficients of alive devices hosting no blocks.
@@ -314,17 +327,52 @@ class AdaptiveRuntime(Callback):
         coefficients would otherwise freeze -- an expired load spike
         would blacklist a vacated device forever.
         """
-        if self.idle_decay <= 0:
-            return
         hosting = set(self.placement)
         for d in range(len(self.cluster)):
             if d in self._dead or d in hosting:
                 continue
             if self.monitor.coefficient(d) != 1.0:
-                self.monitor.decay_toward_unit(d, self.idle_decay)
+                self.monitor.decay_toward_unit(d, IDLE_DECAY)
+
+    def _coeffs_differ(self, coeffs: list[float], prev: list[float] | None) -> bool:
+        """Has any coefficient moved more than :data:`STABILITY_TOL`
+        (relative) against ``prev``?  Two gates hang off this: a
+        pipelined consult needs the EWMA *settled* (no change since the
+        previous check -- deciding on a half-converged model invites a
+        correction right after), and every consult needs *news* since
+        the previous decision (a vacated device's frozen drifted
+        coefficient must not re-trigger the search every single step for
+        the rest of the run)."""
+        if prev is None or len(prev) != len(coeffs):
+            return True
+        return any(
+            abs(c - p) > STABILITY_TOL * max(abs(p), 1e-12)
+            for c, p in zip(coeffs, prev)
+        )
+
+    def _consult(self, now: float) -> None:
+        """The decision step: re-place when the refined model drifted."""
+        self._decay_idle_coefficients()
+        coeffs = self.monitor.coefficients()
+        act = self.monitor.any_drift() and self._coeffs_differ(
+            coeffs, self._coeffs_at_last_decision
+        )
+        if self._mode == "pipelined":
+            act = act and not self._coeffs_differ(coeffs, self._coeffs_at_last_check)
+            self._coeffs_at_last_check = coeffs
+        if not act:
+            return
+        self._trace_decision(
+            "drift-detected", now, {"coefficients": [round(c, 4) for c in coeffs]}
+        )
+        if self._mode == "pipelined":
+            self._consider_replacement(now, forced=False)
+        else:
+            self._replace_future_blocks(now)
+            self._record_decision()
 
     # ------------------------------------------------------------------ #
-    # event injection (both modes)                                       #
+    # event injection                                                    #
     # ------------------------------------------------------------------ #
     @property
     def _dead(self) -> set[int]:
@@ -374,107 +422,46 @@ class AdaptiveRuntime(Callback):
         index = self.ctx.add_device(device)
         self._joined.append(index)
         self.monitor.ensure_device(index)
-        if self._mode == "pipelined":
+        if self.clock is not None:
             self.clock.add_device(start_time=now)
 
-    # ------------------------------------------------------------------ #
-    # pipelined hooks (called by PipelineExecutor)                       #
-    # ------------------------------------------------------------------ #
-    def on_stage_step(self, k: int, observed_s: float, batch_samples: int) -> None:
-        if batch_samples != self.problem.microbatch:
-            # Ragged final micro-batch: the cost model priced full ones,
-            # so the ratio would read as phantom drift.
-            return
-        d = self.placement[k]
-        self.monitor.observe(d, self._base_step(k, d), observed_s)
-
-    def after_microbatch(self) -> None:
-        self._m += 1
-        now = self.clock.makespan
-        self._advance_events(now)
-        if self.adapt and self._m % self.check_every == 0:
-            self._decay_idle_coefficients()
-            coeffs = self.monitor.coefficients()
-            if (
-                self.monitor.any_drift()
-                and self._coeffs_differ(coeffs, self._coeffs_at_last_decision)
-                and not self._coeffs_differ(coeffs, self._coeffs_at_last_check)
-            ):
-                self._trace_decision(
-                    "drift-detected", now,
-                    {"coefficients": [round(c, 4) for c in coeffs]},
-                )
-                self._consider_replacement(now, forced=False)
-            self._coeffs_at_last_check = coeffs
-        if self.adapt and self._m % self.checkpoint_every == 0:
-            for k in range(len(self.workers)):
-                self._checkpoint_pipelined(k, now)
-
-    def _coeffs_differ(self, coeffs: list[float], prev: list[float] | None) -> bool:
-        """Has any coefficient moved more than ``stability_tol`` (relative)
-        against ``prev``?  Two gates hang off this: a consult needs the
-        EWMA *settled* (no change since the previous check -- deciding on
-        a half-converged model invites a correction right after) yet
-        *news* since the previous decision (a vacated device's frozen
-        drifted coefficient must not re-trigger the search every single
-        micro-batch for the rest of the run)."""
-        if prev is None or len(prev) != len(coeffs):
-            return True
-        return any(
-            abs(c - p) > self.stability_tol * max(abs(p), 1e-12)
-            for c, p in zip(coeffs, prev)
-        )
-
-    def _base_step(self, k: int, d: int) -> float:
-        """Nominal (coefficient-free) step price of block ``k`` on ``d``."""
-        key = (k, d)
-        if key not in self._base_step_cache:
-            if d < len(self.problem.step_times[k]):
-                self._base_step_cache[key] = self.problem.step_times[k][d]
-            else:  # a joined device: price it the way build_problem did
-                self._base_step_cache[key] = price_training_step(
-                    self.cluster[d].platform,
-                    self.problem.costs[k],
-                    self.problem.microbatch,
-                    self.problem.sample_bytes,
-                    "prefetch-raw" if k == 0 else "prefetch-cache",
-                )
-        return self._base_step_cache[key]
-
-    def _checkpoint_pipelined(self, k: int, now: float) -> None:
-        worker = self.workers[k]
-        d = self.placement[k]
-        ckpt = snapshot_worker(worker)
-        t = self.cluster[d].sim.add_cache_write(ckpt.nbytes, n_files=1)
-        self._checkpoint_time_s += t
-        self.clock.hold_device(d, max(self.clock.device_free[d], now) + t)
-        self.store.put(k, self._m, ckpt)
-
     def _handle_failure(self, d: int, now: float) -> None:
-        if self._mode == "pipelined":
-            orphaned = [k for k, dev in enumerate(self.placement) if dev == d]
-            if not orphaned:
-                return
-            if not self.adapt:
+        first = min(self._workers)
+        stranded = [
+            k for k in range(first, len(self.placement)) if self.placement[k] == d
+        ]
+        pipelined = self._mode == "pipelined"
+        if not self.adapt:
+            if stranded:
                 raise FaultError(
                     f"device {d} failed at t={now:.3f}s with blocks "
-                    f"{orphaned} resident and no recovery path (adapt=False)"
+                    f"{stranded} {'resident' if pipelined else 'depending on it'}"
+                    " and no recovery path (adapt=False)"
                 )
-            self._consider_replacement(now, forced=True)
-        else:
-            self._sequential_failure(d, now)
+            return
+        if pipelined:
+            # Every block is live: the policy re-places them together.
+            if stranded:
+                self._consider_replacement(now, forced=True)
+            return
+        # Sequential: recover the live block, then re-place the untrained
+        # ones away from the corpse.
+        if self.placement[first] == d:
+            self._apply_moves({first: self._best_device(self.blocks[first])}, now)
+        self._replace_future_blocks(now)
 
+    # ------------------------------------------------------------------ #
+    # moving blocks                                                      #
+    # ------------------------------------------------------------------ #
     def _migration_cost(self, k: int, src: int, dst: int) -> float:
-        # Only the pipelined mode consults the policy (sequential moves
-        # are free for future blocks and forced on failure).  Priced at
-        # the exact wire size a migration would charge (the serialized
-        # payload, not just the raw parameter bytes) so the accept margin
-        # weighs the same cost the ledger will see; the size depends only
-        # on tensor shapes, so one serialization per block is exact
-        # forever and cached.
+        # Priced at the exact wire size a migration would charge (the
+        # serialized payload, not just the raw parameter bytes) so the
+        # accept margin weighs the same cost the ledger will see; the
+        # size depends only on tensor shapes, so one serialization per
+        # block is exact forever and cached.
         if k not in self._wire_nbytes:
             self._wire_nbytes[k] = len(
-                serialize_checkpoint(snapshot_worker(self.workers[k]))
+                serialize_checkpoint(snapshot_worker(self._workers[k]))
             )
         nbytes = self._wire_nbytes[k]
         if src in self._dead:
@@ -483,7 +470,7 @@ class AdaptiveRuntime(Callback):
         return self.cluster.transfer_time(src, dst, nbytes)
 
     def _consider_replacement(self, now: float, forced: bool) -> None:
-        remaining = max(1, self.problem.n_microbatches - self._m)
+        remaining = max(1, self.problem.n_microbatches - self._steps)
         try:
             decision = self.policy.consider(
                 self.problem,
@@ -492,8 +479,6 @@ class AdaptiveRuntime(Callback):
                 self.monitor.coefficients(),
                 self._dead,
                 remaining,
-                now,
-                self._last_replacement_s,
                 self._migration_cost,
             )
         except PlacementError as exc:
@@ -511,192 +496,70 @@ class AdaptiveRuntime(Callback):
             now,
             {"forced": forced, "placement": list(decision.placement)},
         )
-        if not decision.accept:
-            return
+        if decision.accept:
+            self._apply_moves(
+                {k: decision.placement[k] for k in decision.moved_blocks}, now
+            )
+
+    def _apply_moves(self, moves: dict[int, int], now: float) -> None:
+        """Move live blocks (block -> destination device): a planned
+        migration off a live device, restore and replay off a dead one."""
         # Two-phase residency handoff: release every moved block's source
         # allocation before the first destination alloc, or a swap between
         # two near-budget devices would transiently hold both blocks on
         # one device and trip the budget even though the final placement
         # is feasible.
-        for k in decision.moved_blocks:
-            self.ctx.free_block(k)
-        for k in decision.moved_blocks:
+        nbytes = {k: self.ctx.free_block(k) for k in moves}
+        for k, dst in moves.items():
             src = self.placement[k]
-            dst = decision.placement[k]
-            worker = self.workers[k]
             if src in self._dead:
-                entry = self.store.get(k)
-                if entry is None:
-                    raise FaultError(
-                        f"device {src} failed but block {k} was never "
-                        "checkpointed; its state is unrecoverable"
-                    )
-                covered, ckpt = entry
-                record = failure_recovery(
-                    self.cluster,
-                    k,
-                    src,
-                    dst,
-                    worker,
-                    ckpt,
-                    lost_microbatches=self._m - covered,
-                    replay_batch=self.problem.microbatch,
-                    input_mode="prefetch-raw" if k == 0 else "prefetch-cache",
-                    now=now,
-                )
+                record = self._recover(k, src, dst, now)
             else:
-                record = planned_migration(self.cluster, k, dst, worker, now)
+                record = planned_migration(self.cluster, k, dst, self._workers[k], now)
             self.migrations.append(record)
             self.callbacks.on_migration(record, now)
             self.placement[k] = dst
-            self.clock.device_of[k] = dst
-            self.clock.hold_device(
-                dst, max(self.clock.device_free[dst], now) + record.recovery_s
-            )
-            self.ctx.alloc_block(k, self.problem.costs[k].residency_bytes)
+            if self.clock is not None:
+                self.clock.device_of[k] = dst
+            self._hold(dst, now, record.recovery_s)
+            self.ctx.alloc_block(k, nbytes[k])
             if record.reason == "failure":
                 # The recovered replica is now the freshest state: re-seed
                 # the store so a second failure replays from here.
-                self._checkpoint_pipelined(k, now)
+                self._checkpoint(k, now)
         self._n_replacements += 1
-        self._last_replacement_s = now
         self._placement_history.append(list(self.placement))
 
-    def _record_decision(self) -> None:
-        self._coeffs_at_last_decision = self.monitor.coefficients()
-
-    def _trace_decision(self, name: str, now: float, attrs: dict) -> None:
-        """Mark a control-loop decision on the trace's ``runtime`` track."""
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.instant(name, "runtime-decision", "runtime", now, attrs)
-
-    # ------------------------------------------------------------------ #
-    # sequential hooks (called from the controller's block loop)         #
-    # ------------------------------------------------------------------ #
-    def sequential_block_start(self, block, worker, input_mode: str) -> None:
-        if self._mode != "sequential":
-            raise ConfigError("runtime was not bound to a sequential run")
-        self._cur_block = block
-        self._cur_worker = worker
-        self._cur_input_mode = input_mode
-        self._cur_batches = 0
-        if self.adapt:
-            # Checkpoint before looking at the event stream: a failure
-            # that fires this very instant must have something to restore.
-            self._checkpoint_sequential()
-        self._advance_events(self.ctx.elapsed)
-
-    def sequential_on_batch(
-        self, n_in_pass: int, step_s: float, batch_samples: int
-    ) -> None:
-        block = self._cur_block
-        self._cur_batches += 1
-        self._m += 1
-        d = self.placement[block.index]
-        if batch_samples == block.batch_size:  # skip ragged final batches
-            self.monitor.observe(d, self._seq_base_step(block, d), step_s)
-        now = self.ctx.elapsed
-        self._advance_events(now)
-        if self.adapt and self._cur_batches % self.check_every == 0:
-            self._decay_idle_coefficients()
-            if self.monitor.any_drift() and self._coeffs_differ(
-                self.monitor.coefficients(), self._coeffs_at_last_decision
-            ):
-                self._trace_decision(
-                    "drift-detected", now,
-                    {"coefficients": [
-                        round(c, 4) for c in self.monitor.coefficients()
-                    ]},
-                )
-                self._replace_future_blocks(block.index, now)
-                self._record_decision()
-        if self.adapt and self._cur_batches % self.checkpoint_every == 0:
-            self._checkpoint_sequential()
-
-    def sequential_block_end(self, block) -> None:
-        self._cur_block = None
-        self._cur_worker = None
-
-    def _seq_base_step(self, block, d: int) -> float:
-        """Nominal per-batch price of the current block on device ``d``
-        (at the block's own adaptive batch size, unlike the pipeline)."""
-        key = (-1 - block.index, d)
-        if key not in self._base_step_cache:
-            self._base_step_cache[key] = price_training_step(
-                self.cluster[d].platform,
-                self.problem.costs[block.index],
-                block.batch_size,
-                self.problem.sample_bytes,
-                self._cur_input_mode,
+    def _recover(self, k: int, src: int, dst: int, now: float) -> MigrationRecord:
+        entry = self.store.get(k)
+        if entry is None:
+            raise FaultError(
+                f"device {src} failed but block {k} was never "
+                "checkpointed; its state is unrecoverable"
             )
-        return self._base_step_cache[key]
-
-    def _checkpoint_sequential(self) -> None:
-        block, worker = self._cur_block, self._cur_worker
-        ckpt = snapshot_worker(worker)
-        d = self.placement[block.index]
-        self._checkpoint_time_s += self.cluster[d].sim.add_cache_write(
-            ckpt.nbytes, n_files=1
+        covered, ckpt = entry
+        batch, mode = self.step_inputs[k]
+        return failure_recovery(
+            self.cluster,
+            k,
+            src,
+            dst,
+            self._workers[k],
+            ckpt,
+            lost_microbatches=self._steps - covered,
+            replay_batch=batch,
+            input_mode=mode,
+            now=now,
         )
-        self.store.put(block.index, self._cur_batches, ckpt)
 
-    def _sequential_failure(self, d: int, now: float) -> None:
-        block = self._cur_block
-        hosts_live_state = block is not None and self.placement[block.index] == d
-        if not self.adapt:
-            current = -1 if block is None else block.index
-            stranded = [
-                b.index
-                for b in self.blocks
-                if b.index >= current and self.placement[b.index] == d
-            ]
-            if stranded:
-                raise FaultError(
-                    f"device {d} failed at t={now:.3f}s with blocks "
-                    f"{stranded} depending on it and no recovery path "
-                    "(adapt=False)"
-                )
-            return
-        if hosts_live_state:
-            entry = self.store.get(block.index)
-            if entry is None:
-                raise FaultError(
-                    f"device {d} failed but block {block.index} was never "
-                    "checkpointed; its state is unrecoverable"
-                )
-            covered, ckpt = entry
-            dst = self._best_sequential_device(block)
-            record = failure_recovery(
-                self.cluster,
-                block.index,
-                d,
-                dst,
-                self._cur_worker,
-                ckpt,
-                lost_microbatches=self._cur_batches - covered,
-                replay_batch=block.batch_size,
-                input_mode=self._cur_input_mode,
-                now=now,
-            )
-            self.migrations.append(record)
-            self.callbacks.on_migration(record, now)
-            self.ctx.move_block(block.index, dst)
-            self._n_replacements += 1
-            self._last_replacement_s = now
-            self._placement_history.append(list(self.placement))
-            self._checkpoint_sequential()
-        if self.adapt:
-            current = -1 if block is None else block.index
-            self._replace_future_blocks(current, now)
-
-    def _replace_future_blocks(self, current_index: int, now: float) -> None:
+    def _replace_future_blocks(self, now: float) -> None:
         """Re-place untrained blocks (free: they hold no state yet)."""
+        current = max(self._workers)
         changed = False
         for b in self.blocks:
-            if b.index <= current_index:
+            if b.index <= current:
                 continue
-            best = self._best_sequential_device(b)
+            best = self._best_device(b)
             changed = changed or best != self.placement[b.index]
             self.placement[b.index] = best
         if changed:
@@ -706,22 +569,15 @@ class AdaptiveRuntime(Callback):
                 {"forced": False, "placement": list(self.placement)},
             )
 
-    def _best_sequential_device(self, block) -> int:
+    def _best_device(self, block) -> int:
         """Fastest alive device that fits ``block``, by refined price."""
         need = self.residency_fn(block)
-        cost = self.problem.costs[block.index]
         stay = self.placement[block.index]
         best, best_key = -1, None
         for d, device in enumerate(self.cluster):
             if d in self._dead or need > device.memory_budget:
                 continue
-            price = price_training_step(
-                device.platform,
-                cost,
-                block.batch_size,
-                self.problem.sample_bytes,
-                "prefetch-raw" if block.index == 0 else "prefetch-cache",
-            ) * self.monitor.coefficient(d)
+            price = self._price(block.index, d) * self.monitor.coefficient(d)
             key = (price, 0 if d == stay else 1, d)
             if best_key is None or key < best_key:
                 best, best_key = d, key
@@ -731,6 +587,15 @@ class AdaptiveRuntime(Callback):
                 f"({need} B resident; dead={sorted(self._dead)})"
             )
         return best
+
+    def _record_decision(self) -> None:
+        self._coeffs_at_last_decision = self.monitor.coefficients()
+
+    def _trace_decision(self, name: str, now: float, attrs: dict) -> None:
+        """Mark a control-loop decision on the trace's ``runtime`` track."""
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.instant(name, "runtime-decision", "runtime", now, attrs)
 
     # ------------------------------------------------------------------ #
     # reporting                                                          #

@@ -214,6 +214,12 @@ class TestValidationFailures:
             ),
             # the deleted second conv path: an old spec must not train silently
             ({"model": {"name": "vgg11", "fused": True}}, "model", "unknown key(s): fused"),
+            # the runtime's tuning values are constants now, not spec keys
+            (
+                {"runtime": {"drift_threshold": 0.1}},
+                "runtime",
+                "unknown key(s): drift_threshold",
+            ),
         ],
     )
     def test_conflict_names_section(self, mutation, section, needle):

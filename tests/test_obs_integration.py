@@ -115,9 +115,6 @@ class TestRuntimeTracing:
                         }
                     ]
                 },
-                "drift_threshold": 0.1,
-                "min_samples": 2,
-                "check_every": 1,
             },
         )
         tracer = Tracer()

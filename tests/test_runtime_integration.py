@@ -43,7 +43,7 @@ def _make_data():
     return spec.materialize()
 
 
-def _make_system(data):
+def _make_system(data, use_cache=True):
     model = build_model(
         "vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.25, seed=3
     )
@@ -51,7 +51,7 @@ def _make_system(data):
         model,
         data,
         memory_budget=3 * MB,
-        config=NeuroFluxConfig(batch_limit=64, seed=0),
+        config=NeuroFluxConfig(batch_limit=64, seed=0, use_cache=use_cache),
     )
 
 
@@ -199,6 +199,43 @@ class TestDeviceFailureScenario:
         for d in recovering:
             assert cluster[d].elapsed - base_elapsed[d] > 0
         assert preport.makespan_s > 0
+
+    def test_uncached_sequential_ranks_devices_at_the_predicted_price(
+        self, data, monkeypatch
+    ):
+        """Without the activation cache every block is fed raw samples, so
+        the re-placement ranking must price blocks the way the drift
+        monitor predicts them: ``prefetch-raw``, never ``prefetch-cache``."""
+        from repro.runtime import runtime as runtime_module
+
+        probe = _make_system(data, use_cache=False).train_parallel(
+            _make_cluster(), epochs=EPOCHS, schedule="sequential"
+        )
+        target = probe.placement[0]
+        events = EventSchedule(
+            [DeviceFailure(time_s=0.4 * probe.makespan_s, device=target)]
+        )
+        priced = []
+        real_price = runtime_module.price_training_step
+
+        def spy(platform, cost, batch, sample_bytes, input_mode):
+            priced.append((cost, batch, input_mode))
+            return real_price(platform, cost, batch, sample_bytes, input_mode)
+
+        monkeypatch.setattr(runtime_module, "price_training_step", spy)
+        preport = _make_system(data, use_cache=False).train_parallel(
+            _make_cluster(),
+            epochs=EPOCHS,
+            schedule="sequential",
+            runtime=AdaptiveRuntime(events=events),
+        )
+        assert preport.runtime.failed_devices == [target]
+        assert {mode for _, _, mode in priced} == {"prefetch-raw"}
+        # One (batch, mode) per block: what was ranked is what was observed.
+        shapes = {}
+        for cost, batch, mode in priced:
+            shapes.setdefault(cost, set()).add((batch, mode))
+        assert len(shapes) > 1 and all(len(s) == 1 for s in shapes.values())
 
     def test_pipelined_failure_recovers_with_identical_weights(
         self, data, pipelined_baseline

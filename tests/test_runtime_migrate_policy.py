@@ -214,11 +214,10 @@ class TestRefinedStepTimes:
 
 class TestReplacementPolicy:
     def _consider(self, policy, problem, cluster, placement, coefficients,
-                  dead=frozenset(), now=1.0, last=None):
+                  dead=frozenset()):
         return policy.consider(
             problem, cluster, placement, coefficients, set(dead),
-            remaining_microbatches=problem.n_microbatches, now=now,
-            last_replacement_s=last,
+            remaining_microbatches=problem.n_microbatches,
             migration_cost_fn=lambda k, s, d: 1e-4,
         )
 
@@ -252,35 +251,6 @@ class TestReplacementPolicy:
         assert decision.predicted_saving_s > 0
         assert decision.moved_blocks
 
-    def test_cooldown_blocks_back_to_back_replacements(self):
-        from repro.parallel.placement import optimize_placement
-
-        cluster = Cluster.from_names(NAMES, memory_budget=8 * MB)
-        problem = _toy_problem(cluster)
-        placement = list(optimize_placement(problem).placement)
-        coefficients = [1.0] * len(cluster)
-        coefficients[placement[0]] = 6.0
-        policy = ReplacementPolicy(cooldown_s=10.0)
-        decision = self._consider(
-            policy, problem, cluster, placement, coefficients, now=5.0, last=0.0
-        )
-        assert not decision.accept and decision.reason == "cooldown"
-
-    def test_failure_forces_move_despite_cooldown(self):
-        from repro.parallel.placement import optimize_placement
-
-        cluster = Cluster.from_names(NAMES, memory_budget=8 * MB)
-        problem = _toy_problem(cluster)
-        placement = list(optimize_placement(problem).placement)
-        dead = {placement[0]}
-        policy = ReplacementPolicy(cooldown_s=1e9)
-        decision = self._consider(
-            policy, problem, cluster, placement, [1.0] * len(cluster),
-            dead=dead, now=1.0, last=0.999,
-        )
-        assert decision.accept and decision.reason == "failure"
-        assert all(d not in dead for d in decision.placement)
-
     def test_all_devices_dead_raises(self):
         cluster = Cluster.from_names(NAMES, memory_budget=8 * MB)
         problem = _toy_problem(cluster)
@@ -302,7 +272,7 @@ class TestReplacementPolicy:
         placement = list(optimize_placement(problem).placement)
         coefficients = [1.0] * len(cluster)
         coefficients[placement[0]] = 6.0
-        policy = ReplacementPolicy(improvement_margin=0.05)
+        policy = ReplacementPolicy()
         first = self._consider(
             policy, problem, cluster, placement, coefficients
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.runtime import DriftMonitor
+from repro.runtime.monitor import DRIFT_THRESHOLD, EWMA_ALPHA, MIN_SAMPLES
 
 
 class TestCoefficients:
@@ -17,8 +18,16 @@ class TestCoefficients:
         monitor.observe(0, predicted_s=1.0, observed_s=3.0)
         assert monitor.coefficient(0) == pytest.approx(3.0)
 
+    def test_ewma_weighs_the_newest_ratio_by_alpha(self):
+        monitor = DriftMonitor(n_devices=1)
+        monitor.observe(0, predicted_s=1.0, observed_s=1.0)
+        monitor.observe(0, predicted_s=1.0, observed_s=4.0)
+        assert monitor.coefficient(0) == pytest.approx(
+            (1 - EWMA_ALPHA) * 1.0 + EWMA_ALPHA * 4.0
+        )
+
     def test_ewma_converges_to_persistent_ratio(self):
-        monitor = DriftMonitor(n_devices=1, alpha=0.5)
+        monitor = DriftMonitor(n_devices=1)
         for _ in range(20):
             monitor.observe(0, predicted_s=1.0, observed_s=4.0)
         assert monitor.coefficient(0) == pytest.approx(4.0)
@@ -31,8 +40,6 @@ class TestCoefficients:
     def test_validation(self):
         with pytest.raises(ConfigError):
             DriftMonitor(n_devices=0)
-        with pytest.raises(ConfigError):
-            DriftMonitor(n_devices=1, alpha=0.0)
         monitor = DriftMonitor(n_devices=1)
         with pytest.raises(ConfigError):
             monitor.observe(0, predicted_s=0.0, observed_s=1.0)
@@ -51,29 +58,31 @@ class TestDriftDetection:
     def test_faithful_device_never_drifts(self):
         """Observed == predicted for the whole run: the coefficient stays
         pinned at 1.0 and no spurious drift fires."""
-        monitor = DriftMonitor(n_devices=1, drift_threshold=0.25)
+        monitor = DriftMonitor(n_devices=1)
         for _ in range(100):
             monitor.observe(0, predicted_s=0.02, observed_s=0.02)
         assert monitor.coefficient(0) == pytest.approx(1.0)
         assert not monitor.drifted(0)
 
     def test_small_noise_stays_below_threshold(self):
-        monitor = DriftMonitor(n_devices=1, drift_threshold=0.25, alpha=0.3)
+        monitor = DriftMonitor(n_devices=1)
         for i in range(50):
-            jitter = 1.0 + (0.05 if i % 2 else -0.05)
+            jitter = 1.0 + (0.2 * DRIFT_THRESHOLD if i % 2 else -0.2 * DRIFT_THRESHOLD)
             monitor.observe(0, predicted_s=1.0, observed_s=jitter)
         assert not monitor.drifted(0)
 
     def test_single_sample_never_triggers(self):
-        """min_samples gates detection: one wild measurement is not drift."""
-        monitor = DriftMonitor(n_devices=1, min_samples=2)
-        monitor.observe(0, predicted_s=1.0, observed_s=10.0)
-        assert not monitor.drifted(0)
+        """MIN_SAMPLES gates detection: one wild measurement is not drift."""
+        assert MIN_SAMPLES > 1
+        monitor = DriftMonitor(n_devices=1)
+        for _ in range(MIN_SAMPLES - 1):
+            monitor.observe(0, predicted_s=1.0, observed_s=10.0)
+            assert not monitor.drifted(0)
         monitor.observe(0, predicted_s=1.0, observed_s=10.0)
         assert monitor.drifted(0)
 
     def test_sustained_slowdown_detected(self):
-        monitor = DriftMonitor(n_devices=2, drift_threshold=0.25)
+        monitor = DriftMonitor(n_devices=2)
         for _ in range(5):
             monitor.observe(0, predicted_s=1.0, observed_s=4.0)
             monitor.observe(1, predicted_s=1.0, observed_s=1.0)
@@ -81,7 +90,7 @@ class TestDriftDetection:
 
     def test_speedup_is_drift_too(self):
         """A device running far faster than modelled is also a mis-model."""
-        monitor = DriftMonitor(n_devices=1, drift_threshold=0.25)
+        monitor = DriftMonitor(n_devices=1)
         for _ in range(5):
             monitor.observe(0, predicted_s=1.0, observed_s=0.25)
         assert monitor.drifted(0)
@@ -106,7 +115,7 @@ class TestIdleDecay:
 
     def test_repeated_decay_clears_drift(self):
         """An expired load spike stops blacklisting the device."""
-        monitor = DriftMonitor(n_devices=1, drift_threshold=0.25, min_samples=2)
+        monitor = DriftMonitor(n_devices=1)
         for _ in range(3):
             monitor.observe(0, predicted_s=1.0, observed_s=4.0)
         assert monitor.drifted(0)
@@ -131,8 +140,9 @@ class TestIdleDecay:
         """The runtime relaxes exactly the alive devices hosting nothing."""
         from repro.runtime import AdaptiveRuntime
         from repro.runtime.events import SchedulePlayer
+        from repro.runtime.runtime import IDLE_DECAY
 
-        runtime = AdaptiveRuntime(idle_decay=0.5)
+        runtime = AdaptiveRuntime()
         runtime.monitor = DriftMonitor(n_devices=3)
         runtime.cluster = [object(), object(), object()]
         runtime.placement = [0, 0]          # device 1 idle, device 2 idle
@@ -143,13 +153,7 @@ class TestIdleDecay:
         runtime.monitor.observe(2, 1.0, 3.0)
         runtime._decay_idle_coefficients()
         assert runtime.monitor.coefficient(0) == pytest.approx(3.0)  # hosting
-        assert runtime.monitor.coefficient(1) == pytest.approx(2.0)  # idle
+        assert runtime.monitor.coefficient(1) == pytest.approx(  # idle
+            1.0 + (1.0 - IDLE_DECAY) * 2.0
+        )
         assert runtime.monitor.coefficient(2) == pytest.approx(3.0)  # dead
-
-    def test_runtime_idle_decay_knob_validation(self):
-        from repro.runtime import AdaptiveRuntime
-
-        with pytest.raises(ConfigError):
-            AdaptiveRuntime(idle_decay=-0.1)
-        with pytest.raises(ConfigError):
-            AdaptiveRuntime(idle_decay=1.1)
