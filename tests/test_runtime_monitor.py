@@ -67,7 +67,7 @@ class TestDriftDetection:
     def test_small_noise_stays_below_threshold(self):
         monitor = DriftMonitor(n_devices=1)
         for i in range(50):
-            jitter = 1.0 + (0.2 * DRIFT_THRESHOLD if i % 2 else -0.2 * DRIFT_THRESHOLD)
+            jitter = 1.0 + (0.2 if i % 2 else -0.2) * DRIFT_THRESHOLD
             monitor.observe(0, predicted_s=1.0, observed_s=jitter)
         assert not monitor.drifted(0)
 
