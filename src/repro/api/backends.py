@@ -221,9 +221,11 @@ class BaselineBackend(Backend):
     ``batch_limit`` (the batch cap; microbatching's logical batch) --
     and for ``ll`` its ``aux_rule`` / ``classic_filters`` -- are the
     same fields the NeuroFlux backends read, so one sweep axis over
-    ``backend`` x ``baseline.method`` is the paper's comparison.  Only
-    what the spec has a field for is passed: anything else (SP's
-    ``backward_multiplier`` of 1.0) stays the trainer's own default.
+    ``backend`` x ``baseline.method`` is the paper's comparison.  The
+    backward/forward FLOP ratio a step is priced at is no spec field: it
+    is the trainer class's ``backward_multiplier``,
+    :data:`repro.flops.count.DEFAULT_BACKWARD_MULTIPLIER` (the one
+    ``evalsim`` prices at) except SP's 1.0.
     """
 
     forbids = ("cluster", "runtime", "federated", "serving", "fleet")

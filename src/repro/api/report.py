@@ -88,15 +88,46 @@ class Report:
 
 
 def merge_ledger_summaries(ledgers: list[dict[str, float]]) -> dict[str, float]:
-    """Key-wise sum of per-device ledger dicts (recomputing ``total``)."""
+    """Key-wise sum of per-device ledger dicts (recomputing ``total``).
+
+    The one empty-ledger rule: no ledgers, or only empty ones, merge to
+    ``{"total": 0.0}``.
+    """
     merged: dict[str, float] = {}
     for ledger in ledgers:
         for key, value in ledger.items():
             if key == "total":
                 continue
             merged[key] = merged.get(key, 0.0) + value
-    merged["total"] = sum(merged.values())
+    merged["total"] = sum(merged.values(), 0.0)
     return merged
+
+
+def resolve_path(doc, path: str, missing=None):
+    """Resolve a dotted path, longest-exact-key-first at every level.
+
+    Keys that themselves contain dots or label syntax
+    (``metrics.evalsim_train_hours{method="bp"}.value``) resolve without
+    escaping.  Returns ``missing`` when any step is absent.
+    """
+    node = doc
+    remaining = path
+    while remaining:
+        if not isinstance(node, dict):
+            return missing
+        if remaining in node:
+            return node[remaining]
+        # Longest prefix of `remaining` (split at a dot) that is a key.
+        cut = len(remaining)
+        while True:
+            cut = remaining.rfind(".", 0, cut)
+            if cut < 0:
+                return missing
+            if remaining[:cut] in node:
+                break
+        node = node[remaining[:cut]]
+        remaining = remaining[cut + 1 :]
+    return node
 
 
 def json_num(x: float | None) -> float | None:

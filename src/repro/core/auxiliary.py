@@ -26,6 +26,8 @@ from repro.utils.rng import spawn_rng
 CLASSIC_AUX_FILTERS = 256
 #: The filter rules :func:`aux_filter_counts` accepts.
 AUX_RULES = ("aan", "classic", "uniform-small")
+#: Side of the pooled map a head classifies (capped by its input's size).
+AUX_POOL_TO = 2
 
 
 class AuxiliaryHead(Sequential):
@@ -43,7 +45,7 @@ class AuxiliaryHead(Sequential):
         num_filters: int,
         num_classes: int,
         in_hw: tuple[int, int],
-        pool_to: int = 2,
+        pool_to: int = AUX_POOL_TO,
         kernel_size: int = 1,
         rng: np.random.Generator | None = None,
     ):
@@ -102,7 +104,6 @@ def build_aux_heads(
     rule: str = "aan",
     classic_filters: int = CLASSIC_AUX_FILTERS,
     seed: int = 0,
-    pool_to: int = 2,
     kernel_size: int | None = None,
 ) -> list[AuxiliaryHead]:
     """One auxiliary head per local layer (every layer is an exit point).
@@ -128,7 +129,6 @@ def build_aux_heads(
                 num_filters=filters,
                 num_classes=model.num_classes,
                 in_hw=spec.out_hw,
-                pool_to=pool_to,
                 kernel_size=kernel_size,
                 rng=rng,
             )

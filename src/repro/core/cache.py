@@ -32,7 +32,6 @@ class ActivationStore:
             self.root = Path(root)
             self.root.mkdir(parents=True, exist_ok=True)
         self._bytes_written = 0
-        self._bytes_read = 0
         self._counts: dict[int, int] = {}
 
     def _block_dir(self, block_index: int) -> Path:
@@ -52,24 +51,14 @@ class ActivationStore:
         self._bytes_written += nbytes
         return nbytes
 
-    def num_batches(self, block_index: int) -> int:
-        return self._counts.get(block_index, 0)
-
     def batches(self, block_index: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Iterate a block's cached batches in write order."""
         block_dir = self._block_dir(block_index)
         if not block_dir.exists():
             return
         for path in sorted(block_dir.glob("batch*.npz")):
-            self._bytes_read += path.stat().st_size
             with np.load(path) as data:
                 yield data["x"], data["y"]
-
-    def block_bytes(self, block_index: int) -> int:
-        block_dir = self._block_dir(block_index)
-        if not block_dir.exists():
-            return 0
-        return sum(p.stat().st_size for p in block_dir.glob("batch*.npz"))
 
     def clear_block(self, block_index: int) -> None:
         """Drop a block's cached activations (no longer needed once the
@@ -82,10 +71,6 @@ class ActivationStore:
     @property
     def bytes_written(self) -> int:
         return self._bytes_written
-
-    @property
-    def bytes_read(self) -> int:
-        return self._bytes_read
 
     def close(self) -> None:
         """Remove all cache files (and the temp dir if we created one)."""

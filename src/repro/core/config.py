@@ -10,9 +10,9 @@ from repro.core.partitioner import DEFAULT_GROUPING_THRESHOLD
 from repro.errors import ConfigError
 
 #: Fields that count something: integers >= 1.
-_COUNT_FIELDS = ("batch_limit", "classic_filters", "aux_pool_to", "eval_subset")
+_COUNT_FIELDS = ("batch_limit", "classic_filters")
 #: Fields that must be finite real numbers.
-_REAL_FIELDS = ("rho", "lr", "exit_tolerance", "backward_multiplier")
+_REAL_FIELDS = ("rho", "lr")
 
 
 def _is_int(value) -> bool:
@@ -35,14 +35,10 @@ class NeuroFluxConfig:
     lr: float = 0.05
     aux_rule: str = "aan"
     classic_filters: int = 256
-    aux_pool_to: int = 2
     sample_batches: tuple[int, ...] = (8, 16, 32, 64)
-    exit_tolerance: float = 0.02
-    backward_multiplier: float = 2.0
     cache_dir: str | None = None
     use_cache: bool = True
     adaptive_batch: bool = True
-    eval_subset: int = 512
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,10 +58,6 @@ class NeuroFluxConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.rho < 0:
             raise ConfigError("rho must be non-negative")
-        if self.exit_tolerance < 0:
-            raise ConfigError("exit_tolerance must be non-negative")
-        if self.backward_multiplier <= 0:
-            raise ConfigError("backward_multiplier must be positive")
         batches = self.sample_batches
         if (
             not isinstance(batches, (tuple, list))

@@ -28,6 +28,7 @@ from repro.core.auxiliary import build_aux_heads
 from repro.core.cache import ActivationStore
 from repro.core.config import NeuroFluxConfig
 from repro.core.early_exit import (
+    EXIT_TOLERANCE,
     EarlyExitModel,
     ExitCandidate,
     MultiExitModel,
@@ -50,6 +51,9 @@ from repro.obs.trace import active_tracer
 from repro.parallel.cluster import Cluster, Device, DeviceContext
 from repro.training.common import HistoryPoint, TrainResult, evaluate_classifier
 from repro.utils.rng import spawn_rng
+
+#: Validation rows the training history evaluates each point on.
+EVAL_SUBSET = 512
 
 
 def _eval_forward(spec, feats: np.ndarray, chunk: int) -> np.ndarray:
@@ -84,7 +88,7 @@ class _HistoryRecorder(Callback):
     """
 
     def __init__(self, system: "NeuroFlux", result: TrainResult):
-        n_eval = min(system.config.eval_subset, len(system.data.x_val))
+        n_eval = min(EVAL_SUBSET, len(system.data.x_val))
         self.system = system
         self.result = result
         self.feats = system.data.x_val[:n_eval]
@@ -159,7 +163,6 @@ class NeuroFlux:
             rule=self.config.aux_rule,
             classic_filters=self.config.classic_filters,
             seed=self.config.seed,
-            pool_to=self.config.aux_pool_to,
         )
         self.specs = model.local_layers()
         if self.compute.bf16_weights:
@@ -177,7 +180,6 @@ class NeuroFlux:
             list(self.aux_heads),
             optimizer=self.config.optimizer,
             sample_batches=self.config.sample_batches,
-            backward_multiplier=self.config.backward_multiplier,
         )
         profile = profiler.profile()
         blocks = partition(
@@ -309,7 +311,6 @@ class NeuroFlux:
             optimizers,
             sim,
             sample_bytes=self.data.spec.sample_bytes,
-            backward_multiplier=cfg.backward_multiplier,
         )
         layer_pool, head_pool = pools if pools is not None else ({}, {})
         for spec, aux in zip(worker.layer_specs, worker.aux_heads):
@@ -649,7 +650,7 @@ class NeuroFlux:
                 )
             )
         report.layer_val_accuracies = [c.val_accuracy for c in candidates]
-        chosen = select_exit(candidates, tolerance=self.config.exit_tolerance)
+        chosen = select_exit(candidates, tolerance=EXIT_TOLERANCE)
         report.exit_layer = chosen.layer_index
         report.exit_params = chosen.num_parameters
         report.exit_val_accuracy = chosen.val_accuracy

@@ -18,6 +18,9 @@ from repro.errors import ConfigError
 from repro.nn.functional import softmax
 from repro.nn.module import Module
 
+#: Accuracy slack within which a cheaper exit beats the most accurate one.
+EXIT_TOLERANCE = 0.02
+
 
 @dataclass(frozen=True)
 class ExitCandidate:
@@ -29,7 +32,7 @@ class ExitCandidate:
 
 
 def select_exit(
-    candidates: list[ExitCandidate], tolerance: float = 0.02
+    candidates: list[ExitCandidate], tolerance: float = EXIT_TOLERANCE
 ) -> ExitCandidate:
     """Best-accuracy exit, tie-broken toward the fewest parameters.
 

@@ -103,7 +103,6 @@ class MemoryProfiler:
         aux_heads: list[Module | None],
         optimizer: str = "sgd-momentum",
         sample_batches: tuple[int, ...] = (8, 16, 32, 64),
-        backward_multiplier: float = 2.0,
     ):
         if len(layer_specs) != len(aux_heads):
             raise ProfilingError(
@@ -116,7 +115,6 @@ class MemoryProfiler:
         self.aux_heads = aux_heads
         self.optimizer = optimizer
         self.sample_batches = tuple(sorted(set(int(b) for b in sample_batches)))
-        self.backward_multiplier = backward_multiplier
 
     def _fit(self, batches: np.ndarray, peaks: np.ndarray) -> LinearMemoryModel:
         slope, intercept = np.polyfit(batches, peaks, deg=1)
@@ -150,10 +148,10 @@ class MemoryProfiler:
                 peaks.append(measure_peak(tensors_at(b), gpu))
                 in_shape = (b, spec.in_channels, *spec.in_hw)
                 fwd, out_shape = module_forward_flops(spec.module, in_shape)
-                step = training_step_flops(fwd, self.backward_multiplier)
+                step = training_step_flops(fwd)
                 if aux is not None:
                     aux_fwd, _ = module_forward_flops(aux, out_shape)
-                    step += training_step_flops(aux_fwd, self.backward_multiplier)
+                    step += training_step_flops(aux_fwd)
                 profiling_flops += step
             models.append(self._fit(batches, np.asarray(peaks, dtype=np.float64)))
             measured.append(tuple(peaks))

@@ -29,9 +29,7 @@ from repro.nn.module import Module, run_backward
 from repro.nn.optim import Optimizer
 
 
-def unit_train_flops(
-    spec: LayerSpec, aux: Module, backward_multiplier: float = 2.0
-) -> int:
+def unit_train_flops(spec: LayerSpec, aux: Module) -> int:
     """Per-sample training-step FLOPs of one local unit (layer + aux head).
 
     The single source of truth shared by the worker's simulator charges
@@ -40,9 +38,9 @@ def unit_train_flops(
     """
     in_shape = (1, spec.in_channels, *spec.in_hw)
     fwd, out_shape = module_forward_flops(spec.module, in_shape)
-    total = training_step_flops(fwd, backward_multiplier)
+    total = training_step_flops(fwd)
     aux_fwd, _ = module_forward_flops(aux, out_shape)
-    total += training_step_flops(aux_fwd, backward_multiplier)
+    total += training_step_flops(aux_fwd)
     return total
 
 
@@ -91,7 +89,6 @@ class BlockWorker:
         optimizers: list[Optimizer],
         sim: ExecutionSimulator,
         sample_bytes: int,
-        backward_multiplier: float = 2.0,
     ):
         if not (len(layer_specs) == len(aux_heads) == len(optimizers)):
             raise ConfigError(
@@ -103,11 +100,9 @@ class BlockWorker:
         self.optimizers = optimizers
         self.sim = sim
         self.sample_bytes = sample_bytes
-        self.backward_multiplier = backward_multiplier
         self.loss_fn = CrossEntropyLoss()
         self._train_flops_per_sample = sum(
-            unit_train_flops(spec, aux, backward_multiplier)
-            for spec, aux in zip(layer_specs, aux_heads)
+            unit_train_flops(spec, aux) for spec, aux in zip(layer_specs, aux_heads)
         )
         self._forward_flops_per_sample = self._compute_forward_flops()
         self._n_kernels = sum(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import Report, json_num
+from repro.api.report import Report, json_num, merge_ledger_summaries
 from repro.obs.trace import active_tracer
 
 
@@ -100,9 +100,7 @@ class EvalSimReport(Report):
         return int(self.nf.peak_memory_bytes)
 
     def ledger_summary(self) -> dict[str, float]:
-        if not self._nf_ledger:
-            return {"total": 0.0}
-        return dict(self._nf_ledger)
+        return merge_ledger_summaries([self._nf_ledger or {}])
 
     @property
     def speedup_vs_bp(self) -> float:
@@ -306,7 +304,6 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         epochs,
         memory_budget=memory_budget,
         batch_limit=config.batch_limit,
-        backward_multiplier=config.backward_multiplier,
         heads=classic_heads,
     )
     classic_ll_bytes = ll_training_memory(
@@ -319,7 +316,6 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         model.local_layers(),
         list(aan_heads),
         sample_batches=config.sample_batches,
-        backward_multiplier=config.backward_multiplier,
     ).profile()
 
     bp = try_simulate(
@@ -330,7 +326,6 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         epochs,
         memory_budget=memory_budget,
         batch_limit=config.batch_limit,
-        backward_multiplier=config.backward_multiplier,
     )
     nf = try_simulate(
         simulate_neuroflux,
@@ -341,7 +336,6 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
         memory_budget=memory_budget,
         batch_limit=config.batch_limit,
         rho=config.rho,
-        backward_multiplier=config.backward_multiplier,
         use_cache=config.use_cache,
         adaptive_batch=config.adaptive_batch,
         heads=aan_heads,

@@ -117,12 +117,11 @@ def simulate_bp(
     epochs: int,
     memory_budget: int | None = None,
     batch_limit: int = DEFAULT_BATCH_LIMIT,
-    backward_multiplier: float = 2.0,
 ) -> SimulatedRun:
     """Replay :class:`BackpropTrainer`'s time accounting without training."""
     return _simulate_full_graph(
         BackpropTrainer.method,
-        bp_step_price(model, backward_multiplier),
+        bp_step_price(model),
         bp_memory_by_batch(model),
         data, platform, epochs, memory_budget, batch_limit,
     )
@@ -135,7 +134,6 @@ def simulate_classic_ll(
     epochs: int,
     memory_budget: int | None = None,
     batch_limit: int = DEFAULT_BATCH_LIMIT,
-    backward_multiplier: float = 2.0,
     seed: int = 0,
     heads=None,
 ) -> SimulatedRun:
@@ -148,7 +146,7 @@ def simulate_classic_ll(
     aux = list(heads[:-1]) + [None]
     return _simulate_full_graph(
         LocalLearningTrainer.method,
-        ll_step_price(model, aux, backward_multiplier),
+        ll_step_price(model, aux),
         ll_memory_by_batch(model, aux, residency="full"),
         data, platform, epochs, memory_budget, batch_limit,
     )
@@ -162,7 +160,6 @@ def simulate_neuroflux(
     memory_budget: int,
     batch_limit: int = 256,
     rho: float = 0.4,
-    backward_multiplier: float = 2.0,
     use_cache: bool = True,
     adaptive_batch: bool = True,
     seed: int = 0,
@@ -181,9 +178,7 @@ def simulate_neuroflux(
     if heads is None:
         heads = build_aux_heads(model, rule="aan", seed=seed)
     if profile is None:
-        profile = MemoryProfiler(
-            specs, list(heads), backward_multiplier=backward_multiplier
-        ).profile()
+        profile = MemoryProfiler(specs, list(heads)).profile()
     blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
     if not adaptive_batch:
         global_batch = min(b.batch_size for b in blocks)
@@ -201,7 +196,7 @@ def simulate_neuroflux(
         block_specs = [specs[i] for i in block.layer_indices]
         block_heads = [heads[i] for i in block.layer_indices]
         units = list(zip(block_specs, block_heads))
-        train_flops = sum(unit_train_flops(s, h, backward_multiplier) for s, h in units)
+        train_flops = sum(unit_train_flops(s, h) for s, h in units)
         n_kernels = sum(unit_kernel_count(s, h) for s, h in units)
         residency = max(
             measure_unit_memory(spec, head, block.batch_size) for spec, head in units

@@ -299,7 +299,6 @@ class FederatedNeuroFlux:
             rule=self.config.aux_rule,
             classic_filters=self.config.classic_filters,
             seed=self.seed,
-            pool_to=self.config.aux_pool_to,
         )
         self._global_aux_states = [h.state_dict() for h in self._global_aux]
         # The client fleet as a cluster: one device per client, so every

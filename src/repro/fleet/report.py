@@ -16,7 +16,6 @@ from array import array
 from dataclasses import dataclass, field
 
 from repro.api.report import Report, json_num as _num, merge_ledger_summaries
-from repro.hw.simulator import TimeLedger
 from repro.obs.metrics import percentile_of_sorted, sorted_column
 
 
@@ -179,9 +178,7 @@ class FleetReport(Report):
         return 0
 
     def ledger_summary(self) -> dict[str, float]:
-        if self.device_ledgers:
-            return merge_ledger_summaries(self.device_ledgers)
-        return {name: 0.0 for name in [*TimeLedger.category_names(), "total"]}
+        return merge_ledger_summaries(self.device_ledgers)
 
     def add_metrics(self, reg) -> None:
         reg.counter("requests_offered_total").inc(self.n_offered)

@@ -60,10 +60,6 @@ class CascadeShardPlan:
     def num_segments(self) -> int:
         return len(self.placement)
 
-    @property
-    def num_devices_used(self) -> int:
-        return len(set(self.placement))
-
     def to_json_dict(self) -> dict:
         return {
             "placement": list(self.placement),

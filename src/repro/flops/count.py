@@ -22,7 +22,9 @@ from repro.nn.normalization import BatchNorm2d
 from repro.nn.pooling import AdaptiveAvgPool2d, AvgPool2d, MaxPool2d
 
 #: Paper Section 2.2: the backward pass costs up to 3x the forward FLOPs;
-#: 2x is the standard estimate for conv nets and what the simulator uses.
+#: 2x is the standard estimate for conv nets and what every step price
+#: reads (BP, classic LL, NeuroFlux units, profiling).  Only forward-only
+#: Signal Propagation prices its step at its own ratio.
 DEFAULT_BACKWARD_MULTIPLIER = 2.0
 
 

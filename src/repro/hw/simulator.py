@@ -42,16 +42,6 @@ class TimeLedger:
         d["total"] = self.total
         return d
 
-    @classmethod
-    def category_names(cls) -> list[str]:
-        """Every cost category, in declaration order (no ``total``).
-
-        The single source of truth for code that must enumerate the
-        categories (serving report fallbacks, metrics export): a category
-        added above automatically appears everywhere.
-        """
-        return list(_CATEGORIES)
-
 
 #: The ledger's categories, reflected once: ``total`` is read per batch
 #: by the workers, too often to walk ``dataclasses.fields`` every time.

@@ -101,12 +101,6 @@ class SimulatedGpu:
     def reset_peak(self) -> None:
         self._peak = self._in_use
 
-    def would_fit(self, nbytes: int) -> bool:
-        budget = self._effective_budget()
-        if budget is None:
-            return True
-        return self._in_use + self._aligned(nbytes) <= budget
-
 
 def measure_peak(nbyte_components: list[tuple[str, int]], gpu: SimulatedGpu) -> int:
     """Allocate a component list, read the peak, then release everything.

@@ -81,10 +81,5 @@ class LayerSpec:
         """Number of scalars in one sample's output activation."""
         return self.out_channels * self.out_hw[0] * self.out_hw[1]
 
-    @property
-    def input_elements_per_sample(self) -> int:
-        """Number of scalars in one sample's input activation."""
-        return self.in_channels * self.in_hw[0] * self.in_hw[1]
-
     def num_parameters(self) -> int:
         return self.module.num_parameters()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.report import Report
+from repro.api.report import Report, merge_ledger_summaries
 from repro.obs.analyze.critical_path import (
     CriticalPath,
     compute_critical_path,
@@ -65,9 +65,7 @@ class AnalysisReport(Report):
         return 0
 
     def ledger_summary(self) -> dict[str, float]:
-        if self.ledger:
-            return dict(self.ledger)
-        return {"total": 0.0}
+        return dict(self.ledger) if self.ledger else merge_ledger_summaries([])
 
     def add_metrics(self, reg) -> None:
         cp = self.critical_path

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.api.report import resolve_path
 from repro.errors import ConfigError
 
 #: Bound keys a rule may carry (exactly one).
@@ -143,27 +144,11 @@ class SloResult:
         return "\n".join(lines)
 
 
-def resolve_path(doc, path: str):
-    """Walk a dotted path; exact-key match wins over splitting."""
-    node = doc
-    remainder = path
-    while remainder:
-        if not isinstance(node, dict):
-            return _MISSING
-        if remainder in node:
-            return node[remainder]
-        head, dot, rest = remainder.partition(".")
-        if not dot or head not in node:
-            return _MISSING
-        node, remainder = node[head], rest
-    return node
-
-
 def evaluate_slo(spec: SloSpec, doc: dict) -> SloResult:
     """Check every rule; collect named violations."""
     result = SloResult(n_rules=len(spec.rules))
     for rule in spec.rules:
-        value = resolve_path(doc, rule.metric)
+        value = resolve_path(doc, rule.metric, missing=_MISSING)
         reason = rule.check(value)
         if reason is not None:
             result.violations.append({

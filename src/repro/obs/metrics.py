@@ -147,14 +147,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
 
-    def quantile(self, q: float) -> float:
-        """``q``-th percentile of the samples; ValueError when empty."""
-        if not self.samples:
-            raise ValueError(
-                f"histogram has no samples; p{q:g} is undefined"
-            )
-        return percentile(self.samples, q)
-
     def snapshot(self) -> dict:
         out = {
             "type": "histogram",

@@ -258,12 +258,6 @@ class DeviceContext:
         gpu.free(handle)
         return nbytes
 
-    def move_block(self, block_index: int, dst: int) -> None:
-        """Re-home a live block's residency (the runtime migrated it)."""
-        nbytes = self.free_block(block_index)
-        self.placement[block_index] = dst
-        self.alloc_block(block_index, nbytes)
-
     def add_device(self, device: Device) -> int:
         """Admit a device mid-run (elastic join); returns its index."""
         self.gpus.append(SimulatedGpu(budget_bytes=device.memory_budget))

@@ -53,7 +53,6 @@ def block_cost(
     block: Block,
     microbatch: int,
     optimizer: str = "sgd-momentum",
-    backward_multiplier: float = 2.0,
 ) -> BlockCost:
     """Cost profile of ``block`` when trained on ``microbatch``-sized inputs.
 
@@ -63,10 +62,7 @@ def block_cost(
     :func:`~repro.core.profiler.block_residency_bytes`), so the optimizer
     prices exactly what the executor charges.
     """
-    flops = sum(
-        unit_train_flops(specs[i], aux_heads[i], backward_multiplier)
-        for i in block.layer_indices
-    )
+    flops = sum(unit_train_flops(specs[i], aux_heads[i]) for i in block.layer_indices)
     n_kernels = sum(
         unit_kernel_count(specs[i], aux_heads[i]) for i in block.layer_indices
     )
@@ -138,7 +134,6 @@ def build_problem(
     epochs: int,
     sample_bytes: int,
     optimizer: str = "sgd-momentum",
-    backward_multiplier: float = 2.0,
     queue_capacity: int = 2,
 ) -> PlacementProblem:
     """Assemble the placement problem for one training run."""
@@ -146,10 +141,7 @@ def build_problem(
         raise ConfigError("microbatch must be >= 1")
     if n_train < 1 or epochs < 1:
         raise ConfigError("need a non-empty stream to place for")
-    costs = [
-        block_cost(specs, aux_heads, b, microbatch, optimizer, backward_multiplier)
-        for b in blocks
-    ]
+    costs = [block_cost(specs, aux_heads, b, microbatch, optimizer) for b in blocks]
     step_times = []
     for k, cost in enumerate(costs):
         step_times.append(

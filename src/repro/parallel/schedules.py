@@ -73,7 +73,6 @@ def train_parallel(
         epochs=epochs,
         sample_bytes=system.data.spec.sample_bytes,
         optimizer=system.config.optimizer,
-        backward_multiplier=system.config.backward_multiplier,
         queue_capacity=queue_capacity,
     )
     placement = _placement.resolve_placement(

@@ -107,7 +107,6 @@ def _refined_prediction(
         epochs=epochs,
         sample_bytes=system.data.spec.sample_bytes,
         optimizer=system.config.optimizer,
-        backward_multiplier=system.config.backward_multiplier,
     )
     if reference is None:
         reference = (preport.runtime.coefficients, preport.runtime.failed_devices)

@@ -106,8 +106,5 @@ class DriftMonitor:
             return False
         return abs(self._coefficient[device] - 1.0) > DRIFT_THRESHOLD
 
-    def drifted_devices(self) -> list[int]:
-        return [d for d in range(len(self._coefficient)) if self.drifted(d)]
-
     def any_drift(self) -> bool:
         return any(self.drifted(d) for d in range(len(self._coefficient)))

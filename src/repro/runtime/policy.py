@@ -92,10 +92,6 @@ class ReplacementDecision:
     predicted_candidate_s: float
     migration_cost_s: float
 
-    @property
-    def predicted_saving_s(self) -> float:
-        return self.predicted_current_s - self.predicted_candidate_s
-
 
 class ReplacementPolicy:
     """Decides whether a re-placement pays for its migrations."""

@@ -28,10 +28,6 @@ class BatchPlan:
     def size(self) -> int:
         return len(self.requests)
 
-    @property
-    def max_queue_delay_s(self) -> float:
-        return max(self.dispatch_s - r.arrival_s for r in self.requests)
-
 
 class AdaptiveBatcher:
     """Deadline-or-cap batching policy.

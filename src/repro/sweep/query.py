@@ -30,10 +30,8 @@ import csv
 import json
 from dataclasses import dataclass
 
-from repro.api.report import Report, merge_ledger_summaries
+from repro.api.report import Report, merge_ledger_summaries, resolve_path
 from repro.errors import SweepError
-
-_MISSING = object()
 
 #: Comparison operators, longest first so ``<=`` wins over ``<``.
 _OPS = ("==", "!=", "<=", ">=", "=", "<", ">")
@@ -61,33 +59,6 @@ def store_rows(store) -> list[dict]:
         row_from_record(record, planned_by_id.get(record.get("run_id")))
         for record in store.records()
     ]
-
-
-def resolve_path(row, path: str):
-    """Resolve a dotted path, longest-exact-key-first at every level.
-
-    Returns ``None`` when any step is missing (a failed run has no
-    report; a select over mixed backends tolerates absent keys).
-    """
-    node = row
-    remaining = path
-    while remaining:
-        if not isinstance(node, dict):
-            return None
-        if remaining in node:
-            return node[remaining]
-        # Longest prefix of `remaining` (split at a dot) that is a key.
-        value = _MISSING
-        cut = len(remaining)
-        while value is _MISSING:
-            cut = remaining.rfind(".", 0, cut)
-            if cut < 0:
-                return None
-            if remaining[:cut] in node:
-                value = node[remaining[:cut]]
-        node = value
-        remaining = remaining[cut + 1 :]
-    return node
 
 
 @dataclass(frozen=True)
@@ -241,10 +212,7 @@ class SweepReport(Report):
         return max((peak for _, peak, _ in self._run_scalars), default=0)
 
     def ledger_summary(self) -> dict[str, float]:
-        merged = merge_ledger_summaries(
-            [ledger for _, _, ledger in self._run_scalars]
-        )
-        return merged if merged.get("total") else {"total": 0.0}
+        return merge_ledger_summaries([ledger for _, _, ledger in self._run_scalars])
 
     def add_metrics(self, reg) -> None:
         reg.gauge("sweep_runs_total").set(float(self.total))

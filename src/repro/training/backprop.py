@@ -26,9 +26,9 @@ from repro.training.common import (  # noqa: F401  (re-exported: their public ho
 )
 
 
-def bp_step_price(model: ConvNet, backward_multiplier: float = 2.0) -> tuple[int, int]:
+def bp_step_price(model: ConvNet) -> tuple[int, int]:
     """``(FLOPs per sample, kernel dispatches)`` of one end-to-end BP step."""
-    flops = training_step_flops(model_forward_flops(model, 1), backward_multiplier)
+    flops = training_step_flops(model_forward_flops(model, 1))
     return flops, model_kernel_count(model)
 
 
@@ -43,7 +43,7 @@ class BackpropTrainer(BaselineTrainer):
         return bp_training_memory(self.model, batch_size, self.optimizer_name).total
 
     def step_price(self) -> tuple[int, int]:
-        return bp_step_price(self.model, self.backward_multiplier)
+        return bp_step_price(self.model)
 
     def _setup(self) -> None:
         self._loss_fn = CrossEntropyLoss()

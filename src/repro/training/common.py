@@ -17,6 +17,7 @@ from repro.api.report import Report, json_num
 from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError, MemoryBudgetExceeded
+from repro.flops.count import DEFAULT_BACKWARD_MULTIPLIER
 from repro.hw.platforms import AGX_ORIN, Platform
 from repro.hw.simulator import ExecutionSimulator, TimeLedger
 from repro.memory.tracker import SimulatedGpu
@@ -197,6 +198,8 @@ class BaselineTrainer:
     rng_tag: str
     #: Auxiliary networks trained beside the model (``None`` = no head).
     aux_heads: tuple = ()
+    #: Backward-to-forward FLOP ratio this method's step is priced at.
+    backward_multiplier: float = DEFAULT_BACKWARD_MULTIPLIER
 
     def __init__(
         self,
@@ -206,7 +209,6 @@ class BaselineTrainer:
         memory_budget: int | None = None,
         optimizer: str = "sgd-momentum",
         lr: float = 0.05,
-        backward_multiplier: float = 2.0,
         seed: int = 0,
     ):
         self.model = model
@@ -215,7 +217,6 @@ class BaselineTrainer:
         self.memory_budget = memory_budget
         self.optimizer_name = optimizer
         self.lr = lr
-        self.backward_multiplier = backward_multiplier
         self.seed = seed
 
     # -- what a baseline supplies -------------------------------------------

@@ -30,13 +30,11 @@ def _local_heads(model: ConvNet, aux_heads: list[Module | None]) -> list[Module]
     return [aux if aux is not None else model.head for aux in aux_heads]
 
 
-def ll_step_price(
-    model: ConvNet, aux_heads: list[Module | None], backward_multiplier: float = 2.0
-) -> tuple[int, int]:
+def ll_step_price(model: ConvNet, aux_heads: list[Module | None]) -> tuple[int, int]:
     """``(FLOPs per sample, kernel dispatches)`` of one classic-LL step:
     every layer trained with its head, priced like a NeuroFlux unit."""
     units = list(zip(model.local_layers(), _local_heads(model, aux_heads)))
-    flops = sum(unit_train_flops(spec, head, backward_multiplier) for spec, head in units)
+    flops = sum(unit_train_flops(spec, head) for spec, head in units)
     return flops, sum(unit_kernel_count(spec, head) for spec, head in units)
 
 
@@ -57,12 +55,9 @@ class LocalLearningTrainer(BaselineTrainer):
         lr: float = 0.05,
         aux_rule: str = "classic",
         classic_filters: int = CLASSIC_AUX_FILTERS,
-        backward_multiplier: float = 2.0,
         seed: int = 0,
     ):
-        super().__init__(
-            model, data, platform, memory_budget, optimizer, lr, backward_multiplier, seed
-        )
+        super().__init__(model, data, platform, memory_budget, optimizer, lr, seed)
         heads = build_aux_heads(
             model, rule=aux_rule, classic_filters=classic_filters, seed=seed
         )
@@ -76,7 +71,7 @@ class LocalLearningTrainer(BaselineTrainer):
         ).total
 
     def step_price(self) -> tuple[int, int]:
-        return ll_step_price(self.model, self.aux_heads, self.backward_multiplier)
+        return ll_step_price(self.model, self.aux_heads)
 
     def _setup(self) -> None:
         self._loss_fn = CrossEntropyLoss()

@@ -40,14 +40,11 @@ class MicrobatchTrainer(BackpropTrainer):
         logical_batch: int = 64,
         optimizer: str = "sgd-momentum",
         lr: float = 0.05,
-        backward_multiplier: float = 2.0,
         seed: int = 0,
     ):
         if logical_batch < 1:
             raise ConfigError("logical_batch must be >= 1")
-        super().__init__(
-            model, data, platform, memory_budget, optimizer, lr, backward_multiplier, seed
-        )
+        super().__init__(model, data, platform, memory_budget, optimizer, lr, seed)
         self.logical_batch = logical_batch
 
     def micro_batch_size(self) -> int:

@@ -38,6 +38,9 @@ class SignalPropagationTrainer(BaselineTrainer):
     method = "signal-propagation"
     gpu_tag = "sp-training-step"
     rng_tag = "sp"
+    #: Forward-only training: a layer's local update is priced at one more
+    #: forward pass, not at a backward pass's two.
+    backward_multiplier = 1.0
 
     def __init__(
         self,
@@ -47,12 +50,9 @@ class SignalPropagationTrainer(BaselineTrainer):
         memory_budget: int | None = None,
         optimizer: str = "sgd-momentum",
         lr: float = 0.05,
-        backward_multiplier: float = 1.0,
         seed: int = 0,
     ):
-        super().__init__(
-            model, data, platform, memory_budget, optimizer, lr, backward_multiplier, seed
-        )
+        super().__init__(model, data, platform, memory_budget, optimizer, lr, seed)
         # Fixed random unit-norm class embeddings per layer (the 'context'
         # produced by SP's target generator).
         self._targets: list[np.ndarray] = []

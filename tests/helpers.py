@@ -120,10 +120,7 @@ def _replay_steps(n_samples: int, batch: int) -> list[int]:
     return [batch] * full + ([rem] if rem else [])
 
 
-def replay_bp(
-    model, data, platform, epochs, memory_budget=None, batch_limit=256,
-    backward_multiplier=2.0,
-):
+def replay_bp(model, data, platform, epochs, memory_budget=None, batch_limit=256):
     """``simulate_bp`` the long way: one simulator charge per optimizer
     step of every epoch, one full model walk per memory probe."""
     from repro.evalsim.training_time import SimulatedRun
@@ -136,7 +133,7 @@ def replay_bp(
     mem = lambda b: bp_training_memory(model, b).total
     batch = max_feasible_batch(mem, memory_budget, batch_limit)
     sim = ExecutionSimulator(platform)
-    step_flops = training_step_flops(model_forward_flops(model, 1), backward_multiplier)
+    step_flops = training_step_flops(model_forward_flops(model, 1))
     n_kernels = model_kernel_count(model)
     for _ in range(epochs):
         for n in _replay_steps(data.n_train, batch):
@@ -145,8 +142,7 @@ def replay_bp(
 
 
 def replay_classic_ll(
-    model, data, platform, epochs, memory_budget=None, batch_limit=256,
-    backward_multiplier=2.0, seed=0,
+    model, data, platform, epochs, memory_budget=None, batch_limit=256, seed=0
 ):
     """``simulate_classic_ll`` the long way (see :func:`replay_bp`)."""
     from repro.core.auxiliary import build_aux_heads
@@ -167,15 +163,15 @@ def replay_classic_ll(
     for spec, head in zip(model.local_layers(), aux):
         in_shape = (1, spec.in_channels, *spec.in_hw)
         fwd, out_shape = module_forward_flops(spec.module, in_shape)
-        step_flops += training_step_flops(fwd, backward_multiplier)
+        step_flops += training_step_flops(fwd)
         n_kernels += count_module_kernels(spec.module)
         if head is not None:
             aux_fwd, _ = module_forward_flops(head, out_shape)
-            step_flops += training_step_flops(aux_fwd, backward_multiplier)
+            step_flops += training_step_flops(aux_fwd)
             n_kernels += count_module_kernels(head)
     last = model.local_layers()[-1]
     head_fwd, _ = module_forward_flops(model.head, (1, last.out_channels, *last.out_hw))
-    step_flops += training_step_flops(head_fwd, backward_multiplier)
+    step_flops += training_step_flops(head_fwd)
     n_kernels += count_module_kernels(model.head)
 
     sim = ExecutionSimulator(platform)
@@ -187,7 +183,7 @@ def replay_classic_ll(
 
 def replay_neuroflux(
     model, data, platform, epochs, memory_budget, batch_limit=256, rho=0.4,
-    backward_multiplier=2.0, use_cache=True, adaptive_batch=True, seed=0,
+    use_cache=True, adaptive_batch=True, seed=0,
 ):
     """``simulate_neuroflux`` the long way: every training step, cache
     read and cache-fill batch of every block is its own charge."""
@@ -202,9 +198,7 @@ def replay_neuroflux(
 
     heads = build_aux_heads(model, rule="aan", seed=seed)
     specs = model.local_layers()
-    profile = MemoryProfiler(
-        specs, list(heads), backward_multiplier=backward_multiplier
-    ).profile()
+    profile = MemoryProfiler(specs, list(heads)).profile()
     blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
     if not adaptive_batch:
         global_batch = min(b.batch_size for b in blocks)
@@ -228,9 +222,9 @@ def replay_neuroflux(
             in_shape = (1, spec.in_channels, *spec.in_hw)
             fwd, out_shape = module_forward_flops(spec.module, in_shape)
             fwd_flops += fwd
-            train_flops += training_step_flops(fwd, backward_multiplier)
+            train_flops += training_step_flops(fwd)
             aux_fwd, _ = module_forward_flops(head, out_shape)
-            train_flops += training_step_flops(aux_fwd, backward_multiplier)
+            train_flops += training_step_flops(aux_fwd)
             n_kernels += count_module_kernels(spec.module) + count_module_kernels(head)
         residency = max(
             measure_unit_memory(specs[i], heads[i], block.batch_size)

@@ -323,6 +323,28 @@ class TestReportBase:
         cluster = reports["pipelined"].to_json_dict()
         assert cluster["method"] == "neuroflux-pipelined" and cluster["history"]
 
+    def test_one_empty_ledger_rule(self):
+        """A report with nothing charged has the ledger
+        ``merge_ledger_summaries([])`` gives: a float total alone."""
+        from repro.api.report import merge_ledger_summaries
+        from repro.evalsim.report import EvalSimReport, MethodOutcome
+        from repro.fleet.report import FleetReport
+        from repro.obs.analyze.report import AnalysisReport
+        from repro.sweep.query import SweepReport
+
+        empty = merge_ledger_summaries([])
+        assert empty == {"total": 0.0} and isinstance(empty["total"], float)
+        infeasible = MethodOutcome("neuroflux", feasible=False)
+        reports = [
+            FleetReport("poisson", 1.0, 1.0, "cascade", 1, "round-robin", 1),
+            EvalSimReport("vgg11", "cifar10", "nano", 1.0, 1, 0.4, *[infeasible] * 3),
+            SweepReport("empty", 0, 0, 0, _run_scalars=[]),
+            AnalysisReport("none", "report"),
+        ]
+        for report in reports:
+            assert report.ledger_summary() == empty, report.kind
+            assert report.to_json_dict()["ledger"] == {"total": 0.0}, report.kind
+
     def test_federated_tracks_peak_memory_and_ledgers(self, reports):
         fed = reports["federated"]
         assert fed.peak_memory_bytes > 0

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.api import Callback, JobSpec, available_backends, run
 from repro.data.registry import dataset_spec
 from repro.errors import MemoryBudgetExceeded, SpecError
+from repro.flops import DEFAULT_BACKWARD_MULTIPLIER
 from repro.hw.platforms import get_platform
 from repro.models.zoo import build_model
 from repro.training import BASELINE_TRAINERS
@@ -191,8 +192,9 @@ class TestBudgets:
 
     def test_signal_propagation_keeps_its_own_backward_multiplier(self):
         grab = Grab()
-        run(JobSpec.from_dict(payload("sp", neuroflux={"backward_multiplier": 3.0})), grab)
+        run(JobSpec.from_dict(payload("sp")), grab)
         assert grab.trainer.backward_multiplier == 1.0
+        assert BASELINE_TRAINERS["bp"].backward_multiplier == DEFAULT_BACKWARD_MULTIPLIER
 
 
 class TestObservability:

@@ -1,6 +1,8 @@
 """JobSpec validation, defaulting, and round-trip tests."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,22 @@ class TestNeuroFluxConfigRoundTrip:
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError, match="must be a dict"):
             NeuroFluxConfig.from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("backward_multiplier", 2.0),
+            ("aux_pool_to", 2),
+            ("exit_tolerance", 0.02),
+            ("eval_subset", 512),
+        ],
+    )
+    def test_cost_model_constants_are_not_keys(self, name, value):
+        """Each value is a module constant now, so a spec that still sets
+        one fails by name even at the constant's own value."""
+        assert len(fields(NeuroFluxConfig)) == 11
+        with pytest.raises(ConfigError, match=f"unknown NeuroFluxConfig key.*{name}"):
+            NeuroFluxConfig.from_dict({name: value})
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -433,3 +451,34 @@ class TestWithBackend:
         for name in available_backends():
             assert JobSpec.from_json_file(str(path), backend=name).backend == name
         assert spec.backend == "sequential"
+
+
+_REPO = Path(__file__).resolve().parent.parent
+_COMMITTED_SPECS = sorted(
+    [*_REPO.glob("examples/specs/*.json"), *_REPO.glob("benchmarks/sweeps/*.json")]
+)
+
+
+@pytest.mark.parametrize(
+    "path", _COMMITTED_SPECS, ids=lambda p: str(p.relative_to(_REPO))
+)
+def test_committed_spec_file_parses(path):
+    """Every committed spec file parses as what its shape says it is: an
+    SLO file (``slo``), a sweep (``base`` / ``base_file``; every cell is
+    expanded and validated) or a JobSpec.  A key a file still sets after
+    the code dropped it fails here, not when the file is first run."""
+    from repro.obs.analyze import SloSpec
+    from repro.sweep import SweepSpec
+
+    payload = json.loads(path.read_text())
+    if "slo" in payload:
+        assert SloSpec.from_json_file(str(path)).rules
+    elif "base" in payload or "base_file" in payload:
+        assert SweepSpec.from_json_file(str(path)).expand()
+    else:
+        JobSpec.from_json_file(str(path))
+
+
+def test_committed_spec_files_are_found():
+    names = {p.name for p in _COMMITTED_SPECS}
+    assert {"quick.json", "slo_fleet.json", "fig11_time_vs_budget.json"} <= names

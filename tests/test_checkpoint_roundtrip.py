@@ -34,7 +34,7 @@ def _make_worker(seed: int, optimizer: str, n_layers: int = 2) -> BlockWorker:
     )
     specs = model.local_layers()[:n_layers]
     aux = list(
-        build_aux_heads(model, rule="aan", classic_filters=16, seed=seed, pool_to=2)
+        build_aux_heads(model, rule="aan", classic_filters=16, seed=seed)
     )[:n_layers]
     optimizers = [
         make_optimizer(

@@ -35,9 +35,8 @@ class TestActivationStore:
         with ActivationStore(tmp_path / "c") as store:
             store.write(0, *_batch(2, seed=1))
             store.write(1, *_batch(3, seed=2))
-            assert store.num_batches(0) == 1
-            assert store.num_batches(1) == 1
-            assert len(next(iter(store.batches(1)))[1]) == 3
+            assert [len(y) for _, y in store.batches(0)] == [2]
+            assert [len(y) for _, y in store.batches(1)] == [3]
 
     def test_bytes_written_accumulates(self, tmp_path):
         with ActivationStore(tmp_path / "c") as store:
@@ -53,7 +52,6 @@ class TestActivationStore:
             store.write(0, *_batch(2))
             store.clear_block(0)
             assert list(store.batches(0)) == []
-            assert store.block_bytes(0) == 0
 
     def test_missing_block_iterates_empty(self, tmp_path):
         with ActivationStore(tmp_path / "c") as store:
@@ -71,12 +69,6 @@ class TestActivationStore:
         store.write(0, *_batch(2))
         store.close()
         assert not root.exists()
-
-    def test_bytes_read_tracked(self, tmp_path):
-        with ActivationStore(tmp_path / "c") as store:
-            store.write(0, *_batch(4))
-            list(store.batches(0))
-            assert store.bytes_read > 0
 
     @settings(deadline=None, max_examples=15)
     @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6))

@@ -87,7 +87,6 @@ class TestSharding:
             exit_model, cost_model, cluster, batch=8, sample_bytes=SAMPLE_BYTES
         )
         assert set(plan.placement) == {0}
-        assert plan.num_devices_used == 1
         assert plan.predicted_batch_s > 0
 
     def test_sharded_beats_single_weak_device(self, exit_model, cost_model):

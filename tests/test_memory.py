@@ -200,12 +200,6 @@ class TestSimulatedGpu:
         with pytest.raises(MemoryBudgetExceeded):
             gpu.alloc(2048)
 
-    def test_would_fit(self):
-        gpu = SimulatedGpu(budget_bytes=1024)
-        assert gpu.would_fit(512)
-        assert not gpu.would_fit(2048)
-        assert SimulatedGpu().would_fit(1 << 40)
-
     def test_measure_peak_releases_everything(self):
         gpu = SimulatedGpu()
         peak = measure_peak([("a", 1000), ("b", 2000)], gpu)
@@ -217,7 +211,7 @@ class TestSimulatedGpu:
         with pytest.raises(MemoryBudgetExceeded):
             measure_peak([("a", 512), ("b", 2048)], gpu)
         assert gpu.in_use == 0
-        assert gpu.would_fit(1024)
+        gpu.free(gpu.alloc(1024))  # the whole budget is free again
 
     def test_negative_alloc_raises(self):
         with pytest.raises(ConfigError):

@@ -44,7 +44,6 @@ class TestLayerSpecProperties:
     def test_element_counts(self):
         model = build_model("vgg11", num_classes=4, input_hw=(16, 16), width_multiplier=0.125)
         spec = model.local_layers()[0]
-        assert spec.input_elements_per_sample == 3 * 16 * 16
         assert spec.output_elements_per_sample == (
             spec.out_channels * spec.out_hw[0] * spec.out_hw[1]
         )

@@ -53,10 +53,7 @@ class TestPercentile:
         assert percentile([], 50, empty=None) is None
 
     def test_empty_histogram_guards(self):
-        h = Histogram()
-        with pytest.raises(ValueError, match="no samples"):
-            h.quantile(99)
-        snap = h.snapshot()
+        snap = Histogram().snapshot()
         assert snap["count"] == 0
         assert snap["mean"] is None
         assert snap["p50"] is None and snap["p99"] is None

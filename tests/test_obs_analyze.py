@@ -22,6 +22,7 @@ from repro.obs.analyze import (
     request_breakdown,
 )
 from repro.obs.trace import Tracer
+from repro.sweep import resolve_path
 
 
 def chain_tracer() -> Tracer:
@@ -250,6 +251,16 @@ class TestSlo:
             {"metric": 'ledger_seconds_total{category="compute"}', "max": 2.0},
         ])
         assert evaluate_slo(spec, self.DOC).ok
+
+    def test_dotted_key_mid_path_resolves_as_in_a_sweep_query(self):
+        """A dotted key below the first level resolves by the longest
+        prefix, as ``repro sweep results --select`` resolves it."""
+        doc = {"x": {"a.b": {"c": 1}}}
+        spec = SloSpec.from_dict([{"metric": "x.a.b.c", "equals": 1}])
+        assert evaluate_slo(spec, doc).ok
+        assert resolve_path(doc, "x.a.b.c") == 1
+        missing = evaluate_slo(SloSpec.from_dict([{"metric": "x.a.c", "min": 0}]), doc)
+        assert "not found" in missing.violations[0]["reason"]
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError, match="exactly one bound"):

@@ -9,8 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import JobSpec, available_backends, run
-from repro.fleet import FleetReport
-from repro.hw.simulator import TimeLedger
 from repro.obs import (
     CsvMetricsCallback,
     MetricsCallback,
@@ -166,27 +164,6 @@ class TestFederatedTracing:
             assert sum(s.duration_s for s in spans) == pytest.approx(
                 ledger["total"] - ledger["communication"], rel=0, abs=1e-12
             )
-
-
-class TestLedgerKeySync:
-    def test_fallback_summary_covers_every_ledger_category(self):
-        # Regression: a serving report's fallback used to hand-list the
-        # categories, so a new TimeLedger field silently dropped from it.
-        report = FleetReport(
-            pattern="poisson", arrival_rate=1.0, duration_s=1.0,
-            mode="cascade", num_exits=2, policy="round-robin",
-            n_replicas_initial=1,
-        )
-        summary = report.ledger_summary()
-        for name in TimeLedger.category_names():
-            assert summary[name] == 0.0, name
-        assert summary["total"] == 0.0
-
-    def test_category_names_match_dataclass_fields(self):
-        ledger = TimeLedger()
-        assert set(TimeLedger.category_names()) == set(ledger.as_dict()) - {
-            "total"
-        }
 
 
 class TestObservabilitySection:

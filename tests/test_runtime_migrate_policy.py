@@ -30,7 +30,7 @@ def _make_worker(cluster, device: int, seed: int = 0) -> BlockWorker:
     )
     specs = model.local_layers()[:2]
     aux = list(
-        build_aux_heads(model, rule="aan", classic_filters=16, seed=seed, pool_to=2)
+        build_aux_heads(model, rule="aan", classic_filters=16, seed=seed)
     )[:2]
     optimizers = [
         make_optimizer(
@@ -248,7 +248,7 @@ class TestReplacementPolicy:
             ReplacementPolicy(), problem, cluster, placement, coefficients
         )
         assert decision.accept and decision.reason == "drift"
-        assert decision.predicted_saving_s > 0
+        assert decision.predicted_candidate_s < decision.predicted_current_s
         assert decision.moved_blocks
 
     def test_all_devices_dead_raises(self):

@@ -43,7 +43,7 @@ def _worker(name: str, seed: int, bf16: bool) -> tuple:
     )
     specs = model.local_layers()
     heads = list(
-        build_aux_heads(model, rule="aan", classic_filters=16, seed=seed, pool_to=2)
+        build_aux_heads(model, rule="aan", classic_filters=16, seed=seed)
     )
     optimizers = [
         make_optimizer(

@@ -30,18 +30,17 @@ def _dataset(n_train):
     trainer_name=st.sampled_from(BASELINE_TRAINERS),
     model_name=st.sampled_from(["vgg11", "resnet18", "mobilenet"]),
     width=st.sampled_from([0.125, 0.25]),
-    backward_multiplier=st.floats(0.5, 3.0),
     n=st.integers(1, 9),
     platform=st.sampled_from([AGX_ORIN, JETSON_NANO]),
 )
 def test_one_batch_is_charged_at_the_exposed_step_price(
-    trainer_name, model_name, width, backward_multiplier, n, platform
+    trainer_name, model_name, width, n, platform
 ):
     data = _dataset(n)
     model = build_model(
         model_name, num_classes=3, input_hw=(8, 8), width_multiplier=width, seed=1
     )
-    kwargs = {"platform": platform, "backward_multiplier": backward_multiplier, "lr": 1e-3}
+    kwargs = {"platform": platform, "lr": 1e-3}
     if trainer_name == "LocalLearningTrainer":
         kwargs["classic_filters"] = 8
     if trainer_name == "MicrobatchTrainer":
