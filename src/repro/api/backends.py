@@ -84,14 +84,12 @@ def build_system_from_spec(spec: JobSpec):
     from repro.core.controller import NeuroFlux
     from repro.hw.platforms import get_platform
 
-    compute = spec.compute.to_compute_config() if spec.compute is not None else None
     return NeuroFlux(
         build_model_from_spec(spec),
         build_data_from_spec(spec),
         memory_budget=spec.budgets.memory_bytes,
         platform=get_platform(spec.platform),
         config=spec.neuroflux,
-        compute=compute,
     )
 
 

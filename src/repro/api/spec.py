@@ -339,30 +339,17 @@ class ComputeSection:
     """Compute substrate selection (see :mod:`repro.backend`).
 
     Backend-agnostic, like ``observability``: any backend accepts it.
-    ``bf16_weights`` stores weights as truncated bf16 (fp32 compute, 2
-    bytes/scalar residency); ``processes`` sizes the ``multiprocess``
-    backend's worker-process fan-out (null = one per core, capped at the
-    block count).
+    ``processes`` sizes the ``multiprocess`` backend's worker-process
+    fan-out (null = one per core, capped at the block count).
     """
 
     _section = "compute"
 
-    bf16_weights: bool = False
     processes: int | None = None
 
     def __post_init__(self) -> None:
         if self.processes is not None and self.processes < 1:
             raise SpecError("compute", "processes must be >= 1")
-        if not isinstance(self.bf16_weights, bool):
-            raise SpecError("compute", "bf16_weights must be a boolean")
-
-    def to_compute_config(self):
-        """The runtime-facing :class:`repro.backend.ComputeConfig`."""
-        from repro.backend import ComputeConfig
-
-        return ComputeConfig(
-            bf16_weights=self.bf16_weights, processes=self.processes
-        )
 
 
 @dataclass

@@ -30,9 +30,8 @@ Mechanics:
   the way in.  Stage 0 runs in the parent, so its weights train in
   place; other stages ship their trained ``state_dict`` -- weights and
   BatchNorm running statistics -- back through a result pipe of their
-  own (bf16-stored weights packed at 2 bytes/scalar), and the parent
-  loads it before evaluation -- an exit layer scores the same on any
-  process count.
+  own, and the parent loads it before evaluation -- an exit layer scores
+  the same on any process count.
 * **shared-memory rings** -- each stage boundary owns ``slots``
   preallocated micro-batch buffers (``mp.RawArray``, allocated before
   fork so both sides see the same pages) plus free/full token queues.
@@ -66,7 +65,6 @@ import traceback
 
 import numpy as np
 
-from repro.backend.bf16 import is_bf16, pack_bf16_state, unpack_bf16_state
 from repro.backend.blas import one_thread, threads_in_force, usable_cores
 from repro.core.report import BlockReport, NeuroFluxReport
 from repro.core.worker import unit_host_step_seconds
@@ -286,25 +284,6 @@ def _train_stage(system, stage_blocks, mb, epochs, inlink, outlink):
     return {"stats": stats, "sim_elapsed": sim.elapsed, **host}
 
 
-def _ship_state(module) -> dict[str, np.ndarray]:
-    """Wire format for one module's trained state: its ``state_dict``,
-    with every bf16-stored parameter packed to ``uint16`` bit patterns
-    (half the pipe traffic, lossless for truncated weights).  BatchNorm
-    statistics are never truncated: they travel fp32, as they train."""
-    state = module.state_dict()
-    state.update(
-        pack_bf16_state(
-            {name: state[name] for name, p in module.named_parameters() if is_bf16(p)}
-        )
-    )
-    return state
-
-
-def _load_state(module, state: dict[str, np.ndarray]) -> None:
-    packed = {k: v for k, v in state.items() if v.dtype == np.uint16}
-    module.load_state_dict({**state, **unpack_bf16_state(packed)})
-
-
 def _stage_worker(system, stage_blocks, mb, epochs, inlink, outlink, result):
     """Child-process entry: train (each stage's workers attach their own
     workspaces, after the fork), then ship trained state upstream.
@@ -316,8 +295,8 @@ def _stage_worker(system, stage_blocks, mb, epochs, inlink, outlink, result):
         layers = [i for b in stage_blocks for i in b.layer_indices]
         payload = {
             **_train_stage(system, stage_blocks, mb, epochs, inlink, outlink),
-            "layers": {i: _ship_state(system.specs[i].module) for i in layers},
-            "aux": {i: _ship_state(system.aux_heads[i]) for i in layers},
+            "layers": {i: system.specs[i].module.state_dict() for i in layers},
+            "aux": {i: system.aux_heads[i].state_dict() for i in layers},
         }
         result.send(payload)
     except BaseException:
@@ -426,9 +405,9 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
                     f"multiprocess stage {sid} failed (see worker traceback)"
                 )
             for i, shipped in payload.pop("layers").items():
-                _load_state(system.specs[i].module, shipped)
+                system.specs[i].module.load_state_dict(shipped)
             for i, shipped in payload.pop("aux").items():
-                _load_state(system.aux_heads[i], shipped)
+                system.aux_heads[i].load_state_dict(shipped)
             stage_stats[sid] = payload
         for proc in procs:
             proc.join(timeout=_JOIN_S)

@@ -89,7 +89,7 @@ def reference_system(
 ):
     """An untrained NeuroFlux system over a width-scaled vgg11 on ``data``.
 
-    ``system_kwargs`` (``platform``, ``compute``) go to :class:`NeuroFlux`.
+    ``system_kwargs`` (``platform``) go to :class:`NeuroFlux`.
     """
     from repro.core.config import NeuroFluxConfig
     from repro.core.controller import NeuroFlux

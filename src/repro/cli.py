@@ -19,10 +19,9 @@ backend (``sequential`` / ``pipelined`` / ``multiprocess`` / ``baseline``
 / ``evalsim`` / ``federated`` / ``federated-async`` / ``serving`` /
 ``cluster-serving``; ``examples/specs/quick.json`` re-targets at any of
 them with ``--backend``) and prints the unified report; the
-``--bf16-weights`` / ``--processes`` flags override the spec's
-``compute`` section field-by-field.  ``analyze`` turns a trace or
-report into a critical path, a request breakdown, a diff or an SLO
-verdict (see :mod:`repro.obs.analyze`).  ``bench <suite>`` (``kernels | pipeline |
+``--processes`` flag overrides the spec's ``compute`` section.
+``analyze`` turns a trace or report into a critical path, a request
+breakdown, a diff or an SLO verdict (see :mod:`repro.obs.analyze`).  ``bench <suite>`` (``kernels | pipeline |
 runtime | fleet | obs``) runs one benchmark suite, prints its table,
 records it in ``BENCH_<suite>.json`` unless ``--quick``, and exits 1 when a
 claim it asserts fails (see :mod:`repro.bench`).  ``sweep`` runs a declarative
@@ -104,11 +103,6 @@ def build_run_parser() -> argparse.ArgumentParser:
         help="write one CSV row per epoch/round (loss, accuracy, wall-clock)",
     )
     parser.add_argument(
-        "--bf16-weights",
-        action="store_true",
-        help="store weights as truncated bf16 (fp32 compute, fp32 optimizer)",
-    )
-    parser.add_argument(
         "--processes",
         type=int,
         default=None,
@@ -156,21 +150,12 @@ def _run_run(argv: list[str]) -> int:
         for key, value in set_flags.items():
             setattr(section, key, value)
         spec.observability = section
-    # Same override rule for the compute section: flags win field-by-field,
-    # absent flags leave the spec's values (or defaults) alone.
-    compute_flags = {
-        "bf16_weights": args.bf16_weights or None,
-        "processes": args.processes,
-    }
-    set_compute = {k: v for k, v in compute_flags.items() if v is not None}
-    if set_compute:
+    # --processes is the compute section's one field: setting it
+    # replaces the section.
+    if args.processes is not None:
         from repro.api import ComputeSection
 
-        section = spec.compute or ComputeSection()
-        for key, value in set_compute.items():
-            setattr(section, key, value)
-        section.__post_init__()  # re-validate the overridden fields
-        spec.compute = section
+        spec.compute = ComputeSection(processes=args.processes)
     print(
         f"running {spec.model.name} job on backend {spec.backend!r}...",
         file=sys.stderr,

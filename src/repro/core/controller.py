@@ -146,7 +146,6 @@ class NeuroFlux:
         memory_budget: int,
         platform: Platform = AGX_ORIN,
         config: NeuroFluxConfig | None = None,
-        compute: "ComputeConfig | None" = None,
     ):
         if memory_budget <= 0:
             raise ConfigError("memory budget must be positive")
@@ -155,9 +154,6 @@ class NeuroFlux:
         self.memory_budget = int(memory_budget)
         self.platform = platform
         self.config = config if config is not None else NeuroFluxConfig()
-        from repro.backend import ComputeConfig
-
-        self.compute = compute if compute is not None else ComputeConfig()
         self.aux_heads = build_aux_heads(
             model,
             rule=self.config.aux_rule,
@@ -165,12 +161,6 @@ class NeuroFlux:
             seed=self.config.seed,
         )
         self.specs = model.local_layers()
-        if self.compute.bf16_weights:
-            # Convert *before* profiling so the partitioner plans against
-            # the 2-byte weight residency (the extended memory axis).
-            from repro.backend.bf16 import enable_bf16_weights
-
-            enable_bf16_weights(model, *self.aux_heads)
 
     # -- planning (steps 1-2) ----------------------------------------------
     def plan(self) -> tuple[list[Block], float]:
@@ -299,12 +289,6 @@ class NeuroFlux:
             )
             for i in block.layer_indices
         ]
-        if self.compute.bf16_weights:
-            # Weights re-truncate to bf16 after every step; the wrapped
-            # optimizer's own state (momentum etc.) stays fp32.
-            from repro.backend.bf16 import Bf16WeightOptimizer
-
-            optimizers = [Bf16WeightOptimizer(opt) for opt in optimizers]
         worker = BlockWorker(
             [self.specs[i] for i in block.layer_indices],
             [self.aux_heads[i] for i in block.layer_indices],
@@ -454,15 +438,11 @@ class NeuroFlux:
         gradient-independent, so this is the PR 3 pipelined schedule
         running on actual cores).  See :mod:`repro.backend.multiproc`.
 
-        ``processes`` defaults to ``compute.processes`` from the
-        :class:`~repro.backend.ComputeConfig`, then to one per core
-        (capped at the block count).  Wall-clock figures land in
-        ``report.result.extras``.
+        ``processes`` defaults to one per core (capped at the block
+        count).  Wall-clock figures land in ``report.result.extras``.
         """
         from repro.backend.multiproc import run_block_parallel
 
-        if processes is None:
-            processes = self.compute.processes
         return run_block_parallel(
             self, epochs, processes=processes, microbatch=microbatch
         )

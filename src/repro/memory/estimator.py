@@ -7,9 +7,8 @@ module writes down the quantity being measured: the tensors a CUDA autograd
 engine retains for backward (conv/BN/linear retain their *inputs*, ReLU its
 output, max-pool its indices), plus parameters, gradients, optimizer state
 and the conv workspaces (im2col/implicit-GEMM buffers).  Gradients and
-optimizer state are sized from ``gradient_bytes()``, full precision
-whatever the weight storage: bf16 weight emulation halves the parameters
-only.
+optimizer state are sized from ``parameter_bytes()``: one byte rule, a
+gradient buffer per weight array, fp32 like it.
 
 One model, two readers.  :func:`local_unit_tensors_by_batch` lists the
 tensors one unit (a layer plus its auxiliary head) holds in a training
@@ -269,8 +268,7 @@ def bp_memory_by_batch(
     ops = [op for stage_ops, _ in walk for op in stage_ops]
     largest_output = max(_numel(shape) for _, shape in walk)
     params = model.parameter_bytes()
-    grads = model.gradient_bytes()
-    optimizer_bytes = optimizer_state_bytes(grads, optimizer)
+    optimizer_bytes = optimizer_state_bytes(params, optimizer)
 
     def at(batch_size: int) -> MemoryBreakdown:
         if batch_size < 1:
@@ -286,7 +284,7 @@ def bp_memory_by_batch(
         return MemoryBreakdown(
             activations=retained,
             parameters=params,
-            gradients=grads,
+            gradients=params,
             optimizer=optimizer_bytes,
             workspace=workspace + batch_size * largest_output * FLOAT_BYTES,
         )
@@ -324,13 +322,12 @@ def checkpointed_training_memory(
         interior += _ops_bytes(op_workspace_bytes, ops, batch_size)
         worst_interior = max(worst_interior, interior)
         boundary += _numel(out_shape)
-    grads = model.gradient_bytes()
+    params = model.parameter_bytes()
     return (
         batch_size * boundary * FLOAT_BYTES
         + worst_interior
-        + model.parameter_bytes()
-        + grads
-        + optimizer_state_bytes(grads, optimizer)
+        + 2 * params
+        + optimizer_state_bytes(params, optimizer)
     )
 
 
@@ -379,11 +376,11 @@ def local_unit_tensors_by_batch(
     in_shape = (spec.in_channels, *spec.in_hw)
     out_shape = (spec.out_channels, *spec.out_hw)
     modules = [spec.module] if aux_head is None else [spec.module, aux_head]
-    grads = sum(m.gradient_bytes() for m in modules)
+    params = sum(m.parameter_bytes() for m in modules)
     fixed = [
-        ("params", sum(m.parameter_bytes() for m in modules)),
-        ("grads", grads),
-        ("optimizer", optimizer_state_bytes(grads, optimizer)),
+        ("params", params),
+        ("grads", params),
+        ("optimizer", optimizer_state_bytes(params, optimizer)),
     ]
 
     # Per module: the tag prefix of its retained tensors, its per-sample
@@ -467,7 +464,6 @@ def ll_memory_by_batch(
     ]
     heads = [a for a in aux_heads if a is not None]
     params = model.parameter_bytes() + sum(a.parameter_bytes() for a in heads)
-    all_grads = model.gradient_bytes() + sum(a.gradient_bytes() for a in heads)
 
     def at(batch_size: int) -> MemoryBreakdown:
         worst_act = 0
@@ -484,7 +480,7 @@ def ll_memory_by_batch(
         if residency == "full":
             # Classic LL executes every layer each step: all workspaces
             # pooled, all parameter/gradient/optimizer state resident.
-            grads = all_grads
+            grads = params
             workspace = total_workspace
         else:
             # AAN-LL measurement: weights resident, one unit active at a time.

@@ -95,26 +95,19 @@ class Conv2d(Module):
         n = x.shape[0]
         rt = np.result_type(x.dtype, self.weight.data.dtype)
         wmat = self.weight.data.reshape(self.out_channels, -1)
-        if self._ws is None:
-            cols, (out_h, out_w) = im2col(x, self.kernel_size, self.stride, self.padding)
-            out = backend_matmul(cols, wmat.T)
-        else:
-            out_h, out_w = self.output_hw((x.shape[2], x.shape[3]))
-            xp = None
-            if self.padding:
-                hp = x.shape[2] + 2 * self.padding
-                wp = x.shape[3] + 2 * self.padding
-                xp, fresh = self._buf("xp", (n, hp, wp, self.in_channels), x.dtype)
-                if fresh:
-                    xp.fill(0)
-            kk = self.in_channels * self.kernel_size * self.kernel_size
-            cols_buf, _ = self._buf("cols", (n * out_h * out_w, kk), x.dtype)
-            cols, _ = im2col(
-                x, self.kernel_size, self.stride, self.padding,
-                out=cols_buf, padded=xp,
-            )
-            out, _ = self._buf("out_mat", (cols.shape[0], self.out_channels), rt)
-            backend_matmul(cols, wmat.T, out=out)
+        out_h, out_w = self.output_hw((x.shape[2], x.shape[3]))
+        xp = None
+        if self.padding:
+            hp = x.shape[2] + 2 * self.padding
+            wp = x.shape[3] + 2 * self.padding
+            xp, fresh = self._buf("xp", (n, hp, wp, self.in_channels), x.dtype)
+            if fresh:
+                xp.fill(0)
+        kk = self.in_channels * self.kernel_size * self.kernel_size
+        cols, _ = self._buf("cols", (n * out_h * out_w, kk), x.dtype)
+        im2col(x, self.kernel_size, self.stride, self.padding, out=cols, padded=xp)
+        out, _ = self._buf("out_mat", (cols.shape[0], self.out_channels), rt)
+        backend_matmul(cols, wmat.T, out=out)
         if self.bias is not None:
             out += self.bias.data
         y = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
@@ -136,19 +129,13 @@ class Conv2d(Module):
         n = grad_out.shape[0]
         out_h, out_w = self._out_hw
         m = n * out_h * out_w
-        if self._ws is None:
-            # Contiguous like the workspace path's copy: at batch 1 the
-            # reshape is a strided view, whose bias sum rounds differently.
-            dmat = np.ascontiguousarray(
-                grad_out.transpose(0, 2, 3, 1).reshape(m, self.out_channels)
-            )
-            self.weight.grad += backend_matmul(dmat.T, self._cols).reshape(self.weight.data.shape)
-        else:
-            dmat, _ = self._buf("out_mat", (m, self.out_channels), grad_out.dtype)
-            dmat[...] = grad_out.transpose(0, 2, 3, 1).reshape(m, self.out_channels)
-            dw, _ = self._buf("dw", (self.out_channels, self._cols.shape[1]), dmat.dtype)
-            backend_matmul(dmat.T, self._cols, out=dw)
-            self.weight.grad += dw.reshape(self.weight.data.shape)
+        # A contiguous copy: at batch 1 the reshape is a strided view,
+        # whose bias sum would round differently.
+        dmat, _ = self._buf("out_mat", (m, self.out_channels), grad_out.dtype)
+        dmat[...] = grad_out.transpose(0, 2, 3, 1).reshape(m, self.out_channels)
+        dw, _ = self._buf("dw", (self.out_channels, self._cols.shape[1]), dmat.dtype)
+        backend_matmul(dmat.T, self._cols, out=dw)
+        self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += dmat.sum(axis=0)
         if not need_input_grad:
@@ -156,11 +143,8 @@ class Conv2d(Module):
             return None
         back_w = self.feedback if self.feedback is not None else self.weight.data
         wmat = back_w.reshape(self.out_channels, -1)
-        if self._ws is None:
-            dcols = backend_matmul(dmat, wmat)
-        else:
-            dcols, _ = self._buf("cols", (m, wmat.shape[1]), dmat.dtype)
-            backend_matmul(dmat, wmat, out=dcols)
+        dcols, _ = self._buf("cols", (m, wmat.shape[1]), dmat.dtype)
+        backend_matmul(dmat, wmat, out=dcols)
         dx = col2im(
             dcols, self._x_shape, self.kernel_size, self.stride, self.padding, self._out_hw
         )
@@ -212,12 +196,8 @@ class DepthwiseConv2d(Module):
         if self.bias is not None:
             out += self.bias.data[None, :, None, None]
         if self.training:
-            if self._ws is not None:
-                buf, _ = self._ws.get("win", win.shape, win.dtype)
-                np.copyto(buf, win)
-                self._win = buf
-            else:
-                self._win = np.ascontiguousarray(win)
+            self._win, _ = self._buf("win", win.shape, win.dtype)
+            np.copyto(self._win, win)
             self._x_shape = x.shape
             self._out_hw = (out.shape[2], out.shape[3])
         else:
@@ -241,10 +221,8 @@ class DepthwiseConv2d(Module):
         out_h, out_w = self._out_hw
         k, s, p = self.kernel_size, self.stride, self.padding
         dwin = np.einsum("nchw,cij->nchwij", grad_out, self.weight.data, optimize=True)
-        if self._ws is not None:
-            dxp = self._ws.zeros("dxp", (n, c, h + 2 * p, w + 2 * p), grad_out.dtype)
-        else:
-            dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+        dxp, _ = self._buf("dxp", (n, c, h + 2 * p, w + 2 * p), grad_out.dtype)
+        dxp.fill(0)
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += dwin[:, :, :, :, i, j]

@@ -62,12 +62,9 @@ class Linear(Module):
     ) -> np.ndarray | None:
         if self._x is None:
             raise ShapeError("backward called before training-mode forward")
-        if self._ws is None:
-            self.weight.grad += backend_matmul(grad_out.T, self._x)
-        else:
-            dw, _ = self._buf("dw", self.weight.data.shape, grad_out.dtype)
-            backend_matmul(grad_out.T, self._x, out=dw)
-            self.weight.grad += dw
+        dw, _ = self._buf("dw", self.weight.data.shape, grad_out.dtype)
+        backend_matmul(grad_out.T, self._x, out=dw)
+        self.weight.grad += dw
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
         self._x = None

@@ -21,17 +21,9 @@ from repro.perf.workspace import Workspace
 
 
 class Parameter:
-    """A trainable array with an accumulated gradient buffer.
+    """A trainable array with an accumulated gradient buffer."""
 
-    ``storage`` names the *resident* precision of the weight: ``"fp32"``
-    (the default -- bytes are exactly ``data.nbytes``) or ``"bf16"``
-    (the :mod:`repro.backend.bf16` emulation -- ``data`` stays an fp32
-    compute array holding only bf16-representable values, and memory
-    accounting charges the 2 bytes/scalar a real bf16 store would).
-    Gradients are always fp32; see :meth:`grad_nbytes`.
-    """
-
-    __slots__ = ("data", "grad", "name", "storage")
+    __slots__ = ("data", "grad", "name")
 
     def __init__(self, data: np.ndarray, name: str = ""):
         if data.flags.writeable:
@@ -43,7 +35,6 @@ class Parameter:
             self.data = data
             self.grad = placeholder(data.shape, data.dtype)
         self.name = name
-        self.storage = "fp32"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -55,14 +46,7 @@ class Parameter:
 
     @property
     def nbytes(self) -> int:
-        if self.storage == "bf16":
-            return int(self.data.size) * 2
         return int(self.data.nbytes)
-
-    @property
-    def grad_nbytes(self) -> int:
-        """Gradient buffer bytes (always full precision)."""
-        return int(self.grad.nbytes)
 
     def zero_grad(self) -> None:
         self.grad.fill(0)
@@ -221,12 +205,8 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     def parameter_bytes(self) -> int:
-        """Resident weight bytes (storage-aware: bf16 counts 2/scalar)."""
+        """Resident weight bytes; a gradient buffer holds as many."""
         return sum(p.nbytes for p in self.parameters())
-
-    def gradient_bytes(self) -> int:
-        """Resident gradient bytes (always fp32, even for bf16 weights)."""
-        return sum(p.grad_nbytes for p in self.parameters())
 
     # -- (de)serialization -------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

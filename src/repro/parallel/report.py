@@ -129,7 +129,7 @@ class ParallelReport(NeuroFluxReport):
             "bubble_fraction": _num(self.bubble_fraction),
             "utilization": [round(u, 4) for u in self.utilization],
             "device_ledgers": [
-                {key: round(value, 6) for key, value in ledger.items()}
+                {key: _num(value) for key, value in ledger.items()}
                 for ledger in self.device_ledgers
             ],
             "comm_bytes": self.comm_bytes,

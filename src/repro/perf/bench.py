@@ -22,8 +22,7 @@ strategies, ``"loop"`` against ``"overlap"``.
 The ``backend`` suite covers :mod:`repro.backend`: real forked
 multiprocess block-parallel training vs the same executor single-process
 (``mp_block_parallel``, with cores and the >=1.5x claim recorded
-honestly), and bf16 weight emulation (``bf16_vgg11``: resident weight
-bytes, peak memory, end-accuracy delta).
+honestly).
 
 ``run_suite`` returns a JSON-serializable report; ``python -m repro.cli
 bench kernels`` (:mod:`repro.bench`) writes it to ``BENCH_kernels.json`` so
@@ -35,7 +34,6 @@ every push so the harness itself cannot rot).
 from __future__ import annotations
 
 import sys
-import time
 
 import numpy as np
 
@@ -359,25 +357,18 @@ def bench_ll_step(
     )
 
 
-# -- backend: real-parallelism and storage modes ---------------------------
+# -- backend: real parallelism --------------------------------------------
 
 
-def _tiny_system(seed: int, bf16: bool = False, memory_mb: float = 1.0):
+def _tiny_system(seed: int):
     """A >=4-block reference system on the tiny (scale 0.002) dataset.
 
     The 1 MiB budget with the default 256 batch limit partitions the
     width-0.125 vgg11 into 6 blocks -- enough stages for the multiprocess
     executor to overlap meaningfully on a multi-core host.
     """
-    from repro.backend import ComputeConfig
-
     return reference_system(
-        reference_data(seed, scale=0.002),
-        MACRO_WIDTH,
-        int(memory_mb * MB),
-        seed,
-        batch_limit=256,
-        compute=ComputeConfig(bf16_weights=bf16),
+        reference_data(seed, scale=0.002), MACRO_WIDTH, MB, seed, batch_limit=256
     )
 
 
@@ -424,52 +415,6 @@ def bench_mp_block_parallel(seed: int = 0) -> dict:
     # overlap on; on smaller hosts the row records the honest overhead.
     row["claim_met"] = (row["speedup"] >= 1.5) if cores >= 4 else None
     return row
-
-
-def bench_bf16_vgg11(reps: int, quick: bool, seed: int = 0) -> dict:
-    """fp32 vs bf16-emulated weight storage: memory drop and accuracy delta.
-
-    ``seed``/``fast`` time the same sequential run under the two storage
-    modes (bf16 is a memory feature -- wall-clock parity is the
-    expectation); the payload is in the extras: resident weight bytes,
-    the drop percentage, and the end-accuracy delta.
-    """
-    epochs = 1 if quick else 2
-
-    def weight_bytes(system) -> int:
-        total = system.model.parameter_bytes()
-        for aux in system.aux_heads:
-            total += aux.parameter_bytes()
-        return total
-
-    results = {}
-    for mode, bf16 in (("seed", False), ("fast", True)):
-        t0 = time.perf_counter()
-        # 1.5 MiB: a 5-block partition with headroom for the sequential
-        # executor's measured (not fitted) residency allocations in both
-        # storage modes (bf16 packs batches closer to the budget line).
-        system = _tiny_system(seed, bf16=bf16, memory_mb=1.5)
-        report = system.run(epochs)
-        results[mode] = {
-            "ms": (time.perf_counter() - t0) * 1e3,
-            "weight_bytes": weight_bytes(system),
-            "accuracy": report.exit_test_accuracy,
-            "peak_memory_bytes": report.result.peak_memory_bytes,
-        }
-    fp32, bf16_r = results["seed"], results["fast"]
-    drop = 1.0 - bf16_r["weight_bytes"] / fp32["weight_bytes"]
-    return _entry(
-        fp32["ms"],
-        bf16_r["ms"],
-        weight_bytes_fp32=fp32["weight_bytes"],
-        weight_bytes_bf16=bf16_r["weight_bytes"],
-        weight_drop_pct=round(100.0 * drop, 2),
-        peak_memory_fp32=fp32["peak_memory_bytes"],
-        peak_memory_bf16=bf16_r["peak_memory_bytes"],
-        accuracy_fp32=round(fp32["accuracy"], 4),
-        accuracy_bf16=round(bf16_r["accuracy"], 4),
-        accuracy_delta=round(bf16_r["accuracy"] - fp32["accuracy"], 4),
-    )
 
 
 # -- suite driver ----------------------------------------------------------
@@ -537,7 +482,6 @@ def run_suite(
     if suite in ("backend", "all"):
         report["backend"] = {
             "mp_block_parallel": bench_mp_block_parallel(seed),
-            "bf16_vgg11": bench_bf16_vgg11(reps, quick, seed),
         }
     return report
 

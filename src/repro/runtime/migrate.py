@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.report import json_num
 from repro.core.worker import BlockWorker
 from repro.errors import ConfigError
 from repro.training.checkpointing import (
@@ -112,14 +113,14 @@ class MigrationRecord:
             "block": self.block,
             "src": self.src,
             "dst": self.dst,
-            "time_s": round(self.time_s, 6),
+            "time_s": json_num(self.time_s),
             "reason": self.reason,
             "nbytes": self.nbytes,
-            "transfer_s": round(self.transfer_s, 6),
-            "restore_s": round(self.restore_s, 6),
+            "transfer_s": json_num(self.transfer_s),
+            "restore_s": json_num(self.restore_s),
             "replay_microbatches": self.replay_microbatches,
-            "replay_s": round(self.replay_s, 6),
-            "recovery_s": round(self.recovery_s, 6),
+            "replay_s": json_num(self.replay_s),
+            "recovery_s": json_num(self.recovery_s),
         }
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.callbacks import BatchInfo, Callback
+from repro.api.report import json_num
 from repro.errors import ConfigError, FaultError, PlacementError
 from repro.hw.platforms import get_platform
 from repro.obs.trace import active_tracer
@@ -97,9 +98,9 @@ class RuntimeReport:
             "coefficients": [round(c, 4) for c in self.coefficients],
             "failed_devices": list(self.failed_devices),
             "joined_devices": list(self.joined_devices),
-            "checkpoint_time_s": round(self.checkpoint_time_s, 6),
-            "recovery_time_s": round(self.recovery_time_s, 6),
-            "migration_transfer_s": round(self.migration_transfer_s, 6),
+            "checkpoint_time_s": json_num(self.checkpoint_time_s),
+            "recovery_time_s": json_num(self.recovery_time_s),
+            "migration_transfer_s": json_num(self.migration_transfer_s),
         }
 
     def summary(self) -> str:

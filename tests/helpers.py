@@ -415,7 +415,6 @@ def train_golden_cases() -> dict[str, dict]:
         "run-nocache": {"entry": "run", "config": {"use_cache": False}},
         "run-fixed-batch": {"entry": "run", "config": {"adaptive_batch": False}},
         "run-time-budget": {"entry": "run", "time_budget_s": 0.05},
-        "run-bf16": {"entry": "run", "bf16_weights": True},
         "mp-1proc": {"entry": "multiprocess", "processes": 1},
         "mp-2proc": {"entry": "multiprocess", "processes": 2},
     }
@@ -493,7 +492,6 @@ def run_train_golden_case(case: dict, seed: int = 0):
     tracer)`` -- ``report`` is whatever the entry point returned."""
     from dataclasses import replace
 
-    from repro.backend import ComputeConfig
     from repro.core.config import NeuroFluxConfig
     from repro.core.controller import NeuroFlux
     from repro.data.registry import dataset_spec
@@ -513,7 +511,6 @@ def run_train_golden_case(case: dict, seed: int = 0):
         data,
         memory_budget=3 * _MB // 4,
         config=NeuroFluxConfig(batch_limit=32, seed=seed, **case.get("config", {})),
-        compute=ComputeConfig(bf16_weights=case.get("bf16_weights", False)),
     )
     runtime = None
     if "events" in case:

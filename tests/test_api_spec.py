@@ -317,21 +317,13 @@ class TestValidationFailures:
 
 
 class TestComputeSection:
-    COMPUTE = {"bf16_weights": True, "processes": 3}
+    COMPUTE = {"processes": 3}
 
     def test_round_trip(self):
         spec = JobSpec.from_dict(quick_payload(compute=self.COMPUTE))
         again = JobSpec.from_dict(spec.to_dict())
         assert again.compute == spec.compute
-        assert again.compute.bf16_weights is True
         assert again.compute.processes == 3
-
-    def test_to_compute_config(self):
-        from repro.api import ComputeSection
-        from repro.backend import ComputeConfig
-
-        cfg = ComputeSection(**self.COMPUTE).to_compute_config()
-        assert cfg == ComputeConfig(bf16_weights=True, processes=3)
 
     def test_positive_processes_required(self):
         with pytest.raises(SpecError, match="processes must be >= 1"):
@@ -352,12 +344,15 @@ class TestComputeSection:
         assert mp.compute == spec.compute
 
     @pytest.mark.parametrize(
-        "flag, value", [("--array-backend", "numpy"), ("--threads", "2")]
+        "flag, value",
+        [("--array-backend", "numpy"), ("--threads", "2"), ("--bf16-weights", "true")],
     )
     def test_removed_knobs_are_unknown(self, flag, value, tmp_path, capsys):
-        """The GEMM-engine knobs are gone, as spec keys and as flags: numpy
-        is the one array engine and :mod:`repro.backend.blas` decides
-        threading, so a spec or command that still sets them fails loudly."""
+        """The GEMM-engine knobs and the bf16 weight mode are gone, as spec
+        keys and as flags: numpy is the one array engine,
+        :mod:`repro.backend.blas` decides threading and weights are stored
+        as they are computed, so a spec or command that still sets them
+        fails loudly."""
         from repro.cli import main
 
         key = flag[2:].replace("-", "_")

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import FakeBlas
-from repro.backend import ComputeConfig, blas
+from repro.backend import blas
 from repro.backend.registry import matmul
 from repro.core.config import NeuroFluxConfig
 from repro.core.controller import NeuroFlux
@@ -56,11 +56,6 @@ class TestMatmul:
     def test_mismatched_inner_dims_raise(self):
         with pytest.raises(ValueError):
             matmul(np.ones((3, 4), np.float32), np.ones((5, 2), np.float32))
-
-    def test_compute_config_defaults(self):
-        cfg = ComputeConfig()
-        assert cfg.bf16_weights is False
-        assert cfg.processes is None
 
 
 class TestKernelsCallTheOneBinding:

@@ -31,9 +31,8 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _system(tiny_dataset, seed: int = 0, bf16: bool = False):
+def _system(tiny_dataset, seed: int = 0):
     """The 6-block configuration: 1 MiB budget, 256 batch limit."""
-    from repro.backend import ComputeConfig
     from repro.core.config import NeuroFluxConfig
     from repro.core.controller import NeuroFlux
 
@@ -48,7 +47,6 @@ def _system(tiny_dataset, seed: int = 0, bf16: bool = False):
         tiny_dataset,
         memory_budget=1 << 20,
         config=NeuroFluxConfig(seed=seed),
-        compute=ComputeConfig(bf16_weights=bf16),
     )
 
 
@@ -225,16 +223,14 @@ class TestRunBlockParallel:
         for wa, wb in zip(_weights(a), _weights(b)):
             assert np.array_equal(wa, wb)
 
-    @pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
-    def test_forked_stages_ship_batchnorm_statistics(self, tiny_dataset, bf16):
+    def test_forked_stages_ship_batchnorm_statistics(self, tiny_dataset):
         """A layer trained in a child is evaluated in the parent with the
-        running statistics it trained, not a fresh BatchNorm's 0 / 1 nor
-        a bf16-truncated copy: every process count scores every layer
-        the same."""
+        running statistics it trained, not a fresh BatchNorm's 0 / 1:
+        every process count scores every layer the same."""
         from repro.nn.normalization import BatchNorm2d
 
         def outcome(processes):
-            system = _system(tiny_dataset, bf16=bf16)
+            system = _system(tiny_dataset)
             report = run_block_parallel(system, epochs=1, processes=processes)
             assert len(report.result.extras["stages"]) == processes
             stats = [
@@ -284,15 +280,6 @@ class TestRunBlockParallel:
         assert set().union(*(head for _, head in units)) == {id(w) for w in head_pool.values()}
         assert not any(layer & head for layer, head in units)
 
-    def test_bf16_weights_ship_truncated(self, tiny_dataset):
-        from repro.backend.bf16 import bf16_roundtrip, is_bf16
-
-        system = _system(tiny_dataset, bf16=True)
-        run_block_parallel(system, epochs=1, processes=2)
-        for p in system.model.parameters():
-            assert is_bf16(p)
-            assert np.array_equal(p.data, bf16_roundtrip(p.data))
-
     def test_invalid_epochs(self, tiny_dataset):
         with pytest.raises(ConfigError, match="epochs"):
             run_block_parallel(_system(tiny_dataset), epochs=0)
@@ -341,26 +328,15 @@ class TestRunBlockParallel:
         report = system.train_multiprocess(1, processes=2)
         assert report.result.extras["processes"] == 2
 
-    def test_compute_config_supplies_process_default(self, tiny_dataset):
-        from repro.backend import ComputeConfig
-        from repro.core.config import NeuroFluxConfig
-        from repro.core.controller import NeuroFlux
+    def test_spec_compute_section_sets_the_process_count(self):
+        """A JobSpec's ``compute.processes`` reaches the fork through the
+        ``multiprocess`` backend."""
+        from repro.api import JobSpec, run
 
-        system = NeuroFlux(
-            build_model(
-                "vgg11",
-                num_classes=4,
-                input_hw=(16, 16),
-                width_multiplier=0.125,
-                seed=3,
-            ),
-            tiny_dataset,
-            memory_budget=1 << 20,
-            config=NeuroFluxConfig(seed=0),
-            compute=ComputeConfig(processes=2),
-        )
-        report = system.train_multiprocess(1)
-        assert report.result.extras["processes"] == 2
+        spec = JobSpec.from_json_file(str(REPO / "examples/specs/compute.json"))
+        spec.compute.processes = 3
+        report = run(spec)
+        assert report.result.extras["processes"] == 3
 
 
 @needs_fork
@@ -450,12 +426,12 @@ class TestBlasThreadBudget:
         result pipe: the parent names the stage, and no child is left."""
         import multiprocessing
 
-        from repro.backend import multiproc
+        from repro.nn.module import Module
 
         def cannot_ship(module):
             raise RuntimeError("stage blew up")
 
-        monkeypatch.setattr(multiproc, "_ship_state", cannot_ship)
+        monkeypatch.setattr(Module, "state_dict", cannot_ship)
         with pytest.raises(ConfigError, match=r"multiprocess stage 1 failed"):
             run_block_parallel(_system(tiny_dataset), epochs=1, processes=2)
         assert multiprocessing.active_children() == []

@@ -130,7 +130,6 @@ def reference_copies() -> dict:
         "runtime": reference_system(data, 0.25, 3 * MB),
         "fleet": trained,
         "kernels": _tiny_system(0),
-        "kernels_bf16": _tiny_system(0, bf16=True, memory_mb=1.5),
         "serving": trained,
     }
 

@@ -10,8 +10,7 @@ width 0.25 it pins:
   its allocator-measured peak and its estimator breakdown per category;
 * per batch x optimizer: the whole-model footprints -- BP, local
   learning with ``full`` and ``params-only`` residency under both head
-  rules, checkpointed BP and inference;
-* one bf16 vgg11 unit's tensor list, in clear.
+  rules, checkpointed BP and inference.
 
 A moved value means a byte rule, a tensor or the allocator moved.
 Re-record (only when the memory model is *meant* to change) with
@@ -31,7 +30,6 @@ MODELS = ("vgg11", "resnet18", "mobilenet")
 HEADS = ("aan", "classic", "none")
 BATCHES = (1, 7, 64)
 OPTIMIZERS = ("sgd", "sgd-momentum", "adam")
-BF16_KEY = "bf16/vgg11/aan/unit0/b8/sgd-momentum"
 
 
 def unit_plan(spec, head, batch, optimizer):
@@ -94,28 +92,15 @@ def model_case(name, batch, optimizer) -> dict:
     return case
 
 
-def bf16_plan() -> list:
-    from repro.backend.bf16 import enable_bf16_weights
-    from repro.core.auxiliary import build_aux_heads
-    from repro.models import build_model
-
-    model = build_model("vgg11", num_classes=10, width_multiplier=0.25)
-    heads = build_aux_heads(model, rule="aan")
-    enable_bf16_weights(model, *heads)
-    return [list(t) for t in unit_plan(model.local_layers()[0], heads[0], 8, "sgd-momentum")]
-
-
 UNIT_KEYS = [
     f"unit/{m}/{h}/b{b}/{o}"
     for m in MODELS for h in HEADS for b in BATCHES for o in OPTIMIZERS
 ]
 MODEL_KEYS = [f"model/{m}/b{b}/{o}" for m in MODELS for b in BATCHES for o in OPTIMIZERS]
-KEYS = UNIT_KEYS + MODEL_KEYS + [BF16_KEY]
+KEYS = UNIT_KEYS + MODEL_KEYS
 
 
 def compute(key):
-    if key == BF16_KEY:
-        return bf16_plan()
     kind, *parts = key.split("/")
     batch, optimizer = int(parts[-2][1:]), parts[-1]
     if kind == "unit":

@@ -11,18 +11,18 @@ for bit:
 
 * ``snapshot_worker`` -> ``serialize_checkpoint`` ->
   ``deserialize_checkpoint`` -> ``restore_worker`` (block migration);
-* ``_ship_state`` -> ``_load_state`` (the forked-stage result pipe), with
-  fp32 and with bf16-stored weights;
+* ``state_dict`` -> pickle -> ``load_state_dict`` (the forked-stage
+  result pipe);
 * ``save_checkpoint`` -> ``load_checkpoint`` (model files).
 """
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.bf16 import Bf16WeightOptimizer, enable_bf16_weights
-from repro.backend.multiproc import _load_state, _ship_state
 from repro.core.auxiliary import build_aux_heads
 from repro.core.worker import BlockWorker
 from repro.hw.platforms import AGX_ORIN
@@ -36,7 +36,7 @@ from repro.utils.rng import spawn_rng
 from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 
-def _worker(name: str, seed: int, bf16: bool) -> tuple:
+def _worker(name: str, seed: int) -> tuple:
     """``(model, worker)``: every local layer of ``name`` as one block."""
     model = build_model(
         name, num_classes=4, input_hw=(16, 16), width_multiplier=0.125, seed=seed
@@ -51,9 +51,6 @@ def _worker(name: str, seed: int, bf16: bool) -> tuple:
         )
         for spec, head in zip(specs, heads)
     ]
-    if bf16:
-        enable_bf16_weights(model, *heads)
-        optimizers = [Bf16WeightOptimizer(opt) for opt in optimizers]
     worker = BlockWorker(
         specs, heads, optimizers, ExecutionSimulator(AGX_ORIN), sample_bytes=3072
     )
@@ -77,10 +74,12 @@ def _move_by_block_checkpoint(src, dst, tmp_path) -> None:
 
 
 def _move_by_ship(src, dst, tmp_path) -> None:
-    for a, b in zip(src[1].layer_specs, dst[1].layer_specs):
-        _load_state(b.module, _ship_state(a.module))
-    for a, b in zip(src[1].aux_heads, dst[1].aux_heads):
-        _load_state(b, _ship_state(a))
+    units = zip(
+        [*(s.module for s in src[1].layer_specs), *src[1].aux_heads],
+        [*(s.module for s in dst[1].layer_specs), *dst[1].aux_heads],
+    )
+    for a, b in units:
+        b.load_state_dict(pickle.loads(pickle.dumps(a.state_dict())))
 
 
 def _move_by_checkpoint_file(src, dst, tmp_path) -> None:
@@ -98,7 +97,6 @@ PATHS = {
 }
 
 
-@pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
 @pytest.mark.parametrize("path", sorted(PATHS))
 @settings(max_examples=6, deadline=None)
 @given(
@@ -106,14 +104,14 @@ PATHS = {
     seed=st.integers(0, 2**16),
     steps=st.integers(1, 3),
 )
-def test_twin_evaluates_bit_for_bit(tmp_path_factory, path, bf16, name, seed, steps):
-    src = _worker(name, seed, bf16)
+def test_twin_evaluates_bit_for_bit(tmp_path_factory, path, name, seed, steps):
+    src = _worker(name, seed)
     assert any(isinstance(m, BatchNorm2d) for m in src[0].modules())
     rng = spawn_rng(seed, "state-paths")
     for _ in range(steps):
         x = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
         src[1].train_batch(x, rng.integers(0, 4, size=4))
-    dst = _worker(name, seed + 1, bf16)
+    dst = _worker(name, seed + 1)
     PATHS[path](src, dst, tmp_path_factory.mktemp("state"))
 
     x = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)

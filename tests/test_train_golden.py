@@ -3,12 +3,12 @@
 ``tests/data/train_golden.json`` was recorded (by the recorder in
 ``tests/helpers.py``) at the commit *before* ``NeuroFlux.run`` became a
 cluster of one and the sequential / pipelined / multiprocess schedules
-moved onto one shared run frame: 19 configurations of a 5-block
+moved onto one shared run frame: 18 configurations of a 5-block
 width-0.125 vgg11 --
 
 * ``run`` with the activation cache, ``use_cache=False``,
-  ``adaptive_batch=False``, a ``time_budget_s`` that stops during block
-  0's first epoch, and ``bf16_weights``;
+  ``adaptive_batch=False``, and a ``time_budget_s`` that stops during
+  block 0's first epoch;
 * ``train_parallel`` sequential on a one-device and a heterogeneous
   round-robin cluster, pipelined with optimised and round-robin
   placement -- each without a runtime, with an ``AdaptiveRuntime`` on an
