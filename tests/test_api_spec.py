@@ -325,6 +325,19 @@ class TestComputeSection:
         assert again.compute == spec.compute
         assert again.compute.processes == 3
 
+    def test_processes_is_the_one_knob(self):
+        """``processes`` is the compute section's one field, and the
+        system takes no compute argument: the multiprocess backend passes
+        the count itself."""
+        import inspect
+
+        from repro.api import ComputeSection
+        from repro.core.controller import NeuroFlux
+
+        assert [f.name for f in fields(ComputeSection)] == ["processes"]
+        assert JobSpec.from_dict(quick_payload(compute={})).compute.processes is None
+        assert "compute" not in inspect.signature(NeuroFlux).parameters
+
     def test_positive_processes_required(self):
         with pytest.raises(SpecError, match="processes must be >= 1"):
             JobSpec.from_dict(quick_payload(compute={"processes": 0}))

@@ -328,6 +328,21 @@ class TestRunBlockParallel:
         report = system.train_multiprocess(1, processes=2)
         assert report.result.extras["processes"] == 2
 
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (64, 6)])
+    def test_processes_default_to_one_per_core(
+        self, tiny_dataset, monkeypatch, cores, expected
+    ):
+        """With no ``processes`` the fan-out is one process per usable
+        core, capped at the block count (six here)."""
+        from repro.backend import multiproc
+
+        monkeypatch.setattr(multiproc, "usable_cores", lambda: cores)
+        system = _system(tiny_dataset)
+        assert len(system.plan()[0]) == 6
+        report = system.train_multiprocess(1)
+        assert report.result.extras["processes"] == expected
+        assert len(report.result.extras["stages"]) == expected
+
     def test_spec_compute_section_sets_the_process_count(self):
         """A JobSpec's ``compute.processes`` reaches the fork through the
         ``multiprocess`` backend."""

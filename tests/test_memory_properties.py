@@ -154,3 +154,35 @@ class TestWalkOnceMatchesWalkPerBatch:
         assert full.activations == worst.activations
         assert full.workspace == sum(u.workspace for u in units)
         assert full == ll_training_memory(net, heads, batch, residency="full")
+
+
+class TestOneByteRule:
+    """Every footprint sizes gradients and optimizer state from
+    ``parameter_bytes()``, and that is what the host holds for the
+    weights: the partitioner plans against the arrays the process keeps."""
+
+    @pytest.fixture(scope="class", params=["vgg11", "resnet18", "mobilenet"])
+    def net(self, request):
+        model = build_model(request.param, num_classes=10, width_multiplier=0.25)
+        return model, build_aux_heads(model, rule="aan")
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "sgd-momentum", "adam"])
+    def test_gradients_and_state_follow_parameter_bytes(self, net, optimizer):
+        model, heads = net
+        for module in (model, *heads):
+            held = sum(p.data.nbytes for p in module.parameters())
+            assert module.parameter_bytes() == held == 4 * module.num_parameters()
+
+        def check(breakdown, params):
+            assert breakdown.parameters == breakdown.gradients == params
+            assert breakdown.optimizer == optimizer_state_bytes(params, optimizer)
+
+        everything = model.parameter_bytes() + sum(h.parameter_bytes() for h in heads)
+        check(bp_training_memory(model, 8, optimizer), model.parameter_bytes())
+        check(ll_training_memory(model, heads, 8, optimizer, "full"), everything)
+        for spec, head in zip(model.local_layers(), heads):
+            unit = local_unit_training_memory(spec, head, 8, optimizer)
+            check(unit, spec.module.parameter_bytes() + head.parameter_bytes())
+        resident = ll_training_memory(model, heads, 8, optimizer, "params-only")
+        assert resident.parameters == everything
+        assert resident.optimizer == optimizer_state_bytes(resident.gradients, optimizer)

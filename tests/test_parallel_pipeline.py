@@ -204,6 +204,26 @@ class TestPipelinedSchedule:
             if d not in senders:
                 assert c == 0.0
 
+    def test_ledger_seconds_use_the_report_number_rule(self, pipelined):
+        """``device_ledgers`` go through ``json_num`` like every other
+        seconds field: six decimals, and a NaN is written as null."""
+        import json
+
+        from repro.api.report import json_num
+
+        _, _, report = pipelined
+        ledgers = report.to_json_dict()["device_ledgers"]
+        assert ledgers == [
+            {key: json_num(value) for key, value in ledger.items()}
+            for ledger in report.device_ledgers
+        ]
+        broken = replace(
+            report,
+            device_ledgers=[{**ledger, "compute": float("nan")} for ledger in report.device_ledgers],
+        )
+        payload = json.loads(json.dumps(broken.to_json_dict(), allow_nan=False))
+        assert all(ledger["compute"] is None for ledger in payload["device_ledgers"])
+
     def test_model_still_learns(self, pipelined):
         # Bounded staleness changes the dynamics but must still train:
         # well above 4-class chance, and history must be recorded.

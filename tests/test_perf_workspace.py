@@ -409,6 +409,67 @@ class TestArena:
                 np.testing.assert_array_equal(g, ref)
 
 
+def _layer_path_cases():
+    """Every layer that takes scratch arrays from ``Module._buf``, at
+    geometries that reach each of its slots: padded and unpadded, strided,
+    down to a 1x1 output."""
+    rng = np.random.default_rng
+    return {
+        "conv-pad1": (lambda: Conv2d(3, 4, 3, padding=1, rng=rng(1)), (3, 6, 6)),
+        "conv-stride2-pad1": (
+            lambda: Conv2d(3, 4, 3, stride=2, padding=1, rng=rng(1)), (3, 7, 7)
+        ),
+        "conv-unpadded": (lambda: Conv2d(3, 4, 3, rng=rng(1)), (3, 6, 6)),
+        "conv-k5-pad2-nobias": (
+            lambda: Conv2d(3, 4, 5, padding=2, bias=False, rng=rng(1)), (3, 5, 5)
+        ),
+        "conv-1x1-out": (lambda: Conv2d(4, 8, 3, padding=1, rng=rng(1)), (4, 1, 1)),
+        "depthwise-pad1": (lambda: DepthwiseConv2d(4, 3, padding=1, rng=rng(1)), (4, 6, 6)),
+        "depthwise-stride2-pad1": (
+            lambda: DepthwiseConv2d(4, 3, stride=2, padding=1, rng=rng(1)), (4, 7, 7)
+        ),
+        "depthwise-unpadded": (lambda: DepthwiseConv2d(4, 3, rng=rng(1)), (4, 6, 6)),
+        "linear": (lambda: Linear(6, 5, rng=rng(1)), (6,)),
+    }
+
+
+class TestOneLayerPath:
+    """A layer runs the same code with or without a workspace: only where
+    its scratch arrays come from differs, so an attached layer and an
+    unattached twin agree bit for bit, step after step."""
+
+    @pytest.mark.parametrize("case", sorted(_layer_path_cases()))
+    @pytest.mark.parametrize("need_input_grad", [True, False])
+    def test_attached_and_unattached_twins_agree(self, case, need_input_grad):
+        make, sample_shape = _layer_path_cases()[case]
+        pooled, plain = make().attach_workspace(), make()
+        assert plain.workspace is None
+        rng = np.random.default_rng(5)
+        first = None
+        # A repeated batch reuses every slot as it stands; a changed one
+        # hands every slot out fresh.  Gradients accumulate throughout.
+        for n in (3, 3, 1, 3):
+            x = rng.standard_normal((n, *sample_shape)).astype(np.float32) + 1.0
+            y, ref_y = pooled.forward(x), plain.forward(x)
+            np.testing.assert_array_equal(y, ref_y)
+            if first is None:
+                first = [(y, y.copy()), (ref_y, ref_y.copy())]
+            g = rng.standard_normal(y.shape).astype(np.float32)
+            dx = pooled.backward(g, need_input_grad=need_input_grad)
+            ref_dx = plain.backward(g, need_input_grad=need_input_grad)
+            if need_input_grad:
+                np.testing.assert_array_equal(dx, ref_dx)
+            else:
+                assert dx is None and ref_dx is None
+            for (name, p), (_, q) in zip(
+                pooled.named_parameters(), plain.named_parameters()
+            ):
+                np.testing.assert_array_equal(p.grad, q.grad, err_msg=name)
+        # Neither side handed out an output that a later step overwrote.
+        for y, kept in first:
+            np.testing.assert_array_equal(y, kept)
+
+
 class TestSequentialNeedInputGrad:
     def test_skip_returns_none_but_accumulates_param_grads(self):
         rng = np.random.default_rng(0)

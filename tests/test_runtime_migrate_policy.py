@@ -136,6 +136,34 @@ class TestFailureRecovery:
             )
 
 
+class TestRuntimeReportJson:
+    def test_seconds_use_the_report_number_rule(self):
+        """The runtime report rounds seconds with ``json_num``: six
+        decimals, a NaN written as null, coefficients at four."""
+        import json
+
+        from repro.api.report import json_num
+        from repro.runtime import MigrationRecord, RuntimeReport
+
+        report = RuntimeReport(
+            adapt=True,
+            migrations=[
+                MigrationRecord(0, 0, 1, 1.0, "drift", transfer_s=0.123456789),
+                MigrationRecord(1, 1, 2, 2.0, "failure", transfer_s=0.5, restore_s=1 / 3),
+            ],
+            coefficients=[1.234567],
+            checkpoint_time_s=2.718281828,
+        )
+        payload = report.to_json_dict()
+        assert payload["checkpoint_time_s"] == json_num(2.718281828) == 2.718282
+        assert payload["migration_transfer_s"] == 0.123457
+        assert payload["recovery_time_s"] == json_num(0.5 + 1 / 3) == 0.833333
+        assert payload["coefficients"] == [1.2346]
+        report.checkpoint_time_s = float("nan")
+        again = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert again["checkpoint_time_s"] is None
+
+
 class TestSnapshotRestoreStore:
     def test_snapshot_restore_round_trip(self):
         cluster = Cluster.from_names(NAMES, memory_budget=8 * MB)
