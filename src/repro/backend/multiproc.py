@@ -32,7 +32,7 @@ Mechanics:
   BatchNorm running statistics -- back through a result pipe of their
   own, and the parent loads it before evaluation -- an exit layer scores
   the same on any process count.
-* **shared-memory rings** -- each stage boundary owns ``slots``
+* **shared-memory rings** -- each stage boundary owns ``DEFAULT_SLOTS``
   preallocated micro-batch buffers (``mp.RawArray``, allocated before
   fork so both sides see the same pages) plus free/full token queues.
   Producers copy into a free slot and post a full token; consumers copy
@@ -72,10 +72,6 @@ from repro.data.loader import DataLoader
 from repro.errors import ConfigError
 from repro.hw.simulator import ExecutionSimulator
 from repro.utils.rng import spawn_rng
-
-#: Micro-batch buffers per stage boundary; 4 keeps a slow consumer from
-#: stalling the producer without holding more than a step of slack.
-DEFAULT_SLOTS = 4
 
 #: Parent-side queue waits are chopped into short timeouts so a dead
 #: child is noticed instead of deadlocking the run.
@@ -133,6 +129,11 @@ def _min_max_cut(loads: list[float], n_parts: int) -> list[int]:
     return bounds[::-1]
 
 
+#: Micro-batch buffers per stage boundary; 4 keeps a slow consumer from
+#: stalling the producer without holding more than a step of slack.
+DEFAULT_SLOTS = 4
+
+
 class _ActivationRing:
     """Shared-memory micro-batch ring across one stage boundary.
 
@@ -142,27 +143,26 @@ class _ActivationRing:
     buffers are built lazily per process (views must not cross fork).
     """
 
-    def __init__(self, ctx, slots: int, x_shape: tuple, y_dtype, mb: int):
-        self.slots = slots
+    def __init__(self, ctx, x_shape: tuple, y_dtype, mb: int):
         self.x_shape = x_shape  # (mb, c, h, w)
         self.y_dtype = np.dtype(y_dtype)
         self.mb = mb
         x_bytes = int(np.prod(x_shape)) * 4
-        self._x_raw = mp.RawArray(ctypes.c_byte, slots * x_bytes)
-        self._y_raw = mp.RawArray(ctypes.c_byte, slots * mb * self.y_dtype.itemsize)
+        self._x_raw = mp.RawArray(ctypes.c_byte, DEFAULT_SLOTS * x_bytes)
+        self._y_raw = mp.RawArray(ctypes.c_byte, DEFAULT_SLOTS * mb * self.y_dtype.itemsize)
         self.free = ctx.Queue()
         self.full = ctx.Queue()
-        for slot in range(slots):
+        for slot in range(DEFAULT_SLOTS):
             self.free.put(slot)
         self._views = None
 
     def _buffers(self):
         if self._views is None:
             xv = np.frombuffer(self._x_raw, dtype=np.float32).reshape(
-                self.slots, *self.x_shape
+                DEFAULT_SLOTS, *self.x_shape
             )
             yv = np.frombuffer(self._y_raw, dtype=self.y_dtype).reshape(
-                self.slots, self.mb
+                DEFAULT_SLOTS, self.mb
             )
             self._views = (xv, yv)
         return self._views
@@ -312,7 +312,6 @@ def run_block_parallel(
     epochs: int,
     processes: int | None = None,
     microbatch: int | None = None,
-    slots: int = DEFAULT_SLOTS,
 ) -> NeuroFluxReport:
     """Train ``system`` (a :class:`~repro.core.controller.NeuroFlux`)
     with blocks fanned over worker processes; returns the standard
@@ -320,8 +319,6 @@ def run_block_parallel(
     ``report.result.extras``.  Runs inside the controller's one run
     frame, like every other schedule.
     """
-    if slots < 1:
-        raise ConfigError("slots must be >= 1")
     if not fork_available():
         raise ConfigError(
             "the multiprocess executor needs the fork start method "
@@ -341,7 +338,7 @@ def run_block_parallel(
         wall_t0 = time.perf_counter()
         with one_thread() as controllable:
             threads = threads_in_force()
-            stage_stats = _run_stages(system, stages, mb, epochs, slots)
+            stage_stats = _run_stages(system, stages, mb, epochs)
         wall_clock_s = time.perf_counter() - wall_t0
         _book_stages(system, report, stages, stage_stats, mb)
         report.result.extras.update(
@@ -360,7 +357,7 @@ def run_block_parallel(
     return report
 
 
-def _run_stages(system, stages, mb, epochs, slots) -> dict:
+def _run_stages(system, stages, mb, epochs) -> dict:
     """Fork stages 1.., train stage 0 here, collect every stage's outcome
     (loading the children's trained state into ``system``)."""
     ctx = mp.get_context("fork")
@@ -369,7 +366,7 @@ def _run_stages(system, stages, mb, epochs, slots) -> dict:
     for stage in stages[1:]:
         first = system.specs[stage[0].first_layer]
         x_shape = (mb, first.in_channels, *first.in_hw)
-        rings.append(_ActivationRing(ctx, slots, x_shape, y_dtype, mb))
+        rings.append(_ActivationRing(ctx, x_shape, y_dtype, mb))
 
     procs: list = []
     results: list = []

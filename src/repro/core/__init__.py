@@ -16,7 +16,6 @@ from repro.core.cache import ActivationStore
 from repro.core.config import NeuroFluxConfig
 from repro.core.controller import NeuroFlux
 from repro.core.early_exit import (
-    EarlyExitModel,
     ExitCandidate,
     MultiExitModel,
     exit_model_parameters,
@@ -47,7 +46,6 @@ __all__ = [
     "BlockWorker",
     "CLASSIC_AUX_FILTERS",
     "DEFAULT_GROUPING_THRESHOLD",
-    "EarlyExitModel",
     "ExitCandidate",
     "LinearMemoryModel",
     "MemoryProfiler",

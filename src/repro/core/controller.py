@@ -29,7 +29,6 @@ from repro.core.cache import ActivationStore
 from repro.core.config import NeuroFluxConfig
 from repro.core.early_exit import (
     EXIT_TOLERANCE,
-    EarlyExitModel,
     ExitCandidate,
     MultiExitModel,
     exit_model_parameters,
@@ -641,11 +640,15 @@ class NeuroFlux:
         )
         report.result.final_accuracy = report.exit_test_accuracy
 
-    def build_exit_model(self, exit_layer: int) -> EarlyExitModel:
-        """Assemble the deployable early-exit model for a given layer."""
+    def build_exit_model(self, exit_layer: int) -> MultiExitModel:
+        """Assemble the deployable early-exit model for a given layer: a
+        multi-exit model with that one exit."""
         stages = [s.module for s in self.specs[: exit_layer + 1]]
-        return EarlyExitModel(
-            stages, self.aux_heads[exit_layer], exit_layer, name=f"{self.model.name}-exit{exit_layer + 1}"
+        return MultiExitModel(
+            stages,
+            [exit_layer],
+            [self.aux_heads[exit_layer]],
+            name=f"{self.model.name}-exit{exit_layer + 1}",
         )
 
     def build_multi_exit_model(

@@ -5,7 +5,8 @@ NeuroFlux picks the exit with the highest validation accuracy while
 maintaining the smallest parameter count: among exits within ``tolerance``
 of the best accuracy (accuracy saturates with depth -- 'overthinking'),
 the shallowest/cheapest one wins.  The resulting model is the streamlined
-CNN the paper reports in Table 2 (10.9x-29.4x fewer parameters).
+CNN the paper reports in Table 2 (10.9x-29.4x fewer parameters): a
+:class:`MultiExitModel` with that one exit.
 """
 
 from __future__ import annotations
@@ -49,38 +50,6 @@ def select_exit(
     return min(feasible, key=lambda c: (c.num_parameters, c.layer_index))
 
 
-class EarlyExitModel(Module):
-    """Deployable model: stages up to the exit layer plus its aux head."""
-
-    def __init__(self, stages: list[Module], aux_head: Module, exit_layer: int, name: str):
-        super().__init__()
-        if not stages:
-            raise ConfigError("an exit model needs at least one stage")
-        self.stages = list(stages)
-        self.aux_head = aux_head
-        self.exit_layer = exit_layer
-        self.name = name
-        self.eval()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for stage in self.stages:
-            x = stage.forward(x)
-        return self.aux_head.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.aux_head.backward(grad_out)
-        for stage in reversed(self.stages):
-            grad = stage.backward(grad)
-        return grad
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities (softmax over the exit head's logits)."""
-        return softmax(self.forward(x), axis=1)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=1)
-
-
 class MultiExitModel(Module):
     """Deployable model with several confidence-gated exits.
 
@@ -89,7 +58,8 @@ class MultiExitModel(Module):
     softmax confidence falls below a threshold continue to deeper exits
     (see :mod:`repro.serving.cascade`).  ``stages`` covers layers up to
     the deepest exit; ``exit_layers`` are increasing stage indices, each
-    paired with its auxiliary head in ``exit_heads``.
+    paired with its auxiliary head in ``exit_heads``.  With one exit it is
+    the deployed early-exit model (``NeuroFlux.build_exit_model``).
     """
 
     def __init__(

@@ -98,7 +98,7 @@ def exit_model_throughput(
     """Throughput of a NeuroFlux early-exit deployment."""
     shape: tuple[int, ...] = (1, in_channels, *input_hw)
     flops, n_kernels, _ = modules_forward_cost(
-        [*exit_model.stages, exit_model.aux_head], shape
+        [*exit_model.stages, exit_model.exit_heads[-1]], shape
     )
     sample_bytes = 4 * in_channels * input_hw[0] * input_hw[1]
     return inference_throughput(

@@ -33,6 +33,7 @@ from repro.nn.functional import (
     conv_output_hw,
     im2col,
     pad2d,
+    scatter_windows,
     sliding_windows,
 )
 from repro.nn.module import Module, Parameter
@@ -182,7 +183,6 @@ class DepthwiseConv2d(Module):
         self.bias = Parameter(nn_init.zeros((channels,), dtype), "bias") if bias else None
         self._win: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
 
     def output_hw(self, in_hw: tuple[int, int]) -> tuple[int, int]:
         return conv_output_hw(in_hw, self.kernel_size, self.stride, self.padding)
@@ -199,7 +199,6 @@ class DepthwiseConv2d(Module):
             self._win, _ = self._buf("win", win.shape, win.dtype)
             np.copyto(self._win, win)
             self._x_shape = x.shape
-            self._out_hw = (out.shape[2], out.shape[3])
         else:
             self._win = None
         return out.astype(x.dtype, copy=False)
@@ -207,7 +206,7 @@ class DepthwiseConv2d(Module):
     def backward(
         self, grad_out: np.ndarray, need_input_grad: bool = True
     ) -> np.ndarray | None:
-        if self._win is None or self._x_shape is None or self._out_hw is None:
+        if self._win is None or self._x_shape is None:
             raise ShapeError("backward called before training-mode forward")
         self.weight.grad += np.einsum(
             "nchw,nchwij->cij", grad_out, self._win, optimize=True
@@ -218,15 +217,8 @@ class DepthwiseConv2d(Module):
             self._win = None
             return None
         n, c, h, w = self._x_shape
-        out_h, out_w = self._out_hw
-        k, s, p = self.kernel_size, self.stride, self.padding
+        p = self.padding
         dwin = np.einsum("nchw,cij->nchwij", grad_out, self.weight.data, optimize=True)
         dxp, _ = self._buf("dxp", (n, c, h + 2 * p, w + 2 * p), grad_out.dtype)
-        dxp.fill(0)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += dwin[:, :, :, :, i, j]
         self._win = None
-        if p == 0:
-            return dxp
-        return dxp[:, :, p : p + h, p : p + w]
+        return scatter_windows(dwin, self._x_shape, self.kernel_size, self.stride, p, out=dxp)

@@ -13,14 +13,16 @@ copying k-float runs out of a 6-D strided window view (the reference
 formulation ``tests/test_nn_kernel_oracle.py`` holds it to).
 
 The NHWC lowerings ``im2col_nhwc``/``col2im_nhwc`` no longer back any
-layer.  They remain because the kernels suite's ``im2col`` / ``col2im`` /
-``col2im_overlap_k5`` rows time them against the NCHW pair and the e2e
-span table (``benchmarks/e2e/span_table.py``) names them; they go when
-that table does.  Their window extraction and scatter-add move contiguous
-channel runs, and ``col2im_nhwc``'s fast paths replace the k x k Python
-loop with reshaped assignments (``stride == kernel``) or two
-:func:`overlap_add` passes (``stride == 1``), which ``MaxPool2d``'s
-scatter shares.
+layer.  They remain because the kernels suite's ``im2col`` / ``col2im``
+rows time them against the NCHW pair and the e2e span table
+(``benchmarks/e2e/span_table.py``) names them; they go when that table
+does.  Their window extraction and scatter-add move contiguous channel
+runs, and ``col2im_nhwc`` is one reshaped assignment when ``stride ==
+kernel`` tiles its target.
+
+:func:`scatter_windows` is the one NCHW window scatter, the adjoint of
+``sliding_windows(pad2d(x, p))``: ``col2im``, the depthwise conv's input
+gradient and both pools' generic backward are calls to it.
 """
 
 from __future__ import annotations
@@ -147,19 +149,45 @@ def col2im(
     out_hw: tuple[int, int],
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add column gradients back to NCHW."""
-    n, c, h, w = x_shape
+    n, c = x_shape[:2]
     out_h, out_w = out_hw
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dwin = dcols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
+    dwin = dcols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    return scatter_windows(dwin, x_shape, kernel, stride, padding)
+
+
+def scatter_windows(
+    dwin: np.ndarray,
+    x_shape: tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+    padding: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Adjoint of ``sliding_windows(pad2d(x, padding), kernel, stride)``.
+
+    Scatter-adds per-window gradients (N, C, out_h, out_w, k, k) onto an
+    NCHW input of ``x_shape``: one bulk slice add per window offset, in
+    ``(i, j)`` order, so every input position sums its addends in that
+    order.  ``out`` is an optional padded (N, C, H+2p, W+2p) target,
+    cleared here; the result is its unpadded interior.
+    """
+    n, c, h, w = x_shape
+    out_h, out_w = dwin.shape[2], dwin.shape[3]
+    shape = (n, c, h + 2 * padding, w + 2 * padding)
+    if out is None:
+        out = np.zeros(shape, dtype=dwin.dtype)
+    elif out.shape != shape:
+        raise ShapeError(f"scatter target {out.shape} does not match {shape}")
+    else:
+        out.fill(0)
     for i in range(kernel):
         for j in range(kernel):
-            dxp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += dwin[
-                :, :, i, j
+            out[..., i : i + stride * out_h : stride, j : j + stride * out_w : stride] += dwin[
+                ..., i, j
             ]
     if padding == 0:
-        return dxp
-    return dxp[:, :, padding : padding + h, padding : padding + w]
+        return out
+    return out[..., padding : padding + h, padding : padding + w]
 
 
 def pad2d_nhwc(
@@ -228,86 +256,23 @@ def im2col_nhwc(
     return out
 
 
-def overlap_add(contrib: np.ndarray, ntail: int = 1) -> np.ndarray:
-    """Vectorized 1-D overlap-add: fold a window axis into a length axis.
-
-    ``contrib`` has shape ``(..., k, L, *tail)`` (``ntail`` trailing axes);
-    element ``[r, o]`` contributes to output position ``o + r``.  Returns
-    ``(..., L + k - 1, *tail)`` with ``out[d] = sum_r contrib[r, d - r]``.
-
-    Instead of a Python loop over the ``k`` shifts, the contributions are
-    written into a zero-tailed scratch whose rows are then *re-strided* so
-    that row ``r`` appears shifted right by ``r`` (stride ``sk - sl`` on
-    the window axis); a single ``sum`` over the window axis finishes the
-    job.  The shifted view only ever reads the zero tail of the previous
-    row, never foreign memory.
-    """
-    kpos = -2 - ntail
-    lpos = -1 - ntail
-    k, length = contrib.shape[kpos], contrib.shape[lpos]
-    out_len = length + k - 1
-    if k == 1:
-        return contrib.take(0, axis=kpos)
-    scratch_shape = list(contrib.shape)
-    scratch_shape[lpos] = out_len
-    scratch = np.zeros(tuple(scratch_shape), dtype=contrib.dtype)
-    tail_idx = (slice(None),) * ntail
-    scratch[(Ellipsis, slice(None), slice(0, length)) + tail_idx] = contrib
-    strides = list(scratch.strides)
-    strides[kpos] = scratch.strides[kpos] - scratch.strides[lpos]
-    shifted = np.lib.stride_tricks.as_strided(
-        scratch, shape=scratch.shape, strides=tuple(strides)
-    )
-    return shifted.sum(axis=kpos)
-
-
-def col2im_nhwc(
-    dcols: np.ndarray,
-    kernel: int,
-    stride: int,
-    out: np.ndarray,
-    method: str = "auto",
-) -> np.ndarray:
+def col2im_nhwc(dcols: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`im2col_nhwc`: scatter-add columns onto ``out``.
 
     ``dcols`` is (N, out_h, out_w, k, k, C); ``out`` is the padded NHWC
-    gradient target (N, Hp, Wp, C), fully overwritten.  Three execution
-    strategies:
-
-    * ``"tiled"`` -- ``stride == kernel`` with exact tiling: every input
-      position receives exactly one window element, so the whole scatter is
-      one reshaped assignment (no zero-fill, no loop).
-    * ``"overlap"`` -- ``stride == 1``: two :func:`overlap_add` passes
-      (width then height) replace the k*k Python loop.  Benchmarks at
-      parity with the loop for realistic kernels, so it is explicit-only.
-    * ``"loop"`` -- generic bulk slice adds (one per window offset); for
-      small kernels this touches the least memory.
-
-    ``method="auto"`` is ``"tiled"`` when the geometry tiles, else
-    ``"loop"``.
+    gradient target (N, Hp, Wp, C), fully overwritten.  When ``stride ==
+    kernel`` tiles the target exactly, every position receives one window
+    element and the scatter is one reshaped assignment (no zero-fill, no
+    loop); otherwise it is one bulk slice add per window offset.
     """
     n, out_h, out_w, k, _, c = dcols.shape
     np_, hp, wp, c_ = out.shape
     if (np_, c_) != (n, c) or k != kernel:
         raise ShapeError(f"col2im target {out.shape} does not match {dcols.shape}")
-    tiled_ok = stride == kernel and hp == out_h * kernel and wp == out_w * kernel
-    if method == "auto":
-        method = "tiled" if tiled_ok else "loop"
-    if method == "tiled":
-        if not tiled_ok:
-            raise ShapeError("tiled col2im requires stride == kernel and exact tiling")
+    if stride == kernel and hp == out_h * kernel and wp == out_w * kernel:
         view = out.reshape(n, out_h, kernel, out_w, kernel, c)
         view[...] = dcols.transpose(0, 1, 3, 2, 4, 5)
         return out
-    if method == "overlap":
-        if stride != 1:
-            raise ShapeError("overlap col2im requires stride == 1")
-        # Fold kj into the width axis, then ki into the height axis.
-        by_width = overlap_add(dcols.transpose(0, 1, 3, 4, 2, 5), ntail=1)
-        out[...] = overlap_add(by_width.transpose(0, 2, 1, 3, 4), ntail=2)
-        return out
-    if method != "loop":
-        raise ShapeError(f"unknown col2im method {method!r}")
     if stride == 1:
         # First window offset covers [0:out_h, 0:out_w] -- write it as an
         # assignment and zero only the uncovered border strips, saving a

@@ -7,10 +7,10 @@ of the input (whatever its strides) instead of materializing a window
 copy, max pooling records its gradient routing as a one-hot bool mask
 built by :func:`first_max_mask`, and
 backward is one broadcast multiply or assignment instead of the k x k
-Python loop.  The generic geometry keeps the original formulation (with
-workspace-backed buffers when a workspace is attached), and
-``_scatter_windows`` additionally vectorizes the ``stride == 1`` overlap
-case via :func:`overlap_add`.  Max pooling propagates NaN on every path.
+Python loop.  Any other geometry copies the windows (into workspace-backed
+buffers when a workspace is attached) and scatters its gradient back with
+:func:`~repro.nn.functional.scatter_windows`, the conv's scatter.  Max
+pooling propagates NaN on every path.
 """
 
 from __future__ import annotations
@@ -18,62 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.functional import conv_output_hw, overlap_add, sliding_windows
+from repro.nn.functional import conv_output_hw, scatter_windows, sliding_windows
 from repro.nn.module import Module
-
-
-def _scatter_windows(
-    dwin: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    out: np.ndarray | None = None,
-    method: str = "auto",
-) -> np.ndarray:
-    """Scatter-add per-window gradients (N,C,oh,ow,k,k) back onto the input.
-
-    ``method="auto"`` picks a single reshaped assignment when ``stride ==
-    kernel`` tiles the input exactly, else the bulk slice-add loop.
-    ``method="overlap"`` (explicit) vectorizes ``stride == 1`` scatters as
-    two :func:`overlap_add` passes instead of the k x k Python loop.
-    """
-    n, c, h, w = x_shape
-    out_h, out_w = dwin.shape[2], dwin.shape[3]
-    tiled_ok = stride == kernel and h == out_h * kernel and w == out_w * kernel
-    if method == "auto":
-        # "overlap" stays opt-in; the benchmark shows it only at parity
-        # with the bulk-add loop for realistic kernel sizes.
-        method = "tiled" if tiled_ok else "loop"
-    if method == "tiled":
-        if not tiled_ok:
-            raise ShapeError("tiled scatter requires stride == kernel exact tiling")
-        dx = out if out is not None else np.empty((n, c, h, w), dtype=dwin.dtype)
-        view = dx.reshape(n, c, out_h, kernel, out_w, kernel)
-        view[...] = dwin.transpose(0, 1, 2, 4, 3, 5)
-        return dx
-    if method == "overlap":
-        if stride != 1 or h != out_h + kernel - 1 or w != out_w + kernel - 1:
-            raise ShapeError("overlap scatter requires stride == 1")
-        # Fold kj into the width axis, then ki into the height axis.
-        by_width = overlap_add(dwin.transpose(0, 1, 2, 4, 5, 3), ntail=0)
-        dx_val = overlap_add(by_width.transpose(0, 1, 3, 2, 4), ntail=1)
-        if out is None:
-            return np.ascontiguousarray(dx_val)
-        out[...] = dx_val
-        return out
-    if method != "loop":
-        raise ShapeError(f"unknown scatter method {method!r}")
-    if out is None:
-        dx = np.zeros((n, c, h, w), dtype=dwin.dtype)
-    else:
-        dx = out
-        dx.fill(0)
-    for i in range(kernel):
-        for j in range(kernel):
-            dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += dwin[
-                :, :, :, :, i, j
-            ]
-    return dx
 
 
 def _tiles_exactly(shape: tuple[int, ...], kernel: int, stride: int) -> bool:
@@ -188,7 +134,7 @@ class MaxPool2d(Module):
             dflat.fill(0)
             np.put_along_axis(dflat, self._argmax[..., None], grad_out[..., None], axis=-1)
             dwin = dflat.reshape(n, c, oh, ow, k, k)
-            dx = _scatter_windows(dwin, self._x_shape, k, self.stride)
+            dx = scatter_windows(dwin, self._x_shape, k, self.stride)
         self._mask = self._argmax = None
         return dx
 
@@ -223,13 +169,9 @@ class AvgPool2d(Module):
             dx = np.empty(self._x_shape, dtype=grad_out.dtype)
             dx.reshape(n, c, oh, k, ow, k)[...] = share[:, :, :, None, :, None]
         else:
-            # Scatter the share directly -- no (N,C,oh,ow,k,k) broadcast
-            # copy is ever materialized.
-            s = self.stride
-            dx = np.zeros(self._x_shape, dtype=grad_out.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += share
+            # A broadcast view: no (N,C,oh,ow,k,k) copy is materialized.
+            dwin = np.broadcast_to(share[..., None, None], (n, c, oh, ow, k, k))
+            dx = scatter_windows(dwin, self._x_shape, k, self.stride)
         self._x_shape = None
         return dx
 

@@ -11,13 +11,12 @@ full training step -- in two configurations of the one conv path:
   gradients skipped where the trainers discard them (``need_input_grad``
   as :mod:`repro.training` and :mod:`repro.core.worker` pass it).
 
-Two micro rows are not seed/fast paths.  ``gemm_im2col`` times the
+One micro row is not a seed/fast pair.  ``gemm_im2col`` times the
 conv-core GEMM as repro runs it, on one BLAS thread (``seed``), against
 a plain ``np.matmul`` on the BLAS thread count in force (``fast``, the
 row's ``threads``): what an OpenBLAS pool would buy on this host, which
 the one-thread rule gives up for weights that do not depend on the core
-count.  ``col2im_overlap_k5`` times the two non-tiled scatter
-strategies, ``"loop"`` against ``"overlap"``.
+count.
 
 The ``backend`` suite covers :mod:`repro.backend`: real forked
 multiprocess block-parallel training vs the same executor single-process
@@ -92,7 +91,7 @@ def bench_im2col(batch: int, reps: int, seed: int = 0) -> dict:
         xp, fresh = ws.get("xp", (n, h + 2 * p, w + 2 * p, c))
         pad2d_nhwc(x, p, out=xp, fresh=fresh)
         oh = h + 2 * p - k + 1
-        cols = ws.buf("cols", (n, oh, oh, k, k, c))
+        cols, _ = ws.get("cols", (n, oh, oh, k, k, c))
         im2col_nhwc(xp, k, s, out=cols)
 
     return _entry(
@@ -121,31 +120,6 @@ def bench_col2im(batch: int, reps: int, seed: int = 0) -> dict:
         _ms(lambda: col2im_nhwc(dcols_nhwc, k, s, out=out), reps),
         shape=[n, c, h, w],
         kernel=k,
-    )
-
-
-def bench_col2im_overlap(batch: int, reps: int, seed: int = 0) -> dict:
-    """Large-kernel stride-1 scatter: the ``"loop"`` vs ``"overlap"`` paths.
-
-    These are the two strategies left when the geometry does not tile.
-    The overlap-add rewrite benches near parity with the loop, so
-    ``method="auto"`` keeps the loop and this row keeps the choice
-    measured.
-    """
-    from repro.nn.functional import col2im_nhwc
-
-    rng = np.random.default_rng(seed)
-    n, c, k = batch, 16, 5
-    oh = ow = 12
-    hp = oh + k - 1
-    dcols = rng.standard_normal((n, oh, ow, k, k, c)).astype(np.float32)
-    out = np.empty((n, hp, hp, c), np.float32)
-    return _paired_entry(
-        lambda: col2im_nhwc(dcols, k, 1, out=out, method="loop"),
-        lambda: col2im_nhwc(dcols, k, 1, out=out, method="overlap"),
-        max(reps, 10),
-        kernel=k,
-        path="overlap",
     )
 
 
@@ -208,8 +182,7 @@ def bench_conv_step(batch: int, reps: int, seed: int = 0) -> dict:
 def bench_maxpool_step(batch: int, reps: int, seed: int = 0) -> dict:
     """2x2 max pool fwd+bwd: generic window path vs exact-tiling path."""
     from repro.nn import MaxPool2d
-    from repro.nn.functional import sliding_windows
-    from repro.nn.pooling import _scatter_windows
+    from repro.nn.functional import scatter_windows, sliding_windows
 
     rng = np.random.default_rng(seed)
     n, c, hw = batch, 64, 16
@@ -226,7 +199,7 @@ def bench_maxpool_step(batch: int, reps: int, seed: int = 0) -> dict:
         np.take_along_axis(flat, idx[..., None], axis=-1)
         dflat = np.zeros((n, c, oh, oh, 4), dtype=g.dtype)
         np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        _scatter_windows(dflat.reshape(n, c, oh, oh, 2, 2), x.shape, 2, 2, method="loop")
+        scatter_windows(dflat.reshape(n, c, oh, oh, 2, 2), x.shape, 2, 2)
 
     def fast_step():
         pool.forward(x)
@@ -474,7 +447,6 @@ def run_suite(
         report["micro"] = {
             "im2col": bench_im2col(micro_batch, reps, seed),
             "col2im": bench_col2im(micro_batch, reps, seed),
-            "col2im_overlap_k5": bench_col2im_overlap(micro_batch, reps, seed),
             "gemm_im2col": bench_gemm_im2col(micro_batch, reps, seed),
             "conv_step": bench_conv_step(micro_batch, reps, seed),
             "maxpool_step": bench_maxpool_step(micro_batch, reps, seed),
@@ -506,18 +478,11 @@ def format_report(report: dict) -> str:
                 lines.append(f"{name:<22} skipped: {row.get('skipped', '?')}")
                 continue
             note = ""
-            if "path" in row:
-                note = f"  path={row['path']}"
-            elif "claim_met" in row:
+            if "claim_met" in row:
                 met = row["claim_met"]
                 note = (
                     f"  cores={row['cores']} claim(>=1.5x)="
                     f"{'n/a' if met is None else met}"
-                )
-            elif "weight_drop_pct" in row:
-                note = (
-                    f"  weights -{row['weight_drop_pct']}% "
-                    f"acc {row['accuracy_delta']:+.4f}"
                 )
             lines.append(
                 f"{name:<22} {row['seed_ms']:>10.3f} {row['fast_ms']:>10.3f} "

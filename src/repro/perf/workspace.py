@@ -85,16 +85,6 @@ class Workspace:
         self._slots[name] = (raw, view, user)
         return view, True
 
-    def buf(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        """Like :meth:`get` but without the freshness flag."""
-        return self.get(name, shape, dtype)[0]
-
-    def zeros(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        """A zero-filled slot (cleared on every call)."""
-        buf = self.buf(name, shape, dtype)
-        buf.fill(0)
-        return buf
-
     @property
     def nbytes(self) -> int:
         """Bytes held: per slot, the largest request it has served."""

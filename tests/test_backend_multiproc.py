@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import FakeBlas
+from repro.backend import multiproc
 from repro.backend.multiproc import fork_available, plan_stages, run_block_parallel
 from repro.errors import ConfigError
 from repro.models.zoo import build_model
@@ -193,6 +194,36 @@ class TestHostPrice:
 
 
 @needs_fork
+@needs_fork
+def test_activation_ring_recycles_its_slots_in_order():
+    """A ring holds DEFAULT_SLOTS micro-batches: every slot fills, then
+    drains in arrival order, and a drained slot takes the next batch."""
+    import multiprocessing as mp
+
+    ring = multiproc._ActivationRing(mp.get_context("fork"), (4, 2, 3, 3), np.int64, 4)
+    # A dead peer turns a wait that would block for good into a ConfigError.
+    dead = [SimpleNamespace(exitcode=1, name="peer")]
+    rng = np.random.default_rng(0)
+    batches = [
+        (rng.normal(size=(1 + i % 4, 2, 3, 3)).astype(np.float32), np.arange(1 + i % 4) + 10 * i)
+        for i in range(multiproc.DEFAULT_SLOTS + 2)
+    ]
+    for x, y in batches[: multiproc.DEFAULT_SLOTS]:
+        ring.put(x, y, dead)
+    with pytest.raises(ConfigError, match="died"):
+        ring.put(*batches[-1], dead)
+    got = [ring.get(dead) for _ in range(2)]
+    for x, y in batches[multiproc.DEFAULT_SLOTS :]:
+        ring.put(x, y, dead)
+    ring.put_done()
+    while (item := ring.get(dead)) is not None:
+        got.append(item)
+    assert len(got) == len(batches)
+    for (x, y), (gx, gy) in zip(batches, got):
+        np.testing.assert_array_equal(gx, x)
+        np.testing.assert_array_equal(gy, y)
+
+
 class TestRunBlockParallel:
     def test_single_process_trains(self, tiny_dataset):
         system = _system(tiny_dataset)

@@ -72,6 +72,9 @@ def test_quick_kernels_payload_shape(tmp_path, capsys):
         "suite", "quick", "batch", "reps", "model", "seed",
     }
     assert set(report["env"]) == ENV_KEYS | {"cores"}
+    assert set(report["micro"]) == {
+        "im2col", "col2im", "gemm_im2col", "conv_step", "maxpool_step",
+    }
 
 
 def test_quick_obs_payload_shape(tmp_path, capsys):

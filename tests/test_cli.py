@@ -104,12 +104,25 @@ class TestBench:
         assert row["shape"] == [4096, 288, 64]
         assert row["seed_ms"] > 0 and row["fast_ms"] > 0
 
-    def test_col2im_overlap_row_is_loop_vs_overlap(self):
-        from repro.perf.bench import bench_col2im_overlap
+    def test_kernels_table_notes_only_the_backend_claim(self):
+        from repro.perf.bench import format_report
 
-        row = bench_col2im_overlap(1, 1)
-        assert set(row) == {"seed_ms", "fast_ms", "speedup", "kernel", "path"}
-        assert row["path"] == "overlap" and row["kernel"] == 5
+        row = {"seed_ms": 3.0, "fast_ms": 2.0, "speedup": 1.5}
+        report = {
+            "config": {"model": "vgg11", "batch": 8, "reps": 2, "quick": True},
+            "micro": {"col2im": {**row, "kernel": 3}},
+            "backend": {
+                "mp_block_parallel": {**row, "cores": 2, "claim_met": None},
+                "idle": {"skipped": "one core"},
+            },
+        }
+        lines = format_report(report).splitlines()
+        assert lines[0] == "kernel benchmarks: model=vgg11 batch=8 reps=2 (quick)"
+        assert [ln for ln in lines if ln.startswith("col2im ")] == [
+            f"{'col2im':<22} {3.0:>10.3f} {2.0:>10.3f} {1.5:>7.2f}x"
+        ]
+        assert lines[-2].endswith("1.50x  cores=2 claim(>=1.5x)=n/a")
+        assert lines[-1] == f"{'idle':<22} skipped: one core"
 
 
 class TestSweep:

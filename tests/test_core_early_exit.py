@@ -6,8 +6,8 @@ import pytest
 from helpers import rand_image_batch
 from repro.core.auxiliary import build_aux_heads
 from repro.core.early_exit import (
-    EarlyExitModel,
     ExitCandidate,
+    MultiExitModel,
     exit_model_parameters,
     select_exit,
 )
@@ -78,7 +78,7 @@ class TestEarlyExitModel:
     def exit_model(self, small_vgg):
         heads = build_aux_heads(small_vgg, rule="aan")
         stages = [s.module for s in small_vgg.local_layers()[:3]]
-        return EarlyExitModel(stages, heads[2], exit_layer=2, name="test-exit")
+        return MultiExitModel(stages, [2], [heads[2]], name="test-exit")
 
     def test_forward_shape(self, exit_model, small_vgg):
         x = rand_image_batch(2, 3, 16, 16, dtype=np.float32)
@@ -124,11 +124,4 @@ class TestEarlyExitModel:
     def test_requires_stages(self, small_vgg):
         heads = build_aux_heads(small_vgg, rule="aan")
         with pytest.raises(ConfigError):
-            EarlyExitModel([], heads[0], 0, name="x")
-
-    def test_backward_pass(self, exit_model):
-        exit_model.train()
-        x = rand_image_batch(2, 3, 16, 16, dtype=np.float32)
-        out = exit_model.forward(x)
-        dx = exit_model.backward(np.ones_like(out))
-        assert dx.shape == x.shape
+            MultiExitModel([], [0], [heads[0]], name="x")

@@ -149,6 +149,24 @@ class TestNeuroFluxController:
         assert "exit layer" in text
         assert "compression" in text
 
+    def test_exit_model_is_a_one_exit_model(self, nf_model, tiny_dataset):
+        """The deployed model is a MultiExitModel with one exit: the stages
+        up to the exit layer, then that layer's auxiliary head."""
+        from repro.core import MultiExitModel
+
+        nf = NeuroFlux(nf_model, tiny_dataset, memory_budget=24 * MB)
+        exit_model = nf.build_exit_model(2)
+        assert isinstance(exit_model, MultiExitModel)
+        assert exit_model.exit_layers == [2] and exit_model.num_exits == 1
+        assert exit_model.exit_heads == [nf.aux_heads[2]]
+        assert exit_model.name == f"{nf_model.name}-exit3"
+        assert not exit_model.training
+        x = tiny_dataset.x_test[:4]
+        chain = x
+        for spec in nf.specs[:3]:
+            chain = spec.module.forward(chain)
+        np.testing.assert_array_equal(exit_model.forward(x), nf.aux_heads[2].forward(chain))
+
     def test_build_exit_model_predicts(self, run_report, tiny_dataset):
         nf, report = run_report
         exit_model = nf.build_exit_model(report.exit_layer)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NeuroFlux, NeuroFluxConfig, build_aux_heads
-from repro.core.early_exit import EarlyExitModel
+from repro.core.early_exit import MultiExitModel
 from repro.evalsim import (
     convnet_throughput,
     exit_model_throughput,
@@ -48,7 +48,7 @@ class TestModelThroughput:
         """Figure 14: the early-exit model out-runs the full model."""
         heads = build_aux_heads(model, rule="aan")
         stages = [s.module for s in model.local_layers()[:2]]
-        exit_model = EarlyExitModel(stages, heads[1], 1, name="exit")
+        exit_model = MultiExitModel(stages, [1], [heads[1]], name="exit")
         full = convnet_throughput(model, AGX_ORIN)
         early = exit_model_throughput(exit_model, 3, (16, 16), AGX_ORIN)
         gain = throughput_gain(full, early)
@@ -57,7 +57,7 @@ class TestModelThroughput:
     def test_gain_consistent_across_platforms(self, model):
         heads = build_aux_heads(model, rule="aan")
         stages = [s.module for s in model.local_layers()[:2]]
-        exit_model = EarlyExitModel(stages, heads[1], 1, name="exit")
+        exit_model = MultiExitModel(stages, [1], [heads[1]], name="exit")
         for platform in (RASPBERRY_PI_4B, JETSON_NANO, XAVIER_NX, AGX_ORIN):
             full = convnet_throughput(model, platform)
             early = exit_model_throughput(exit_model, 3, (16, 16), platform)

@@ -1,10 +1,9 @@
-"""Property tests: the NHWC lowering helpers and the pooling fast paths
-match their reference formulations.
+"""Property tests: the window scatters, the NHWC lowering helpers and the
+pooling fast paths match their reference formulations.
 
-The vectorized col2im variants and the pooling fast paths must be
-numerically interchangeable with the original formulations (exact for
-pure re-orderings of the same additions, allclose where the overlap-add
-sums in a different order).
+The references scatter with one unbuffered ``np.add.at`` per window
+offset, in ``(i, j)`` order, so every position sums the same addends in
+the same order as the code under test: comparisons are exact.
 """
 
 import numpy as np
@@ -13,16 +12,89 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.nn import AvgPool2d, MaxPool2d
+from repro.nn import AvgPool2d, DepthwiseConv2d, MaxPool2d
 from repro.nn.functional import (
     col2im_nhwc,
     im2col_nhwc,
-    overlap_add,
+    pad2d,
     pad2d_nhwc,
+    scatter_windows,
     sliding_windows,
 )
-from repro.nn.pooling import _scatter_windows
 from repro.utils.rng import spawn_rng
+
+
+def ref_scatter(dwin, x_shape, kernel, stride, padding=0):
+    """NCHW window scatter, one unbuffered ``np.add.at`` per window offset."""
+    n, c, h, w = x_shape
+    oh, ow = dwin.shape[2], dwin.shape[3]
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dwin.dtype)
+    rows = stride * np.arange(oh)[:, None]
+    cols = stride * np.arange(ow)[None, :]
+    for i in range(kernel):
+        for j in range(kernel):
+            np.add.at(dxp, (slice(None), slice(None), i + rows, j + cols), dwin[..., i, j])
+    return dxp[:, :, padding : padding + h, padding : padding + w]
+
+
+def ref_col2im_nhwc(dcols, kernel, stride, target_shape):
+    """NHWC column scatter onto a zeroed padded target, same order."""
+    oh, ow = dcols.shape[1], dcols.shape[2]
+    out = np.zeros(target_shape, dcols.dtype)
+    rows = stride * np.arange(oh)[:, None]
+    cols = stride * np.arange(ow)[None, :]
+    for i in range(kernel):
+        for j in range(kernel):
+            np.add.at(out, (slice(None), i + rows, j + cols), dcols[:, :, :, i, j, :])
+    return out
+
+
+class TestScatterWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(1, 5),
+        s=st.integers(1, 3), p=st.integers(0, 2), hw=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_exact_adjoint_of_padded_sliding_windows(self, n, c, k, s, p, hw, seed):
+        # <win(x), d> == <x, scatter(d)>, and the scatter is the np.add.at
+        # reference to the bit, into a fresh target or a NaN-filled one.
+        if hw + 2 * p < k:
+            return
+        rng = spawn_rng(seed, "scatter-windows")
+        x = rng.normal(size=(n, c, hw, hw))
+        win = sliding_windows(pad2d(x, p), k, s)
+        d = rng.normal(size=win.shape)
+        dx = scatter_windows(d, x.shape, k, s, p)
+        assert dx.shape == x.shape
+        assert np.isclose(np.vdot(win, d), np.vdot(x, dx), rtol=1e-9)
+        np.testing.assert_array_equal(dx, ref_scatter(d, x.shape, k, s, p))
+        stale = np.full((n, c, hw + 2 * p, hw + 2 * p), np.nan)
+        reused = scatter_windows(d, x.shape, k, s, p, out=stale)
+        assert np.shares_memory(reused, stale)
+        np.testing.assert_array_equal(reused, dx)
+
+    def test_target_must_be_the_padded_input(self):
+        d = np.zeros((1, 2, 3, 3, 3, 3))
+        with pytest.raises(ShapeError, match="does not match"):
+            scatter_windows(d, (1, 2, 5, 5), 3, 1, 1, out=np.zeros((1, 2, 5, 5)))
+
+    @pytest.mark.parametrize("attached", [False, True], ids=["fresh", "workspace"])
+    @pytest.mark.parametrize("k, s, p", [(3, 1, 1), (3, 2, 1), (5, 1, 2), (2, 2, 0)])
+    def test_depthwise_input_grad_is_the_reference_scatter(self, k, s, p, attached):
+        # Two steps on one module: with a workspace the second scatters
+        # into the slot the first left holding its gradient.
+        conv = DepthwiseConv2d(3, k, s, p, rng=np.random.default_rng(1))
+        if attached:
+            conv.attach_workspace()
+        rng = spawn_rng(14, "depthwise")
+        for _ in range(2):
+            x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
+            y = conv.forward(x)
+            g = rng.normal(size=y.shape).astype(np.float32)
+            dwin = np.einsum("nchw,cij->nchwij", g, conv.weight.data, optimize=True)
+            dx = conv.backward(g)
+            np.testing.assert_array_equal(dx, ref_scatter(dwin, x.shape, k, s, p))
 
 class TestCol2imNhwcAdjoint:
     @settings(max_examples=40, deadline=None)
@@ -31,45 +103,16 @@ class TestCol2imNhwcAdjoint:
         s=st.integers(1, 3), hw=st.integers(5, 10),
     )
     def test_scatter_is_exact_adjoint_of_gather(self, n, c, k, s, hw):
-        # <im2col(x), d> == <x, col2im(d)> for every geometry and method.
+        # <im2col(x), d> == <x, col2im(d)> for every geometry, tiled or not.
         if hw < k:
             return
         rng = spawn_rng(7, "adjoint")
         xp = rng.normal(size=(n, hw, hw, c)).astype(np.float64)
         cols = im2col_nhwc(xp, k, s)
         d = rng.normal(size=cols.shape).astype(np.float64)
-        out = np.empty_like(xp)
-        methods = ["loop"]
-        oh = (hw - k) // s + 1
-        if s == k and hw == oh * k:
-            methods.append("tiled")
-        if s == 1:
-            methods.append("overlap")
-        for method in methods:
-            dx = col2im_nhwc(d, k, s, out=out, method=method)
-            lhs = float(np.vdot(cols, d))
-            rhs = float(np.vdot(xp, dx))
-            assert np.isclose(lhs, rhs, rtol=1e-9), method
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(2, 6),
-        oh=st.integers(1, 5),
-    )
-    def test_overlap_method_equals_loop(self, n, c, k, oh):
-        rng = spawn_rng(8, "overlap")
-        d = rng.normal(size=(n, oh, oh, k, k, c)).astype(np.float64)
-        hp = oh + k - 1
-        a = col2im_nhwc(d, k, 1, out=np.empty((n, hp, hp, c)), method="loop")
-        b = col2im_nhwc(d, k, 1, out=np.empty((n, hp, hp, c)), method="overlap")
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-    def test_overlap_add_basic(self):
-        contrib = np.zeros((2, 4, 3, 1))
-        contrib[:, 1, 0, 0] = 1.0  # window row 1, position 0 -> output 1
-        out = overlap_add(contrib, ntail=1)
-        assert out.shape == (2, 6, 1)
-        np.testing.assert_array_equal(out[:, 1, 0], [1.0, 1.0])
+        dx = col2im_nhwc(d, k, s, out=np.empty_like(xp))
+        assert np.isclose(float(np.vdot(cols, d)), float(np.vdot(xp, dx)), rtol=1e-9)
+        np.testing.assert_array_equal(dx, ref_col2im_nhwc(d, k, s, xp.shape))
 
     def test_pad2d_nhwc_matches_transpose_pad(self):
         rng = spawn_rng(9, "pad")
@@ -87,55 +130,33 @@ def _col2im_case(k, s, oh, extra=0, n=2, c=3, seed=10):
 
 
 class TestCol2imMethodChoice:
-    """``method="auto"`` is ``"tiled"`` when the geometry tiles, else
-    ``"loop"``; explicit methods check their own preconditions."""
+    """The scatter is one reshaped assignment when the geometry tiles, else
+    the slice-add loop; either way it equals the ``np.add.at`` reference."""
 
     @pytest.mark.parametrize("k, s, oh", [(2, 2, 4), (3, 3, 3), (1, 1, 5)])
     def test_auto_is_tiled_when_the_geometry_tiles(self, k, s, oh):
         d, out = _col2im_case(k, s, oh)
-        auto = col2im_nhwc(d, k, s, out=out.copy(), method="auto")
-        tiled = col2im_nhwc(d, k, s, out=out.copy(), method="tiled")
-        loop = col2im_nhwc(d, k, s, out=out.copy(), method="loop")
-        np.testing.assert_array_equal(auto, tiled)
-        np.testing.assert_array_equal(auto, loop)
+        got = col2im_nhwc(d, k, s, out=out)
+        np.testing.assert_array_equal(got, ref_col2im_nhwc(d, k, s, out.shape))
 
     @pytest.mark.parametrize(
         "k, s, oh, extra", [(3, 1, 6, 0), (5, 1, 4, 0), (3, 2, 4, 0), (2, 2, 4, 1)]
     )
     def test_auto_is_the_loop_otherwise(self, k, s, oh, extra):
         d, out = _col2im_case(k, s, oh, extra)
-        auto = col2im_nhwc(d, k, s, out=out.copy())
-        loop = col2im_nhwc(d, k, s, out=out.copy(), method="loop")
-        np.testing.assert_array_equal(auto, loop)
-        with pytest.raises(ShapeError, match="tiled col2im requires"):
-            col2im_nhwc(d, k, s, out=out.copy(), method="tiled")
+        got = col2im_nhwc(d, k, s, out=out)
+        np.testing.assert_array_equal(got, ref_col2im_nhwc(d, k, s, out.shape))
 
     @pytest.mark.parametrize(
-        "method, k, s", [("loop", 3, 1), ("loop", 3, 2), ("overlap", 3, 1), ("tiled", 2, 2)]
+        "path, k, s", [("loop", 3, 1), ("loop", 3, 2), ("tiled", 2, 2)]
     )
-    def test_stale_target_is_fully_overwritten(self, method, k, s):
+    def test_stale_target_is_fully_overwritten(self, path, k, s):
         d, out = _col2im_case(k, s, 4)
-        fresh = col2im_nhwc(d, k, s, out=np.zeros_like(out), method=method)
+        fresh = col2im_nhwc(d, k, s, out=np.zeros_like(out))
         out.fill(np.nan)
-        stale = col2im_nhwc(d, k, s, out=out, method=method)
+        stale = col2im_nhwc(d, k, s, out=out)
         assert stale is out
         np.testing.assert_array_equal(stale, fresh)
-
-    @pytest.mark.parametrize("method", ["threaded", "fast"])
-    def test_unknown_method_raises(self, method):
-        d, out = _col2im_case(3, 1, 4)
-        with pytest.raises(ShapeError, match="unknown col2im method"):
-            col2im_nhwc(d, 3, 1, out=out, method=method)
-
-    def test_overlap_requires_stride_one(self):
-        d, out = _col2im_case(3, 2, 4)
-        with pytest.raises(ShapeError, match="overlap col2im requires stride == 1"):
-            col2im_nhwc(d, 3, 2, out=out, method="overlap")
-
-    def test_tiled_requires_stride_equal_to_kernel(self):
-        d, out = _col2im_case(3, 1, 4)
-        with pytest.raises(ShapeError, match="tiled col2im requires"):
-            col2im_nhwc(d, 3, 1, out=out, method="tiled")
 
     @pytest.mark.parametrize("mismatch", ["channels", "kernel"])
     def test_target_must_match_the_columns(self, mismatch):
@@ -147,36 +168,6 @@ class TestCol2imMethodChoice:
             kernel = 2
         with pytest.raises(ShapeError, match="does not match"):
             col2im_nhwc(d, kernel, 1, out=out)
-
-
-class TestScatterWindowsFastPaths:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 2), c=st.integers(1, 3), k=st.integers(1, 5),
-        s=st.integers(1, 3), hw=st.integers(5, 10),
-    )
-    def test_methods_agree(self, n, c, k, s, hw):
-        if hw < k:
-            return
-        oh = (hw - k) // s + 1
-        rng = spawn_rng(10, "scatter")
-        dwin = rng.normal(size=(n, c, oh, oh, k, k))
-        ref = _scatter_windows(dwin, (n, c, hw, hw), k, s, method="loop")
-        if s == k and hw == oh * k:
-            got = _scatter_windows(dwin, (n, c, hw, hw), k, s, method="tiled")
-            np.testing.assert_array_equal(ref, got)
-        if s == 1 and hw == oh + k - 1:
-            got = _scatter_windows(dwin, (n, c, hw, hw), k, s, method="overlap")
-            np.testing.assert_allclose(ref, got, rtol=1e-10, atol=1e-12)
-
-    def test_auto_dispatch_matches_loop(self):
-        rng = spawn_rng(11, "auto")
-        for (k, s, hw) in [(2, 2, 8), (3, 3, 9), (5, 1, 9), (3, 2, 7)]:
-            oh = (hw - k) // s + 1
-            dwin = rng.normal(size=(1, 2, oh, oh, k, k))
-            ref = _scatter_windows(dwin, (1, 2, hw, hw), k, s, method="loop")
-            got = _scatter_windows(dwin, (1, 2, hw, hw), k, s)
-            np.testing.assert_allclose(ref, got, rtol=1e-10, atol=1e-12)
 
 
 class TestPoolingPaths:
@@ -207,9 +198,7 @@ class TestPoolingPaths:
         idx = flat.argmax(axis=-1)
         dflat = np.zeros_like(flat)
         np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        ref = _scatter_windows(
-            dflat.reshape(n, 2, oh, oh, k, k), x.shape, k, k, method="loop"
-        )
+        ref = ref_scatter(dflat.reshape(n, 2, oh, oh, k, k), x.shape, k, k)
         np.testing.assert_array_equal(dx, ref)
 
     @settings(max_examples=25, deadline=None)
@@ -223,11 +212,6 @@ class TestPoolingPaths:
         y = pool.forward(x)
         g = rng.normal(size=y.shape)
         dx = pool.backward(g)
-        # Reference: scatter g/k^2 into every window position explicitly.
-        oh = (hw - k) // s + 1
-        ref = np.zeros_like(x)
-        share = g / (k * k)
-        for i in range(k):
-            for j in range(k):
-                ref[:, :, i : i + s * oh : s, j : j + s * oh : s] += share
-        np.testing.assert_allclose(dx, ref, rtol=1e-12, atol=1e-12)
+        # Reference: scatter g/k^2 into every window position.
+        share = np.broadcast_to((g / (k * k))[..., None, None], g.shape + (k, k))
+        np.testing.assert_array_equal(dx, ref_scatter(share, x.shape, k, s))
