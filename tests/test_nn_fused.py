@@ -96,6 +96,7 @@ class TestScatterWindows:
             dx = conv.backward(g)
             np.testing.assert_array_equal(dx, ref_scatter(dwin, x.shape, k, s, p))
 
+
 class TestCol2imNhwcAdjoint:
     @settings(max_examples=40, deadline=None)
     @given(
