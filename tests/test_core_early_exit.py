@@ -73,7 +73,7 @@ class TestSelectExit:
             )
 
 
-class TestEarlyExitModel:
+class TestOneExitModel:
     @pytest.fixture()
     def exit_model(self, small_vgg):
         heads = build_aux_heads(small_vgg, rule="aan")
