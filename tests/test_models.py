@@ -161,3 +161,51 @@ class TestLocalLayerView:
         m = build_model("vgg11", width_multiplier=1.0)
         assert m.min_conv_width == 64
         assert m.max_conv_width == 512
+
+
+def _layer_spec_digest() -> str:
+    """sha256 over every zoo model's ``LayerSpec`` list (index, name,
+    channels, sizes and both flags) at two widths and three input sizes.
+    Built shape-only: only the geometry is hashed."""
+    import hashlib
+
+    from repro.nn.init import shapes_only
+
+    digest = hashlib.sha256()
+    with shapes_only():
+        for name in list_models():
+            for width in (0.25, 1.0):
+                for hw in ((32, 32), (8, 8), (2, 2)):
+                    model = build_model(name, input_hw=hw, width_multiplier=width)
+                    for s in model.local_layers():
+                        digest.update(
+                            f"{name}:{width}:{hw}:{s.index}:{s.name}:"
+                            f"{s.in_channels}:{s.out_channels}:{s.in_hw}:{s.out_hw}:"
+                            f"{s.downsamples}:{s.before_first_downsample}\n".encode()
+                        )
+                    digest.update(
+                        f"{model.min_conv_width}:{model.max_conv_width}\n".encode()
+                    )
+    return digest.hexdigest()
+
+
+class TestLayerSpecGeometry:
+    """Every model derives its stage geometry by one rule; both digests
+    were recorded from the hand-built specs each model used to carry."""
+
+    DIGEST = "bcaa1d2803c7562f61a668e10c52e94d0b657bcb63337b03541363c9e60c8c1a"
+    WEIGHTS = {
+        "vgg11": "1353b10ef531b62e540254dc8d8fdee92481d8dfb0702692ae2b34d7c28e6fcc",
+        "resnet18": "8c83db8267914c755c623d1af84e17c0dc11b057f75bd9c55d49066ef9b45cbe",
+        "mobilenet": "b7cbd9ce2ab1c6354775ad35f01379fd637df9c7e8095a695f5d15927dfcf37e",
+    }
+
+    def test_layer_specs_match_recorded_digest(self):
+        assert _layer_spec_digest() == self.DIGEST
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_initial_weights_match_recorded_digest(self, name):
+        from helpers import modules_digest
+
+        model = build_model(name, width_multiplier=0.25, seed=3)
+        assert modules_digest([model]) == self.WEIGHTS[name]
