@@ -6,15 +6,16 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.models.layers import LayerSpec
-from repro.nn.module import Module, run_backward
+from repro.nn import Flatten, GlobalAvgPool2d, Linear
+from repro.nn.module import Module, Sequential, run_backward
 
 
 class ConvNet(Module):
     """A CNN decomposed into local-learning stages plus a classifier head.
 
-    Subclasses populate ``self.stages`` (list of stage modules), ``self.head``
-    (pool+flatten+linear classifier) and ``self._specs`` (one
-    :class:`LayerSpec` per stage) during construction.
+    Subclasses build their stages in order with :meth:`add_stage`, which
+    derives each stage's :class:`LayerSpec` geometry from the one before
+    it, and finish with :meth:`add_head` (pool+flatten+linear classifier).
 
     End-to-end training (the BP baseline) uses ``forward``/``backward`` over
     the whole chain; local learning trains each ``LayerSpec.module``
@@ -36,7 +37,52 @@ class ConvNet(Module):
         self.stages: list[Module] = []
         self.head: Module | None = None
         self._specs: list[LayerSpec] = []
-        self._conv_widths: list[int] = []
+
+    # -- construction ----------------------------------------------------------
+    @property
+    def feature_shape(self) -> tuple[int, tuple[int, int]]:
+        """``(channels, (h, w))`` the stage chain emits so far: what the
+        next stage receives (the model input before the first stage)."""
+        if not self._specs:
+            return self.in_channels, self.input_hw
+        last = self._specs[-1]
+        return last.out_channels, last.out_hw
+
+    def add_stage(
+        self, name: str, module: Module, out_channels: int, out_hw: tuple[int, int]
+    ) -> LayerSpec:
+        """Append one local-learning stage and its :class:`LayerSpec`.
+
+        The index, input channels and input size follow from the previous
+        stage; the stage ``downsamples`` when its map shrank, and
+        ``before_first_downsample`` holds until the first stage that does.
+        """
+        in_channels, in_hw = self.feature_shape
+        out_hw = tuple(out_hw)
+        downsamples = out_hw != in_hw
+        spec = LayerSpec(
+            index=len(self._specs),
+            name=name,
+            module=module,
+            in_channels=in_channels,
+            out_channels=out_channels,
+            in_hw=in_hw,
+            out_hw=out_hw,
+            downsamples=downsamples,
+            before_first_downsample=not downsamples
+            and (not self._specs or self._specs[-1].before_first_downsample),
+        )
+        self.stages.append(module)
+        self._specs.append(spec)
+        return spec
+
+    def add_head(self, rng: np.random.Generator) -> None:
+        """The classifier over the last stage: GAP -> Flatten -> Linear."""
+        self.head = Sequential(
+            GlobalAvgPool2d(),
+            Flatten(),
+            Linear(self.feature_shape[0], self.num_classes, rng=rng),
+        )
 
     # -- end-to-end path ---------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -90,11 +136,11 @@ class ConvNet(Module):
 
     @property
     def min_conv_width(self) -> int:
-        return min(self._conv_widths)
+        return min(s.out_channels for s in self._specs)
 
     @property
     def max_conv_width(self) -> int:
-        return max(self._conv_widths)
+        return max(s.out_channels for s in self._specs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

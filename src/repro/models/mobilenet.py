@@ -9,17 +9,7 @@ NeuroFlux.  Each local-learning unit is one depthwise-separable block
 from __future__ import annotations
 
 from repro.models.base import ConvNet, scale_width
-from repro.models.layers import LayerSpec
-from repro.nn import (
-    BatchNorm2d,
-    Conv2d,
-    DepthwiseConv2d,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    ReLU,
-    Sequential,
-)
+from repro.nn import BatchNorm2d, Conv2d, DepthwiseConv2d, ReLU, Sequential
 from repro.utils.rng import spawn_rng
 
 # (out_channels, stride) per depthwise-separable block, CIFAR-adapted.
@@ -60,25 +50,9 @@ class MobileNet(ConvNet):
             BatchNorm2d(stem_width),
             ReLU(),
         )
-        hw = self.input_hw
-        self.stages.append(stem)
-        self._specs.append(
-            LayerSpec(
-                index=0,
-                name="stem",
-                module=stem,
-                in_channels=self.in_channels,
-                out_channels=stem_width,
-                in_hw=hw,
-                out_hw=hw,
-                downsamples=False,
-                before_first_downsample=True,
-            )
-        )
-        self._conv_widths.append(stem_width)
-        in_ch = stem_width
-        downsampled_yet = False
+        self.add_stage("stem", stem, stem_width, self.input_hw)
         for block_i, (channels, want_stride) in enumerate(config):
+            in_ch, hw = self.feature_shape
             width = scale_width(channels, width_multiplier)
             stride = want_stride if min(hw) >= 2 else 1
             rng = spawn_rng(seed, f"mobilenet/ds{block_i}")
@@ -90,33 +64,6 @@ class MobileNet(ConvNet):
                 BatchNorm2d(width),
                 ReLU(),
             )
-            out_hw = (
-                (hw[0] + 2 - 3) // stride + 1,
-                (hw[1] + 2 - 3) // stride + 1,
-            )
-            downsamples = stride > 1
-            if downsamples:
-                downsampled_yet = True
-            self.stages.append(block)
-            self._specs.append(
-                LayerSpec(
-                    index=block_i + 1,
-                    name=f"ds{block_i + 1}",
-                    module=block,
-                    in_channels=in_ch,
-                    out_channels=width,
-                    in_hw=hw,
-                    out_hw=out_hw,
-                    downsamples=downsamples,
-                    before_first_downsample=not downsampled_yet,
-                )
-            )
-            self._conv_widths.append(width)
-            in_ch = width
-            hw = out_hw
-        head_rng = spawn_rng(seed, "mobilenet/head")
-        self.head = Sequential(
-            GlobalAvgPool2d(),
-            Flatten(),
-            Linear(in_ch, num_classes, rng=head_rng),
-        )
+            out_hw = ((hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1)
+            self.add_stage(f"ds{block_i + 1}", block, width, out_hw)
+        self.add_head(spawn_rng(seed, "mobilenet/head"))

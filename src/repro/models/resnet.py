@@ -12,17 +12,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.models.base import ConvNet, scale_width
-from repro.models.layers import LayerSpec
-from repro.nn import (
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    GlobalAvgPool2d,
-    Identity,
-    Linear,
-    ReLU,
-    Sequential,
-)
+from repro.nn import BatchNorm2d, Conv2d, Identity, ReLU, Sequential
 from repro.nn.module import Module, run_backward
 from repro.utils.rng import spawn_rng
 
@@ -132,64 +122,22 @@ class ResNet(ConvNet):
         super().__init__(variant, input_hw, num_classes)
         widths = [scale_width(c, width_multiplier) for c in (64, 128, 256, 512)]
         stem_rng = spawn_rng(seed, f"{variant}/stem")
-        stem_width = widths[0]
         stem = Sequential(
-            Conv2d(self.in_channels, stem_width, 3, stride=1, padding=1, bias=False, rng=stem_rng),
-            BatchNorm2d(stem_width),
+            Conv2d(self.in_channels, widths[0], 3, stride=1, padding=1, bias=False, rng=stem_rng),
+            BatchNorm2d(widths[0]),
             ReLU(),
         )
-        hw = self.input_hw
-        self.stages.append(stem)
-        self._specs.append(
-            LayerSpec(
-                index=0,
-                name="stem",
-                module=stem,
-                in_channels=self.in_channels,
-                out_channels=stem_width,
-                in_hw=hw,
-                out_hw=hw,
-                downsamples=False,
-                before_first_downsample=True,
-            )
-        )
-        self._conv_widths.append(stem_width)
-        in_ch = stem_width
-        layer_idx = 1
-        downsampled_yet = False
+        self.add_stage("stem", stem, widths[0], self.input_hw)
         for stage_i, (width, n_blocks) in enumerate(zip(widths, blocks_per_stage)):
             for block_i in range(n_blocks):
+                in_ch, hw = self.feature_shape
                 # First block of stages 2-4 downsamples (stride 2); keep
                 # stride 1 if the map is already 1x1 (tiny test inputs).
                 want_stride = 2 if (stage_i > 0 and block_i == 0) else 1
                 stride = want_stride if min(hw) >= 2 else 1
                 rng = spawn_rng(seed, f"{variant}/s{stage_i}b{block_i}")
                 block = BasicBlock(in_ch, width, stride=stride, rng=rng)
-                out_hw = block.output_hw(hw)
-                downsamples = stride > 1
-                if downsamples:
-                    downsampled_yet = True
-                self.stages.append(block)
-                self._specs.append(
-                    LayerSpec(
-                        index=layer_idx,
-                        name=f"block{stage_i + 1}.{block_i + 1}",
-                        module=block,
-                        in_channels=in_ch,
-                        out_channels=width,
-                        in_hw=hw,
-                        out_hw=out_hw,
-                        downsamples=downsamples,
-                        before_first_downsample=not downsampled_yet,
-                    )
+                self.add_stage(
+                    f"block{stage_i + 1}.{block_i + 1}", block, width, block.output_hw(hw)
                 )
-                self._conv_widths.append(width)
-                in_ch = width
-                hw = out_hw
-                layer_idx += 1
-        head_rng = spawn_rng(seed, f"{variant}/head")
-        self.head = Sequential(
-            GlobalAvgPool2d(),
-            Flatten(),
-            Linear(in_ch, num_classes, rng=head_rng),
-        )
+        self.add_head(spawn_rng(seed, f"{variant}/head"))

@@ -9,17 +9,9 @@ skipped, so narrow test inputs (e.g. 8x8) still build.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.models.base import ConvNet, scale_width
-from repro.models.layers import LayerSpec, conv_unit
-from repro.nn import (
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    Sequential,
-)
+from repro.models.layers import conv_unit
 from repro.utils.rng import spawn_rng
 
 VGG_CONFIGS: dict[str, list] = {
@@ -52,53 +44,22 @@ class VGG(ConvNet):
             raise ConfigError(f"unknown VGG variant {variant!r}")
         super().__init__(variant, input_hw, num_classes)
         config = VGG_CONFIGS[variant]
-        rng_root = seed
-        in_ch = self.in_channels
-        hw = self.input_hw
-        layer_idx = 0
-        downsampled_yet = False
         i = 0
         while i < len(config):
+            in_ch, hw = self.feature_shape
+            idx = len(self.stages)
             width = scale_width(int(config[i]), width_multiplier)
-            rng = spawn_rng(rng_root, f"{variant}/conv{layer_idx}")
-            pool = None
-            out_hw = hw
-            downsamples = False
             # Fold a following 'M' into this unit, if the map is still poolable.
+            pool = None
             if i + 1 < len(config) and config[i + 1] == "M":
                 if min(hw) >= 2:
                     pool = 2
-                    out_hw = (hw[0] // 2, hw[1] // 2)
-                    downsamples = True
+                    hw = (hw[0] // 2, hw[1] // 2)
                 i += 1  # consume the 'M' marker either way
             stage = conv_unit(
-                in_ch, width, 3, stride=1, padding=1,
-                batch_norm=batch_norm, rng=rng, pool=pool,
+                in_ch, width, 3, stride=1, padding=1, batch_norm=batch_norm,
+                rng=spawn_rng(seed, f"{variant}/conv{idx}"), pool=pool,
             )
-            if downsamples:
-                downsampled_yet = True
-            self.stages.append(stage)
-            self._specs.append(
-                LayerSpec(
-                    index=layer_idx,
-                    name=f"conv{layer_idx + 1}",
-                    module=stage,
-                    in_channels=in_ch,
-                    out_channels=width,
-                    in_hw=hw,
-                    out_hw=out_hw,
-                    downsamples=downsamples,
-                    before_first_downsample=not downsampled_yet,
-                )
-            )
-            self._conv_widths.append(width)
-            in_ch = width
-            hw = out_hw
-            layer_idx += 1
+            self.add_stage(f"conv{idx + 1}", stage, width, hw)
             i += 1
-        head_rng = spawn_rng(rng_root, f"{variant}/head")
-        self.head = Sequential(
-            GlobalAvgPool2d(),
-            Flatten(),
-            Linear(in_ch, num_classes, rng=head_rng),
-        )
+        self.add_head(spawn_rng(seed, f"{variant}/head"))
