@@ -36,12 +36,13 @@ from repro.core.profiler import (
     measure_unit_memory,
 )
 from repro.core.report import BlockReport, NeuroFluxReport
-from repro.core.worker import BlockWorker
+from repro.core.worker import BlockCost, BlockWorker, block_cost
 
 __all__ = [
     "ActivationStore",
     "AuxiliaryHead",
     "Block",
+    "BlockCost",
     "BlockReport",
     "BlockWorker",
     "CLASSIC_AUX_FILTERS",
@@ -56,6 +57,7 @@ __all__ = [
     "ProfileResult",
     "aan_filter_count",
     "aux_filter_counts",
+    "block_cost",
     "build_aux_heads",
     "exit_model_parameters",
     "feasible_batches",

@@ -34,11 +34,11 @@ from repro.core.early_exit import (
     exit_model_parameters,
     select_exit,
 )
-from repro.core.partitioner import Block, partition, validate_partition
+from repro.core.partitioner import Block, plan_blocks
 from repro.core.prefetcher import rebatch
-from repro.core.profiler import MemoryProfiler, block_residency_bytes
+from repro.core.profiler import block_residency_bytes, profile_layers, profiling_seconds
 from repro.core.report import BlockReport, NeuroFluxReport
-from repro.core.worker import BlockWorker
+from repro.core.worker import BlockWorker, block_cost
 from repro.data.datasets import SyntheticImageDataset
 from repro.data.loader import DataLoader
 from repro.errors import ConfigError
@@ -164,26 +164,8 @@ class NeuroFlux:
     # -- planning (steps 1-2) ----------------------------------------------
     def plan(self) -> tuple[list[Block], float]:
         """Profile and partition; returns blocks and profiling FLOPs."""
-        profiler = MemoryProfiler(
-            self.specs,
-            list(self.aux_heads),
-            optimizer=self.config.optimizer,
-            sample_batches=self.config.sample_batches,
-        )
-        profile = profiler.profile()
-        blocks = partition(
-            profile.models,
-            self.memory_budget,
-            self.config.batch_limit,
-            rho=self.config.rho,
-        )
-        validate_partition(blocks, len(self.specs))
-        if not self.config.adaptive_batch:
-            # Ablation: a single global batch (what AAN-LL alone would use).
-            global_batch = min(b.batch_size for b in blocks)
-            for b in blocks:
-                b.batch_size = global_batch
-        return blocks, profile.profiling_flops
+        profile = profile_layers(self.specs, self.aux_heads, self.config)
+        return plan_blocks(profile, self.memory_budget, self.config), profile.profiling_flops
 
     # -- private helpers -----------------------------------------------------
     def _raw_batches(self, block: Block, epoch_rng: np.random.Generator) -> DataLoader:
@@ -219,13 +201,10 @@ class NeuroFlux:
             # Ablation: no cache -- re-run forward passes over every
             # already-trained block for each batch (the redundancy the
             # paper's caching eliminates).
-            from repro.flops.count import module_forward_flops
-
             prior_specs = self.specs[: block.first_layer]
-            prior_flops = sum(
-                module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0]
-                for s in prior_specs
-            )
+            prior_flops = self._block_cost(
+                range(block.first_layer), block.batch_size
+            ).forward_flops_per_sample
             for x, y in self._raw_batches(block, epoch_rng):
                 for s in prior_specs:
                     s.module.eval()
@@ -251,10 +230,7 @@ class NeuroFlux:
         or -- for a schedule with no device in this process (the forked
         stages own theirs) -- straight on the run's ``ledger``."""
         platform = psim.platform if psim is not None else self.platform
-        seconds = (
-            profiling_flops / platform.effective_flops
-            + len(self.specs) * platform.kernel_launch_overhead
-        )
+        seconds = profiling_seconds(profiling_flops, len(self.specs), platform)
         if psim is not None:
             return psim.add_profiling(seconds)
         ledger.profiling += seconds
@@ -294,12 +270,20 @@ class NeuroFlux:
             optimizers,
             sim,
             sample_bytes=self.data.spec.sample_bytes,
+            cost=self._block_cost(block.layer_indices, block.batch_size),
         )
         layer_pool, head_pool = pools if pools is not None else ({}, {})
         for spec, aux in zip(worker.layer_specs, worker.aux_heads):
             spec.module.attach_workspace(layer_pool)
             aux.attach_workspace(head_pool)
         return worker
+
+    def _block_cost(self, layer_indices, batch_size: int):
+        """:func:`~repro.core.worker.block_cost` of these layers as one
+        block at ``batch_size``."""
+        return block_cost(
+            self.specs, self.aux_heads, layer_indices, batch_size, self.config.optimizer
+        )
 
     def _block_residency_bytes(self, block: Block, batch_size: int | None = None) -> int:
         """Peak working set of training this block (worst member layer) at
@@ -497,20 +481,16 @@ class NeuroFlux:
             cbs = self._subscribers(runtime, callbacks)
             for block in blocks:
                 sim = ctx.sim_for_block(block.index)
+                worker = self._build_worker(block, sim)
+                block_specs = worker.layer_specs
                 # §3.1: load the block into GPU memory, others to storage.
-                block_specs = [self.specs[i] for i in block.layer_indices]
-                block_aux = [self.aux_heads[i] for i in block.layer_indices]
-                block_param_bytes = sum(
-                    s.module.parameter_bytes() for s in block_specs
-                ) + sum(a.parameter_bytes() for a in block_aux)
                 sim.charge(
                     "overhead",
-                    sim.storage_time(block_param_bytes, n_ops=1),
+                    sim.storage_time(worker.cost.param_bytes, n_ops=1),
                     span="cache_io",
                     name=f"load-block{block.index}",
                 )
-                ctx.alloc_block(block.index, self._block_residency_bytes(block))
-                worker = self._build_worker(block, sim)
+                ctx.alloc_block(block.index, worker.cost.residency_bytes)
                 input_mode = block_input_mode(block.index, cfg.use_cache)
                 if runtime is not None:
                     runtime.bind_live({block.index: worker})

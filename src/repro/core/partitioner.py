@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.profiler import LinearMemoryModel
+from repro.core.profiler import LinearMemoryModel, ProfileResult
 from repro.errors import ConfigError, PartitionError
 
 #: Paper Section 5.2: 40% was empirically the best grouping threshold
@@ -89,6 +89,22 @@ def partition(
             i += 1
         blocks.append(block)
         i += 1
+    return blocks
+
+
+def plan_blocks(profile: ProfileResult, memory_budget: int, config) -> list[Block]:
+    """Step 2 as a run takes it: Algorithm 1 over ``profile``'s lines
+    under ``config``'s batch limit and rho, checked, then -- where
+    ``config.adaptive_batch`` is off -- the AB-LL ablation's one global
+    batch.  The one plan :meth:`NeuroFlux.plan` and the closed form
+    (:func:`repro.evalsim.training_time.simulate_neuroflux`) share."""
+    blocks = partition(profile.models, memory_budget, config.batch_limit, rho=config.rho)
+    validate_partition(blocks, len(profile))
+    if not config.adaptive_batch:
+        # Ablation: a single global batch (what AAN-LL alone would use).
+        global_batch = min(b.batch_size for b in blocks)
+        for b in blocks:
+            b.batch_size = global_batch
     return blocks
 
 

@@ -70,8 +70,10 @@ def block_residency_bytes(
     """Peak working set of training a block: its worst member unit.
 
     Only one layer of a block trains at a time, so the block's residency
-    is the max over member units -- the rule the controller allocates by
-    and the placement optimizer budgets with.
+    is the max over member units.  The one residency rule: it is
+    :func:`repro.core.worker.block_cost`'s ``residency_bytes``, which the
+    controller allocates by, the placement optimizer budgets with and
+    the closed form checks against the budget.
     """
     return max(
         measure_unit_memory(specs[i], aux_heads[i], batch_size, optimizer)
@@ -161,3 +163,26 @@ class MemoryProfiler:
             profiling_flops=profiling_flops,
             measured=measured,
         )
+
+
+def profile_layers(
+    specs: list[LayerSpec], aux_heads: list[Module], config
+) -> ProfileResult:
+    """Step 1 as a run configures it: every layer profiled with its head
+    under ``config``'s optimizer and sample batches (a
+    :class:`~repro.core.config.NeuroFluxConfig`)."""
+    return MemoryProfiler(
+        specs,
+        list(aux_heads),
+        optimizer=config.optimizer,
+        sample_batches=config.sample_batches,
+    ).profile()
+
+
+def profiling_seconds(profiling_flops: float, n_layers: int, platform) -> float:
+    """§6.4's profiling overhead on ``platform``: the profiled steps'
+    FLOPs at its effective rate plus one kernel launch per layer."""
+    return (
+        profiling_flops / platform.effective_flops
+        + n_layers * platform.kernel_launch_overhead
+    )

@@ -10,11 +10,13 @@ the activations cached for the next block.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.api.callbacks import BatchInfo, Callback
+from repro.core.profiler import block_residency_bytes
 from repro.errors import ConfigError
 from repro.flops.count import (
     count_module_kernels,
@@ -22,7 +24,7 @@ from repro.flops.count import (
     training_step_flops,
 )
 from repro.hw.simulator import ExecutionSimulator
-from repro.memory.estimator import local_unit_tensors_by_batch
+from repro.memory.estimator import boundary_sample_bytes, local_unit_tensors_by_batch
 from repro.models.layers import LayerSpec
 from repro.nn import CrossEntropyLoss
 from repro.nn.module import Module, run_backward
@@ -30,12 +32,8 @@ from repro.nn.optim import Optimizer
 
 
 def unit_train_flops(spec: LayerSpec, aux: Module) -> int:
-    """Per-sample training-step FLOPs of one local unit (layer + aux head).
-
-    The single source of truth shared by the worker's simulator charges
-    and the placement optimizer's cost model -- if these diverged, the
-    optimizer would price a schedule the executor never runs.
-    """
+    """Per-sample training-step FLOPs of one local unit (layer + aux head),
+    summed per block by :func:`block_cost`."""
     in_shape = (1, spec.in_channels, *spec.in_hw)
     fwd, out_shape = module_forward_flops(spec.module, in_shape)
     total = training_step_flops(fwd)
@@ -47,6 +45,56 @@ def unit_train_flops(spec: LayerSpec, aux: Module) -> int:
 def unit_kernel_count(spec: LayerSpec, aux: Module) -> int:
     """Kernel dispatches of one local unit (layer + aux head)."""
     return count_module_kernels(spec.module) + count_module_kernels(aux)
+
+
+@dataclass(frozen=True)
+class BlockCost:
+    """Device-independent price of one partition block: what a training
+    step and a forward pass are charged per sample, what §3.1 loads and
+    what the device holds while the block trains."""
+
+    train_flops_per_sample: int
+    n_kernels: int
+    residency_bytes: int
+    out_bytes_per_sample: int
+    #: Eval-mode forward FLOPs of the block's layers (heads excluded).
+    forward_flops_per_sample: int = 0
+    #: The layers' and heads' parameter bytes: §3.1's load.
+    param_bytes: int = 0
+
+
+def block_cost(
+    specs: list[LayerSpec],
+    aux_heads: list[Module],
+    layer_indices,
+    batch: int,
+    optimizer: str = "sgd-momentum",
+) -> BlockCost:
+    """The price of training layers ``layer_indices`` (with their heads)
+    as one block at ``batch`` samples.
+
+    The one block price: the worker charges its steps with it, the
+    controller loads and allocates by it, the placement optimizer and
+    the closed form (:func:`repro.evalsim.training_time.price_partition`)
+    price with it.  Residency is
+    :func:`~repro.core.profiler.block_residency_bytes`.
+    """
+    units = [(specs[i], aux_heads[i]) for i in layer_indices]
+    return BlockCost(
+        train_flops_per_sample=sum(unit_train_flops(s, a) for s, a in units),
+        n_kernels=sum(unit_kernel_count(s, a) for s, a in units),
+        residency_bytes=block_residency_bytes(
+            specs, aux_heads, layer_indices, batch, optimizer
+        ),
+        out_bytes_per_sample=boundary_sample_bytes(
+            units[-1][0].output_elements_per_sample
+        ),
+        forward_flops_per_sample=sum(
+            module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0]
+            for s, _ in units
+        ),
+        param_bytes=sum(s.module.parameter_bytes() + a.parameter_bytes() for s, a in units),
+    )
 
 
 #: Host seconds per byte a training step touches, and per kernel it
@@ -80,7 +128,12 @@ def unit_host_step_seconds(spec: LayerSpec, aux: Module, batch: int) -> float:
 
 
 class BlockWorker:
-    """Trains the layers of one block with per-layer local losses."""
+    """Trains the layers of one block with per-layer local losses.
+
+    ``cost`` is the block's :func:`block_cost`; the controller passes the
+    one it loads and allocates by.  Without it the worker prices itself
+    at one sample: its charges read only the per-sample fields.
+    """
 
     def __init__(
         self,
@@ -89,6 +142,7 @@ class BlockWorker:
         optimizers: list[Optimizer],
         sim: ExecutionSimulator,
         sample_bytes: int,
+        cost: BlockCost | None = None,
     ):
         if not (len(layer_specs) == len(aux_heads) == len(optimizers)):
             raise ConfigError(
@@ -101,36 +155,16 @@ class BlockWorker:
         self.sim = sim
         self.sample_bytes = sample_bytes
         self.loss_fn = CrossEntropyLoss()
-        self._train_flops_per_sample = sum(
-            unit_train_flops(spec, aux) for spec, aux in zip(layer_specs, aux_heads)
+        self.cost = (
+            cost
+            if cost is not None
+            else block_cost(layer_specs, aux_heads, range(len(layer_specs)), 1)
         )
-        self._forward_flops_per_sample = self._compute_forward_flops()
-        self._n_kernels = sum(
-            unit_kernel_count(spec, aux)
-            for spec, aux in zip(layer_specs, aux_heads)
-        )
-
-    def _compute_forward_flops(self) -> int:
-        total = 0
-        for spec in self.layer_specs:
-            in_shape = (1, spec.in_channels, *spec.in_hw)
-            fwd, _ = module_forward_flops(spec.module, in_shape)
-            total += fwd
-        return total
 
     @property
     def units(self) -> list[Module]:
         """Every module this worker trains: its layers, then their heads."""
         return [spec.module for spec in self.layer_specs] + list(self.aux_heads)
-
-    @property
-    def train_flops_per_sample(self) -> int:
-        return self._train_flops_per_sample
-
-    @property
-    def n_kernels(self) -> int:
-        """Kernel dispatches per training step (for external step pricing)."""
-        return self._n_kernels
 
     def train_batch(
         self,
@@ -159,9 +193,9 @@ class BlockWorker:
             opt.zero_grad()
             x = out
         step_time = self.sim.add_training_step(
-            self._train_flops_per_sample * len(x),
+            self.cost.train_flops_per_sample * len(x),
             self.sample_bytes * len(x),
-            self._n_kernels,
+            self.cost.n_kernels,
             input_mode=input_mode,
         )
         return x, loss, step_time
@@ -230,9 +264,9 @@ class BlockWorker:
             n_samples += len(x)
             if charge_time:
                 self.sim.add_inference_batch(
-                    self._forward_flops_per_sample * len(x),
+                    self.cost.forward_flops_per_sample * len(x),
                     self.sample_bytes * len(x),
-                    self._n_kernels,
+                    self.cost.n_kernels,
                 )
         for spec in self.layer_specs:
             spec.module.train()

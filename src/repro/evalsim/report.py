@@ -181,7 +181,7 @@ class EvalSimReport(Report):
 
 def cell_breakdown(
     model, aan_heads, profile, platform, memory_budget: int, batch: int,
-    classic_ll_bytes: int,
+    classic_ll_bytes: int, optimizer: str = "sgd-momentum",
 ) -> dict:
     """The analytic table of one cell, from heads and a profile already built.
 
@@ -193,7 +193,8 @@ def cell_breakdown(
     and the parameter count and ``platform`` throughput of the early-exit
     model ending at that layer, beside the full model's.  Estimator and
     FLOP walks only -- nothing is executed.  ``classic_ll_bytes`` is
-    classic LL's step at ``batch``, taken while its heads were alive.
+    classic LL's step at ``batch``, taken while its heads were alive;
+    every training footprint carries ``optimizer``'s state.
     """
     from repro.evalsim.throughput import convnet_throughput, inference_throughput
     from repro.flops.count import count_module_kernels, module_forward_flops
@@ -204,7 +205,7 @@ def cell_breakdown(
         local_unit_training_memory,
     )
 
-    bp = bp_training_memory(model, batch)
+    bp = bp_training_memory(model, batch, optimizer)
     sample_bytes = 4 * model.in_channels * model.input_hw[0] * model.input_hw[1]
     layers = []
     flops = n_kernels = params = 0
@@ -230,7 +231,9 @@ def cell_breakdown(
                 "layer": spec.index + 1,
                 "activation_elements": spec.output_elements_per_sample,
                 "aux_forward_flops": head_flops,
-                "train_bytes": local_unit_training_memory(spec, head, batch).total,
+                "train_bytes": local_unit_training_memory(
+                    spec, head, batch, optimizer
+                ).total,
                 "measured_bytes": list(measured),
                 "slope": json_num(line.slope),
                 "intercept": json_num(line.intercept),
@@ -245,7 +248,7 @@ def cell_breakdown(
         "sample_batches": list(profile.sample_batches),
         "inference": inference_memory(model, batch).total,
         "aan_ll": ll_training_memory(
-            model, list(aan_heads), batch, residency="params-only"
+            model, list(aan_heads), batch, optimizer, residency="params-only"
         ).total,
         "bp": {
             "activations": bp.activations,
@@ -269,8 +272,13 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
     :class:`~repro.data.datasets.DatasetSpec` at paper scale, ``config``
     a :class:`~repro.core.config.NeuroFluxConfig`.  Its ``batch_limit``
     caps all three arms (and is the batch the ``breakdown`` is taken
-    at); ``rho``, ``sample_batches`` and the cache / adaptive-batch
-    switches govern only the NeuroFlux arm, mirroring the real system.
+    at) and its ``optimizer`` sizes each arm's state, as the trainers
+    and the run do; ``rho``, ``sample_batches``, ``seed`` and the cache /
+    adaptive-batch switches govern only the NeuroFlux arm, which plans
+    through :func:`~repro.core.partitioner.plan_blocks` like the real
+    system.  The NeuroFlux arm always trains AAN heads and the LL arm
+    256-filter ones: ``aux_rule``, ``classic_filters`` and ``lr`` are
+    not read.
     Each rule's auxiliary heads and the memory profile are built once
     and shared by the arm, the reported plan and the breakdown; the
     classic heads (the large ones) are dropped before the adaptive ones
@@ -285,7 +293,7 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
     """
     from repro.core.auxiliary import build_aux_heads
     from repro.core.partitioner import partition
-    from repro.core.profiler import MemoryProfiler
+    from repro.core.profiler import profile_layers
     from repro.errors import PartitionError
     from repro.evalsim.training_time import (
         simulate_bp,
@@ -295,49 +303,29 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
     )
     from repro.memory.estimator import ll_training_memory
 
+    arm = dict(memory_budget=memory_budget, batch_limit=config.batch_limit,
+               optimizer=config.optimizer)
     classic_heads = build_aux_heads(model, rule="classic", seed=config.seed)
     ll = try_simulate(
-        simulate_classic_ll,
-        model,
-        data,
-        platform,
-        epochs,
-        memory_budget=memory_budget,
-        batch_limit=config.batch_limit,
-        heads=classic_heads,
+        simulate_classic_ll, model, data, platform, epochs, heads=classic_heads, **arm
     )
     classic_ll_bytes = ll_training_memory(
-        model, list(classic_heads[:-1]) + [None], config.batch_limit, residency="full"
+        model, list(classic_heads[:-1]) + [None], config.batch_limit,
+        config.optimizer, residency="full",
     ).total
     del classic_heads
 
     aan_heads = build_aux_heads(model, rule="aan", seed=config.seed)
-    profile = MemoryProfiler(
-        model.local_layers(),
-        list(aan_heads),
-        sample_batches=config.sample_batches,
-    ).profile()
-
-    bp = try_simulate(
-        simulate_bp,
-        model,
-        data,
-        platform,
-        epochs,
-        memory_budget=memory_budget,
-        batch_limit=config.batch_limit,
-    )
+    profile = profile_layers(model.local_layers(), aan_heads, config)
+    bp = try_simulate(simulate_bp, model, data, platform, epochs, **arm)
     nf = try_simulate(
         simulate_neuroflux,
         model,
         data,
         platform,
         epochs,
-        memory_budget=memory_budget,
-        batch_limit=config.batch_limit,
-        rho=config.rho,
-        use_cache=config.use_cache,
-        adaptive_batch=config.adaptive_batch,
+        memory_budget,
+        config,
         heads=aan_heads,
         profile=profile,
     )
@@ -395,5 +383,6 @@ def run_evalsim(model, data, platform, epochs: int, memory_budget: int, config):
             memory_budget,
             config.batch_limit,
             classic_ll_bytes,
+            config.optimizer,
         ),
     )

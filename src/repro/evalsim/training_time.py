@@ -34,19 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.auxiliary import build_aux_heads
-from repro.core.partitioner import Block, partition
-from repro.core.profiler import MemoryProfiler, measure_unit_memory
-from repro.core.worker import unit_kernel_count, unit_train_flops
+from repro.core.config import NeuroFluxConfig
+from repro.core.partitioner import Block, plan_blocks
+from repro.core.profiler import profile_layers, profiling_seconds
+from repro.core.worker import block_cost
 from repro.data.datasets import DatasetSpec
 from repro.errors import MemoryBudgetExceeded, PartitionError
-from repro.flops.count import module_forward_flops
 from repro.hw.platforms import Platform
-from repro.hw.simulator import ExecutionSimulator, TimeLedger
-from repro.memory.estimator import (
-    boundary_sample_bytes,
-    bp_memory_by_batch,
-    ll_memory_by_batch,
-)
+from repro.hw.simulator import ExecutionSimulator, TimeLedger, block_input_mode
+from repro.memory.estimator import bp_memory_by_batch, ll_memory_by_batch
 from repro.models.base import ConvNet
 from repro.training.backprop import (
     DEFAULT_BATCH_LIMIT,
@@ -80,13 +76,6 @@ def _epoch_steps(n_samples: int, batch: int) -> list[tuple[int, int]]:
     return [(n, steps) for n, steps in ((batch, full), (rem, 1)) if n and steps]
 
 
-def _forward_flops(specs) -> int:
-    """Per-sample forward FLOPs of a run of layers."""
-    return sum(
-        module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0] for s in specs
-    )
-
-
 def _simulate_full_graph(
     method: str,
     step_price: tuple[int, int],
@@ -117,12 +106,14 @@ def simulate_bp(
     epochs: int,
     memory_budget: int | None = None,
     batch_limit: int = DEFAULT_BATCH_LIMIT,
+    optimizer: str = "sgd-momentum",
 ) -> SimulatedRun:
-    """Replay :class:`BackpropTrainer`'s time accounting without training."""
+    """Replay :class:`BackpropTrainer`'s time accounting without training
+    (its batch sized under ``optimizer``'s state, as the trainer's)."""
     return _simulate_full_graph(
         BackpropTrainer.method,
         bp_step_price(model),
-        bp_memory_by_batch(model),
+        bp_memory_by_batch(model, optimizer),
         data, platform, epochs, memory_budget, batch_limit,
     )
 
@@ -136,8 +127,10 @@ def simulate_classic_ll(
     batch_limit: int = DEFAULT_BATCH_LIMIT,
     seed: int = 0,
     heads=None,
+    optimizer: str = "sgd-momentum",
 ) -> SimulatedRun:
-    """Replay :class:`LocalLearningTrainer`'s accounting (256-filter heads).
+    """Replay :class:`LocalLearningTrainer`'s accounting (256-filter heads,
+    its batch sized under ``optimizer``'s state, as the trainer's).
 
     ``heads`` are the classic heads if the caller has built them already.
     """
@@ -147,7 +140,7 @@ def simulate_classic_ll(
     return _simulate_full_graph(
         LocalLearningTrainer.method,
         ll_step_price(model, aux),
-        ll_memory_by_batch(model, aux, residency="full"),
+        ll_memory_by_batch(model, aux, optimizer, residency="full"),
         data, platform, epochs, memory_budget, batch_limit,
     )
 
@@ -158,74 +151,86 @@ def simulate_neuroflux(
     platform: Platform,
     epochs: int,
     memory_budget: int,
-    batch_limit: int = 256,
-    rho: float = 0.4,
-    use_cache: bool = True,
-    adaptive_batch: bool = True,
-    seed: int = 0,
+    config: NeuroFluxConfig | None = None,
     heads=None,
     profile=None,
 ) -> SimulatedRun:
-    """Replay the NeuroFlux controller's accounting without training.
+    """Replay :meth:`repro.core.controller.NeuroFlux.run` without training:
+    its plan (:func:`~repro.core.partitioner.plan_blocks`), priced by
+    :func:`price_partition`.
 
-    Mirrors :class:`repro.core.controller.NeuroFlux.run`: profiling,
-    block swaps, Algorithm-2 training steps per block, the post-training
-    cache-write forward pass, and per-epoch cache reads.  ``heads`` and
-    ``profile`` are the AAN heads and their memory profile if the caller
-    has built them already.
+    ``config`` supplies what the run reads of it: ``optimizer``,
+    ``sample_batches``, ``batch_limit``, ``rho``, ``use_cache``,
+    ``adaptive_batch`` and ``seed``.  The heads are always AAN heads.
+    ``heads`` and ``profile`` are the AAN heads and their memory profile
+    if the caller has built them already.
     """
+    config = config if config is not None else NeuroFluxConfig()
     specs = model.local_layers()
     if heads is None:
-        heads = build_aux_heads(model, rule="aan", seed=seed)
+        heads = build_aux_heads(model, rule="aan", seed=config.seed)
     if profile is None:
-        profile = MemoryProfiler(specs, list(heads)).profile()
-    blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
-    if not adaptive_batch:
-        global_batch = min(b.batch_size for b in blocks)
-        for b in blocks:
-            b.batch_size = global_batch
-
-    sim = ExecutionSimulator(platform)
-    sim.add_profiling(
-        profile.profiling_flops / platform.effective_flops
-        + len(specs) * platform.kernel_launch_overhead
+        profile = profile_layers(specs, heads, config)
+    return price_partition(
+        plan_blocks(profile, memory_budget, config),
+        specs,
+        heads,
+        data,
+        platform,
+        epochs,
+        memory_budget,
+        profile.profiling_flops,
+        config.use_cache,
+        config.optimizer,
     )
 
-    peak = 0
-    for block in blocks:
-        block_specs = [specs[i] for i in block.layer_indices]
-        block_heads = [heads[i] for i in block.layer_indices]
-        units = list(zip(block_specs, block_heads))
-        train_flops = sum(unit_train_flops(s, h) for s, h in units)
-        n_kernels = sum(unit_kernel_count(s, h) for s, h in units)
-        residency = max(
-            measure_unit_memory(spec, head, block.batch_size) for spec, head in units
-        )
-        peak = max(peak, residency)
-        if residency > memory_budget:
-            raise MemoryBudgetExceeded(residency, 0, memory_budget, "block residency")
 
-        block_params = sum(s.module.parameter_bytes() for s in block_specs) + sum(
-            h.parameter_bytes() for h in block_heads
-        )
-        sim.ledger.overhead += sim.storage_time(block_params, n_ops=1)
+def price_partition(
+    blocks: list[Block],
+    specs,
+    heads,
+    data: DatasetSpec,
+    platform: Platform,
+    epochs: int,
+    memory_budget: int,
+    profiling_flops: float,
+    use_cache: bool = True,
+    optimizer: str = "sgd-momentum",
+) -> SimulatedRun:
+    """The controller's accounting of training ``blocks`` -- any
+    contiguous partition of ``specs`` from layer 0, batch sizes as run --
+    for ``epochs`` epochs: profiling, block loads, Algorithm-2 training
+    steps per block, the post-training cache-fill pass and the cache
+    reads, each block priced by :func:`~repro.core.worker.block_cost`.
 
-        cached_input = use_cache and block.index > 0
-        input_mode = "prefetch-cache" if cached_input else "prefetch-raw"
+    Raises :class:`MemoryBudgetExceeded` where a block's residency
+    overshoots ``memory_budget``, as the run's allocation does.
+    """
+    sim = ExecutionSimulator(platform)
+    sim.add_profiling(profiling_seconds(profiling_flops, len(specs), platform))
+    costs = [
+        block_cost(specs, heads, b.layer_indices, b.batch_size, optimizer) for b in blocks
+    ]
+    # Ablation: without the cache every batch re-runs the trained prefix.
+    prior_fwd_flops = 0
+    for k, (block, cost) in enumerate(zip(blocks, costs)):
+        if cost.residency_bytes > memory_budget:
+            raise MemoryBudgetExceeded(
+                cost.residency_bytes, 0, memory_budget, "block residency"
+            )
+        sim.ledger.overhead += sim.storage_time(cost.param_bytes, n_ops=1)
+        input_mode = block_input_mode(k, use_cache)
         # Post-training forward pass that fills the activation cache.
-        fills_cache = use_cache and block.index < len(blocks) - 1
-        fwd_flops = _forward_flops(block_specs) if fills_cache else 0
-        # Ablation: without the cache every batch re-runs the trained prefix.
-        prior_fwd_flops = 0 if use_cache else _forward_flops(specs[: block.first_layer])
+        fills_cache = use_cache and k < len(blocks) - 1
         for n, steps in _epoch_steps(data.n_train, block.batch_size):
             sim.add_training_step(
-                train_flops * n,
+                cost.train_flops_per_sample * n,
                 data.sample_bytes * n,
-                n_kernels,
+                cost.n_kernels,
                 input_mode=input_mode,
                 count=steps * epochs,
             )
-            if prior_fwd_flops:
+            if prior_fwd_flops and not use_cache:
                 sim.add_inference_batch(
                     prior_fwd_flops * n,
                     data.sample_bytes * n,
@@ -234,29 +239,31 @@ def simulate_neuroflux(
                 )
             if fills_cache:
                 sim.add_inference_batch(
-                    fwd_flops * n, data.sample_bytes * n, n_kernels, count=steps
+                    cost.forward_flops_per_sample * n,
+                    data.sample_bytes * n,
+                    cost.n_kernels,
+                    count=steps,
                 )
                 sim.add_cache_write(
-                    boundary_sample_bytes(block_specs[-1].output_elements_per_sample) * n,
-                    n_files=1, count=steps,
+                    cost.out_bytes_per_sample * n, n_files=1, count=steps
                 )
-        if cached_input:
+        if use_cache and k > 0:
             # One read per file the previous block wrote -- its batch size,
             # not this block's (the prefetcher rebatches after the read) --
             # on every training pass and on the cache-fill pass.
-            read_bytes = boundary_sample_bytes(
-                specs[block.first_layer - 1].output_elements_per_sample
-            )
             passes = epochs + 1 if fills_cache else epochs
-            for n, files in _epoch_steps(data.n_train, blocks[block.index - 1].batch_size):
-                sim.add_cache_read(read_bytes * n, n_files=1, count=files * passes)
+            for n, files in _epoch_steps(data.n_train, blocks[k - 1].batch_size):
+                sim.add_cache_read(
+                    costs[k - 1].out_bytes_per_sample * n, n_files=1, count=files * passes
+                )
+        prior_fwd_flops += cost.forward_flops_per_sample
     return SimulatedRun(
         "neuroflux",
         max(b.batch_size for b in blocks),
         epochs,
         sim.elapsed,
         sim.ledger,
-        peak,
+        max(cost.residency_bytes for cost in costs),
         blocks=tuple(blocks),
     )
 

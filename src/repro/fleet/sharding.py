@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 from repro.core.early_exit import MultiExitModel
 from repro.core.partitioner import Block
+from repro.core.worker import BlockCost
 from repro.errors import ConfigError
 from repro.hw.simulator import ExecutionSimulator
 from repro.memory.estimator import FLOAT_BYTES
 from repro.parallel.cluster import Cluster
-from repro.parallel.placement import BlockCost, PlacementProblem, optimize_placement
+from repro.parallel.placement import PlacementProblem, optimize_placement
 from repro.serving.cascade import CascadeCostModel
 
 #: Micro-batches the makespan predictor streams when scoring a candidate

@@ -33,10 +33,8 @@ from repro.parallel.pipeline import (
     schedule_timing,
 )
 from repro.parallel.placement import (
-    BlockCost,
     PlacementProblem,
     PlacementResult,
-    block_cost,
     build_problem,
     first_fit_placement,
     greedy_placement,
@@ -48,7 +46,6 @@ from repro.parallel.placement import (
 from repro.parallel.report import ParallelReport
 
 __all__ = [
-    "BlockCost",
     "Cluster",
     "DEFAULT_EDGE_CLUSTER",
     "Device",
@@ -58,7 +55,6 @@ __all__ = [
     "PipelineStats",
     "PlacementProblem",
     "PlacementResult",
-    "block_cost",
     "build_problem",
     "first_fit_placement",
     "greedy_placement",

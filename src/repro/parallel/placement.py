@@ -1,12 +1,9 @@
 """Block-to-device placement optimization.
 
-Decides which cluster device trains each partition block.  The cost model
-reuses the repo's existing machinery end to end: per-unit training FLOPs
-and kernel counts from :func:`repro.core.worker.unit_train_flops` /
-:func:`~repro.core.worker.unit_kernel_count` (the same helpers the
-worker charges with), per-block residency from
-:func:`repro.core.profiler.block_residency_bytes` (the same rule the
-controller allocates by), and per-device step times from the very
+Decides which cluster device trains each partition block.  Each block is
+priced by :func:`repro.core.worker.block_cost` -- the one block price the
+worker charges its steps with and the controller allocates by -- and
+each step on each device by the very
 :class:`~repro.hw.simulator.ExecutionSimulator` the executor charges --
 so a predicted makespan and a simulated one disagree only on what the
 prediction deliberately leaves out: ragged final micro-batches and the
@@ -26,56 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.partitioner import Block
-from repro.core.profiler import block_residency_bytes
-from repro.core.worker import unit_kernel_count, unit_train_flops
+from repro.core.worker import BlockCost, block_cost
 from repro.errors import ConfigError, PlacementError
 from repro.hw.simulator import ExecutionSimulator, block_input_mode
-from repro.memory.estimator import boundary_sample_bytes
 from repro.models.layers import LayerSpec
 from repro.nn.module import Module
 from repro.parallel.cluster import Cluster
 from repro.parallel.pipeline import PipelineClock
-
-
-@dataclass(frozen=True)
-class BlockCost:
-    """Device-independent work profile of one partition block."""
-
-    train_flops_per_sample: int
-    n_kernels: int
-    residency_bytes: int
-    out_bytes_per_sample: int
-
-
-def block_cost(
-    specs: list[LayerSpec],
-    aux_heads: list[Module],
-    block: Block,
-    microbatch: int,
-    optimizer: str = "sgd-momentum",
-) -> BlockCost:
-    """Cost profile of ``block`` when trained on ``microbatch``-sized inputs.
-
-    FLOPs, kernel counts and residency come from the same helpers the
-    worker and controller use (:func:`~repro.core.worker.unit_train_flops`,
-    :func:`~repro.core.worker.unit_kernel_count`,
-    :func:`~repro.core.profiler.block_residency_bytes`), so the optimizer
-    prices exactly what the executor charges.
-    """
-    flops = sum(unit_train_flops(specs[i], aux_heads[i]) for i in block.layer_indices)
-    n_kernels = sum(
-        unit_kernel_count(specs[i], aux_heads[i]) for i in block.layer_indices
-    )
-    residency = block_residency_bytes(
-        specs, aux_heads, block.layer_indices, microbatch, optimizer
-    )
-    last = specs[block.last_layer]
-    return BlockCost(
-        train_flops_per_sample=flops,
-        n_kernels=n_kernels,
-        residency_bytes=residency,
-        out_bytes_per_sample=boundary_sample_bytes(last.output_elements_per_sample),
-    )
 
 
 def price_training_step(
@@ -141,7 +95,10 @@ def build_problem(
         raise ConfigError("microbatch must be >= 1")
     if n_train < 1 or epochs < 1:
         raise ConfigError("need a non-empty stream to place for")
-    costs = [block_cost(specs, aux_heads, b, microbatch, optimizer) for b in blocks]
+    costs = [
+        block_cost(specs, aux_heads, b.layer_indices, microbatch, optimizer)
+        for b in blocks
+    ]
     step_times = []
     for k, cost in enumerate(costs):
         step_times.append(

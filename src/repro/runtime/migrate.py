@@ -182,9 +182,9 @@ def failure_recovery(
     replay_s = 0.0
     for _ in range(lost_microbatches):
         replay_s += dst_sim.add_training_step(
-            worker.train_flops_per_sample * replay_batch,
+            worker.cost.train_flops_per_sample * replay_batch,
             worker.sample_bytes * replay_batch,
-            worker.n_kernels,
+            worker.cost.n_kernels,
             input_mode=input_mode,
         )
     worker.sim = dst_sim

@@ -183,10 +183,12 @@ def replay_classic_ll(
 
 def replay_neuroflux(
     model, data, platform, epochs, memory_budget, batch_limit=256, rho=0.4,
-    use_cache=True, adaptive_batch=True, seed=0,
+    use_cache=True, adaptive_batch=True, seed=0, blocks=None,
 ):
     """``simulate_neuroflux`` the long way: every training step, cache
-    read and cache-fill batch of every block is its own charge."""
+    read and cache-fill batch of every block is its own charge.
+    ``blocks`` replays that partition (``price_partition``'s reference)
+    in place of Algorithm 1's."""
     from repro.core.auxiliary import build_aux_heads
     from repro.core.partitioner import partition
     from repro.core.profiler import MemoryProfiler, measure_unit_memory
@@ -199,11 +201,12 @@ def replay_neuroflux(
     heads = build_aux_heads(model, rule="aan", seed=seed)
     specs = model.local_layers()
     profile = MemoryProfiler(specs, list(heads)).profile()
-    blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
-    if not adaptive_batch:
-        global_batch = min(b.batch_size for b in blocks)
-        for b in blocks:
-            b.batch_size = global_batch
+    if blocks is None:
+        blocks = partition(profile.models, memory_budget, batch_limit, rho=rho)
+        if not adaptive_batch:
+            global_batch = min(b.batch_size for b in blocks)
+            for b in blocks:
+                b.batch_size = global_batch
 
     sim = ExecutionSimulator(platform)
     sim.add_profiling(

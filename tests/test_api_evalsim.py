@@ -226,6 +226,47 @@ class TestReportedBlocks:
         assert report.to_json_dict()["evalsim"]["n_blocks"] is None
 
 
+class TestOptimizerIsHonoured:
+    """An evalsim cell plans and sizes every arm under the ``neuroflux``
+    section's optimizer, as the run and the trainers do."""
+
+    @pytest.mark.parametrize("memory_mb", [2, 4, 8])
+    def test_adam_cell_plans_what_the_run_plans(self, tiny_dataset, memory_mb):
+        from repro.core.controller import NeuroFlux
+        from repro.errors import MemoryBudgetExceeded, PartitionError
+        from repro.models.zoo import build_model
+        from repro.training import BackpropTrainer
+
+        spec = JobSpec.from_dict(payload(
+            model={"name": "vgg11", "width_multiplier": 0.25},
+            budgets={"memory_mb": memory_mb, "epochs": 2},
+            neuroflux={"optimizer": "adam"},
+        ))
+        report = run(spec)
+        model = build_model("vgg11", num_classes=10, width_multiplier=0.25)
+        budget = memory_mb * MB
+        system = NeuroFlux(model, tiny_dataset, budget, config=spec.neuroflux)
+        try:
+            blocks, _ = system.plan()
+        except PartitionError:
+            assert report.nf.feasible is False and report.n_blocks is None
+        else:
+            sizes = [b.batch_size for b in blocks]
+            assert (report.n_blocks, report.min_batch, report.max_batch) == (
+                len(blocks), min(sizes), max(sizes),
+            )
+            assert report.nf.feasible == all(
+                system._block_residency_bytes(b) <= budget for b in blocks
+            )
+        trainer = BackpropTrainer(model, tiny_dataset, memory_budget=budget, optimizer="adam")
+        try:
+            batch = trainer.max_feasible_batch(spec.neuroflux.batch_limit)
+        except MemoryBudgetExceeded:
+            assert report.bp.feasible is False
+        else:
+            assert report.bp.batch_size == batch
+
+
 class TestNeuroFluxSectionRejects:
     """Values the ``neuroflux`` section used to accept.  Run on an evalsim
     cell, each hung, raised a bare error at run time, or silently ran

@@ -5,6 +5,8 @@ time accounting, since Figure 11 is produced from it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import replay_bp, replay_classic_ll, replay_neuroflux
 
 from repro.core.config import NeuroFluxConfig
@@ -104,7 +106,7 @@ class TestConsistencyWithRealTrainers:
         real = system.run(2)
         sim = simulate_neuroflux(
             _small_model(), tiny_dataset.spec, AGX_ORIN, 2, budget_mb * MB,
-            batch_limit=64, use_cache=use_cache, adaptive_batch=adaptive_batch,
+            system.config,
         )
         assert [(b.layer_indices, b.batch_size) for b in sim.blocks] == [
             (b.layer_indices, b.batch_size) for b in real.blocks
@@ -150,10 +152,10 @@ class TestSimulatedShapes:
         skipped forward passes dominate and caching wins."""
         model = build_model("vgg16", num_classes=10)
         with_cache = simulate_neuroflux(
-            model, spec, AGX_ORIN, 15, memory_budget=200 * MB, use_cache=True
+            model, spec, AGX_ORIN, 15, 200 * MB, NeuroFluxConfig(use_cache=True)
         )
         without = simulate_neuroflux(
-            model, spec, AGX_ORIN, 15, memory_budget=200 * MB, use_cache=False
+            model, spec, AGX_ORIN, 15, 200 * MB, NeuroFluxConfig(use_cache=False)
         )
         assert without.time_s > with_cache.time_s
         # The compute saving exists at any epoch count.
@@ -162,10 +164,10 @@ class TestSimulatedShapes:
     def test_adaptive_batch_ablation_slower(self, spec):
         model = build_model("vgg16", num_classes=10)
         adaptive = simulate_neuroflux(
-            model, spec, AGX_ORIN, 3, memory_budget=200 * MB, adaptive_batch=True
+            model, spec, AGX_ORIN, 3, 200 * MB, NeuroFluxConfig(adaptive_batch=True)
         )
         fixed = simulate_neuroflux(
-            model, spec, AGX_ORIN, 3, memory_budget=200 * MB, adaptive_batch=False
+            model, spec, AGX_ORIN, 3, 200 * MB, NeuroFluxConfig(adaptive_batch=False)
         )
         assert fixed.time_s >= adaptive.time_s
 
@@ -230,12 +232,10 @@ class TestClosedFormMatchesReplay:
     @pytest.mark.parametrize("epochs", [1, 7])
     @pytest.mark.parametrize("budget_mb", [8, 32, 128])
     def test_neuroflux(self, model, spec, budget_mb, epochs, use_cache, adaptive_batch):
-        kwargs = dict(
-            memory_budget=budget_mb * MB, use_cache=use_cache, adaptive_batch=adaptive_batch
-        )
-        args = (model, spec, AGX_ORIN, epochs)
+        kwargs = dict(use_cache=use_cache, adaptive_batch=adaptive_batch)
+        args = (model, spec, AGX_ORIN, epochs, budget_mb * MB)
         run = self._assert_same(
-            try_simulate(simulate_neuroflux, *args, **kwargs),
+            try_simulate(simulate_neuroflux, *args, NeuroFluxConfig(**kwargs)),
             try_simulate(replay_neuroflux, *args, **kwargs),
         )
         assert run is not None and run.blocks
@@ -260,7 +260,7 @@ class TestClosedFormMatchesReplay:
             (simulate_bp, {}),
             (simulate_classic_ll, {}),
             (simulate_neuroflux, {}),
-            (simulate_neuroflux, {"use_cache": False}),
+            (simulate_neuroflux, {"config": NeuroFluxConfig(use_cache=False)}),
         ],
     )
     def test_charge_calls_do_not_grow_with_epochs(self, monkeypatch, spec, simulate, kwargs):
@@ -288,3 +288,78 @@ class TestClosedFormMatchesReplay:
         assert counts[0] == counts[1] > 0
         # O(layers + blocks): a handful of charges per block at most.
         assert counts[0] <= 12 * len(model.local_layers())
+
+
+class TestPricePartitionMatchesReplay:
+    """``price_partition`` prices any contiguous partition as the
+    step-by-step replay does: Algorithm 1's plan and a random one."""
+
+    @staticmethod
+    def _random_partition(data, profile, budget, batch_limit):
+        """Random cuts; each block's batch drawn up to twice its feasible
+        one, so the residency check is hit both ways."""
+        from repro.core.partitioner import Block
+
+        n = len(profile)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+        blocks = []
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, n])):
+            feasible = min(
+                max(1, min(profile.models[i].max_batch(budget), batch_limit))
+                for i in range(lo, hi)
+            )
+            batch = data.draw(st.integers(1, 2 * feasible))
+            blocks.append(Block(index=k, layer_indices=list(range(lo, hi)), batch_size=batch))
+        return blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["vgg11", "resnet18", "mobilenet"]),
+        width=st.sampled_from([0.125, 0.25]),
+        budget_mb=st.sampled_from([2, 4, 8, 32]),
+        rho=st.sampled_from([0.0, 0.2, 0.4, 1.0]),
+        use_cache=st.booleans(),
+        adaptive_batch=st.booleans(),
+        data=st.data(),
+    )
+    def test_plan_and_random_partitions(
+        self, tiny_dataset, name, width, budget_mb, rho, use_cache, adaptive_batch, data
+    ):
+        from repro.core.partitioner import plan_blocks
+        from repro.core.profiler import profile_layers
+        from repro.errors import MemoryBudgetExceeded, PartitionError
+        from repro.evalsim.training_time import price_partition
+
+        spec = dataset_spec("cifar10", scale=0.004)
+        model = build_model(name, num_classes=10, width_multiplier=width)
+        config = NeuroFluxConfig(
+            rho=rho, use_cache=use_cache, adaptive_batch=adaptive_batch, batch_limit=128
+        )
+        budget = budget_mb * MB
+        system = NeuroFlux(model, tiny_dataset, memory_budget=budget, config=config)
+        profile = profile_layers(system.specs, system.aux_heads, config)
+        partitions = [self._random_partition(data, profile, budget, config.batch_limit)]
+        try:
+            planned, profiling_flops = system.plan()
+        except PartitionError:
+            with pytest.raises(PartitionError):
+                plan_blocks(profile, budget, config)
+        else:
+            assert profiling_flops == profile.profiling_flops
+            partitions.append(planned)
+        for blocks in partitions:
+            outcomes = []
+            for price in (
+                lambda: price_partition(
+                    blocks, system.specs, system.aux_heads, spec, AGX_ORIN, 3,
+                    budget, profile.profiling_flops, use_cache,
+                ),
+                lambda: replay_neuroflux(
+                    model, spec, AGX_ORIN, 3, budget, use_cache=use_cache, blocks=blocks
+                ),
+            ):
+                try:
+                    outcomes.append(price())
+                except MemoryBudgetExceeded:
+                    outcomes.append(None)
+            TestClosedFormMatchesReplay._assert_same(*outcomes)
