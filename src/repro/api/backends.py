@@ -49,8 +49,8 @@ from repro.errors import SpecError
 # --------------------------------------------------------------------- #
 # materializers (spec section -> live object)                           #
 # --------------------------------------------------------------------- #
-def build_data_from_spec(spec: JobSpec):
-    """Materialize the ``data`` section into a synthetic dataset."""
+def build_data_spec_from_spec(spec: JobSpec):
+    """The ``data`` section as a dataset spec, not yet materialized."""
     from repro.data.registry import dataset_spec
 
     d = spec.data
@@ -62,7 +62,12 @@ def build_data_from_spec(spec: JobSpec):
         noise_std=d.noise_std,
         max_shift=d.max_shift,
         seed=d.seed,
-    ).materialize()
+    )
+
+
+def build_data_from_spec(spec: JobSpec):
+    """Materialize the ``data`` section into a synthetic dataset."""
+    return build_data_spec_from_spec(spec).materialize()
 
 
 def build_model_from_spec(spec: JobSpec):
@@ -104,19 +109,27 @@ def build_cluster_from_spec(spec: JobSpec):
     )
 
 
+def build_events_from_section(section):
+    """The event schedule a ``runtime`` or ``fleet`` section names, inline
+    or by file (``None`` if it names none)."""
+    from repro.runtime import EventSchedule
+
+    if section.events is not None:
+        return EventSchedule.from_json_dict(section.events)
+    if section.events_file is not None:
+        return EventSchedule.load(section.events_file)
+    return None
+
+
 def build_runtime_from_spec(spec: JobSpec):
     """Materialize the ``runtime`` section (or ``None``)."""
     if spec.runtime is None:
         return None
-    from repro.runtime import AdaptiveRuntime, EventSchedule
+    from repro.runtime import AdaptiveRuntime
 
-    r = spec.runtime
-    events = None
-    if r.events is not None:
-        events = EventSchedule.from_json_dict(r.events)
-    elif r.events_file is not None:
-        events = EventSchedule.load(r.events_file)
-    return AdaptiveRuntime(events=events, adapt=r.adapt)
+    return AdaptiveRuntime(
+        events=build_events_from_section(spec.runtime), adapt=spec.runtime.adapt
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -303,21 +316,11 @@ class EvalSimBackend(Backend):
     rejects_time_budget = True
 
     def prepare(self, spec: JobSpec) -> JobContext:
-        from repro.data.registry import dataset_spec
         from repro.models.zoo import build_model
         from repro.nn.init import shapes_only
 
         context = JobContext(spec=spec, backend=self.name)
-        d = spec.data
-        data = dataset_spec(
-            d.dataset,
-            scale=d.scale,
-            image_hw=tuple(d.image_hw),
-            num_classes=d.num_classes,
-            noise_std=d.noise_std,
-            max_shift=d.max_shift,
-            seed=d.seed,
-        )
+        data = build_data_spec_from_spec(spec)
         m = spec.model
         with shapes_only():
             context.system = build_model(
@@ -520,7 +523,6 @@ class ClusterServingBackend(ServingBackend):
 
     def prepare(self, spec: JobSpec) -> JobContext:
         from repro.fleet import FleetConfig
-        from repro.runtime import EventSchedule
 
         context = super().prepare(spec)
         f = spec.fleet
@@ -534,9 +536,6 @@ class ClusterServingBackend(ServingBackend):
             scale_down_at=f.scale_down_at,
             cooldown_s=f.cooldown_s,
         )
-        if f.events is not None:
-            context.extras["schedule"] = EventSchedule.from_json_dict(f.events)
-        elif f.events_file is not None:
-            context.extras["schedule"] = EventSchedule.load(f.events_file)
+        context.extras["schedule"] = build_events_from_section(f)
         context.cluster = build_cluster_from_spec(spec)
         return context

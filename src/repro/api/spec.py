@@ -140,6 +140,14 @@ class ClusterSection:
             raise SpecError("cluster", "queue_capacity must be >= 1")
 
 
+def _check_one_event_source(section) -> None:
+    """A section names its event schedule inline or by file, not both."""
+    if section.events is not None and section.events_file is not None:
+        raise SpecError(
+            section._section, "events and events_file are mutually exclusive"
+        )
+
+
 @dataclass
 class RuntimeSection:
     """The adaptive cluster runtime (see :class:`repro.runtime.AdaptiveRuntime`)."""
@@ -153,10 +161,7 @@ class RuntimeSection:
     events_file: str | None = None
 
     def __post_init__(self) -> None:
-        if self.events is not None and self.events_file is not None:
-            raise SpecError(
-                "runtime", "events and events_file are mutually exclusive"
-            )
+        _check_one_event_source(self)
 
 
 @dataclass
@@ -297,10 +302,7 @@ class FleetSection:
             )
         if self.cooldown_s < 0:
             raise SpecError("fleet", "cooldown_s must be non-negative")
-        if self.events is not None and self.events_file is not None:
-            raise SpecError(
-                "fleet", "events and events_file are mutually exclusive"
-            )
+        _check_one_event_source(self)
 
 
 @dataclass
