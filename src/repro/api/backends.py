@@ -299,9 +299,12 @@ class EvalSimBackend(Backend):
     (paper-scale simulation only makes sense when they match); the
     ``model`` section contributes the architecture, width multiplier and
     seed.  ``budgets.memory_mb`` is the training budget, ``budgets.
-    epochs`` the simulated epochs; the ``neuroflux`` section's
-    ``batch_limit`` caps all three arms and ``rho`` / ``sample_batches``
-    / ``use_cache`` / ``adaptive_batch`` govern the NeuroFlux arm.
+    epochs`` the simulated epochs.  Of the ``neuroflux`` section,
+    ``batch_limit`` caps all three arms and ``optimizer`` sizes their
+    state, as the trainers and the run do; ``rho`` / ``sample_batches`` /
+    ``use_cache`` / ``adaptive_batch`` / ``seed`` govern the NeuroFlux
+    arm, which plans as :meth:`NeuroFlux.plan` does and always trains
+    AAN heads: ``aux_rule``, ``classic_filters`` and ``lr`` are not read.
 
     The cell's model and its classic and adaptive auxiliary heads are
     built shape-only (:class:`repro.nn.init.shapes_only`): every weight

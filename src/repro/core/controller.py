@@ -165,7 +165,8 @@ class NeuroFlux:
     def plan(self) -> tuple[list[Block], float]:
         """Profile and partition; returns blocks and profiling FLOPs."""
         profile = profile_layers(self.specs, self.aux_heads, self.config)
-        return plan_blocks(profile, self.memory_budget, self.config), profile.profiling_flops
+        blocks = plan_blocks(profile, self.memory_budget, self.config)
+        return blocks, profile.profiling_flops
 
     # -- private helpers -----------------------------------------------------
     def _raw_batches(self, block: Block, epoch_rng: np.random.Generator) -> DataLoader:

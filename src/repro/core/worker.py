@@ -93,7 +93,9 @@ def block_cost(
             module_forward_flops(s.module, (1, s.in_channels, *s.in_hw))[0]
             for s, _ in units
         ),
-        param_bytes=sum(s.module.parameter_bytes() + a.parameter_bytes() for s, a in units),
+        param_bytes=sum(
+            s.module.parameter_bytes() + a.parameter_bytes() for s, a in units
+        ),
     )
 
 

@@ -181,7 +181,7 @@ class EvalSimReport(Report):
 
 def cell_breakdown(
     model, aan_heads, profile, platform, memory_budget: int, batch: int,
-    classic_ll_bytes: int, optimizer: str = "sgd-momentum",
+    classic_ll_bytes: int, optimizer: str,
 ) -> dict:
     """The analytic table of one cell, from heads and a profile already built.
 

@@ -20,8 +20,16 @@ as the reference the charges are checked against.
 The step prices are not copies: ``simulate_bp`` and
 ``simulate_classic_ll`` call the cost functions their trainers charge with
 (:func:`~repro.training.backprop.bp_step_price`,
-:func:`~repro.training.local.ll_step_price`), ``simulate_neuroflux`` the
-worker's (:func:`~repro.core.worker.unit_train_flops`).  Three tests in
+:func:`~repro.training.local.ll_step_price`) and size their batch under
+the trainers' optimizer.  ``simulate_neuroflux`` is the run's own plan
+(:func:`~repro.core.profiler.profile_layers` and
+:func:`~repro.core.partitioner.plan_blocks`, what
+:meth:`NeuroFlux.plan` calls) priced by :func:`price_partition`, which
+prices any contiguous block list with the block price the controller
+charges (:func:`~repro.core.worker.block_cost`: FLOPs, kernels, load
+bytes, residency), the run's input mode
+(:func:`~repro.hw.simulator.block_input_mode`) and its profiling rule
+(:func:`~repro.core.profiler.profiling_seconds`).  Three tests in
 ``tests/test_training_time_sim.py`` hold the rest of the accounting to a
 real run, ledger line by ledger line:
 ``test_bp_simulation_matches_trainer_ledger``,
@@ -194,7 +202,7 @@ def price_partition(
     epochs: int,
     memory_budget: int,
     profiling_flops: float,
-    use_cache: bool = True,
+    use_cache: bool,
     optimizer: str = "sgd-momentum",
 ) -> SimulatedRun:
     """The controller's accounting of training ``blocks`` -- any

@@ -29,13 +29,16 @@ block's own batch, since evaluation runs at that batch too -- and nothing
 of any other block.  The units train one at a time, so the block's layers
 share one workspace per position and its heads another: each slot holds
 its worst unit's request, as
-:func:`repro.core.profiler.block_residency_bytes` counts the worst unit
-alone.  Measured on ``benchmarks/e2e`` ``train_seq_cache`` (vgg11 x0.25,
-8 MiB budget, blocks at batch 20/32/54/186): per-block host peaks of
-12.6 / 12.3 / 12.3 / 12.5 MiB against a simulated peak of 8.0 MiB, ratio
-1.58 (22.7 / 19.0 / 18.0 / 20.4 MiB, ratio 2.84, while every unit kept
-its own slots), gated by ``tests/test_host_memory.py``.  What the model
-does not explain of the remainder: (1) the slots are im2col lowerings --
+:func:`repro.core.profiler.block_residency_bytes` -- the residency of
+:func:`repro.core.worker.block_cost`, which the controller allocates
+by, the placement optimizer budgets with and the closed form checks --
+counts the worst unit alone.  Measured on ``benchmarks/e2e``
+``train_seq_cache`` (vgg11 x0.25, 8 MiB budget, blocks at batch
+20/32/54/186): per-block host peaks of 12.6 / 12.3 / 12.3 / 12.5 MiB
+against a simulated peak of 8.0 MiB, ratio 1.58 (22.7 / 19.0 / 18.0 /
+20.4 MiB, ratio 2.84, while every unit kept its own slots), gated by
+``tests/test_host_memory.py``.  What the model does not explain of the
+remainder: (1) the slots are im2col lowerings --
 an explicit ``cols`` matrix (k*k times the input) beside the ``out_mat``
 GEMM operand, which backward reuses for its gradients -- where the model
 charges retained inputs and one transient workspace; (2) layers without
