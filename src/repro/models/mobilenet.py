@@ -9,6 +9,7 @@ NeuroFlux.  Each local-learning unit is one depthwise-separable block
 from __future__ import annotations
 
 from repro.models.base import ConvNet, scale_width
+from repro.models.layers import conv_unit
 from repro.nn import BatchNorm2d, Conv2d, DepthwiseConv2d, ReLU, Sequential
 from repro.utils.rng import spawn_rng
 
@@ -44,11 +45,8 @@ class MobileNet(ConvNet):
         super().__init__("mobilenet", input_hw, num_classes)
         config = config if config is not None else MOBILENET_CONFIG
         stem_width = scale_width(32, width_multiplier)
-        stem_rng = spawn_rng(seed, "mobilenet/stem")
-        stem = Sequential(
-            Conv2d(self.in_channels, stem_width, 3, stride=1, padding=1, bias=False, rng=stem_rng),
-            BatchNorm2d(stem_width),
-            ReLU(),
+        stem = conv_unit(
+            self.in_channels, stem_width, rng=spawn_rng(seed, "mobilenet/stem")
         )
         self.add_stage("stem", stem, stem_width, self.input_hw)
         for block_i, (channels, want_stride) in enumerate(config):

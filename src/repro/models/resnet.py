@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.models.base import ConvNet, scale_width
+from repro.models.layers import conv_unit
 from repro.nn import BatchNorm2d, Conv2d, Identity, ReLU, Sequential
 from repro.nn.module import Module, run_backward
 from repro.utils.rng import spawn_rng
@@ -121,11 +122,8 @@ class ResNet(ConvNet):
     ):
         super().__init__(variant, input_hw, num_classes)
         widths = [scale_width(c, width_multiplier) for c in (64, 128, 256, 512)]
-        stem_rng = spawn_rng(seed, f"{variant}/stem")
-        stem = Sequential(
-            Conv2d(self.in_channels, widths[0], 3, stride=1, padding=1, bias=False, rng=stem_rng),
-            BatchNorm2d(widths[0]),
-            ReLU(),
+        stem = conv_unit(
+            self.in_channels, widths[0], rng=spawn_rng(seed, f"{variant}/stem")
         )
         self.add_stage("stem", stem, widths[0], self.input_hw)
         for stage_i, (width, n_blocks) in enumerate(zip(widths, blocks_per_stage)):
