@@ -75,9 +75,11 @@ class _HistoryRecorder(Callback):
     """Best exit accuracy so far on the capped validation subset.
 
     The one history recorder of every schedule.  The block loop calls
-    :meth:`record` after each block epoch with the active block's layers
-    and :meth:`advance` once the block is done, so later points only
-    forward the remaining blocks (cheap, uncharged).  The pipelined
+    :meth:`record` after each block epoch with the active block's layers,
+    keeping what its last epoch forwarded, and :meth:`advance` right
+    after that epoch, so later points only forward the remaining blocks
+    (cheap, uncharged) and the subset is never forwarded twice through
+    the same weights.  The pipelined
     executor reaches it as an ``on_epoch_end`` subscriber: all blocks
     are still training, so each point forwards the whole chain, and the
     shared ``metrics`` dict is enriched in place so callbacks later in
@@ -93,23 +95,36 @@ class _HistoryRecorder(Callback):
         self.feats = system.data.x_val[:n_eval]
         self.labels = system.data.y_val[:n_eval]
         self.best_acc = 0.0
+        self._kept: np.ndarray | None = None
 
     def record(
-        self, time_s: float, epoch: int, loss: float, specs, chunk: int
+        self,
+        time_s: float,
+        epoch: int,
+        loss: float,
+        specs,
+        chunk: int,
+        keep: bool = False,
     ) -> float:
+        """Append one history point; with ``keep`` the subset forwarded
+        through ``specs`` stays for :meth:`advance` (only the block's last
+        epoch keeps it, so training never holds two copies)."""
         feats = self.feats
         for spec in specs:
             feats = _eval_forward(spec, feats, chunk)
             acc = self.system._exit_accuracy(feats, self.labels, spec.index, chunk)
             self.best_acc = max(self.best_acc, acc)
+        if keep:
+            self._kept = feats
         self.result.history.append(
             HistoryPoint(time_s, epoch + 1, self.best_acc, loss, "val")
         )
         return self.best_acc
 
-    def advance(self, specs, chunk: int) -> None:
-        for spec in specs:
-            self.feats = _eval_forward(spec, self.feats, chunk)
+    def advance(self) -> None:
+        """Move the subset past the block just trained: adopt what the
+        block's last :meth:`record` forwarded through its final weights."""
+        self.feats, self._kept = self._kept, None
 
     def on_epoch_end(self, epoch: int, time_s: float, metrics: dict) -> None:
         # Only the pipelined frame subscribes; its batch size is the
@@ -523,7 +538,12 @@ class NeuroFlux:
                     # device that actually hosts it now.
                     sim = ctx.sim_for_block(block.index)
                     best_acc = history.record(
-                        ctx.elapsed, epoch, mean_loss, block_specs, block.batch_size
+                        ctx.elapsed,
+                        epoch,
+                        mean_loss,
+                        block_specs,
+                        block.batch_size,
+                        keep=epoch == epochs - 1,
                     )
                     cbs.on_epoch_end(
                         epoch,
@@ -537,6 +557,8 @@ class NeuroFlux:
                     if time_budget_s is not None and ctx.elapsed >= time_budget_s:
                         stop = True
                         break
+                # A stop ends the run, so no later point needs the subset.
+                history.advance()
 
                 # §3.3: cache the trained block's outputs for the next block.
                 is_last = block.index == len(blocks) - 1
@@ -555,7 +577,6 @@ class NeuroFlux:
                 if block.index > 0 and cfg.use_cache:
                     store.clear_block(block.index - 1)
 
-                history.advance(block_specs, block.batch_size)
                 ctx.free_block(block.index)
                 # Nothing of this block stays resident on the host either.
                 self._release_workspaces(worker.units)

@@ -5,6 +5,19 @@ Counts multiply-accumulates as two FLOPs (the usual convention).  Modules
 with data-dependent internals (e.g. residual blocks) expose a
 ``forward_flops(in_shape)`` hook which takes precedence, so the counter
 stays open for extension without type sniffing every composite.
+
+Both counts are memoized (:mod:`repro.utils.memo`): a module's kernel
+count once, its FLOPs and output shape once per per-sample input shape.
+The FLOPs are counted at batch 1 and scaled by the batch, which is exact
+because every rule below and every ``forward_flops`` hook is linear in
+the batch; a key per batch would keep one entry per probed batch size
+for no new fact.  The walk below the module asked about applies the
+rules directly, so the keys are what callers price -- units, heads,
+models -- not every leaf of them (a residual block's hooks re-enter the
+counter, so its branches are keys too): an entry per leaf showed as
+~0.1 MiB more peak RSS on the ``sweep_evalsim_grid`` benchmark.  A
+planner that prices many partitions, batches or sweep arms of one model
+walks each unit once.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from repro.nn.linear import Linear
 from repro.nn.module import Identity, Module, Sequential
 from repro.nn.normalization import BatchNorm2d
 from repro.nn.pooling import AdaptiveAvgPool2d, AvgPool2d, MaxPool2d
+from repro.utils.memo import memoized
 
 #: Paper Section 2.2: the backward pass costs up to 3x the forward FLOPs;
 #: 2x is the standard estimate for conv nets and what every step price
@@ -39,6 +53,18 @@ def module_forward_flops(
 
     ``in_shape`` includes the batch dimension, e.g. ``(N, C, H, W)``.
     """
+    n, *sample = in_shape
+    flops, out_shape = memoized(
+        module, "forward-flops", tuple(sample), lambda: walk_forward_flops(module, (1, *sample))
+    )
+    return flops * n, (n, *out_shape[1:])
+
+
+def walk_forward_flops(
+    module: Module, in_shape: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """:func:`module_forward_flops` by the rules, at ``in_shape``'s batch
+    and unmemoized: the walk below the module a caller asks about."""
     hook = getattr(module, "forward_flops", None)
     if hook is not None:
         return hook(in_shape)
@@ -47,7 +73,7 @@ def module_forward_flops(
         total = 0
         shape = in_shape
         for child in module:
-            f, shape = module_forward_flops(child, shape)
+            f, shape = walk_forward_flops(child, shape)
             total += f
         return total, shape
 
@@ -142,14 +168,19 @@ def count_module_kernels(module: Module) -> int:
 
     Used by the execution simulator to charge per-kernel launch overhead.
     """
+    return memoized(module, "kernels", (), lambda: _kernels_rule(module))
+
+
+def _kernels_rule(module: Module) -> int:
+    """:func:`count_module_kernels` by the rules."""
     hook = getattr(module, "count_kernels", None)
     if hook is not None:
         return hook()
     if isinstance(module, Sequential):
-        return sum(count_module_kernels(child) for child in module)
+        return sum(_kernels_rule(child) for child in module)
     n_children = sum(1 for _ in module.children())
     if n_children:
-        return sum(count_module_kernels(c) for c in module.children()) + 1
+        return sum(_kernels_rule(c) for c in module.children()) + 1
     return 1
 
 

@@ -20,6 +20,18 @@ footprints apply the same byte rules to the same per-sample op walk, and
 :func:`boundary_sample_bytes` fixes what a sample carries from one block
 to the next: a change to what training holds is an edit here alone.
 
+The walk is memoized, the byte rules are not.  A unit's atomic ops with
+their per-sample shapes (``_sample_ops``), like its FLOPs and kernel
+count (:mod:`repro.flops.count`) and its ``parameter_bytes()``, follow
+from the module and the shape of one sample alone, so each is kept once
+per module and per-sample shape (:mod:`repro.utils.memo`, weakly keyed:
+a model's entries leave with the model).  A key per batch would keep
+one op list per probed batch size for no new fact.  Every reader still
+applies the byte rules to the op list at its own batch, so a tensor list
+is byte for byte what a fresh walk gives, and the profiler, the planner,
+the host price of a forked stage and the closed form stop re-walking
+the same modules.
+
 Note the deliberate distinction from the numpy substrate: the
 simulated-GPU numbers model the PyTorch/cuDNN retention semantics the
 paper measured, not what ``repro.nn`` allocates.  What the host holds is
@@ -77,7 +89,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import ConfigError, ShapeError
-from repro.flops.count import module_forward_flops
+from repro.flops.count import module_forward_flops, walk_forward_flops
 from repro.models.base import ConvNet
 from repro.models.layers import LayerSpec
 from repro.nn.activations import LeakyReLU, ReLU, Tanh
@@ -88,6 +100,7 @@ from repro.nn.linear import Linear
 from repro.nn.module import Identity, Module, Sequential
 from repro.nn.normalization import BatchNorm2d
 from repro.nn.pooling import AdaptiveAvgPool2d, AvgPool2d, MaxPool2d
+from repro.utils.memo import memoized
 
 FLOAT_BYTES = 4
 INDEX_BYTES = 8
@@ -160,9 +173,9 @@ def iter_atomic_ops(
         shape = in_shape
         for child in module:
             yield from iter_atomic_ops(child, shape)
-            _, shape = module_forward_flops(child, shape)
+            _, shape = walk_forward_flops(child, shape)
         return
-    _, out_shape = module_forward_flops(module, in_shape)
+    _, out_shape = walk_forward_flops(module, in_shape)
     yield module, in_shape, out_shape
 
 
@@ -171,20 +184,31 @@ def iter_atomic_ops(
 SampleOp = tuple[Module, tuple[int, ...], tuple[int, ...]]
 
 
-def _sample_ops(module: Module, sample_shape: tuple[int, ...]) -> list[SampleOp]:
+def _sample_ops(module: Module, sample_shape: tuple[int, ...]) -> tuple[SampleOp, ...]:
     """The atomic ops of ``module`` with per-sample shapes.
 
     Which ops run and every axis but the leading one are the same at any
-    batch size, so a caller that probes many batch sizes walks the module
-    tree once and re-applies the byte rules to this list.
+    batch size, so the list is memoized per module and per-sample shape
+    and every caller re-applies the byte rules to it.  An atomic module
+    is its own one op and is not memoized: its entry would hold its own
+    key and never leave the memo.
     """
-    return [
-        (op, i[1:], o[1:])
-        for op, i, o in iter_atomic_ops(module, (1, *sample_shape))
-    ]
+    sample_shape = tuple(sample_shape)
+
+    def walk() -> tuple[SampleOp, ...]:
+        return tuple(
+            (op, i[1:], o[1:])
+            for op, i, o in iter_atomic_ops(module, (1, *sample_shape))
+        )
+
+    if getattr(module, "iter_memory_ops", None) is None and not isinstance(
+        module, Sequential
+    ):
+        return walk()
+    return memoized(module, "sample-ops", sample_shape, walk)
 
 
-def _ops_bytes(rule, ops: list[SampleOp], batch_size: int) -> int:
+def _ops_bytes(rule, ops: tuple[SampleOp, ...], batch_size: int) -> int:
     """Sum of a byte ``rule`` over ``ops`` at ``batch_size``."""
     return sum(rule(op, (batch_size, *i), (batch_size, *o)) for op, i, o in ops)
 
@@ -226,8 +250,12 @@ def module_max_workspace_bytes(module: Module, in_shape: tuple[int, ...]) -> int
     Used for tightly-managed execution (NeuroFlux's single resident unit):
     one kernel runs at a time and the worst buffer bounds the peak.
     """
+    n = in_shape[0]
     return max(
-        (op_workspace_bytes(op, i, o) for op, i, o in iter_atomic_ops(module, in_shape)),
+        (
+            op_workspace_bytes(op, (n, *i), (n, *o))
+            for op, i, o in _sample_ops(module, in_shape[1:])
+        ),
         default=0,
     )
 
@@ -238,13 +266,14 @@ def module_peak_transient_bytes(module: Module, in_shape: tuple[int, ...]) -> in
     This is the inference-mode activation footprint: no retention, only the
     tensor being consumed plus the tensor being produced.
     """
+    n = in_shape[0]
     peak = 0
-    for _, i, o in iter_atomic_ops(module, in_shape):
-        peak = max(peak, (_numel(i) + _numel(o)) * FLOAT_BYTES)
+    for _, i, o in _sample_ops(module, in_shape[1:]):
+        peak = max(peak, n * (_numel(i) + _numel(o)) * FLOAT_BYTES)
     return peak
 
 
-def _stage_walk(model: ConvNet) -> list[tuple[list[SampleOp], tuple[int, ...]]]:
+def _stage_walk(model: ConvNet) -> list[tuple[tuple[SampleOp, ...], tuple[int, ...]]]:
     """Every stage of ``model``, classifier head last, as its per-sample
     atomic ops and its per-sample output shape."""
     shape = (model.in_channels, *model.input_hw)

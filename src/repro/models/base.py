@@ -8,6 +8,7 @@ from repro.errors import ShapeError
 from repro.models.layers import LayerSpec
 from repro.nn import Flatten, GlobalAvgPool2d, Linear
 from repro.nn.module import Module, Sequential, run_backward
+from repro.utils.memo import forget
 
 
 class ConvNet(Module):
@@ -16,6 +17,8 @@ class ConvNet(Module):
     Subclasses build their stages in order with :meth:`add_stage`, which
     derives each stage's :class:`LayerSpec` geometry from the one before
     it, and finish with :meth:`add_head` (pool+flatten+linear classifier).
+    These two are the only writes that change a built module's structure,
+    so both drop the model's memoized facts (:mod:`repro.utils.memo`).
 
     End-to-end training (the BP baseline) uses ``forward``/``backward`` over
     the whole chain; local learning trains each ``LayerSpec.module``
@@ -74,6 +77,7 @@ class ConvNet(Module):
         )
         self.stages.append(module)
         self._specs.append(spec)
+        forget(self)
         return spec
 
     def add_head(self, rng: np.random.Generator) -> None:
@@ -83,6 +87,7 @@ class ConvNet(Module):
             Flatten(),
             Linear(self.feature_shape[0], self.num_classes, rng=rng),
         )
+        forget(self)
 
     # -- end-to-end path ---------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.nn.init import placeholder
 from repro.perf.workspace import Workspace
+from repro.utils.memo import memoized
 
 
 class Parameter:
@@ -205,8 +206,12 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     def parameter_bytes(self) -> int:
-        """Resident weight bytes; a gradient buffer holds as many."""
-        return sum(p.nbytes for p in self.parameters())
+        """Resident weight bytes; a gradient buffer holds as many.
+        Memoized (:mod:`repro.utils.memo`): a module's parameter shapes
+        are fixed once it is built."""
+        return memoized(
+            self, "parameter-bytes", (), lambda: sum(p.nbytes for p in self.parameters())
+        )
 
     # -- (de)serialization -------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -273,9 +278,6 @@ class Sequential(Module):
     def __init__(self, *layers: Module):
         super().__init__()
         self.layers = list(layers)
-
-    def append(self, layer: Module) -> None:
-        self.layers.append(layer)
 
     def __len__(self) -> int:
         return len(self.layers)

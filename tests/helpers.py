@@ -113,6 +113,41 @@ class FakeBlas:
 
 
 # --------------------------------------------------------------------- #
+# the structural facts without the memo                                 #
+# --------------------------------------------------------------------- #
+class _NoFacts:
+    """A memo store that keeps nothing: every fact is computed afresh."""
+
+    def get(self, module, default=None):
+        return default
+
+    def __setitem__(self, module, facts) -> None:
+        pass
+
+    def pop(self, module, default=None):
+        return default
+
+
+@contextmanager
+def unmemoized():
+    """Every structural fact walked afresh: nothing is read from or
+    written to :mod:`repro.utils.memo`, and ``module_forward_flops``
+    applies its rules at the full batch (as it did before the memo)
+    instead of at batch 1, scaled.  Also a decorator: the replays below
+    run under it, so they never share a computation with what they
+    check."""
+    from repro.flops import count
+    from repro.utils import memo
+
+    saved = memo._FACTS, count.module_forward_flops
+    memo._FACTS, count.module_forward_flops = _NoFacts(), count.walk_forward_flops
+    try:
+        yield
+    finally:
+        memo._FACTS, count.module_forward_flops = saved
+
+
+# --------------------------------------------------------------------- #
 # step-by-step replay: the reference for repro.evalsim.training_time     #
 # --------------------------------------------------------------------- #
 def _replay_steps(n_samples: int, batch: int) -> list[int]:
@@ -120,6 +155,7 @@ def _replay_steps(n_samples: int, batch: int) -> list[int]:
     return [batch] * full + ([rem] if rem else [])
 
 
+@unmemoized()
 def replay_bp(model, data, platform, epochs, memory_budget=None, batch_limit=256):
     """``simulate_bp`` the long way: one simulator charge per optimizer
     step of every epoch, one full model walk per memory probe."""
@@ -141,6 +177,7 @@ def replay_bp(model, data, platform, epochs, memory_budget=None, batch_limit=256
     return SimulatedRun("backprop", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
 
 
+@unmemoized()
 def replay_classic_ll(
     model, data, platform, epochs, memory_budget=None, batch_limit=256, seed=0
 ):
@@ -181,6 +218,7 @@ def replay_classic_ll(
     return SimulatedRun("classic-ll", batch, epochs, sim.elapsed, sim.ledger, mem(batch))
 
 
+@unmemoized()
 def replay_neuroflux(
     model, data, platform, epochs, memory_budget, batch_limit=256, rho=0.4,
     use_cache=True, adaptive_batch=True, seed=0, blocks=None,

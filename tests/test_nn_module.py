@@ -94,9 +94,8 @@ class TestSequential:
         dx = seq.backward(np.ones_like(out))
         np.testing.assert_array_equal(dx, (x > 0).astype(float))
 
-    def test_append_and_index(self):
-        seq = Sequential(ReLU())
-        seq.append(Identity())
+    def test_len_and_index(self):
+        seq = Sequential(ReLU(), Identity())
         assert len(seq) == 2
         assert isinstance(seq[1], Identity)
 
