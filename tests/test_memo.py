@@ -78,7 +78,7 @@ def test_entries_leave_with_the_model():
     stem_conv = specs[0].module[0]
     _sample_ops(stem_conv, (specs[0].in_channels, *specs[0].in_hw))
     del stem_conv
-    refs = [weakref.ref(m) for m in [*model.modules(), *(h for h in heads)]]
+    refs = [weakref.ref(m) for root in [model, *heads] for m in root.modules()]
     assert len(memo._FACTS) > before
     del model, heads, specs
     gc.collect()
